@@ -47,31 +47,22 @@ class Compressor {
   virtual bool supports(BoundMode mode) const = 0;
 
   /// Compresses `data` under `bound` into a self-describing container.
-  virtual Bytes compress(std::span<const double> data,
-                         const ErrorBound& bound) const = 0;
+  /// `scratch` is the caller's per-worker pooled working state: the
+  /// bitstream never depends on it, but pooled codecs reach a
+  /// zero-allocation steady state (the returned payload being compress()'s
+  /// single, exact-sized allocation).
+  virtual Bytes compress(std::span<const double> data, const ErrorBound& bound,
+                         CodecScratch& scratch) const = 0;
 
   /// Decompresses into `out`, which must have the original element count
   /// (recorded in the container and queryable via element_count).
-  virtual void decompress(ByteSpan compressed,
-                          std::span<double> out) const = 0;
-
-  /// Scratch-aware overloads for hot-path callers that hold a per-worker
-  /// CodecScratch: the bitstream is byte-identical to the scratch-less
-  /// path, but pooled codecs reach a zero-allocation steady state (the
-  /// returned payload being compress()'s single, exact-sized allocation).
-  /// Defaults forward to the scratch-less virtuals so codecs without
-  /// pooled state — and external callers — need no changes.
-  virtual Bytes compress(std::span<const double> data, const ErrorBound& bound,
-                         CodecScratch& scratch) const {
-    (void)scratch;
-    return compress(data, bound);
-  }
-
   virtual void decompress(ByteSpan compressed, std::span<double> out,
-                          CodecScratch& scratch) const {
-    (void)scratch;
-    decompress(compressed, out);
-  }
+                          CodecScratch& scratch) const = 0;
+
+  /// Scratch-less conveniences for cold callers: each builds a local
+  /// CodecScratch and forwards, so the bytes are identical.
+  Bytes compress(std::span<const double> data, const ErrorBound& bound) const;
+  void decompress(ByteSpan compressed, std::span<double> out) const;
 
   /// Element count recorded in a container produced by this codec.
   virtual std::size_t element_count(ByteSpan compressed) const = 0;

@@ -3,7 +3,7 @@
 // seeds 101/202/303) under every bound mode the codec supports.
 //
 // These digests were recorded from the pre-hot-path-overhaul implementation
-// and pin the wire format: checkpoints v1-v3 store these containers and
+// and pin the wire format: checkpoints store these containers and
 // BlockCache keys hash them, so ANY byte drift invalidates persisted state.
 // A performance change must never alter them; a deliberate format change
 // must bump the checkpoint format (and re-record, with a changelog entry).

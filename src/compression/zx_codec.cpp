@@ -8,17 +8,6 @@
 
 namespace cqs::compression {
 
-Bytes ZxCodec::compress(std::span<const double> data,
-                        const ErrorBound& bound) const {
-  CodecScratch scratch;
-  return compress(data, bound, scratch);
-}
-
-void ZxCodec::decompress(ByteSpan compressed, std::span<double> out) const {
-  CodecScratch scratch;
-  decompress(compressed, out, scratch);
-}
-
 Bytes ZxCodec::compress(std::span<const double> data, const ErrorBound& bound,
                         CodecScratch& scratch) const {
   if (bound.mode != BoundMode::kLossless) {

@@ -12,9 +12,8 @@ class ZxCodec final : public Compressor {
   bool supports(BoundMode mode) const override {
     return mode == BoundMode::kLossless;
   }
-  Bytes compress(std::span<const double> data,
-                 const ErrorBound& bound) const override;
-  void decompress(ByteSpan compressed, std::span<double> out) const override;
+  using Compressor::compress;
+  using Compressor::decompress;
   Bytes compress(std::span<const double> data, const ErrorBound& bound,
                  CodecScratch& scratch) const override;
   void decompress(ByteSpan compressed, std::span<double> out,

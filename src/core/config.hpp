@@ -130,18 +130,6 @@ struct SimConfig {
   /// components the skipped X kernels would have recomputed.
   bool remap_relabel_swaps = true;
 
-  /// Overlapped block pipeline: while gates apply to block N, block N+1 is
-  /// decompressed into a pooled staging buffer and block N-1 recompresses
-  /// on another worker. Bit-identical to the sequential path (each block's
-  /// work is unchanged, only overlapped); needs >= 2 worker threads to
-  /// engage, otherwise the sequential path runs.
-  bool enable_pipeline = true;
-
-  /// Staging buffers the pipeline may hold decoded at once (the classic
-  /// double buffer at 2). Each costs one block buffer of scratch, charged
-  /// to Eq. 8. In [1, 64].
-  int pipeline_depth = 2;
-
   /// Runtime-dispatched SIMD apply kernels (AVX2/NEON). Bit-identical to
   /// the scalar reference by construction; off forces the scalar path.
   bool enable_simd_kernels = true;

@@ -118,9 +118,9 @@ struct SimulationReport {
   /// Seconds blocked on the wire (begin + wait), derived once from Comm's
   /// atomic nanosecond counter at report time.
   double comm_seconds = 0.0;
-  /// Fraction of exchange lifetime spent overlapped with codec/pipeline
-  /// work instead of blocked on the wire. Timing-dependent — report-only,
-  /// never part of determinism pins.
+  /// Fraction of exchange lifetime spent overlapped with codec work
+  /// instead of blocked on the wire. Timing-dependent — report-only, never
+  /// part of determinism pins.
   double comm_overlap_utilization = 0.0;
   // Physical wire traffic (the transport's view; loopback stages payloads
   // once with no framing, the socket backend moves each exchanged payload
@@ -145,30 +145,10 @@ struct SimulationReport {
   /// Comm's own counters carry the exact actuals.
   std::uint64_t remap_exchanges_avoided = 0;
 
-  // Overlapped block pipeline (decompress / apply / recompress stages) and
-  // SIMD kernel dispatch.
-  bool pipeline_enabled = false;  ///< knob was on AND >= 2 workers engaged it
-  int pipeline_depth = 0;         ///< staging buffers configured
-  std::uint64_t pipeline_blocks = 0;  ///< units run through the pipeline
-  /// Pipelined blocks applied by a different worker than the one that
-  /// decoded them — true stage overlap.
-  std::uint64_t pipeline_prefetched = 0;
-  /// Times a worker had to sleep for a staged block (decode starved).
-  std::uint64_t pipeline_stalls = 0;
   /// Kernel backend dispatch actually ran with: "scalar", "avx2", "neon".
   std::string simd_kernel;
 
   runtime::CacheStats cache;
-
-  /// Fraction of pipelined blocks whose decode overlapped another worker's
-  /// apply/recompress (0 when the pipeline never engaged). Timing-
-  /// dependent by nature — report-only, never part of determinism pins.
-  double stage_overlap_utilization() const {
-    return pipeline_blocks == 0
-               ? 0.0
-               : static_cast<double>(pipeline_prefetched) /
-                     static_cast<double>(pipeline_blocks);
-  }
 
   double seconds_per_gate() const {
     return gates == 0 ? 0.0 : total_seconds / static_cast<double>(gates);

@@ -13,6 +13,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "core/memory_model.hpp"
 #include "runtime/checkpoint.hpp"
@@ -63,6 +64,21 @@ void append_gate_descriptor(Bytes& out, const GateOp& op, int level) {
   out.push_back(static_cast<std::byte>(level));
 }
 
+/// Sum of |a_k|^2 over one decoded block.
+double block_mass(const Amplitude* amps, std::uint64_t count) {
+  double sum = 0.0;
+  for (std::uint64_t k = 0; k < count; ++k) sum += std::norm(amps[k]);
+  return sum;
+}
+
+/// Adds per-block sums in block order, so a query's total does not depend
+/// on which worker produced which sum.
+double add_in_order(const std::vector<double>& sums) {
+  double total = 0.0;
+  for (double s : sums) total += s;
+  return total;
+}
+
 }  // namespace
 
 /// Resolved routing of one gate against the partition: where the target
@@ -105,10 +121,9 @@ struct CompressedStateSimulator::RunPlan {
   InvocationCounter blocks_lossy;  ///< of those, ones the lossy codec wrote
 };
 
-/// One single-block unit task, shared by the sequential and the overlapped
-/// pipeline executors: how to identify the unit in the cache, what to
-/// compute on the decoded amplitudes, and where to account the
-/// recompression. Every field is safe to call from any worker.
+/// One single-block unit task for run_units: how to identify the unit in
+/// the cache, what to compute on the decoded amplitudes, and where to
+/// account the recompression. Every field is safe to call from any worker.
 struct CompressedStateSimulator::UnitSpec {
   int level = 0;
   /// Cache key of one unit (called only when the cache is enabled; must
@@ -194,12 +209,6 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
     qsim::parse_remap_policy(config_.remap_policy);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(std::string("simulator: ") + e.what());
-  }
-
-  // Pipeline knobs are likewise validated even when the pipeline is off.
-  if (config_.pipeline_depth < 1 || config_.pipeline_depth > 64) {
-    throw std::invalid_argument(
-        "simulator: pipeline_depth must be in [1, 64] staging buffers");
   }
 
   // Out-of-core knobs: a spill path needs a resident budget to govern the
@@ -292,14 +301,8 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
   pool_ = std::make_unique<ThreadPool>(threads);
   worker_timers_.resize(pool_->size());
   codec_stats_.resize(pool_->size());
-  // The pipeline needs a second worker to overlap with; with one worker
-  // the sequential path runs and no staging memory is charged to Eq. 8.
-  const std::size_t staging =
-      config_.enable_pipeline && pool_->size() >= 2
-          ? static_cast<std::size_t>(config_.pipeline_depth)
-          : 0;
   scratch_ = std::make_unique<runtime::ScratchArena>(
-      pool_->size(), partition_.doubles_per_block(), staging);
+      pool_->size(), partition_.doubles_per_block());
   tier_stats_ = std::make_unique<runtime::TierStats>();
   if (!config_.spill_path.empty()) {
     // SpillError (with errno) surfaces unwritable paths at construction,
@@ -862,68 +865,10 @@ void CompressedStateSimulator::run_diagonal(const GateRouting& routing) {
   run_units(units, spec);
 }
 
-// --- Single-block unit executors ---
-
-bool CompressedStateSimulator::pipeline_ready() const {
-  return config_.enable_pipeline && pool_->size() >= 2 &&
-         scratch_->staging_buffers() > 0;
-}
-
-bool CompressedStateSimulator::unit_cache_probe(const UnitSpec& spec,
-                                                int rank, int block,
-                                                std::uint64_t* key_out) {
-  *key_out = 0;
-  runtime::BlockCache* cache =
-      config_.enable_cache ? caches_[rank].get() : nullptr;
-  if (cache == nullptr || !cache->enabled()) return false;
-  auto& store = ranks_[rank];
-  const std::uint64_t key = spec.make_key(rank, block);
-  *key_out = key;
-  Bytes out1;
-  Bytes out2;
-  std::uint8_t codec1 = compression::kLosslessCodecId;
-  if (!cache->lookup(key, out1, out2, &codec1)) return false;
-  store.set_block(block, std::move(out1),
-                  {static_cast<std::uint8_t>(spec.level), codec1});
-  maybe_stream_spill(rank, block);
-  // Keep the arbiter's hysteresis in step with the stored codec even
-  // though no decision ran — otherwise hit/miss interleavings would
-  // leak into later codec choices and break cross-thread determinism.
-  arbiter_->seed(global_block(rank, block),
-                 codec1 == compression::kLosslessCodecId);
-  spec.blocks_compressed->fetch_add(1, std::memory_order_relaxed);
-  if (codec1 != compression::kLosslessCodecId) {
-    spec.blocks_lossy->fetch_add(1, std::memory_order_relaxed);
-  }
-  return true;
-}
-
-void CompressedStateSimulator::unit_finish(const UnitSpec& spec, int rank,
-                                           int block, std::size_t worker,
-                                           std::span<double> amps,
-                                           std::uint64_t key) {
-  auto [compressed, meta] = encode_block(amps, spec.level, rank, block,
-                                         worker);
-  runtime::BlockCache* cache =
-      config_.enable_cache ? caches_[rank].get() : nullptr;
-  if (cache != nullptr && cache->enabled()) {
-    cache->insert(key, compressed, {}, meta.codec);
-  }
-  const bool lossy_write = meta.codec != compression::kLosslessCodecId;
-  ranks_[rank].set_block(block, std::move(compressed), meta);
-  maybe_stream_spill(rank, block);
-  spec.blocks_compressed->fetch_add(1, std::memory_order_relaxed);
-  if (lossy_write) {
-    spec.blocks_lossy->fetch_add(1, std::memory_order_relaxed);
-  }
-}
+// --- Single-block unit executor ---
 
 void CompressedStateSimulator::run_units(
     const std::vector<std::pair<int, int>>& units, const UnitSpec& spec) {
-  if (pipeline_ready() && units.size() >= 2) {
-    run_units_pipelined(units, spec);
-    return;
-  }
   // Plan-driven readahead: the unit order IS the schedule, so advising
   // unit i+K while working unit i keeps spilled payloads arriving ahead
   // of their faults. The first window is primed before the sweep starts.
@@ -939,127 +884,43 @@ void CompressedStateSimulator::run_units(
       ranks_[ar].advise(ab);
     }
     const auto [rank, block] = units[i];
-    std::uint64_t key = 0;
-    if (unit_cache_probe(spec, rank, block, &key)) return;
-    auto vx = scratch_->vector_x(worker);
-    decompress_block(rank, block, vx, worker);
-    {
-      ScopedPhase phase(worker_timers_[worker], Phase::kComputation);
-      spec.compute(as_complex(vx), partition_.amplitudes_per_block(), rank,
-                   block);
-    }
-    unit_finish(spec, rank, block, worker, vx, key);
-  });
-}
-
-void CompressedStateSimulator::run_units_pipelined(
-    const std::vector<std::pair<int, int>>& units, const UnitSpec& spec) {
-  // Three overlapped stages on the shared pool: a block is decoded into a
-  // pooled staging buffer (prefetch), its kernels applied, and its
-  // recompression stored — with the handoff between decode and apply going
-  // through a bounded StageChannel. Every worker runs both roles: it
-  // prefers draining staged blocks (apply+recompress), decodes the next
-  // unit when a staging buffer is free, and only sleeps when neither is
-  // possible. That role-agnostic loop is what makes the executor
-  // deadlock-free: a worker holding the last staging buffer is by
-  // construction not blocked on the channel.
-  //
-  // Per-unit work is byte-identical to the sequential executor — only the
-  // assignment of units to workers and the buffer a block is decoded into
-  // change — so pipeline-on == pipeline-off bit-for-bit.
-  struct Staged {
-    std::size_t unit = 0;
-    int buffer = -1;
-    std::uint64_t key = 0;
-    std::size_t producer = 0;  ///< decoding worker (overlap accounting)
-  };
-  StageChannel<Staged> channel(scratch_->staging_buffers());
-  const std::size_t lookahead =
-      spill_ != nullptr ? static_cast<std::size_t>(config_.readahead_blocks)
-                        : 0;
-  for (std::size_t i = 0; i < std::min(lookahead, units.size()); ++i) {
-    ranks_[units[i].first].advise(units[i].second);
-  }
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
-  std::atomic<std::uint64_t> prefetched{0};
-  std::atomic<std::uint64_t> stalls{0};
-  const std::size_t total = units.size();
-
-  auto complete_one = [&] {
-    if (completed.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
-      channel.close();  // wakes every sleeping worker: the run is done
-    }
-  };
-  auto apply_staged = [&](const Staged& staged, std::size_t worker) {
-    const auto [rank, block] = units[staged.unit];
-    if (staged.producer != worker) {
-      prefetched.fetch_add(1, std::memory_order_relaxed);
-    }
-    auto amps = scratch_->staging(staged.buffer);
-    {
-      ScopedPhase phase(worker_timers_[worker], Phase::kComputation);
-      spec.compute(as_complex(amps), partition_.amplitudes_per_block(), rank,
-                   block);
-    }
-    unit_finish(spec, rank, block, worker, amps, staged.key);
-    scratch_->release_staging(staged.buffer);
-    complete_one();
-  };
-
-  pool_->parallel_for(pool_->size(), [&](std::size_t, std::size_t worker) {
-    try {
-      while (true) {
-        Staged staged;
-        if (channel.try_pop(staged)) {  // apply stage first: drain handoffs
-          apply_staged(staged, worker);
-          continue;
-        }
-        const int buffer = scratch_->acquire_staging();
-        if (buffer >= 0) {  // decode stage: prefetch the next unit
-          const std::size_t u =
-              next.fetch_add(1, std::memory_order_relaxed);
-          if (u < total) {
-            // The decode stage is the plan cursor: claiming unit u advises
-            // unit u+K so readahead tracks the pipeline's actual pace.
-            if (lookahead > 0 && u + lookahead < total) {
-              const auto [ar, ab] = units[u + lookahead];
-              ranks_[ar].advise(ab);
-            }
-            const auto [rank, block] = units[u];
-            Staged fresh{u, buffer, 0, worker};
-            if (unit_cache_probe(spec, rank, block, &fresh.key)) {
-              scratch_->release_staging(buffer);
-              complete_one();
-            } else {
-              decompress_block(rank, block, scratch_->staging(buffer),
-                               worker);
-              if (!channel.push(fresh)) {
-                // Channel closed early (a peer threw): drop out.
-                scratch_->release_staging(buffer);
-                return;
-              }
-            }
-            continue;
-          }
-          scratch_->release_staging(buffer);
-        }
-        // Neither staged work nor a free buffer: wait on in-flight units.
-        bool waited = false;
-        auto item = channel.pop(&waited);
-        if (!item.has_value()) return;  // closed and drained
-        if (waited) stalls.fetch_add(1, std::memory_order_relaxed);
-        apply_staged(*item, worker);
+    runtime::BlockCache* cache =
+        config_.enable_cache && caches_[rank]->enabled() ? caches_[rank].get()
+                                                         : nullptr;
+    // The key hashes the *current* stored payload, so it is taken before
+    // the block is rewritten.
+    const std::uint64_t key =
+        cache != nullptr ? spec.make_key(rank, block) : 0;
+    Bytes payload;
+    Bytes unused;
+    runtime::BlockMeta meta;
+    if (cache != nullptr && cache->lookup(key, payload, unused, &meta.codec)) {
+      meta.level = static_cast<std::uint8_t>(spec.level);
+      // Keep the arbiter's hysteresis in step with the stored codec even
+      // though no decision ran — otherwise hit/miss interleavings would
+      // leak into later codec choices and break cross-thread determinism.
+      arbiter_->seed(global_block(rank, block),
+                     meta.codec == compression::kLosslessCodecId);
+    } else {
+      auto vx = scratch_->vector_x(worker);
+      decompress_block(rank, block, vx, worker);
+      {
+        ScopedPhase phase(worker_timers_[worker], Phase::kComputation);
+        spec.compute(as_complex(vx), partition_.amplitudes_per_block(), rank,
+                     block);
       }
-    } catch (...) {
-      channel.close();  // unblock peers so the pool can drain, then rethrow
-      throw;
+      std::tie(payload, meta) =
+          encode_block(vx, spec.level, rank, block, worker);
+      if (cache != nullptr) cache->insert(key, payload, {}, meta.codec);
+    }
+    const bool lossy_write = meta.codec != compression::kLosslessCodecId;
+    ranks_[rank].set_block(block, std::move(payload), meta);
+    maybe_stream_spill(rank, block);
+    spec.blocks_compressed->fetch_add(1, std::memory_order_relaxed);
+    if (lossy_write) {
+      spec.blocks_lossy->fetch_add(1, std::memory_order_relaxed);
     }
   });
-
-  pipeline_blocks_ += total;
-  pipeline_prefetched_ += prefetched.load(std::memory_order_relaxed);
-  pipeline_stalls_ += stalls.load(std::memory_order_relaxed);
 }
 
 CompressedStateSimulator::RunPlan CompressedStateSimulator::build_run_plan(
@@ -1106,7 +967,7 @@ void CompressedStateSimulator::apply_run(const qsim::Circuit& circuit,
                                          const qsim::GateRun& run) {
   const RunPlan plan = build_run_plan(circuit, run);
   // The scheduler already knows the full future block order of the run —
-  // that is exactly the prefetch list the pipelined executor feeds on.
+  // that is exactly the list run_units advises readahead from.
   const std::vector<std::pair<int, int>> units = qsim::run_block_order(
       partition_.num_ranks(), partition_.blocks_per_rank());
   UnitSpec spec;
@@ -1181,8 +1042,7 @@ void CompressedStateSimulator::process_pair(const GateRouting& routing,
                         {static_cast<std::uint8_t>(routing.level), codec2});
       maybe_stream_spill(rank_a, block_a);
       maybe_stream_spill(rank_b, block_b);
-      // See unit_cache_probe: hysteresis must track the stored codec on
-      // hits.
+      // See run_units: hysteresis must track the stored codec on hits.
       arbiter_->seed(global_block(rank_a, block_a),
                      codec1 == compression::kLosslessCodecId);
       arbiter_->seed(global_block(rank_b, block_b),
@@ -1469,7 +1329,6 @@ double CompressedStateSimulator::probability_one(int qubit) {
   const int physical = map_.physical(qubit);
   const auto segment = partition_.segment_of(physical);
   const int local = partition_.local_bit(physical);
-  std::vector<double> partials(pool_->size(), 0.0);
 
   std::vector<std::pair<int, int>> units;
   for (int r = 0; r < partition_.num_ranks(); ++r) {
@@ -1483,47 +1342,42 @@ double CompressedStateSimulator::probability_one(int qubit) {
       units.emplace_back(r, b);
     }
   }
-  pool_->parallel_for(units.size(), [&](std::size_t i, std::size_t worker) {
-    auto vx = scratch_->vector_x(worker);
-    decompress_block(units[i].first, units[i].second, vx, worker);
-    const auto* amps = as_complex(vx);
-    const std::uint64_t count = partition_.amplitudes_per_block();
-    double sum = 0.0;
-    if (segment == Partition::Segment::kOffset) {
-      const std::uint64_t bit = std::uint64_t{1} << local;
-      for (std::uint64_t k = 0; k < count; ++k) {
-        if (k & bit) sum += std::norm(amps[k]);
-      }
-    } else {
-      for (std::uint64_t k = 0; k < count; ++k) sum += std::norm(amps[k]);
-    }
-    partials[worker] += sum;
-  });
-  double total = 0.0;
-  for (double p : partials) total += p;
-  return total;
+  const std::uint64_t bit = segment == Partition::Segment::kOffset
+                                ? std::uint64_t{1} << local
+                                : 0;
+  return add_in_order(block_sums(
+      units, [&](const Amplitude* amps, std::uint64_t count, int, int) {
+        if (bit == 0) return block_mass(amps, count);
+        double sum = 0.0;
+        for (std::uint64_t k = 0; k < count; ++k) {
+          if (k & bit) sum += std::norm(amps[k]);
+        }
+        return sum;
+      }));
 }
 
 double CompressedStateSimulator::norm() {
-  std::vector<double> partials(pool_->size(), 0.0);
-  const std::size_t total_blocks =
-      static_cast<std::size_t>(partition_.num_ranks()) *
-      partition_.blocks_per_rank();
-  pool_->parallel_for(total_blocks, [&](std::size_t i, std::size_t worker) {
-    const int rank = static_cast<int>(i) / partition_.blocks_per_rank();
-    const int block = static_cast<int>(i) % partition_.blocks_per_rank();
+  return add_in_order(block_sums(
+      qsim::run_block_order(partition_.num_ranks(),
+                            partition_.blocks_per_rank()),
+      [](const Amplitude* amps, std::uint64_t count, int, int) {
+        return block_mass(amps, count);
+      }));
+}
+
+std::vector<double> CompressedStateSimulator::block_sums(
+    const std::vector<std::pair<int, int>>& units,
+    const std::function<double(const Amplitude*, std::uint64_t, int, int)>&
+        block_sum) {
+  std::vector<double> sums(units.size(), 0.0);
+  pool_->parallel_for(units.size(), [&](std::size_t i, std::size_t worker) {
+    const auto [rank, block] = units[i];
     auto vx = scratch_->vector_x(worker);
     decompress_block(rank, block, vx, worker);
-    const auto* amps = as_complex(vx);
-    double sum = 0.0;
-    for (std::uint64_t k = 0; k < partition_.amplitudes_per_block(); ++k) {
-      sum += std::norm(amps[k]);
-    }
-    partials[worker] += sum;
+    sums[i] = block_sum(as_complex(vx), partition_.amplitudes_per_block(),
+                        rank, block);
   });
-  double total = 0.0;
-  for (double p : partials) total += p;
-  return total;
+  return sums;
 }
 
 std::vector<double> CompressedStateSimulator::to_raw() {
@@ -1598,32 +1452,23 @@ double CompressedStateSimulator::expectation_pauli_z(
   const auto rank_mask = static_cast<int>(
       qubit_mask >> (partition_.offset_bits + partition_.block_bits));
 
-  std::vector<double> partials(pool_->size(), 0.0);
-  const std::size_t total_blocks =
-      static_cast<std::size_t>(partition_.num_ranks()) *
-      partition_.blocks_per_rank();
-  pool_->parallel_for(total_blocks, [&](std::size_t i, std::size_t worker) {
-    const int rank = static_cast<int>(i) / partition_.blocks_per_rank();
-    const int block = static_cast<int>(i) % partition_.blocks_per_rank();
-    // Sign contribution of the block/rank index bits is block-constant.
-    const int high_parity =
-        (std::popcount(static_cast<unsigned>(block & block_mask)) +
-         std::popcount(static_cast<unsigned>(rank & rank_mask))) &
-        1;
-    auto vx = scratch_->vector_x(worker);
-    decompress_block(rank, block, vx, worker);
-    const auto* amps = as_complex(vx);
-    double sum = 0.0;
-    for (std::uint64_t k = 0; k < partition_.amplitudes_per_block(); ++k) {
-      const int parity =
-          (std::popcount(k & offset_mask) + high_parity) & 1;
-      sum += (parity ? -1.0 : 1.0) * std::norm(amps[k]);
-    }
-    partials[worker] += sum;
-  });
-  double total = 0.0;
-  for (double p : partials) total += p;
-  return total;
+  return add_in_order(block_sums(
+      qsim::run_block_order(partition_.num_ranks(),
+                            partition_.blocks_per_rank()),
+      [&](const Amplitude* amps, std::uint64_t count, int rank, int block) {
+        // Sign contribution of the block/rank index bits is block-constant.
+        const int high_parity =
+            (std::popcount(static_cast<unsigned>(block & block_mask)) +
+             std::popcount(static_cast<unsigned>(rank & rank_mask))) &
+            1;
+        double sum = 0.0;
+        for (std::uint64_t k = 0; k < count; ++k) {
+          const int parity =
+              (std::popcount(k & offset_mask) + high_parity) & 1;
+          sum += (parity ? -1.0 : 1.0) * std::norm(amps[k]);
+        }
+        return sum;
+      }));
 }
 
 std::uint64_t CompressedStateSimulator::sample(Rng& rng) {
@@ -1631,21 +1476,13 @@ std::uint64_t CompressedStateSimulator::sample(Rng& rng) {
   const std::size_t total_blocks =
       static_cast<std::size_t>(partition_.num_ranks()) *
       partition_.blocks_per_rank();
-  std::vector<double> masses(total_blocks, 0.0);
-  pool_->parallel_for(total_blocks, [&](std::size_t i, std::size_t worker) {
-    const int rank = static_cast<int>(i) / partition_.blocks_per_rank();
-    const int block = static_cast<int>(i) % partition_.blocks_per_rank();
-    auto vx = scratch_->vector_x(worker);
-    decompress_block(rank, block, vx, worker);
-    const auto* amps = as_complex(vx);
-    double sum = 0.0;
-    for (std::uint64_t k = 0; k < partition_.amplitudes_per_block(); ++k) {
-      sum += std::norm(amps[k]);
-    }
-    masses[i] = sum;
-  });
-  double total = 0.0;
-  for (double m : masses) total += m;
+  const std::vector<double> masses = block_sums(
+      qsim::run_block_order(partition_.num_ranks(),
+                            partition_.blocks_per_rank()),
+      [](const Amplitude* amps, std::uint64_t count, int, int) {
+        return block_mass(amps, count);
+      });
+  const double total = add_in_order(masses);
 
   // Pass 2: pick the block, then the offset within it.
   double r = rng.next_double() * total;
@@ -2000,11 +1837,6 @@ SimulationReport CompressedStateSimulator::report() const {
       remap_sweeps_avoided_ *
       (static_cast<std::uint64_t>(partition_.num_ranks()) / 2 *
        partition_.blocks_per_rank());
-  rep.pipeline_enabled = pipeline_ready();
-  rep.pipeline_depth = static_cast<int>(scratch_->staging_buffers());
-  rep.pipeline_blocks = pipeline_blocks_;
-  rep.pipeline_prefetched = pipeline_prefetched_;
-  rep.pipeline_stalls = pipeline_stalls_;
   rep.simd_kernel = qsim::kernel_backend_name(backend_);
   rep.spill_enabled = spill_ != nullptr;
   rep.resident_budget_bytes = config_.resident_budget_bytes;

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -246,27 +247,22 @@ class CompressedStateSimulator {
   void process_pair(const GateRouting& routing, int rank_a, int block_a,
                     int rank_b, int block_b, std::size_t worker);
 
-  // --- Single-block unit executors (sequential + pipelined) ---
+  // --- Single-block unit executor ---
 
-  /// True when the overlapped pipeline can engage: knob on, >= 2 workers,
-  /// staging buffers allocated.
-  bool pipeline_ready() const;
-  /// Cache probe of one unit. On a hit the stored block is replaced from
-  /// the cache and counters bumped (the unit is fully handled); on a miss
-  /// the key (0 when the cache is off) is reported for the later insert.
-  bool unit_cache_probe(const UnitSpec& spec, int rank, int block,
-                        std::uint64_t* key_out);
-  /// Recompress + cache-insert + store + counters tail of one unit.
-  void unit_finish(const UnitSpec& spec, int rank, int block,
-                   std::size_t worker, std::span<double> amps,
-                   std::uint64_t key);
-  /// Runs every (rank, block) unit: decompress, spec.compute, recompress.
-  /// Dispatches to the overlapped pipeline when it can engage, else a
-  /// plain parallel_for. Bit-identical either way.
+  /// Runs every (rank, block) unit in one parallel_for: a cache hit
+  /// replaces the block outright, a miss decompresses, applies
+  /// spec.compute, and recompresses. Readahead is advised K units ahead.
   void run_units(const std::vector<std::pair<int, int>>& units,
                  const UnitSpec& spec);
-  void run_units_pipelined(const std::vector<std::pair<int, int>>& units,
-                           const UnitSpec& spec);
+  /// Read-only reduction behind the state queries: decompresses each unit
+  /// and returns block_sum(amps, count, rank, block) for it, one slot per
+  /// unit in unit order. Callers add the slots in that order, so a query's
+  /// bits never depend on how the pool handed out the units.
+  std::vector<double> block_sums(
+      const std::vector<std::pair<int, int>>& units,
+      const std::function<double(const qsim::Amplitude* amps,
+                                 std::uint64_t count, int rank, int block)>&
+          block_sum);
   void run_diagonal(const GateRouting& routing);
   void run_offset_target(const GateRouting& routing);
   void run_block_target(const GateRouting& routing);
@@ -360,11 +356,6 @@ class CompressedStateSimulator {
   /// Kernel backend the apply loops dispatch to (detected once at
   /// construction from config_.enable_simd_kernels and the host CPU).
   qsim::KernelBackend backend_ = qsim::KernelBackend::kScalar;
-
-  // Overlapped-pipeline accounting (bumped between parallel regions only).
-  std::uint64_t pipeline_blocks_ = 0;
-  std::uint64_t pipeline_prefetched_ = 0;
-  std::uint64_t pipeline_stalls_ = 0;
 
   // Qubit remapping (logical->physical relabeling).
   runtime::QubitMap map_;

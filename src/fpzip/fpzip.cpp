@@ -54,18 +54,6 @@ FpzipCodec::FpzipCodec(int fixed_precision)
 }
 
 Bytes FpzipCodec::compress(std::span<const double> data,
-                           const compression::ErrorBound& bound) const {
-  compression::CodecScratch scratch;
-  return compress(data, bound, scratch);
-}
-
-void FpzipCodec::decompress(ByteSpan compressed,
-                            std::span<double> out) const {
-  compression::CodecScratch scratch;
-  decompress(compressed, out, scratch);
-}
-
-Bytes FpzipCodec::compress(std::span<const double> data,
                            const compression::ErrorBound& bound,
                            compression::CodecScratch& scratch) const {
   int precision;

@@ -35,9 +35,8 @@ class FpzipCodec final : public compression::Compressor {
     return mode == compression::BoundMode::kPointwiseRelative ||
            mode == compression::BoundMode::kLossless;
   }
-  Bytes compress(std::span<const double> data,
-                 const compression::ErrorBound& bound) const override;
-  void decompress(ByteSpan compressed, std::span<double> out) const override;
+  using Compressor::compress;
+  using Compressor::decompress;
   Bytes compress(std::span<const double> data,
                  const compression::ErrorBound& bound,
                  compression::CodecScratch& scratch) const override;

@@ -30,18 +30,6 @@ std::vector<std::pair<int, int>> run_block_order(int num_ranks,
   return order;
 }
 
-std::vector<std::pair<int, int>> upcoming_units(
-    const std::vector<std::pair<int, int>>& order, std::size_t cursor,
-    std::size_t lookahead) {
-  std::vector<std::pair<int, int>> window;
-  if (cursor >= order.size()) return window;
-  const std::size_t begin = cursor + 1;
-  const std::size_t end = std::min(order.size(), begin + lookahead);
-  window.reserve(end > begin ? end - begin : 0);
-  for (std::size_t i = begin; i < end; ++i) window.push_back(order[i]);
-  return window;
-}
-
 Schedule build_schedule(const Circuit& circuit,
                         const SchedulerOptions& options,
                         const std::vector<std::size_t>* origin_counts) {

@@ -80,20 +80,12 @@ class Schedule {
 };
 
 /// The future block order of one block-local run: every (rank, block)
-/// unit the run will touch, in the deterministic order the pipeline's
-/// prefetch stage decodes them. Block-local runs touch every block of
-/// every rank exactly once, rank-major — this is what lets the scheduler
-/// feed the double-buffered pipeline its prefetch list up front.
+/// unit the run will touch, in the deterministic order the block executor
+/// walks them. Block-local runs touch every block of every rank exactly
+/// once, rank-major — so the out-of-core tier can advise readahead K units
+/// ahead from this list alone.
 std::vector<std::pair<int, int>> run_block_order(int num_ranks,
                                                  int blocks_per_rank);
-
-/// The next `lookahead` units of `order` after (and excluding) position
-/// `cursor` — the readahead window the out-of-core tier advises while the
-/// unit at `cursor` is being processed. Clamped at the end of the order;
-/// a cursor at or past the end yields an empty window.
-std::vector<std::pair<int, int>> upcoming_units(
-    const std::vector<std::pair<int, int>>& order, std::size_t cursor,
-    std::size_t lookahead);
 
 /// Builds the run partition of `circuit`. Every op of the (post-fusion)
 /// circuit belongs to exactly one GateRun, runs preserve program order,

@@ -101,17 +101,6 @@ int mantissa_bits_for_bound(double eps) {
 double bound_for_mantissa_bits(int m) { return std::ldexp(1.0, -m); }
 
 Bytes QzcCodec::compress(std::span<const double> data,
-                         const compression::ErrorBound& bound) const {
-  compression::CodecScratch scratch;
-  return compress(data, bound, scratch);
-}
-
-void QzcCodec::decompress(ByteSpan compressed, std::span<double> out) const {
-  compression::CodecScratch scratch;
-  decompress(compressed, out, scratch);
-}
-
-Bytes QzcCodec::compress(std::span<const double> data,
                          const compression::ErrorBound& bound,
                          compression::CodecScratch& scratch) const {
   if (bound.mode != compression::BoundMode::kPointwiseRelative) {

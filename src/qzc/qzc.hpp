@@ -45,9 +45,8 @@ class QzcCodec final : public compression::Compressor {
   bool supports(compression::BoundMode mode) const override {
     return mode == compression::BoundMode::kPointwiseRelative;
   }
-  Bytes compress(std::span<const double> data,
-                 const compression::ErrorBound& bound) const override;
-  void decompress(ByteSpan compressed, std::span<double> out) const override;
+  using Compressor::compress;
+  using Compressor::decompress;
   Bytes compress(std::span<const double> data,
                  const compression::ErrorBound& bound,
                  compression::CodecScratch& scratch) const override;

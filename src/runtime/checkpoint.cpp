@@ -4,12 +4,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 
 #include "common/bytes.hpp"
@@ -19,33 +17,24 @@
 namespace cqs::runtime {
 namespace {
 
-// The trailing magic byte is the format version; the reader accepts all
-// of them. v2 appended the lossy-pass count after the fidelity bound; v3
-// appends a codec id to every block's meta (adaptive per-block codecs);
-// v4 appends the serialized logical->physical qubit map after the codec
-// name (qubit remapping); v5 appends a tier byte to every block's meta
-// (out-of-core spilling); v6 is layout-identical to v5 and only flags
-// that some block uses a codec id beyond the v5-era registry, so old
-// readers fail on the magic instead of misdecoding the payload.
-constexpr char kMagicV1[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T', '1'};
-constexpr char kMagicV2[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T', '2'};
-constexpr char kMagicV3[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T', '3'};
-constexpr char kMagicV4[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T', '4'};
+// The trailing magic byte is the format version. v5 carries the lossy-
+// pass count, the logical->physical qubit map, and a level, codec id and
+// tier byte per block; v6 is layout-identical to v5 and only flags that
+// some block uses a codec id beyond the v5-era registry, so old readers
+// fail on the magic instead of misdecoding the payload. A v1-v4 magic is
+// rejected by name.
 constexpr char kMagicV5[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T', '5'};
 constexpr char kMagicV6[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T', '6'};
 
 // Highest codec id the registry held while v5 was current ("fpzip").
 // Later appends (zfp-rans onward) force the v6 magic on save and are
-// corruption when claimed by a v<=5 image.
+// corruption when claimed by a v5 image.
 constexpr std::uint8_t kMaxCodecIdV5 = 6;
-
-std::atomic<std::uint64_t> g_write_limit{
-    std::numeric_limits<std::uint64_t>::max()};
 
 /// Writes `buffer` to `path` via a same-directory temporary + fsync +
 /// atomic rename, so the previous file at `path` survives any failure
-/// (including a crash) up to the rename. The injected write limit cuts
-/// the stream short mid-image, standing in for the crash.
+/// (including a crash) up to the rename. The checkpoint.write fault site
+/// cuts the stream short mid-image, standing in for the crash.
 void write_file_atomically(const std::string& path, const Bytes& buffer) {
   const std::string tmp = path + ".tmp";
   const int fd =
@@ -62,27 +51,19 @@ void write_file_atomically(const std::string& path, const Bytes& buffer) {
 
   std::size_t written = 0;
   while (written < buffer.size()) {
-    std::size_t chunk = std::min<std::size_t>(buffer.size() - written,
-                                              std::size_t{1} << 20);
-    const std::uint64_t limit = g_write_limit.load(std::memory_order_relaxed);
-    if (limit != std::numeric_limits<std::uint64_t>::max()) {
-      std::uint64_t budget = limit;
-      while (true) {
-        const std::uint64_t grant = std::min<std::uint64_t>(budget, chunk);
-        if (g_write_limit.compare_exchange_weak(budget, budget - grant,
-                                                std::memory_order_relaxed)) {
-          if (grant < chunk) {
-            // Write the partial tail first so the aborted temporary looks
-            // exactly like a mid-save crash artifact.
-            if (grant > 0) {
-              [[maybe_unused]] const ssize_t n = ::write(
-                  fd, buffer.data() + written, static_cast<std::size_t>(grant));
-            }
-            fail("checkpoint: write failed (injected) " + tmp);
-          }
-          break;
-        }
+    const std::size_t chunk = std::min<std::size_t>(buffer.size() - written,
+                                                    std::size_t{1} << 20);
+    if (const auto hit =
+            FaultInjector::instance().on_call(fault_sites::kCheckpointWrite)) {
+      // Write the partial chunk first so the aborted temporary looks
+      // exactly like a mid-save crash artifact.
+      const auto torn = static_cast<std::size_t>(
+          std::min<std::uint64_t>(hit->aux, chunk));
+      if (torn > 0) {
+        [[maybe_unused]] const ssize_t n =
+            ::write(fd, buffer.data() + written, torn);
       }
+      fail("checkpoint: write failed (injected) " + tmp);
     }
     const ssize_t n = ::write(fd, buffer.data() + written, chunk);
     if (n < 0) {
@@ -137,12 +118,6 @@ void write_file_atomically(const std::string& path, const Bytes& buffer) {
 }
 
 }  // namespace
-
-namespace testing {
-void set_checkpoint_write_limit(std::uint64_t bytes) {
-  g_write_limit.store(bytes, std::memory_order_relaxed);
-}
-}  // namespace testing
 
 void save_checkpoint(const std::string& path, const CheckpointHeader& header,
                      const std::vector<BlockStore>& ranks) {
@@ -203,13 +178,18 @@ LoadedCheckpoint load_checkpoint_full(const std::string& path) {
           static_cast<std::streamsize>(size));
   if (!in) throw std::runtime_error("checkpoint: read failed " + path);
 
-  const bool v1 = size >= 8 && std::memcmp(buffer.data(), kMagicV1, 8) == 0;
-  const bool v2 = size >= 8 && std::memcmp(buffer.data(), kMagicV2, 8) == 0;
-  const bool v3 = size >= 8 && std::memcmp(buffer.data(), kMagicV3, 8) == 0;
-  const bool v4 = size >= 8 && std::memcmp(buffer.data(), kMagicV4, 8) == 0;
-  const bool v5 = size >= 8 && std::memcmp(buffer.data(), kMagicV5, 8) == 0;
-  const bool v6 = size >= 8 && std::memcmp(buffer.data(), kMagicV6, 8) == 0;
-  if (!v1 && !v2 && !v3 && !v4 && !v5 && !v6) {
+  // Every version shares the 7-byte "CQSCKPT" prefix; the eighth byte is
+  // the version digit.
+  const char version = size >= 8 && std::memcmp(buffer.data(), kMagicV5, 7) == 0
+                           ? static_cast<char>(buffer[7])
+                           : '\0';
+  if (version >= '1' && version <= '4') {
+    throw std::runtime_error(
+        std::string("checkpoint: unsupported checkpoint format v") + version +
+        "; v5/v6 only");
+  }
+  const bool v6 = version == '6';
+  if (version != '5' && !v6) {
     throw std::runtime_error("checkpoint: bad magic");
   }
   std::size_t offset = 8;
@@ -222,10 +202,7 @@ LoadedCheckpoint load_checkpoint_full(const std::string& path) {
       static_cast<std::uint32_t>(get_varint(buffer, offset));
   header.next_gate_index = get_varint(buffer, offset);
   header.fidelity_bound = get_scalar<double>(buffer, offset);
-  // v1 never persisted the pass count; the closest reconstruction is one
-  // synthetic pass whenever any lossy history exists.
-  header.lossy_passes = v1 ? (header.fidelity_bound < 1.0 ? 1u : 0u)
-                           : get_varint(buffer, offset);
+  header.lossy_passes = get_varint(buffer, offset);
   // Subtraction form: `offset + len` could wrap for a corrupt varint near
   // UINT64_MAX, turning a truncation into a huge out-of-bounds read.
   // get_varint guarantees offset <= buffer.size() on return.
@@ -236,17 +213,10 @@ LoadedCheckpoint load_checkpoint_full(const std::string& path) {
   header.codec_name.assign(
       reinterpret_cast<const char*>(buffer.data()) + offset, name_len);
   offset += name_len;
-  if (v4 || v5 || v6) {
-    // Rejects non-permutation tables (corruption) with runtime_error.
-    header.qubit_map = QubitMap::deserialize(buffer, offset);
-  }
+  // Rejects non-permutation tables (corruption) with runtime_error.
+  header.qubit_map = QubitMap::deserialize(buffer, offset);
 
-  // Pre-v3 blocks never stored a codec id; level 0 was by construction
-  // the lossless zx stage and every lossy level used the header codec.
-  const std::uint8_t legacy_lossy_codec =
-      (v3 || v4 || v5 || v6) ? 0 : compression::codec_id(header.codec_name);
-
-  // Codec-id ceiling for this image's vintage: a v<=5 image predates every
+  // Codec-id ceiling for this image's vintage: a v5 image predates every
   // id past kMaxCodecIdV5, so a larger id is corruption, not a codec this
   // build merely lacks; a v6 id must exist in the running registry.
   const std::uint8_t max_codec_id =
@@ -262,28 +232,21 @@ LoadedCheckpoint load_checkpoint_full(const std::string& path) {
     BlockStore store(block_count);
     std::vector<std::uint8_t> tiers(static_cast<std::size_t>(block_count), 0);
     for (int b = 0; b < block_count; ++b) {
-      const bool has_codec_byte = v3 || v4 || v5 || v6;
-      const bool has_tier_byte = v5 || v6;
-      const std::size_t meta_bytes =
-          1u + (has_codec_byte ? 1u : 0u) + (has_tier_byte ? 1u : 0u);
-      if (offset + meta_bytes > buffer.size()) {
+      // Level, codec id and tier byte.
+      if (offset + 3 > buffer.size()) {
         throw std::runtime_error("checkpoint: truncated block meta");
       }
-      BlockMeta meta{static_cast<std::uint8_t>(buffer[offset++])};
-      meta.codec = has_codec_byte
-                       ? static_cast<std::uint8_t>(buffer[offset++])
-                       : (meta.level == 0 ? compression::kLosslessCodecId
-                                          : legacy_lossy_codec);
+      BlockMeta meta;
+      meta.level = static_cast<std::uint8_t>(buffer[offset++]);
+      meta.codec = static_cast<std::uint8_t>(buffer[offset++]);
       if (meta.codec > max_codec_id) {
         throw std::runtime_error(
             "checkpoint: block codec id " + std::to_string(meta.codec) +
             (v6 ? " is not in this build's registry"
-                : " is not valid in a v<=5 image (corrupt meta)"));
+                : " is not valid in a v5 image (corrupt meta)"));
       }
-      if (has_tier_byte) {
-        tiers[static_cast<std::size_t>(b)] =
-            static_cast<std::uint8_t>(buffer[offset++]) != 0 ? 1 : 0;
-      }
+      tiers[static_cast<std::size_t>(b)] =
+          static_cast<std::uint8_t>(buffer[offset++]) != 0 ? 1 : 0;
       const std::uint64_t block_size = get_varint(buffer, offset);
       if (block_size > buffer.size() - offset) {  // overflow-safe bound
         throw std::runtime_error("checkpoint: truncated block payload");

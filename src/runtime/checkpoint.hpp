@@ -21,27 +21,24 @@ struct CheckpointHeader {
   std::uint32_t ladder_level = 0;
   std::uint64_t next_gate_index = 0;
   double fidelity_bound = 1.0;
-  /// Lossy passes accumulated before the save (format v2). Version-1
-  /// checkpoints did not persist this; the loader reconstructs the only
-  /// thing it can — one synthetic pass when the bound is below 1.
+  /// Lossy passes accumulated before the save.
   std::uint64_t lossy_passes = 0;
   std::string codec_name;
-  /// Logical->physical layout of the saved blocks (format v4). Pre-v4
-  /// files never remapped, so the loader leaves this empty and the
-  /// simulator derives the identity map.
+  /// Logical->physical layout of the saved blocks. Empty means the
+  /// identity layout; the simulator derives it.
   QubitMap qubit_map;
 };
 
 /// Writes header + every rank's compressed blocks to `path` in format
-/// v5/v6: each block carries its ladder level AND the codec id that
-/// produced its payload (v3), the header carries the logical->physical
-/// qubit map the blocks are laid out under (v4), and each block records
-/// which tier it occupied at save time (v5) — spilled payloads are read
-/// back through the spill mapping, so an out-of-core state checkpoints
-/// without being faulted into memory first. v6 is byte-identical to v5 in
-/// layout and is written only when some block's codec id is beyond the v5
-/// registry (ids > 6, e.g. "zfp-rans"), so images that old readers could
-/// load keep the v5 magic byte-for-byte.
+/// v5/v6: each block carries its ladder level, the codec id that produced
+/// its payload, and which tier it occupied at save time, and the header
+/// carries the lossy-pass count and the logical->physical qubit map the
+/// blocks are laid out under. Spilled payloads are read back through the
+/// spill mapping, so an out-of-core state checkpoints without being
+/// faulted into memory first. v6 is byte-identical to v5 in layout and is
+/// written only when some block's codec id is beyond the v5 registry
+/// (ids > 6, e.g. "zfp-rans"), so images that v5 readers could load keep
+/// the v5 magic byte-for-byte.
 ///
 /// Durability: the image is written to `<path>.tmp`, fsynced, and
 /// atomically renamed over `path` — a crash (or I/O failure) mid-save
@@ -53,34 +50,25 @@ void save_checkpoint(const std::string& path, const CheckpointHeader& header,
 /// A loaded checkpoint: every block is materialized resident (the loader
 /// has no spill file); `spilled[r][b]` records which blocks occupied the
 /// spill tier at save time so the resuming simulator can re-tier them
-/// under its own budget. Empty (all-resident) for pre-v5 files.
+/// under its own budget.
 struct LoadedCheckpoint {
   CheckpointHeader header;
   std::vector<BlockStore> ranks;
   std::vector<std::vector<std::uint8_t>> spilled;
 };
 
-/// Reads a checkpoint written by save_checkpoint. Accepts formats v1-v6;
-/// v1/v2 blocks never stored a codec id, so the reader derives it from the
-/// block's level (0 = lossless zx, otherwise the header codec), and
-/// pre-v4 headers carry no qubit map (identity layout). A v4 map that is
-/// not a permutation is rejected with std::runtime_error. Block codec ids
-/// are validated against the format version: a v<=5 image claiming an id
-/// beyond the v5 registry (> 6) is corrupt and rejected, and a v6 id must
-/// exist in this build's registry.
+/// Reads a checkpoint written by save_checkpoint. Accepts formats v5 and
+/// v6 only: a v1-v4 magic fails with std::runtime_error naming the version
+/// before anything else is parsed. A qubit map that is not a permutation
+/// is rejected with std::runtime_error. Block codec ids are validated
+/// against the format version: a v5 image claiming an id beyond the v5
+/// registry (> 6) is corrupt and rejected, and a v6 id must exist in this
+/// build's registry.
 LoadedCheckpoint load_checkpoint_full(const std::string& path);
 
 /// load_checkpoint_full without the tier flags — the historical interface,
 /// for callers that re-tier from scratch (or never spill).
 std::pair<CheckpointHeader, std::vector<BlockStore>> load_checkpoint(
     const std::string& path);
-
-namespace testing {
-/// Fault hook for the kill-mid-save test: after this many more bytes of
-/// checkpoint image have been written, the save fails (and cleans up its
-/// temporary) as if the process died mid-write. UINT64_MAX = unlimited;
-/// reset by the test that set it.
-void set_checkpoint_write_limit(std::uint64_t bytes);
-}  // namespace testing
 
 }  // namespace cqs::runtime

@@ -32,6 +32,10 @@
 //                      matching endpoint control frame (kDie /
 //                      kStallNext / kCorruptNext) so the fault manifests
 //                      through the real wire machinery.
+//   checkpoint.write   one call per chunk of the checkpoint image written
+//                      to the temporary — "fail" first writes `aux` bytes
+//                      of that chunk (a torn temporary, as a crash would
+//                      leave) and then aborts the save.
 //   checkpoint.rename  the atomic-save publish step — "fail" aborts after
 //                      the temp image is written but before the rename,
 //                      standing in for a crash mid-save.
@@ -51,6 +55,7 @@ namespace cqs::runtime {
 namespace fault_sites {
 inline constexpr const char* kSpillWrite = "spill.write";
 inline constexpr const char* kTransportSend = "transport.send";
+inline constexpr const char* kCheckpointWrite = "checkpoint.write";
 inline constexpr const char* kCheckpointRename = "checkpoint.rename";
 }  // namespace fault_sites
 
@@ -65,7 +70,7 @@ struct FaultSpec {
   /// Consecutive firing calls starting at nth; 0 = every call from nth on.
   std::uint64_t count = 1;
   std::string action = "fail";
-  std::uint64_t aux = 0;  ///< action parameter (stall ms)
+  std::uint64_t aux = 0;  ///< action parameter (stall ms, bytes written)
 };
 
 /// A parsed, seedable fault script. Value type: tests build them inline,

@@ -6,18 +6,9 @@
 // staging buffers, quantization vectors) that makes steady-state codec
 // calls allocation-free; its bytes count toward the Eq. 8 footprint next
 // to the block buffers.
-//
-// The arena can also host a pool of pipeline staging buffers — the extra
-// in-flight decoded blocks of the double-buffered decompress/apply/
-// recompress pipeline. They are acquired and released across threads (the
-// decode stage fills one, the apply stage drains it), so the free list is
-// guarded by a mutex; their bytes are charged to Eq. 8 like everything
-// else here.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -29,20 +20,11 @@ class ScratchArena {
  public:
   /// `workers` independent slots, each with two buffers of
   /// `doubles_per_block` doubles (Vector_x and Vector_y of Figure 2) plus
-  /// one CodecScratch. `staging_buffers` block-sized pipeline buffers are
-  /// appended to the same storage (0 = pipeline disabled).
-  ScratchArena(std::size_t workers, std::size_t doubles_per_block,
-               std::size_t staging_buffers = 0)
+  /// one CodecScratch.
+  ScratchArena(std::size_t workers, std::size_t doubles_per_block)
       : doubles_per_block_(doubles_per_block),
-        workers_(workers),
-        storage_((workers * 2 + staging_buffers) * doubles_per_block),
-        codec_(workers) {
-    staging_free_.reserve(staging_buffers);
-    for (std::size_t i = 0; i < staging_buffers; ++i) {
-      staging_free_.push_back(staging_buffers - 1 - i);  // pop() yields 0 first
-    }
-    staging_count_ = staging_buffers;
-  }
+        storage_(workers * 2 * doubles_per_block),
+        codec_(workers) {}
 
   std::span<double> vector_x(std::size_t worker) {
     return {storage_.data() + worker * 2 * doubles_per_block_,
@@ -57,33 +39,6 @@ class ScratchArena {
   /// Pooled codec working state of one worker.
   compression::CodecScratch& codec_scratch(std::size_t worker) {
     return codec_[worker];
-  }
-
-  /// Number of pipeline staging buffers the arena was built with.
-  std::size_t staging_buffers() const { return staging_count_; }
-
-  /// Claims a free staging buffer; returns its index, or -1 if every
-  /// buffer is in flight. Thread-safe.
-  int acquire_staging() {
-    std::lock_guard lock(staging_mutex_);
-    if (staging_free_.empty()) return -1;
-    const int idx = static_cast<int>(staging_free_.back());
-    staging_free_.pop_back();
-    return idx;
-  }
-
-  /// Returns a staging buffer claimed by acquire_staging(). Thread-safe.
-  void release_staging(int idx) {
-    std::lock_guard lock(staging_mutex_);
-    staging_free_.push_back(static_cast<std::size_t>(idx));
-  }
-
-  /// The block-sized buffer behind a staging index.
-  std::span<double> staging(int idx) {
-    return {storage_.data() +
-                (workers_ * 2 + static_cast<std::size_t>(idx)) *
-                    doubles_per_block_,
-            doubles_per_block_};
   }
 
   /// Bytes held by the block buffers — the "2 * (2^{n+4} / (r * nb))" term
@@ -107,12 +62,8 @@ class ScratchArena {
 
  private:
   std::size_t doubles_per_block_;
-  std::size_t workers_;
-  std::size_t staging_count_ = 0;
   std::vector<double> storage_;
   std::vector<compression::CodecScratch> codec_;
-  std::mutex staging_mutex_;
-  std::vector<std::size_t> staging_free_;
 };
 
 }  // namespace cqs::runtime

@@ -123,17 +123,6 @@ void read_codes(ByteSpan inner, std::size_t& offset, std::uint32_t bins,
 }  // namespace
 
 Bytes SzCodec::compress(std::span<const double> data,
-                        const compression::ErrorBound& bound) const {
-  compression::CodecScratch scratch;
-  return compress(data, bound, scratch);
-}
-
-void SzCodec::decompress(ByteSpan compressed, std::span<double> out) const {
-  compression::CodecScratch scratch;
-  decompress(compressed, out, scratch);
-}
-
-Bytes SzCodec::compress(std::span<const double> data,
                         const compression::ErrorBound& bound,
                         compression::CodecScratch& scratch) const {
   if (!supports(bound.mode) || !(bound.value > 0.0)) {

@@ -473,17 +473,6 @@ void ZfpCodec::decompress_absolute(ByteSpan in, std::span<double> out) const {
 }
 
 Bytes ZfpCodec::compress(std::span<const double> data,
-                         const compression::ErrorBound& bound) const {
-  compression::CodecScratch scratch;
-  return compress(data, bound, scratch);
-}
-
-void ZfpCodec::decompress(ByteSpan compressed, std::span<double> out) const {
-  compression::CodecScratch scratch;
-  decompress(compressed, out, scratch);
-}
-
-Bytes ZfpCodec::compress(std::span<const double> data,
                          const compression::ErrorBound& bound,
                          compression::CodecScratch& scratch) const {
   compress_into(data, bound, scratch, scratch.packed);

@@ -67,9 +67,8 @@ class ZfpCodec final : public compression::Compressor {
     return mode == compression::BoundMode::kAbsolute ||
            mode == compression::BoundMode::kPointwiseRelative;
   }
-  Bytes compress(std::span<const double> data,
-                 const compression::ErrorBound& bound) const override;
-  void decompress(ByteSpan compressed, std::span<double> out) const override;
+  using Compressor::compress;
+  using Compressor::decompress;
   Bytes compress(std::span<const double> data,
                  const compression::ErrorBound& bound,
                  compression::CodecScratch& scratch) const override;

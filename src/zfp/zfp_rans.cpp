@@ -25,18 +25,6 @@ std::size_t varint_length(std::uint64_t value) {
 }  // namespace
 
 Bytes ZfpRansCodec::compress(std::span<const double> data,
-                             const compression::ErrorBound& bound) const {
-  compression::CodecScratch scratch;
-  return compress(data, bound, scratch);
-}
-
-void ZfpRansCodec::decompress(ByteSpan compressed,
-                              std::span<double> out) const {
-  compression::CodecScratch scratch;
-  decompress(compressed, out, scratch);
-}
-
-Bytes ZfpRansCodec::compress(std::span<const double> data,
                              const compression::ErrorBound& bound,
                              compression::CodecScratch& scratch) const {
   zfp_.compress_into(data, bound, scratch, scratch.packed);

@@ -25,9 +25,8 @@ class ZfpRansCodec final : public compression::Compressor {
   bool supports(compression::BoundMode mode) const override {
     return zfp_.supports(mode);
   }
-  Bytes compress(std::span<const double> data,
-                 const compression::ErrorBound& bound) const override;
-  void decompress(ByteSpan compressed, std::span<double> out) const override;
+  using Compressor::compress;
+  using Compressor::decompress;
   Bytes compress(std::span<const double> data,
                  const compression::ErrorBound& bound,
                  compression::CodecScratch& scratch) const override;

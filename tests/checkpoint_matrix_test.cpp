@@ -1,13 +1,12 @@
-// Checkpoint cross-version matrix: files written in formats v1, v2, and
-// the current v3 must all resume into a correct simulation. v3
-// additionally round-trips per-block codec ids (mixed adaptive codecs)
-// and the accumulated lossy-pass count.
+// Checkpoint format matrix: v5/v6 images round-trip per-block codec ids
+// (mixed adaptive codecs), the accumulated lossy-pass count and the qubit
+// map, corrupt maps and codec ids are rejected, legacy v1-v4 magics fail
+// by name, and an interrupted save never damages the previous image.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,8 +15,8 @@
 #include "common/bytes.hpp"
 #include "compression/compressor.hpp"
 #include "core/simulator.hpp"
-#include "qsim/state_vector.hpp"
 #include "runtime/checkpoint.hpp"
+#include "runtime/fault_injection.hpp"
 #include "test_util.hpp"
 
 namespace cqs {
@@ -48,19 +47,15 @@ SimConfig mixed_config(int qubits) {
   return config;
 }
 
-/// Writes a legacy (v1, v2, or v3) checkpoint holding a REAL simulator
-/// state: `raw` chopped into 2 ranks x 2 blocks, each block zx-compressed
-/// at level 0 — exactly what the old writers produced for a lossless run
-/// whose `gates_done` gates of a circuit had been applied. v3 adds the
-/// per-block codec byte; none of them carry a qubit map. For corruption
-/// tests, `qubit_map_override` injects an arbitrary map table into a v4
-/// file (empty = omit the map section entirely, i.e. stay legacy).
-void write_legacy_checkpoint(const std::string& path, int version,
-                             const std::vector<double>& raw, int num_qubits,
-                             std::uint64_t gates_done,
-                             std::uint64_t lossy_passes,
-                             const std::vector<int>& qubit_map_override = {},
-                             std::uint8_t block_codec_id = 0) {
+/// Hand-builds a v5-layout checkpoint of `raw` chopped into 2 ranks x 2
+/// blocks, each block zx-compressed at level 0 and resident. The tests
+/// inject what save_checkpoint never writes: an arbitrary qubit-map table
+/// (`qubit_map_override`; empty = identity), an arbitrary per-block codec
+/// id, and the magic's version digit.
+void write_checkpoint_image(const std::string& path, int version,
+                            const std::vector<double>& raw, int num_qubits,
+                            const std::vector<int>& qubit_map_override = {},
+                            std::uint8_t block_codec_id = 0) {
   Bytes buffer;
   const char magic[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T',
                          static_cast<char>('0' + version)};
@@ -70,17 +65,15 @@ void write_legacy_checkpoint(const std::string& path, int version,
   put_varint(buffer, 2);  // num_ranks
   put_varint(buffer, 2);  // blocks_per_rank
   put_varint(buffer, 0);  // ladder_level: lossless
-  put_varint(buffer, gates_done);
+  put_varint(buffer, 0);  // next gate index
   put_scalar(buffer, 1.0);  // fidelity bound
-  if (version >= 2) put_varint(buffer, lossy_passes);
+  put_varint(buffer, 0);  // lossy passes
   const std::string codec_name = "qzc";
   put_varint(buffer, codec_name.size());
   for (char ch : codec_name) buffer.push_back(static_cast<std::byte>(ch));
-  if (version >= 4) {
-    put_varint(buffer, qubit_map_override.size());
-    for (int p : qubit_map_override) {
-      put_varint(buffer, static_cast<std::uint64_t>(p));
-    }
+  put_varint(buffer, qubit_map_override.size());
+  for (int p : qubit_map_override) {
+    put_varint(buffer, static_cast<std::uint64_t>(p));
   }
 
   const auto codec = compression::make_compressor("zstd");
@@ -93,13 +86,9 @@ void write_legacy_checkpoint(const std::string& path, int version,
       const Bytes payload = codec->compress(
           std::span<const double>(raw.data() + base, doubles_per_block),
           compression::ErrorBound::lossless());
-      buffer.push_back(std::byte{0});  // meta level (no codec byte pre-v3)
-      if (version >= 3) {
-        buffer.push_back(static_cast<std::byte>(block_codec_id));
-      }
-      if (version >= 5) {
-        buffer.push_back(std::byte{0});  // tier: resident
-      }
+      buffer.push_back(std::byte{0});  // level: lossless
+      buffer.push_back(static_cast<std::byte>(block_codec_id));
+      buffer.push_back(std::byte{0});  // tier: resident
       put_varint(buffer, payload.size());
       buffer.insert(buffer.end(), payload.begin(), payload.end());
     }
@@ -110,58 +99,6 @@ void write_legacy_checkpoint(const std::string& path, int version,
 }
 
 using CheckpointMatrixTest = test::TempDirFixture;
-
-TEST_F(CheckpointMatrixTest, LegacyV1V2V3FilesResumeWithIdentityMaps) {
-  const auto circuit =
-      circuits::qft_circuit({.num_qubits = 8, .random_input = false});
-
-  // Uninterrupted reference run.
-  CompressedStateSimulator full(matrix_config(8));
-  full.apply_circuit(circuit);
-  const auto reference = full.to_raw();
-
-  // The state after the first half, from a real (lossless) run.
-  const std::uint64_t half = circuit.size() / 2;
-  CompressedStateSimulator first(matrix_config(8));
-  qsim::Circuit head(8);
-  for (std::uint64_t i = 0; i < half; ++i) {
-    head.append(circuit.ops()[i]);
-  }
-  first.apply_circuit(head);
-  const auto half_state = first.to_raw();
-
-  for (int version : {1, 2, 3}) {
-    const std::string path =
-        this->path("legacy_v" + std::to_string(version) + ".bin");
-    write_legacy_checkpoint(path, version, half_state, 8, half,
-                            /*lossy_passes=*/0);
-    // Pre-v4 files carry no qubit map: the loader must derive identity.
-    EXPECT_TRUE(runtime::load_checkpoint(path).first.qubit_map.empty())
-        << "v" << version;
-    auto resumed =
-        CompressedStateSimulator::load_checkpoint(path, matrix_config(8));
-    EXPECT_TRUE(resumed.qubit_map().is_identity()) << "v" << version;
-    EXPECT_EQ(resumed.gate_cursor(), half) << "v" << version;
-    resumed.resume_circuit(circuit);
-    EXPECT_NEAR(qsim::state_fidelity(resumed.to_raw(), reference), 1.0,
-                1e-10)
-        << "v" << version;
-    CQS_EXPECT_STATES_CLOSE(resumed.to_raw(), reference, 1e-12);
-  }
-}
-
-TEST_F(CheckpointMatrixTest, V2PassCountSurvivesWhereV1Reconstructs) {
-  const std::vector<double> raw(1 << 9, 0.0);  // 8 qubits of zeros
-
-  const std::string v2 = this->path("passes_v2.bin");
-  write_legacy_checkpoint(v2, 2, raw, 8, 0, /*lossy_passes=*/17);
-  EXPECT_EQ(runtime::load_checkpoint(v2).first.lossy_passes, 17u);
-
-  // v1 has no pass field: a bound of 1.0 reconstructs zero passes.
-  const std::string v1 = this->path("passes_v1.bin");
-  write_legacy_checkpoint(v1, 1, raw, 8, 0, /*lossy_passes=*/99);
-  EXPECT_EQ(runtime::load_checkpoint(v1).first.lossy_passes, 0u);
-}
 
 TEST_F(CheckpointMatrixTest, V3RoundTripsMixedPerBlockCodecsAndPasses) {
   // An adaptive lossy Grover run leaves a genuinely mixed store: the
@@ -341,19 +278,17 @@ TEST_F(CheckpointMatrixTest, V4RejectsCorruptQubitMaps) {
 
   // Non-permutation tables must fail at load, before any decompression.
   const std::string dup = this->path("map_dup.bin");
-  write_legacy_checkpoint(dup, 4, raw, 8, 0, 0,
-                          {0, 1, 2, 3, 4, 5, 6, 6});
+  write_checkpoint_image(dup, 5, raw, 8, {0, 1, 2, 3, 4, 5, 6, 6});
   EXPECT_THROW(runtime::load_checkpoint(dup), std::runtime_error);
 
   const std::string oob = this->path("map_oob.bin");
-  write_legacy_checkpoint(oob, 4, raw, 8, 0, 0,
-                          {0, 1, 2, 3, 4, 5, 6, 63});
+  write_checkpoint_image(oob, 5, raw, 8, {0, 1, 2, 3, 4, 5, 6, 63});
   EXPECT_THROW(runtime::load_checkpoint(oob), std::runtime_error);
 
   // A valid permutation of the wrong width fails at simulator load: the
   // map must cover exactly the checkpoint's qubits.
   const std::string narrow = this->path("map_narrow.bin");
-  write_legacy_checkpoint(narrow, 4, raw, 8, 0, 0, {3, 2, 1, 0});
+  write_checkpoint_image(narrow, 5, raw, 8, {3, 2, 1, 0});
   EXPECT_NO_THROW(runtime::load_checkpoint(narrow));
   EXPECT_THROW(
       CompressedStateSimulator::load_checkpoint(narrow, matrix_config(8)),
@@ -361,8 +296,7 @@ TEST_F(CheckpointMatrixTest, V4RejectsCorruptQubitMaps) {
 
   // A correct-width permutation loads fine (control case).
   const std::string good = this->path("map_good.bin");
-  write_legacy_checkpoint(good, 4, raw, 8, 0, 0,
-                          {7, 6, 5, 4, 3, 2, 1, 0});
+  write_checkpoint_image(good, 5, raw, 8, {7, 6, 5, 4, 3, 2, 1, 0});
   auto sim = CompressedStateSimulator::load_checkpoint(good,
                                                        matrix_config(8));
   EXPECT_EQ(sim.qubit_map().physical(0), 7);
@@ -394,8 +328,9 @@ TEST_F(CheckpointMatrixTest, V3RejectsForeignCodecIdAtLoad) {
 
 TEST_F(CheckpointMatrixTest, KilledMidSaveLeavesOldCheckpointIntact) {
   // The save writes <path>.tmp, fsyncs, then renames. Dying mid-image
-  // (injected after a byte budget) must throw, leave no temporary behind,
-  // and — crucially — leave the previous checkpoint loadable.
+  // (the checkpoint.write site tears the first chunk halfway) must throw,
+  // leave no temporary behind, and — crucially — leave the previous
+  // checkpoint loadable.
   const auto circuit = circuits::qft_circuit({.num_qubits = 8});
   CompressedStateSimulator sim(matrix_config(8));
   sim.apply_circuit(circuit);
@@ -411,10 +346,14 @@ TEST_F(CheckpointMatrixTest, KilledMidSaveLeavesOldCheckpointIntact) {
   more.h(3).cx(3, 5).t(0);
   sim.apply_circuit(more);
 
-  runtime::testing::set_checkpoint_write_limit(good_size / 2);
-  EXPECT_THROW(sim.save_checkpoint(path), std::exception);
-  runtime::testing::set_checkpoint_write_limit(
-      std::numeric_limits<std::uint64_t>::max());
+  {
+    runtime::ScopedFaultPlan plan("checkpoint.write@1:fail=" +
+                                  std::to_string(good_size / 2));
+    EXPECT_THROW(sim.save_checkpoint(path), std::runtime_error);
+    const auto fired = runtime::FaultInjector::instance().fired();
+    ASSERT_EQ(fired.size(), 1u);
+    EXPECT_EQ(fired[0].site, runtime::fault_sites::kCheckpointWrite);
+  }
 
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
       << "failed save must clean up its temporary";
@@ -423,7 +362,7 @@ TEST_F(CheckpointMatrixTest, KilledMidSaveLeavesOldCheckpointIntact) {
       CompressedStateSimulator::load_checkpoint(path, matrix_config(8));
   CQS_EXPECT_STATES_CLOSE(restored.to_raw(), expected, 0.0);
 
-  // With the limit lifted the interrupted save succeeds as-is.
+  // With the plan disarmed the interrupted save succeeds as-is.
   sim.save_checkpoint(path);
   auto latest =
       CompressedStateSimulator::load_checkpoint(path, matrix_config(8));
@@ -439,22 +378,47 @@ std::string read_magic(const std::string& path) {
 }
 
 TEST_F(CheckpointMatrixTest, PreV6ImagesRejectPostV5CodecIds) {
-  // A v<=5 image predates every codec id past fpzip (6): a block claiming
+  // A v5 image predates every codec id past fpzip (6): a block claiming
   // "zfp-rans" (7) is corruption and must be rejected cleanly, not routed
   // into a codec the image's vintage could never have produced.
   const std::vector<double> raw(1 << 9, 0.0);  // 8 qubits of zeros
   const std::uint8_t rans_id = compression::codec_id("zfp-rans");
-  for (int version : {3, 4, 5}) {
-    const std::string path =
-        this->path("rans_id_v" + std::to_string(version) + ".bin");
-    write_legacy_checkpoint(path, version, raw, 8, 0, 0, {}, rans_id);
-    try {
-      runtime::load_checkpoint(path);
-      FAIL() << "v" << version << " image with codec id "
-             << int(rans_id) << " was accepted";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("codec id"), std::string::npos)
-          << "v" << version << " actual message: " << e.what();
+  const std::string path = this->path("rans_id_v5.bin");
+  write_checkpoint_image(path, 5, raw, 8, {}, rans_id);
+  try {
+    runtime::load_checkpoint(path);
+    FAIL() << "v5 image with codec id " << int(rans_id) << " was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("codec id"), std::string::npos)
+        << "actual message: " << e.what();
+  }
+}
+
+TEST_F(CheckpointMatrixTest, LegacyV1ToV4MagicsFailNamingTheVersion) {
+  // Nothing writes v1-v4 any more and the reader no longer decodes them:
+  // the magic alone must fail, naming the version, before any other field
+  // is parsed — a bare 8-byte magic fails exactly like a full image.
+  const std::vector<double> raw(1 << 9, 0.0);  // 8 qubits of zeros
+  for (int version : {1, 2, 3, 4}) {
+    const std::string expected = "unsupported checkpoint format v" +
+                                 std::to_string(version) + "; v5/v6 only";
+    const std::string full =
+        this->path("legacy_v" + std::to_string(version) + ".bin");
+    write_checkpoint_image(full, version, raw, 8);
+    const std::string bare =
+        this->path("bare_v" + std::to_string(version) + ".bin");
+    {
+      std::ofstream out(bare, std::ios::binary | std::ios::trunc);
+      out << "CQSCKPT" << version;
+    }
+    for (const std::string& path : {full, bare}) {
+      try {
+        runtime::load_checkpoint(path);
+        FAIL() << path << " was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+            << path << " actual message: " << e.what();
+      }
     }
   }
 }

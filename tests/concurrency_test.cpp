@@ -108,7 +108,7 @@ TEST(ConcurrencyTest, ResultsIdenticalAcrossThreadCounts) {
   }
 }
 
-using test::random_circuit;  // shared with the pipeline suite (test_util)
+using test::random_circuit;  // shared with the spill suite (test_util)
 
 /// The deterministic subset of a report: everything except wall-clock
 /// times and cache-interleaving artifacts (hit/miss split, compress-call
@@ -366,54 +366,44 @@ TEST(ConcurrencyTest, RemappedLossyRunsDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(ConcurrencyTest, PipelineStressUnderCacheThrashAndLadderEscalation) {
-  // Worst-case pipeline conditions at once: a cache small enough to LRU-
-  // thrash (so probe/insert interleave with staging), a budget tight
-  // enough to force ladder escalation between pipelined gates, and depth 3
-  // so several blocks are in flight. States and the deterministic report
-  // fields must still be identical across thread counts and to the
-  // sequential path.
+TEST(ConcurrencyTest, CacheThrashAndLadderEscalationIdenticalAcrossThreads) {
+  // Worst-case executor conditions at once: a cache small enough to LRU-
+  // thrash (so probes and inserts of different workers interleave) and a
+  // budget tight enough to force ladder escalation between gates. States
+  // and the deterministic report fields must still be identical across
+  // thread counts.
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
   const auto circuit = random_circuit(10, 70, 57);
   std::vector<double> reference;
   DeterministicReport reference_report{};
-  bool have_reference = false;
-  for (const bool pipeline : {false, true}) {
-    for (int threads : {1, 2, hw}) {
-      core::SimConfig config;
-      config.num_qubits = 10;
-      config.num_ranks = 2;
-      config.blocks_per_rank = 8;
-      config.threads = threads;
-      config.codec_policy = "adaptive";
-      config.memory_budget_bytes = 6 * 1024;  // forces escalation mid-run
-      config.cache_lines = 4;                 // guaranteed LRU thrash
-      config.enable_pipeline = pipeline;
-      config.pipeline_depth = 3;
-      core::CompressedStateSimulator sim(config);
-      sim.apply_circuit(circuit);
-      const auto report = deterministic_fields(sim.report());
-      const auto raw = sim.to_raw();
-      if (!have_reference) {
-        reference = raw;
-        reference_report = report;
-        have_reference = true;
-      } else {
-        CQS_EXPECT_STATES_CLOSE(raw, reference, 0.0)
-            << "pipeline=" << pipeline << " threads=" << threads;
-        EXPECT_EQ(report, reference_report)
-            << "pipeline=" << pipeline << " threads=" << threads;
-      }
+  for (int threads : {1, 2, hw}) {
+    core::SimConfig config;
+    config.num_qubits = 10;
+    config.num_ranks = 2;
+    config.blocks_per_rank = 8;
+    config.threads = threads;
+    config.codec_policy = "adaptive";
+    config.memory_budget_bytes = 6 * 1024;  // forces escalation mid-run
+    config.cache_lines = 4;                 // guaranteed LRU thrash
+    core::CompressedStateSimulator sim(config);
+    sim.apply_circuit(circuit);
+    const auto report = deterministic_fields(sim.report());
+    const auto raw = sim.to_raw();
+    if (reference.empty()) {
+      reference = raw;
+      reference_report = report;
+    } else {
+      CQS_EXPECT_STATES_CLOSE(raw, reference, 0.0) << "threads=" << threads;
+      EXPECT_EQ(report, reference_report) << "threads=" << threads;
     }
   }
 }
 
-TEST(ConcurrencyTest, CheckpointMidCircuitDrainsPipelineStages) {
-  // save_checkpoint while the pipeline has been running must observe a
-  // fully drained executor (every staged block recompressed and stored):
-  // resuming the checkpoint and finishing the circuit must be bit-identical
-  // to the uninterrupted run, pipelined or not.
+TEST(ConcurrencyTest, CheckpointMidCircuitResumesBitIdenticalAtTwoWorkers) {
+  // save_checkpoint after multi-worker gates must observe every block
+  // recompressed and stored: resuming the checkpoint and finishing the
+  // circuit must be bit-identical to the uninterrupted run.
   const auto circuit = random_circuit(10, 60, 71);
   const std::uint64_t half = circuit.ops().size() / 2;
 
@@ -422,8 +412,6 @@ TEST(ConcurrencyTest, CheckpointMidCircuitDrainsPipelineStages) {
   config.num_ranks = 2;
   config.blocks_per_rank = 8;
   config.threads = 2;
-  config.enable_pipeline = true;
-  config.pipeline_depth = 3;
 
   // Both runs go through the per-gate apply path (apply_circuit's fusion
   // pre-pass composes matrices and would be a different — equally valid —
@@ -433,7 +421,7 @@ TEST(ConcurrencyTest, CheckpointMidCircuitDrainsPipelineStages) {
   const auto reference = full.to_raw();
 
   const auto dir = std::filesystem::temp_directory_path() /
-                   "cqs_ConcurrencyTest_PipelineCheckpoint";
+                   "cqs_ConcurrencyTest_MidCircuitCheckpoint";
   std::filesystem::create_directories(dir);
   const std::string file = (dir / "mid.bin").string();
 
@@ -449,6 +437,60 @@ TEST(ConcurrencyTest, CheckpointMidCircuitDrainsPipelineStages) {
     resumed.apply(circuit.ops()[i]);
   }
   CQS_EXPECT_STATES_CLOSE(resumed.to_raw(), reference, 0.0);
+
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(ConcurrencyTest, QueriesBitIdenticalAcrossThreadCountsAndRepeats) {
+  // The read-only queries reduce one sum per block and add the sums in
+  // block order, so their bits cannot depend on which worker the pool
+  // handed a block to. measure() rescales by 1/sqrt(p), so the collapsed
+  // state inherits the same guarantee.
+  qsim::Circuit circuit(16);
+  for (int q = 0; q < 16; ++q) circuit.ry(q, 0.3 + 0.17 * q);
+  const auto mixer = random_circuit(16, 40, 83);
+  for (const auto& op : mixer.ops()) circuit.append(op);
+
+  core::SimConfig config;
+  config.num_qubits = 16;
+  config.num_ranks = 2;
+  config.blocks_per_rank = 32;
+  config.threads = 1;
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "cqs_ConcurrencyTest_QueryDeterminism";
+  std::filesystem::create_directories(dir);
+  const std::string file = (dir / "state.bin").string();
+  {
+    core::CompressedStateSimulator sim(config);
+    sim.apply_circuit(circuit);
+    sim.save_checkpoint(file);
+  }
+
+  std::vector<double> reference_queries;
+  std::vector<double> reference_collapsed;
+  for (int threads : {1, 2, 4}) {
+    config.threads = threads;
+    for (int repeat = 0; repeat < 20; ++repeat) {
+      auto sim = core::CompressedStateSimulator::load_checkpoint(file, config);
+      std::vector<double> queries = {sim.norm()};
+      for (int q = 0; q < 16; ++q) queries.push_back(sim.probability_one(q));
+      queries.push_back(sim.expectation_pauli_z(0b1000000000000011));
+      queries.push_back(sim.expectation_pauli_z(0xffff));
+      Rng rng(5);
+      sim.measure(3, rng);
+      const auto collapsed = sim.to_raw();
+      if (reference_queries.empty()) {
+        reference_queries = queries;
+        reference_collapsed = collapsed;
+      } else {
+        EXPECT_EQ(queries, reference_queries)
+            << "threads " << threads << " repeat " << repeat;
+        CQS_EXPECT_STATES_CLOSE(collapsed, reference_collapsed, 0.0)
+            << "threads " << threads << " repeat " << repeat;
+      }
+    }
+  }
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);

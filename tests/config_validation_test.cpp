@@ -39,26 +39,6 @@ TEST(ConfigValidationTest, AcceptsTheDefaults) {
   EXPECT_NO_THROW(CompressedStateSimulator{base_config()});
 }
 
-TEST(ConfigValidationTest, RejectsOutOfRangePipelineDepth) {
-  for (int depth : {0, -1, 65, 100}) {
-    SimConfig config = base_config();
-    config.pipeline_depth = depth;
-    expect_rejected(config, "pipeline_depth");
-  }
-  // The depth range is validated even with the pipeline off: a bad knob
-  // is a bad config, not a latent bug for the first multi-threaded run.
-  SimConfig config = base_config();
-  config.enable_pipeline = false;
-  config.pipeline_depth = 0;
-  expect_rejected(config, "pipeline_depth");
-  // Boundary values are fine.
-  config = base_config();
-  config.pipeline_depth = 1;
-  EXPECT_NO_THROW(CompressedStateSimulator{config});
-  config.pipeline_depth = 64;
-  EXPECT_NO_THROW(CompressedStateSimulator{config});
-}
-
 TEST(ConfigValidationTest, RejectsNonPowerOfTwoRanks) {
   for (int ranks : {3, 5, 6, 7, 12}) {
     SimConfig config = base_config();

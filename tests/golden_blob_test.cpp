@@ -1,6 +1,6 @@
 // Golden-blob regression: the SHA-256 of every registry codec's compressed
 // output on the shared spiky/dense/sparse fixtures must match the digests
-// recorded before the codec hot-path overhaul. Checkpoints v1-v3 persist
+// recorded before the codec hot-path overhaul. Checkpoints persist
 // these containers and BlockCache keys hash them, so any drift here means
 // persisted state and cache identity silently broke.
 #include <gtest/gtest.h>

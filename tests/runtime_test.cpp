@@ -363,56 +363,6 @@ TEST_F(CheckpointTest, LossyPassCountRoundTrips) {
   EXPECT_DOUBLE_EQ(loaded.fidelity_bound, 0.9991);
 }
 
-/// Replicates the version-1 on-disk layout (no lossy-pass field) so the
-/// version-tolerant reader stays covered without a fixture file.
-void write_v1_checkpoint(const std::string& path, double fidelity_bound) {
-  Bytes buffer;
-  const char magic[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T', '1'};
-  buffer.insert(buffer.end(), reinterpret_cast<const std::byte*>(magic),
-                reinterpret_cast<const std::byte*>(magic) + 8);
-  put_varint(buffer, 8);   // num_qubits
-  put_varint(buffer, 1);   // num_ranks
-  put_varint(buffer, 1);   // blocks_per_rank
-  put_varint(buffer, 2);   // ladder_level
-  put_varint(buffer, 42);  // next_gate_index
-  put_scalar(buffer, fidelity_bound);
-  const std::string name = "qzc";
-  put_varint(buffer, name.size());
-  for (char ch : name) buffer.push_back(static_cast<std::byte>(ch));
-  put_varint(buffer, 1);  // rank count
-  put_varint(buffer, 1);  // blocks in rank
-  buffer.push_back(std::byte{1});  // block meta level
-  put_varint(buffer, 3);           // payload size
-  for (int i = 0; i < 3; ++i) buffer.push_back(std::byte{9});
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(buffer.data()),
-            static_cast<std::streamsize>(buffer.size()));
-}
-
-TEST_F(CheckpointTest, ReadsVersion1CheckpointsWithoutPassCount) {
-  // A lossy v1 checkpoint reconstructs the only defensible history: one
-  // synthetic pass carrying the whole saved bound.
-  const std::string lossy = this->path("v1_lossy.bin");
-  write_v1_checkpoint(lossy, 0.98);
-  const auto [lossy_header, lossy_stores] = load_checkpoint(lossy);
-  EXPECT_DOUBLE_EQ(lossy_header.fidelity_bound, 0.98);
-  EXPECT_EQ(lossy_header.lossy_passes, 1u);
-  EXPECT_EQ(lossy_header.next_gate_index, 42u);
-  EXPECT_EQ(lossy_header.codec_name, "qzc");
-  ASSERT_EQ(lossy_stores.size(), 1u);
-  EXPECT_EQ(lossy_stores[0].block(0).size(), 3u);
-  // Pre-v3 blocks derive their codec id from the level: level 1 was by
-  // construction compressed with the header codec ("qzc").
-  EXPECT_EQ(lossy_stores[0].meta(0).codec, 3);
-
-  // A lossless v1 checkpoint has no lossy history at all.
-  const std::string lossless = this->path("v1_lossless.bin");
-  write_v1_checkpoint(lossless, 1.0);
-  const auto [lossless_header, lossless_stores] = load_checkpoint(lossless);
-  EXPECT_EQ(lossless_header.lossy_passes, 0u);
-}
-
 TEST_F(CheckpointTest, RejectsCorruptFile) {
   const std::string path = this->path("corrupt.bin");
   {

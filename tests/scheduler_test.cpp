@@ -121,29 +121,6 @@ TEST(SchedulerTest, SourceGatesAlwaysSumToCircuitSize) {
   }
 }
 
-TEST(SchedulerTest, UpcomingUnitsWindowExcludesCursorAndClamps) {
-  const auto order = qsim::run_block_order(2, 3);  // 6 units
-  ASSERT_EQ(order.size(), 6u);
-
-  // The window starts after the cursor — the unit in flight is already
-  // being read, advising it would be wasted work.
-  const auto window = qsim::upcoming_units(order, 0, 3);
-  ASSERT_EQ(window.size(), 3u);
-  EXPECT_EQ(window[0], order[1]);
-  EXPECT_EQ(window[1], order[2]);
-  EXPECT_EQ(window[2], order[3]);
-
-  // Clamped at the end of the order.
-  const auto tail = qsim::upcoming_units(order, 4, 8);
-  ASSERT_EQ(tail.size(), 1u);
-  EXPECT_EQ(tail[0], order[5]);
-
-  // At or past the end: empty, never out-of-bounds.
-  EXPECT_TRUE(qsim::upcoming_units(order, 5, 4).empty());
-  EXPECT_TRUE(qsim::upcoming_units(order, 100, 4).empty());
-  EXPECT_TRUE(qsim::upcoming_units(order, 0, 0).empty());
-}
-
 // ------------------------------------------------- batched execution path
 
 double cross_fidelity(CompressedStateSimulator& sim, const Circuit& circuit) {

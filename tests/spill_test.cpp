@@ -520,19 +520,16 @@ TEST_F(SpillConcurrencyTest, BitIdenticalAndCountsStableAcrossThreads) {
   }
 }
 
-TEST_F(SpillConcurrencyTest, PipelinedExecutorCrossesTheSpillTier) {
-  // The pipelined executor advises from whichever worker claims a unit
-  // while owners transition tiers — the TSan target for the atomic tier
-  // fields. States must still match the sequential spill-off reference.
+TEST_F(SpillConcurrencyTest, ParallelExecutorCrossesTheSpillTier) {
+  // Eight workers advise readahead for units other workers own while
+  // those blocks transition tiers — the TSan target for the atomic tier
+  // fields. States must still match the single-worker spill-off reference.
   const auto circuit = random_circuit(10, 50, 47);
-  auto reference_config = spill_config("", 10, 1, 1, true);
-  reference_config.enable_pipeline = false;
-  core::CompressedStateSimulator reference(reference_config);
+  core::CompressedStateSimulator reference(spill_config("", 10, 1, 1, true));
   reference.apply_circuit(circuit);
 
-  auto config = spill_config(path("spill.bin"), 10, 1, 8, true);
-  config.enable_pipeline = true;
-  core::CompressedStateSimulator sim(config);
+  core::CompressedStateSimulator sim(
+      spill_config(path("spill.bin"), 10, 1, 8, true));
   sim.apply_circuit(circuit);
   CQS_EXPECT_STATES_CLOSE(sim.to_raw(), reference.to_raw(), 0.0);
 }
