@@ -8,18 +8,24 @@
 //
 //   --json PATH    CI gate: verifies every golden-blob digest (the
 //                  unchanged-bitstream guarantee) through BOTH compress
-//                  paths, measures scratch-path round-trip rates, writes
-//                  the measurements as a JSON artifact, and exits nonzero
-//                  on any hash drift.
+//                  paths, checks zfp and zx against frozen copies of their
+//                  seed coders (same bytes, no slower), measures
+//                  scratch-path round-trip rates, writes the measurements
+//                  as a JSON artifact, and exits nonzero on any drift,
+//                  mismatch or regression.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -194,6 +200,350 @@ Bytes compress(std::span<const double> data,
 }
 
 }  // namespace seed_ref
+
+// ---- Frozen seed-reference zx codec --------------------------------------
+//
+// A copy of the zx container coder as it stood at the seed baseline: the
+// LZ77 hash chains in an int64 head table with a uint32 generation table
+// and int64 links, the binary-heap Huffman length build with sorted
+// canonical codes, one BitWriter::write per symbol, and a detokenizer that
+// appends literals and copies matches byte by byte. (The decoder's table
+// parse and per-symbol decode() are production code, which kept them.)
+// It serves the --json gate the way seed_ref serves zfp: production zx must
+// emit the same containers and must not be slower. Do not "improve" it.
+namespace seed_zx {
+
+constexpr std::size_t kHashSize = 1u << 18;
+constexpr std::size_t kMinMatch = 4;
+constexpr std::size_t kMinEmit = 6;
+constexpr std::size_t kHashBytes = 8;
+
+inline std::uint32_t hash6(const std::byte* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  v &= 0xffffffffffffull;
+  return static_cast<std::uint32_t>((v * 0x9e3779b185ebca87ull) >> 46);
+}
+
+inline std::size_t match_length(const std::byte* a, const std::byte* b,
+                                const std::byte* limit) {
+  const std::byte* start = a;
+  while (a + 8 <= limit) {
+    std::uint64_t va;
+    std::uint64_t vb;
+    std::memcpy(&va, a, 8);
+    std::memcpy(&vb, b, 8);
+    if (va != vb) {
+      return static_cast<std::size_t>(a - start) +
+             (std::countr_zero(va ^ vb) >> 3);
+    }
+    a += 8;
+    b += 8;
+  }
+  while (a < limit && *a == *b) {
+    ++a;
+    ++b;
+  }
+  return static_cast<std::size_t>(a - start);
+}
+
+/// Heap-built Huffman lengths with canonical codes, as at the seed.
+struct Coder {
+  struct Node {
+    std::uint64_t weight;
+    std::uint32_t order;
+    int left;
+    int right;
+    std::uint32_t symbol;
+  };
+  std::vector<std::uint8_t> lengths;
+  std::vector<std::uint32_t> codes;
+  // Build scratch, kept across calls as the seed kept it.
+  std::vector<std::uint64_t> working;
+  std::vector<Node> nodes;
+  std::vector<int> heap;
+  std::vector<std::pair<int, int>> stack;
+  std::vector<std::uint32_t> order;
+
+  void build(std::span<const std::uint64_t> counts) {
+    working.assign(counts.begin(), counts.end());
+    lengths.assign(counts.size(), 0);
+    const auto heap_greater = [this](int a, int b) {
+      if (nodes[a].weight != nodes[b].weight) {
+        return nodes[a].weight > nodes[b].weight;
+      }
+      return nodes[a].order > nodes[b].order;
+    };
+    while (true) {
+      nodes.clear();
+      heap.clear();
+      for (std::uint32_t s = 0; s < working.size(); ++s) {
+        if (working[s] == 0) continue;
+        nodes.push_back({working[s], s, -1, -1, s});
+        heap.push_back(static_cast<int>(nodes.size()) - 1);
+      }
+      if (heap.empty()) break;
+      if (heap.size() == 1) {
+        lengths[nodes[heap[0]].symbol] = 1;
+        break;
+      }
+      nodes.reserve(2 * heap.size());
+      std::make_heap(heap.begin(), heap.end(), heap_greater);
+      std::uint32_t next_order = static_cast<std::uint32_t>(working.size());
+      while (heap.size() > 1) {
+        std::pop_heap(heap.begin(), heap.end(), heap_greater);
+        const int a = heap.back();
+        heap.pop_back();
+        std::pop_heap(heap.begin(), heap.end(), heap_greater);
+        const int b = heap.back();
+        heap.pop_back();
+        nodes.push_back(
+            {nodes[a].weight + nodes[b].weight, next_order++, a, b, 0});
+        heap.push_back(static_cast<int>(nodes.size()) - 1);
+        std::push_heap(heap.begin(), heap.end(), heap_greater);
+      }
+      std::fill(lengths.begin(), lengths.end(), 0);
+      stack.clear();
+      stack.push_back({heap[0], 0});
+      while (!stack.empty()) {
+        const auto [idx, depth] = stack.back();
+        stack.pop_back();
+        const auto& node = nodes[idx];
+        if (node.left < 0) {
+          lengths[node.symbol] = static_cast<std::uint8_t>(std::max(depth, 1));
+        } else {
+          stack.push_back({node.left, depth + 1});
+          stack.push_back({node.right, depth + 1});
+        }
+      }
+      if (*std::max_element(lengths.begin(), lengths.end()) <=
+          lossless::kMaxCodeLength) {
+        break;
+      }
+      for (auto& c : working) {
+        if (c > 0) c = c / 2 + 1;
+      }
+    }
+    order.clear();
+    for (std::uint32_t s = 0; s < lengths.size(); ++s) {
+      if (lengths[s] > 0) order.push_back(s);
+    }
+    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+      if (lengths[a] != lengths[b]) return lengths[a] < lengths[b];
+      return a < b;
+    });
+    codes.assign(lengths.size(), 0);
+    std::uint32_t code = 0;
+    int prev_len = 0;
+    for (std::uint32_t s : order) {
+      code <<= (lengths[s] - prev_len);
+      codes[s] = code++;
+      prev_len = lengths[s];
+    }
+  }
+
+  void write_table(Bytes& out) const {
+    std::uint64_t used = 0;
+    for (auto l : lengths) used += l > 0 ? 1 : 0;
+    put_varint(out, used);
+    std::uint32_t prev = 0;
+    for (std::uint32_t s = 0; s < lengths.size(); ++s) {
+      if (lengths[s] == 0) continue;
+      put_varint(out, s - prev);
+      out.push_back(static_cast<std::byte>(lengths[s]));
+      prev = s;
+    }
+  }
+};
+
+struct Scratch {
+  std::vector<std::int64_t> head;
+  std::vector<std::uint32_t> head_gen;
+  std::vector<std::int64_t> prev;
+  std::uint32_t generation = 0;
+  Bytes tokens;
+  Bytes huffed;
+  Coder coder;
+  lossless::HuffmanDecoder decoder;
+};
+
+void tokenize(ByteSpan input, Bytes& out, Scratch& scratch) {
+  const lossless::Lz77Config config;
+  const std::size_t n = input.size();
+  const std::byte* base = input.data();
+  if (scratch.head.size() != kHashSize) {
+    scratch.head.assign(kHashSize, -1);
+    scratch.head_gen.assign(kHashSize, 0);
+    scratch.generation = 0;
+  }
+  if (++scratch.generation == 0) {
+    std::fill(scratch.head_gen.begin(), scratch.head_gen.end(), 0);
+    scratch.generation = 1;
+  }
+  if (scratch.prev.size() < n) scratch.prev.resize(n);
+  auto* const head = scratch.head.data();
+  auto* const head_gen = scratch.head_gen.data();
+  auto* const prev = scratch.prev.data();
+  const std::uint32_t gen = scratch.generation;
+  const auto head_at = [&](std::uint32_t h) -> std::int64_t {
+    return head_gen[h] == gen ? head[h] : -1;
+  };
+
+  std::size_t literal_start = 0;
+  std::size_t pos = 0;
+  while (pos + kHashBytes <= n) {
+    const std::uint32_t h = hash6(base + pos);
+    std::int64_t candidate = head_at(h);
+    std::size_t best_len = 0;
+    std::size_t best_offset = 0;
+    int chain = config.max_chain;
+    while (candidate >= 0 && chain-- > 0) {
+      const auto cand_pos = static_cast<std::size_t>(candidate);
+      const std::size_t len =
+          match_length(base + pos, base + cand_pos, base + n);
+      if (len > best_len) {
+        best_len = len;
+        best_offset = pos - cand_pos;
+        if (len >= config.good_match || len >= config.max_match) break;
+      }
+      candidate = prev[cand_pos];
+    }
+    if (best_len >= kMinEmit) {
+      best_len = std::min(best_len, config.max_match);
+      put_varint(out, pos - literal_start);
+      out.insert(out.end(), base + literal_start, base + pos);
+      put_varint(out, best_len - kMinMatch + 1);
+      put_varint(out, best_offset);
+      const std::size_t end = pos + best_len;
+      const std::size_t step = best_len > 512 ? 509 : 1;
+      for (std::size_t i = pos; i + kHashBytes <= n && i < end; i += step) {
+        const std::uint32_t hi = hash6(base + i);
+        prev[i] = head_at(hi);
+        head[hi] = static_cast<std::int64_t>(i);
+        head_gen[hi] = gen;
+      }
+      pos = end;
+      literal_start = pos;
+    } else {
+      prev[pos] = head_at(h);
+      head[h] = static_cast<std::int64_t>(pos);
+      head_gen[h] = gen;
+      ++pos;
+    }
+  }
+  put_varint(out, n - literal_start);
+  out.insert(out.end(), base + literal_start, base + n);
+  put_varint(out, 0);
+}
+
+void compress_into(ByteSpan input, Scratch& scratch, Bytes& out) {
+  const std::size_t base = out.size();
+  const auto append_raw = [&] {
+    out.push_back(std::byte{'Z'});
+    out.push_back(std::byte{'X'});
+    out.push_back(std::byte{0});
+    put_varint(out, input.size());
+    out.insert(out.end(), input.begin(), input.end());
+  };
+  scratch.tokens.clear();
+  tokenize(input, scratch.tokens, scratch);
+  if (scratch.tokens.size() >= input.size()) {
+    append_raw();
+    return;
+  }
+  ByteSpan payload = scratch.tokens;
+  std::byte mode{2};
+  if (!scratch.tokens.empty()) {
+    std::array<std::uint64_t, 256> counts{};
+    for (std::byte b : scratch.tokens) ++counts[static_cast<std::uint8_t>(b)];
+    Coder& coder = scratch.coder;
+    coder.build(counts);
+    scratch.huffed.clear();
+    coder.write_table(scratch.huffed);
+    put_varint(scratch.huffed, scratch.tokens.size());
+    BitWriter writer(scratch.huffed);
+    for (std::byte b : scratch.tokens) {
+      const auto s = static_cast<std::uint8_t>(b);
+      writer.write(coder.codes[s], coder.lengths[s]);
+    }
+    writer.flush();
+    if (scratch.huffed.size() < scratch.tokens.size()) {
+      payload = scratch.huffed;
+      mode = std::byte{3};
+    }
+  }
+  out.push_back(std::byte{'Z'});
+  out.push_back(std::byte{'X'});
+  out.push_back(mode);
+  put_varint(out, input.size());
+  out.insert(out.end(), payload.begin(), payload.end());
+  if (out.size() - base > input.size() + 12) {
+    out.resize(base);
+    append_raw();
+  }
+}
+
+void decompress_into(ByteSpan compressed, Scratch& scratch, Bytes& out) {
+  if (compressed.size() < 3 || compressed[0] != std::byte{'Z'} ||
+      compressed[1] != std::byte{'X'}) {
+    throw std::runtime_error("cqs: not a zx container");
+  }
+  const std::byte mode = compressed[2];
+  std::size_t offset = 3;
+  const std::uint64_t original_size = get_varint(compressed, offset);
+  const ByteSpan payload = compressed.subspan(offset);
+  if (mode == std::byte{0}) {
+    if (payload.size() != original_size) {
+      throw std::runtime_error("cqs: zx raw payload size mismatch");
+    }
+    out.assign(payload.begin(), payload.end());
+    return;
+  }
+  ByteSpan tokens = payload;
+  if (mode == std::byte{3}) {
+    std::size_t pos = 0;
+    lossless::HuffmanDecoder& decoder = scratch.decoder;
+    decoder.parse_table(payload, pos, 256);
+    const std::uint64_t count = get_varint(payload, pos);
+    scratch.tokens.resize(count);
+    BitReader reader(payload.subspan(pos));
+    for (std::uint64_t i = 0; i < count; ++i) {
+      scratch.tokens[i] = static_cast<std::byte>(decoder.decode(reader));
+    }
+    tokens = scratch.tokens;
+  } else if (mode != std::byte{2}) {
+    throw std::runtime_error("cqs: zx unknown mode");
+  }
+  out.clear();
+  out.reserve(original_size);
+  offset = 0;
+  while (true) {
+    const std::uint64_t lit_len = get_varint(tokens, offset);
+    if (offset + lit_len > tokens.size()) {
+      throw std::runtime_error("cqs: lz77 literal overrun");
+    }
+    out.insert(out.end(), tokens.begin() + offset,
+               tokens.begin() + offset + lit_len);
+    offset += lit_len;
+    const std::uint64_t len_code = get_varint(tokens, offset);
+    if (len_code == 0) break;
+    const std::uint64_t match_len = len_code - 1 + kMinMatch;
+    const std::uint64_t match_offset = get_varint(tokens, offset);
+    if (match_offset == 0 || match_offset > out.size()) {
+      throw std::runtime_error("cqs: lz77 bad match offset");
+    }
+    const std::size_t old_size = out.size();
+    out.resize(old_size + match_len);
+    std::byte* dst = out.data() + old_size;
+    const std::byte* src = dst - match_offset;
+    for (std::uint64_t i = 0; i < match_len; ++i) dst[i] = src[i];
+  }
+  if (out.size() != original_size) {
+    throw std::runtime_error("cqs: zx decompressed size mismatch");
+  }
+}
+
+}  // namespace seed_zx
 
 const std::vector<double>& sparse_data() {
   static const std::vector<double> data = circuits::sparse_dataset(10, 4);
@@ -384,7 +734,93 @@ int run_ci_gate(const std::string& json_path) {
         zfp_regressed ? "  <-- REGRESSION" : "");
   }
 
-  // 3. Scratch-path throughput per codec on the two standard datasets.
+  // 3. zx vs the frozen seed coder: identical containers on the two bench
+  // datasets and the three golden fixtures, each decoding back to its
+  // input, and compress and decompress no slower than the seed on qaoa18.
+  int zx_mismatches = 0;
+  bool zx_regressed = false;
+  bench::RateResult zx_seed_rate;
+  bench::RateResult zx_prod_rate;
+  {
+    seed_zx::Scratch seed_scratch;
+    lossless::ZxScratch prod_scratch;
+    const struct {
+      const char* name;
+      std::span<const double> data;
+    } datasets[] = {{"qaoa18", bench::qaoa_data()},
+                    {"sparse", sparse_data()},
+                    {"spiky", compression::golden_fixture("spiky")},
+                    {"dense", compression::golden_fixture("dense")},
+                    {"sparse-fixture", compression::golden_fixture("sparse")}};
+    Bytes want;
+    Bytes got;
+    Bytes decoded;
+    for (const auto& ds : datasets) {
+      const ByteSpan input = as_bytes_span(ds.data);
+      want.clear();
+      got.clear();
+      seed_zx::compress_into(input, seed_scratch, want);
+      lossless::zx_compress_into(input, {}, prod_scratch, got);
+      lossless::zx_decompress_into(got, prod_scratch, decoded);
+      const bool round_trips =
+          decoded.size() == input.size() &&
+          std::equal(decoded.begin(), decoded.end(), input.begin());
+      seed_zx::decompress_into(got, seed_scratch, decoded);
+      const bool seed_reads =
+          decoded.size() == input.size() &&
+          std::equal(decoded.begin(), decoded.end(), input.begin());
+      if (want != got || !round_trips || !seed_reads) {
+        std::fprintf(stderr,
+                     "ZX CONTAINER MISMATCH on %s: seed %zu bytes, "
+                     "production %zu bytes, round trip %s, seed decode %s\n",
+                     ds.name, want.size(), got.size(),
+                     round_trips ? "ok" : "FAILED",
+                     seed_reads ? "ok" : "FAILED");
+        ++zx_mismatches;
+      }
+    }
+
+    const auto& data = bench::qaoa_data();
+    const ByteSpan input = as_bytes_span(std::span<const double>(data));
+    zx_seed_rate = bench::measure_rate_with(
+        data,
+        [&] {
+          Bytes out;
+          seed_zx::compress_into(input, seed_scratch, out);
+          return out;
+        },
+        [&](const Bytes& compressed, std::span<double>) {
+          seed_zx::decompress_into(compressed, seed_scratch, decoded);
+        },
+        /*repeats=*/7);
+    zx_prod_rate = bench::measure_rate_with(
+        data,
+        [&] {
+          Bytes out;
+          lossless::zx_compress_into(input, {}, prod_scratch, out);
+          return out;
+        },
+        [&](const Bytes& compressed, std::span<double>) {
+          lossless::zx_decompress_into(compressed, prod_scratch, decoded);
+        },
+        /*repeats=*/7);
+    // The same 3% timer-noise slack as the zfp gate.
+    zx_regressed =
+        zx_prod_rate.compress_mb_per_s <
+            0.97 * zx_seed_rate.compress_mb_per_s ||
+        zx_prod_rate.decompress_mb_per_s <
+            0.97 * zx_seed_rate.decompress_mb_per_s;
+    std::printf(
+        "zx qaoa18: compress seed %.1f MB/s, production %.1f MB/s (%.2fx); "
+        "decompress seed %.1f MB/s, production %.1f MB/s (%.2fx)%s\n",
+        zx_seed_rate.compress_mb_per_s, zx_prod_rate.compress_mb_per_s,
+        zx_prod_rate.compress_mb_per_s / zx_seed_rate.compress_mb_per_s,
+        zx_seed_rate.decompress_mb_per_s, zx_prod_rate.decompress_mb_per_s,
+        zx_prod_rate.decompress_mb_per_s / zx_seed_rate.decompress_mb_per_s,
+        zx_regressed ? "  <-- REGRESSION" : "");
+  }
+
+  // 4. Scratch-path throughput per codec on the two standard datasets.
   std::vector<RateRow> rows;
   for (const auto& name : compression::compressor_names()) {
     rows.push_back(measure_scratch_rate(name, "qaoa18", bench::qaoa_data()));
@@ -413,6 +849,20 @@ int run_ci_gate(const std::string& json_path) {
                prod_compress_mb_per_s);
   std::fprintf(f, "  \"zfp_compress_speedup_vs_seed\": %.3f,\n",
                prod_compress_mb_per_s / seed_compress_mb_per_s);
+  std::fprintf(f, "  \"zx_bitstream_mismatches\": %d,\n", zx_mismatches);
+  std::fprintf(f, "  \"zx_seed_compress_mb_per_s\": %.1f,\n",
+               zx_seed_rate.compress_mb_per_s);
+  std::fprintf(f, "  \"zx_seed_decompress_mb_per_s\": %.1f,\n",
+               zx_seed_rate.decompress_mb_per_s);
+  std::fprintf(f, "  \"zx_compress_mb_per_s\": %.1f,\n",
+               zx_prod_rate.compress_mb_per_s);
+  std::fprintf(f, "  \"zx_decompress_mb_per_s\": %.1f,\n",
+               zx_prod_rate.decompress_mb_per_s);
+  std::fprintf(f, "  \"zx_compress_speedup_vs_seed\": %.3f,\n",
+               zx_prod_rate.compress_mb_per_s / zx_seed_rate.compress_mb_per_s);
+  std::fprintf(f, "  \"zx_decompress_speedup_vs_seed\": %.3f,\n",
+               zx_prod_rate.decompress_mb_per_s /
+                   zx_seed_rate.decompress_mb_per_s);
   std::fprintf(f, "  \"rates\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& row = rows[i];
@@ -440,6 +890,24 @@ int run_ci_gate(const std::string& json_path) {
                  "FAIL: production zfp bitstream diverged from the frozen "
                  "seed reference on %d dataset/bound combination(s)\n",
                  zfp_mismatches);
+    return 1;
+  }
+  if (zx_mismatches > 0) {
+    std::fprintf(stderr,
+                 "FAIL: production zx diverged from the frozen seed coder on "
+                 "%d dataset(s)\n",
+                 zx_mismatches);
+    return 1;
+  }
+  if (zx_regressed) {
+    std::fprintf(stderr,
+                 "FAIL: zx throughput on qaoa18 fell below the frozen seed "
+                 "coder (compress %.1f vs %.1f MB/s, decompress %.1f vs "
+                 "%.1f MB/s)\n",
+                 zx_prod_rate.compress_mb_per_s,
+                 zx_seed_rate.compress_mb_per_s,
+                 zx_prod_rate.decompress_mb_per_s,
+                 zx_seed_rate.decompress_mb_per_s);
     return 1;
   }
   if (zfp_regressed) {

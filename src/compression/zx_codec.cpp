@@ -1,6 +1,5 @@
 #include "compression/zx_codec.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "compression/codec_scratch.hpp"
@@ -21,13 +20,10 @@ Bytes ZxCodec::compress(std::span<const double> data, const ErrorBound& bound,
 
 void ZxCodec::decompress(ByteSpan compressed, std::span<double> out,
                          CodecScratch& scratch) const {
-  lossless::zx_decompress_into(compressed, scratch.zx, scratch.inner);
-  if (scratch.inner.size() != out.size_bytes()) {
-    throw std::runtime_error("ZxCodec: output size mismatch");
-  }
-  if (!scratch.inner.empty()) {
-    std::memcpy(out.data(), scratch.inner.data(), scratch.inner.size());
-  }
+  // The span form checks the container's size claim against
+  // out.size_bytes() before decoding, then decodes straight into `out`.
+  lossless::zx_decompress_into(compressed, scratch.zx,
+                               std::as_writable_bytes(out));
 }
 
 std::size_t ZxCodec::element_count(ByteSpan compressed) const {

@@ -1,115 +1,99 @@
 #include "lossless/huffman.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace cqs::lossless {
 
 void HuffmanEncoder::build_lengths(std::span<const std::uint64_t> counts) {
-  auto& working = build_.working;
-  auto& nodes = build_.nodes;
-  auto& heap = build_.heap;
-  auto& stack = build_.stack;
+  auto& leaves = build_.leaves;
+  auto& merged = build_.merged;
+  auto& parent = build_.parent;
 
-  working.assign(counts.begin(), counts.end());
   lengths_.assign(counts.size(), 0);
+  leaves.clear();
+  for (std::uint32_t s = 0; s < counts.size(); ++s) {
+    if (counts[s] != 0) leaves.push_back({counts[s], s});
+  }
+  const std::size_t n = leaves.size();
+  if (n == 0) return;  // empty input: all zero lengths
+  if (n == 1) {
+    lengths_[leaves[0].symbol] = 1;
+    return;
+  }
+  merged.resize(n - 1);
+  parent.resize(2 * n - 2);  // every node but the root
 
-  const auto heap_greater = [&nodes](int a, int b) {
-    const auto& na = nodes[a];
-    const auto& nb = nodes[b];
-    if (na.weight != nb.weight) return na.weight > nb.weight;
-    return na.order > nb.order;
-  };
-
+  // Two-queue merge. Nodes 0..n-1 are the leaves in (weight, symbol) order,
+  // nodes n.. the internal nodes in creation order, whose weights never
+  // decrease. Taking the lighter queue front, the leaf on a tie, pops
+  // nodes in the (weight, symbol-then-creation) order of a binary heap
+  // keyed that way, so the tree and its lengths match the heap build's.
   while (true) {
-    nodes.clear();
-    heap.clear();
-    for (std::uint32_t s = 0; s < working.size(); ++s) {
-      if (working[s] == 0) continue;
-      nodes.push_back({working[s], s, -1, -1, s});
-      heap.push_back(static_cast<int>(nodes.size()) - 1);
+    std::sort(leaves.begin(), leaves.end(),
+              [](const BuildScratch::Leaf& a, const BuildScratch::Leaf& b) {
+                if (a.weight != b.weight) return a.weight < b.weight;
+                return a.symbol < b.symbol;
+              });
+    std::size_t next_leaf = 0;
+    std::size_t next_merged = 0;
+    const auto pop = [&](std::size_t created)
+        -> std::pair<std::size_t, std::uint64_t> {
+      if (next_leaf < n && (next_merged == created ||
+                            leaves[next_leaf].weight <= merged[next_merged])) {
+        const std::size_t leaf = next_leaf++;
+        return {leaf, leaves[leaf].weight};
+      }
+      const std::size_t node = next_merged++;
+      return {n + node, merged[node]};
+    };
+    for (std::size_t created = 0; created + 1 < n; ++created) {
+      const auto [a, weight_a] = pop(created);
+      const auto [b, weight_b] = pop(created);
+      merged[created] = weight_a + weight_b;
+      parent[a] = parent[b] = static_cast<std::uint32_t>(n + created);
     }
-    if (heap.empty()) return;  // empty input: all zero lengths
-    if (heap.size() == 1) {
-      lengths_[nodes[heap[0]].symbol] = 1;
+    // A parent is always created after its children, so one sweep from
+    // the highest node down turns each parent link into a depth.
+    const std::size_t root = 2 * n - 2;
+    std::uint32_t max_len = 0;
+    for (std::size_t node = root; node-- > 0;) {
+      const std::uint32_t up = parent[node];
+      parent[node] = (up == root ? 0 : parent[up]) + 1;
+      if (node < n) max_len = std::max(max_len, parent[node]);
+    }
+    if (max_len <= kMaxCodeLength) {
+      for (std::size_t i = 0; i < n; ++i) {
+        lengths_[leaves[i].symbol] = static_cast<std::uint8_t>(parent[i]);
+      }
       return;
     }
-    // Reserve ahead of time: the comparator indexes into `nodes`, which
-    // must not reallocate mid-heap operation.
-    nodes.reserve(2 * heap.size());
-    std::make_heap(heap.begin(), heap.end(), heap_greater);
-
-    std::uint32_t order = static_cast<std::uint32_t>(working.size());
-    while (heap.size() > 1) {
-      std::pop_heap(heap.begin(), heap.end(), heap_greater);
-      const int a = heap.back();
-      heap.pop_back();
-      std::pop_heap(heap.begin(), heap.end(), heap_greater);
-      const int b = heap.back();
-      heap.pop_back();
-      nodes.push_back({nodes[a].weight + nodes[b].weight, order++, a, b, 0});
-      heap.push_back(static_cast<int>(nodes.size()) - 1);
-      std::push_heap(heap.begin(), heap.end(), heap_greater);
-    }
-    std::fill(lengths_.begin(), lengths_.end(), 0);
-    // Iterative DFS assigning leaf depths.
-    stack.clear();
-    stack.push_back({heap[0], 0});
-    while (!stack.empty()) {
-      const auto [idx, depth] = stack.back();
-      stack.pop_back();
-      const auto& n = nodes[idx];
-      if (n.left < 0) {
-        lengths_[n.symbol] = static_cast<std::uint8_t>(std::max(depth, 1));
-      } else {
-        stack.push_back({n.left, depth + 1});
-        stack.push_back({n.right, depth + 1});
-      }
-    }
-
-    const auto max_len =
-        *std::max_element(lengths_.begin(), lengths_.end());
-    if (max_len <= kMaxCodeLength) return;
     // Depth limiting: flatten the distribution and rebuild. Halving skewed
     // counts converges in a handful of iterations.
-    for (auto& c : working) {
-      if (c > 0) c = c / 2 + 1;
-    }
+    for (auto& leaf : leaves) leaf.weight = leaf.weight / 2 + 1;
   }
 }
-
-namespace {
-
-/// Canonical code assignment: order symbols by (length, symbol value) into
-/// `order` and hand out consecutive codes into `codes`. The single
-/// implementation behind both HuffmanEncoder::build and canonical_codes.
-void assign_canonical_codes(std::span<const std::uint8_t> lengths,
-                            std::vector<std::uint32_t>& order,
-                            std::vector<std::uint32_t>& codes) {
-  order.clear();
-  for (std::uint32_t s = 0; s < lengths.size(); ++s) {
-    if (lengths[s] > 0) order.push_back(s);
-  }
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (lengths[a] != lengths[b]) return lengths[a] < lengths[b];
-              return a < b;
-            });
-  codes.assign(lengths.size(), 0);
-  std::uint32_t code = 0;
-  int prev_len = 0;
-  for (std::uint32_t s : order) {
-    code <<= (lengths[s] - prev_len);
-    codes[s] = code;
-    ++code;
-    prev_len = lengths[s];
-  }
-}
-
-}  // namespace
 
 void HuffmanEncoder::build_codes() {
-  assign_canonical_codes(lengths_, build_.symbol_order, codes_);
+  // Canonical codes: consecutive values in (length, symbol) order, each
+  // length's first code following the previous length's last, shifted.
+  std::array<std::uint32_t, kMaxCodeLength + 1> next{};
+  for (auto l : lengths_) ++next[l];
+  std::uint32_t code = 0;
+  std::uint32_t prev_count = 0;
+  for (int len = 1; len <= kMaxCodeLength; ++len) {
+    code = (code + prev_count) << 1;
+    prev_count = next[len];
+    next[len] = code;
+  }
+  packed_.resize(lengths_.size());
+  for (std::size_t s = 0; s < lengths_.size(); ++s) {
+    const std::uint32_t len = lengths_[s];
+    packed_[s] = len == 0 ? 0 : (next[len]++ << kLengthBits) | len;
+  }
 }
 
 void HuffmanEncoder::build(std::span<const std::uint64_t> counts) {
@@ -124,12 +108,72 @@ std::vector<std::uint8_t> build_code_lengths(
   return enc.lengths();
 }
 
-std::vector<std::uint32_t> canonical_codes(
-    std::span<const std::uint8_t> lengths) {
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> codes;
-  assign_canonical_codes(lengths, order, codes);
-  return codes;
+std::uint64_t HuffmanEncoder::encoded_bits(
+    std::span<const std::uint64_t> counts) const {
+  if (counts.size() != lengths_.size()) {
+    throw std::logic_error("cqs: histogram does not match the alphabet");
+  }
+  std::uint64_t bits = 0;
+  for (std::size_t s = 0; s < counts.size(); ++s) {
+    bits += counts[s] * lengths_[s];
+  }
+  return bits;
+}
+
+void HuffmanEncoder::encode_bytes(ByteSpan symbols, std::uint64_t bits,
+                                  Bytes& out) const {
+  if (packed_.size() < 256) {
+    throw std::logic_error("cqs: encode_bytes needs a byte alphabet");
+  }
+  const std::size_t start = out.size();
+  const std::size_t nbytes = (bits + 7) / 8;
+  out.resize(start + nbytes + 8);  // slack: the last word store may overhang
+  std::byte* dst = out.data() + start;
+  const std::byte* const end = dst + nbytes;
+  const std::uint32_t* const table = packed_.data();
+  // `acc` holds `filled` pending bits in its low end. Codes are at most
+  // 24 bits, so two fit on top of the < 8 left after each store.
+  std::uint64_t acc = 0;
+  int filled = 0;
+  const auto put = [&](std::byte symbol) {
+    const std::uint32_t entry = table[static_cast<std::uint8_t>(symbol)];
+    const int len = static_cast<int>(entry & kLengthMask);
+    acc = (acc << len) | (entry >> kLengthBits);
+    filled += len;
+  };
+  // Stores the whole pending bytes as one big-endian word; the partial byte
+  // after them is rewritten by the next store. (The shift is masked so an
+  // empty accumulator shifts by 0, not by an undefined 64.)
+  const auto store = [&] {
+    if (dst > end) {
+      throw std::logic_error("cqs: huffman symbols overrun the bit count");
+    }
+    const std::uint64_t word = to_big_endian_u64(acc << ((64 - filled) & 63));
+    std::memcpy(dst, &word, 8);
+    dst += filled >> 3;
+    filled &= 7;
+  };
+  const std::size_t n = symbols.size();
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    put(symbols[i]);
+    put(symbols[i + 1]);
+    store();
+  }
+  if (i < n) {
+    put(symbols[i]);
+    store();
+  }
+  if (filled > 0) {
+    if (dst >= end) {
+      throw std::logic_error("cqs: huffman symbols overrun the bit count");
+    }
+    *dst++ = static_cast<std::byte>((acc << (8 - filled)) & 0xff);
+  }
+  if (dst != end) {
+    throw std::logic_error("cqs: huffman symbols do not fill the bit count");
+  }
+  out.resize(start + nbytes);
 }
 
 HuffmanEncoder HuffmanEncoder::from_counts(
@@ -189,18 +233,9 @@ void HuffmanDecoder::parse_table(ByteSpan in, std::size_t& offset,
   first_code_.assign(kMaxCodeLength + 1, 0);
   first_index_.assign(kMaxCodeLength + 1, 0);
   symbol_count_.assign(kMaxCodeLength + 1, 0);
-  symbols_.clear();
   for (std::uint32_t s = 0; s < alphabet_size; ++s) {
-    if (lengths[s] > 0) {
-      ++symbol_count_[lengths[s]];
-      symbols_.push_back(s);
-    }
+    if (lengths[s] > 0) ++symbol_count_[lengths[s]];
   }
-  std::sort(symbols_.begin(), symbols_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (lengths[a] != lengths[b]) return lengths[a] < lengths[b];
-              return a < b;
-            });
   std::uint32_t code = 0;
   std::uint32_t index = 0;
   for (int len = 1; len <= kMaxCodeLength; ++len) {
@@ -216,6 +251,14 @@ void HuffmanDecoder::parse_table(ByteSpan in, std::size_t& offset,
     if (code > (std::uint32_t{1} << len)) {
       throw std::runtime_error("cqs: huffman table oversubscribed");
     }
+  }
+  // Symbols in (length, symbol) order: each length's run, filled in
+  // increasing symbol order.
+  symbols_.resize(index);
+  std::array<std::uint32_t, kMaxCodeLength + 1> next{};
+  std::copy(first_index_.begin(), first_index_.end(), next.begin());
+  for (std::uint32_t s = 0; s < alphabet_size; ++s) {
+    if (lengths[s] > 0) symbols_[next[lengths[s]]++] = s;
   }
 
   // First-level lookup: every code of length <= kPrimaryBits owns the
@@ -256,6 +299,44 @@ std::uint32_t HuffmanDecoder::decode_long(BitReader& reader,
     throw std::out_of_range("cqs: bit stream truncated");
   }
   throw std::runtime_error("cqs: invalid huffman code");
+}
+
+void HuffmanDecoder::decode_bytes(ByteSpan data,
+                                  std::span<std::byte> out) const {
+  if (lengths_.size() > 256) {
+    throw std::logic_error("cqs: decode_bytes needs a byte alphabet");
+  }
+  // A window loaded at any bit position holds at least 57 real bits, which
+  // covers five primary-table codes of at most kPrimaryBits = 11 bits.
+  constexpr int kCodesPerLoad = 5;
+  static_assert(kCodesPerLoad * kPrimaryBits <= 57);
+  const PrimaryEntry* const table = primary_.data();
+  const std::size_t n = out.size();
+  std::size_t pos = 0;  // bits consumed
+  std::size_t i = 0;
+  while (i + kCodesPerLoad <= n && (pos >> 3) + 8 <= data.size()) {
+    std::uint64_t window;
+    std::memcpy(&window, data.data() + (pos >> 3), 8);
+    window = to_big_endian_u64(window) << (pos & 7);
+    int k = 0;
+    for (; k < kCodesPerLoad; ++k) {
+      const PrimaryEntry e = table[window >> (64 - kPrimaryBits)];
+      if (e.length == 0) break;
+      out[i++] = static_cast<std::byte>(e.symbol);
+      window <<= e.length;
+      pos += e.length;
+    }
+    if (k < kCodesPerLoad) {
+      // A long code or an invalid prefix: decode() resolves or rejects it.
+      BitReader reader(data.subspan(pos >> 3));
+      reader.consume(static_cast<int>(pos & 7));
+      out[i++] = static_cast<std::byte>(decode(reader));
+      pos = (pos & ~std::size_t{7}) + reader.position();
+    }
+  }
+  BitReader reader(data.subspan(pos >> 3));
+  reader.consume(static_cast<int>(pos & 7));
+  for (; i < n; ++i) out[i] = static_cast<std::byte>(decode(reader));
 }
 
 }  // namespace cqs::lossless

@@ -51,45 +51,56 @@ class HuffmanEncoder {
   void write_table(Bytes& out) const;
 
   void encode(BitWriter& writer, std::uint32_t symbol) const {
-    writer.write(codes_[symbol], lengths_[symbol]);
+    const std::uint32_t entry = packed_[symbol];
+    writer.write(entry >> kLengthBits, static_cast<int>(entry & kLengthMask));
   }
+
+  /// Exact number of bits encode_bytes() emits for data with histogram
+  /// `counts`.
+  std::uint64_t encoded_bits(std::span<const std::uint64_t> counts) const;
+
+  /// Appends the codes of `symbols` to `out`: the bytes a BitWriter fed
+  /// encode() per symbol would hold after flush(). Needs an encoder built
+  /// over a 256-symbol alphabet. `bits` must be encoded_bits() of the
+  /// histogram this encoder was built from, which is the histogram of
+  /// `symbols`; the output is pre-sized from it so every store is a whole
+  /// word. Throws std::logic_error when the symbols do not fill exactly
+  /// `bits`.
+  void encode_bytes(ByteSpan symbols, std::uint64_t bits, Bytes& out) const;
 
   const std::vector<std::uint8_t>& lengths() const { return lengths_; }
 
   /// Bytes held across build() calls (scratch-pool accounting).
   std::size_t bytes() const {
     return lengths_.capacity() +
-           codes_.capacity() * sizeof(std::uint32_t) +
-           build_.working.capacity() * sizeof(std::uint64_t) +
-           build_.nodes.capacity() * sizeof(BuildScratch::Node) +
-           build_.heap.capacity() * sizeof(int) +
-           build_.stack.capacity() * sizeof(std::pair<int, int>) +
-           build_.symbol_order.capacity() * sizeof(std::uint32_t);
+           packed_.capacity() * sizeof(std::uint32_t) +
+           build_.leaves.capacity() * sizeof(BuildScratch::Leaf) +
+           build_.merged.capacity() * sizeof(std::uint64_t) +
+           build_.parent.capacity() * sizeof(std::uint32_t);
   }
 
  private:
-  /// Tree-construction scratch (Huffman heap + canonical ordering),
-  /// retained across build() calls so rebuilds don't allocate.
+  /// A packed_ entry is code << kLengthBits | length.
+  static constexpr int kLengthBits = 8;
+  static constexpr std::uint32_t kLengthMask = (1u << kLengthBits) - 1;
+
+  /// Two-queue tree construction scratch, retained across build() calls so
+  /// rebuilds don't allocate.
   struct BuildScratch {
-    struct Node {
-      std::uint64_t weight;
-      std::uint32_t order;  // tie-break for determinism
-      int left;             // -1 for leaf
-      int right;
+    struct Leaf {
+      std::uint64_t weight;  // count, halved by each depth-limit round
       std::uint32_t symbol;
     };
-    std::vector<std::uint64_t> working;  // depth-limit rescaled counts
-    std::vector<Node> nodes;
-    std::vector<int> heap;
-    std::vector<std::pair<int, int>> stack;    // DFS (node, depth)
-    std::vector<std::uint32_t> symbol_order;   // canonical (length, symbol)
+    std::vector<Leaf> leaves;            // used symbols by (weight, symbol)
+    std::vector<std::uint64_t> merged;   // internal weights, creation order
+    std::vector<std::uint32_t> parent;   // node -> parent, then -> depth
   };
 
   void build_lengths(std::span<const std::uint64_t> counts);
   void build_codes();
 
   std::vector<std::uint8_t> lengths_;
-  std::vector<std::uint32_t> codes_;
+  std::vector<std::uint32_t> packed_;
   BuildScratch build_;
 };
 
@@ -114,6 +125,12 @@ class HuffmanDecoder {
     }
     return decode_long(reader, peeked);
   }
+
+  /// Decodes out.size() symbols of a byte alphabet (a table parsed with at
+  /// most 256 symbols) from the start of `data`. Same results and the same
+  /// exceptions as calling decode() per symbol; while 8 whole bytes remain,
+  /// one load serves up to five primary-table codes.
+  void decode_bytes(ByteSpan data, std::span<std::byte> out) const;
 
   /// Bytes held across parse_table() calls (scratch-pool accounting).
   std::size_t bytes() const {
@@ -143,9 +160,5 @@ class HuffmanDecoder {
   std::vector<PrimaryEntry> primary_;        // size 2^kPrimaryBits
   std::vector<std::uint8_t> lengths_;        // parse scratch (per symbol)
 };
-
-/// Builds canonical codes (value per symbol) from lengths.
-std::vector<std::uint32_t> canonical_codes(
-    std::span<const std::uint8_t> lengths);
 
 }  // namespace cqs::lossless

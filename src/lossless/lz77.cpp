@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -49,21 +50,116 @@ inline std::size_t match_length(const std::byte* a, const std::byte* b,
   return static_cast<std::size_t>(a - start);
 }
 
-/// Opens a tokenize pass over `scratch`: bumps the generation so every
-/// head-table entry from earlier passes reads as empty, and guarantees the
-/// chain table covers `n` positions. Generation wrap (once per 2^32
-/// passes) falls back to one full restamp.
-void begin_pass(Lz77Scratch& scratch, std::size_t n) {
-  if (scratch.head.size() != kHashSize) {
-    scratch.head.assign(kHashSize, -1);
-    scratch.head_gen.assign(kHashSize, 0);
-    scratch.generation = 0;
+/// Opens a tokenize pass over `scratch` and returns its base: every head
+/// entry from earlier passes is below it. Advances the stamp past this
+/// pass's values, restarting it (one full zero-fill) when they would not
+/// fit below 2^32, and makes the chain table cover `n` positions.
+std::uint32_t begin_pass(Lz77Scratch& scratch, std::size_t n) {
+  constexpr std::uint32_t kMaxStamp = std::numeric_limits<std::uint32_t>::max();
+  if (scratch.head.size() != kHashSize) scratch.head.assign(kHashSize, 0);
+  if (scratch.stamp == 0 || n > kMaxStamp - scratch.stamp) {
+    std::fill(scratch.head.begin(), scratch.head.end(), 0);
+    scratch.stamp = 1;
   }
-  if (++scratch.generation == 0) {
-    std::fill(scratch.head_gen.begin(), scratch.head_gen.end(), 0);
-    scratch.generation = 1;
-  }
+  const std::uint32_t base = scratch.stamp;
+  scratch.stamp += static_cast<std::uint32_t>(n);
   if (scratch.prev.size() < n) scratch.prev.resize(n);
+  return base;
+}
+
+// ---- detokenize -----------------------------------------------------------
+
+/// Copies a match whose source starts `offset` >= 8 bytes back, 8 bytes at
+/// a time: each word's source was written before the word is stored.
+inline void copy_far(std::byte* dst, std::size_t offset, std::size_t len) {
+  const std::byte* src = dst - offset;
+  if (offset >= len) {
+    std::memcpy(dst, src, len);
+    return;
+  }
+  for (; len >= 8; len -= 8, dst += 8, src += 8) std::memcpy(dst, src, 8);
+  std::memcpy(dst, src, len);  // len < 8 <= offset: disjoint
+}
+
+/// Copies a match with a 2..7-byte period: the first bytes one by one, then
+/// words from P = the smallest multiple of `offset` that is >= 8 back,
+/// where the run already repeats and a word never overlaps its source.
+inline void copy_periodic(std::byte* dst, std::size_t offset,
+                          std::size_t len) {
+  const std::size_t period = (8 + offset - 1) / offset * offset;
+  const std::byte* src = dst - offset;
+  std::size_t i = 0;
+  for (; i < len && i < period; ++i) dst[i] = src[i];
+  for (; i + 8 <= len; i += 8) std::memcpy(dst + i, dst + i - period, 8);
+  if (i < len) std::memcpy(dst + i, dst + i - period, len - i);
+}
+
+/// Decodes `tokens` into `out[0, expected)`. The first `room` bytes of `out`
+/// are writable; when a token needs more, `grow` (set only on the growing
+/// path) is resized geometrically, never past `expected`, and `out`
+/// follows it.
+void detokenize(ByteSpan tokens, std::size_t expected, std::byte* out,
+                std::size_t room, Bytes* grow) {
+  std::size_t produced = 0;
+  // Makes room for `len` more output bytes or rejects the token.
+  const auto make_room = [&](std::uint64_t len) {
+    if (len > expected - produced) {
+      throw std::runtime_error("cqs: lz77 output exceeds the declared size");
+    }
+    if (len > room - produced) {
+      grow->resize(std::min(
+          expected, std::max<std::size_t>(produced + len, 2 * room)));
+      out = grow->data();
+      room = grow->size();
+    }
+  };
+
+  std::size_t offset = 0;
+  while (true) {
+    const std::uint64_t lit_len = get_varint(tokens, offset);
+    if (lit_len > tokens.size() - offset) {
+      throw std::runtime_error("cqs: lz77 literal overrun");
+    }
+    make_room(lit_len);
+    // Short runs with 16 bytes of slack on both sides take one fixed-size
+    // copy. Bytes past the run land beyond `produced`, where nothing reads
+    // before a later token rewrites them (every match reads below it).
+    if (lit_len <= 16 && tokens.size() - offset >= 16 &&
+        room - produced >= 16) {
+      std::memcpy(out + produced, tokens.data() + offset, 16);
+    } else if (lit_len > 0) {
+      std::memcpy(out + produced, tokens.data() + offset, lit_len);
+    }
+    offset += lit_len;
+    produced += lit_len;
+
+    const std::uint64_t len_code = get_varint(tokens, offset);
+    if (len_code == 0) break;
+    const std::uint64_t match_offset = get_varint(tokens, offset);
+    if (match_offset == 0 || match_offset > produced) {
+      throw std::runtime_error("cqs: lz77 bad match offset");
+    }
+    const std::uint64_t match_len = len_code - 1 + kMinMatch;
+    if (match_len < len_code) {  // wrapped: longer than any output
+      throw std::runtime_error("cqs: lz77 output exceeds the declared size");
+    }
+    make_room(match_len);
+    std::byte* dst = out + produced;
+    // Overlapping matches (offset < len) replicate runs, so no memmove.
+    if (match_offset >= 16 && match_len <= 16 && room - produced >= 16) {
+      std::memcpy(dst, dst - match_offset, 16);  // disjoint, as above
+    } else if (match_offset == 1) {
+      std::memset(dst, static_cast<int>(dst[-1]), match_len);
+    } else if (match_offset >= 8) {
+      copy_far(dst, match_offset, match_len);
+    } else {
+      copy_periodic(dst, match_offset, match_len);
+    }
+    produced += match_len;
+  }
+  if (produced != expected) {
+    throw std::runtime_error("cqs: lz77 output shorter than the declared size");
+  }
 }
 
 }  // namespace
@@ -71,27 +167,29 @@ void begin_pass(Lz77Scratch& scratch, std::size_t n) {
 void lz77_tokenize(ByteSpan input, Bytes& out, const Lz77Config& config,
                    Lz77Scratch& scratch) {
   const std::size_t n = input.size();
+  if (n > kMaxTokenizeBytes) {
+    throw std::length_error("cqs: lz77 input exceeds 32-bit positions");
+  }
   const std::byte* base = input.data();
-  begin_pass(scratch, n);
-
-  auto* const head = scratch.head.data();
-  auto* const head_gen = scratch.head_gen.data();
-  auto* const prev = scratch.prev.data();
-  const std::uint32_t gen = scratch.generation;
-  const auto head_at = [&](std::uint32_t h) -> std::int64_t {
-    return head_gen[h] == gen ? head[h] : -1;
+  const std::uint32_t stamp = begin_pass(scratch, n);
+  std::uint32_t* const head = scratch.head.data();
+  std::uint32_t* const prev = scratch.prev.data();
+  // Chains position `p` into bucket `h`.
+  const auto insert = [&](std::uint32_t h, std::size_t p) {
+    prev[p] = head[h];
+    head[h] = stamp + static_cast<std::uint32_t>(p);
   };
 
   std::size_t literal_start = 0;
   std::size_t pos = 0;
   while (pos + kHashBytes <= n) {
     const std::uint32_t h = hash6(base + pos);
-    std::int64_t candidate = head_at(h);
+    std::uint32_t candidate = head[h];
     std::size_t best_len = 0;
     std::size_t best_offset = 0;
     int chain = config.max_chain;
-    while (candidate >= 0 && chain-- > 0) {
-      const auto cand_pos = static_cast<std::size_t>(candidate);
+    while (candidate >= stamp && chain-- > 0) {
+      const std::size_t cand_pos = candidate - stamp;
       const std::size_t len =
           match_length(base + pos, base + cand_pos, base + n);
       if (len > best_len) {
@@ -114,17 +212,12 @@ void lz77_tokenize(ByteSpan input, Bytes& out, const Lz77Config& config,
       const std::size_t end = pos + best_len;
       const std::size_t step = best_len > 512 ? 509 : 1;  // prime stride
       for (std::size_t i = pos; i + kHashBytes <= n && i < end; i += step) {
-        const std::uint32_t hi = hash6(base + i);
-        prev[i] = head_at(hi);
-        head[hi] = static_cast<std::int64_t>(i);
-        head_gen[hi] = gen;
+        insert(hash6(base + i), i);
       }
       pos = end;
       literal_start = pos;
     } else {
-      prev[pos] = head_at(h);
-      head[h] = static_cast<std::int64_t>(pos);
-      head_gen[h] = gen;
+      insert(h, pos);
       ++pos;
     }
   }
@@ -139,34 +232,16 @@ void lz77_tokenize(ByteSpan input, Bytes& out, const Lz77Config& config) {
   lz77_tokenize(input, out, config, scratch);
 }
 
+void lz77_detokenize(ByteSpan tokens, std::span<std::byte> out) {
+  detokenize(tokens, out.size(), out.data(), out.size(), nullptr);
+}
+
 void lz77_detokenize(ByteSpan tokens, std::size_t expected_size, Bytes& out) {
-  out.clear();
-  out.reserve(expected_size);
-  std::size_t offset = 0;
-  while (true) {
-    const std::uint64_t lit_len = get_varint(tokens, offset);
-    if (offset + lit_len > tokens.size()) {
-      throw std::runtime_error("cqs: lz77 literal overrun");
-    }
-    out.insert(out.end(), tokens.begin() + offset,
-               tokens.begin() + offset + lit_len);
-    offset += lit_len;
-    const std::uint64_t len_code = get_varint(tokens, offset);
-    if (len_code == 0) break;
-    const std::uint64_t match_len = len_code - 1 + kMinMatch;
-    const std::uint64_t match_offset = get_varint(tokens, offset);
-    if (match_offset == 0 || match_offset > out.size()) {
-      throw std::runtime_error("cqs: lz77 bad match offset");
-    }
-    // Forward byte copy: overlapping matches (offset < len) replicate runs,
-    // so this must not be a memmove. Resizing once keeps the loop free of
-    // per-byte capacity checks.
-    const std::size_t old_size = out.size();
-    out.resize(old_size + match_len);
-    std::byte* dst = out.data() + old_size;
-    const std::byte* src = dst - match_offset;
-    for (std::uint64_t i = 0; i < match_len; ++i) dst[i] = src[i];
-  }
+  // Start from storage the caller already holds (or the token count), never
+  // from the claim alone; detokenize widens it as tokens arrive.
+  out.resize(std::min(expected_size, std::max(out.capacity(), tokens.size())));
+  detokenize(tokens, expected_size, out.data(), out.size(), &out);
+  out.resize(expected_size);
 }
 
 Bytes lz77_detokenize(ByteSpan tokens, std::size_t expected_size) {

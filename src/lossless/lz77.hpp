@@ -14,6 +14,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -31,26 +33,34 @@ struct Lz77Config {
   std::size_t good_match = 32;
 };
 
-/// Reusable hash-chain state. The 2^18-entry head table is generation
-/// stamped: an entry only counts when its stamp matches the current pass,
-/// so reusing the scratch costs O(1) instead of a 2 MiB zero-fill, and the
-/// chain-link table is grown monotonically (stale entries are unreachable
-/// because every reachable link was written during the current pass).
+/// Largest input lz77_tokenize accepts. Chain positions are 32-bit
+/// (stored as stamp + position, see Lz77Scratch), so longer inputs are
+/// rejected with std::length_error instead of wrapping; zx stores them raw.
+inline constexpr std::size_t kMaxTokenizeBytes =
+    std::numeric_limits<std::uint32_t>::max() - 1;
+
+/// Reusable hash-chain state: 1 MiB of head table plus 4 bytes per input
+/// byte of chain links. A pass stores position p as `base + p`, where
+/// `base` is the value `stamp` held when the pass began, and advances
+/// `stamp` past every value it wrote. A head entry counts only when it is
+/// >= the pass's base, so entries from earlier passes read as empty and
+/// reuse costs O(1) instead of a zero-fill. When the next pass would not
+/// fit below 2^32, the table is zero-filled once and `stamp` restarts at 1.
+/// The chain-link table grows monotonically; stale links are unreachable
+/// because every reachable link was written during the current pass.
 struct Lz77Scratch {
-  std::vector<std::int64_t> head;       // hash -> most recent position
-  std::vector<std::uint32_t> head_gen;  // per-entry generation stamp
-  std::vector<std::int64_t> prev;       // position -> previous in chain
-  std::uint32_t generation = 0;
+  std::vector<std::uint32_t> head;  // hash -> base + most recent position
+  std::vector<std::uint32_t> prev;  // position -> head entry it displaced
+  std::uint32_t stamp = 1;          // base of the next pass
 
   /// Bytes held by the scratch (Eq. 8 accounting).
   std::size_t bytes() const {
-    return head.capacity() * sizeof(std::int64_t) +
-           head_gen.capacity() * sizeof(std::uint32_t) +
-           prev.capacity() * sizeof(std::int64_t);
+    return (head.capacity() + prev.capacity()) * sizeof(std::uint32_t);
   }
 };
 
-/// Tokenizes `input`; appends the token stream to `out`.
+/// Tokenizes `input`; appends the token stream to `out`. Throws
+/// std::length_error when `input` exceeds kMaxTokenizeBytes.
 void lz77_tokenize(ByteSpan input, Bytes& out, const Lz77Config& config = {});
 
 /// Scratch-pooled variant: identical token stream, zero allocations once
@@ -58,11 +68,21 @@ void lz77_tokenize(ByteSpan input, Bytes& out, const Lz77Config& config = {});
 void lz77_tokenize(ByteSpan input, Bytes& out, const Lz77Config& config,
                    Lz77Scratch& scratch);
 
-/// Reverses lz77_tokenize. `expected_size` reserves the output; the stream
-/// is self-terminating. Throws std::runtime_error on malformed input.
-Bytes lz77_detokenize(ByteSpan tokens, std::size_t expected_size);
+/// Reverses lz77_tokenize into `out`, which must be exactly the decoded
+/// size: the caller has checked the size claim, so the bytes are written
+/// in place. Throws std::runtime_error on a malformed stream, including
+/// one that decodes to more or fewer than out.size() bytes.
+void lz77_detokenize(ByteSpan tokens, std::span<std::byte> out);
 
-/// In-place variant: replaces the contents of `out` (capacity reused).
+/// Reverses lz77_tokenize, replacing the contents of `out` (capacity
+/// reused). `expected_size` is an unchecked claim: it caps the output,
+/// but the buffer grows only as tokens produce bytes, so a lying claim
+/// never becomes committed memory. Throws std::runtime_error on a
+/// malformed stream or one that does not decode to exactly
+/// `expected_size` bytes.
 void lz77_detokenize(ByteSpan tokens, std::size_t expected_size, Bytes& out);
+
+/// Value-returning form of the growing variant.
+Bytes lz77_detokenize(ByteSpan tokens, std::size_t expected_size);
 
 }  // namespace cqs::lossless

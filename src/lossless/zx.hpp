@@ -27,24 +27,24 @@ struct ZxConfig {
 };
 
 /// Reusable working state for one zx compress/decompress stream: the LZ77
-/// hash chains, token/entropy staging buffers, and the Huffman coder pair.
+/// hash chains, the token staging buffer, and the Huffman coder pair.
 struct ZxScratch {
   Lz77Scratch lz;
   Bytes tokens;  // LZ77 token stream (compress) / decoded tokens (decompress)
-  Bytes huffed;  // Huffman-coded candidate payload
   HuffmanEncoder encoder;
   HuffmanDecoder decoder;
 
   /// Bytes held across passes, Huffman coder pools included (Eq. 8
   /// accounting).
   std::size_t bytes() const {
-    return lz.bytes() + tokens.capacity() + huffed.capacity() +
-           encoder.bytes() + decoder.bytes();
+    return lz.bytes() + tokens.capacity() + encoder.bytes() +
+           decoder.bytes();
   }
 };
 
 /// Compresses `input`; never throws on valid input and never expands beyond
-/// input size + header bytes.
+/// input size + header bytes. Inputs longer than kMaxTokenizeBytes skip
+/// LZ77 and are stored raw.
 Bytes zx_compress(ByteSpan input, const ZxConfig& config = {});
 
 /// Scratch-pooled variant producing the identical container byte-for-byte;
@@ -55,8 +55,16 @@ void zx_compress_into(ByteSpan input, const ZxConfig& config,
 /// Decompresses a zx container. Throws std::runtime_error on corruption.
 Bytes zx_decompress(ByteSpan compressed);
 
-/// Scratch-pooled variant; replaces the contents of `out`.
+/// Scratch-pooled variant; replaces the contents of `out`. The container's
+/// size claim is unchecked here, so `out` grows only as the payload
+/// produces bytes (lz77_detokenize's growing form).
 void zx_decompress_into(ByteSpan compressed, ZxScratch& scratch, Bytes& out);
+
+/// Decompresses into `out`, a buffer of the size the caller knows the data
+/// has: throws std::runtime_error before decoding anything unless the
+/// container claims exactly out.size() bytes, then writes them in place.
+void zx_decompress_into(ByteSpan compressed, ZxScratch& scratch,
+                        std::span<std::byte> out);
 
 /// Original (decompressed) size recorded in a zx container header.
 std::size_t zx_original_size(ByteSpan compressed);

@@ -125,9 +125,10 @@ TEST(CodecAllocTest, ScratchCompressorsReachSteadyState) {
 }
 
 TEST(CodecAllocTest, Lz77ScratchReuseIsConstantCost) {
-  // The generation-stamped head table must not be re-zero-filled per call:
-  // tokenizing a tiny input with a warm scratch allocates nothing (the
-  // 2^18-entry table would otherwise dominate every small block).
+  // The stamped head table must not be re-zero-filled per call: tokenizing
+  // a tiny input with a warm scratch allocates nothing and leaves the
+  // 2^18-entry table alone (a 1 MiB fill would dominate every small
+  // block).
   lossless::Lz77Scratch scratch;
   const Bytes tiny(64, std::byte{7});
   Bytes tokens;

@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -117,6 +119,41 @@ TEST(ZxCorruptionTest, RawModeSizeMismatch) {
   container.push_back(std::byte{10});  // claims 10 bytes
   container.push_back(std::byte{1});   // provides 1
   EXPECT_THROW(lossless::zx_decompress(container), std::runtime_error);
+}
+
+TEST(ZxCorruptionTest, HugeSizeClaimThrowsCqsErrorNotBadAlloc) {
+  // 20 bytes claiming 2^45: no decoder may size a buffer from the claim.
+  Bytes container{std::byte{'Z'}, std::byte{'X'}, std::byte{2}};  // LZ mode
+  put_varint(container, std::uint64_t{1} << 45);
+  put_varint(container, 8);  // eight literals, then the terminator
+  for (int i = 0; i < 8; ++i) container.push_back(std::byte{0x42});
+  put_varint(container, 0);
+  ASSERT_EQ(container.size(), 20u);
+  const auto expect_cqs_error = [](auto&& decode) {
+    try {
+      decode();
+      ADD_FAILURE() << "decoded a lying container";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("cqs:", 0), 0u) << e.what();
+    }
+  };
+  expect_cqs_error([&] { lossless::zx_decompress(container); });
+  const auto codec = compression::make_compressor("zstd");
+  std::vector<double> out(1);
+  expect_cqs_error([&] { codec->decompress(container, out); });
+}
+
+TEST(ZxCorruptionTest, HuffmanSymbolCountBeyondPayloadThrows) {
+  // One used symbol of length 1, a claimed 2^40 symbols, one payload byte:
+  // each symbol needs a bit, so the count is rejected before allocation.
+  Bytes container{std::byte{'Z'}, std::byte{'X'}, std::byte{3}};  // LZ+Huff
+  put_varint(container, 16);
+  put_varint(container, 1);  // used symbols
+  put_varint(container, 0);  // symbol 0
+  container.push_back(std::byte{1});  // length 1
+  put_varint(container, std::uint64_t{1} << 40);
+  container.push_back(std::byte{0});
+  EXPECT_THROW(lossless::zx_decompress(container), std::out_of_range);
 }
 
 using CheckpointCorruptionTest = test::TempDirFixture;
