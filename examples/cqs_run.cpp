@@ -81,7 +81,7 @@ namespace {
                "usage: %s <circuit-file> [--ranks N] [--blocks N] "
                "[--codec NAME] [--policy fixed|adaptive] [--budget-frac F] "
                "[--fuse] [--no-batching] [--max-run N] [--checkpoint PATH] "
-               "[--samples N] [--remap [lookahead|lru]] "
+               "[--samples N] [--remap] "
                "[--wire loopback|socket] [--timeout-ms N] "
                "[--endpoint local|tcp] [--spill PATH] [--resident-frac F] "
                "[--readahead N] [--checkpoint-interval N] [--autosave PATH] "
@@ -141,10 +141,6 @@ int main(int argc, char** argv) try {
       samples = std::atoi(next());
     } else if (arg == "--remap") {
       config.enable_qubit_remap = true;
-      // Optional policy operand (defaults to the config's "lookahead").
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        config.remap_policy = argv[++i];
-      }
     } else if (arg == "--wire") {
       config.transport = next();
     } else if (arg == "--timeout-ms") {

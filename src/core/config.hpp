@@ -31,29 +31,8 @@ struct SimConfig {
   /// block's statistics at every recompression and keep sparse/spiky
   /// blocks on the lossless zero-suppressing path even at a lossy level —
   /// the Figs. 9-14 observation that state structure dictates which codec
-  /// wins.
+  /// wins. The thresholds it applies are ArbiterConfig's defaults.
   std::string codec_policy = "fixed";
-
-  /// Adaptive policy: a block whose exact-zero double fraction is at or
-  /// above this stays lossless (zero suppression beats quantization).
-  double adaptive_zero_fraction = 0.75;
-
-  /// Adaptive policy: a block whose nonzero magnitudes span at most this
-  /// many bits (log2 max/min) stays lossless — uniform-magnitude states
-  /// (GHZ, QFT of basis inputs, Grover superpositions) are repeated bit
-  /// patterns that LZ matching removes and quantization cannot improve.
-  double adaptive_dynamic_range = 1.0;
-
-  /// Adaptive policy: a block whose max/mean nonzero magnitude ratio is at
-  /// or above this (extremely spiky) stays lossless.
-  double adaptive_spikiness = 1e6;
-
-  /// Half-width of the hysteresis band around the adaptive thresholds: a
-  /// block flips codec only when its signal leaves the band, so blocks
-  /// near a threshold don't thrash between codecs across passes. Additive
-  /// on zero fraction and on dynamic-range bits, multiplicative (1 +- h)
-  /// on spikiness. In [0, 0.5).
-  double adaptive_hysteresis = 0.1;
 
   /// Error-bound ladder (Section 3.7): level 0 is lossless Zstd; level k
   /// compresses with pointwise relative bound ladder[k-1]. Whenever the
@@ -112,23 +91,15 @@ struct SimConfig {
   /// Logical->physical qubit remapping (Intel-QS-style relabeling over
   /// Section 3.3's partitioning). When on, the scheduler's remap pre-pass
   /// rewrites gates through the current qubit map, absorbs SWAPs into the
-  /// map, and trades each hot rank-segment qubit into the offset segment
-  /// with a single exchange sweep so later gates on it route block-locally
-  /// — instead of one compressed-block exchange per gate. Off by default:
-  /// the identity layout reproduces the paper's communication behavior.
+  /// map (exact up to the sign of zero components the skipped X kernels
+  /// would have recomputed), and trades each hot rank-segment qubit into
+  /// the offset segment with a single exchange sweep so later gates on it
+  /// route block-locally — instead of one compressed-block exchange per
+  /// gate. The trade plans with the remaining circuit: last-touch rank
+  /// gates are paid in place, and a remap evicts only a resident that is
+  /// never targeted again. Off by default: the identity layout reproduces
+  /// the paper's communication behavior.
   bool enable_qubit_remap = false;
-
-  /// Cold-qubit selection when a remap must evict an offset-segment
-  /// resident. "lookahead" (default) plans with the remaining circuit:
-  /// last-touch rank gates are paid in place and evictions pick the
-  /// resident targeted furthest in the future. "lru" is the classic
-  /// history-only policy: always remap, evict the least-recently-used.
-  std::string remap_policy = "lookahead";
-
-  /// Absorb SWAP gates into the qubit map (free relabels) instead of
-  /// expanding them into three CX sweeps. Exact up to the sign of zero
-  /// components the skipped X kernels would have recomputed.
-  bool remap_relabel_swaps = true;
 
   /// Runtime-dispatched SIMD apply kernels (AVX2/NEON). Bit-identical to
   /// the scalar reference by construction; off forces the scalar path.

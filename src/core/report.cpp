@@ -125,7 +125,7 @@ void SimulationReport::print(std::ostream& os) const {
        << swaps_relabeled << " swaps relabeled; " << rank_gates_localized
        << " rank gates localized / " << rank_gates_in_place
        << " in place (" << remap_exchanges_avoided
-       << " exchanges avoided, " << remap_policy << " policy)\n";
+       << " exchanges avoided)\n";
   }
   os << "simd_kernel:         " << simd_kernel << "\n";
   os << "cache:               " << cache.hits << " hits / " << cache.misses

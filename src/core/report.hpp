@@ -131,7 +131,6 @@ struct SimulationReport {
 
   // Qubit remapping (logical->physical relabeling; runtime/qubit_map.hpp).
   bool qubit_remap_enabled = false;
-  std::string remap_policy;
   std::uint64_t remap_sweeps = 0;      ///< RemapOps executed (one exchange
                                        ///< sweep of all block pairs each)
   std::uint64_t swaps_relabeled = 0;   ///< SWAP gates absorbed into the map

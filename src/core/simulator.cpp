@@ -85,7 +85,6 @@ double add_in_order(const std::vector<double>& sums) {
 /// and each control fall (Figure 3's three segments), the materialized
 /// unitary, and the cache-key descriptor.
 struct CompressedStateSimulator::GateRouting {
-  GateOp op;
   Mat2 m{};
   bool diagonal = false;
   Partition::Segment target_segment = Partition::Segment::kOffset;
@@ -95,11 +94,6 @@ struct CompressedStateSimulator::GateRouting {
   int rank_ctrl_mask = 0;
   int level = 0;
   Bytes descriptor;
-  /// Count of blocks recompressed during this gate (shared across workers).
-  mutable std::atomic<std::uint64_t> blocks_compressed{0};
-  /// Blocks whose recompression (or cached output) went through the lossy
-  /// codec — only these trigger a fidelity pass.
-  mutable std::atomic<std::uint64_t> blocks_lossy{0};
 };
 
 /// Resolved execution plan of one block-local gate run: every kernel acts
@@ -117,24 +111,38 @@ struct CompressedStateSimulator::RunPlan {
   /// cache identity via BlockCache::make_run_key.
   std::vector<Bytes> descriptors;
   int level = 0;
-  InvocationCounter blocks_compressed;  ///< blocks recompressed by this run
-  InvocationCounter blocks_lossy;  ///< of those, ones the lossy codec wrote
 };
 
 /// One single-block unit task for run_units: how to identify the unit in
-/// the cache, what to compute on the decoded amplitudes, and where to
-/// account the recompression. Every field is safe to call from any worker.
+/// the cache and what to compute on the decoded amplitudes. Every field is
+/// safe to call from any worker.
 struct CompressedStateSimulator::UnitSpec {
   int level = 0;
-  /// Cache key of one unit (called only when the cache is enabled; must
-  /// read the *current* stored payload, i.e. before decompression).
+  /// Cache key of one unit; empty = the sweep is never cached. Called only
+  /// when the cache is enabled, and must read the *current* stored
+  /// payload, i.e. before decompression.
   std::function<std::uint64_t(int rank, int block)> make_key;
-  /// Applies the unit's kernels to the decoded block.
+  /// Applies the unit's kernels to the decoded block; empty = recompress
+  /// the block unchanged.
   std::function<void(qsim::Amplitude* amps, std::uint64_t count, int rank,
                      int block)>
       compute;
-  std::atomic<std::uint64_t>* blocks_compressed = nullptr;
-  std::atomic<std::uint64_t>* blocks_lossy = nullptr;
+};
+
+/// One block-pair task for run_pairs. Each unit (rank, block) is the pair's
+/// first block; its partner is (rank | partner_rank_bit, block |
+/// partner_block_bit), so a nonzero rank bit makes every pair cross ranks.
+struct CompressedStateSimulator::PairSpec {
+  int level = 0;
+  int partner_rank_bit = 0;
+  int partner_block_bit = 0;
+  /// Gate descriptor that, with both stored payloads, keys the pair in the
+  /// cache; null = the sweep is never cached.
+  const Bytes* descriptor = nullptr;
+  /// Applies the pair's kernel to both decoded blocks.
+  std::function<void(qsim::Amplitude* a, qsim::Amplitude* b,
+                     std::uint64_t count)>
+      compute;
 };
 
 CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
@@ -203,14 +211,6 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
         "simulator: lossless codec cannot start at a lossy level");
   }
 
-  // Remap knobs are validated whether or not remapping is on, so a bad
-  // config cannot lie dormant until a resume flips the feature.
-  try {
-    qsim::parse_remap_policy(config_.remap_policy);
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(std::string("simulator: ") + e.what());
-  }
-
   // Out-of-core knobs: a spill path needs a resident budget to govern the
   // tier split, and a budget without a path would silently do nothing.
   if (!config_.spill_path.empty() && config_.resident_budget_bytes == 0) {
@@ -235,32 +235,9 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
   }
   backend_ = qsim::detect_kernel_backend(config_.enable_simd_kernels);
   map_ = runtime::QubitMap::identity(config_.num_qubits);
-  remap_last_use_.assign(static_cast<std::size_t>(config_.num_qubits), 0);
 
   runtime::ArbiterConfig arbiter_config;
   arbiter_config.policy = runtime::parse_codec_policy(config_.codec_policy);
-  arbiter_config.zero_fraction_threshold = config_.adaptive_zero_fraction;
-  arbiter_config.dynamic_range_threshold = config_.adaptive_dynamic_range;
-  arbiter_config.spikiness_threshold = config_.adaptive_spikiness;
-  arbiter_config.hysteresis = config_.adaptive_hysteresis;
-  if (!(arbiter_config.zero_fraction_threshold >= 0.0) ||
-      !(arbiter_config.zero_fraction_threshold <= 1.0)) {
-    throw std::invalid_argument(
-        "simulator: adaptive_zero_fraction must be in [0, 1]");
-  }
-  if (!(arbiter_config.dynamic_range_threshold >= 0.0)) {
-    throw std::invalid_argument(
-        "simulator: adaptive_dynamic_range must be >= 0 bits");
-  }
-  if (!(arbiter_config.spikiness_threshold > 1.0)) {
-    throw std::invalid_argument(
-        "simulator: adaptive_spikiness must exceed 1 (max/mean ratio)");
-  }
-  if (!(arbiter_config.hysteresis >= 0.0) ||
-      !(arbiter_config.hysteresis < 0.5)) {
-    throw std::invalid_argument(
-        "simulator: adaptive_hysteresis must be in [0, 0.5)");
-  }
   arbiter_ = std::make_unique<runtime::CodecArbiter>(
       arbiter_config,
       partition_.num_ranks() * partition_.blocks_per_rank());
@@ -347,7 +324,6 @@ std::pair<Bytes, runtime::BlockMeta> CompressedStateSimulator::encode_block(
     std::span<const double> data, int level, int rank, int block,
     std::size_t worker) const {
   ScopedPhase phase(worker_timers_[worker], Phase::kCompression);
-  compress_calls_.bump();
   const bool lossless =
       arbiter_->decide_lossless(global_block(rank, block), level, data);
   runtime::BlockMeta meta{static_cast<std::uint8_t>(level),
@@ -393,7 +369,6 @@ void CompressedStateSimulator::decompress_payload(
     ByteSpan payload, const runtime::BlockMeta& meta, std::span<double> out,
     std::size_t worker) const {
   ScopedPhase phase(worker_timers_[worker], Phase::kDecompression);
-  decompress_calls_.bump();
   auto& scratch = scratch_->codec_scratch(worker);
   auto& stats = codec_stats_[worker];
   WallTimer codec_timer;
@@ -433,7 +408,6 @@ void CompressedStateSimulator::apply_remap(const qsim::RemapStep& step) {
   const std::uint64_t cold_bit =
       std::uint64_t{1} << partition_.local_bit(step.phys_cold);
   const int hot_local = partition_.local_bit(step.phys_hot);
-  const int hot_rank_bit = 1 << hot_local;
 
   std::vector<std::pair<int, int>> units;  // (rank with hot bit 0, block)
   for (int r = 0; r < partition_.num_ranks(); ++r) {
@@ -442,59 +416,16 @@ void CompressedStateSimulator::apply_remap(const qsim::RemapStep& step) {
       units.emplace_back(r, b);
     }
   }
-  std::atomic<std::uint64_t> lossy_writes{0};
-  pool_->parallel_for(units.size(), [&](std::size_t i, std::size_t worker) {
-    const auto [r0, b] = units[i];
-    const int r1 = r0 | hot_rank_bit;
-    auto& store_a = ranks_[r0];
-    auto& store_b = ranks_[r1];
-    auto& timers = worker_timers_[worker];
-    runtime::Comm::Pending pending;
-    {
-      ScopedPhase phase(timers, Phase::kCommunication);
-      pending = comm_->exchange_begin(
-          r0, r1, store_a.payload_view(b), store_b.payload_view(b),
-          static_cast<std::uint8_t>(store_a.meta(b).codec),
-          static_cast<std::uint8_t>(store_b.meta(b).codec));
+  PairSpec spec;
+  spec.level = level_;
+  spec.partner_rank_bit = 1 << hot_local;
+  spec.compute = [cold_bit](Amplitude* a0, Amplitude* a1,
+                            std::uint64_t count) {
+    for (std::uint64_t k = 0; k < count; ++k) {
+      if (k & cold_bit) std::swap(a0[k], a1[k ^ cold_bit]);
     }
-    auto vx = scratch_->vector_x(worker);
-    auto vy = scratch_->vector_y(worker);
-    // Decoding this rank's own block overlaps the in-flight exchange.
-    decompress_block(r0, b, vx, worker);
-    runtime::Comm::Received received;
-    {
-      ScopedPhase phase(timers, Phase::kCommunication);
-      received = comm_->exchange_wait(pending);
-    }
-    // The partner's block decodes from the bytes that came over the wire.
-    decompress_payload(received.to_a, store_b.meta(b), vy, worker);
-    {
-      ScopedPhase phase(timers, Phase::kComputation);
-      auto* a0 = as_complex(vx);
-      auto* a1 = as_complex(vy);
-      const std::uint64_t count = partition_.amplitudes_per_block();
-      for (std::uint64_t k = 0; k < count; ++k) {
-        if (k & cold_bit) std::swap(a0[k], a1[k ^ cold_bit]);
-      }
-    }
-    auto [ca, meta_a] = encode_block(vx, level_, r0, b, worker);
-    auto [cb, meta_b] = encode_block(vy, level_, r1, b, worker);
-    const std::uint64_t lossy =
-        (meta_a.codec != compression::kLosslessCodecId ? 1u : 0u) +
-        (meta_b.codec != compression::kLosslessCodecId ? 1u : 0u);
-    store_a.set_block(b, std::move(ca), meta_a);
-    store_b.set_block(b, std::move(cb), meta_b);
-    maybe_stream_spill(r0, b);
-    maybe_stream_spill(r1, b);
-    if (lossy > 0) {
-      lossy_writes.fetch_add(lossy, std::memory_order_relaxed);
-    }
-  });
-  // Like a gate run: the sweep recompressed each block once, so at most
-  // one lossy pass enters the fidelity ledger.
-  if (lossy_writes.load() > 0 && level_ > 0) {
-    fidelity_.record_lossy_pass(config_.error_ladder[level_ - 1]);
-  }
+  };
+  record_lossy_pass(run_pairs(units, spec));
 }
 
 void CompressedStateSimulator::apply(const GateOp& op) {
@@ -561,8 +492,8 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
 
   // The remap pre-pass must run whenever the layout is non-identity (ops
   // arrive in logical indices and the blocks are stored physically), not
-  // just when remapping is on — a v4 resume with remapping disabled still
-  // needs every gate rewritten.
+  // just when remapping is on — resuming a remapped checkpoint with
+  // remapping disabled still needs every gate rewritten.
   const bool remap_path = config_.enable_qubit_remap || !map_.is_identity();
 
   if (!remap_path && !config_.enable_run_batching) {
@@ -599,14 +530,11 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
 
   qsim::RemapOptions remap_options;
   remap_options.enabled = config_.enable_qubit_remap;
-  remap_options.policy = qsim::parse_remap_policy(config_.remap_policy);
-  remap_options.relabel_swaps = config_.remap_relabel_swaps;
   remap_options.num_qubits = config_.num_qubits;
   remap_options.offset_bits = partition_.offset_bits;
   remap_options.block_bits = partition_.block_bits;
   const qsim::RemapProgram program =
-      qsim::plan_remaps(planned, map_, remap_options, &remap_last_use_,
-                        &remap_tick_, &origins);
+      qsim::plan_remaps(planned, map_, remap_options, &origins);
   remap_sweeps_ += program.stats.remaps;
   swaps_relabeled_ += program.stats.swaps_relabeled;
   rank_gates_localized_ += program.stats.rank_targets_localized;
@@ -695,7 +623,6 @@ void CompressedStateSimulator::apply_impl(const GateOp& op) {
   }
 
   GateRouting routing;
-  routing.op = op;
   routing.m = qsim::gate_matrix(op);
   routing.diagonal = qsim::is_diagonal(op.kind);
   routing.target_segment = partition_.segment_of(op.target);
@@ -718,19 +645,20 @@ void CompressedStateSimulator::apply_impl(const GateOp& op) {
   append_gate_descriptor(routing.descriptor, op, routing.level);
 
   if (routing.diagonal) {
-    run_diagonal(routing);
+    record_lossy_pass(run_diagonal(routing));
+  } else if (routing.target_segment == Partition::Segment::kOffset) {
+    record_lossy_pass(run_offset_target(routing));
   } else {
-    switch (routing.target_segment) {
-      case Partition::Segment::kOffset: run_offset_target(routing); break;
-      case Partition::Segment::kBlock: run_block_target(routing); break;
-      case Partition::Segment::kRank: run_rank_target(routing); break;
-    }
+    record_lossy_pass(run_pair_target(routing));
   }
+}
 
-  // Only blocks the lossy codec actually wrote cost fidelity: under the
-  // adaptive policy a lossy-level gate whose blocks all stayed on the
-  // lossless path is exact.
-  if (routing.blocks_lossy.load() > 0 && level_ > 0) {
+void CompressedStateSimulator::record_lossy_pass(std::uint64_t lossy_blocks) {
+  // A sweep recompresses each block once, so it costs one pass however
+  // many blocks it wrote (Eq. 11 counts passes, not blocks). Only blocks
+  // the lossy codec actually wrote cost fidelity: under the adaptive
+  // policy a lossy-level sweep whose blocks all stayed lossless is exact.
+  if (lossy_blocks > 0 && level_ > 0) {
     fidelity_.record_lossy_pass(config_.error_ladder[level_ - 1]);
   }
 }
@@ -741,7 +669,8 @@ bool CompressedStateSimulator::controls_satisfied_block(
          (block & routing.block_ctrl_mask) == routing.block_ctrl_mask;
 }
 
-void CompressedStateSimulator::run_offset_target(const GateRouting& routing) {
+std::uint64_t CompressedStateSimulator::run_offset_target(
+    const GateRouting& routing) {
   std::vector<std::pair<int, int>> units;
   for (int r = 0; r < partition_.num_ranks(); ++r) {
     for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
@@ -762,46 +691,41 @@ void CompressedStateSimulator::run_offset_target(const GateRouting& routing) {
                         std::uint64_t{1} << routing.target_local_bit,
                         routing.offset_ctrl_mask, backend_);
   };
-  spec.blocks_compressed = &routing.blocks_compressed;
-  spec.blocks_lossy = &routing.blocks_lossy;
-  run_units(units, spec);
+  return run_units(units, spec);
 }
 
-void CompressedStateSimulator::run_block_target(const GateRouting& routing) {
+std::uint64_t CompressedStateSimulator::run_pair_target(
+    const GateRouting& routing) {
+  // The target bit pairs each amplitude with one in another block: the
+  // partner block on the same rank (block segment) or the same block on
+  // the partner rank (rank segment). Units are the target-bit-0 sides.
+  const bool rank_target =
+      routing.target_segment == Partition::Segment::kRank;
   const int tb = routing.target_local_bit;
-  std::vector<std::pair<int, int>> units;  // (rank, block with target bit 0)
+  std::vector<std::pair<int, int>> units;
   for (int r = 0; r < partition_.num_ranks(); ++r) {
+    if (rank_target && ((r >> tb) & 1)) continue;
     if ((r & routing.rank_ctrl_mask) != routing.rank_ctrl_mask) continue;
     for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
-      if ((b >> tb) & 1) continue;
+      if (!rank_target && ((b >> tb) & 1)) continue;
       if ((b & routing.block_ctrl_mask) != routing.block_ctrl_mask) continue;
       units.emplace_back(r, b);
     }
   }
-  pool_->parallel_for(units.size(), [&](std::size_t i, std::size_t worker) {
-    const auto [r, b0] = units[i];
-    process_pair(routing, r, b0, r, b0 | (1 << tb), worker);
-  });
+  PairSpec spec;
+  spec.level = routing.level;
+  spec.partner_rank_bit = rank_target ? 1 << tb : 0;
+  spec.partner_block_bit = rank_target ? 0 : 1 << tb;
+  spec.descriptor = &routing.descriptor;
+  spec.compute = [&](Amplitude* a, Amplitude* b, std::uint64_t count) {
+    qsim::pair_kernel(a, b, count, routing.m, routing.offset_ctrl_mask,
+                      backend_);
+  };
+  return run_pairs(units, spec);
 }
 
-void CompressedStateSimulator::run_rank_target(const GateRouting& routing) {
-  const int tb = routing.target_local_bit;
-  std::vector<std::pair<int, int>> units;  // (rank with target bit 0, block)
-  for (int r = 0; r < partition_.num_ranks(); ++r) {
-    if ((r >> tb) & 1) continue;
-    if ((r & routing.rank_ctrl_mask) != routing.rank_ctrl_mask) continue;
-    for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
-      if ((b & routing.block_ctrl_mask) != routing.block_ctrl_mask) continue;
-      units.emplace_back(r, b);
-    }
-  }
-  pool_->parallel_for(units.size(), [&](std::size_t i, std::size_t worker) {
-    const auto [r0, b] = units[i];
-    process_pair(routing, r0, b, r0 | (1 << tb), b, worker);
-  });
-}
-
-void CompressedStateSimulator::run_diagonal(const GateRouting& routing) {
+std::uint64_t CompressedStateSimulator::run_diagonal(
+    const GateRouting& routing) {
   // Diagonal gates never mix amplitude pairs, so every unit is a single
   // block regardless of which segment the target lives in. Blocks whose
   // diagonal factor is exactly 1 are skipped without decompression.
@@ -860,14 +784,18 @@ void CompressedStateSimulator::run_diagonal(const GateRouting& routing) {
                         backend_);
     }
   };
-  spec.blocks_compressed = &routing.blocks_compressed;
-  spec.blocks_lossy = &routing.blocks_lossy;
-  run_units(units, spec);
+  return run_units(units, spec);
 }
 
-// --- Single-block unit executor ---
+// --- Block executors: every sweep that rewrites blocks runs through one ---
 
-void CompressedStateSimulator::run_units(
+void CompressedStateSimulator::store_block(int rank, int block, Bytes payload,
+                                           runtime::BlockMeta meta) {
+  ranks_[rank].set_block(block, std::move(payload), meta);
+  maybe_stream_spill(rank, block);
+}
+
+std::uint64_t CompressedStateSimulator::run_units(
     const std::vector<std::pair<int, int>>& units, const UnitSpec& spec) {
   // Plan-driven readahead: the unit order IS the schedule, so advising
   // unit i+K while working unit i keeps spilled payloads arriving ahead
@@ -878,6 +806,7 @@ void CompressedStateSimulator::run_units(
   for (std::size_t i = 0; i < std::min(lookahead, units.size()); ++i) {
     ranks_[units[i].first].advise(units[i].second);
   }
+  std::atomic<std::uint64_t> lossy_blocks{0};
   pool_->parallel_for(units.size(), [&](std::size_t i, std::size_t worker) {
     if (lookahead > 0 && i + lookahead < units.size()) {
       const auto [ar, ab] = units[i + lookahead];
@@ -885,8 +814,9 @@ void CompressedStateSimulator::run_units(
     }
     const auto [rank, block] = units[i];
     runtime::BlockCache* cache =
-        config_.enable_cache && caches_[rank]->enabled() ? caches_[rank].get()
-                                                         : nullptr;
+        spec.make_key && config_.enable_cache && caches_[rank]->enabled()
+            ? caches_[rank].get()
+            : nullptr;
     // The key hashes the *current* stored payload, so it is taken before
     // the block is rewritten.
     const std::uint64_t key =
@@ -904,7 +834,7 @@ void CompressedStateSimulator::run_units(
     } else {
       auto vx = scratch_->vector_x(worker);
       decompress_block(rank, block, vx, worker);
-      {
+      if (spec.compute) {
         ScopedPhase phase(worker_timers_[worker], Phase::kComputation);
         spec.compute(as_complex(vx), partition_.amplitudes_per_block(), rank,
                      block);
@@ -913,14 +843,113 @@ void CompressedStateSimulator::run_units(
           encode_block(vx, spec.level, rank, block, worker);
       if (cache != nullptr) cache->insert(key, payload, {}, meta.codec);
     }
-    const bool lossy_write = meta.codec != compression::kLosslessCodecId;
-    ranks_[rank].set_block(block, std::move(payload), meta);
-    maybe_stream_spill(rank, block);
-    spec.blocks_compressed->fetch_add(1, std::memory_order_relaxed);
-    if (lossy_write) {
-      spec.blocks_lossy->fetch_add(1, std::memory_order_relaxed);
+    if (meta.codec != compression::kLosslessCodecId) {
+      lossy_blocks.fetch_add(1, std::memory_order_relaxed);
     }
+    store_block(rank, block, std::move(payload), meta);
   });
+  return lossy_blocks.load(std::memory_order_relaxed);
+}
+
+std::uint64_t CompressedStateSimulator::run_pairs(
+    const std::vector<std::pair<int, int>>& units, const PairSpec& spec) {
+  std::atomic<std::uint64_t> lossy_blocks{0};
+  pool_->parallel_for(units.size(), [&](std::size_t i, std::size_t worker) {
+    const auto [rank_a, block_a] = units[i];
+    const int rank_b = rank_a | spec.partner_rank_bit;
+    const int block_b = block_a | spec.partner_block_bit;
+    auto& store_a = ranks_[rank_a];
+    auto& store_b = ranks_[rank_b];
+    auto& timers = worker_timers_[worker];
+    const bool cross_rank = rank_a != rank_b;
+
+    // One buffered sendrecv per pair (Section 3.3): each rank ships its
+    // compressed block to the partner in a single paired exchange. Both
+    // sides then hold both inputs and compute their own updated block from
+    // the exchanged payloads, so no second round trip is needed. The
+    // begin/wait split keeps the payloads in flight across the cache probe
+    // and this rank's own decompression — the overlap the report surfaces.
+    runtime::Comm::Pending pending;
+    if (cross_rank) {
+      ScopedPhase phase(timers, Phase::kCommunication);
+      pending = comm_->exchange_begin(
+          rank_a, rank_b, store_a.payload_view(block_a),
+          store_b.payload_view(block_b),
+          static_cast<std::uint8_t>(store_a.meta(block_a).codec),
+          static_cast<std::uint8_t>(store_b.meta(block_b).codec));
+    }
+
+    runtime::BlockCache* cache = spec.descriptor != nullptr &&
+                                         config_.enable_cache &&
+                                         caches_[rank_a]->enabled()
+                                     ? caches_[rank_a].get()
+                                     : nullptr;
+    const std::uint64_t key =
+        cache != nullptr
+            ? runtime::BlockCache::make_key(
+                  *spec.descriptor, store_a.payload_view(block_a),
+                  store_b.payload_view(block_b), store_a.meta(block_a).codec,
+                  store_b.meta(block_b).codec, map_generation_)
+            : 0;
+    Bytes payload_a;
+    Bytes payload_b;
+    runtime::BlockMeta meta_a;
+    runtime::BlockMeta meta_b;
+    if (cache != nullptr && cache->lookup(key, payload_a, payload_b,
+                                          &meta_a.codec, &meta_b.codec)) {
+      meta_a.level = meta_b.level = static_cast<std::uint8_t>(spec.level);
+      // See run_units: hysteresis must track the stored codec on hits.
+      arbiter_->seed(global_block(rank_a, block_a),
+                     meta_a.codec == compression::kLosslessCodecId);
+      arbiter_->seed(global_block(rank_b, block_b),
+                     meta_b.codec == compression::kLosslessCodecId);
+      if (cross_rank) {
+        // The exchange already happened on the wire; the cached result
+        // just makes its payloads unnecessary. Settle it so the
+        // transport's in-flight frames are drained (and its failure
+        // surfaced).
+        ScopedPhase phase(timers, Phase::kCommunication);
+        comm_->exchange_wait(pending);
+      }
+    } else {
+      auto vx = scratch_->vector_x(worker);
+      auto vy = scratch_->vector_y(worker);
+      // Decoding this rank's own block overlaps the in-flight exchange.
+      decompress_block(rank_a, block_a, vx, worker);
+      if (cross_rank) {
+        runtime::Comm::Received received;
+        {
+          ScopedPhase phase(timers, Phase::kCommunication);
+          received = comm_->exchange_wait(pending);
+        }
+        // Decompress the partner's block from the bytes that came over
+        // the wire — the exchanged payload is the data this rank computes
+        // on.
+        decompress_payload(received.to_a, store_b.meta(block_b), vy, worker);
+      } else {
+        decompress_block(rank_b, block_b, vy, worker);
+      }
+      {
+        ScopedPhase phase(timers, Phase::kComputation);
+        spec.compute(as_complex(vx), as_complex(vy),
+                     partition_.amplitudes_per_block());
+      }
+      std::tie(payload_a, meta_a) =
+          encode_block(vx, spec.level, rank_a, block_a, worker);
+      std::tie(payload_b, meta_b) =
+          encode_block(vy, spec.level, rank_b, block_b, worker);
+      if (cache != nullptr) {
+        cache->insert(key, payload_a, payload_b, meta_a.codec, meta_b.codec);
+      }
+    }
+    const std::uint64_t lossy =
+        (meta_a.codec != compression::kLosslessCodecId ? 1u : 0u) +
+        (meta_b.codec != compression::kLosslessCodecId ? 1u : 0u);
+    if (lossy > 0) lossy_blocks.fetch_add(lossy, std::memory_order_relaxed);
+    store_block(rank_a, block_a, std::move(payload_a), meta_a);
+    store_block(rank_b, block_b, std::move(payload_b), meta_b);
+  });
+  return lossy_blocks.load(std::memory_order_relaxed);
 }
 
 CompressedStateSimulator::RunPlan CompressedStateSimulator::build_run_plan(
@@ -985,132 +1014,10 @@ void CompressedStateSimulator::apply_run(const qsim::Circuit& circuit,
                           kernel.target_bit, kernel.ctrl_mask, backend_);
     }
   };
-  spec.blocks_compressed = &plan.blocks_compressed.value;
-  spec.blocks_lossy = &plan.blocks_lossy.value;
-  run_units(units, spec);
   // The whole run cost each block one recompression, so the fidelity
   // ledger records one lossy pass — not one per gate (Eq. 11 tightens to
-  // F >= (1 - delta)^runs) — and only if the lossy codec wrote at least
-  // one block (adaptive runs whose blocks all stayed lossless are exact).
-  if (plan.blocks_lossy.get() > 0 && level_ > 0) {
-    fidelity_.record_lossy_pass(config_.error_ladder[level_ - 1]);
-  }
-}
-
-void CompressedStateSimulator::process_pair(const GateRouting& routing,
-                                            int rank_a, int block_a,
-                                            int rank_b, int block_b,
-                                            std::size_t worker) {
-  auto& store_a = ranks_[rank_a];
-  auto& store_b = ranks_[rank_b];
-  auto& timers = worker_timers_[worker];
-  const bool cross_rank = rank_a != rank_b;
-
-  // One buffered sendrecv per pair (Section 3.3): each rank ships its
-  // compressed block to the partner in a single paired exchange. Both
-  // sides then hold both inputs and compute their own updated block from
-  // the exchanged payloads, so no second round trip is needed. The
-  // begin/wait split keeps the payloads in flight across the cache probe
-  // and this rank's own decompression — the overlap the report surfaces.
-  runtime::Comm::Pending pending;
-  if (cross_rank) {
-    ScopedPhase phase(timers, Phase::kCommunication);
-    pending = comm_->exchange_begin(
-        rank_a, rank_b, store_a.payload_view(block_a),
-        store_b.payload_view(block_b),
-        static_cast<std::uint8_t>(store_a.meta(block_a).codec),
-        static_cast<std::uint8_t>(store_b.meta(block_b).codec));
-  }
-
-  runtime::BlockCache* cache =
-      config_.enable_cache ? caches_[rank_a].get() : nullptr;
-  std::uint64_t key = 0;
-  bool hit = false;
-  if (cache != nullptr && cache->enabled()) {
-    key = runtime::BlockCache::make_key(
-        routing.descriptor, store_a.payload_view(block_a),
-        store_b.payload_view(block_b), store_a.meta(block_a).codec,
-        store_b.meta(block_b).codec, map_generation_);
-    Bytes out1;
-    Bytes out2;
-    std::uint8_t codec1 = compression::kLosslessCodecId;
-    std::uint8_t codec2 = compression::kLosslessCodecId;
-    if (cache->lookup(key, out1, out2, &codec1, &codec2)) {
-      store_a.set_block(block_a, std::move(out1),
-                        {static_cast<std::uint8_t>(routing.level), codec1});
-      store_b.set_block(block_b, std::move(out2),
-                        {static_cast<std::uint8_t>(routing.level), codec2});
-      maybe_stream_spill(rank_a, block_a);
-      maybe_stream_spill(rank_b, block_b);
-      // See run_units: hysteresis must track the stored codec on hits.
-      arbiter_->seed(global_block(rank_a, block_a),
-                     codec1 == compression::kLosslessCodecId);
-      arbiter_->seed(global_block(rank_b, block_b),
-                     codec2 == compression::kLosslessCodecId);
-      routing.blocks_compressed.fetch_add(2, std::memory_order_relaxed);
-      const std::uint64_t lossy =
-          (codec1 != compression::kLosslessCodecId ? 1u : 0u) +
-          (codec2 != compression::kLosslessCodecId ? 1u : 0u);
-      if (lossy > 0) {
-        routing.blocks_lossy.fetch_add(lossy, std::memory_order_relaxed);
-      }
-      hit = true;
-    }
-  }
-
-  if (hit) {
-    if (cross_rank) {
-      // The exchange already happened on the wire; the cached result just
-      // makes its payloads unnecessary. Settle it so the transport's
-      // in-flight frames are drained (and its failure surfaced).
-      ScopedPhase phase(timers, Phase::kCommunication);
-      comm_->exchange_wait(pending);
-    }
-    return;
-  }
-
-  {
-    auto vx = scratch_->vector_x(worker);
-    auto vy = scratch_->vector_y(worker);
-    // Decoding this rank's own block overlaps the in-flight exchange.
-    decompress_block(rank_a, block_a, vx, worker);
-    if (cross_rank) {
-      runtime::Comm::Received received;
-      {
-        ScopedPhase phase(timers, Phase::kCommunication);
-        received = comm_->exchange_wait(pending);
-      }
-      // Decompress the partner's block from the bytes that came over the
-      // wire — the exchanged payload is the data this rank computes on.
-      decompress_payload(received.to_a, store_b.meta(block_b), vy, worker);
-    } else {
-      decompress_block(rank_b, block_b, vy, worker);
-    }
-    {
-      ScopedPhase phase(timers, Phase::kComputation);
-      qsim::pair_kernel(as_complex(vx), as_complex(vy),
-                        partition_.amplitudes_per_block(), routing.m,
-                        routing.offset_ctrl_mask, backend_);
-    }
-    auto [ca, meta_a] =
-        encode_block(vx, routing.level, rank_a, block_a, worker);
-    auto [cb, meta_b] =
-        encode_block(vy, routing.level, rank_b, block_b, worker);
-    if (cache != nullptr && cache->enabled()) {
-      cache->insert(key, ca, cb, meta_a.codec, meta_b.codec);
-    }
-    const std::uint64_t lossy =
-        (meta_a.codec != compression::kLosslessCodecId ? 1u : 0u) +
-        (meta_b.codec != compression::kLosslessCodecId ? 1u : 0u);
-    store_a.set_block(block_a, std::move(ca), meta_a);
-    store_b.set_block(block_b, std::move(cb), meta_b);
-    maybe_stream_spill(rank_a, block_a);
-    maybe_stream_spill(rank_b, block_b);
-    routing.blocks_compressed.fetch_add(2, std::memory_order_relaxed);
-    if (lossy > 0) {
-      routing.blocks_lossy.fetch_add(lossy, std::memory_order_relaxed);
-    }
-  }
+  // F >= (1 - delta)^runs).
+  record_lossy_pass(run_units(units, spec));
 }
 
 void CompressedStateSimulator::note_gate_finished(double gate_seconds) {
@@ -1292,33 +1199,17 @@ void CompressedStateSimulator::enforce_budget() {
          level_ < static_cast<int>(config_.error_ladder.size()) &&
          lossy_ != nullptr) {
     ++level_;
-    const std::uint64_t lossy_blocks = recompress_all(level_);
-    if (lossy_blocks > 0) {
-      fidelity_.record_lossy_pass(config_.error_ladder[level_ - 1]);
-    }
+    record_lossy_pass(recompress_all(level_));
   }
   if (resident_occupancy() > budget) budget_exceeded_ = true;
 }
 
 std::uint64_t CompressedStateSimulator::recompress_all(int new_level) {
-  const std::size_t total_blocks =
-      static_cast<std::size_t>(partition_.num_ranks()) *
-      partition_.blocks_per_rank();
-  std::atomic<std::uint64_t> lossy_blocks{0};
-  pool_->parallel_for(total_blocks, [&](std::size_t i, std::size_t worker) {
-    const int rank = static_cast<int>(i) / partition_.blocks_per_rank();
-    const int block = static_cast<int>(i) % partition_.blocks_per_rank();
-    auto vx = scratch_->vector_x(worker);
-    decompress_block(rank, block, vx, worker);
-    auto [compressed, meta] =
-        encode_block(vx, new_level, rank, block, worker);
-    if (meta.codec != compression::kLosslessCodecId) {
-      lossy_blocks.fetch_add(1, std::memory_order_relaxed);
-    }
-    ranks_[rank].set_block(block, std::move(compressed), meta);
-    maybe_stream_spill(rank, block);
-  });
-  return lossy_blocks.load(std::memory_order_relaxed);
+  UnitSpec spec;
+  spec.level = new_level;
+  return run_units(qsim::run_block_order(partition_.num_ranks(),
+                                         partition_.blocks_per_rank()),
+                   spec);
 }
 
 double CompressedStateSimulator::probability_one(int qubit) {
@@ -1519,57 +1410,38 @@ int CompressedStateSimulator::measure(int qubit, Rng& rng) {
   const double keep = outcome == 1 ? p1 : 1.0 - p1;
   const double scale = keep > 0.0 ? 1.0 / std::sqrt(keep) : 0.0;
 
-  // Collapse along the measured qubit's *physical* bit.
+  // Collapse along the measured qubit's *physical* bit: a block- or
+  // rank-segment bit keeps or zeroes a whole block, an offset bit decides
+  // per amplitude. Every block is rewritten — kept amplitudes are
+  // rescaled, and scale == 1 never happens for 0 < p < 1.
   const int physical = map_.physical(qubit);
   const auto segment = partition_.segment_of(physical);
   const int local = partition_.local_bit(physical);
-  const std::size_t total_blocks =
-      static_cast<std::size_t>(partition_.num_ranks()) *
-      partition_.blocks_per_rank();
-  std::atomic<std::uint64_t> lossy_writes{0};
-  pool_->parallel_for(total_blocks, [&](std::size_t i, std::size_t worker) {
-    const int rank = static_cast<int>(i) / partition_.blocks_per_rank();
-    const int block = static_cast<int>(i) % partition_.blocks_per_rank();
-    // Whole-block / whole-rank projections need no decompression when the
-    // block is uniformly kept or uniformly zeroed... but zeroing still
-    // requires rewriting the block, and scaling requires touching every
-    // amplitude, so only the "kept and scale == 1" case could skip; that
-    // never happens for 0 < p < 1.
+  UnitSpec spec;
+  spec.level = level_;
+  spec.compute = [&](Amplitude* amps, std::uint64_t count, int rank,
+                     int block) {
     int block_bit = -1;  // -1: decided per amplitude
     if (segment == Partition::Segment::kBlock) {
       block_bit = (block >> local) & 1;
     } else if (segment == Partition::Segment::kRank) {
       block_bit = (rank >> local) & 1;
     }
-    auto vx = scratch_->vector_x(worker);
-    decompress_block(rank, block, vx, worker);
-    auto* amps = as_complex(vx);
-    const std::uint64_t count = partition_.amplitudes_per_block();
     const std::uint64_t bit = std::uint64_t{1} << local;
-    {
-      ScopedPhase phase(worker_timers_[worker], Phase::kComputation);
-      for (std::uint64_t k = 0; k < count; ++k) {
-        const int amp_bit = block_bit >= 0
-                                ? block_bit
-                                : static_cast<int>((k & bit) != 0);
-        if (amp_bit == outcome) {
-          amps[k] *= scale;
-        } else {
-          amps[k] = Amplitude(0, 0);
-        }
+    for (std::uint64_t k = 0; k < count; ++k) {
+      const int amp_bit =
+          block_bit >= 0 ? block_bit : static_cast<int>((k & bit) != 0);
+      if (amp_bit == outcome) {
+        amps[k] *= scale;
+      } else {
+        amps[k] = Amplitude(0, 0);
       }
     }
-    auto [compressed, meta] =
-        encode_block(vx, level_, rank, block, worker);
-    if (meta.codec != compression::kLosslessCodecId) {
-      lossy_writes.fetch_add(1, std::memory_order_relaxed);
-    }
-    ranks_[rank].set_block(block, std::move(compressed), meta);
-    maybe_stream_spill(rank, block);
-  });
-  if (lossy_writes.load() > 0 && level_ > 0) {
-    fidelity_.record_lossy_pass(config_.error_ladder[level_ - 1]);
-  }
+  };
+  record_lossy_pass(run_units(qsim::run_block_order(
+                                  partition_.num_ranks(),
+                                  partition_.blocks_per_rank()),
+                              spec));
   maintain_tiers();
   enforce_budget();
   // Collapse diverges the state from any recorded circuit position, so
@@ -1643,10 +1515,8 @@ CompressedStateSimulator CompressedStateSimulator::load_checkpoint(
   // The restore point counts as saved: a resumed run's next autosave is
   // one full interval out, matching the uninterrupted run's cadence.
   sim.gates_at_last_autosave_ = sim.gate_cursor_;
-  // Pre-v4 files carry no map (identity, which the constructor set). A v4
-  // map must cover exactly this simulation's qubits. kLru recency is not
-  // persisted — a resumed LRU plan starts from a cold history, which only
-  // shifts future eviction choices, never correctness.
+  // An empty map means the identity layout, which the constructor set;
+  // any other map must cover exactly this simulation's qubits.
   if (!header.qubit_map.empty()) {
     if (header.qubit_map.size() != config.num_qubits) {
       throw std::invalid_argument(
@@ -1801,8 +1671,6 @@ SimulationReport CompressedStateSimulator::report() const {
   }
   rep.batched_runs = batched_runs_;
   rep.batched_gates = batched_gates_;
-  rep.compress_invocations = compress_calls_.get();
-  rep.decompress_invocations = decompress_calls_.get();
   for (const auto& stats : codec_stats_) {
     rep.lossless_compress_invocations += stats.lossless_compress_calls;
     rep.lossy_compress_invocations += stats.lossy_compress_calls;
@@ -1813,6 +1681,10 @@ SimulationReport CompressedStateSimulator::report() const {
     rep.lossless_decompress_seconds += stats.lossless_decompress_seconds;
     rep.lossy_decompress_seconds += stats.lossy_decompress_seconds;
   }
+  rep.compress_invocations =
+      rep.lossless_compress_invocations + rep.lossy_compress_invocations;
+  rep.decompress_invocations =
+      rep.lossless_decompress_invocations + rep.lossy_decompress_invocations;
   rep.codec_scratch_bytes = scratch_->codec_scratch_bytes();
   rep.fidelity_bound = fidelity_.bound();
   rep.lossy_passes = fidelity_.lossy_passes();
@@ -1827,7 +1699,6 @@ SimulationReport CompressedStateSimulator::report() const {
   rep.wire_frame_bytes = wire.frame_bytes;
   rep.wire_frames = wire.frames;
   rep.qubit_remap_enabled = config_.enable_qubit_remap;
-  rep.remap_policy = config_.remap_policy;
   rep.remap_sweeps = remap_sweeps_;
   rep.swaps_relabeled = swaps_relabeled_;
   rep.rank_gates_localized = rank_gates_localized_;

@@ -61,7 +61,7 @@ class CompressedStateSimulator {
   const runtime::Partition& partition() const { return partition_; }
 
   /// Current logical->physical qubit layout. Identity unless qubit
-  /// remapping has relabeled or exchanged positions (or a v4 checkpoint
+  /// remapping has relabeled or exchanged positions (or a checkpoint
   /// restored a remapped layout). All public APIs speak logical indices;
   /// the map is exposed for tests and benches.
   const runtime::QubitMap& qubit_map() const { return map_; }
@@ -161,6 +161,7 @@ class CompressedStateSimulator {
   struct GateRouting;  // resolved target/control segmentation
   struct RunPlan;      // resolved kernels + cache identity of one gate run
   struct UnitSpec;     // one single-block unit task (cache id + kernels)
+  struct PairSpec;     // one block-pair task (partner, cache id, kernel)
 
   /// Copyable relaxed counter so the simulator stays movable (checkpoint
   /// load returns by value) while workers bump it concurrently.
@@ -232,7 +233,7 @@ class CompressedStateSimulator {
                    const std::vector<std::size_t>* origin_counts = nullptr);
   /// One physical exchange sweep trading a rank-segment position for an
   /// offset-segment position (the data half of a RemapOp; the caller
-  /// mirrors the swap into map_).
+  /// mirrors the swap into map_). Runs on run_pairs.
   void apply_remap(const qsim::RemapStep& step);
   /// `op` with its qubits rewritten into the current physical layout.
   qsim::GateOp to_physical(const qsim::GateOp& op) const;
@@ -244,16 +245,29 @@ class CompressedStateSimulator {
   void apply_run(const qsim::Circuit& circuit, const qsim::GateRun& run);
   RunPlan build_run_plan(const qsim::Circuit& circuit,
                          const qsim::GateRun& run) const;
-  void process_pair(const GateRouting& routing, int rank_a, int block_a,
-                    int rank_b, int block_b, std::size_t worker);
 
-  // --- Single-block unit executor ---
+  // --- Block executors: every sweep that rewrites blocks runs on one ---
 
   /// Runs every (rank, block) unit in one parallel_for: a cache hit
   /// replaces the block outright, a miss decompresses, applies
   /// spec.compute, and recompresses. Readahead is advised K units ahead.
-  void run_units(const std::vector<std::pair<int, int>>& units,
-                 const UnitSpec& spec);
+  /// Returns how many blocks the lossy codec wrote.
+  std::uint64_t run_units(const std::vector<std::pair<int, int>>& units,
+                          const UnitSpec& spec);
+  /// The two-block counterpart: for each unit, exchanges the pair's
+  /// payloads when it spans ranks, then (on a cache miss) decodes both
+  /// blocks, applies spec.compute, and recompresses both. Returns how many
+  /// blocks the lossy codec wrote.
+  std::uint64_t run_pairs(const std::vector<std::pair<int, int>>& units,
+                          const PairSpec& spec);
+  /// Installs a rewritten block, then streams it to the spill tier when
+  /// streaming spill is on — the one place executors write blocks.
+  void store_block(int rank, int block, Bytes payload,
+                   runtime::BlockMeta meta);
+  /// Charges one lossy pass at the current level to the fidelity ledger
+  /// when the sweep that just finished had the lossy codec write at least
+  /// one block.
+  void record_lossy_pass(std::uint64_t lossy_blocks);
   /// Read-only reduction behind the state queries: decompresses each unit
   /// and returns block_sum(amps, count, rank, block) for it, one slot per
   /// unit in unit order. Callers add the slots in that order, so a query's
@@ -263,10 +277,11 @@ class CompressedStateSimulator {
       const std::function<double(const qsim::Amplitude* amps,
                                  std::uint64_t count, int rank, int block)>&
           block_sum);
-  void run_diagonal(const GateRouting& routing);
-  void run_offset_target(const GateRouting& routing);
-  void run_block_target(const GateRouting& routing);
-  void run_rank_target(const GateRouting& routing);
+  // Single-gate sweeps; each returns the lossy block count of its executor.
+  std::uint64_t run_diagonal(const GateRouting& routing);
+  std::uint64_t run_offset_target(const GateRouting& routing);
+  /// Block- or rank-segment target: one run_pairs sweep.
+  std::uint64_t run_pair_target(const GateRouting& routing);
 
   // --- Out-of-core tier maintenance (Section 3.7 extended: the resident
   // --- tier is what the Eq. 8 budget governs once spilling is on) ---
@@ -300,10 +315,9 @@ class CompressedStateSimulator {
   /// Escalates the error ladder and recompresses every block until the
   /// compressed total fits the budget (or the ladder is exhausted).
   void enforce_budget();
-  /// Recompresses every block at `new_level`; returns how many blocks the
-  /// arbiter actually sent through the lossy codec (adaptive blocks can
-  /// stay lossless), so the caller records a fidelity pass only when one
-  /// happened.
+  /// Recompresses every block at `new_level` through run_units (never
+  /// cached); returns how many blocks the arbiter actually sent through
+  /// the lossy codec (adaptive blocks can stay lossless).
   std::uint64_t recompress_all(int new_level);
   void note_gate_finished(double gate_seconds);
   /// Saves to auto_checkpoint_path when checkpoint_interval_gates more
@@ -362,8 +376,6 @@ class CompressedStateSimulator {
   /// Bumped on every map mutation; joins cache keys so cached outputs
   /// stay pure functions of their inputs across relabels.
   std::uint64_t map_generation_ = 0;
-  std::vector<std::uint64_t> remap_last_use_;  ///< kLru recency, by logical
-  std::uint64_t remap_tick_ = 0;
 
   // Statistics.
   std::uint64_t gates_ = 0;
@@ -374,8 +386,6 @@ class CompressedStateSimulator {
   std::uint64_t rank_gates_localized_ = 0;
   std::uint64_t rank_gates_in_place_ = 0;
   std::uint64_t remap_sweeps_avoided_ = 0;
-  InvocationCounter compress_calls_;
-  InvocationCounter decompress_calls_;
   double wall_seconds_ = 0.0;
   double min_ratio_ = 0.0;  ///< 0 until first gate
   bool budget_exceeded_ = false;

@@ -18,11 +18,18 @@ namespace {
 
 constexpr double kInvSqrt2 = 0.7071067811865475244;
 
+/// r * e^{ix} for either sign of r. std::polar requires r >= 0, which
+/// u3's cos(theta/2) and sin(theta/2) break for theta outside [0, pi];
+/// this is the product libstdc++'s polar forms, bit for bit.
+Amplitude scaled_phase(double r, double x) {
+  return Amplitude(r * std::cos(x), r * std::sin(x));
+}
+
 Mat2 u3_matrix(double theta, double phi, double lambda) {
   const double c = std::cos(theta / 2);
   const double s = std::sin(theta / 2);
-  return {Amplitude(c, 0.0), -std::polar(s, lambda),
-          std::polar(s, phi), std::polar(c, phi + lambda)};
+  return {Amplitude(c, 0.0), -scaled_phase(s, lambda), scaled_phase(s, phi),
+          scaled_phase(c, phi + lambda)};
 }
 
 }  // namespace

@@ -89,13 +89,6 @@ Schedule build_schedule(const Circuit& circuit,
   return schedule;
 }
 
-RemapPolicy parse_remap_policy(const std::string& name) {
-  if (name == "lookahead") return RemapPolicy::kLookahead;
-  if (name == "lru") return RemapPolicy::kLru;
-  throw std::invalid_argument(
-      "remap policy must be 'lookahead' or 'lru', got '" + name + "'");
-}
-
 GateOp translated_through(const GateOp& op, const runtime::QubitMap& map) {
   GateOp out = op;
   out.target = map.physical(op.target);
@@ -111,25 +104,20 @@ constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
 
 /// Positions at which each logical qubit is the target of a non-diagonal
 /// gate — the only events that can force an exchange sweep and therefore
-/// the only ones the lookahead policy plans around. SWAP counts for both
-/// of its qubits unless relabeling makes it free.
+/// the only ones the planner looks ahead to. SWAPs are relabels, free of
+/// any sweep, so they are never events.
 struct TargetEvents {
   std::vector<std::vector<std::size_t>> at;  // per logical qubit, ascending
   std::vector<std::size_t> next;             // scan cursor per qubit
 
-  TargetEvents(const Circuit& circuit, const RemapOptions& options)
-      : at(options.num_qubits), next(options.num_qubits, 0) {
+  TargetEvents(const Circuit& circuit, int num_qubits)
+      : at(num_qubits), next(num_qubits, 0) {
     const auto& ops = circuit.ops();
     for (std::size_t i = 0; i < ops.size(); ++i) {
       const GateOp& op = ops[i];
-      if (op.kind == GateKind::kSwap) {
-        if (!options.relabel_swaps) {
-          at[op.target].push_back(i);
-          at[op.controls[0]].push_back(i);
-        }
-        continue;
+      if (op.kind != GateKind::kSwap && !is_diagonal(op.kind)) {
+        at[op.target].push_back(i);
       }
-      if (!is_diagonal(op.kind)) at[op.target].push_back(i);
     }
   }
 
@@ -143,7 +131,7 @@ struct TargetEvents {
 
   /// Events of `logical` strictly after position `i` — the sweeps the
   /// qubit would pay over the rest of the circuit if it sat at rank the
-  /// whole time, which is the lookahead policy's cost proxy.
+  /// whole time, which is the planner's cost proxy.
   std::size_t remaining_after(int logical, std::size_t i) {
     next_after(logical, i);  // advance the cursor past <= i
     return at[logical].size() - next[logical];
@@ -168,8 +156,6 @@ std::size_t identity_sweeps(const GateOp& op, int rank_start) {
 RemapProgram plan_remaps(const Circuit& circuit,
                          const runtime::QubitMap& map,
                          const RemapOptions& options,
-                         std::vector<std::uint64_t>* last_use,
-                         std::uint64_t* tick,
                          const std::vector<std::size_t>* origin_counts) {
   if (options.num_qubits != circuit.num_qubits() ||
       options.num_qubits != map.size()) {
@@ -184,16 +170,10 @@ RemapProgram plan_remaps(const Circuit& circuit,
     throw std::invalid_argument("plan_remaps: bad segment split");
   }
   const int rank_start = options.offset_bits + options.block_bits;
-  const bool lru = options.policy == RemapPolicy::kLru;
-  if (options.enabled && lru &&
-      (last_use == nullptr || tick == nullptr ||
-       last_use->size() != static_cast<std::size_t>(options.num_qubits))) {
-    throw std::invalid_argument("plan_remaps: lru policy needs recency state");
-  }
 
   RemapProgram program;
   runtime::QubitMap working = map;
-  TargetEvents events(circuit, options);
+  TargetEvents events(circuit, options.num_qubits);
 
   auto append_gate = [&](const GateOp& op, std::size_t weight) {
     if (program.items.empty() ||
@@ -208,40 +188,26 @@ RemapProgram plan_remaps(const Circuit& circuit,
   };
 
   /// Best eviction victim: the offset-segment physical position whose
-  /// logical occupant would pay the fewest future sweeps at rank —
-  /// lookahead minimizes the remaining non-diagonal target count (dead
-  /// qubits first), with the furthest next use breaking ties; LRU takes
-  /// the least recently touched. Remaining ties break toward the lowest
-  /// physical position so plans are deterministic.
+  /// logical occupant would pay the fewest future sweeps at rank — the
+  /// fewest remaining non-diagonal targets (dead qubits first), with the
+  /// furthest next use breaking ties. Remaining ties break toward the
+  /// lowest physical position so plans are deterministic.
   struct Victim {
-    int position = -1;  ///< -1: no eligible candidate
+    int position = 0;
     std::size_t remaining = 0;  ///< future sweeps the victim would pay
     std::size_t next_use = 0;
   };
-  auto pick_cold = [&](std::size_t i, int exclude_logical = -1) {
+  auto pick_cold = [&](std::size_t i) {
     Victim best;
-    bool have = false;
-    std::uint64_t best_age = 0;
     for (int p = 0; p < options.offset_bits; ++p) {
       const int resident = working.logical(p);
-      if (resident == exclude_logical) continue;
-      if (lru) {
-        const std::uint64_t age = (*last_use)[resident];
-        if (!have || age < best_age) {
-          best.position = p;
-          best_age = age;
-          have = true;
-        }
-      } else {
-        const std::size_t remaining = events.remaining_after(resident, i);
-        const std::size_t when = events.next_after(resident, i);
-        if (!have || remaining < best.remaining ||
-            (remaining == best.remaining && when > best.next_use)) {
-          best.position = p;
-          best.remaining = remaining;
-          best.next_use = when;
-          have = true;
-        }
+      const std::size_t remaining = events.remaining_after(resident, i);
+      const std::size_t when = events.next_after(resident, i);
+      if (p == 0 || remaining < best.remaining ||
+          (remaining == best.remaining && when > best.next_use)) {
+        best.position = p;
+        best.remaining = remaining;
+        best.next_use = when;
       }
     }
     return best;
@@ -263,16 +229,8 @@ RemapProgram plan_remaps(const Circuit& circuit,
     const GateOp& op = ops[i];
     const std::size_t weight =
         origin_counts != nullptr ? (*origin_counts)[i] : 1;
-    if (options.enabled && lru) {
-      ++*tick;
-      (*last_use)[op.target] = *tick;
-      for (int c : op.controls) {
-        if (c >= 0) (*last_use)[c] = *tick;
-      }
-    }
 
-    if (options.enabled && op.kind == GateKind::kSwap &&
-        options.relabel_swaps) {
+    if (options.enabled && op.kind == GateKind::kSwap) {
       RemapItem item;
       item.kind = RemapItem::Kind::kRelabel;
       item.relabel_a = op.target;
@@ -287,29 +245,10 @@ RemapProgram plan_remaps(const Circuit& circuit,
 
     GateOp phys = translated_through(op, working);
     if (options.enabled) {
-      if (op.kind == GateKind::kSwap) {
-        // The b leg of the expansion pays two sweeps at rank and the a leg
-        // one, so remapping always at least breaks even — and leaves both
-        // qubits block-local for everything that follows. The swap's own
-        // partner is never the victim (evicting it to rank would hand its
-        // legs the cost just saved).
-        for (int q : {op.controls[0], op.target}) {
-          const int other = q == op.target ? op.controls[0] : op.target;
-          if (working.physical(q) >= rank_start) {
-            const Victim victim = pick_cold(i, other);
-            // No eligible slot (a 1-qubit offset segment holding the
-            // partner): leave the leg at rank rather than churn the map.
-            if (victim.position >= 0) {
-              emit_remap(working.physical(q), victim.position);
-            }
-          }
-        }
-        phys = translated_through(op, working);
-        gross_avoided += identity_sweeps(op, rank_start);
-      } else if (!is_diagonal(op.kind) && phys.target >= rank_start) {
+      if (!is_diagonal(op.kind) && phys.target >= rank_start) {
         // Trade-gain rule: remapping costs the same single sweep as
         // applying in place, then hands the hot position's future to the
-        // evicted resident. Lookahead therefore only trades when a truly
+        // evicted resident. The planner therefore only trades when a truly
         // cold victim exists — zero remaining targets, so the remap
         // deletes every future sweep of the hot qubit and adds none —
         // and the hot qubit has a future at all (a last-touch gate pays
@@ -319,7 +258,7 @@ RemapProgram plan_remaps(const Circuit& circuit,
         const std::size_t hot_remaining =
             events.remaining_after(op.target, i);
         const Victim victim = pick_cold(i);
-        if (lru || (victim.remaining == 0 && hot_remaining > 0)) {
+        if (victim.remaining == 0 && hot_remaining > 0) {
           emit_remap(phys.target, victim.position);
           phys = translated_through(op, working);
         } else {
@@ -329,8 +268,7 @@ RemapProgram plan_remaps(const Circuit& circuit,
           if (identity_sweeps(op, rank_start) == 0) ++added_cost;
         }
       }
-      if (op.kind != GateKind::kSwap && !is_diagonal(op.kind) &&
-          phys.target < rank_start &&
+      if (!is_diagonal(op.kind) && phys.target < rank_start &&
           identity_sweeps(op, rank_start) > 0) {
         ++program.stats.rank_targets_localized;
         ++gross_avoided;

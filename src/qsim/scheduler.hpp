@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -108,34 +107,24 @@ Schedule build_schedule(const Circuit& circuit,
 // runtime::QubitMap. Before gates are scheduled into runs, this pass walks
 // the logical circuit in order and
 //   - rewrites every op's qubits through the evolving map,
-//   - absorbs SWAP gates into the map as free relabels (optional),
+//   - absorbs SWAP gates into the map as free relabels,
 //   - and, when a non-diagonal gate's physical target lands in the rank
 //     segment (the only case that forces compressed-block exchanges
 //     through Comm), either emits a RemapStep — one physical exchange
 //     sweep that trades the hot rank position for a cold offset-segment
-//     position — or proves paying the single exchange in place is cheaper
-//     (the gate is the qubit's last non-diagonal touch).
-// Diagonal gates and gates whose rank-segment involvement is control-only
-// are routed locally by the simulator already and never trigger a remap.
+//     position — or pays the single exchange in place.
+// The choice plans with the remaining circuit: a hot rank target remaps
+// only when a truly cold offset resident exists (zero remaining
+// non-diagonal target uses, preferring the furthest next use) and the hot
+// qubit has a future at all, so every emitted remap deletes all of the hot
+// qubit's future exchange sweeps and adds none; otherwise — including for
+// a last-touch gate — the single sweep is paid in place, which is never
+// worse than the identity layout. Deterministic given (map, remaining
+// ops), so a checkpoint-resumed suffix plans exactly like the
+// uninterrupted run planned its tail. Diagonal gates and gates whose
+// rank-segment involvement is control-only are routed locally by the
+// simulator already and never trigger a remap.
 // ---------------------------------------------------------------------------
-
-enum class RemapPolicy {
-  /// Uses full knowledge of the remaining circuit: a hot rank target
-  /// remaps only when a truly cold offset resident exists (zero remaining
-  /// non-diagonal target uses, preferring the fewest-then-furthest
-  /// candidate), so every emitted remap deletes all of the hot qubit's
-  /// future exchange sweeps and adds none; otherwise — including for a
-  /// last-touch gate — the single sweep is paid in place, which is never
-  /// worse than the identity layout. Deterministic given (map, remaining
-  /// ops), so a checkpoint-resumed suffix plans exactly like the
-  /// uninterrupted run planned its tail.
-  kLookahead,
-  /// Classic Intel-QS behavior: always remap a hot rank target, evicting
-  /// the least-recently-used offset resident. Uses only past knowledge.
-  kLru,
-};
-
-RemapPolicy parse_remap_policy(const std::string& name);
 
 /// `op` with every qubit rewritten through `map`: the target and any
 /// non-negative control (SWAP's second qubit lives in controls[0], so it
@@ -145,14 +134,12 @@ GateOp translated_through(const GateOp& op, const runtime::QubitMap& map);
 
 struct RemapOptions {
   /// When false, the pass only rewrites ops through the map (needed
-  /// whenever the map is non-identity, e.g. after a v4 checkpoint resume)
-  /// and emits no remaps or relabels.
+  /// whenever the map is non-identity, e.g. after resuming a remapped
+  /// checkpoint) and emits no remaps or relabels. When true, SWAPs become
+  /// relabels: semantically exact, but the skipped X-kernel arithmetic
+  /// means signed zeros in moved amplitudes can differ from the expanded
+  /// three-CX path.
   bool enabled = false;
-  RemapPolicy policy = RemapPolicy::kLookahead;
-  /// Absorb SWAP gates into the map instead of expanding them into three
-  /// CX sweeps. Semantically exact; skips the X-kernel arithmetic, so
-  /// signed zeros in moved amplitudes can differ from the expanded path.
-  bool relabel_swaps = true;
   int num_qubits = 0;
   int offset_bits = 0;  ///< physical [0, offset_bits) = block-local
   int block_bits = 0;   ///< next block_bits = same-rank; rest = rank segment
@@ -204,16 +191,12 @@ struct RemapProgram {
   RemapStats stats;
 };
 
-/// Plans the remapped form of `circuit` starting from `map`. `last_use` /
-/// `tick` carry the kLru recency state across calls (both may be null for
-/// kLookahead); `last_use` must have one entry per logical qubit.
+/// Plans the remapped form of `circuit` starting from `map`.
 /// `origin_counts` (one entry per op) carries source-gate weights when the
 /// caller fused the circuit first; null means every op weighs 1.
 RemapProgram plan_remaps(const Circuit& circuit,
                          const runtime::QubitMap& map,
                          const RemapOptions& options,
-                         std::vector<std::uint64_t>* last_use = nullptr,
-                         std::uint64_t* tick = nullptr,
                          const std::vector<std::size_t>* origin_counts =
                              nullptr);
 

@@ -146,7 +146,7 @@ void save_checkpoint(const std::string& path, const CheckpointHeader& header,
     buffer.push_back(static_cast<std::byte>(ch));
   }
   // An empty map serializes as a zero count, which the loader reads as
-  // "identity layout" — same meaning pre-v4 files carry implicitly.
+  // the identity layout.
   header.qubit_map.serialize(buffer);
   put_varint(buffer, ranks.size());
   for (const BlockStore& store : ranks) {

@@ -43,18 +43,27 @@ enum class CodecPolicy {
 /// Parses "fixed" / "adaptive"; throws std::invalid_argument otherwise.
 CodecPolicy parse_codec_policy(const std::string& name);
 
-/// Thresholds of the adaptive policy (see SimConfig for the knobs' docs).
-/// A block goes lossless when it is decisively sparse (zero fraction), has
-/// essentially uniform nonzero magnitudes (dynamic range in bits — repeated
-/// bit patterns that LZ matching nails and quantization cannot improve), or
-/// is spike-dominated. Everything else goes to the lossy codec, whose
-/// mantissa truncation collapses the ULP-level noise lossless coding must
-/// preserve.
+/// Thresholds of the adaptive policy. A block goes lossless when it is
+/// decisively sparse (zero fraction), has essentially uniform nonzero
+/// magnitudes (dynamic range in bits — repeated bit patterns that LZ
+/// matching nails and quantization cannot improve), or is spike-dominated.
+/// Everything else goes to the lossy codec, whose mantissa truncation
+/// collapses the ULP-level noise lossless coding must preserve. The
+/// simulator sets only `policy`; these defaults are its thresholds.
 struct ArbiterConfig {
   CodecPolicy policy = CodecPolicy::kFixed;
+  /// Lossless when at least this fraction of the block's doubles are
+  /// exact zeros (zero suppression beats quantization).
   double zero_fraction_threshold = 0.75;
+  /// Lossless when the nonzero magnitudes span at most this many bits
+  /// (log2 max/min): GHZ, QFT of basis inputs and Grover superpositions.
   double dynamic_range_threshold = 1.0;
+  /// Lossless when max/mean of the nonzero magnitudes is at least this.
   double spikiness_threshold = 1e6;
+  /// Half-width of the band around each threshold a block's signal must
+  /// leave before the block flips codec, so blocks near a threshold don't
+  /// thrash across passes. Additive on zero fraction and on dynamic-range
+  /// bits, multiplicative (1 +- h) on spikiness.
   double hysteresis = 0.1;
 };
 

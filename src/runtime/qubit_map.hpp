@@ -23,7 +23,8 @@ namespace cqs::runtime {
 class QubitMap {
  public:
   /// Empty map (size 0). Stands for "identity over however many qubits" in
-  /// contexts that carry the count elsewhere (pre-v4 checkpoints).
+  /// contexts that carry the count elsewhere (a checkpoint header whose
+  /// map count is zero).
   QubitMap() = default;
 
   /// Identity over `num_qubits` qubits.
@@ -77,7 +78,7 @@ class QubitMap {
   /// Inverse of to_physical_index.
   std::uint64_t to_logical_index(std::uint64_t physical_index) const;
 
-  // --- Serialized form (checkpoint v4) ---
+  // --- Serialized form (checkpoint header) ---
 
   /// Appends varint(n) followed by n varint physical positions.
   void serialize(Bytes& out) const;

@@ -37,7 +37,7 @@ SimConfig comm_config(int qubits, int ranks, bool remap) {
   // many rank-target sweeps run; the reference walk below models the
   // unfused circuit, so pin it off.
   config.enable_fusion_prepass = false;
-  // Cache hits skip the exchange inside process_pair only for same-rank
+  // Cache hits skip the exchange inside run_pairs only for same-rank
   // pairs; cross-rank exchanges always happen. Keep the cache off anyway
   // so the counters are a pure function of the circuit.
   config.enable_cache = false;
@@ -45,7 +45,7 @@ SimConfig comm_config(int qubits, int ranks, bool remap) {
 }
 
 /// Paired block exchanges one non-diagonal gate with a rank-segment
-/// target costs: the unit enumeration of run_rank_target — ranks with the
+/// target costs: the unit enumeration of run_pair_target — ranks with the
 /// target bit clear and every control bit set, times the blocks every
 /// block-segment control bit allows.
 std::uint64_t exchanges_for(const Partition& partition, const GateOp& op) {

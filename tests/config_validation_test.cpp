@@ -111,73 +111,12 @@ TEST(ConfigValidationTest, RejectsUnknownCodecPolicy) {
   expect_rejected(config, "unknown policy 'oracle'");
 }
 
-TEST(ConfigValidationTest, RejectsBadAdaptiveThresholds) {
-  SimConfig config = base_config();
-  config.adaptive_zero_fraction = 1.5;
-  expect_rejected(config, "adaptive_zero_fraction");
-
-  config = base_config();
-  config.adaptive_zero_fraction = -0.1;
-  expect_rejected(config, "adaptive_zero_fraction");
-
-  config = base_config();
-  config.adaptive_dynamic_range = -1.0;
-  expect_rejected(config, "adaptive_dynamic_range");
-
-  config = base_config();
-  config.adaptive_spikiness = 1.0;  // max/mean ratio is always >= 1
-  expect_rejected(config, "adaptive_spikiness");
-
-  config = base_config();
-  config.adaptive_hysteresis = 0.5;
-  expect_rejected(config, "adaptive_hysteresis");
-
-  config = base_config();
-  config.adaptive_hysteresis = -0.01;
-  expect_rejected(config, "adaptive_hysteresis");
-}
-
-TEST(ConfigValidationTest, AdaptiveKnobsAreValidatedEvenUnderFixedPolicy) {
-  // A bad threshold is a bad config regardless of which policy is active
-  // today — catching it early keeps a later policy flip from exploding.
-  SimConfig config = base_config();
-  config.codec_policy = "fixed";
-  config.adaptive_hysteresis = 0.7;
-  expect_rejected(config, "adaptive_hysteresis");
-}
-
 TEST(ConfigValidationTest, RejectsQubitCountsOutsideSupportedRange) {
   SimConfig config = base_config();
   config.num_qubits = 0;
   expect_rejected(config, "qubits");
   config.num_qubits = 41;
   expect_rejected(config, "qubits");
-}
-
-TEST(ConfigValidationTest, RejectsUnknownRemapPolicy) {
-  SimConfig config = base_config();
-  config.enable_qubit_remap = true;
-  config.remap_policy = "soonest";
-  expect_rejected(config, "remap policy");
-}
-
-TEST(ConfigValidationTest, RemapPolicyValidatedEvenWhenRemapDisabled) {
-  // Same reasoning as the adaptive knobs: a config that would explode the
-  // moment remapping (or a v4 resume) turns it on is rejected up front.
-  SimConfig config = base_config();
-  config.enable_qubit_remap = false;
-  config.remap_policy = "";
-  expect_rejected(config, "remap policy");
-}
-
-TEST(ConfigValidationTest, AcceptsBothRemapPolicies) {
-  for (const char* policy : {"lookahead", "lru"}) {
-    SimConfig config = base_config();
-    config.enable_qubit_remap = true;
-    config.remap_policy = policy;
-    config.remap_relabel_swaps = false;
-    EXPECT_NO_THROW(CompressedStateSimulator{config}) << policy;
-  }
 }
 
 TEST(ConfigValidationTest, RejectsUnknownTransportName) {

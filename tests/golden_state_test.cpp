@@ -1,17 +1,25 @@
 // Golden-state regression suite: exact pinned amplitudes for GHZ-8,
-// QFT-8, and Grover-10 under lossless simulation, and fidelity floors
-// under every lossy codec x ladder level — so codec or scheduler
-// refactors can't silently drift states. Every case runs under both the
-// fixed and the adaptive codec policy.
+// QFT-8, and Grover-10 under lossless simulation, fidelity floors under
+// every lossy codec x ladder level, and byte-exact pins of every sweep
+// that rewrites compressed blocks — so codec, scheduler or executor
+// refactors can't silently drift states. The amplitude cases run under
+// both the fixed and the adaptive codec policy.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "circuits/grover.hpp"
 #include "circuits/qft.hpp"
+#include "common/rng.hpp"
+#include "common/sha256.hpp"
 #include "compression/compressor.hpp"
 #include "core/simulator.hpp"
 #include "qsim/circuit.hpp"
@@ -193,6 +201,166 @@ TEST_P(GoldenLossyTest, FidelityFloorsHoldUnderBothPolicies) {
       EXPECT_GT(report.fidelity_bound, 0.0);
     }
   }
+}
+
+// --- Every block-rewriting sweep, pinned across commits -------------------
+//
+// The cases above pin lossless amplitudes only. These legs run one random
+// circuit over all three partition segments on 4 ranks x 4 blocks, then a
+// projective measurement and a checkpoint save, so between them they drive
+// the single-block and block-pair gate sweeps, the cross-rank exchange,
+// remap exchanges, ladder recompression and the measurement collapse. Each
+// leg pins the saved image and the counters those sweeps feed; the values
+// were recorded from the simulator and must not move unless a change means
+// to alter what is stored.
+
+constexpr std::uint64_t kSweepSeed = 3;
+constexpr int kSweepMeasuredQubit = 9;  // rank segment when unremapped
+constexpr std::size_t kSweepMemoryBudget = 2500;    // escalates to level 2-5
+constexpr std::size_t kSweepResidentBudget = 3500;  // spills in every leg
+
+struct SweepLeg {
+  bool remap;
+  bool spill;
+  bool budget;  // false: lossless throughout
+};
+
+struct SweepPin {
+  const char* image_sha256;
+  std::uint64_t lossy_passes;
+  std::uint64_t fidelity_bound_bits;
+  std::uint64_t lossless_compress;
+  std::uint64_t lossy_compress;
+  std::uint64_t lossless_decompress;
+  std::uint64_t lossy_decompress;
+  std::uint64_t comm_bytes;
+  std::uint64_t spill_events;
+  std::uint64_t fault_events;
+  std::uint64_t remap_sweeps;
+};
+
+constexpr SweepLeg kSweepLegs[8] = {
+    {false, false, false}, {false, false, true}, {false, true, false},
+    {false, true, true},   {true, false, false}, {true, false, true},
+    {true, true, false},   {true, true, true},
+};
+
+// Cache off: every value is a pure function of the workload, identical at
+// 1 and 4 threads.
+constexpr SweepPin kSweepPins[8] = {
+    {"7f9effee1e4665247f532fa6f571698daa7211f50f59c6cd52220272fdc27314", 0,
+     0x3ff0000000000000, 650, 0, 656, 0, 8351, 0, 0, 0},
+    {"d2bd4649057a17eeb1b4fb62ef6aad90f93fa449a869291a2d50d233eb4d139a", 13,
+     0x3fe9a16a18aa43b9, 538, 192, 552, 184, 7593, 0, 0, 0},
+    {"c86b9e1d2b5fee6a1399446e061200a6d1f4c9f1a098b4271328db91266b6af1", 0,
+     0x3ff0000000000000, 650, 0, 656, 0, 8351, 73, 65, 0},
+    {"7da146f1322c51f10164b95f1d282b80019613dcd1112ce95353843e4604e142", 10,
+     0x3feffdb4db9b133d, 538, 144, 552, 136, 7593, 32, 24, 0},
+    {"9485a78681917cdb5db50d55fd7726807a64f025723068dc9fdf492f39386ef4", 0,
+     0x3ff0000000000000, 462, 0, 468, 0, 3716, 0, 0, 2},
+    {"c59f0a3e3716cbd740bdcfa28063c6a6efef2d432353ba0d401c6c7d13a8b975", 9,
+     0x3fe9a1ad49730a8e, 406, 136, 420, 128, 3716, 0, 0, 2},
+    {"2209790f13040785a6604420ade911835b053feaa7c08690f083257333cc14e1", 0,
+     0x3ff0000000000000, 462, 0, 468, 0, 3716, 57, 49, 2},
+    {"2ac40595ffeac186311d1d844ebdbe56bba9a1622b7de9880fcc15020a9c5d9d", 6,
+     0x3feffe08b8f77593, 406, 88, 420, 80, 3716, 56, 48, 2},
+};
+
+// Cache on, 1 thread, on the leg that exercises everything (remap, spill
+// and budget): hits and misses of the probe order the executors follow.
+constexpr int kSweepCacheLeg = 7;
+constexpr std::uint64_t kSweepCacheHits = 138;
+constexpr std::uint64_t kSweepCacheMisses = 242;
+
+struct SweepResult {
+  std::string image_sha256;
+  core::SimulationReport report;
+};
+
+class SweepPinTest : public test::TempDirFixture {
+ protected:
+  SweepResult run_leg(const SweepLeg& leg, int threads, bool cache) {
+    SimConfig config;
+    config.num_qubits = 10;
+    config.num_ranks = 4;
+    config.blocks_per_rank = 4;
+    config.threads = threads;
+    config.enable_cache = cache;
+    config.enable_qubit_remap = leg.remap;
+    if (leg.spill) {
+      config.spill_path = path("spill.bin");
+      config.resident_budget_bytes = kSweepResidentBudget;
+    }
+    if (leg.budget) config.memory_budget_bytes = kSweepMemoryBudget;
+    CompressedStateSimulator sim(config);
+    sim.apply_circuit(test::random_circuit(10, 60, kSweepSeed));
+    Rng rng(kSweepSeed);
+    sim.measure(kSweepMeasuredQubit, rng);
+    const std::string image = path("state.ckpt");
+    sim.save_checkpoint(image);
+    std::ifstream in(image, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)), {});
+    Sha256 digest;
+    digest.update(bytes.data(), bytes.size());
+    return {digest.hex_digest(), sim.report()};
+  }
+};
+
+SweepPin observed_pin(const SweepResult& result) {
+  const core::SimulationReport& r = result.report;
+  return {result.image_sha256.c_str(),
+          r.lossy_passes,
+          std::bit_cast<std::uint64_t>(r.fidelity_bound),
+          r.lossless_compress_invocations,
+          r.lossy_compress_invocations,
+          r.lossless_decompress_invocations,
+          r.lossy_decompress_invocations,
+          r.comm_bytes,
+          r.spill_events,
+          r.fault_events,
+          r.remap_sweeps};
+}
+
+/// The pin as a table row, so a mismatch prints the row to compare.
+std::string describe(const SweepPin& pin) {
+  char bits[24];
+  std::snprintf(bits, sizeof bits, "0x%016llx",
+                static_cast<unsigned long long>(pin.fidelity_bound_bits));
+  std::string out = std::string("{\"") + pin.image_sha256 + "\", " +
+                    std::to_string(pin.lossy_passes) + ", " + bits;
+  for (std::uint64_t v :
+       {pin.lossless_compress, pin.lossy_compress, pin.lossless_decompress,
+        pin.lossy_decompress, pin.comm_bytes, pin.spill_events,
+        pin.fault_events, pin.remap_sweeps}) {
+    out += ", " + std::to_string(v);
+  }
+  return out + "}";
+}
+
+TEST_F(SweepPinTest, EveryRewritingSweepIsByteStableAcrossCommits) {
+  for (int leg = 0; leg < 8; ++leg) {
+    const SweepLeg& shape = kSweepLegs[leg];
+    // Each leg must exercise what it is named for, or the pin is hollow.
+    const SweepPin& expected = kSweepPins[leg];
+    EXPECT_EQ(expected.remap_sweeps > 0, shape.remap) << "leg " << leg;
+    EXPECT_EQ(expected.spill_events > 0, shape.spill) << "leg " << leg;
+    EXPECT_EQ(expected.lossy_passes > 0, shape.budget) << "leg " << leg;
+    for (int threads : {1, 4}) {
+      const SweepResult result = run_leg(shape, threads, false);
+      EXPECT_EQ(describe(observed_pin(result)), describe(expected))
+          << "leg " << leg << " threads " << threads;
+    }
+  }
+}
+
+TEST_F(SweepPinTest, CacheProbeSequenceIsStableAcrossCommits) {
+  // The cache is bit-invisible: the image matches the cache-off pin, and
+  // only the probe counts (and the codec calls hits save) differ.
+  const SweepResult result =
+      run_leg(kSweepLegs[kSweepCacheLeg], 1, true);
+  EXPECT_EQ(result.image_sha256, kSweepPins[kSweepCacheLeg].image_sha256);
+  EXPECT_EQ(result.report.cache.hits, kSweepCacheHits);
+  EXPECT_EQ(result.report.cache.misses, kSweepCacheMisses);
 }
 
 }  // namespace

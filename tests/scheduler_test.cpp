@@ -421,39 +421,6 @@ TEST(RemapPlanTest, LookaheadEvictsFurthestNextUse) {
   EXPECT_EQ(program.items[0].remap.phys_cold, 2);
 }
 
-TEST(RemapPlanTest, LruEvictsLeastRecentlyUsed) {
-  Circuit c(8);
-  c.x(0).x(2).x(3).x(1).h(6);
-  auto options = remap_options();
-  options.policy = qsim::RemapPolicy::kLru;
-  std::vector<std::uint64_t> last_use(8, 0);
-  std::uint64_t tick = 0;
-  const auto program = plan_remaps(c, runtime::QubitMap::identity(8),
-                                   options, &last_use, &tick);
-  // LRU always remaps a hot rank target (no lookahead), evicting the
-  // stalest offset resident — qubit 0 here.
-  ASSERT_EQ(program.stats.remaps, 1u);
-  const auto remap_item = std::find_if(
-      program.items.begin(), program.items.end(), [](const auto& item) {
-        return item.kind == qsim::RemapItem::Kind::kRemap;
-      });
-  ASSERT_NE(remap_item, program.items.end());
-  EXPECT_EQ(remap_item->remap.phys_hot, 6);
-  EXPECT_EQ(remap_item->remap.phys_cold, 0);
-  EXPECT_EQ(tick, 5u);
-
-  // The recency state carries across calls: qubit 0 was just relocated,
-  // another hot gate now evicts the next-stalest resident (qubit 2).
-  Circuit c2(8);
-  c2.h(7);
-  runtime::QubitMap map = runtime::QubitMap::identity(8);
-  map.swap_physical(6, 0);
-  const auto program2 = plan_remaps(c2, map, options, &last_use, &tick);
-  ASSERT_EQ(program2.stats.remaps, 1u);
-  EXPECT_EQ(program2.items[0].remap.phys_hot, 7);
-  EXPECT_EQ(program2.items[0].remap.phys_cold, 2);
-}
-
 TEST(RemapPlanTest, DiagonalAndControlOnlyRankUseNeverRemaps) {
   Circuit c(8);
   c.z(7).cphase(7, 6, 0.25).cx(7, 0).t(6).cz(6, 7);
@@ -477,47 +444,6 @@ TEST(RemapPlanTest, SweepsAvoidedNetsOutRemapCost) {
   EXPECT_EQ(program.stats.sweeps_avoided, 3u);
 }
 
-TEST(RemapPlanTest, UnrelabeledSwapNeverEvictsItsOwnPartner) {
-  // With relabeling off, a rank-spanning SWAP forces its rank qubit into
-  // the offset segment; the evicted resident must never be the swap's
-  // other qubit (that would hand the CX legs the cost just saved), even
-  // when that qubit is the coldest candidate.
-  Circuit c(8);
-  c.swap(0, 7);  // qubit 0 is otherwise never used: coldest candidate
-  auto options = remap_options();
-  options.relabel_swaps = false;
-  const auto program =
-      plan_remaps(c, runtime::QubitMap::identity(8), options);
-  ASSERT_EQ(program.stats.remaps, 1u);
-  EXPECT_EQ(program.items[0].kind, qsim::RemapItem::Kind::kRemap);
-  EXPECT_EQ(program.items[0].remap.phys_hot, 7);
-  EXPECT_EQ(program.items[0].remap.phys_cold, 1)
-      << "victim must skip the swap partner at physical 0";
-  EXPECT_EQ(program.stats.swaps_relabeled, 0u);
-}
-
-TEST(RemapPlanTest, SwapWithNoEligibleVictimStaysAtRank) {
-  // A 1-qubit offset segment whose only resident is the swap's partner:
-  // no eviction is possible without self-defeat, so the leg stays at
-  // rank and no remap churns the map.
-  Circuit c(3);
-  c.swap(0, 2);
-  qsim::RemapOptions options;
-  options.enabled = true;
-  options.relabel_swaps = false;
-  options.num_qubits = 3;
-  options.offset_bits = 1;
-  options.block_bits = 1;
-  const auto program =
-      plan_remaps(c, runtime::QubitMap::identity(3), options);
-  EXPECT_EQ(program.stats.remaps, 0u);
-  const auto ops = program_ops(program);
-  ASSERT_EQ(ops.size(), 1u);
-  EXPECT_EQ(ops[0].kind, GateKind::kSwap);
-  EXPECT_EQ(ops[0].target, 0);
-  EXPECT_EQ(ops[0].controls[0], 2);
-}
-
 TEST(RemapPlanTest, RejectsInvalidInputs) {
   Circuit c(8);
   c.h(0);
@@ -528,18 +454,6 @@ TEST(RemapPlanTest, RejectsInvalidInputs) {
   bad.offset_bits = 0;
   EXPECT_THROW(plan_remaps(c, runtime::QubitMap::identity(8), bad),
                std::invalid_argument);
-  auto lru = remap_options();
-  lru.policy = qsim::RemapPolicy::kLru;
-  EXPECT_THROW(plan_remaps(c, runtime::QubitMap::identity(8), lru),
-               std::invalid_argument)
-      << "lru without recency state must be rejected";
-}
-
-TEST(RemapPlanTest, ParsePolicyNames) {
-  EXPECT_EQ(qsim::parse_remap_policy("lookahead"),
-            qsim::RemapPolicy::kLookahead);
-  EXPECT_EQ(qsim::parse_remap_policy("lru"), qsim::RemapPolicy::kLru);
-  EXPECT_THROW(qsim::parse_remap_policy("belady"), std::invalid_argument);
 }
 
 }  // namespace

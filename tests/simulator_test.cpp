@@ -418,21 +418,16 @@ TEST(QubitRemapTest, RemapMatchesSeedPerGatePathAndLruPolicy) {
     batched_reference.apply_circuit(test_case.circuit);
     const auto batched_expected = batched_reference.to_raw();
 
-    for (const char* policy : {"lookahead", "lru"}) {
-      for (const bool batching : {true, false}) {
-        SimConfig on = small_config(test_case.circuit.num_qubits());
-        on.enable_qubit_remap = true;
-        on.remap_policy = policy;
-        on.enable_run_batching = batching;
-        if (!batching) on.enable_fusion_prepass = false;
-        CompressedStateSimulator sim(on);
-        sim.apply_circuit(test_case.circuit);
-        CQS_EXPECT_STATES_CLOSE(
-            sim.to_raw(), batching ? batched_expected : per_gate_expected,
-            0.0)
-            << test_case.name << " policy=" << policy
-            << " batching=" << batching;
-      }
+    for (const bool batching : {true, false}) {
+      SimConfig on = small_config(test_case.circuit.num_qubits());
+      on.enable_qubit_remap = true;
+      on.enable_run_batching = batching;
+      if (!batching) on.enable_fusion_prepass = false;
+      CompressedStateSimulator sim(on);
+      sim.apply_circuit(test_case.circuit);
+      CQS_EXPECT_STATES_CLOSE(
+          sim.to_raw(), batching ? batched_expected : per_gate_expected, 0.0)
+          << test_case.name << " batching=" << batching;
     }
   }
 }
@@ -545,12 +540,6 @@ TEST(QubitRemapTest, AdHocApplyAndResumeTranslateThroughTheMap) {
   remapped.apply({GateKind::kCX, 6, {7, -1}});
   plain.apply({GateKind::kCX, 6, {7, -1}});
   CQS_EXPECT_STATES_CLOSE(remapped.to_raw(), plain.to_raw(), 0.0);
-}
-
-TEST(QubitRemapTest, RejectsUnknownRemapPolicy) {
-  SimConfig config = small_config(8);
-  config.remap_policy = "clairvoyant";
-  EXPECT_THROW(CompressedStateSimulator{config}, std::invalid_argument);
 }
 
 }  // namespace
