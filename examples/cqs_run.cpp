@@ -12,7 +12,6 @@
 //     --fuse             apply single-qubit gate fusion first (the run
 //                        scheduler also fuses internally by default)
 //     --no-batching      disable the block-local gate-run scheduler
-//     --max-run N        cap scheduled ops per gate run (0 = unlimited)
 //     --checkpoint PATH  save a checkpoint at the end
 //     --samples N        print N sampled basis states
 //     --wire NAME        transport: loopback | socket (socket forks one OS
@@ -80,7 +79,7 @@ namespace {
   std::fprintf(stderr,
                "usage: %s <circuit-file> [--ranks N] [--blocks N] "
                "[--codec NAME] [--policy fixed|adaptive] [--budget-frac F] "
-               "[--fuse] [--no-batching] [--max-run N] [--checkpoint PATH] "
+               "[--fuse] [--no-batching] [--checkpoint PATH] "
                "[--samples N] [--remap] "
                "[--wire loopback|socket] [--timeout-ms N] "
                "[--endpoint local|tcp] [--spill PATH] [--resident-frac F] "
@@ -132,9 +131,6 @@ int main(int argc, char** argv) try {
       fuse = true;
     } else if (arg == "--no-batching") {
       config.enable_run_batching = false;
-    } else if (arg == "--max-run") {
-      config.max_run_length =
-          static_cast<std::size_t>(std::atoll(next()));
     } else if (arg == "--checkpoint") {
       checkpoint_path = next();
     } else if (arg == "--samples") {

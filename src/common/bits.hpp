@@ -196,14 +196,36 @@ inline void write_bitmask(Bytes& out, const std::vector<bool>& mask) {
 }
 
 /// Reverses write_bitmask into `mask` (capacity reused), advancing
-/// `offset` past the padded final byte.
+/// `offset` past the padded final byte. The stored count must equal
+/// `expected`, the caller's element count, and its bits must fit in the
+/// bytes left; any other claim throws before the mask is sized from it.
 inline void read_bitmask(ByteSpan in, std::size_t& offset,
-                         std::vector<bool>& mask) {
+                         std::vector<bool>& mask, std::uint64_t expected) {
   const std::uint64_t n = get_varint(in, offset);
+  if (n != expected) {
+    throw std::runtime_error("cqs: bitmask count differs from the block's");
+  }
+  if ((n + 7) / 8 > in.size() - offset) {
+    throw std::runtime_error("cqs: bitmask truncated");
+  }
   mask.assign(n, false);
   BitReader reader(in.subspan(offset));
   for (std::uint64_t i = 0; i < n; ++i) mask[i] = reader.read_bit() != 0;
   offset += (reader.position() + 7) / 8;
+}
+
+/// Reads the varint count of a run of doubles that follows it, throwing
+/// unless the count is at most `limit` (the caller's element count) and
+/// the doubles fit in the bytes left, so a forged count never sizes a
+/// buffer. Shared by the sz and zfp side channels.
+inline std::uint64_t read_double_count(ByteSpan in, std::size_t& offset,
+                                       std::uint64_t limit) {
+  const std::uint64_t n = get_varint(in, offset);
+  if (n > limit || n > (in.size() - offset) / sizeof(double)) {
+    throw std::runtime_error(
+        "cqs: value count exceeds the block or the stream");
+  }
+  return n;
 }
 
 }  // namespace cqs

@@ -75,13 +75,9 @@ struct SimConfig {
   /// gates whose targets and controls all fall in the offset segment, and
   /// each block pays one decompress -> apply-run -> recompress round (and,
   /// at a lossy level, one fidelity pass) per run instead of per gate.
+  /// Under a memory budget runs stop at 16 ops, so ladder escalation stays
+  /// responsive mid-stretch.
   bool enable_run_batching = true;
-
-  /// Cap on scheduled ops per run (0 = unlimited). Shorter runs mean more
-  /// frequent memory-budget checks between codec passes; when a memory
-  /// budget is set and this is 0, the simulator caps runs at 16 ops so
-  /// ladder escalation stays responsive mid-stretch.
-  std::size_t max_run_length = 0;
 
   /// Compose fuse_single_qubit_gates as a scheduler pre-pass (only takes
   /// effect when enable_run_batching is on; the per-gate path applies

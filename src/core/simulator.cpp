@@ -1,6 +1,7 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -36,25 +37,8 @@ inline std::complex<double>* as_complex(std::span<double> raw) {
   return reinterpret_cast<std::complex<double>*>(raw.data());
 }
 
-/// Applies one offset-segment kernel to a decompressed block: the
-/// diagonal multiply or the classic strided pairs (Figure 1), restricted
-/// to amplitudes whose offset-segment control bits are all set. Shared by
-/// the single-gate path and the run executor; the hot loops themselves
-/// live in qsim/gates.cpp behind runtime backend dispatch.
-void apply_offset_kernel(Amplitude* amps, std::uint64_t count,
-                         const Mat2& m, bool diagonal,
-                         std::uint64_t target_bit, std::uint64_t ctrl,
-                         qsim::KernelBackend backend) {
-  if (diagonal) {
-    qsim::diag_kernel(amps, count, m, target_bit, ctrl, backend);
-  } else {
-    qsim::mix_kernel(amps, count, m, target_bit, ctrl, backend);
-  }
-}
-
 /// Cache-key descriptor of one gate: identity + placement + compression
-/// level. Shared by the single-gate routing and the run planner so a
-/// length-one run and a single gate describe the op identically.
+/// level. Unit-op lists and pair sweeps key their ops with it.
 void append_gate_descriptor(Bytes& out, const GateOp& op, int level) {
   out.push_back(static_cast<std::byte>(op.kind));
   put_varint(out, static_cast<std::uint64_t>(op.target));
@@ -62,6 +46,14 @@ void append_gate_descriptor(Bytes& out, const GateOp& op, int level) {
   put_varint(out, static_cast<std::uint64_t>(op.controls[1] + 1));
   for (double p : op.params) put_scalar(out, p);
   out.push_back(static_cast<std::byte>(level));
+}
+
+/// SWAP(a, b) = CX(a,b) CX(b,a) CX(a,b); SWAP keeps b in controls[0].
+std::array<GateOp, 3> swap_legs(const GateOp& op) {
+  const int a = op.target;
+  const int b = op.controls[0];
+  return {GateOp{GateKind::kCX, b, {a, -1}}, GateOp{GateKind::kCX, a, {b, -1}},
+          GateOp{GateKind::kCX, b, {a, -1}}};
 }
 
 /// Sum of |a_k|^2 over one decoded block.
@@ -81,10 +73,12 @@ double add_in_order(const std::vector<double>& sums) {
 
 }  // namespace
 
-/// Resolved routing of one gate against the partition: where the target
-/// and each control fall (Figure 3's three segments), the materialized
-/// unitary, and the cache-key descriptor.
-struct CompressedStateSimulator::GateRouting {
+/// One op resolved against the partition (Figure 3's three segments): its
+/// unitary, where its target falls, and its control masks per segment. An
+/// op that pairs no blocks runs on one block at a time as a unit kernel:
+/// the matrix on an offset target bit, or, for a diagonal with a block- or
+/// rank-segment target, the factor that bit picks for the whole block.
+struct CompressedStateSimulator::GateKernel {
   Mat2 m{};
   bool diagonal = false;
   Partition::Segment target_segment = Partition::Segment::kOffset;
@@ -92,25 +86,42 @@ struct CompressedStateSimulator::GateRouting {
   std::uint64_t offset_ctrl_mask = 0;
   int block_ctrl_mask = 0;
   int rank_ctrl_mask = 0;
-  int level = 0;
-  Bytes descriptor;
-};
 
-/// Resolved execution plan of one block-local gate run: every kernel acts
-/// purely on offset-segment bits, so the same plan sweeps every block and
-/// each block pays a single decompress/recompress round for the whole run.
-struct CompressedStateSimulator::RunPlan {
-  struct Kernel {
-    Mat2 m{};
-    bool diagonal = false;
-    std::uint64_t target_bit = 0;  ///< 1 << offset-local target bit
-    std::uint64_t ctrl_mask = 0;   ///< offset-segment control bits
-  };
-  std::vector<Kernel> kernels;
-  /// Per-gate cache descriptors (kind/placement/params/level) — the run's
-  /// cache identity via BlockCache::make_run_key.
-  std::vector<Bytes> descriptors;
-  int level = 0;
+  bool controls_hold(int rank, int block) const {
+    return (rank & rank_ctrl_mask) == rank_ctrl_mask &&
+           (block & block_ctrl_mask) == block_ctrl_mask;
+  }
+  /// Block- or rank-target diagonal: the target bit of the unit's index,
+  /// which picks the factor for the whole block.
+  int factor_bit(int rank, int block) const {
+    const int index =
+        target_segment == Partition::Segment::kBlock ? block : rank;
+    return (index >> target_local_bit) & 1;
+  }
+  Amplitude block_factor(int rank, int block) const {
+    return factor_bit(rank, block) != 0 ? m.u11 : m.u00;
+  }
+  /// Whether the kernel can change the block: its controls hold there and,
+  /// for a diagonal, its factor there is not exactly 1.
+  bool acts_on(int rank, int block) const {
+    if (!controls_hold(rank, block)) return false;
+    if (!diagonal) return true;
+    const Amplitude one(1.0, 0.0);
+    if (target_segment == Partition::Segment::kOffset) {
+      return m.u00 != one || m.u11 != one;
+    }
+    return block_factor(rank, block) != one;
+  }
+  /// What the kernel does to the block, for its cache key: 0 when its
+  /// controls fail, else 1, plus the factor bit of a block- or rank-target
+  /// diagonal. An offset kernel's factor bit varies within the block, so
+  /// it stays out of the key.
+  std::uint64_t selection(int rank, int block) const {
+    if (!controls_hold(rank, block)) return 0;
+    return target_segment == Partition::Segment::kOffset
+               ? 1
+               : 1 + static_cast<std::uint64_t>(factor_bit(rank, block));
+  }
 };
 
 /// One single-block unit task for run_units: how to identify the unit in
@@ -388,11 +399,6 @@ void CompressedStateSimulator::decompress_payload(
   }
 }
 
-qsim::GateOp CompressedStateSimulator::to_physical(
-    const qsim::GateOp& op) const {
-  return qsim::translated_through(op, map_);
-}
-
 void CompressedStateSimulator::apply_remap(const qsim::RemapStep& step) {
   if (partition_.segment_of(step.phys_hot) != Partition::Segment::kRank ||
       partition_.segment_of(step.phys_cold) != Partition::Segment::kOffset) {
@@ -431,7 +437,7 @@ void CompressedStateSimulator::apply_remap(const qsim::RemapStep& step) {
 void CompressedStateSimulator::apply(const GateOp& op) {
   // Ad-hoc gates arrive in logical indices like everything else; rewrite
   // through the layout (no remap planning for a single gate).
-  apply_single_counted(map_.is_identity() ? op : to_physical(op));
+  apply_single_counted(qsim::translated_through(op, map_));
   // An ad-hoc gate diverges the state from whatever circuit the cursor
   // described, so the recorded resume position is void.
   gate_cursor_ = 0;
@@ -490,30 +496,11 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
   const auto& ops = circuit.ops();
   if (gate_cursor_ >= end) return;
 
-  // The remap pre-pass must run whenever the layout is non-identity (ops
-  // arrive in logical indices and the blocks are stored physically), not
-  // just when remapping is on — resuming a remapped checkpoint with
-  // remapping disabled still needs every gate rewritten.
-  const bool remap_path = config_.enable_qubit_remap || !map_.is_identity();
-
-  if (!remap_path && !config_.enable_run_batching) {
-    for (std::uint64_t i = gate_cursor_; i < end; ++i) {
-      apply_single_counted(ops[i]);
-      gate_cursor_ = i + 1;
-    }
-    return;
-  }
-
   // Schedule only the unapplied slice so fused ops and runs never span
   // the resume point, keeping the cursor exact in source-gate units.
-  qsim::Circuit suffix(circuit.num_qubits());
+  qsim::Circuit slice(circuit.num_qubits());
   for (std::size_t i = gate_cursor_; i < end; ++i) {
-    suffix.append(ops[i]);
-  }
-
-  if (!remap_path) {
-    run_segment(suffix);
-    return;
+    slice.append(ops[i]);
   }
 
   // Fuse BEFORE planning (instead of per scheduled segment) so remap
@@ -524,10 +511,12 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
       config_.enable_run_batching && config_.enable_fusion_prepass;
   std::vector<std::size_t> origins;
   qsim::Circuit planned = fuse ? qsim::fuse_single_qubit_gates(
-                                     suffix, nullptr, &origins)
-                               : std::move(suffix);
+                                     slice, nullptr, &origins)
+                               : std::move(slice);
   if (!fuse) origins.assign(planned.size(), 1);
 
+  // With remapping off the planner only rewrites ops through the map,
+  // which is the identity unless a remapped checkpoint was restored.
   qsim::RemapOptions remap_options;
   remap_options.enabled = config_.enable_qubit_remap;
   remap_options.num_qubits = config_.num_qubits;
@@ -560,7 +549,7 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
         gate_cursor_ += item.relabel_source_gates;
         break;
       case qsim::RemapItem::Kind::kGates:
-        run_segment(item.ops, &item.source_gates);
+        run_segment(item.ops, item.source_gates);
         break;
     }
   }
@@ -568,44 +557,37 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
 
 void CompressedStateSimulator::run_segment(
     const qsim::Circuit& segment,
-    const std::vector<std::size_t>* origin_counts) {
+    const std::vector<std::size_t>& origin_counts) {
   if (!config_.enable_run_batching) {
     for (std::size_t i = 0; i < segment.ops().size(); ++i) {
       apply_single_counted(segment.ops()[i]);
-      gate_cursor_ +=
-          origin_counts != nullptr ? (*origin_counts)[i] : 1;
+      gate_cursor_ += origin_counts[i];
     }
     return;
   }
 
   qsim::SchedulerOptions options;
   options.intra_qubits = partition_.offset_bits;
-  options.max_run_length = config_.max_run_length;
   // Budget enforcement (and peak accounting) happens between runs, so an
   // unlimited run would defer Section 3.7's ladder escalation for a whole
-  // block-local stretch; under a budget, bound the deferral unless the
-  // caller pinned a cap themselves.
+  // block-local stretch; under a budget, bound the deferral.
   constexpr std::size_t kBudgetedRunCap = 16;
-  if (config_.memory_budget_bytes > 0 && options.max_run_length == 0) {
-    options.max_run_length = kBudgetedRunCap;
-  }
-  options.fuse = config_.enable_fusion_prepass;
+  options.max_run_length =
+      config_.memory_budget_bytes > 0 ? kBudgetedRunCap : 0;
   const qsim::Schedule schedule =
-      qsim::build_schedule(segment, options, origin_counts);
+      qsim::build_schedule(segment, options, &origin_counts);
+  const std::span<const GateOp> ops = schedule.circuit().ops();
 
   for (const qsim::GateRun& run : schedule.runs()) {
     WallTimer timer;
     if (run.block_local) {
-      apply_run(schedule.circuit(), run);
+      apply_unit_ops(ops.subspan(run.first, run.count));
       ++batched_runs_;
       batched_gates_ += run.count;
-      gates_ += run.source_gates;
     } else {
-      for (std::size_t i = 0; i < run.count; ++i) {
-        apply_impl(schedule.circuit().ops()[run.first + i]);
-      }
-      gates_ += run.source_gates;
+      apply_impl(ops[run.first]);
     }
+    gates_ += run.source_gates;
     gate_cursor_ += run.source_gates;
     note_gate_finished(timer.seconds());
   }
@@ -613,44 +595,42 @@ void CompressedStateSimulator::run_segment(
 
 void CompressedStateSimulator::apply_impl(const GateOp& op) {
   if (op.kind == GateKind::kSwap) {
-    // SWAP = CX(a,b) CX(b,a) CX(a,b); reuses the pairing machinery.
-    const int a = op.target;
-    const int b = op.controls[0];
-    apply_impl({GateKind::kCX, b, {a, -1}});
-    apply_impl({GateKind::kCX, a, {b, -1}});
-    apply_impl({GateKind::kCX, b, {a, -1}});
+    // Each leg routes on its own, so a SWAP reuses the pairing machinery.
+    for (const GateOp& leg : swap_legs(op)) apply_impl(leg);
     return;
   }
+  // Figure 3: only a non-diagonal gate whose target lies in the block or
+  // rank segment pairs amplitudes across blocks.
+  if (!qsim::is_diagonal(op.kind) &&
+      partition_.segment_of(op.target) != Partition::Segment::kOffset) {
+    run_pair_target(op);
+  } else {
+    apply_unit_ops({&op, 1});
+  }
+}
 
-  GateRouting routing;
-  routing.m = qsim::gate_matrix(op);
-  routing.diagonal = qsim::is_diagonal(op.kind);
-  routing.target_segment = partition_.segment_of(op.target);
-  routing.target_local_bit = partition_.local_bit(op.target);
-  routing.level = level_;
+CompressedStateSimulator::GateKernel CompressedStateSimulator::resolve_kernel(
+    const GateOp& op) const {
+  GateKernel kernel;
+  kernel.m = qsim::gate_matrix(op);
+  kernel.diagonal = qsim::is_diagonal(op.kind);
+  kernel.target_segment = partition_.segment_of(op.target);
+  kernel.target_local_bit = partition_.local_bit(op.target);
   for (int c : op.controls) {
     if (c < 0) continue;
     switch (partition_.segment_of(c)) {
       case Partition::Segment::kOffset:
-        routing.offset_ctrl_mask |= std::uint64_t{1} << partition_.local_bit(c);
+        kernel.offset_ctrl_mask |= std::uint64_t{1} << partition_.local_bit(c);
         break;
       case Partition::Segment::kBlock:
-        routing.block_ctrl_mask |= 1 << partition_.local_bit(c);
+        kernel.block_ctrl_mask |= 1 << partition_.local_bit(c);
         break;
       case Partition::Segment::kRank:
-        routing.rank_ctrl_mask |= 1 << partition_.local_bit(c);
+        kernel.rank_ctrl_mask |= 1 << partition_.local_bit(c);
         break;
     }
   }
-  append_gate_descriptor(routing.descriptor, op, routing.level);
-
-  if (routing.diagonal) {
-    record_lossy_pass(run_diagonal(routing));
-  } else if (routing.target_segment == Partition::Segment::kOffset) {
-    record_lossy_pass(run_offset_target(routing));
-  } else {
-    record_lossy_pass(run_pair_target(routing));
-  }
+  return kernel;
 }
 
 void CompressedStateSimulator::record_lossy_pass(std::uint64_t lossy_blocks) {
@@ -663,128 +643,98 @@ void CompressedStateSimulator::record_lossy_pass(std::uint64_t lossy_blocks) {
   }
 }
 
-bool CompressedStateSimulator::controls_satisfied_block(
-    const GateRouting& routing, int rank, int block) const {
-  return (rank & routing.rank_ctrl_mask) == routing.rank_ctrl_mask &&
-         (block & routing.block_ctrl_mask) == routing.block_ctrl_mask;
-}
-
-std::uint64_t CompressedStateSimulator::run_offset_target(
-    const GateRouting& routing) {
+void CompressedStateSimulator::apply_unit_ops(std::span<const GateOp> ops) {
+  std::vector<Bytes> descriptors(ops.size());
+  std::vector<GateKernel> kernels;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    append_gate_descriptor(descriptors[i], ops[i], level_);
+    if (ops[i].kind == GateKind::kSwap) {
+      for (const GateOp& leg : swap_legs(ops[i])) {
+        kernels.push_back(resolve_kernel(leg));
+      }
+    } else {
+      kernels.push_back(resolve_kernel(ops[i]));
+    }
+  }
+  // Blocks no kernel can change are skipped without decompression. The
+  // rest go in rank-major order, the list run_units advises readahead from.
   std::vector<std::pair<int, int>> units;
   for (int r = 0; r < partition_.num_ranks(); ++r) {
     for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
-      if (controls_satisfied_block(routing, r, b)) units.emplace_back(r, b);
+      if (std::ranges::any_of(kernels, [&](const GateKernel& kernel) {
+            return kernel.acts_on(r, b);
+          })) {
+        units.emplace_back(r, b);
+      }
     }
   }
   UnitSpec spec;
-  spec.level = routing.level;
+  spec.level = level_;
   spec.make_key = [&](int rank, int block) {
     const auto& store = ranks_[rank];
-    return runtime::BlockCache::make_key(routing.descriptor,
-                                         store.payload_view(block), {},
-                                         store.meta(block).codec, 0,
-                                         map_generation_);
+    std::uint64_t key = runtime::BlockCache::make_run_key(
+        descriptors, store.payload_view(block), store.meta(block).codec,
+        map_generation_);
+    for (const GateKernel& kernel : kernels) {
+      key = fnv1a_u64(kernel.selection(rank, block), key);
+    }
+    return key;
   };
-  spec.compute = [&](Amplitude* amps, std::uint64_t count, int, int) {
-    apply_offset_kernel(amps, count, routing.m, routing.diagonal,
-                        std::uint64_t{1} << routing.target_local_bit,
-                        routing.offset_ctrl_mask, backend_);
+  spec.compute = [&](Amplitude* amps, std::uint64_t count, int rank,
+                     int block) {
+    // Every kernel whose controls hold runs, identity diagonals included:
+    // a complex multiply by 1 can turn -0 into +0, so skipping it would
+    // change the stored bytes.
+    for (const GateKernel& kernel : kernels) {
+      if (!kernel.controls_hold(rank, block)) continue;
+      const std::uint64_t target_bit = std::uint64_t{1}
+                                       << kernel.target_local_bit;
+      if (kernel.target_segment != Partition::Segment::kOffset) {
+        qsim::scale_kernel(amps, count, kernel.block_factor(rank, block),
+                           kernel.offset_ctrl_mask, backend_);
+      } else if (kernel.diagonal) {
+        qsim::diag_kernel(amps, count, kernel.m, target_bit,
+                          kernel.offset_ctrl_mask, backend_);
+      } else {
+        qsim::mix_kernel(amps, count, kernel.m, target_bit,
+                         kernel.offset_ctrl_mask, backend_);
+      }
+    }
   };
-  return run_units(units, spec);
+  // Each block pays one recompression for the whole list, so the fidelity
+  // ledger records one lossy pass, not one per op (Eq. 11 tightens to
+  // F >= (1 - delta)^runs).
+  record_lossy_pass(run_units(units, spec));
 }
 
-std::uint64_t CompressedStateSimulator::run_pair_target(
-    const GateRouting& routing) {
+void CompressedStateSimulator::run_pair_target(const GateOp& op) {
+  const GateKernel kernel = resolve_kernel(op);
+  Bytes descriptor;
+  append_gate_descriptor(descriptor, op, level_);
   // The target bit pairs each amplitude with one in another block: the
   // partner block on the same rank (block segment) or the same block on
   // the partner rank (rank segment). Units are the target-bit-0 sides.
   const bool rank_target =
-      routing.target_segment == Partition::Segment::kRank;
-  const int tb = routing.target_local_bit;
+      kernel.target_segment == Partition::Segment::kRank;
+  const int tb = kernel.target_local_bit;
   std::vector<std::pair<int, int>> units;
   for (int r = 0; r < partition_.num_ranks(); ++r) {
     if (rank_target && ((r >> tb) & 1)) continue;
-    if ((r & routing.rank_ctrl_mask) != routing.rank_ctrl_mask) continue;
     for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
       if (!rank_target && ((b >> tb) & 1)) continue;
-      if ((b & routing.block_ctrl_mask) != routing.block_ctrl_mask) continue;
-      units.emplace_back(r, b);
+      if (kernel.controls_hold(r, b)) units.emplace_back(r, b);
     }
   }
   PairSpec spec;
-  spec.level = routing.level;
+  spec.level = level_;
   spec.partner_rank_bit = rank_target ? 1 << tb : 0;
   spec.partner_block_bit = rank_target ? 0 : 1 << tb;
-  spec.descriptor = &routing.descriptor;
+  spec.descriptor = &descriptor;
   spec.compute = [&](Amplitude* a, Amplitude* b, std::uint64_t count) {
-    qsim::pair_kernel(a, b, count, routing.m, routing.offset_ctrl_mask,
+    qsim::pair_kernel(a, b, count, kernel.m, kernel.offset_ctrl_mask,
                       backend_);
   };
-  return run_pairs(units, spec);
-}
-
-std::uint64_t CompressedStateSimulator::run_diagonal(
-    const GateRouting& routing) {
-  // Diagonal gates never mix amplitude pairs, so every unit is a single
-  // block regardless of which segment the target lives in. Blocks whose
-  // diagonal factor is exactly 1 are skipped without decompression.
-  const Amplitude one(1.0, 0.0);
-  std::vector<std::pair<int, int>> units;
-  for (int r = 0; r < partition_.num_ranks(); ++r) {
-    for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
-      if (!controls_satisfied_block(routing, r, b)) continue;
-      if (routing.target_segment == Partition::Segment::kBlock) {
-        const int bit = (b >> routing.target_local_bit) & 1;
-        if ((bit ? routing.m.u11 : routing.m.u00) == one) continue;
-      } else if (routing.target_segment == Partition::Segment::kRank) {
-        const int bit = (r >> routing.target_local_bit) & 1;
-        if ((bit ? routing.m.u11 : routing.m.u00) == one) continue;
-      } else if (routing.m.u00 == one && routing.m.u11 == one) {
-        continue;  // identity
-      }
-      units.emplace_back(r, b);
-    }
-  }
-  UnitSpec spec;
-  spec.level = routing.level;
-  spec.make_key = [&](int rank, int block) {
-    // The diagonal factor is selected by the target bit of the unit's
-    // block/rank index; make that selection part of the cache identity.
-    std::uint64_t salt = 0;
-    if (routing.target_segment == Partition::Segment::kBlock) {
-      salt = 1 + ((static_cast<unsigned>(block) >> routing.target_local_bit) &
-                  1);
-    } else if (routing.target_segment == Partition::Segment::kRank) {
-      salt = 1 + ((static_cast<unsigned>(rank) >> routing.target_local_bit) &
-                  1);
-    }
-    const auto& store = ranks_[rank];
-    return fnv1a_u64(salt,
-                     runtime::BlockCache::make_key(
-                         routing.descriptor, store.payload_view(block), {},
-                         store.meta(block).codec, 0, map_generation_));
-  };
-  spec.compute = [&](Amplitude* amps, std::uint64_t count, int rank,
-                     int block) {
-    const std::uint64_t ctrl = routing.offset_ctrl_mask;
-    if (routing.target_segment != Partition::Segment::kOffset) {
-      // The diagonal factor is constant across the block, selected by the
-      // unit's block/rank index bit.
-      const int index = routing.target_segment == Partition::Segment::kBlock
-                            ? block
-                            : rank;
-      const Amplitude factor =
-          ((index >> routing.target_local_bit) & 1) ? routing.m.u11
-                                                    : routing.m.u00;
-      qsim::scale_kernel(amps, count, factor, ctrl, backend_);
-    } else {
-      qsim::diag_kernel(amps, count, routing.m,
-                        std::uint64_t{1} << routing.target_local_bit, ctrl,
-                        backend_);
-    }
-  };
-  return run_units(units, spec);
+  record_lossy_pass(run_pairs(units, spec));
 }
 
 // --- Block executors: every sweep that rewrites blocks runs through one ---
@@ -950,74 +900,6 @@ std::uint64_t CompressedStateSimulator::run_pairs(
     store_block(rank_b, block_b, std::move(payload_b), meta_b);
   });
   return lossy_blocks.load(std::memory_order_relaxed);
-}
-
-CompressedStateSimulator::RunPlan CompressedStateSimulator::build_run_plan(
-    const qsim::Circuit& circuit, const qsim::GateRun& run) const {
-  RunPlan plan;
-  plan.level = level_;
-  plan.kernels.reserve(run.count);
-  plan.descriptors.reserve(run.count);
-  const auto& ops = circuit.ops();
-  for (std::size_t i = 0; i < run.count; ++i) {
-    const GateOp& op = ops[run.first + i];
-    Bytes descriptor;
-    append_gate_descriptor(descriptor, op, plan.level);
-    plan.descriptors.push_back(std::move(descriptor));
-
-    auto offset_bit = [](int qubit) {
-      // Block-local gates live entirely in the offset segment, where the
-      // local bit position equals the qubit index.
-      return std::uint64_t{1} << qubit;
-    };
-    if (op.kind == GateKind::kSwap) {
-      // SWAP = CX(a,b) CX(b,a) CX(a,b), all intra-block here.
-      const int a = op.target;
-      const int b = op.controls[0];
-      const Mat2 x = qsim::gate_matrix({GateKind::kX, 0});
-      plan.kernels.push_back({x, false, offset_bit(b), offset_bit(a)});
-      plan.kernels.push_back({x, false, offset_bit(a), offset_bit(b)});
-      plan.kernels.push_back({x, false, offset_bit(b), offset_bit(a)});
-      continue;
-    }
-    RunPlan::Kernel kernel;
-    kernel.m = qsim::gate_matrix(op);
-    kernel.diagonal = qsim::is_diagonal(op.kind);
-    kernel.target_bit = offset_bit(op.target);
-    for (int c : op.controls) {
-      if (c >= 0) kernel.ctrl_mask |= offset_bit(c);
-    }
-    plan.kernels.push_back(kernel);
-  }
-  return plan;
-}
-
-void CompressedStateSimulator::apply_run(const qsim::Circuit& circuit,
-                                         const qsim::GateRun& run) {
-  const RunPlan plan = build_run_plan(circuit, run);
-  // The scheduler already knows the full future block order of the run —
-  // that is exactly the list run_units advises readahead from.
-  const std::vector<std::pair<int, int>> units = qsim::run_block_order(
-      partition_.num_ranks(), partition_.blocks_per_rank());
-  UnitSpec spec;
-  spec.level = plan.level;
-  spec.make_key = [&](int rank, int block) {
-    const auto& store = ranks_[rank];
-    return runtime::BlockCache::make_run_key(plan.descriptors,
-                                             store.payload_view(block),
-                                             store.meta(block).codec,
-                                             map_generation_);
-  };
-  spec.compute = [&](Amplitude* amps, std::uint64_t count, int, int) {
-    for (const RunPlan::Kernel& kernel : plan.kernels) {
-      apply_offset_kernel(amps, count, kernel.m, kernel.diagonal,
-                          kernel.target_bit, kernel.ctrl_mask, backend_);
-    }
-  };
-  // The whole run cost each block one recompression, so the fidelity
-  // ledger records one lossy pass — not one per gate (Eq. 11 tightens to
-  // F >= (1 - delta)^runs).
-  record_lossy_pass(run_units(units, spec));
 }
 
 void CompressedStateSimulator::note_gate_finished(double gate_seconds) {

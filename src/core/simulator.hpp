@@ -2,24 +2,27 @@
 // and 4): a Schrödinger-style full-state simulator whose state vector
 // lives in independently compressed blocks spread across logical ranks.
 //
-// Per gate, at most two blocks per worker are decompressed into
-// pre-allocated scratch (the MCDRAM discipline of Figure 2), the 2x2
-// unitary is applied to the amplitude pairs selected by the target qubit's
-// index segment (Figure 3), and the blocks are recompressed. Runs of
-// consecutive block-local gates (targets and controls all in the offset
-// segment) are batched by the gate-run scheduler (qsim/scheduler.hpp) so
-// each block pays one codec round — and one lossy fidelity pass — per run
-// instead of per gate. A hybrid
-// compression policy starts lossless (Zstd stand-in) and escalates through
-// a pointwise-relative error-bound ladder whenever the configured memory
-// budget is exceeded (Section 3.7), while a fidelity lower bound
-// F >= prod (1 - delta_i) is maintained (Section 3.8).
+// Per sweep, at most two blocks per worker are decompressed into
+// pre-allocated scratch (the MCDRAM discipline of Figure 2), the gate's
+// 2x2 unitary is applied where its target qubit's index segment puts the
+// amplitude pairs (Figure 3), and the blocks are recompressed. Only a
+// non-diagonal gate whose target is in the block or rank segment pairs
+// blocks (run_pairs); every other gate acts on each block alone, as a
+// list of unit kernels on run_units. Runs of consecutive block-local gates
+// (targets and controls all in the offset segment) are batched by the
+// gate-run scheduler (qsim/scheduler.hpp) into one such list, so each
+// block pays one codec round — and one lossy fidelity pass — per run
+// instead of per gate. A hybrid compression policy starts lossless (Zstd
+// stand-in) and escalates through a pointwise-relative error-bound ladder
+// whenever the configured memory budget is exceeded (Section 3.7), while a
+// fidelity lower bound F >= prod (1 - delta_i) is maintained (Section 3.8).
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -158,10 +161,9 @@ class CompressedStateSimulator {
   const runtime::Comm& comm() const { return *comm_; }
 
  private:
-  struct GateRouting;  // resolved target/control segmentation
-  struct RunPlan;      // resolved kernels + cache identity of one gate run
-  struct UnitSpec;     // one single-block unit task (cache id + kernels)
-  struct PairSpec;     // one block-pair task (partner, cache id, kernel)
+  struct GateKernel;  // one op resolved against the three index segments
+  struct UnitSpec;    // one single-block unit task (cache id + kernels)
+  struct PairSpec;    // one block-pair task (partner, cache id, kernel)
 
   /// Copyable relaxed counter so the simulator stays movable (checkpoint
   /// load returns by value) while workers bump it concurrently.
@@ -220,31 +222,34 @@ class CompressedStateSimulator {
   /// (fusion emits buffered single-qubit runs out of source order), so
   /// they are the only places an autosave may cut.
   void run_from_cursor(const qsim::Circuit& circuit);
-  /// One chunk of run_from_cursor: applies ops [gate_cursor_, end) —
-  /// through the qubit-remap pre-pass whenever remapping is on or the
-  /// layout is already non-identity — batched through the gate-run
-  /// scheduler when enabled, advancing the cursor in source-gate units.
+  /// One chunk of run_from_cursor: slices ops [gate_cursor_, end), fuses
+  /// them once when batching and fusion are on, plans them through the
+  /// qubit-remap pre-pass (with remapping off it only rewrites ops through
+  /// the map) and hands each gate stretch to run_segment.
   void run_source_range(const qsim::Circuit& circuit, std::size_t end);
   /// Applies one contiguous stretch of already-physical ops, batched or
-  /// per-gate, advancing the cursor. `origin_counts` carries per-op
-  /// source-gate weights when the ops were fused before planning (null =
-  /// every op weighs 1 and the scheduler may fuse internally).
+  /// per-gate, advancing the cursor by each op's source-gate weight in
+  /// `origin_counts` (one entry per op).
   void run_segment(const qsim::Circuit& segment,
-                   const std::vector<std::size_t>* origin_counts = nullptr);
+                   const std::vector<std::size_t>& origin_counts);
   /// One physical exchange sweep trading a rank-segment position for an
   /// offset-segment position (the data half of a RemapOp; the caller
   /// mirrors the swap into map_). Runs on run_pairs.
   void apply_remap(const qsim::RemapStep& step);
-  /// `op` with its qubits rewritten into the current physical layout.
-  qsim::GateOp to_physical(const qsim::GateOp& op) const;
   void apply_single_counted(const qsim::GateOp& op);
 
+  /// One physical op: a SWAP splits into its three CX legs; an op that
+  /// pairs blocks goes to run_pair_target, any other to apply_unit_ops.
   void apply_impl(const qsim::GateOp& op);
-  /// One codec pass per block for a block-local gate run: decompress once,
-  /// apply every kernel in scratch, recompress once.
-  void apply_run(const qsim::Circuit& circuit, const qsim::GateRun& run);
-  RunPlan build_run_plan(const qsim::Circuit& circuit,
-                         const qsim::GateRun& run) const;
+  GateKernel resolve_kernel(const qsim::GateOp& op) const;
+  /// One codec pass per block for a list of ops that pair no blocks (a
+  /// scheduled run or a single op): skips the blocks no kernel changes,
+  /// decompresses each other block once, applies every kernel whose
+  /// controls hold there, recompresses once and records one lossy pass.
+  void apply_unit_ops(std::span<const qsim::GateOp> ops);
+  /// Block- or rank-segment target of a non-diagonal op: one run_pairs
+  /// sweep.
+  void run_pair_target(const qsim::GateOp& op);
 
   // --- Block executors: every sweep that rewrites blocks runs on one ---
 
@@ -277,11 +282,6 @@ class CompressedStateSimulator {
       const std::function<double(const qsim::Amplitude* amps,
                                  std::uint64_t count, int rank, int block)>&
           block_sum);
-  // Single-gate sweeps; each returns the lossy block count of its executor.
-  std::uint64_t run_diagonal(const GateRouting& routing);
-  std::uint64_t run_offset_target(const GateRouting& routing);
-  /// Block- or rank-segment target: one run_pairs sweep.
-  std::uint64_t run_pair_target(const GateRouting& routing);
 
   // --- Out-of-core tier maintenance (Section 3.7 extended: the resident
   // --- tier is what the Eq. 8 budget governs once spilling is on) ---
@@ -329,9 +329,6 @@ class CompressedStateSimulator {
   void maybe_autosave();
   /// True once a mid-run ENOSPC disabled the spill tier.
   bool degraded() const { return spill_degraded_.get() > 0; }
-
-  bool controls_satisfied_block(const GateRouting& routing, int rank,
-                                int block) const;
 
   /// One write-behind spill in flight: a pool job owns the payload handle
   /// and fills `segment`; the main thread commits (or discards) it at the

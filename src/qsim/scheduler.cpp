@@ -1,6 +1,5 @@
 #include "qsim/scheduler.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -40,28 +39,22 @@ Schedule build_schedule(const Circuit& circuit,
     throw std::invalid_argument(
         "build_schedule: origin counts must cover every op");
   }
-  FusionStats fusion;
   std::vector<std::size_t> origins;
   const bool fuse_here = options.fuse && origin_counts == nullptr;
   Schedule schedule(fuse_here
-                        ? fuse_single_qubit_gates(circuit, &fusion, &origins)
+                        ? fuse_single_qubit_gates(circuit, nullptr, &origins)
                         : circuit);
   if (origin_counts != nullptr) {
     origins = *origin_counts;
   } else if (!fuse_here) {
     origins.assign(circuit.size(), 1);
   }
-  schedule.stats_.fusion = fusion;
 
   const auto& ops = schedule.circuit_.ops();
   GateRun current;  // open block-local run (count == 0 when closed)
   auto close = [&] {
     if (current.count == 0) return;
     schedule.runs_.push_back(current);
-    ++schedule.stats_.block_local_runs;
-    schedule.stats_.batched_ops += current.count;
-    schedule.stats_.longest_run =
-        std::max(schedule.stats_.longest_run, current.count);
     current = GateRun{};
   };
 
@@ -83,7 +76,6 @@ Schedule build_schedule(const Circuit& circuit,
     schedule.runs_.push_back(GateRun{.first = i, .count = 1,
                                      .source_gates = origins[i],
                                      .block_local = false});
-    ++schedule.stats_.single_items;
   }
   close();
   return schedule;

@@ -48,14 +48,6 @@ struct GateRun {
   bool block_local = false;
 };
 
-struct ScheduleStats {
-  std::size_t block_local_runs = 0;  ///< items applied as one codec pass
-  std::size_t batched_ops = 0;       ///< scheduled ops inside those items
-  std::size_t single_items = 0;      ///< block/rank-segment items
-  std::size_t longest_run = 0;
-  FusionStats fusion;                ///< zeroed when options.fuse is false
-};
-
 /// True when every qubit `op` touches lies in the offset segment, so the
 /// gate can join a block-local run. SWAP qualifies when both of its qubits
 /// do (the simulator expands it into three intra-block CX applications).
@@ -66,7 +58,6 @@ class Schedule {
   /// The scheduled (post-fusion) circuit the run indices refer to.
   const Circuit& circuit() const { return circuit_; }
   const std::vector<GateRun>& runs() const { return runs_; }
-  const ScheduleStats& stats() const { return stats_; }
 
  private:
   friend Schedule build_schedule(const Circuit&, const SchedulerOptions&,
@@ -75,7 +66,6 @@ class Schedule {
 
   Circuit circuit_;
   std::vector<GateRun> runs_;
-  ScheduleStats stats_;
 };
 
 /// The future block order of one block-local run: every (rank, block)

@@ -99,10 +99,15 @@ void write_codes(Bytes& inner, std::span<const std::uint32_t> codes,
 }
 
 /// Reads the sections written by write_codes into the scratch vectors.
+/// `count` is the block's element count: one code per element, and at
+/// most one outlier per element.
 void read_codes(ByteSpan inner, std::size_t& offset, std::uint32_t bins,
-                compression::CodecScratch& scratch) {
+                std::uint64_t count, compression::CodecScratch& scratch) {
   scratch.huff_decoder.parse_table(inner, offset, bins);
   const std::uint64_t code_count = get_varint(inner, offset);
+  if (code_count != count) {
+    throw std::runtime_error("sz: code count mismatch");
+  }
   auto& codes = scratch.quant_codes;
   codes.resize(code_count);
   {
@@ -112,7 +117,7 @@ void read_codes(ByteSpan inner, std::size_t& offset, std::uint32_t bins,
     }
     offset += (reader.position() + 7) / 8;
   }
-  const std::uint64_t outlier_count = get_varint(inner, offset);
+  const std::uint64_t outlier_count = read_double_count(inner, offset, count);
   auto& outliers = scratch.outliers;
   outliers.resize(outlier_count);
   for (std::uint64_t i = 0; i < outlier_count; ++i) {
@@ -219,10 +224,7 @@ void SzCodec::decompress(ByteSpan compressed, std::span<double> out,
   Bytes& inner = scratch.inner;
   lossless::zx_decompress_into(compressed.subspan(offset), scratch.zx, inner);
   std::size_t pos = 0;
-  read_codes(inner, pos, bins, scratch);
-  if (scratch.quant_codes.size() != count) {
-    throw std::runtime_error("sz: code count mismatch");
-  }
+  read_codes(inner, pos, bins, count, scratch);
 
   if (!relative) {
     dequantize(scratch.quant_codes, scratch.outliers, quantum, bins, chains,
@@ -235,9 +237,9 @@ void SzCodec::decompress(ByteSpan compressed, std::span<double> out,
              logs);
   auto& negative = scratch.mask_a;
   auto& special = scratch.mask_b;
-  read_bitmask(inner, pos, negative);
-  read_bitmask(inner, pos, special);
-  const std::uint64_t special_count = get_varint(inner, pos);
+  read_bitmask(inner, pos, negative, count);
+  read_bitmask(inner, pos, special, count);
+  const std::uint64_t special_count = read_double_count(inner, pos, count);
   auto& special_values = scratch.special_values;
   special_values.resize(special_count);
   for (std::uint64_t i = 0; i < special_count; ++i) {

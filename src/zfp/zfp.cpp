@@ -567,9 +567,9 @@ void ZfpCodec::decompress(ByteSpan compressed, std::span<double> out,
   std::size_t pos = 0;
   auto& negative = scratch.mask_a;
   auto& special = scratch.mask_b;
-  read_bitmask(sides, pos, negative);
-  read_bitmask(sides, pos, special);
-  const std::uint64_t special_count = get_varint(sides, pos);
+  read_bitmask(sides, pos, negative, count);
+  read_bitmask(sides, pos, special, count);
+  const std::uint64_t special_count = read_double_count(sides, pos, count);
   auto& special_values = scratch.special_values;
   special_values.resize(special_count);
   for (std::uint64_t i = 0; i < special_count; ++i) {

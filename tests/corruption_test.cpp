@@ -8,13 +8,17 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
+#include "common/bits.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "compression/compressor.hpp"
+#include "lossless/huffman.hpp"
 #include "lossless/zx.hpp"
 #include "runtime/checkpoint.hpp"
 #include "test_util.hpp"
@@ -101,6 +105,143 @@ INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecCorruptionTest,
                            }
                            return name;
                          });
+
+// --- Side-stream counts of the relative-mode containers ------------------
+//
+// sz and zfp store sign and special-value bitmasks, special values and (sz)
+// quantization codes and outliers behind varint counts inside a zx stream.
+// A forged count must be rejected with a typed error before any buffer is
+// sized from it: never std::bad_alloc or std::length_error, and never a
+// silent decode.
+
+/// A relative-mode container split at the start of its zx side stream:
+/// `head` is everything before it, `sides` the decoded stream, and
+/// `counts` the offsets in `sides` of the varint counts a decoder reads.
+/// The first count of each codec holds the element count.
+struct SideStream {
+  Bytes head;
+  Bytes sides;
+  std::vector<std::pair<std::string, std::size_t>> counts;
+  std::uint64_t element_count = 0;
+};
+
+/// Records the two bitmasks and the special-value count starting at `pos`.
+void note_masks(SideStream& s, std::size_t pos) {
+  for (const char* name : {"negative mask", "special mask"}) {
+    s.counts.emplace_back(name, pos);
+    const std::uint64_t bits = get_varint(s.sides, pos);
+    pos += (bits + 7) / 8;
+  }
+  s.counts.emplace_back("special values", pos);
+}
+
+SideStream split_sz(const Bytes& container) {
+  SideStream s;
+  std::size_t offset = 3;
+  s.element_count = get_varint(container, offset);
+  const auto bins = static_cast<std::size_t>(get_varint(container, offset));
+  get_scalar<double>(container, offset);  // quantum
+  s.head.assign(container.begin(), container.begin() + offset);
+  s.sides = lossless::zx_decompress(ByteSpan(container).subspan(offset));
+  std::size_t pos = 0;
+  lossless::HuffmanDecoder decoder;
+  decoder.parse_table(s.sides, pos, bins);
+  s.counts.emplace_back("codes", pos);
+  const std::uint64_t codes = get_varint(s.sides, pos);
+  BitReader reader(ByteSpan(s.sides).subspan(pos));
+  for (std::uint64_t i = 0; i < codes; ++i) decoder.decode(reader);
+  pos += (reader.position() + 7) / 8;
+  s.counts.emplace_back("outliers", pos);
+  pos += get_varint(s.sides, pos) * sizeof(double);
+  note_masks(s, pos);
+  return s;
+}
+
+SideStream split_zfp(const Bytes& container) {
+  SideStream s;
+  std::size_t offset = 3;
+  s.element_count = get_varint(container, offset);
+  offset += get_varint(container, offset);  // the zfp-coded logs
+  s.head.assign(container.begin(), container.begin() + offset);
+  s.sides = lossless::zx_decompress(ByteSpan(container).subspan(offset));
+  note_masks(s, 0);
+  return s;
+}
+
+/// The container with the count at sides[at] rewritten to `value` and,
+/// when `keep` is set, only `keep` bytes of the field after it.
+Bytes forged(const SideStream& s, std::size_t at, std::uint64_t value,
+             std::optional<std::size_t> keep = std::nullopt) {
+  std::size_t end = at;
+  const std::uint64_t old = get_varint(s.sides, end);
+  Bytes sides(s.sides.begin(), s.sides.begin() + at);
+  put_varint(sides, value);
+  std::size_t rest = end;
+  if (keep.has_value()) {
+    sides.insert(sides.end(), s.sides.begin() + end,
+                 s.sides.begin() + end + *keep);
+    rest = end + (old + 7) / 8;
+  }
+  sides.insert(sides.end(), s.sides.begin() + rest, s.sides.end());
+  Bytes out = s.head;
+  const Bytes packed = lossless::zx_compress(sides);
+  out.insert(out.end(), packed.begin(), packed.end());
+  return out;
+}
+
+void expect_typed_rejection(const compression::Compressor& codec,
+                            const Bytes& container, std::size_t count,
+                            const std::string& what) {
+  std::vector<double> out(count);
+  try {
+    codec.decompress(container, out);
+    ADD_FAILURE() << what << ": decoded a forged count";
+  } catch (const std::runtime_error&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": threw " << typeid(e).name() << " ("
+                  << e.what() << ")";
+  }
+}
+
+TEST(SideStreamCorruptionTest, ForgedCountsThrowTypedErrors) {
+  const auto data = test_data();
+  for (const std::string name : {"sz", "sz-complex", "zfp", "zfp-rans"}) {
+    const auto codec = compression::make_compressor(name);
+    // zfp-rans decodes through the zfp reader: each forged zfp container
+    // goes into a raw-flagged zfp-rans header.
+    const bool rans = name == "zfp-rans";
+    const Bytes container =
+        compression::make_compressor(rans ? "zfp" : name)
+            ->compress(data, compression::ErrorBound::relative(1e-3));
+    const SideStream s =
+        name.starts_with("sz") ? split_sz(container) : split_zfp(container);
+    ASSERT_EQ(s.element_count, data.size()) << name;
+    auto wrap = [&](Bytes inner) {
+      if (!rans) return inner;
+      Bytes out{std::byte{'Z'}, std::byte{'R'}, std::byte{1}};
+      put_varint(out, data.size());
+      out.insert(out.end(), inner.begin(), inner.end());
+      return out;
+    };
+    // Rewriting a count with its own value must decode, or the cases
+    // below prove nothing.
+    std::vector<double> out(data.size());
+    ASSERT_NO_THROW(codec->decompress(
+        wrap(forged(s, s.counts.front().second, data.size())), out))
+        << name;
+    for (const auto& [field, at] : s.counts) {
+      const std::string what = name + " " + field;
+      expect_typed_rejection(*codec,
+                             wrap(forged(s, at, std::uint64_t{1} << 40)),
+                             data.size(), what + " of 2^40");
+      if (field.ends_with("mask")) {
+        // A well-formed mask, shorter than the block.
+        expect_typed_rejection(*codec, wrap(forged(s, at, 1000, 125)),
+                               data.size(), what + " of 1000 bits");
+      }
+    }
+  }
+}
 
 TEST(ZxCorruptionTest, ModeByteOutOfRange) {
   Bytes container;

@@ -223,6 +223,7 @@ struct SweepLeg {
   bool remap;
   bool spill;
   bool budget;  // false: lossless throughout
+  bool batching = true;  // false: every gate takes the per-gate path
 };
 
 struct SweepPin {
@@ -239,15 +240,19 @@ struct SweepPin {
   std::uint64_t remap_sweeps;
 };
 
-constexpr SweepLeg kSweepLegs[8] = {
+constexpr int kSweepLegCount = 10;
+constexpr SweepLeg kSweepLegs[kSweepLegCount] = {
     {false, false, false}, {false, false, true}, {false, true, false},
     {false, true, true},   {true, false, false}, {true, false, true},
     {true, true, false},   {true, true, true},
+    // The per-gate path every ad-hoc apply() takes, lossless and under
+    // the budget (which checks escalation after every gate).
+    {false, false, false, false}, {false, false, true, false},
 };
 
 // Cache off: every value is a pure function of the workload, identical at
 // 1 and 4 threads.
-constexpr SweepPin kSweepPins[8] = {
+constexpr SweepPin kSweepPins[kSweepLegCount] = {
     {"7f9effee1e4665247f532fa6f571698daa7211f50f59c6cd52220272fdc27314", 0,
      0x3ff0000000000000, 650, 0, 656, 0, 8351, 0, 0, 0},
     {"d2bd4649057a17eeb1b4fb62ef6aad90f93fa449a869291a2d50d233eb4d139a", 13,
@@ -264,6 +269,10 @@ constexpr SweepPin kSweepPins[8] = {
      0x3ff0000000000000, 462, 0, 468, 0, 3716, 57, 49, 2},
     {"2ac40595ffeac186311d1d844ebdbe56bba9a1622b7de9880fcc15020a9c5d9d", 6,
      0x3feffe08b8f77593, 406, 88, 420, 80, 3716, 56, 48, 2},
+    {"8609b19d04b3012a2d1b9a65dae1bb74dfd61349a4792f3e41168e37dba15774", 0,
+     0x3ff0000000000000, 954, 0, 960, 0, 11994, 0, 0, 0},
+    {"5ddcc2548faed9556617637abe898de2b495c1224731599f655efb10a163752c", 25,
+     0x3fdb3d97435ae526, 666, 368, 680, 360, 7716, 0, 0, 0},
 };
 
 // Cache on, 1 thread, on the leg that exercises everything (remap, spill
@@ -287,6 +296,7 @@ class SweepPinTest : public test::TempDirFixture {
     config.threads = threads;
     config.enable_cache = cache;
     config.enable_qubit_remap = leg.remap;
+    config.enable_run_batching = leg.batching;
     if (leg.spill) {
       config.spill_path = path("spill.bin");
       config.resident_budget_bytes = kSweepResidentBudget;
@@ -338,7 +348,7 @@ std::string describe(const SweepPin& pin) {
 }
 
 TEST_F(SweepPinTest, EveryRewritingSweepIsByteStableAcrossCommits) {
-  for (int leg = 0; leg < 8; ++leg) {
+  for (int leg = 0; leg < kSweepLegCount; ++leg) {
     const SweepLeg& shape = kSweepLegs[leg];
     // Each leg must exercise what it is named for, or the pin is hollow.
     const SweepPin& expected = kSweepPins[leg];
