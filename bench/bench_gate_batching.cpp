@@ -1,18 +1,21 @@
 // Gate-run batching ablation: the compression-overhead discussion of the
 // paper (codec time dominates per-gate simulation) measured head-to-head.
-// For QFT, Grover, and supremacy circuits the same simulation runs once
-// with the block-local gate-run scheduler on and once on the per-gate
-// path, comparing codec invocation counts, lossy fidelity passes, wall
-// time, and the final states (which must agree within codec tolerance).
+// For QFT, Grover, supremacy and QAOA circuits the same simulation runs
+// once with the gate-run scheduler on and once on the per-gate path,
+// comparing codec invocation counts, lossy fidelity passes, wall time, and
+// the final states (which must agree within codec tolerance). QAOA's ZZ
+// terms are CX . RZ . CX triples that the scheduler folds into one
+// parity-phase kernel inside a run, so its row measures the fold.
 //
 //   $ ./bench_gate_batching [--qubits N] [--level L] [--json PATH]
 //
-// --qubits scales the QFT instance (default 20; Grover and supremacy stay
-// at reduced sizes so the bench finishes quickly). --level pins the error
-// ladder start (default 1, i.e. 1e-5 relative, so the lossy-pass
-// amortization is visible). --json writes the measurements for CI's perf
-// trajectory artifact. Exits nonzero if batching fails to cut codec
-// invocations by >= 3x on QFT or the states disagree.
+// --qubits scales the QFT instance (default 20; Grover, supremacy and the
+// 14-qubit QAOA stay at reduced sizes so the bench finishes quickly).
+// --level pins the error ladder start (default 1, i.e. 1e-5 relative, so
+// the lossy-pass amortization is visible). --json writes the measurements
+// for CI's perf trajectory artifact. Exits nonzero if batching fails to
+// cut codec invocations by >= 3x on QFT or >= 8x on QAOA, fails to cut
+// lossy passes on either, or the QFT states disagree.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,6 +25,7 @@
 
 #include "bench_util.hpp"
 #include "circuits/grover.hpp"
+#include "circuits/qaoa.hpp"
 #include "circuits/qft.hpp"
 #include "circuits/supremacy.hpp"
 #include "common/timer.hpp"
@@ -184,27 +188,41 @@ int main(int argc, char** argv) try {
       circuits::supremacy_circuit({.rows = 3, .cols = 4, .depth = 11}),
       level));
   print_comparison(results.back());
+  results.push_back(
+      compare("qaoa", circuits::qaoa_maxcut_circuit({.num_qubits = 14}),
+              level));
+  print_comparison(results.back());
 
   if (!json_path.empty()) {
     write_json(json_path, results);
     std::printf("wrote %s\n", json_path.c_str());
   }
 
-  // The QFT acceptance gates: batching must amortize >= 3x and must not
-  // change the state beyond codec tolerance. The tolerance mirrors
-  // Eq. 11: both runs' bounds multiplied, minus slack for the per-gate
-  // run's far larger accumulated (but bounded) pointwise error.
-  const Comparison& qft = results.front();
+  // The acceptance gates. Batching must amortize codec invocations >= 3x
+  // on QFT and >= 8x on QAOA, and cut lossy passes on both. QAOA needs the
+  // CX . RZ . CX fold for that: unfolded, each ZZ term's two CXs with a
+  // block or rank target pay a pair sweep apiece and it amortizes about
+  // 2x. Nor may batching change the QFT state beyond codec tolerance. The
+  // tolerance mirrors Eq. 11: both runs' bounds multiplied, minus slack
+  // for the per-gate run's far larger accumulated (but bounded) pointwise
+  // error.
   bool ok = true;
-  if (qft.codec_ratio < 3.0) {
-    std::fprintf(stderr, "FAIL: QFT codec invocation ratio %.2f < 3.0\n",
-                 qft.codec_ratio);
-    ok = false;
-  }
-  if (qft.batched.report.lossy_passes >= qft.per_gate.report.lossy_passes) {
-    std::fprintf(stderr, "FAIL: batching did not reduce lossy passes\n");
-    ok = false;
-  }
+  const auto gate = [&](const Comparison& cmp, double min_ratio) {
+    if (cmp.codec_ratio < min_ratio) {
+      std::fprintf(stderr, "FAIL: %s codec invocation ratio %.2f < %.1f\n",
+                   cmp.name.c_str(), cmp.codec_ratio, min_ratio);
+      ok = false;
+    }
+    if (cmp.batched.report.lossy_passes >=
+        cmp.per_gate.report.lossy_passes) {
+      std::fprintf(stderr, "FAIL: batching did not reduce %s lossy passes\n",
+                   cmp.name.c_str());
+      ok = false;
+    }
+  };
+  const Comparison& qft = results.front();
+  gate(qft, 3.0);
+  gate(results.back(), 8.0);
   const double floor =
       qft.batched.report.fidelity_bound * qft.per_gate.report.fidelity_bound;
   if (!qft.batched.state.empty() && qft.fidelity < floor - 1e-9) {

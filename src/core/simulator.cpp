@@ -77,12 +77,20 @@ double add_in_order(const std::vector<double>& sums) {
 /// unitary, where its target falls, and its control masks per segment. An
 /// op that pairs no blocks runs on one block at a time as a unit kernel:
 /// the matrix on an offset target bit, or, for a diagonal with a block- or
-/// rank-segment target, the factor that bit picks for the whole block.
+/// rank-segment target, the factor that bit picks for the whole block. A
+/// folded CX(u,v) . D . CX(u,v) is D's kernel with u's bit as a parity
+/// partner: the parity of u's and v's bits picks D's factor.
 struct CompressedStateSimulator::GateKernel {
   Mat2 m{};
   bool diagonal = false;
   Partition::Segment target_segment = Partition::Segment::kOffset;
   int target_local_bit = 0;
+  /// Block and rank bits whose parity is a diagonal's factor bit: odd picks
+  /// u11. Set for a block- or rank-target diagonal (its target bit) and a
+  /// folded triple (v's bit, plus u's when u is outside the offset
+  /// segment). On an offset target, an odd parity swaps u00 and u11.
+  int block_parity_mask = 0;
+  int rank_parity_mask = 0;
   std::uint64_t offset_ctrl_mask = 0;
   int block_ctrl_mask = 0;
   int rank_ctrl_mask = 0;
@@ -91,36 +99,58 @@ struct CompressedStateSimulator::GateKernel {
     return (rank & rank_ctrl_mask) == rank_ctrl_mask &&
            (block & block_ctrl_mask) == block_ctrl_mask;
   }
-  /// Block- or rank-target diagonal: the target bit of the unit's index,
-  /// which picks the factor for the whole block.
   int factor_bit(int rank, int block) const {
-    const int index =
-        target_segment == Partition::Segment::kBlock ? block : rank;
-    return (index >> target_local_bit) & 1;
+    return (std::popcount(static_cast<unsigned>(rank & rank_parity_mask)) +
+            std::popcount(static_cast<unsigned>(block & block_parity_mask))) &
+           1;
   }
+  /// The factor of a kernel whose target is outside the offset segment,
+  /// one constant for the whole block.
   Amplitude block_factor(int rank, int block) const {
     return factor_bit(rank, block) != 0 ? m.u11 : m.u00;
   }
-  /// Whether the kernel can change the block: its controls hold there and,
-  /// for a diagonal, its factor there is not exactly 1.
-  bool acts_on(int rank, int block) const {
+  /// Whether the kernel runs on a block its sweep decodes: its controls
+  /// hold there and a block-constant factor is not exactly 1 — exactly the
+  /// blocks a one-op sweep of it would touch. An offset kernel runs even
+  /// as an identity diagonal: a complex multiply by 1 can turn -0 into +0,
+  /// so a run keeps those bytes as it always has.
+  bool runs_on(int rank, int block) const {
     if (!controls_hold(rank, block)) return false;
-    if (!diagonal) return true;
+    return target_segment == Partition::Segment::kOffset ||
+           block_factor(rank, block) != Amplitude(1.0, 0.0);
+  }
+  /// Whether the kernel can change the block: it runs there and is not an
+  /// offset identity diagonal.
+  bool acts_on(int rank, int block) const {
+    if (!runs_on(rank, block)) return false;
     const Amplitude one(1.0, 0.0);
-    if (target_segment == Partition::Segment::kOffset) {
-      return m.u00 != one || m.u11 != one;
-    }
-    return block_factor(rank, block) != one;
+    return !diagonal || target_segment != Partition::Segment::kOffset ||
+           m.u00 != one || m.u11 != one;
   }
   /// What the kernel does to the block, for its cache key: 0 when its
-  /// controls fail, else 1, plus the factor bit of a block- or rank-target
-  /// diagonal. An offset kernel's factor bit varies within the block, so
-  /// it stays out of the key.
+  /// controls fail, else 1 plus the factor bit (0 for a plain offset
+  /// kernel, whose factor varies within the block).
   std::uint64_t selection(int rank, int block) const {
     if (!controls_hold(rank, block)) return 0;
-    return target_segment == Partition::Segment::kOffset
-               ? 1
-               : 1 + static_cast<std::uint64_t>(factor_bit(rank, block));
+    return 1 + static_cast<std::uint64_t>(factor_bit(rank, block));
+  }
+  /// Makes `qubit`'s bit a term of the diagonal's factor selection: an
+  /// offset qubit becomes the bit the factor varies with inside a block, a
+  /// block or rank qubit joins the parity.
+  void add_parity_bit(const Partition& partition, int qubit) {
+    const int bit = partition.local_bit(qubit);
+    switch (partition.segment_of(qubit)) {
+      case Partition::Segment::kOffset:
+        target_segment = Partition::Segment::kOffset;
+        target_local_bit = bit;
+        break;
+      case Partition::Segment::kBlock:
+        block_parity_mask |= 1 << bit;
+        break;
+      case Partition::Segment::kRank:
+        rank_parity_mask |= 1 << bit;
+        break;
+    }
   }
 };
 
@@ -594,18 +624,13 @@ void CompressedStateSimulator::run_segment(
 }
 
 void CompressedStateSimulator::apply_impl(const GateOp& op) {
-  if (op.kind == GateKind::kSwap) {
+  if (!qsim::pairs_blocks(op, partition_.offset_bits)) {
+    apply_unit_ops({&op, 1});
+  } else if (op.kind == GateKind::kSwap) {
     // Each leg routes on its own, so a SWAP reuses the pairing machinery.
     for (const GateOp& leg : swap_legs(op)) apply_impl(leg);
-    return;
-  }
-  // Figure 3: only a non-diagonal gate whose target lies in the block or
-  // rank segment pairs amplitudes across blocks.
-  if (!qsim::is_diagonal(op.kind) &&
-      partition_.segment_of(op.target) != Partition::Segment::kOffset) {
-    run_pair_target(op);
   } else {
-    apply_unit_ops({&op, 1});
+    run_pair_target(op);
   }
 }
 
@@ -616,6 +641,7 @@ CompressedStateSimulator::GateKernel CompressedStateSimulator::resolve_kernel(
   kernel.diagonal = qsim::is_diagonal(op.kind);
   kernel.target_segment = partition_.segment_of(op.target);
   kernel.target_local_bit = partition_.local_bit(op.target);
+  if (kernel.diagonal) kernel.add_parity_bit(partition_, op.target);
   for (int c : op.controls) {
     if (c < 0) continue;
     switch (partition_.segment_of(c)) {
@@ -645,10 +671,18 @@ void CompressedStateSimulator::record_lossy_pass(std::uint64_t lossy_blocks) {
 
 void CompressedStateSimulator::apply_unit_ops(std::span<const GateOp> ops) {
   std::vector<Bytes> descriptors(ops.size());
-  std::vector<GateKernel> kernels;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     append_gate_descriptor(descriptors[i], ops[i], level_);
-    if (ops[i].kind == GateKind::kSwap) {
+  }
+  std::vector<GateKernel> kernels;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (qsim::starts_parity_phase(ops.subspan(i), partition_.offset_bits)) {
+      // CX(u,v) . D . CX(u,v): D's kernel with u's bit as parity partner.
+      GateKernel folded = resolve_kernel(ops[i + 1]);
+      folded.add_parity_bit(partition_, ops[i].controls[0]);
+      kernels.push_back(folded);
+      i += 2;
+    } else if (ops[i].kind == GateKind::kSwap) {
       for (const GateOp& leg : swap_legs(ops[i])) {
         kernels.push_back(resolve_kernel(leg));
       }
@@ -682,18 +716,17 @@ void CompressedStateSimulator::apply_unit_ops(std::span<const GateOp> ops) {
   };
   spec.compute = [&](Amplitude* amps, std::uint64_t count, int rank,
                      int block) {
-    // Every kernel whose controls hold runs, identity diagonals included:
-    // a complex multiply by 1 can turn -0 into +0, so skipping it would
-    // change the stored bytes.
     for (const GateKernel& kernel : kernels) {
-      if (!kernel.controls_hold(rank, block)) continue;
+      if (!kernel.runs_on(rank, block)) continue;
       const std::uint64_t target_bit = std::uint64_t{1}
                                        << kernel.target_local_bit;
       if (kernel.target_segment != Partition::Segment::kOffset) {
         qsim::scale_kernel(amps, count, kernel.block_factor(rank, block),
                            kernel.offset_ctrl_mask, backend_);
       } else if (kernel.diagonal) {
-        qsim::diag_kernel(amps, count, kernel.m, target_bit,
+        Mat2 m = kernel.m;
+        if (kernel.factor_bit(rank, block) != 0) std::swap(m.u00, m.u11);
+        qsim::diag_kernel(amps, count, m, target_bit,
                           kernel.offset_ctrl_mask, backend_);
       } else {
         qsim::mix_kernel(amps, count, kernel.m, target_bit,

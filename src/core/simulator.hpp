@@ -8,11 +8,13 @@
 // amplitude pairs (Figure 3), and the blocks are recompressed. Only a
 // non-diagonal gate whose target is in the block or rank segment pairs
 // blocks (run_pairs); every other gate acts on each block alone, as a
-// list of unit kernels on run_units. Runs of consecutive block-local gates
-// (targets and controls all in the offset segment) are batched by the
-// gate-run scheduler (qsim/scheduler.hpp) into one such list, so each
-// block pays one codec round — and one lossy fidelity pass — per run
-// instead of per gate. A hybrid compression policy starts lossless (Zstd
+// list of unit kernels on run_units. The gate-run scheduler
+// (qsim/scheduler.hpp) batches each stretch of consecutive gates that pair
+// no blocks into one such list — whatever segments their controls, or a
+// diagonal's target, lie in — and folds each CX(u,v) . D . CX(u,v) with D
+// diagonal on v into one parity-phase kernel, so each block pays one codec
+// round — and one lossy fidelity pass — per run instead of per gate. A
+// hybrid compression policy starts lossless (Zstd
 // stand-in) and escalates through a pointwise-relative error-bound ladder
 // whenever the configured memory budget is exceeded (Section 3.7), while a
 // fidelity lower bound F >= prod (1 - delta_i) is maintained (Section 3.8).
@@ -238,14 +240,17 @@ class CompressedStateSimulator {
   void apply_remap(const qsim::RemapStep& step);
   void apply_single_counted(const qsim::GateOp& op);
 
-  /// One physical op: a SWAP splits into its three CX legs; an op that
-  /// pairs blocks goes to run_pair_target, any other to apply_unit_ops.
+  /// One physical op: an op that pairs no blocks (qsim::pairs_blocks) goes
+  /// whole to apply_unit_ops, a SWAP that pairs blocks splits into its
+  /// three CX legs, and any other op goes to run_pair_target.
   void apply_impl(const qsim::GateOp& op);
   GateKernel resolve_kernel(const qsim::GateOp& op) const;
   /// One codec pass per block for a list of ops that pair no blocks (a
-  /// scheduled run or a single op): skips the blocks no kernel changes,
-  /// decompresses each other block once, applies every kernel whose
-  /// controls hold there, recompresses once and records one lossy pass.
+  /// scheduled run or a single op): resolves each op, or each CX . D . CX
+  /// triple qsim::starts_parity_phase recognises, to one kernel (a SWAP to
+  /// three), skips the blocks no kernel changes, decompresses each other
+  /// block once, applies every kernel that runs there, recompresses once
+  /// and records one lossy pass.
   void apply_unit_ops(std::span<const qsim::GateOp> ops);
   /// Block- or rank-segment target of a non-diagonal op: one run_pairs
   /// sweep.

@@ -6,17 +6,27 @@
 
 namespace cqs::qsim {
 
-bool is_block_local(const GateOp& op, int intra_qubits) {
+bool pairs_blocks(const GateOp& op, int intra_qubits) {
   if (op.kind == GateKind::kSwap) {
-    // SWAP stores its two qubits in target/controls[0] and expands into
-    // three CX applications; it is block-local iff both qubits are.
-    return op.target < intra_qubits && op.controls[0] < intra_qubits;
+    // SWAP stores its two qubits in target/controls[0]; its CX legs target
+    // both of them.
+    return op.target >= intra_qubits || op.controls[0] >= intra_qubits;
   }
-  if (op.target >= intra_qubits) return false;
-  for (int c : op.controls) {
-    if (c >= intra_qubits) return false;
-  }
-  return true;
+  return !is_diagonal(op.kind) && op.target >= intra_qubits;
+}
+
+bool starts_parity_phase(std::span<const GateOp> ops, int intra_qubits) {
+  if (ops.size() < 3) return false;
+  const GateOp& cx = ops[0];
+  const GateOp& d = ops[1];
+  const GateOp& back = ops[2];
+  const int u = cx.controls[0];
+  const int v = cx.target;
+  return cx.kind == GateKind::kCX && cx.controls[1] < 0 &&
+         back.kind == GateKind::kCX && back.target == v &&
+         back.controls == cx.controls && v >= intra_qubits &&
+         is_diagonal(d.kind) && d.target == v && d.controls[0] != u &&
+         d.controls[1] != u;
 }
 
 std::vector<std::pair<int, int>> run_block_order(int num_ranks,
@@ -51,31 +61,39 @@ Schedule build_schedule(const Circuit& circuit,
   }
 
   const auto& ops = schedule.circuit_.ops();
-  GateRun current;  // open block-local run (count == 0 when closed)
+  GateRun current;  // open run (count == 0 when closed)
   auto close = [&] {
     if (current.count == 0) return;
     schedule.runs_.push_back(current);
     current = GateRun{};
   };
 
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (is_block_local(ops[i], options.intra_qubits)) {
-      if (current.count == 0) {
-        current = GateRun{.first = i, .count = 0, .source_gates = 0,
-                          .block_local = true};
-      }
-      ++current.count;
-      current.source_gates += origins[i];
-      if (options.max_run_length > 0 &&
-          current.count >= options.max_run_length) {
-        close();
-      }
+  const std::size_t cap = options.max_run_length;
+  for (std::size_t i = 0; i < ops.size();) {
+    const std::size_t width =
+        starts_parity_phase(std::span(ops).subspan(i), options.intra_qubits)
+            ? 3
+            : 1;
+    if (width == 1 && pairs_blocks(ops[i], options.intra_qubits)) {
+      close();
+      schedule.runs_.push_back(GateRun{.first = i, .count = 1,
+                                       .source_gates = origins[i],
+                                       .block_local = false});
+      ++i;
       continue;
     }
-    close();
-    schedule.runs_.push_back(GateRun{.first = i, .count = 1,
-                                     .source_gates = origins[i],
-                                     .block_local = false});
+    // A run closes early rather than split a folded triple.
+    if (cap > 0 && current.count > 0 && current.count + width > cap) close();
+    if (current.count == 0) {
+      current = GateRun{.first = i, .count = 0, .source_gates = 0,
+                        .block_local = true};
+    }
+    for (std::size_t k = 0; k < width; ++k) {
+      current.source_gates += origins[i + k];
+    }
+    current.count += width;
+    i += width;
+    if (cap > 0 && current.count >= cap) close();
   }
   close();
   return schedule;

@@ -1,16 +1,27 @@
-// Block-local gate-run scheduler. The compressed simulator pays one
-// decompress -> apply -> recompress round per touched block per gate; when
-// consecutive gates all route to the offset segment of the amplitude index
-// (Figure 3's intra-block case), every block can instead be decompressed
-// once, have the whole run applied in scratch, and be recompressed once —
-// one codec pass (and one lossy fidelity pass) per run instead of per
-// gate. This pass partitions a circuit into maximal such runs,
-// interleaved with single-gate items for gates that touch the block or
-// rank segments, and composes single-qubit gate fusion as a pre-pass.
+// Gate-run scheduler. The compressed simulator pays one decompress ->
+// apply -> recompress round per touched block per sweep. Figure 3's split
+// says which ops need a sweep of their own: only a non-diagonal op whose
+// target lies in the block or rank segment pairs amplitudes across blocks
+// (a SWAP does when one of its qubits lies there). Every other op — offset
+// targets with any controls, and diagonals anywhere — acts on each block
+// alone, so a stretch of such ops can share one sweep: every touched block
+// is decompressed once, has the whole run applied in scratch, and is
+// recompressed once — one codec pass (and one lossy fidelity pass) per run
+// instead of per op. This pass partitions a circuit into maximal such
+// runs, interleaved with single-op items for ops that pair blocks, and
+// composes single-qubit gate fusion as a pre-pass.
+//
+// QAOA writes each ZZ term as CX(u,v) . D . CX(u,v) with D diagonal on v.
+// CX only permutes amplitudes, so the triple multiplies each amplitude by
+// the factor of D that the parity of u's and v's bits picks: one diagonal
+// that pairs no blocks, even when v (and so each CX) lies outside the
+// offset segment. starts_parity_phase recognises the triple; runs keep it
+// whole, and the simulator applies it as one kernel.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -22,12 +33,15 @@ namespace cqs::qsim {
 
 struct SchedulerOptions {
   /// Qubits with index < intra_qubits address amplitudes within one block
-  /// (the partition's offset segment). A gate is block-local when its
-  /// target and every control fall below this line.
+  /// (the partition's offset segment). An op pairs blocks when it is not
+  /// diagonal and its target lies at or above this line, or when it is a
+  /// SWAP with a qubit there; every other op can join a run.
   int intra_qubits = 0;
 
   /// Cap on scheduled ops per run (0 = unlimited). Shorter runs trade
   /// batching for more frequent memory-budget checks between codec passes.
+  /// A CX . D . CX triple counts 3 and is never split: a run closes early
+  /// rather than cut one, and under a cap below 3 it forms a run alone.
   std::size_t max_run_length = 0;
 
   /// Run fuse_single_qubit_gates before forming runs.
@@ -35,8 +49,8 @@ struct SchedulerOptions {
 };
 
 /// One schedule item: `count` consecutive ops of the scheduled circuit
-/// starting at `first`. Block-local items may hold many ops; items that
-/// touch the block or rank segments always hold exactly one.
+/// starting at `first`. A run of ops that pair no blocks may hold many
+/// ops; an op that pairs blocks is always an item of its own.
 struct GateRun {
   std::size_t first = 0;
   std::size_t count = 0;
@@ -45,13 +59,25 @@ struct GateRun {
   /// this equals the source circuit's size, which is what keeps the
   /// simulator's resume cursor counting in source-circuit units.
   std::size_t source_gates = 0;
+  /// True for a run whose ops pair no blocks (each acts on every block
+  /// alone); false for the single-op item of an op that pairs blocks.
   bool block_local = false;
 };
 
-/// True when every qubit `op` touches lies in the offset segment, so the
-/// gate can join a block-local run. SWAP qualifies when both of its qubits
-/// do (the simulator expands it into three intra-block CX applications).
-bool is_block_local(const GateOp& op, int intra_qubits);
+/// Figure 3's split: true when `op` pairs amplitudes across blocks — a
+/// non-diagonal op whose target lies outside the offset segment, or a SWAP
+/// with a qubit outside it (one of its three CX legs then has such a
+/// target). Controls never pair blocks, wherever they lie.
+bool pairs_blocks(const GateOp& op, int intra_qubits);
+
+/// True when `ops` starts with CX(u,v), D, CX(u,v): both CXs the same op
+/// with the single control u, D diagonal with target v and no control on
+/// u, and v outside the offset segment. The triple multiplies each
+/// amplitude by the factor of D that the parity of u's and v's bits picks,
+/// so it pairs no blocks although each CX does. build_schedule and the
+/// simulator's kernel resolution both ask this one question, so run
+/// formation and execution cannot disagree about a triple.
+bool starts_parity_phase(std::span<const GateOp> ops, int intra_qubits);
 
 class Schedule {
  public:
@@ -68,17 +94,18 @@ class Schedule {
   std::vector<GateRun> runs_;
 };
 
-/// The future block order of one block-local run: every (rank, block)
-/// unit the run will touch, in the deterministic order the block executor
-/// walks them. Block-local runs touch every block of every rank exactly
-/// once, rank-major — so the out-of-core tier can advise readahead K units
-/// ahead from this list alone.
+/// Every (rank, block) unit once, rank-major: the deterministic order the
+/// block executor walks a sweep in. Sweeps over the whole state (ladder
+/// recompression, the measurement collapse) use it as is; a run skips the
+/// blocks none of its kernels changes but keeps this order. The
+/// out-of-core tier advises readahead K units ahead from the list alone.
 std::vector<std::pair<int, int>> run_block_order(int num_ranks,
                                                  int blocks_per_rank);
 
 /// Builds the run partition of `circuit`. Every op of the (post-fusion)
 /// circuit belongs to exactly one GateRun, runs preserve program order,
-/// and block-local runs are maximal under options.max_run_length.
+/// and runs of ops that pair no blocks are maximal under
+/// options.max_run_length.
 ///
 /// When `origin_counts` is non-null the circuit is taken as already
 /// processed (the remap pre-pass fuses before planning so segment

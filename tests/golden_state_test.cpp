@@ -254,21 +254,21 @@ constexpr SweepLeg kSweepLegs[kSweepLegCount] = {
 // 1 and 4 threads.
 constexpr SweepPin kSweepPins[kSweepLegCount] = {
     {"7f9effee1e4665247f532fa6f571698daa7211f50f59c6cd52220272fdc27314", 0,
-     0x3ff0000000000000, 650, 0, 656, 0, 8351, 0, 0, 0},
-    {"d2bd4649057a17eeb1b4fb62ef6aad90f93fa449a869291a2d50d233eb4d139a", 13,
-     0x3fe9a16a18aa43b9, 538, 192, 552, 184, 7593, 0, 0, 0},
+     0x3ff0000000000000, 442, 0, 448, 0, 8351, 0, 0, 0},
+    {"0ff773f442b739a856937ed0de61c730d8959aa1bf0fc8297ed7ce98678ebb52", 10,
+     0x3fe9a19c7d30558d, 362, 160, 376, 152, 7593, 0, 0, 0},
     {"c86b9e1d2b5fee6a1399446e061200a6d1f4c9f1a098b4271328db91266b6af1", 0,
-     0x3ff0000000000000, 650, 0, 656, 0, 8351, 73, 65, 0},
-    {"7da146f1322c51f10164b95f1d282b80019613dcd1112ce95353843e4604e142", 10,
-     0x3feffdb4db9b133d, 538, 144, 552, 136, 7593, 32, 24, 0},
+     0x3ff0000000000000, 442, 0, 448, 0, 8351, 48, 40, 0},
+    {"f61aad6444c7cffb715ca8473512a7a37547dd2a0c94188a479ce5e751b98c13", 7,
+     0x3feffdf3c18bc0a4, 362, 112, 376, 104, 7593, 32, 24, 0},
     {"9485a78681917cdb5db50d55fd7726807a64f025723068dc9fdf492f39386ef4", 0,
-     0x3ff0000000000000, 462, 0, 468, 0, 3716, 0, 0, 2},
-    {"c59f0a3e3716cbd740bdcfa28063c6a6efef2d432353ba0d401c6c7d13a8b975", 9,
-     0x3fe9a1ad49730a8e, 406, 136, 420, 128, 3716, 0, 0, 2},
+     0x3ff0000000000000, 242, 0, 248, 0, 3716, 0, 0, 2},
+    {"6cafb1b6a63c7bb9eb963fc881bac003786002ddf7a80df1d53433c95c41f809", 7,
+     0x3fe9a1cee2197b58, 210, 112, 224, 104, 3716, 0, 0, 2},
     {"2209790f13040785a6604420ade911835b053feaa7c08690f083257333cc14e1", 0,
-     0x3ff0000000000000, 462, 0, 468, 0, 3716, 57, 49, 2},
-    {"2ac40595ffeac186311d1d844ebdbe56bba9a1622b7de9880fcc15020a9c5d9d", 6,
-     0x3feffe08b8f77593, 406, 88, 420, 80, 3716, 56, 48, 2},
+     0x3ff0000000000000, 242, 0, 248, 0, 3716, 32, 24, 2},
+    {"cbc235a6064983e6d484b3f4ecf6c094446b6b57076ff30dfacd875e07c3be9a", 3,
+     0x3fefffc11608a09e, 210, 48, 224, 40, 3716, 48, 40, 2},
     {"8609b19d04b3012a2d1b9a65dae1bb74dfd61349a4792f3e41168e37dba15774", 0,
      0x3ff0000000000000, 954, 0, 960, 0, 11994, 0, 0, 0},
     {"5ddcc2548faed9556617637abe898de2b495c1224731599f655efb10a163752c", 25,
@@ -278,8 +278,8 @@ constexpr SweepPin kSweepPins[kSweepLegCount] = {
 // Cache on, 1 thread, on the leg that exercises everything (remap, spill
 // and budget): hits and misses of the probe order the executors follow.
 constexpr int kSweepCacheLeg = 7;
-constexpr std::uint64_t kSweepCacheHits = 138;
-constexpr std::uint64_t kSweepCacheMisses = 242;
+constexpr std::uint64_t kSweepCacheHits = 53;
+constexpr std::uint64_t kSweepCacheMisses = 107;
 
 struct SweepResult {
   std::string image_sha256;

@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "circuits/qaoa.hpp"
 #include "core/simulator.hpp"
@@ -24,23 +27,31 @@ using qsim::build_schedule;
 using qsim::Circuit;
 using qsim::GateKind;
 using qsim::GateRun;
-using qsim::is_block_local;
+using qsim::GateOp;
+using qsim::pairs_blocks;
 using qsim::plan_remaps;
 using qsim::SchedulerOptions;
+using qsim::starts_parity_phase;
 
 // ---------------------------------------------------------------- scheduler
 
 TEST(SchedulerTest, BlockLocalClassification) {
   const int intra = 5;
-  EXPECT_TRUE(is_block_local({GateKind::kH, 0}, intra));
-  EXPECT_TRUE(is_block_local({GateKind::kCX, 4, {3, -1}}, intra));
-  EXPECT_TRUE(is_block_local({GateKind::kCCX, 2, {0, 1}}, intra));
-  EXPECT_FALSE(is_block_local({GateKind::kH, 5}, intra));
-  EXPECT_FALSE(is_block_local({GateKind::kCX, 0, {7, -1}}, intra));
-  EXPECT_FALSE(is_block_local({GateKind::kCCX, 0, {1, 9}}, intra));
+  EXPECT_FALSE(pairs_blocks({GateKind::kH, 0}, intra));
+  EXPECT_FALSE(pairs_blocks({GateKind::kCX, 4, {3, -1}}, intra));
+  EXPECT_FALSE(pairs_blocks({GateKind::kCCX, 2, {0, 1}}, intra));
+  EXPECT_TRUE(pairs_blocks({GateKind::kH, 5}, intra));
+  EXPECT_TRUE(pairs_blocks({GateKind::kCX, 7, {0, -1}}, intra));
+  // Controls never pair blocks, wherever they lie, and neither does a
+  // diagonal, wherever its target lies.
+  EXPECT_FALSE(pairs_blocks({GateKind::kCX, 0, {7, -1}}, intra));
+  EXPECT_FALSE(pairs_blocks({GateKind::kCCX, 0, {1, 9}}, intra));
+  EXPECT_FALSE(pairs_blocks({GateKind::kRz, 6, {-1, -1}, {0.3}}, intra));
+  EXPECT_FALSE(pairs_blocks({GateKind::kCPhase, 9, {6, -1}, {0.3}}, intra));
   // SWAP keeps its qubits in target/controls[0].
-  EXPECT_TRUE(is_block_local({GateKind::kSwap, 1, {2, -1}}, intra));
-  EXPECT_FALSE(is_block_local({GateKind::kSwap, 1, {9, -1}}, intra));
+  EXPECT_FALSE(pairs_blocks({GateKind::kSwap, 1, {2, -1}}, intra));
+  EXPECT_TRUE(pairs_blocks({GateKind::kSwap, 1, {9, -1}}, intra));
+  EXPECT_TRUE(pairs_blocks({GateKind::kSwap, 9, {1, -1}}, intra));
 }
 
 TEST(SchedulerTest, RunsAreMaximalAndPreserveOrder) {
@@ -103,7 +114,7 @@ TEST(SchedulerTest, FusionPrepassFoldsSourceGates) {
 TEST(SchedulerTest, SourceGatesAlwaysSumToCircuitSize) {
   const auto c = circuits::qaoa_maxcut_circuit({.num_qubits = 10});
   for (const bool fuse : {false, true}) {
-    for (const std::size_t cap : {std::size_t{0}, std::size_t{3}}) {
+    for (const std::size_t cap : {0, 1, 2, 3, 16}) {
       const auto schedule = build_schedule(
           c, {.intra_qubits = 5, .max_run_length = cap, .fuse = fuse});
       std::size_t total = 0;
@@ -111,10 +122,119 @@ TEST(SchedulerTest, SourceGatesAlwaysSumToCircuitSize) {
       for (const GateRun& run : schedule.runs()) {
         total += run.source_gates;
         covered_ops += run.count;
+        if (cap > 0) EXPECT_LE(run.count, std::max<std::size_t>(cap, 3));
       }
       EXPECT_EQ(total, c.size()) << "fuse=" << fuse << " cap=" << cap;
       EXPECT_EQ(covered_ops, schedule.circuit().size());
     }
+  }
+}
+
+// Fold fixtures: 10 qubits as 4 ranks x 8 blocks, so offset [0,5), block
+// [5,8), rank [8,10).
+constexpr int kFoldIntra = 5;
+
+/// A schedule's items as (count, block_local) pairs.
+using Shape = std::vector<std::pair<std::size_t, bool>>;
+
+/// The shape of the unfused schedule of `c` under run cap `cap`.
+Shape run_shape(const Circuit& c, std::size_t cap = 0) {
+  const auto schedule = build_schedule(
+      c, {.intra_qubits = kFoldIntra, .max_run_length = cap, .fuse = false});
+  Shape shape;
+  for (const GateRun& run : schedule.runs()) {
+    shape.emplace_back(run.count, run.block_local);
+  }
+  return shape;
+}
+
+TEST(SchedulerTest, ParityPhaseFoldsEverySegmentPair) {
+  for (const int u : {1, 6, 9}) {      // offset, block, rank
+    for (const int v : {7, 8}) {       // block, rank
+      if (u == v) continue;
+      // D on v: rz, z, s, t, phase, and a cphase controlled by a third
+      // qubit in each segment (none in the rank segment when u and v
+      // fill it).
+      const GateOp diagonals[] = {
+          {GateKind::kRz, v, {-1, -1}, {0.3}},
+          {GateKind::kZ, v},
+          {GateKind::kS, v},
+          {GateKind::kT, v},
+          {GateKind::kPhase, v, {-1, -1}, {0.4}},
+          {GateKind::kCPhase, v, {3, -1}, {0.5}},
+          {GateKind::kCPhase, v, {5, -1}, {0.5}},
+          {GateKind::kCPhase, v, {u == 9 ? 8 : 9, -1}, {0.5}},
+      };
+      for (const GateOp& d : diagonals) {
+        if (d.controls[0] == v) continue;
+        Circuit c(10);
+        c.cx(u, v).append(d).cx(u, v);
+        EXPECT_TRUE(starts_parity_phase(c.ops(), kFoldIntra))
+            << "u=" << u << " v=" << v << " d=" << qsim::gate_name(d.kind);
+        EXPECT_EQ(run_shape(c), (Shape{{3, true}}))
+            << "u=" << u << " v=" << v;
+      }
+    }
+  }
+  // Inside a stretch of unit ops the triple joins the open run.
+  Circuit c(10);
+  c.h(0).cx(1, 8).rz(8, 0.2).cx(1, 8).t(2);
+  EXPECT_EQ(run_shape(c), (Shape{{5, true}}));
+}
+
+TEST(SchedulerTest, ParityPhaseRejectsEveryOtherShape) {
+  // v in the offset segment: the three ops already pair no blocks and stay
+  // plain unit items of one run.
+  Circuit offset_v(10);
+  offset_v.cx(6, 2).rz(2, 0.3).cx(6, 2);
+  EXPECT_FALSE(starts_parity_phase(offset_v.ops(), kFoldIntra));
+  EXPECT_EQ(run_shape(offset_v), (Shape{{3, true}}));
+
+  // Otherwise each CX pairs blocks and the diagonal runs alone.
+  const Shape unfolded = {{1, false}, {1, true}, {1, false}};
+  Circuit other_control(10);
+  other_control.cx(1, 7).rz(7, 0.3).cx(2, 7);
+  Circuit targets_u(10);
+  targets_u.cx(1, 7).rz(1, 0.3).cx(1, 7);
+  Circuit controlled_by_u(10);
+  controlled_by_u.cx(1, 7).cphase(1, 7, 0.3).cx(1, 7);
+  Circuit toffoli(10);
+  toffoli.ccx(1, 2, 7).rz(7, 0.3).ccx(1, 2, 7);
+  for (const Circuit* c :
+       {&other_control, &targets_u, &controlled_by_u, &toffoli}) {
+    EXPECT_FALSE(starts_parity_phase(c->ops(), kFoldIntra));
+    EXPECT_EQ(run_shape(*c), unfolded);
+  }
+
+  // A non-diagonal middle op pairs blocks itself.
+  Circuit not_diagonal(10);
+  not_diagonal.cx(1, 7).rx(7, 0.3).cx(1, 7);
+  EXPECT_FALSE(starts_parity_phase(not_diagonal.ops(), kFoldIntra));
+  EXPECT_EQ(run_shape(not_diagonal),
+            (Shape{{1, false}, {1, false}, {1, false}}));
+
+  // Fewer than three ops never fold.
+  EXPECT_FALSE(starts_parity_phase(
+      std::span(not_diagonal.ops()).first(2), kFoldIntra));
+}
+
+TEST(SchedulerTest, RunCapNeverSplitsAParityPhase) {
+  Circuit c(10);
+  c.h(0).h(1).h(2);
+  c.cx(1, 8).rz(8, 0.2).cx(1, 8);
+  c.h(3);
+  // Cap 4: the triple does not fit after three ops, so the run closes at
+  // three and the triple opens the next one.
+  EXPECT_EQ(run_shape(c, 4), (Shape{{3, true}, {4, true}}));
+  // Cap 6: it fits exactly, and the run closes behind it.
+  EXPECT_EQ(run_shape(c, 6), (Shape{{6, true}, {1, true}}));
+  // Under a cap below 3 the triple forms a run alone.
+  for (const std::size_t cap : {1, 2}) {
+    const Shape alone = cap == 1 ? Shape{{1, true}, {1, true}, {1, true},
+                                         {3, true}, {1, true}}
+                                 : Shape{{2, true}, {1, true}, {3, true},
+                                         {1, true}};
+    EXPECT_EQ(run_shape(c, cap), alone) << "cap " << cap;
   }
 }
 
@@ -203,6 +323,109 @@ TEST(BatchedSimulatorTest, KGateRunRecordsExactlyOneLossyPass) {
   per_gate.apply_circuit(c);
   EXPECT_EQ(per_gate.report().lossy_passes, c.size());
   EXPECT_LT(per_gate.fidelity_bound(), sim.fidelity_bound());
+}
+
+/// H on every qubit, then two rounds of CX(u,v) . D . CX(u,v) triples over
+/// every segment pair (u and v each in the offset, block or rank segment of
+/// 4 ranks x 4 blocks: offset [0,6), block {6,7}, rank {8,9}), each triple
+/// followed by an RX on a random qubit. D is diagonal on v.
+Circuit parity_phase_circuit(std::uint64_t seed) {
+  constexpr int kQubits = 10;
+  constexpr int kSegmentStart[] = {0, 6, 8};
+  constexpr int kSegmentSize[] = {6, 2, 2};
+  Rng rng(seed);
+  Circuit c(kQubits);
+  auto in_segment = [&](int s) {
+    return kSegmentStart[s] + static_cast<int>(rng.next_below(kSegmentSize[s]));
+  };
+  for (int q = 0; q < kQubits; ++q) c.h(q);
+  for (int round = 0; round < 2; ++round) {
+    for (int su = 0; su < 3; ++su) {
+      for (int sv = 0; sv < 3; ++sv) {
+        const int u = in_segment(su);
+        int v = in_segment(sv);
+        while (v == u) v = in_segment(sv);
+        int w = static_cast<int>(rng.next_below(kQubits));
+        while (w == u || w == v) w = static_cast<int>(rng.next_below(kQubits));
+        const double theta = rng.next_double() * 3.0;
+        c.cx(u, v);
+        switch (rng.next_below(6)) {
+          case 0: c.rz(v, theta); break;
+          case 1: c.z(v); break;
+          case 2: c.s(v); break;
+          case 3: c.t(v); break;
+          case 4: c.phase(v, theta); break;
+          default: c.cphase(w, v, theta); break;
+        }
+        c.cx(u, v);
+        c.rx(static_cast<int>(rng.next_below(kQubits)),
+             rng.next_double() * 3.0);
+      }
+    }
+  }
+  return c;
+}
+
+TEST(BatchedSimulatorTest, ParityPhaseFoldIsBitIdenticalAndSavesCodecCalls) {
+  // Codec calls (compress + decompress) the same 40 batched runs made
+  // when every CX . D . CX whose v sits outside the offset segment paid two
+  // pair sweeps of its own: 70,272, against 26,720 folded.
+  constexpr std::uint64_t kUnfoldedCodecCalls = 70272;
+  std::uint64_t batched_calls = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Circuit c = parity_phase_circuit(seed);
+    auto config = batched_config(10, 4, 4);
+    config.enable_cache = false;
+    config.enable_fusion_prepass = false;
+    CompressedStateSimulator batched(config);
+    batched.apply_circuit(c);
+    config.enable_run_batching = false;
+    CompressedStateSimulator per_gate(config);
+    per_gate.apply_circuit(c);
+    qsim::StateVector dense(10);
+    dense.apply_circuit(c);
+
+    const std::vector<double> state = batched.to_raw();
+    EXPECT_EQ(state, per_gate.to_raw()) << "seed " << seed;
+    EXPECT_TRUE(std::ranges::equal(state, dense.raw())) << "seed " << seed;
+    const auto report = batched.report();
+    batched_calls += report.compress_invocations + report.decompress_invocations;
+  }
+  // Folding turns each such triple's two pair sweeps into none.
+  EXPECT_LT(2 * batched_calls, kUnfoldedCodecCalls);
+}
+
+TEST(BatchedSimulatorTest, SwapThatPairsNoBlocksCostsOneSweep) {
+  // An ad-hoc swap(1, 4), both qubits in the offset segment of 4 ranks x 4
+  // blocks, rewrites each of the 16 blocks once, not once per CX leg, and
+  // leaves the state its three legs leave.
+  Circuit prep(10);
+  prep.h(1).rx(4, 0.7).h(8).cx(8, 6);
+  for (const int level : {0, 1}) {
+    SimConfig config = batched_config(10, 4, 4);
+    config.enable_cache = false;
+    config.initial_level = level;
+    CompressedStateSimulator whole(config);
+    CompressedStateSimulator legs(config);
+    whole.apply_circuit(prep);
+    legs.apply_circuit(prep);
+    const auto before = whole.report();
+    whole.apply({GateKind::kSwap, 1, {4, -1}});
+    const auto after = whole.report();
+    EXPECT_EQ(after.compress_invocations - before.compress_invocations, 16u);
+    EXPECT_EQ(after.decompress_invocations - before.decompress_invocations,
+              16u);
+    EXPECT_EQ(after.lossy_passes - before.lossy_passes, level > 0 ? 1u : 0u);
+
+    legs.apply({GateKind::kCX, 4, {1, -1}});
+    legs.apply({GateKind::kCX, 1, {4, -1}});
+    legs.apply({GateKind::kCX, 4, {1, -1}});
+    if (level == 0) {
+      EXPECT_EQ(whole.to_raw(), legs.to_raw());
+    } else {
+      CQS_EXPECT_STATES_CLOSE(whole.to_raw(), legs.to_raw(), 1e-4);
+    }
+  }
 }
 
 TEST(BatchedSimulatorTest, MemoryBudgetCapsRunLengthForEscalation) {
