@@ -11,7 +11,8 @@
 //                        unlimited, stays lossless)
 //     --fuse             apply single-qubit gate fusion first (the run
 //                        scheduler also fuses internally by default)
-//     --no-batching      disable the block-local gate-run scheduler
+//     --no-batching      disable the gate-run scheduler (every gate is a
+//                        sweep of its own)
 //     --checkpoint PATH  save a checkpoint at the end
 //     --samples N        print N sampled basis states
 //     --wire NAME        transport: loopback | socket (socket forks one OS

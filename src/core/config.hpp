@@ -71,10 +71,11 @@ struct SimConfig {
   bool enable_cache = true;
   std::size_t cache_lines = 64;
 
-  /// Gate-run batching: the scheduler groups maximal runs of consecutive
-  /// gates whose targets and controls all fall in the offset segment, and
-  /// each block pays one decompress -> apply-run -> recompress round (and,
-  /// at a lossy level, one fidelity pass) per run instead of per gate.
+  /// Gate-run batching: the scheduler groups consecutive gates into maximal
+  /// runs in which every gate that pairs blocks (a non-diagonal target in
+  /// the block or rank segment) pairs them across the same qubit, and each
+  /// block pays one decompress -> apply-run -> recompress round (and the
+  /// run, at a lossy level, one fidelity pass) per run instead of per gate.
   /// Under a memory budget runs stop at 16 ops, so ladder escalation stays
   /// responsive mid-stretch.
   bool enable_run_batching = true;

@@ -82,8 +82,8 @@ struct SimulationReport {
   std::size_t final_lossy_bytes = 0;
   std::size_t block_raw_bytes = 0;  ///< uncompressed bytes of one block
 
-  // Gate-run scheduler (block-local batching).
-  std::uint64_t batched_runs = 0;   ///< block-local runs (one codec pass each)
+  // Gate-run scheduler (run batching).
+  std::uint64_t batched_runs = 0;   ///< scheduled runs (one codec pass each)
   std::uint64_t batched_gates = 0;  ///< scheduled ops applied inside runs
   std::uint64_t compress_invocations = 0;    ///< codec compress calls
   std::uint64_t decompress_invocations = 0;  ///< codec decompress calls
@@ -153,8 +153,8 @@ struct SimulationReport {
     return gates == 0 ? 0.0 : total_seconds / static_cast<double>(gates);
   }
 
-  /// Mean scheduled ops per block-local run — the codec amortization
-  /// factor the batching scheduler achieved.
+  /// Mean scheduled ops per run — the codec amortization factor the
+  /// batching scheduler achieved.
   double gates_per_run() const {
     return batched_runs == 0 ? 0.0
                              : static_cast<double>(batched_gates) /

@@ -74,15 +74,18 @@ double add_in_order(const std::vector<double>& sums) {
 }  // namespace
 
 /// One op resolved against the partition (Figure 3's three segments): its
-/// unitary, where its target falls, and its control masks per segment. An
-/// op that pairs no blocks runs on one block at a time as a unit kernel:
-/// the matrix on an offset target bit, or, for a diagonal with a block- or
-/// rank-segment target, the factor that bit picks for the whole block. A
-/// folded CX(u,v) . D . CX(u,v) is D's kernel with u's bit as a parity
-/// partner: the parity of u's and v's bits picks D's factor.
+/// unitary, where its target falls, and its control masks per segment. A
+/// pairing kernel (an op with a block- or rank-segment target that is not
+/// diagonal) mixes each amplitude with its partner in the block across the
+/// target bit. Every other kernel is a unit kernel and runs on one block at
+/// a time: the matrix on an offset target bit, or, for a diagonal with a
+/// block- or rank-segment target, the factor that bit picks for the whole
+/// block. A folded CX(u,v) . D . CX(u,v) is D's kernel with u's bit as a
+/// parity partner: the parity of u's and v's bits picks D's factor.
 struct CompressedStateSimulator::GateKernel {
   Mat2 m{};
   bool diagonal = false;
+  bool pairs = false;  ///< qsim::pair_qubit(op) >= 0
   Partition::Segment target_segment = Partition::Segment::kOffset;
   int target_local_bit = 0;
   /// Block and rank bits whose parity is a diagonal's factor bit: odd picks
@@ -104,8 +107,8 @@ struct CompressedStateSimulator::GateKernel {
             std::popcount(static_cast<unsigned>(block & block_parity_mask))) &
            1;
   }
-  /// The factor of a kernel whose target is outside the offset segment,
-  /// one constant for the whole block.
+  /// The factor of a unit kernel whose target is outside the offset
+  /// segment, one constant for the whole block.
   Amplitude block_factor(int rank, int block) const {
     return factor_bit(rank, block) != 0 ? m.u11 : m.u00;
   }
@@ -152,6 +155,25 @@ struct CompressedStateSimulator::GateKernel {
         break;
     }
   }
+  /// Applies the unit kernel to the decoded block (rank, block) if it runs
+  /// there.
+  void apply_unit(Amplitude* amps, std::uint64_t count, int rank, int block,
+                  qsim::KernelBackend backend) const {
+    if (!runs_on(rank, block)) return;
+    const std::uint64_t target_bit = std::uint64_t{1} << target_local_bit;
+    if (target_segment != Partition::Segment::kOffset) {
+      qsim::scale_kernel(amps, count, block_factor(rank, block),
+                         offset_ctrl_mask, backend);
+    } else if (diagonal) {
+      Mat2 factors = m;
+      if (factor_bit(rank, block) != 0) std::swap(factors.u00, factors.u11);
+      qsim::diag_kernel(amps, count, factors, target_bit, offset_ctrl_mask,
+                        backend);
+    } else {
+      qsim::mix_kernel(amps, count, m, target_bit, offset_ctrl_mask,
+                       backend);
+    }
+  }
 };
 
 /// One single-block unit task for run_units: how to identify the unit in
@@ -177,12 +199,14 @@ struct CompressedStateSimulator::PairSpec {
   int level = 0;
   int partner_rank_bit = 0;
   int partner_block_bit = 0;
-  /// Gate descriptor that, with both stored payloads, keys the pair in the
-  /// cache; null = the sweep is never cached.
-  const Bytes* descriptor = nullptr;
-  /// Applies the pair's kernel to both decoded blocks.
+  /// Cache key of one pair, called with its first block; empty = the sweep
+  /// is never cached. Like UnitSpec::make_key, it reads the current stored
+  /// payloads.
+  std::function<std::uint64_t(int rank, int block)> make_key;
+  /// Applies the pair's kernels to both decoded blocks; (rank, block) is
+  /// the first block's.
   std::function<void(qsim::Amplitude* a, qsim::Amplitude* b,
-                     std::uint64_t count)>
+                     std::uint64_t count, int rank, int block)>
       compute;
 };
 
@@ -456,7 +480,7 @@ void CompressedStateSimulator::apply_remap(const qsim::RemapStep& step) {
   spec.level = level_;
   spec.partner_rank_bit = 1 << hot_local;
   spec.compute = [cold_bit](Amplitude* a0, Amplitude* a1,
-                            std::uint64_t count) {
+                            std::uint64_t count, int, int) {
     for (std::uint64_t k = 0; k < count; ++k) {
       if (k & cold_bit) std::swap(a0[k], a1[k ^ cold_bit]);
     }
@@ -600,7 +624,7 @@ void CompressedStateSimulator::run_segment(
   options.intra_qubits = partition_.offset_bits;
   // Budget enforcement (and peak accounting) happens between runs, so an
   // unlimited run would defer Section 3.7's ladder escalation for a whole
-  // block-local stretch; under a budget, bound the deferral.
+  // stretch; under a budget, bound the deferral.
   constexpr std::size_t kBudgetedRunCap = 16;
   options.max_run_length =
       config_.memory_budget_bytes > 0 ? kBudgetedRunCap : 0;
@@ -610,12 +634,12 @@ void CompressedStateSimulator::run_segment(
 
   for (const qsim::GateRun& run : schedule.runs()) {
     WallTimer timer;
-    if (run.block_local) {
-      apply_unit_ops(ops.subspan(run.first, run.count));
+    if (run.pair_qubit == qsim::kSplitSwap) {
+      apply_impl(ops[run.first]);
+    } else {
+      apply_ops(ops.subspan(run.first, run.count), run.pair_qubit);
       ++batched_runs_;
       batched_gates_ += run.count;
-    } else {
-      apply_impl(ops[run.first]);
     }
     gates_ += run.source_gates;
     gate_cursor_ += run.source_gates;
@@ -624,13 +648,12 @@ void CompressedStateSimulator::run_segment(
 }
 
 void CompressedStateSimulator::apply_impl(const GateOp& op) {
-  if (!qsim::pairs_blocks(op, partition_.offset_bits)) {
-    apply_unit_ops({&op, 1});
-  } else if (op.kind == GateKind::kSwap) {
-    // Each leg routes on its own, so a SWAP reuses the pairing machinery.
+  const int k = qsim::pair_qubit(op, partition_.offset_bits);
+  if (k == qsim::kSplitSwap) {
+    // Its legs pair across two qubits, so each routes on its own.
     for (const GateOp& leg : swap_legs(op)) apply_impl(leg);
   } else {
-    run_pair_target(op);
+    apply_ops({&op, 1}, k);
   }
 }
 
@@ -639,6 +662,7 @@ CompressedStateSimulator::GateKernel CompressedStateSimulator::resolve_kernel(
   GateKernel kernel;
   kernel.m = qsim::gate_matrix(op);
   kernel.diagonal = qsim::is_diagonal(op.kind);
+  kernel.pairs = qsim::pair_qubit(op, partition_.offset_bits) >= 0;
   kernel.target_segment = partition_.segment_of(op.target);
   kernel.target_local_bit = partition_.local_bit(op.target);
   if (kernel.diagonal) kernel.add_parity_bit(partition_, op.target);
@@ -669,7 +693,8 @@ void CompressedStateSimulator::record_lossy_pass(std::uint64_t lossy_blocks) {
   }
 }
 
-void CompressedStateSimulator::apply_unit_ops(std::span<const GateOp> ops) {
+void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
+                                         int pair_qubit) {
   std::vector<Bytes> descriptors(ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     append_gate_descriptor(descriptors[i], ops[i], level_);
@@ -690,84 +715,99 @@ void CompressedStateSimulator::apply_unit_ops(std::span<const GateOp> ops) {
       kernels.push_back(resolve_kernel(ops[i]));
     }
   }
-  // Blocks no kernel can change are skipped without decompression. The
-  // rest go in rank-major order, the list run_units advises readahead from.
+  // Every pairing kernel pairs across pair_qubit: the partner block on the
+  // same rank (block segment) or the same block on the partner rank (rank
+  // segment). A pair where some pairing kernel's controls hold is swept
+  // whole; every other block some unit kernel changes is swept alone, and
+  // the rest are skipped without decompression. Both lists keep rank-major
+  // order, the order the executors advise readahead from.
+  const int pair_bit =
+      pair_qubit >= 0 ? 1 << partition_.local_bit(pair_qubit) : 0;
+  const bool rank_pair =
+      pair_qubit >= 0 &&
+      partition_.segment_of(pair_qubit) == Partition::Segment::kRank;
+  const int partner_rank_bit = rank_pair ? pair_bit : 0;
+  const int partner_block_bit = rank_pair ? 0 : pair_bit;
+  std::vector<std::pair<int, int>> pairs;
   std::vector<std::pair<int, int>> units;
   for (int r = 0; r < partition_.num_ranks(); ++r) {
     for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
+      const int first_rank = r & ~partner_rank_bit;
+      const int first_block = b & ~partner_block_bit;
       if (std::ranges::any_of(kernels, [&](const GateKernel& kernel) {
-            return kernel.acts_on(r, b);
+            return kernel.pairs &&
+                   kernel.controls_hold(first_rank, first_block);
           })) {
+        if (r == first_rank && b == first_block) pairs.emplace_back(r, b);
+      } else if (std::ranges::any_of(kernels, [&](const GateKernel& kernel) {
+                   return kernel.acts_on(r, b);
+                 })) {
         units.emplace_back(r, b);
       }
     }
   }
-  UnitSpec spec;
-  spec.level = level_;
-  spec.make_key = [&](int rank, int block) {
-    const auto& store = ranks_[rank];
-    std::uint64_t key = runtime::BlockCache::make_run_key(
-        descriptors, store.payload_view(block), store.meta(block).codec,
-        map_generation_);
+  // Kernel selections join the keys: the same descriptors act differently
+  // on blocks where controls or factor bits differ.
+  auto fold_selections = [&](std::uint64_t key, int rank, int block) {
     for (const GateKernel& kernel : kernels) {
       key = fnv1a_u64(kernel.selection(rank, block), key);
     }
     return key;
   };
-  spec.compute = [&](Amplitude* amps, std::uint64_t count, int rank,
-                     int block) {
+  PairSpec pair_spec;
+  pair_spec.level = level_;
+  pair_spec.partner_rank_bit = partner_rank_bit;
+  pair_spec.partner_block_bit = partner_block_bit;
+  pair_spec.make_key = [&](int rank, int block) {
+    const int rank_b = rank | partner_rank_bit;
+    const int block_b = block | partner_block_bit;
+    const auto& store_a = ranks_[rank];
+    const auto& store_b = ranks_[rank_b];
+    const std::uint64_t key = runtime::BlockCache::make_key(
+        descriptors, store_a.payload_view(block),
+        store_b.payload_view(block_b), store_a.meta(block).codec,
+        store_b.meta(block_b).codec, map_generation_);
+    return fold_selections(fold_selections(key, rank, block), rank_b,
+                           block_b);
+  };
+  pair_spec.compute = [&](Amplitude* a, Amplitude* b, std::uint64_t count,
+                          int rank, int block) {
     for (const GateKernel& kernel : kernels) {
-      if (!kernel.runs_on(rank, block)) continue;
-      const std::uint64_t target_bit = std::uint64_t{1}
-                                       << kernel.target_local_bit;
-      if (kernel.target_segment != Partition::Segment::kOffset) {
-        qsim::scale_kernel(amps, count, kernel.block_factor(rank, block),
-                           kernel.offset_ctrl_mask, backend_);
-      } else if (kernel.diagonal) {
-        Mat2 m = kernel.m;
-        if (kernel.factor_bit(rank, block) != 0) std::swap(m.u00, m.u11);
-        qsim::diag_kernel(amps, count, m, target_bit,
-                          kernel.offset_ctrl_mask, backend_);
-      } else {
-        qsim::mix_kernel(amps, count, kernel.m, target_bit,
-                         kernel.offset_ctrl_mask, backend_);
+      if (!kernel.pairs) {
+        kernel.apply_unit(a, count, rank, block, backend_);
+        kernel.apply_unit(b, count, rank | partner_rank_bit,
+                          block | partner_block_bit, backend_);
+      } else if (kernel.controls_hold(rank, block)) {
+        qsim::pair_kernel(a, b, count, kernel.m, kernel.offset_ctrl_mask,
+                          backend_);
       }
     }
   };
-  // Each block pays one recompression for the whole list, so the fidelity
-  // ledger records one lossy pass, not one per op (Eq. 11 tightens to
-  // F >= (1 - delta)^runs).
-  record_lossy_pass(run_units(units, spec));
-}
-
-void CompressedStateSimulator::run_pair_target(const GateOp& op) {
-  const GateKernel kernel = resolve_kernel(op);
-  Bytes descriptor;
-  append_gate_descriptor(descriptor, op, level_);
-  // The target bit pairs each amplitude with one in another block: the
-  // partner block on the same rank (block segment) or the same block on
-  // the partner rank (rank segment). Units are the target-bit-0 sides.
-  const bool rank_target =
-      kernel.target_segment == Partition::Segment::kRank;
-  const int tb = kernel.target_local_bit;
-  std::vector<std::pair<int, int>> units;
-  for (int r = 0; r < partition_.num_ranks(); ++r) {
-    if (rank_target && ((r >> tb) & 1)) continue;
-    for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
-      if (!rank_target && ((b >> tb) & 1)) continue;
-      if (kernel.controls_hold(r, b)) units.emplace_back(r, b);
-    }
-  }
-  PairSpec spec;
-  spec.level = level_;
-  spec.partner_rank_bit = rank_target ? 1 << tb : 0;
-  spec.partner_block_bit = rank_target ? 0 : 1 << tb;
-  spec.descriptor = &descriptor;
-  spec.compute = [&](Amplitude* a, Amplitude* b, std::uint64_t count) {
-    qsim::pair_kernel(a, b, count, kernel.m, kernel.offset_ctrl_mask,
-                      backend_);
+  UnitSpec unit_spec;
+  unit_spec.level = level_;
+  unit_spec.make_key = [&](int rank, int block) {
+    const auto& store = ranks_[rank];
+    return fold_selections(
+        runtime::BlockCache::make_run_key(descriptors,
+                                          store.payload_view(block),
+                                          store.meta(block).codec,
+                                          map_generation_),
+        rank, block);
   };
-  record_lossy_pass(run_pairs(units, spec));
+  unit_spec.compute = [&](Amplitude* amps, std::uint64_t count, int rank,
+                          int block) {
+    // A block swept alone is where every pairing kernel's controls fail.
+    for (const GateKernel& kernel : kernels) {
+      if (!kernel.pairs) kernel.apply_unit(amps, count, rank, block, backend_);
+    }
+  };
+  // Each block pays one recompression for the whole run, so the fidelity
+  // ledger records one lossy pass, not one per op (Eq. 11 tightens to
+  // F >= (1 - delta)^runs). The counts add in sequence: the operands of a
+  // `+` have no evaluation order.
+  std::uint64_t lossy_blocks = run_pairs(pairs, pair_spec);
+  lossy_blocks += run_units(units, unit_spec);
+  record_lossy_pass(lossy_blocks);
 }
 
 // --- Block executors: every sweep that rewrites blocks runs through one ---
@@ -836,8 +876,22 @@ std::uint64_t CompressedStateSimulator::run_units(
 
 std::uint64_t CompressedStateSimulator::run_pairs(
     const std::vector<std::pair<int, int>>& units, const PairSpec& spec) {
+  // Readahead as in run_units, for both blocks of the pair K units ahead.
+  const std::size_t lookahead =
+      spill_ != nullptr ? static_cast<std::size_t>(config_.readahead_blocks)
+                        : 0;
+  auto advise = [&](std::size_t i) {
+    const auto [rank, block] = units[i];
+    ranks_[rank].advise(block);
+    ranks_[rank | spec.partner_rank_bit].advise(block |
+                                                spec.partner_block_bit);
+  };
+  for (std::size_t i = 0; i < std::min(lookahead, units.size()); ++i) {
+    advise(i);
+  }
   std::atomic<std::uint64_t> lossy_blocks{0};
   pool_->parallel_for(units.size(), [&](std::size_t i, std::size_t worker) {
+    if (lookahead > 0 && i + lookahead < units.size()) advise(i + lookahead);
     const auto [rank_a, block_a] = units[i];
     const int rank_b = rank_a | spec.partner_rank_bit;
     const int block_b = block_a | spec.partner_block_bit;
@@ -862,18 +916,12 @@ std::uint64_t CompressedStateSimulator::run_pairs(
           static_cast<std::uint8_t>(store_b.meta(block_b).codec));
     }
 
-    runtime::BlockCache* cache = spec.descriptor != nullptr &&
-                                         config_.enable_cache &&
-                                         caches_[rank_a]->enabled()
-                                     ? caches_[rank_a].get()
-                                     : nullptr;
+    runtime::BlockCache* cache =
+        spec.make_key && config_.enable_cache && caches_[rank_a]->enabled()
+            ? caches_[rank_a].get()
+            : nullptr;
     const std::uint64_t key =
-        cache != nullptr
-            ? runtime::BlockCache::make_key(
-                  *spec.descriptor, store_a.payload_view(block_a),
-                  store_b.payload_view(block_b), store_a.meta(block_a).codec,
-                  store_b.meta(block_b).codec, map_generation_)
-            : 0;
+        cache != nullptr ? spec.make_key(rank_a, block_a) : 0;
     Bytes payload_a;
     Bytes payload_b;
     runtime::BlockMeta meta_a;
@@ -915,7 +963,7 @@ std::uint64_t CompressedStateSimulator::run_pairs(
       {
         ScopedPhase phase(timers, Phase::kComputation);
         spec.compute(as_complex(vx), as_complex(vy),
-                     partition_.amplitudes_per_block());
+                     partition_.amplitudes_per_block(), rank_a, block_a);
       }
       std::tie(payload_a, meta_a) =
           encode_block(vx, spec.level, rank_a, block_a, worker);

@@ -7,13 +7,17 @@
 // 2x2 unitary is applied where its target qubit's index segment puts the
 // amplitude pairs (Figure 3), and the blocks are recompressed. Only a
 // non-diagonal gate whose target is in the block or rank segment pairs
-// blocks (run_pairs); every other gate acts on each block alone, as a
-// list of unit kernels on run_units. The gate-run scheduler
-// (qsim/scheduler.hpp) batches each stretch of consecutive gates that pair
-// no blocks into one such list — whatever segments their controls, or a
-// diagonal's target, lie in — and folds each CX(u,v) . D . CX(u,v) with D
-// diagonal on v into one parity-phase kernel, so each block pays one codec
-// round — and one lossy fidelity pass — per run instead of per gate. A
+// blocks, each with one partner across that qubit; every other gate acts
+// on each block alone as a unit kernel. The gate-run scheduler
+// (qsim/scheduler.hpp) batches each stretch of consecutive gates whose
+// pairing gates all pair across one qubit k into one run, and folds each
+// CX(u,v) . D . CX(u,v) with D diagonal on v into one parity-phase kernel.
+// A run is one sweep: pairs across k where a pairing gate acts go to
+// run_pairs, which applies the unit kernels to each half and the pairing
+// kernels across the pair in program order; every other block a unit
+// kernel changes goes to run_units alone. So each block pays one codec
+// round — and the run one lossy fidelity pass — per run instead of per
+// gate, and a run across a rank qubit exchanges each pair once. A
 // hybrid compression policy starts lossless (Zstd
 // stand-in) and escalates through a pointwise-relative error-bound ladder
 // whenever the configured memory budget is exceeded (Section 3.7), while a
@@ -165,7 +169,7 @@ class CompressedStateSimulator {
  private:
   struct GateKernel;  // one op resolved against the three index segments
   struct UnitSpec;    // one single-block unit task (cache id + kernels)
-  struct PairSpec;    // one block-pair task (partner, cache id, kernel)
+  struct PairSpec;    // one block-pair task (partner, cache id, kernels)
 
   /// Copyable relaxed counter so the simulator stays movable (checkpoint
   /// load returns by value) while workers bump it concurrently.
@@ -240,21 +244,21 @@ class CompressedStateSimulator {
   void apply_remap(const qsim::RemapStep& step);
   void apply_single_counted(const qsim::GateOp& op);
 
-  /// One physical op: an op that pairs no blocks (qsim::pairs_blocks) goes
-  /// whole to apply_unit_ops, a SWAP that pairs blocks splits into its
-  /// three CX legs, and any other op goes to run_pair_target.
+  /// One physical op: a SWAP whose legs pair across two qubits
+  /// (qsim::kSplitSwap) applies its three CX legs one after another; any
+  /// other op is a one-op apply_ops list.
   void apply_impl(const qsim::GateOp& op);
   GateKernel resolve_kernel(const qsim::GateOp& op) const;
-  /// One codec pass per block for a list of ops that pair no blocks (a
-  /// scheduled run or a single op): resolves each op, or each CX . D . CX
-  /// triple qsim::starts_parity_phase recognises, to one kernel (a SWAP to
-  /// three), skips the blocks no kernel changes, decompresses each other
-  /// block once, applies every kernel that runs there, recompresses once
-  /// and records one lossy pass.
-  void apply_unit_ops(std::span<const qsim::GateOp> ops);
-  /// Block- or rank-segment target of a non-diagonal op: one run_pairs
-  /// sweep.
-  void run_pair_target(const qsim::GateOp& op);
+  /// One sweep for a list of ops (a scheduled run or a single op) whose
+  /// pairing ops all pair blocks across `pair_qubit` (qsim::kPairsNoBlocks
+  /// when none does): resolves each op, or each CX . D . CX triple
+  /// qsim::starts_parity_phase recognises, to one kernel (a SWAP to three).
+  /// Pairs across pair_qubit where some pairing kernel's controls hold go
+  /// whole to run_pairs; every other block some unit kernel changes goes
+  /// alone to run_units; the rest are skipped. Each swept block is
+  /// decompressed once, has every kernel that runs there applied in program
+  /// order, and is recompressed once; the sweep records one lossy pass.
+  void apply_ops(std::span<const qsim::GateOp> ops, int pair_qubit);
 
   // --- Block executors: every sweep that rewrites blocks runs on one ---
 
@@ -266,7 +270,8 @@ class CompressedStateSimulator {
                           const UnitSpec& spec);
   /// The two-block counterpart: for each unit, exchanges the pair's
   /// payloads when it spans ranks, then (on a cache miss) decodes both
-  /// blocks, applies spec.compute, and recompresses both. Returns how many
+  /// blocks, applies spec.compute, and recompresses both. Readahead is
+  /// advised for both blocks of the pair K units ahead. Returns how many
   /// blocks the lossy codec wrote.
   std::uint64_t run_pairs(const std::vector<std::pair<int, int>>& units,
                           const PairSpec& spec);

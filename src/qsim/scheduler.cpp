@@ -6,13 +6,18 @@
 
 namespace cqs::qsim {
 
-bool pairs_blocks(const GateOp& op, int intra_qubits) {
+int pair_qubit(const GateOp& op, int intra_qubits) {
   if (op.kind == GateKind::kSwap) {
     // SWAP stores its two qubits in target/controls[0]; its CX legs target
     // both of them.
-    return op.target >= intra_qubits || op.controls[0] >= intra_qubits;
+    const int a = op.target;
+    const int b = op.controls[0];
+    if (a >= intra_qubits && b >= intra_qubits) return kSplitSwap;
+    if (a >= intra_qubits) return a;
+    return b >= intra_qubits ? b : kPairsNoBlocks;
   }
-  return !is_diagonal(op.kind) && op.target >= intra_qubits;
+  return !is_diagonal(op.kind) && op.target >= intra_qubits ? op.target
+                                                             : kPairsNoBlocks;
 }
 
 bool starts_parity_phase(std::span<const GateOp> ops, int intra_qubits) {
@@ -70,26 +75,31 @@ Schedule build_schedule(const Circuit& circuit,
 
   const std::size_t cap = options.max_run_length;
   for (std::size_t i = 0; i < ops.size();) {
-    const std::size_t width =
-        starts_parity_phase(std::span(ops).subspan(i), options.intra_qubits)
-            ? 3
-            : 1;
-    if (width == 1 && pairs_blocks(ops[i], options.intra_qubits)) {
+    const bool triple =
+        starts_parity_phase(std::span(ops).subspan(i), options.intra_qubits);
+    const std::size_t width = triple ? 3 : 1;
+    const int k =
+        triple ? kPairsNoBlocks : pair_qubit(ops[i], options.intra_qubits);
+    if (k == kSplitSwap) {
       close();
       schedule.runs_.push_back(GateRun{.first = i, .count = 1,
                                        .source_gates = origins[i],
-                                       .block_local = false});
+                                       .pair_qubit = kSplitSwap});
       ++i;
       continue;
     }
-    // A run closes early rather than split a folded triple.
-    if (cap > 0 && current.count > 0 && current.count + width > cap) close();
-    if (current.count == 0) {
-      current = GateRun{.first = i, .count = 0, .source_gates = 0,
-                        .block_local = true};
+    // A run pairs across one qubit at most, and closes early rather than
+    // split a folded triple.
+    const bool other_qubit =
+        k >= 0 && current.pair_qubit >= 0 && current.pair_qubit != k;
+    if (current.count > 0 &&
+        (other_qubit || (cap > 0 && current.count + width > cap))) {
+      close();
     }
-    for (std::size_t k = 0; k < width; ++k) {
-      current.source_gates += origins[i + k];
+    if (current.count == 0) current = GateRun{.first = i};
+    if (k >= 0) current.pair_qubit = k;
+    for (std::size_t j = 0; j < width; ++j) {
+      current.source_gates += origins[i + j];
     }
     current.count += width;
     i += width;

@@ -1,15 +1,19 @@
 // Gate-run scheduler. The compressed simulator pays one decompress ->
 // apply -> recompress round per touched block per sweep. Figure 3's split
-// says which ops need a sweep of their own: only a non-diagonal op whose
-// target lies in the block or rank segment pairs amplitudes across blocks
-// (a SWAP does when one of its qubits lies there). Every other op — offset
-// targets with any controls, and diagonals anywhere — acts on each block
-// alone, so a stretch of such ops can share one sweep: every touched block
-// is decompressed once, has the whole run applied in scratch, and is
-// recompressed once — one codec pass (and one lossy fidelity pass) per run
-// instead of per op. This pass partitions a circuit into maximal such
-// runs, interleaved with single-op items for ops that pair blocks, and
-// composes single-qubit gate fusion as a pre-pass.
+// says how an op touches blocks: only a non-diagonal op whose target lies
+// in the block or rank segment pairs each block with one partner across
+// that qubit (a SWAP does when one of its qubits lies there). Every other
+// op — offset targets with any controls, and diagonals anywhere — acts on
+// each block alone. So a stretch of ops can share one sweep as long as the
+// ops in it that pair blocks all pair them across one qubit k: the sweep
+// walks the block pairs across k, applies the ops that pair no blocks to
+// each half on its own and the pairing ops across the pair, all in program
+// order. Every touched block is decompressed once, has the whole run
+// applied in scratch, and is recompressed once — one codec pass (and one
+// lossy fidelity pass) per run instead of per op. This pass partitions a
+// circuit into maximal such runs and composes single-qubit gate fusion as
+// a pre-pass. Only a SWAP with both qubits outside the offset segment pairs
+// across two qubits; it stays an item of its own.
 //
 // QAOA writes each ZZ term as CX(u,v) . D . CX(u,v) with D diagonal on v.
 // CX only permutes amplitudes, so the triple multiplies each amplitude by
@@ -35,7 +39,7 @@ struct SchedulerOptions {
   /// Qubits with index < intra_qubits address amplitudes within one block
   /// (the partition's offset segment). An op pairs blocks when it is not
   /// diagonal and its target lies at or above this line, or when it is a
-  /// SWAP with a qubit there; every other op can join a run.
+  /// SWAP with a qubit there (see pair_qubit).
   int intra_qubits = 0;
 
   /// Cap on scheduled ops per run (0 = unlimited). Shorter runs trade
@@ -48,9 +52,16 @@ struct SchedulerOptions {
   bool fuse = true;
 };
 
+// pair_qubit's two answers that are not a qubit index.
+/// The op acts on each block alone.
+inline constexpr int kPairsNoBlocks = -1;
+/// A SWAP with both qubits outside the offset segment: its CX legs pair
+/// blocks across two different qubits, so it splits into them.
+inline constexpr int kSplitSwap = -2;
+
 /// One schedule item: `count` consecutive ops of the scheduled circuit
-/// starting at `first`. A run of ops that pair no blocks may hold many
-/// ops; an op that pairs blocks is always an item of its own.
+/// starting at `first`, executed as one sweep — unless it is the single-op
+/// item of a SWAP that splits into its legs.
 struct GateRun {
   std::size_t first = 0;
   std::size_t count = 0;
@@ -59,16 +70,23 @@ struct GateRun {
   /// this equals the source circuit's size, which is what keeps the
   /// simulator's resume cursor counting in source-circuit units.
   std::size_t source_gates = 0;
-  /// True for a run whose ops pair no blocks (each acts on every block
-  /// alone); false for the single-op item of an op that pairs blocks.
-  bool block_local = false;
+  /// The qubit k every op of the run that pairs blocks pairs them across;
+  /// kPairsNoBlocks when no op of the run pairs blocks (each acts on every
+  /// block alone); kSplitSwap for the single-op item of a SWAP whose legs
+  /// pair across two qubits.
+  int pair_qubit = kPairsNoBlocks;
 };
 
-/// Figure 3's split: true when `op` pairs amplitudes across blocks — a
-/// non-diagonal op whose target lies outside the offset segment, or a SWAP
-/// with a qubit outside it (one of its three CX legs then has such a
-/// target). Controls never pair blocks, wherever they lie.
-bool pairs_blocks(const GateOp& op, int intra_qubits);
+/// Figure 3's split: the one qubit `op` pairs amplitudes across blocks on.
+/// k for a non-diagonal op whose target k lies outside the offset segment,
+/// or for a SWAP with exactly one qubit k outside it (its two CX legs that
+/// target k pair, and its leg that targets the offset qubit is a unit
+/// kernel controlled by k); kSplitSwap for a SWAP with both qubits outside
+/// it; kPairsNoBlocks for every other op. Controls never pair blocks,
+/// wherever they lie. build_schedule, the simulator's per-op routing and
+/// its kernel resolution all ask this one question, so they cannot
+/// disagree.
+int pair_qubit(const GateOp& op, int intra_qubits);
 
 /// True when `ops` starts with CX(u,v), D, CX(u,v): both CXs the same op
 /// with the single control u, D diagonal with target v and no control on
@@ -103,8 +121,11 @@ std::vector<std::pair<int, int>> run_block_order(int num_ranks,
                                                  int blocks_per_rank);
 
 /// Builds the run partition of `circuit`. Every op of the (post-fusion)
-/// circuit belongs to exactly one GateRun, runs preserve program order,
-/// and runs of ops that pair no blocks are maximal under
+/// circuit belongs to exactly one GateRun and runs preserve program order.
+/// Ops join the open run in program order: an op that pairs no blocks
+/// always joins; an op with pair qubit k joins unless the run already pairs
+/// across another qubit, in which case it opens the next run; a SWAP that
+/// splits is an item of its own. Runs are maximal under
 /// options.max_run_length.
 ///
 /// When `origin_counts` is non-null the circuit is taken as already

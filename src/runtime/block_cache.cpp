@@ -6,17 +6,34 @@ BlockCache::BlockCache(std::size_t lines,
                        std::uint64_t disable_after_misses)
     : capacity_(lines), disable_after_misses_(disable_after_misses) {}
 
-std::uint64_t BlockCache::make_key(ByteSpan op_descriptor, ByteSpan cb1,
-                                   ByteSpan cb2, std::uint8_t cb1_codec,
+namespace {
+
+/// The descriptor count, then each descriptor with its length.
+std::uint64_t hash_descriptors(std::span<const Bytes> op_descriptors) {
+  std::uint64_t h = fnv1a_u64(op_descriptors.size(), 0xcbf29ce484222325ull);
+  for (const Bytes& d : op_descriptors) {
+    h = fnv1a(d, h);
+    h = fnv1a_u64(d.size(), h);
+  }
+  return h;
+}
+
+std::uint64_t hash_block(ByteSpan cb, std::uint8_t codec, std::uint64_t h) {
+  h = fnv1a(cb, h);
+  h = fnv1a_u64(cb.size(), h);
+  return fnv1a_u64(codec, h);
+}
+
+}  // namespace
+
+std::uint64_t BlockCache::make_key(std::span<const Bytes> op_descriptors,
+                                   ByteSpan cb1, ByteSpan cb2,
+                                   std::uint8_t cb1_codec,
                                    std::uint8_t cb2_codec,
                                    std::uint64_t map_generation) {
-  std::uint64_t h = fnv1a(op_descriptor);
-  h = fnv1a(cb1, h);
-  h = fnv1a_u64(cb1.size(), h);
-  h = fnv1a_u64(cb1_codec, h);
-  h = fnv1a(cb2, h);
-  h = fnv1a_u64(cb2.size(), h);
-  h = fnv1a_u64(cb2_codec, h);
+  std::uint64_t h = hash_descriptors(op_descriptors);
+  h = hash_block(cb1, cb1_codec, h);
+  h = hash_block(cb2, cb2_codec, h);
   if (map_generation != 0) h = fnv1a_u64(map_generation, h);
   return h;
 }
@@ -24,14 +41,8 @@ std::uint64_t BlockCache::make_key(ByteSpan op_descriptor, ByteSpan cb1,
 std::uint64_t BlockCache::make_run_key(std::span<const Bytes> op_descriptors,
                                        ByteSpan cb1, std::uint8_t cb1_codec,
                                        std::uint64_t map_generation) {
-  std::uint64_t h = fnv1a_u64(op_descriptors.size(), 0xcbf29ce484222325ull);
-  for (const Bytes& d : op_descriptors) {
-    h = fnv1a(d, h);
-    h = fnv1a_u64(d.size(), h);
-  }
-  h = fnv1a(cb1, h);
-  h = fnv1a_u64(cb1.size(), h);
-  h = fnv1a_u64(cb1_codec, h);
+  std::uint64_t h =
+      hash_block(cb1, cb1_codec, hash_descriptors(op_descriptors));
   if (map_generation != 0) h = fnv1a_u64(map_generation, h);
   return h;
 }

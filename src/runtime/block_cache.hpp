@@ -37,23 +37,26 @@ class BlockCache {
   explicit BlockCache(std::size_t lines = 64,
                       std::uint64_t disable_after_misses = 4096);
 
-  /// Key for (OP, CB1, CB2): hash of the op descriptor and input payloads,
-  /// plus each input's codec id — byte-identical payloads produced by
-  /// different codecs decode to different blocks, so the id must join the
-  /// identity. `map_generation` is the simulator's qubit-map version
-  /// counter: ops are cached in physical coordinates, and folding the
-  /// generation in keeps every cached block a pure function of its inputs
-  /// even across relabels that reuse a physical gate descriptor (0 = the
-  /// identity layout, which never changes).
-  static std::uint64_t make_key(ByteSpan op_descriptor, ByteSpan cb1,
-                                ByteSpan cb2, std::uint8_t cb1_codec = 0,
+  /// Key for (RUN, CB1, CB2): a run that pairs blocks, keyed like
+  /// make_run_key (the descriptor count and each per-gate descriptor with
+  /// its length) plus both input payloads, each with its codec id —
+  /// byte-identical payloads produced by different codecs decode to
+  /// different blocks, so the id must join the identity. `map_generation`
+  /// is the simulator's qubit-map version counter: ops are cached in
+  /// physical coordinates, and folding the generation in keeps every cached
+  /// block a pure function of its inputs even across relabels that reuse a
+  /// physical gate descriptor (0 = the identity layout, which never
+  /// changes).
+  static std::uint64_t make_key(std::span<const Bytes> op_descriptors,
+                                ByteSpan cb1, ByteSpan cb2,
+                                std::uint8_t cb1_codec = 0,
                                 std::uint8_t cb2_codec = 0,
                                 std::uint64_t map_generation = 0);
 
   /// Key for (RUN, CB1): a gate run is a first-class cache identity — the
   /// hash covers the descriptor count and each per-gate descriptor with
   /// its length, so ({"ab","c"}, ...) and ({"a","bc"}, ...) never collide,
-  /// plus the single input block a block-local run reads and its codec id,
+  /// plus the single input block a unit sweep reads and its codec id,
   /// plus the qubit-map generation (see make_key).
   static std::uint64_t make_run_key(std::span<const Bytes> op_descriptors,
                                     ByteSpan cb1, std::uint8_t cb1_codec = 0,

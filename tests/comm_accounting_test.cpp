@@ -2,12 +2,13 @@
 // rank configurations so scheduler changes cannot silently regress
 // cross-rank traffic. The expected exchange count is derived from an
 // independent walk of the circuit against the Section 3.3 routing rules
-// (one paired block exchange per unit of every non-diagonal rank-target
-// sweep); the simulator's counters must match it exactly with remapping
-// off, stay reproducible across runs and thread counts, and never exceed
-// it with remapping on.
+// (one paired block exchange per pair unit of every run that pairs blocks
+// across a rank qubit); the simulator's counters must match it exactly
+// with remapping off, stay reproducible across runs and thread counts, and
+// never exceed it with remapping on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -44,60 +45,84 @@ SimConfig comm_config(int qubits, int ranks, bool remap) {
   return config;
 }
 
-/// Paired block exchanges one non-diagonal gate with a rank-segment
-/// target costs: the unit enumeration of run_pair_target — ranks with the
-/// target bit clear and every control bit set, times the blocks every
-/// block-segment control bit allows.
-std::uint64_t exchanges_for(const Partition& partition, const GateOp& op) {
-  if (qsim::is_diagonal(op.kind)) return 0;
-  if (partition.segment_of(op.target) != Partition::Segment::kRank) {
-    return 0;
-  }
-  const int target_bit = partition.local_bit(op.target);
-  int rank_ctrl = 0;
-  int block_ctrl = 0;
-  for (int c : op.controls) {
-    if (c < 0) continue;
-    switch (partition.segment_of(c)) {
-      case Partition::Segment::kRank:
-        rank_ctrl |= 1 << partition.local_bit(c);
-        break;
-      case Partition::Segment::kBlock:
-        block_ctrl |= 1 << partition.local_bit(c);
-        break;
-      case Partition::Segment::kOffset:
-        break;  // offset controls filter amplitudes, not units
-    }
-  }
+/// Paired block exchanges one run costs when all its pairing ops target
+/// rank-segment qubit `qubit`: the pair units of run_pairs — ranks with the
+/// qubit's bit clear, times blocks — where the rank and block control bits
+/// of some pairing op hold. The exchange carries both payloads once for
+/// the whole run.
+std::uint64_t exchanges_for(const Partition& partition, int qubit,
+                            const std::vector<GateOp>& pairing) {
+  const int target_bit = partition.local_bit(qubit);
   std::uint64_t units = 0;
   for (int r = 0; r < partition.num_ranks(); ++r) {
     if ((r >> target_bit) & 1) continue;
-    if ((r & rank_ctrl) != rank_ctrl) continue;
     for (int b = 0; b < partition.blocks_per_rank(); ++b) {
-      if ((b & block_ctrl) != block_ctrl) continue;
-      ++units;
+      const bool acts = std::ranges::any_of(pairing, [&](const GateOp& op) {
+        for (int c : op.controls) {
+          if (c < 0) continue;
+          const int bit = 1 << partition.local_bit(c);
+          switch (partition.segment_of(c)) {
+            case Partition::Segment::kRank:
+              if ((r & bit) == 0) return false;
+              break;
+            case Partition::Segment::kBlock:
+              if ((b & bit) == 0) return false;
+              break;
+            case Partition::Segment::kOffset:
+              break;  // offset controls filter amplitudes, not units
+          }
+        }
+        return true;
+      });
+      if (acts) ++units;
     }
   }
   return units;
 }
 
-/// Reference model of the seed (remap-off) path: SWAP expands into three
-/// CX legs exactly as apply_impl does; everything else exchanges per its
-/// own routing.
+/// Reference model of the remap-off path without a memory budget. An op
+/// pairs blocks when it is not diagonal and its target lies outside the
+/// offset segment; a SWAP is its three CX legs. Runs are maximal stretches
+/// whose pairing ops all pair across one qubit, except that a SWAP with
+/// both qubits outside the offset segment runs each leg as a run of its
+/// own. (QFT holds no CX . D . CX triple, which the scheduler would fold.)
 std::uint64_t expected_exchanges(const Partition& partition,
                                  const qsim::Circuit& circuit) {
+  const int offset_bits = partition.offset_bits;
   std::uint64_t total = 0;
+  int run_qubit = -1;
+  std::vector<GateOp> pairing;  // the open run's pairing ops
+  auto close = [&] {
+    if (run_qubit >= 0 &&
+        partition.segment_of(run_qubit) == Partition::Segment::kRank) {
+      total += exchanges_for(partition, run_qubit, pairing);
+    }
+    run_qubit = -1;
+    pairing.clear();
+  };
+  auto add = [&](const GateOp& op) {
+    if (qsim::is_diagonal(op.kind) || op.target < offset_bits) return;
+    if (run_qubit >= 0 && op.target != run_qubit) close();
+    run_qubit = op.target;
+    pairing.push_back(op);
+  };
   for (const GateOp& op : circuit.ops()) {
-    if (op.kind == GateKind::kSwap) {
-      const int a = op.target;
-      const int b = op.controls[0];
-      total += exchanges_for(partition, {GateKind::kCX, b, {a, -1}});
-      total += exchanges_for(partition, {GateKind::kCX, a, {b, -1}});
-      total += exchanges_for(partition, {GateKind::kCX, b, {a, -1}});
-    } else {
-      total += exchanges_for(partition, op);
+    if (op.kind != GateKind::kSwap) {
+      add(op);
+      continue;
+    }
+    const int a = op.target;
+    const int b = op.controls[0];
+    const bool split = a >= offset_bits && b >= offset_bits;
+    if (split) close();
+    for (const GateOp& leg :
+         {GateOp{GateKind::kCX, b, {a, -1}}, GateOp{GateKind::kCX, a, {b, -1}},
+          GateOp{GateKind::kCX, b, {a, -1}}}) {
+      add(leg);
+      if (split) close();
     }
   }
+  close();
   return total;
 }
 

@@ -254,32 +254,32 @@ constexpr SweepLeg kSweepLegs[kSweepLegCount] = {
 // 1 and 4 threads.
 constexpr SweepPin kSweepPins[kSweepLegCount] = {
     {"7f9effee1e4665247f532fa6f571698daa7211f50f59c6cd52220272fdc27314", 0,
-     0x3ff0000000000000, 442, 0, 448, 0, 8351, 0, 0, 0},
-    {"0ff773f442b739a856937ed0de61c730d8959aa1bf0fc8297ed7ce98678ebb52", 10,
-     0x3fe9a19c7d30558d, 362, 160, 376, 152, 7593, 0, 0, 0},
+     0x3ff0000000000000, 146, 0, 152, 0, 4203, 0, 0, 0},
+    {"8761b1ea5aecc9d2cace6f5455462c4057f72d0f16cd4c23bf752843d97d8e2c", 9,
+     0x3fe9a1ad49730a8e, 82, 144, 96, 136, 3445, 0, 0, 0},
     {"c86b9e1d2b5fee6a1399446e061200a6d1f4c9f1a098b4271328db91266b6af1", 0,
-     0x3ff0000000000000, 442, 0, 448, 0, 8351, 48, 40, 0},
-    {"f61aad6444c7cffb715ca8473512a7a37547dd2a0c94188a479ce5e751b98c13", 7,
-     0x3feffdf3c18bc0a4, 362, 112, 376, 104, 7593, 32, 24, 0},
+     0x3ff0000000000000, 146, 0, 152, 0, 4203, 48, 40, 0},
+    {"33c4a86e957039f2cbbf8323b93efe484d263785e3e56343ccd0be3ca1e8a60d", 6,
+     0x3feffe08b8f77593, 82, 96, 96, 88, 3445, 32, 24, 0},
     {"9485a78681917cdb5db50d55fd7726807a64f025723068dc9fdf492f39386ef4", 0,
-     0x3ff0000000000000, 242, 0, 248, 0, 3716, 0, 0, 2},
-    {"6cafb1b6a63c7bb9eb963fc881bac003786002ddf7a80df1d53433c95c41f809", 7,
-     0x3fe9a1cee2197b58, 210, 112, 224, 104, 3716, 0, 0, 2},
+     0x3ff0000000000000, 162, 0, 168, 0, 3483, 0, 0, 2},
+    {"4f2522bf42041cb3814c7f9439d58f90fe1aacc101efd7a50bf94a9656120473", 6,
+     0x3fe9a1dfae7d372d, 146, 96, 160, 88, 3483, 0, 0, 2},
     {"2209790f13040785a6604420ade911835b053feaa7c08690f083257333cc14e1", 0,
-     0x3ff0000000000000, 242, 0, 248, 0, 3716, 32, 24, 2},
-    {"cbc235a6064983e6d484b3f4ecf6c094446b6b57076ff30dfacd875e07c3be9a", 3,
-     0x3fefffc11608a09e, 210, 48, 224, 40, 3716, 48, 40, 2},
+     0x3ff0000000000000, 162, 0, 168, 0, 3483, 16, 0, 2},
+    {"e7e445d032f608d2bf047ef465e0440415355ca63a7e012400d24a29597703e2", 2,
+     0x3fefffd60ea2acaa, 146, 32, 160, 24, 3483, 32, 24, 2},
     {"8609b19d04b3012a2d1b9a65dae1bb74dfd61349a4792f3e41168e37dba15774", 0,
-     0x3ff0000000000000, 954, 0, 960, 0, 11994, 0, 0, 0},
+     0x3ff0000000000000, 850, 0, 856, 0, 9677, 0, 0, 0},
     {"5ddcc2548faed9556617637abe898de2b495c1224731599f655efb10a163752c", 25,
-     0x3fdb3d97435ae526, 666, 368, 680, 360, 7716, 0, 0, 0},
+     0x3fdb3d97435ae526, 562, 368, 576, 360, 5399, 0, 0, 0},
 };
 
 // Cache on, 1 thread, on the leg that exercises everything (remap, spill
 // and budget): hits and misses of the probe order the executors follow.
 constexpr int kSweepCacheLeg = 7;
-constexpr std::uint64_t kSweepCacheHits = 53;
-constexpr std::uint64_t kSweepCacheMisses = 107;
+constexpr std::uint64_t kSweepCacheHits = 20;
+constexpr std::uint64_t kSweepCacheMisses = 60;
 
 struct SweepResult {
   std::string image_sha256;

@@ -98,7 +98,7 @@ TEST(BlockStoreTest, MetaLevelTracksEveryReplacement) {
 
 TEST(BlockCacheTest, HitReturnsInsertedBlocks) {
   BlockCache cache(4);
-  const Bytes op{std::byte{1}};
+  const std::vector<Bytes> op{Bytes{std::byte{1}}};
   const Bytes cb1(16, std::byte{2});
   const Bytes cb2(16, std::byte{3});
   const auto key = BlockCache::make_key(op, cb1, cb2);
@@ -114,7 +114,7 @@ TEST(BlockCacheTest, HitReturnsInsertedBlocks) {
 }
 
 TEST(BlockCacheTest, DistinctKeysForDistinctInputs) {
-  const Bytes op{std::byte{1}};
+  const std::vector<Bytes> op{Bytes{std::byte{1}}};
   const Bytes a(4, std::byte{1});
   const Bytes b(4, std::byte{2});
   EXPECT_NE(BlockCache::make_key(op, a, b), BlockCache::make_key(op, b, a));

@@ -1,4 +1,5 @@
-// Coverage for the block-local gate-run scheduler: run formation rules,
+// Coverage for the gate-run scheduler: the pair-qubit classification, run
+// formation rules (unit runs, pair runs across one qubit, split SWAPs),
 // fusion composition, source-gate accounting, dense-vs-compressed
 // equivalence of the batched execution path across all target segments,
 // the one-lossy-pass-per-run fidelity accounting, and the circuit-cursor
@@ -28,7 +29,9 @@ using qsim::Circuit;
 using qsim::GateKind;
 using qsim::GateRun;
 using qsim::GateOp;
-using qsim::pairs_blocks;
+using qsim::kPairsNoBlocks;
+using qsim::kSplitSwap;
+using qsim::pair_qubit;
 using qsim::plan_remaps;
 using qsim::SchedulerOptions;
 using qsim::starts_parity_phase;
@@ -37,51 +40,59 @@ using qsim::starts_parity_phase;
 
 TEST(SchedulerTest, BlockLocalClassification) {
   const int intra = 5;
-  EXPECT_FALSE(pairs_blocks({GateKind::kH, 0}, intra));
-  EXPECT_FALSE(pairs_blocks({GateKind::kCX, 4, {3, -1}}, intra));
-  EXPECT_FALSE(pairs_blocks({GateKind::kCCX, 2, {0, 1}}, intra));
-  EXPECT_TRUE(pairs_blocks({GateKind::kH, 5}, intra));
-  EXPECT_TRUE(pairs_blocks({GateKind::kCX, 7, {0, -1}}, intra));
+  EXPECT_EQ(pair_qubit({GateKind::kH, 0}, intra), kPairsNoBlocks);
+  EXPECT_EQ(pair_qubit({GateKind::kCX, 4, {3, -1}}, intra), kPairsNoBlocks);
+  EXPECT_EQ(pair_qubit({GateKind::kCCX, 2, {0, 1}}, intra), kPairsNoBlocks);
+  EXPECT_EQ(pair_qubit({GateKind::kH, 5}, intra), 5);
+  EXPECT_EQ(pair_qubit({GateKind::kH, 6}, intra), 6);
+  EXPECT_EQ(pair_qubit({GateKind::kCX, 7, {0, -1}}, intra), 7);
   // Controls never pair blocks, wherever they lie, and neither does a
   // diagonal, wherever its target lies.
-  EXPECT_FALSE(pairs_blocks({GateKind::kCX, 0, {7, -1}}, intra));
-  EXPECT_FALSE(pairs_blocks({GateKind::kCCX, 0, {1, 9}}, intra));
-  EXPECT_FALSE(pairs_blocks({GateKind::kRz, 6, {-1, -1}, {0.3}}, intra));
-  EXPECT_FALSE(pairs_blocks({GateKind::kCPhase, 9, {6, -1}, {0.3}}, intra));
-  // SWAP keeps its qubits in target/controls[0].
-  EXPECT_FALSE(pairs_blocks({GateKind::kSwap, 1, {2, -1}}, intra));
-  EXPECT_TRUE(pairs_blocks({GateKind::kSwap, 1, {9, -1}}, intra));
-  EXPECT_TRUE(pairs_blocks({GateKind::kSwap, 9, {1, -1}}, intra));
+  EXPECT_EQ(pair_qubit({GateKind::kCX, 0, {7, -1}}, intra), kPairsNoBlocks);
+  EXPECT_EQ(pair_qubit({GateKind::kCCX, 0, {1, 9}}, intra), kPairsNoBlocks);
+  EXPECT_EQ(pair_qubit({GateKind::kRz, 6, {-1, -1}, {0.3}}, intra),
+            kPairsNoBlocks);
+  EXPECT_EQ(pair_qubit({GateKind::kRz, 7, {-1, -1}, {0.3}}, intra),
+            kPairsNoBlocks);
+  EXPECT_EQ(pair_qubit({GateKind::kCPhase, 9, {6, -1}, {0.3}}, intra),
+            kPairsNoBlocks);
+  // SWAP keeps its qubits in target/controls[0]. With one qubit outside the
+  // offset segment it pairs across that one, whichever slot holds it; with
+  // both outside, it splits into its legs.
+  EXPECT_EQ(pair_qubit({GateKind::kSwap, 1, {2, -1}}, intra), kPairsNoBlocks);
+  EXPECT_EQ(pair_qubit({GateKind::kSwap, 1, {9, -1}}, intra), 9);
+  EXPECT_EQ(pair_qubit({GateKind::kSwap, 9, {1, -1}}, intra), 9);
+  EXPECT_EQ(pair_qubit({GateKind::kSwap, 7, {9, -1}}, intra), kSplitSwap);
 }
 
 TEST(SchedulerTest, RunsAreMaximalAndPreserveOrder) {
   Circuit c(10);
-  c.h(0).cx(0, 1).t(2);  // block-local run of 3
-  c.h(6);                // block-segment gate: single item
-  c.h(3).swap(1, 2);     // block-local run of 2 (local SWAP joins)
-  c.swap(0, 9);          // SWAP crossing the line: single item
-  c.x(4);                // trailing block-local run of 1
+  c.h(0).cx(0, 1).t(2);   // unit ops open the run
+  c.h(6);                 // pairs across 6: joins, the run pairs across 6
+  c.h(3).swap(1, 2);      // unit ops join (a SWAP in the offset segment too)
+  c.cx(2, 6).rz(6, 0.3);  // pairs across 6 again, then a diagonal on 6
+  c.swap(0, 9);           // pairs across 9 alone: closes the run
+  c.x(4);                 // joins the run across 9
+  c.swap(6, 9);           // both qubits outside: an item of its own
+  c.h(9);                 // a trailing run across 9
 
   const auto schedule =
       build_schedule(c, {.intra_qubits = 5, .max_run_length = 0,
                          .fuse = false});
   const auto& runs = schedule.runs();
-  ASSERT_EQ(runs.size(), 5u);
-  EXPECT_TRUE(runs[0].block_local);
+  ASSERT_EQ(runs.size(), 4u);
   EXPECT_EQ(runs[0].first, 0u);
-  EXPECT_EQ(runs[0].count, 3u);
-  EXPECT_FALSE(runs[1].block_local);
-  EXPECT_EQ(runs[1].count, 1u);
-  EXPECT_TRUE(runs[2].block_local);
-  EXPECT_EQ(runs[2].first, 4u);
-  EXPECT_EQ(runs[2].count, 2u);
-  EXPECT_FALSE(runs[3].block_local);
-  EXPECT_TRUE(runs[4].block_local);
-  EXPECT_EQ(runs[4].count, 1u);
-
-  EXPECT_EQ(std::ranges::count_if(
-                runs, [](const GateRun& run) { return run.block_local; }),
-            3);
+  EXPECT_EQ(runs[0].count, 8u);
+  EXPECT_EQ(runs[0].pair_qubit, 6);
+  EXPECT_EQ(runs[1].first, 8u);
+  EXPECT_EQ(runs[1].count, 2u);
+  EXPECT_EQ(runs[1].pair_qubit, 9);
+  EXPECT_EQ(runs[2].first, 10u);
+  EXPECT_EQ(runs[2].count, 1u);
+  EXPECT_EQ(runs[2].pair_qubit, kSplitSwap);
+  EXPECT_EQ(runs[3].first, 11u);
+  EXPECT_EQ(runs[3].count, 1u);
+  EXPECT_EQ(runs[3].pair_qubit, 9);
 }
 
 TEST(SchedulerTest, MaxRunLengthSplitsRuns) {
@@ -100,32 +111,59 @@ TEST(SchedulerTest, MaxRunLengthSplitsRuns) {
 TEST(SchedulerTest, FusionPrepassFoldsSourceGates) {
   Circuit c(10);
   c.h(0).t(0).h(0);  // fuses into one kU3G standing for 3 source gates
-  c.cx(0, 9);        // rank-segment single item
+  c.cx(0, 9);        // pairs across 9: joins the run
+  c.h(7);            // pairs across 7: opens the next run
   const auto schedule =
       build_schedule(c, {.intra_qubits = 5, .max_run_length = 0,
                          .fuse = true});
-  ASSERT_EQ(schedule.circuit().size(), 2u);
+  ASSERT_EQ(schedule.circuit().size(), 3u);
   EXPECT_EQ(schedule.circuit().ops()[0].kind, GateKind::kU3G);
   ASSERT_EQ(schedule.runs().size(), 2u);
-  EXPECT_EQ(schedule.runs()[0].source_gates, 3u);
+  EXPECT_EQ(schedule.runs()[0].count, 2u);
+  EXPECT_EQ(schedule.runs()[0].source_gates, 4u);
+  EXPECT_EQ(schedule.runs()[0].pair_qubit, 9);
   EXPECT_EQ(schedule.runs()[1].source_gates, 1u);
+  EXPECT_EQ(schedule.runs()[1].pair_qubit, 7);
 }
 
 TEST(SchedulerTest, SourceGatesAlwaysSumToCircuitSize) {
-  const auto c = circuits::qaoa_maxcut_circuit({.num_qubits = 10});
-  for (const bool fuse : {false, true}) {
-    for (const std::size_t cap : {0, 1, 2, 3, 16}) {
-      const auto schedule = build_schedule(
-          c, {.intra_qubits = 5, .max_run_length = cap, .fuse = fuse});
-      std::size_t total = 0;
-      std::size_t covered_ops = 0;
-      for (const GateRun& run : schedule.runs()) {
-        total += run.source_gates;
-        covered_ops += run.count;
-        if (cap > 0) EXPECT_LE(run.count, std::max<std::size_t>(cap, 3));
+  // QAOA (parity triples) and random circuits over all three segments
+  // (SWAPs of every kind): every run pairs across one qubit at most, a
+  // split SWAP stands alone, and the source-gate weights add up.
+  const int intra = 5;
+  std::vector<Circuit> circuits = {
+      circuits::qaoa_maxcut_circuit({.num_qubits = 10})};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    circuits.push_back(test::random_circuit(10, 120, seed));
+  }
+  for (const Circuit& c : circuits) {
+    for (const bool fuse : {false, true}) {
+      for (const std::size_t cap : {0, 1, 2, 3, 16}) {
+        const auto schedule = build_schedule(
+            c, {.intra_qubits = intra, .max_run_length = cap, .fuse = fuse});
+        const auto ops = std::span(schedule.circuit().ops());
+        std::size_t total = 0;
+        std::size_t covered_ops = 0;
+        for (const GateRun& run : schedule.runs()) {
+          total += run.source_gates;
+          covered_ops += run.count;
+          if (cap > 0) EXPECT_LE(run.count, std::max<std::size_t>(cap, 3));
+          if (run.pair_qubit == kSplitSwap) {
+            EXPECT_EQ(run.count, 1u);
+            continue;
+          }
+          for (std::size_t i = run.first; i < run.first + run.count; ++i) {
+            if (starts_parity_phase(ops.subspan(i), intra)) {
+              i += 2;
+              continue;
+            }
+            const int k = pair_qubit(ops[i], intra);
+            if (k != kPairsNoBlocks) EXPECT_EQ(k, run.pair_qubit);
+          }
+        }
+        EXPECT_EQ(total, c.size()) << "fuse=" << fuse << " cap=" << cap;
+        EXPECT_EQ(covered_ops, schedule.circuit().size());
       }
-      EXPECT_EQ(total, c.size()) << "fuse=" << fuse << " cap=" << cap;
-      EXPECT_EQ(covered_ops, schedule.circuit().size());
     }
   }
 }
@@ -134,8 +172,8 @@ TEST(SchedulerTest, SourceGatesAlwaysSumToCircuitSize) {
 // [5,8), rank [8,10).
 constexpr int kFoldIntra = 5;
 
-/// A schedule's items as (count, block_local) pairs.
-using Shape = std::vector<std::pair<std::size_t, bool>>;
+/// A schedule's items as (count, pair_qubit) pairs.
+using Shape = std::vector<std::pair<std::size_t, int>>;
 
 /// The shape of the unfused schedule of `c` under run cap `cap`.
 Shape run_shape(const Circuit& c, std::size_t cap = 0) {
@@ -143,7 +181,7 @@ Shape run_shape(const Circuit& c, std::size_t cap = 0) {
       c, {.intra_qubits = kFoldIntra, .max_run_length = cap, .fuse = false});
   Shape shape;
   for (const GateRun& run : schedule.runs()) {
-    shape.emplace_back(run.count, run.block_local);
+    shape.emplace_back(run.count, run.pair_qubit);
   }
   return shape;
 }
@@ -171,7 +209,7 @@ TEST(SchedulerTest, ParityPhaseFoldsEverySegmentPair) {
         c.cx(u, v).append(d).cx(u, v);
         EXPECT_TRUE(starts_parity_phase(c.ops(), kFoldIntra))
             << "u=" << u << " v=" << v << " d=" << qsim::gate_name(d.kind);
-        EXPECT_EQ(run_shape(c), (Shape{{3, true}}))
+        EXPECT_EQ(run_shape(c), (Shape{{3, kPairsNoBlocks}}))
             << "u=" << u << " v=" << v;
       }
     }
@@ -179,7 +217,24 @@ TEST(SchedulerTest, ParityPhaseFoldsEverySegmentPair) {
   // Inside a stretch of unit ops the triple joins the open run.
   Circuit c(10);
   c.h(0).cx(1, 8).rz(8, 0.2).cx(1, 8).t(2);
-  EXPECT_EQ(run_shape(c), (Shape{{5, true}}));
+  EXPECT_EQ(run_shape(c), (Shape{{5, kPairsNoBlocks}}));
+}
+
+TEST(SchedulerTest, ParityPhaseOnTheRunsQubitStaysAUnitItem) {
+  // A triple whose v is the run's pair qubit folds to a unit item inside
+  // the pair run; so does one on another qubit, which would otherwise
+  // close the run.
+  Circuit same(10);
+  same.h(7).cx(1, 7).rz(7, 0.2).cx(1, 7).h(7);
+  EXPECT_TRUE(starts_parity_phase(std::span(same.ops()).subspan(1),
+                                  kFoldIntra));
+  EXPECT_EQ(run_shape(same), (Shape{{5, 7}}));
+  Circuit other(10);
+  other.h(8).cx(1, 7).rz(7, 0.2).cx(1, 7).h(8);
+  EXPECT_EQ(run_shape(other), (Shape{{5, 8}}));
+  // Under cap 3 the triple forms a run of its own, which pairs no blocks.
+  EXPECT_EQ(run_shape(same, 3),
+            (Shape{{1, 7}, {3, kPairsNoBlocks}, {1, 7}}));
 }
 
 TEST(SchedulerTest, ParityPhaseRejectsEveryOtherShape) {
@@ -188,10 +243,11 @@ TEST(SchedulerTest, ParityPhaseRejectsEveryOtherShape) {
   Circuit offset_v(10);
   offset_v.cx(6, 2).rz(2, 0.3).cx(6, 2);
   EXPECT_FALSE(starts_parity_phase(offset_v.ops(), kFoldIntra));
-  EXPECT_EQ(run_shape(offset_v), (Shape{{3, true}}));
+  EXPECT_EQ(run_shape(offset_v), (Shape{{3, kPairsNoBlocks}}));
 
-  // Otherwise each CX pairs blocks and the diagonal runs alone.
-  const Shape unfolded = {{1, false}, {1, true}, {1, false}};
+  // Otherwise each CX pairs blocks across v, and the diagonal on v joins
+  // their pair run.
+  const Shape unfolded = {{3, 7}};
   Circuit other_control(10);
   other_control.cx(1, 7).rz(7, 0.3).cx(2, 7);
   Circuit targets_u(10);
@@ -200,18 +256,14 @@ TEST(SchedulerTest, ParityPhaseRejectsEveryOtherShape) {
   controlled_by_u.cx(1, 7).cphase(1, 7, 0.3).cx(1, 7);
   Circuit toffoli(10);
   toffoli.ccx(1, 2, 7).rz(7, 0.3).ccx(1, 2, 7);
-  for (const Circuit* c :
-       {&other_control, &targets_u, &controlled_by_u, &toffoli}) {
+  // A non-diagonal middle op pairs blocks across v itself.
+  Circuit not_diagonal(10);
+  not_diagonal.cx(1, 7).rx(7, 0.3).cx(1, 7);
+  for (const Circuit* c : {&other_control, &targets_u, &controlled_by_u,
+                           &toffoli, &not_diagonal}) {
     EXPECT_FALSE(starts_parity_phase(c->ops(), kFoldIntra));
     EXPECT_EQ(run_shape(*c), unfolded);
   }
-
-  // A non-diagonal middle op pairs blocks itself.
-  Circuit not_diagonal(10);
-  not_diagonal.cx(1, 7).rx(7, 0.3).cx(1, 7);
-  EXPECT_FALSE(starts_parity_phase(not_diagonal.ops(), kFoldIntra));
-  EXPECT_EQ(run_shape(not_diagonal),
-            (Shape{{1, false}, {1, false}, {1, false}}));
 
   // Fewer than three ops never fold.
   EXPECT_FALSE(starts_parity_phase(
@@ -223,17 +275,18 @@ TEST(SchedulerTest, RunCapNeverSplitsAParityPhase) {
   c.h(0).h(1).h(2);
   c.cx(1, 8).rz(8, 0.2).cx(1, 8);
   c.h(3);
+  constexpr int kNone = kPairsNoBlocks;
   // Cap 4: the triple does not fit after three ops, so the run closes at
   // three and the triple opens the next one.
-  EXPECT_EQ(run_shape(c, 4), (Shape{{3, true}, {4, true}}));
+  EXPECT_EQ(run_shape(c, 4), (Shape{{3, kNone}, {4, kNone}}));
   // Cap 6: it fits exactly, and the run closes behind it.
-  EXPECT_EQ(run_shape(c, 6), (Shape{{6, true}, {1, true}}));
+  EXPECT_EQ(run_shape(c, 6), (Shape{{6, kNone}, {1, kNone}}));
   // Under a cap below 3 the triple forms a run alone.
   for (const std::size_t cap : {1, 2}) {
-    const Shape alone = cap == 1 ? Shape{{1, true}, {1, true}, {1, true},
-                                         {3, true}, {1, true}}
-                                 : Shape{{2, true}, {1, true}, {3, true},
-                                         {1, true}};
+    const Shape alone = cap == 1 ? Shape{{1, kNone}, {1, kNone}, {1, kNone},
+                                         {3, kNone}, {1, kNone}}
+                                 : Shape{{2, kNone}, {1, kNone}, {3, kNone},
+                                         {1, kNone}};
     EXPECT_EQ(run_shape(c, cap), alone) << "cap " << cap;
   }
 }
@@ -256,16 +309,16 @@ SimConfig batched_config(int qubits, int ranks = 4, int blocks = 4) {
   return config;
 }
 
-/// A circuit that exercises every target segment, block-local SWAPs inside
-/// runs, and a rank-spanning SWAP that forces a run boundary.
+/// A circuit that exercises every target segment, offset SWAPs inside
+/// runs, and pair runs across a block qubit and a rank qubit.
 Circuit all_segment_circuit() {
   Circuit c(10);  // 4 ranks x 8 blocks -> offset 5, block 3, rank 2
-  c.h(0).t(1).cx(0, 2).swap(1, 3);  // block-local run (SWAP included)
-  c.h(7).cx(6, 0);                  // block-segment items
-  c.swap(0, 9);                     // SWAP across the boundary
-  c.rz(2, 0.31).x(4).ccx(0, 1, 3);  // second block-local run
-  c.h(9).cphase(8, 1, 0.77);        // rank-segment items
-  c.x(0).cx(3, 1);                  // trailing run
+  c.h(0).t(1).cx(0, 2).swap(1, 3);  // unit ops (SWAP included)
+  c.h(7).cx(6, 0);                  // the run now pairs across 7
+  c.swap(0, 9);                     // pairs across 9: the next run
+  c.rz(2, 0.31).x(4).ccx(0, 1, 3);  // unit ops join it
+  c.h(9).cphase(8, 1, 0.77);        // rank-segment ops join it
+  c.x(0).cx(3, 1);                  // and so do the trailing unit ops
   return c;
 }
 
@@ -426,6 +479,127 @@ TEST(BatchedSimulatorTest, SwapThatPairsNoBlocksCostsOneSweep) {
       CQS_EXPECT_STATES_CLOSE(whole.to_raw(), legs.to_raw(), 1e-4);
     }
   }
+}
+
+TEST(BatchedSimulatorTest, SwapWithOneQubitOutsideTheOffsetCostsOneSweep) {
+  // 4 ranks x 4 blocks: offset [0,6), block {6,7}, rank {8,9}. A SWAP with
+  // one qubit k outside the offset segment pairs blocks across k only: two
+  // legs target k and the third is an offset kernel controlled by k, so the
+  // whole SWAP is one sweep over the 8 pairs across k. A SWAP with both
+  // qubits outside still runs its three legs one after another.
+  struct Case {
+    int a, b;
+    std::uint64_t compressions;
+    std::uint64_t lossy_passes;
+    std::uint64_t comm_bytes;
+  };
+  const Case cases[] = {{1, 7, 16, 1, 0}, {1, 9, 16, 1, 544},
+                        {7, 9, 24, 3, 544}};
+  Circuit prep(10);
+  for (int q = 0; q < 10; ++q) prep.h(q);
+  prep.rz(7, 0.4).rx(1, 0.9);
+  for (const Case& swap : cases) {
+    for (const int level : {0, 1}) {
+      SimConfig config = batched_config(10, 4, 4);
+      config.enable_cache = false;
+      config.initial_level = level;
+      CompressedStateSimulator whole(config);
+      CompressedStateSimulator legs(config);
+      whole.apply_circuit(prep);
+      legs.apply_circuit(prep);
+      const auto before = whole.report();
+      whole.apply({GateKind::kSwap, swap.a, {swap.b, -1}});
+      const auto after = whole.report();
+      const std::string label =
+          "swap(" + std::to_string(swap.a) + "," + std::to_string(swap.b) +
+          ") level " + std::to_string(level);
+      EXPECT_EQ(after.compress_invocations - before.compress_invocations,
+                swap.compressions)
+          << label;
+      EXPECT_EQ(after.lossy_passes - before.lossy_passes,
+                level > 0 ? swap.lossy_passes : 0u)
+          << label;
+      if (level == 0) {
+        EXPECT_EQ(after.comm_bytes - before.comm_bytes, swap.comm_bytes)
+            << label;
+      }
+
+      legs.apply({GateKind::kCX, swap.b, {swap.a, -1}});
+      legs.apply({GateKind::kCX, swap.a, {swap.b, -1}});
+      legs.apply({GateKind::kCX, swap.b, {swap.a, -1}});
+      if (level == 0) {
+        EXPECT_EQ(whole.to_raw(), legs.to_raw()) << label;
+      } else {
+        CQS_EXPECT_STATES_CLOSE(whole.to_raw(), legs.to_raw(), 1e-4);
+      }
+    }
+  }
+}
+
+/// H on every qubit, then `gates` seeded ops over all three segments of 4
+/// ranks x 4 blocks (offset [0,6), block {6,7}, rank {8,9}): rotations, CX
+/// and CCX, diagonals, and SWAPs. Angles are random, so no amplitude cancels
+/// to an exact zero and the dense reference's arithmetic matches bit for
+/// bit.
+Circuit pair_run_circuit(std::uint64_t seed, std::size_t gates) {
+  constexpr int kQubits = 10;
+  Rng rng(seed);
+  Circuit c(kQubits);
+  auto qubit = [&] { return static_cast<int>(rng.next_below(kQubits)); };
+  auto distinct_from = [&](int a, int b = -1) {
+    int q = qubit();
+    while (q == a || q == b) q = qubit();
+    return q;
+  };
+  for (int q = 0; q < kQubits; ++q) c.h(q);
+  for (std::size_t i = 0; i < gates; ++i) {
+    const int t = qubit();
+    const double theta = rng.next_double() * 3.0;
+    switch (rng.next_below(8)) {
+      case 0: c.rx(t, theta); break;
+      case 1: c.ry(t, theta); break;
+      case 2: c.rz(t, theta); break;
+      case 3: c.cphase(distinct_from(t), t, theta); break;
+      case 4: c.cx(distinct_from(t), t); break;
+      case 5: {
+        const int c0 = distinct_from(t);
+        c.ccx(c0, distinct_from(t, c0), t);
+        break;
+      }
+      case 6: c.swap(distinct_from(t), t); break;
+      default: c.t(t); break;
+    }
+  }
+  return c;
+}
+
+TEST(BatchedSimulatorTest, PairRunsAreBitIdenticalAndSaveCodecCalls) {
+  // Codec calls (compress + decompress) the same 40 batched runs made when
+  // every op that pairs blocks was a sweep of its own and cut the runs
+  // around it: 42,084, against 20,608 with pair runs.
+  constexpr std::uint64_t kUnpairedCodecCalls = 42084;
+  std::uint64_t batched_calls = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Circuit c = pair_run_circuit(seed, 48);
+    auto config = batched_config(10, 4, 4);
+    config.enable_cache = false;
+    config.enable_fusion_prepass = false;
+    CompressedStateSimulator batched(config);
+    batched.apply_circuit(c);
+    config.enable_run_batching = false;
+    CompressedStateSimulator per_gate(config);
+    per_gate.apply_circuit(c);
+    qsim::StateVector dense(10);
+    dense.apply_circuit(c);
+
+    const std::vector<double> state = batched.to_raw();
+    EXPECT_EQ(state, per_gate.to_raw()) << "seed " << seed;
+    EXPECT_TRUE(std::ranges::equal(state, dense.raw())) << "seed " << seed;
+    const auto report = batched.report();
+    batched_calls += report.compress_invocations + report.decompress_invocations;
+  }
+  // Pair runs must save at least a third of the calls.
+  EXPECT_LT(3 * batched_calls, 2 * kUnpairedCodecCalls) << batched_calls;
 }
 
 TEST(BatchedSimulatorTest, MemoryBudgetCapsRunLengthForEscalation) {

@@ -350,6 +350,29 @@ TEST_F(SpillSimTest, ReadaheadWindowSizesAreEquivalent) {
   }
 }
 
+TEST_F(SpillSimTest, PairSweepsAdviseReadahead) {
+  // 12 qubits on 4 ranks x 4 blocks: offset [0,8), block {8,9}, rank
+  // {10,11}. On a spilled state a pair sweep, like a unit sweep, advises
+  // its blocks ahead of the faults it is about to take.
+  auto config = spill_config(path("spill.bin"), 12, 4, 1, true);
+  config.blocks_per_rank = 4;
+  config.resident_budget_bytes = 2000;
+  config.enable_cache = false;
+  for (const int pair_target : {9, 11}) {
+    core::CompressedStateSimulator sim(config);
+    qsim::Circuit prep(12);
+    for (int q = 0; q < 12; ++q) prep.ry(q, 0.3 + 0.1 * q);
+    sim.apply_circuit(prep);
+    const auto before = sim.report();
+    ASSERT_GT(before.spilled_bytes, 0u);
+    sim.apply({qsim::GateKind::kH, pair_target});
+    const auto after = sim.report();
+    EXPECT_GT(after.fault_events, before.fault_events) << pair_target;
+    EXPECT_EQ(after.readahead_issued - before.readahead_issued, 16u)
+        << pair_target;
+  }
+}
+
 TEST_F(SpillSimTest, MeasurementAndQueriesCrossTheSpillTier) {
   // Intermediate measurement + observable queries decompress spilled
   // blocks through payload_view; both runs must agree exactly (same rng
