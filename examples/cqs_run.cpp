@@ -44,7 +44,8 @@
 // Exit codes:
 //   0  success
 //   1  generic failure (I/O, internal error)
-//   2  usage error
+//   2  usage error (unknown flag, missing operand, or a numeric operand
+//      that is not wholly a number; fractions must be finite and >= 0)
 //   3  invalid configuration (bad flag combination or value)
 //   4  transport fault (rank death, timeout, corrupt frames)
 //   5  spill/disk fault (ENOSPC, I/O error on the spill tier)
@@ -54,12 +55,15 @@
 //   h 0
 //   cx 0 1
 //   rz 2 0.785398
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <system_error>
 
 #include "common/rng.hpp"
 #include "core/memory_model.hpp"
@@ -76,7 +80,8 @@
 
 namespace {
 
-[[noreturn]] void usage(const char* argv0) {
+[[noreturn]] void usage(const char* argv0, const std::string& error = "") {
+  if (!error.empty()) std::fprintf(stderr, "%s: %s\n", argv0, error.c_str());
   std::fprintf(stderr,
                "usage: %s <circuit-file> [--ranks N] [--blocks N] "
                "[--codec NAME] [--policy fixed|adaptive] [--budget-frac F] "
@@ -91,6 +96,29 @@ namespace {
                "4 transport fault, 5 spill fault\n",
                argv0);
   std::exit(2);
+}
+
+/// The operand of `flag` as a T. The whole token must be a number in T's
+/// range; anything else is a usage error.
+template <typename T>
+T parse_number(const char* argv0, const std::string& flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, value);
+  if (text == end || ec != std::errc() || stop != end) {
+    usage(argv0, "bad number for " + flag + ": " + text);
+  }
+  return value;
+}
+
+/// A fraction of the memory requirement: a finite number >= 0.
+double parse_fraction(const char* argv0, const std::string& flag,
+                      const char* text) {
+  const double value = parse_number<double>(argv0, flag, text);
+  if (!std::isfinite(value) || value < 0.0) {
+    usage(argv0, "bad number for " + flag + ": " + text);
+  }
+  return value;
 }
 
 }  // namespace
@@ -118,16 +146,18 @@ int main(int argc, char** argv) try {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    auto next_int = [&] { return parse_number<int>(argv[0], arg, next()); };
+    auto next_fraction = [&] { return parse_fraction(argv[0], arg, next()); };
     if (arg == "--ranks") {
-      config.num_ranks = std::atoi(next());
+      config.num_ranks = next_int();
     } else if (arg == "--blocks") {
-      config.blocks_per_rank = std::atoi(next());
+      config.blocks_per_rank = next_int();
     } else if (arg == "--codec") {
       config.codec = next();
     } else if (arg == "--policy") {
       config.codec_policy = next();
     } else if (arg == "--budget-frac") {
-      budget_fraction = std::atof(next());
+      budget_fraction = next_fraction();
     } else if (arg == "--fuse") {
       fuse = true;
     } else if (arg == "--no-batching") {
@@ -135,32 +165,32 @@ int main(int argc, char** argv) try {
     } else if (arg == "--checkpoint") {
       checkpoint_path = next();
     } else if (arg == "--samples") {
-      samples = std::atoi(next());
+      samples = next_int();
     } else if (arg == "--remap") {
       config.enable_qubit_remap = true;
     } else if (arg == "--wire") {
       config.transport = next();
     } else if (arg == "--timeout-ms") {
-      config.rank_timeout_ms = std::atoi(next());
+      config.rank_timeout_ms = next_int();
     } else if (arg == "--endpoint") {
       config.socket_endpoint = next();
     } else if (arg == "--spill") {
       config.spill_path = next();
     } else if (arg == "--resident-frac") {
-      resident_fraction = std::atof(next());
+      resident_fraction = next_fraction();
     } else if (arg == "--readahead") {
-      config.readahead_blocks = std::atoi(next());
+      config.readahead_blocks = next_int();
     } else if (arg == "--checkpoint-interval") {
       config.checkpoint_interval_gates =
-          static_cast<std::uint64_t>(std::atoll(next()));
+          parse_number<std::uint64_t>(argv[0], arg, next());
     } else if (arg == "--autosave") {
       config.auto_checkpoint_path = next();
     } else if (arg == "--resilient") {
       resilient = true;
     } else if (arg == "--max-recoveries") {
-      recovery.max_recoveries = std::atoi(next());
+      recovery.max_recoveries = next_int();
     } else if (arg == "--retry-backoff-ms") {
-      recovery.retry_backoff_ms = std::atoi(next());
+      recovery.retry_backoff_ms = next_int();
     } else if (arg == "--fault-plan") {
       fault_plan = next();
     } else {

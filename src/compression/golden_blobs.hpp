@@ -3,8 +3,8 @@
 // seeds 101/202/303) under every bound mode the codec supports.
 //
 // These digests were recorded from the pre-hot-path-overhaul implementation
-// and pin the wire format: checkpoints store these containers and
-// BlockCache keys hash them, so ANY byte drift invalidates persisted state.
+// and pin the wire format: checkpoints store these containers, so ANY byte
+// drift invalidates persisted state.
 // A performance change must never alter them; a deliberate format change
 // must bump the checkpoint format (and re-record, with a changelog entry).
 //

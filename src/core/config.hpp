@@ -39,23 +39,6 @@ struct SimConfig {
   /// memory budget is exceeded the level escalates to the next entry.
   std::vector<double> error_ladder = {1e-5, 1e-4, 1e-3, 1e-2, 1e-1};
 
-  /// zfp fixed-precision mode: if > 0, the zfp-family codec ("zfp" or
-  /// "zfp-rans") keeps exactly this many bit planes per block regardless
-  /// of the ladder bound. Validated at construction: must be in
-  /// [0, zfp::kTotalPlanes] (= 62), requires a zfp-family codec, and is
-  /// mutually exclusive with zfp_fixed_accuracy. 0 = off.
-  int zfp_fixed_precision = 0;
-
-  /// zfp fixed-accuracy mode (the zfp_stream_set_accuracy idiom): drive
-  /// the per-block plane cutoff directly from the active error-ladder
-  /// delta as an *absolute* tolerance, skipping the pointwise-relative
-  /// log-preprocessing wrapper. Cheaper and tighter for amplitude data
-  /// whose magnitudes cluster near the unit sphere; the recorded ladder
-  /// delta still captures the pass's bound for the fidelity certificate.
-  /// Requires a zfp-family codec; mutually exclusive with
-  /// zfp_fixed_precision.
-  bool zfp_fixed_accuracy = false;
-
   /// Total bytes the compressed state may occupy (the sum term of Eq. 8,
   /// excluding scratch). 0 = unlimited (stay lossless).
   std::size_t memory_budget_bytes = 0;
@@ -67,9 +50,13 @@ struct SimConfig {
   /// Worker threads (0 = hardware concurrency).
   int threads = 0;
 
-  /// Compressed block cache (Section 3.4).
+  /// Compressed block cache (Section 3.4), kept inside one sweep: the
+  /// units of a gate sweep that compute from equal inputs (rank, codec and
+  /// payload bytes of each block read, and every kernel's selection there)
+  /// share one output, so only the first decodes, computes and encodes.
+  /// Nothing outlives the sweep, and states are bit-identical either way.
+  /// Off: every unit computes its own output.
   bool enable_cache = true;
-  std::size_t cache_lines = 64;
 
   /// Gate-run batching: the scheduler groups consecutive gates into maximal
   /// runs in which every gate that pairs blocks (a non-diagonal target in

@@ -38,9 +38,6 @@ void SimulationReport::print(std::ostream& os) const {
      << "\n"
      << "codec:               " << codec << " (" << codec_policy
      << " policy)\n";
-  if (!zfp_rate_control.empty()) {
-    os << "zfp rate control:    " << zfp_rate_control << "\n";
-  }
   os << "gates:               " << gates << "\n"
      << "memory requirement:  " << format_bytes(memory_requirement_bytes)
      << "\n"
@@ -129,7 +126,7 @@ void SimulationReport::print(std::ostream& os) const {
   }
   os << "simd_kernel:         " << simd_kernel << "\n";
   os << "cache:               " << cache.hits << " hits / " << cache.misses
-     << " misses" << (cache.disabled ? " (disabled)" : "") << "\n";
+     << " misses\n";
 }
 
 std::ostream& operator<<(std::ostream& os, const SimulationReport& report) {

@@ -8,9 +8,22 @@
 #include <string>
 
 #include "common/timer.hpp"
-#include "runtime/block_cache.hpp"
 
 namespace cqs::core {
+
+/// Sweep sharing (Section 3.4's block cache, kept inside one sweep): the
+/// units of a gate sweep that compute from equal inputs form a group, the
+/// first unit computes and every other member stores a copy.
+struct CacheStats {
+  std::uint64_t hits = 0;    ///< members that stored a copy
+  std::uint64_t misses = 0;  ///< units that computed (one per group)
+
+  double hit_rate() const {
+    const std::uint64_t total = hits + misses;
+    return total == 0 ? 0.0 : static_cast<double>(hits) /
+                                  static_cast<double>(total);
+  }
+};
 
 struct SimulationReport {
   // Configuration echoes.
@@ -18,11 +31,6 @@ struct SimulationReport {
   int num_ranks = 0;
   int blocks_per_rank = 0;
   std::string codec;
-
-  /// zfp rate control in effect: "" (default bound-driven relative mode),
-  /// "fixed-accuracy" (ladder delta as absolute tolerance) or
-  /// "fixed-precision(N)" (static plane count).
-  std::string zfp_rate_control;
 
   // Workload.
   std::uint64_t gates = 0;
@@ -91,9 +99,9 @@ struct SimulationReport {
   // Codec hot-path attribution: invocations and wall seconds split by
   // codec class (lossless zx vs the configured lossy codec), so benches
   // can attribute (de)compression time per codec. Counts are deterministic
-  // across worker counts when the block cache is off (cache hits skip
-  // codec calls, and hit/miss splits depend on interleaving); the seconds
-  // are wall-clock measurements.
+  // across worker counts with the cache on or off (sharing groups are
+  // planned before each sweep starts); the seconds are wall-clock
+  // measurements.
   std::uint64_t lossless_compress_invocations = 0;
   std::uint64_t lossy_compress_invocations = 0;
   std::uint64_t lossless_decompress_invocations = 0;
@@ -147,7 +155,7 @@ struct SimulationReport {
   /// Kernel backend dispatch actually ran with: "scalar", "avx2", "neon".
   std::string simd_kernel;
 
-  runtime::CacheStats cache;
+  CacheStats cache;
 
   double seconds_per_gate() const {
     return gates == 0 ? 0.0 : total_seconds / static_cast<double>(gates);

@@ -11,15 +11,13 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 
 #include "core/memory_model.hpp"
 #include "runtime/checkpoint.hpp"
-#include "zfp/zfp.hpp"
-#include "zfp/zfp_rans.hpp"
 
 namespace cqs::core {
 
@@ -35,17 +33,6 @@ namespace {
 
 inline std::complex<double>* as_complex(std::span<double> raw) {
   return reinterpret_cast<std::complex<double>*>(raw.data());
-}
-
-/// Cache-key descriptor of one gate: identity + placement + compression
-/// level. Unit-op lists and pair sweeps key their ops with it.
-void append_gate_descriptor(Bytes& out, const GateOp& op, int level) {
-  out.push_back(static_cast<std::byte>(op.kind));
-  put_varint(out, static_cast<std::uint64_t>(op.target));
-  put_varint(out, static_cast<std::uint64_t>(op.controls[0] + 1));
-  put_varint(out, static_cast<std::uint64_t>(op.controls[1] + 1));
-  for (double p : op.params) put_scalar(out, p);
-  out.push_back(static_cast<std::byte>(level));
 }
 
 /// SWAP(a, b) = CX(a,b) CX(b,a) CX(a,b); SWAP keeps b in controls[0].
@@ -130,7 +117,7 @@ struct CompressedStateSimulator::GateKernel {
     return !diagonal || target_segment != Partition::Segment::kOffset ||
            m.u00 != one || m.u11 != one;
   }
-  /// What the kernel does to the block, for its cache key: 0 when its
+  /// What the kernel does to the block, for sweep sharing: 0 when its
   /// controls fail, else 1 plus the factor bit (0 for a plain offset
   /// kernel, whose factor varies within the block).
   std::uint64_t selection(int rank, int block) const {
@@ -176,15 +163,14 @@ struct CompressedStateSimulator::GateKernel {
   }
 };
 
-/// One single-block unit task for run_units: how to identify the unit in
-/// the cache and what to compute on the decoded amplitudes. Every field is
-/// safe to call from any worker.
+/// One single-block unit task for run_units: what decides whether units
+/// share an output, and what to compute on the decoded amplitudes. Every
+/// field is safe to call from any worker.
 struct CompressedStateSimulator::UnitSpec {
   int level = 0;
-  /// Cache key of one unit; empty = the sweep is never cached. Called only
-  /// when the cache is enabled, and must read the *current* stored
-  /// payload, i.e. before decompression.
-  std::function<std::uint64_t(int rank, int block)> make_key;
+  /// Set by gate sweeps, the only sweeps whose units share (share_groups);
+  /// empty = every unit computes its own output.
+  Selections selections;
   /// Applies the unit's kernels to the decoded block; empty = recompress
   /// the block unchanged.
   std::function<void(qsim::Amplitude* amps, std::uint64_t count, int rank,
@@ -199,10 +185,8 @@ struct CompressedStateSimulator::PairSpec {
   int level = 0;
   int partner_rank_bit = 0;
   int partner_block_bit = 0;
-  /// Cache key of one pair, called with its first block; empty = the sweep
-  /// is never cached. Like UnitSpec::make_key, it reads the current stored
-  /// payloads.
-  std::function<std::uint64_t(int rank, int block)> make_key;
+  /// As in UnitSpec, called for each block of a pair.
+  Selections selections;
   /// Applies the pair's kernels to both decoded blocks; (rank, block) is
   /// the first block's.
   std::function<void(qsim::Amplitude* a, qsim::Amplitude* b,
@@ -223,36 +207,6 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
           "simulator: codec must support pointwise relative bounds");
     }
     lossy_codec_id_ = compression::codec_id(config_.codec);
-  }
-  // zfp rate-control knobs are validated here — not silently clamped in
-  // the codec — so a bad value fails construction with a message instead
-  // of quietly encoding at a different precision.
-  const bool zfp_family =
-      config_.codec == "zfp" || config_.codec == "zfp-rans";
-  if (config_.zfp_fixed_precision < 0 ||
-      config_.zfp_fixed_precision > zfp::kTotalPlanes) {
-    throw std::invalid_argument(
-        "simulator: zfp_fixed_precision must be in [0, 62] bit planes");
-  }
-  if (config_.zfp_fixed_precision > 0 && config_.zfp_fixed_accuracy) {
-    throw std::invalid_argument(
-        "simulator: zfp_fixed_precision and zfp_fixed_accuracy are "
-        "mutually exclusive rate-control modes");
-  }
-  if ((config_.zfp_fixed_precision > 0 || config_.zfp_fixed_accuracy) &&
-      !zfp_family) {
-    throw std::invalid_argument(
-        "simulator: zfp_fixed_precision / zfp_fixed_accuracy require a "
-        "zfp-family codec ('zfp' or 'zfp-rans')");
-  }
-  if (config_.zfp_fixed_precision > 0) {
-    // Same registry id, precision pinned at construction.
-    if (config_.codec == "zfp") {
-      lossy_ = std::make_unique<zfp::ZfpCodec>(config_.zfp_fixed_precision);
-    } else {
-      lossy_ =
-          std::make_unique<zfp::ZfpRansCodec>(config_.zfp_fixed_precision);
-    }
   }
   if (config_.error_ladder.empty()) {
     throw std::invalid_argument(
@@ -355,8 +309,6 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
   for (int r = 0; r < partition_.num_ranks(); ++r) {
     ranks_.emplace_back(partition_.blocks_per_rank());
     ranks_.back().attach(tier_stats_.get(), spill_.get());
-    caches_.push_back(std::make_unique<runtime::BlockCache>(
-        config_.enable_cache ? config_.cache_lines : 0));
   }
   init_blocks();
   maintain_tiers();
@@ -401,15 +353,8 @@ std::pair<Bytes, runtime::BlockMeta> CompressedStateSimulator::encode_block(
   if (lossless) {
     payload = lossless_->compress(data, ErrorBound::lossless(), scratch);
   } else {
-    // Fixed-accuracy mode hands the ladder delta to zfp directly as an
-    // absolute tolerance (the zfp_stream_set_accuracy idiom), skipping
-    // the pointwise-relative log-preprocessing wrapper; the default stays
-    // pointwise-relative for every codec.
-    const double delta = config_.error_ladder[level - 1];
-    const ErrorBound bound = config_.zfp_fixed_accuracy
-                                 ? ErrorBound::absolute(delta)
-                                 : ErrorBound::relative(delta);
-    payload = lossy_->compress(data, bound, scratch);
+    payload = lossy_->compress(
+        data, ErrorBound::relative(config_.error_ladder[level - 1]), scratch);
   }
   const double seconds = codec_timer.seconds();
   if (lossless) {
@@ -590,7 +535,6 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
         WallTimer timer;
         apply_remap(item.remap);
         map_.swap_physical(item.remap.phys_hot, item.remap.phys_cold);
-        ++map_generation_;
         note_gate_finished(timer.seconds());
         break;
       }
@@ -598,7 +542,6 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
         // A SWAP absorbed into the map: zero data movement, but still one
         // source gate for the cursor and the gate count.
         map_.relabel(item.relabel_a, item.relabel_b);
-        ++map_generation_;
         gates_ += item.relabel_source_gates;
         gate_cursor_ += item.relabel_source_gates;
         break;
@@ -695,10 +638,6 @@ void CompressedStateSimulator::record_lossy_pass(std::uint64_t lossy_blocks) {
 
 void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
                                          int pair_qubit) {
-  std::vector<Bytes> descriptors(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    append_gate_descriptor(descriptors[i], ops[i], level_);
-  }
   std::vector<GateKernel> kernels;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     if (qsim::starts_parity_phase(ops.subspan(i), partition_.offset_bits)) {
@@ -746,30 +685,21 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
       }
     }
   }
-  // Kernel selections join the keys: the same descriptors act differently
-  // on blocks where controls or factor bits differ.
-  auto fold_selections = [&](std::uint64_t key, int rank, int block) {
+  // The same kernels act differently on blocks where controls or factor
+  // bits differ, so their selections join what a unit computes from.
+  const Selections selections = [&](int rank, int block) {
+    std::vector<std::uint64_t> out;
+    out.reserve(kernels.size());
     for (const GateKernel& kernel : kernels) {
-      key = fnv1a_u64(kernel.selection(rank, block), key);
+      out.push_back(kernel.selection(rank, block));
     }
-    return key;
+    return out;
   };
   PairSpec pair_spec;
   pair_spec.level = level_;
   pair_spec.partner_rank_bit = partner_rank_bit;
   pair_spec.partner_block_bit = partner_block_bit;
-  pair_spec.make_key = [&](int rank, int block) {
-    const int rank_b = rank | partner_rank_bit;
-    const int block_b = block | partner_block_bit;
-    const auto& store_a = ranks_[rank];
-    const auto& store_b = ranks_[rank_b];
-    const std::uint64_t key = runtime::BlockCache::make_key(
-        descriptors, store_a.payload_view(block),
-        store_b.payload_view(block_b), store_a.meta(block).codec,
-        store_b.meta(block_b).codec, map_generation_);
-    return fold_selections(fold_selections(key, rank, block), rank_b,
-                           block_b);
-  };
+  pair_spec.selections = selections;
   pair_spec.compute = [&](Amplitude* a, Amplitude* b, std::uint64_t count,
                           int rank, int block) {
     for (const GateKernel& kernel : kernels) {
@@ -785,15 +715,7 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
   };
   UnitSpec unit_spec;
   unit_spec.level = level_;
-  unit_spec.make_key = [&](int rank, int block) {
-    const auto& store = ranks_[rank];
-    return fold_selections(
-        runtime::BlockCache::make_run_key(descriptors,
-                                          store.payload_view(block),
-                                          store.meta(block).codec,
-                                          map_generation_),
-        rank, block);
-  };
+  unit_spec.selections = selections;
   unit_spec.compute = [&](Amplitude* amps, std::uint64_t count, int rank,
                           int block) {
     // A block swept alone is where every pairing kernel's controls fail.
@@ -818,56 +740,106 @@ void CompressedStateSimulator::store_block(int rank, int block, Bytes payload,
   maybe_stream_spill(rank, block);
 }
 
+std::vector<std::vector<std::size_t>> CompressedStateSimulator::share_groups(
+    std::span<const std::pair<int, int>> blocks, std::size_t per_unit,
+    const Selections& selections) {
+  const std::size_t count = blocks.size() / per_unit;
+  std::vector<std::vector<std::size_t>> groups;
+  if (!selections || !config_.enable_cache) {
+    for (std::size_t i = 0; i < count; ++i) groups.push_back({i});
+    return groups;
+  }
+  // What each block read contributes. The views are taken before the sweep
+  // rewrites anything and are dropped before it starts.
+  struct Input {
+    std::uint8_t codec;
+    ByteSpan payload;
+    std::vector<std::uint64_t> selections;
+  };
+  std::vector<Input> inputs;
+  inputs.reserve(blocks.size());
+  for (const auto& [rank, block] : blocks) {
+    const auto& store = ranks_[rank];
+    inputs.push_back({store.meta(block).codec, store.payload_view(block),
+                      selections(rank, block)});
+  }
+  // A total order on units whose equivalence is equality of all inputs.
+  auto less = [&](std::size_t x, std::size_t y) {
+    if (blocks[x * per_unit].first != blocks[y * per_unit].first) {
+      return blocks[x * per_unit].first < blocks[y * per_unit].first;
+    }
+    for (std::size_t k = 0; k < per_unit; ++k) {
+      const Input& a = inputs[x * per_unit + k];
+      const Input& b = inputs[y * per_unit + k];
+      if (a.codec != b.codec) return a.codec < b.codec;
+      if (a.selections != b.selections) return a.selections < b.selections;
+      if (a.payload.size() != b.payload.size()) {
+        return a.payload.size() < b.payload.size();
+      }
+      const int order =
+          a.payload.empty()
+              ? 0
+              : std::memcmp(a.payload.data(), b.payload.data(),
+                            a.payload.size());
+      if (order != 0) return order < 0;
+    }
+    return false;
+  };
+  std::map<std::size_t, std::size_t, decltype(less)> group_of(less);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto [it, first] = group_of.try_emplace(i, groups.size());
+    if (first) groups.emplace_back();
+    groups[it->second].push_back(i);
+  }
+  sharing_.hits += count - groups.size();
+  sharing_.misses += groups.size();
+  return groups;
+}
+
+void CompressedStateSimulator::store_copy(int rank, int block,
+                                          const Bytes& payload,
+                                          runtime::BlockMeta meta) {
+  arbiter_->seed(global_block(rank, block),
+                 meta.codec == compression::kLosslessCodecId);
+  store_block(rank, block, payload, meta);
+}
+
 std::uint64_t CompressedStateSimulator::run_units(
     const std::vector<std::pair<int, int>>& units, const UnitSpec& spec) {
-  // Plan-driven readahead: the unit order IS the schedule, so advising
-  // unit i+K while working unit i keeps spilled payloads arriving ahead
-  // of their faults. The first window is primed before the sweep starts.
+  const auto groups = share_groups(units, 1, spec.selections);
+  // Plan-driven readahead: the group order IS the schedule, so advising
+  // group g+K's first unit while working group g keeps spilled payloads
+  // arriving ahead of their faults (the other members are never decoded).
+  // The first window is primed before the sweep starts.
   const std::size_t lookahead =
       spill_ != nullptr ? static_cast<std::size_t>(config_.readahead_blocks)
                         : 0;
-  for (std::size_t i = 0; i < std::min(lookahead, units.size()); ++i) {
-    ranks_[units[i].first].advise(units[i].second);
+  auto advise = [&](std::size_t g) {
+    const auto [rank, block] = units[groups[g].front()];
+    ranks_[rank].advise(block);
+  };
+  for (std::size_t g = 0; g < std::min(lookahead, groups.size()); ++g) {
+    advise(g);
   }
   std::atomic<std::uint64_t> lossy_blocks{0};
-  pool_->parallel_for(units.size(), [&](std::size_t i, std::size_t worker) {
-    if (lookahead > 0 && i + lookahead < units.size()) {
-      const auto [ar, ab] = units[i + lookahead];
-      ranks_[ar].advise(ab);
+  pool_->parallel_for(groups.size(), [&](std::size_t g, std::size_t worker) {
+    if (lookahead > 0 && g + lookahead < groups.size()) advise(g + lookahead);
+    const std::vector<std::size_t>& group = groups[g];
+    const auto [rank, block] = units[group.front()];
+    auto vx = scratch_->vector_x(worker);
+    decompress_block(rank, block, vx, worker);
+    if (spec.compute) {
+      ScopedPhase phase(worker_timers_[worker], Phase::kComputation);
+      spec.compute(as_complex(vx), partition_.amplitudes_per_block(), rank,
+                   block);
     }
-    const auto [rank, block] = units[i];
-    runtime::BlockCache* cache =
-        spec.make_key && config_.enable_cache && caches_[rank]->enabled()
-            ? caches_[rank].get()
-            : nullptr;
-    // The key hashes the *current* stored payload, so it is taken before
-    // the block is rewritten.
-    const std::uint64_t key =
-        cache != nullptr ? spec.make_key(rank, block) : 0;
-    Bytes payload;
-    Bytes unused;
-    runtime::BlockMeta meta;
-    if (cache != nullptr && cache->lookup(key, payload, unused, &meta.codec)) {
-      meta.level = static_cast<std::uint8_t>(spec.level);
-      // Keep the arbiter's hysteresis in step with the stored codec even
-      // though no decision ran — otherwise hit/miss interleavings would
-      // leak into later codec choices and break cross-thread determinism.
-      arbiter_->seed(global_block(rank, block),
-                     meta.codec == compression::kLosslessCodecId);
-    } else {
-      auto vx = scratch_->vector_x(worker);
-      decompress_block(rank, block, vx, worker);
-      if (spec.compute) {
-        ScopedPhase phase(worker_timers_[worker], Phase::kComputation);
-        spec.compute(as_complex(vx), partition_.amplitudes_per_block(), rank,
-                     block);
-      }
-      std::tie(payload, meta) =
-          encode_block(vx, spec.level, rank, block, worker);
-      if (cache != nullptr) cache->insert(key, payload, {}, meta.codec);
-    }
+    auto [payload, meta] = encode_block(vx, spec.level, rank, block, worker);
     if (meta.codec != compression::kLosslessCodecId) {
-      lossy_blocks.fetch_add(1, std::memory_order_relaxed);
+      lossy_blocks.fetch_add(group.size(), std::memory_order_relaxed);
+    }
+    for (std::size_t m = 1; m < group.size(); ++m) {
+      const auto [member_rank, member_block] = units[group[m]];
+      store_copy(member_rank, member_block, payload, meta);
     }
     store_block(rank, block, std::move(payload), meta);
   });
@@ -876,107 +848,101 @@ std::uint64_t CompressedStateSimulator::run_units(
 
 std::uint64_t CompressedStateSimulator::run_pairs(
     const std::vector<std::pair<int, int>>& units, const PairSpec& spec) {
-  // Readahead as in run_units, for both blocks of the pair K units ahead.
+  // Both blocks of unit i: blocks[2i] and its partner blocks[2i + 1].
+  std::vector<std::pair<int, int>> blocks;
+  blocks.reserve(2 * units.size());
+  for (const auto& [rank, block] : units) {
+    blocks.emplace_back(rank, block);
+    blocks.emplace_back(rank | spec.partner_rank_bit,
+                        block | spec.partner_block_bit);
+  }
+  const auto groups = share_groups(blocks, 2, spec.selections);
+  // Readahead as in run_units, for both blocks of the first pair K groups
+  // ahead.
   const std::size_t lookahead =
       spill_ != nullptr ? static_cast<std::size_t>(config_.readahead_blocks)
                         : 0;
-  auto advise = [&](std::size_t i) {
-    const auto [rank, block] = units[i];
-    ranks_[rank].advise(block);
-    ranks_[rank | spec.partner_rank_bit].advise(block |
-                                                spec.partner_block_bit);
+  auto advise = [&](std::size_t g) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      const auto [rank, block] = blocks[2 * groups[g].front() + k];
+      ranks_[rank].advise(block);
+    }
   };
-  for (std::size_t i = 0; i < std::min(lookahead, units.size()); ++i) {
-    advise(i);
+  for (std::size_t g = 0; g < std::min(lookahead, groups.size()); ++g) {
+    advise(g);
   }
+  const bool cross_rank = spec.partner_rank_bit != 0;
   std::atomic<std::uint64_t> lossy_blocks{0};
-  pool_->parallel_for(units.size(), [&](std::size_t i, std::size_t worker) {
-    if (lookahead > 0 && i + lookahead < units.size()) advise(i + lookahead);
-    const auto [rank_a, block_a] = units[i];
-    const int rank_b = rank_a | spec.partner_rank_bit;
-    const int block_b = block_a | spec.partner_block_bit;
-    auto& store_a = ranks_[rank_a];
-    auto& store_b = ranks_[rank_b];
+  pool_->parallel_for(groups.size(), [&](std::size_t g, std::size_t worker) {
+    if (lookahead > 0 && g + lookahead < groups.size()) advise(g + lookahead);
+    const std::vector<std::size_t>& group = groups[g];
     auto& timers = worker_timers_[worker];
-    const bool cross_rank = rank_a != rank_b;
-
     // One buffered sendrecv per pair (Section 3.3): each rank ships its
     // compressed block to the partner in a single paired exchange. Both
     // sides then hold both inputs and compute their own updated block from
-    // the exchanged payloads, so no second round trip is needed. The
-    // begin/wait split keeps the payloads in flight across the cache probe
-    // and this rank's own decompression — the overlap the report surfaces.
-    runtime::Comm::Pending pending;
-    if (cross_rank) {
+    // the exchanged payloads, so no second round trip is needed.
+    auto exchange_begin = [&](std::size_t i) {
+      const auto [rank_a, block_a] = blocks[2 * i];
+      const auto [rank_b, block_b] = blocks[2 * i + 1];
       ScopedPhase phase(timers, Phase::kCommunication);
-      pending = comm_->exchange_begin(
-          rank_a, rank_b, store_a.payload_view(block_a),
-          store_b.payload_view(block_b),
-          static_cast<std::uint8_t>(store_a.meta(block_a).codec),
-          static_cast<std::uint8_t>(store_b.meta(block_b).codec));
-    }
-
-    runtime::BlockCache* cache =
-        spec.make_key && config_.enable_cache && caches_[rank_a]->enabled()
-            ? caches_[rank_a].get()
-            : nullptr;
-    const std::uint64_t key =
-        cache != nullptr ? spec.make_key(rank_a, block_a) : 0;
-    Bytes payload_a;
-    Bytes payload_b;
-    runtime::BlockMeta meta_a;
-    runtime::BlockMeta meta_b;
-    if (cache != nullptr && cache->lookup(key, payload_a, payload_b,
-                                          &meta_a.codec, &meta_b.codec)) {
-      meta_a.level = meta_b.level = static_cast<std::uint8_t>(spec.level);
-      // See run_units: hysteresis must track the stored codec on hits.
-      arbiter_->seed(global_block(rank_a, block_a),
-                     meta_a.codec == compression::kLosslessCodecId);
-      arbiter_->seed(global_block(rank_b, block_b),
-                     meta_b.codec == compression::kLosslessCodecId);
-      if (cross_rank) {
-        // The exchange already happened on the wire; the cached result
-        // just makes its payloads unnecessary. Settle it so the
-        // transport's in-flight frames are drained (and its failure
-        // surfaced).
-        ScopedPhase phase(timers, Phase::kCommunication);
-        comm_->exchange_wait(pending);
-      }
-    } else {
-      auto vx = scratch_->vector_x(worker);
-      auto vy = scratch_->vector_y(worker);
-      // Decoding this rank's own block overlaps the in-flight exchange.
-      decompress_block(rank_a, block_a, vx, worker);
-      if (cross_rank) {
-        runtime::Comm::Received received;
-        {
-          ScopedPhase phase(timers, Phase::kCommunication);
-          received = comm_->exchange_wait(pending);
-        }
-        // Decompress the partner's block from the bytes that came over
-        // the wire — the exchanged payload is the data this rank computes
-        // on.
-        decompress_payload(received.to_a, store_b.meta(block_b), vy, worker);
-      } else {
-        decompress_block(rank_b, block_b, vy, worker);
-      }
+      return comm_->exchange_begin(rank_a, rank_b,
+                                   ranks_[rank_a].payload_view(block_a),
+                                   ranks_[rank_b].payload_view(block_b),
+                                   ranks_[rank_a].meta(block_a).codec,
+                                   ranks_[rank_b].meta(block_b).codec);
+    };
+    const auto [rank_a, block_a] = blocks[2 * group.front()];
+    const auto [rank_b, block_b] = blocks[2 * group.front() + 1];
+    runtime::Comm::Pending pending;
+    if (cross_rank) pending = exchange_begin(group.front());
+    auto vx = scratch_->vector_x(worker);
+    auto vy = scratch_->vector_y(worker);
+    // Decoding this rank's own block overlaps the in-flight exchange — the
+    // overlap the report surfaces.
+    decompress_block(rank_a, block_a, vx, worker);
+    if (cross_rank) {
+      runtime::Comm::Received received;
       {
-        ScopedPhase phase(timers, Phase::kComputation);
-        spec.compute(as_complex(vx), as_complex(vy),
-                     partition_.amplitudes_per_block(), rank_a, block_a);
+        ScopedPhase phase(timers, Phase::kCommunication);
+        received = comm_->exchange_wait(pending);
       }
-      std::tie(payload_a, meta_a) =
-          encode_block(vx, spec.level, rank_a, block_a, worker);
-      std::tie(payload_b, meta_b) =
-          encode_block(vy, spec.level, rank_b, block_b, worker);
-      if (cache != nullptr) {
-        cache->insert(key, payload_a, payload_b, meta_a.codec, meta_b.codec);
-      }
+      // Decompress the partner's block from the bytes that came over the
+      // wire — the exchanged payload is the data this rank computes on.
+      decompress_payload(received.to_a, ranks_[rank_b].meta(block_b), vy,
+                         worker);
+    } else {
+      decompress_block(rank_b, block_b, vy, worker);
     }
+    {
+      ScopedPhase phase(timers, Phase::kComputation);
+      spec.compute(as_complex(vx), as_complex(vy),
+                   partition_.amplitudes_per_block(), rank_a, block_a);
+    }
+    auto [payload_a, meta_a] =
+        encode_block(vx, spec.level, rank_a, block_a, worker);
+    auto [payload_b, meta_b] =
+        encode_block(vy, spec.level, rank_b, block_b, worker);
     const std::uint64_t lossy =
         (meta_a.codec != compression::kLosslessCodecId ? 1u : 0u) +
         (meta_b.codec != compression::kLosslessCodecId ? 1u : 0u);
-    if (lossy > 0) lossy_blocks.fetch_add(lossy, std::memory_order_relaxed);
+    if (lossy > 0) {
+      lossy_blocks.fetch_add(lossy * group.size(), std::memory_order_relaxed);
+    }
+    for (std::size_t m = 1; m < group.size(); ++m) {
+      const std::size_t i = group[m];
+      if (cross_rank) {
+        // A rank learns its partner's payload only from the wire, so a
+        // member still exchanges; the shared output makes the received
+        // bytes unnecessary, but the wait drains the transport's frames
+        // (and surfaces its failure).
+        runtime::Comm::Pending member = exchange_begin(i);
+        ScopedPhase phase(timers, Phase::kCommunication);
+        comm_->exchange_wait(member);
+      }
+      store_copy(blocks[2 * i].first, blocks[2 * i].second, payload_a, meta_a);
+      store_copy(blocks[2 * i + 1].first, blocks[2 * i + 1].second, payload_b,
+                 meta_b);
+    }
     store_block(rank_a, block_a, std::move(payload_a), meta_a);
     store_block(rank_b, block_b, std::move(payload_b), meta_b);
   });
@@ -1597,12 +1563,6 @@ SimulationReport CompressedStateSimulator::report() const {
   rep.num_ranks = config_.num_ranks;
   rep.blocks_per_rank = config_.blocks_per_rank;
   rep.codec = config_.codec;
-  if (config_.zfp_fixed_accuracy) {
-    rep.zfp_rate_control = "fixed-accuracy";
-  } else if (config_.zfp_fixed_precision > 0) {
-    rep.zfp_rate_control = "fixed-precision(" +
-                           std::to_string(config_.zfp_fixed_precision) + ")";
-  }
   rep.gates = gates_;
   rep.total_seconds = wall_seconds_;
   for (const auto& timers : worker_timers_) rep.phases.merge(timers);
@@ -1696,12 +1656,7 @@ SimulationReport CompressedStateSimulator::report() const {
   rep.autosave_seconds = autosave_seconds_;
   rep.recoveries = recoveries_;
   rep.recovery_backoff_ms = recovery_backoff_ms_;
-  for (const auto& cache : caches_) {
-    const auto stats = cache->stats();
-    rep.cache.hits += stats.hits;
-    rep.cache.misses += stats.misses;
-    rep.cache.disabled = rep.cache.disabled || stats.disabled;
-  }
+  rep.cache = sharing_;
   return rep;
 }
 

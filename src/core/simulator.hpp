@@ -42,7 +42,6 @@
 #include "qsim/circuit.hpp"
 #include "qsim/gates.hpp"
 #include "qsim/scheduler.hpp"
-#include "runtime/block_cache.hpp"
 #include "runtime/block_store.hpp"
 #include "runtime/codec_arbiter.hpp"
 #include "runtime/comm.hpp"
@@ -168,8 +167,10 @@ class CompressedStateSimulator {
 
  private:
   struct GateKernel;  // one op resolved against the three index segments
-  struct UnitSpec;    // one single-block unit task (cache id + kernels)
-  struct PairSpec;    // one block-pair task (partner, cache id, kernels)
+  struct UnitSpec;    // one single-block unit task (selections + kernels)
+  struct PairSpec;    // one block-pair task (partner, selections, kernels)
+  /// Each kernel's GateKernel::selection on block (rank, block).
+  using Selections = std::function<std::vector<std::uint64_t>(int, int)>;
 
   /// Copyable relaxed counter so the simulator stays movable (checkpoint
   /// load returns by value) while workers bump it concurrently.
@@ -191,7 +192,7 @@ class CompressedStateSimulator {
   /// Per-worker codec call attribution: wall seconds and invocation
   /// counts split by codec class (lossless zx vs the configured lossy
   /// codec), merged into the report. Counts are deterministic across
-  /// worker counts when the block cache is off; seconds are wall-clock.
+  /// worker counts; seconds are wall-clock.
   struct CodecCallStats {
     double lossless_compress_seconds = 0.0;
     double lossy_compress_seconds = 0.0;
@@ -262,19 +263,36 @@ class CompressedStateSimulator {
 
   // --- Block executors: every sweep that rewrites blocks runs on one ---
 
-  /// Runs every (rank, block) unit in one parallel_for: a cache hit
-  /// replaces the block outright, a miss decompresses, applies
-  /// spec.compute, and recompresses. Readahead is advised K units ahead.
-  /// Returns how many blocks the lossy codec wrote.
+  /// Rewrites every (rank, block) unit, one parallel_for task per sharing
+  /// group (share_groups): the group's first unit decompresses, applies
+  /// spec.compute and recompresses, and every other member stores a copy.
+  /// Readahead is advised for the first unit K groups ahead. Returns how
+  /// many blocks the lossy codec wrote.
   std::uint64_t run_units(const std::vector<std::pair<int, int>>& units,
                           const UnitSpec& spec);
-  /// The two-block counterpart: for each unit, exchanges the pair's
-  /// payloads when it spans ranks, then (on a cache miss) decodes both
-  /// blocks, applies spec.compute, and recompresses both. Readahead is
-  /// advised for both blocks of the pair K units ahead. Returns how many
-  /// blocks the lossy codec wrote.
+  /// The two-block counterpart: a group's first pair exchanges its
+  /// payloads when it spans ranks, decodes both blocks, applies
+  /// spec.compute and recompresses both; every other member still
+  /// exchanges (the wire is how a rank learns its partner's payload) and
+  /// stores copies. Readahead is advised for both blocks of the first pair
+  /// K groups ahead. Returns how many blocks the lossy codec wrote.
   std::uint64_t run_pairs(const std::vector<std::pair<int, int>>& units,
                           const PairSpec& spec);
+  /// Splits a sweep's units into groups that compute from equal inputs,
+  /// ordered by each group's first unit, members ascending. Unit i reads
+  /// blocks[i * per_unit] onward; two units are equal when the first
+  /// blocks share a rank and each block read has the same codec, payload
+  /// bytes and selections — compared byte for byte, never by a hash.
+  /// Without `selections` (sweeps that never share) or with the cache off,
+  /// every unit is a group of its own. Adds to the report's cache counts.
+  std::vector<std::vector<std::size_t>> share_groups(
+      std::span<const std::pair<int, int>> blocks, std::size_t per_unit,
+      const Selections& selections);
+  /// Stores a copy of a group's output on a member's block. The arbiter is
+  /// seeded with the stored codec although no decision ran, so later codec
+  /// choices follow the stored state, not which unit of a group computed.
+  void store_copy(int rank, int block, const Bytes& payload,
+                  runtime::BlockMeta meta);
   /// Installs a rewritten block, then streams it to the spill tier when
   /// streaming spill is on — the one place executors write blocks.
   void store_block(int rank, int block, Bytes payload,
@@ -326,7 +344,7 @@ class CompressedStateSimulator {
   /// compressed total fits the budget (or the ladder is exhausted).
   void enforce_budget();
   /// Recompresses every block at `new_level` through run_units (never
-  /// cached); returns how many blocks the arbiter actually sent through
+  /// shared); returns how many blocks the arbiter actually sent through
   /// the lossy codec (adaptive blocks can stay lossless).
   std::uint64_t recompress_all(int new_level);
   void note_gate_finished(double gate_seconds);
@@ -359,7 +377,6 @@ class CompressedStateSimulator {
   std::unique_ptr<runtime::TierStats> tier_stats_;
   std::unique_ptr<runtime::SpillFile> spill_;
   std::vector<runtime::BlockStore> ranks_;
-  std::vector<std::unique_ptr<runtime::BlockCache>> caches_;
   std::unique_ptr<runtime::Comm> comm_;
   std::unique_ptr<compression::Compressor> lossless_;
   std::unique_ptr<compression::Compressor> lossy_;
@@ -380,9 +397,6 @@ class CompressedStateSimulator {
 
   // Qubit remapping (logical->physical relabeling).
   runtime::QubitMap map_;
-  /// Bumped on every map mutation; joins cache keys so cached outputs
-  /// stay pure functions of their inputs across relabels.
-  std::uint64_t map_generation_ = 0;
 
   // Statistics.
   std::uint64_t gates_ = 0;
@@ -393,6 +407,7 @@ class CompressedStateSimulator {
   std::uint64_t rank_gates_localized_ = 0;
   std::uint64_t rank_gates_in_place_ = 0;
   std::uint64_t remap_sweeps_avoided_ = 0;
+  CacheStats sharing_;  ///< gate sweeps' shared (hits) and computed units
   double wall_seconds_ = 0.0;
   double min_ratio_ = 0.0;  ///< 0 until first gate
   bool budget_exceeded_ = false;

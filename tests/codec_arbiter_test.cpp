@@ -230,8 +230,9 @@ TEST(AdaptiveSimulatorTest, MixedBlockCodecsCoexistAndCensusAddsUp) {
 
 TEST(AdaptiveSimulatorTest, CacheHitsPreserveBlockCodecIdentity) {
   // The same circuit with and without the block cache must produce
-  // identical states AND identical final codec assignments: a cache hit
-  // restores the block's codec from the cached line, not from the level.
+  // identical states AND identical final codec assignments: a unit that
+  // stores a shared output takes the codec that output was written with,
+  // not one derived from the level.
   const auto circuit = circuits::grover_circuit(
       {.data_qubits = 5, .marked_state = 0b00111, .iterations = 2});
   std::vector<double> reference;

@@ -38,9 +38,9 @@ SimConfig comm_config(int qubits, int ranks, bool remap) {
   // many rank-target sweeps run; the reference walk below models the
   // unfused circuit, so pin it off.
   config.enable_fusion_prepass = false;
-  // Cache hits skip the exchange inside run_pairs only for same-rank
-  // pairs; cross-rank exchanges always happen. Keep the cache off anyway
-  // so the counters are a pure function of the circuit.
+  // Sharing never skips an exchange: a member pair that spans ranks still
+  // exchanges. Keep the cache off anyway, so every unit computes its own
+  // output.
   config.enable_cache = false;
   return config;
 }

@@ -18,57 +18,11 @@
 #include "common/thread_pool.hpp"
 #include "core/simulator.hpp"
 #include "qsim/circuit.hpp"
-#include "runtime/block_cache.hpp"
 #include "runtime/block_store.hpp"
 #include "test_util.hpp"
 
 namespace cqs {
 namespace {
-
-TEST(ConcurrencyTest, BlockCacheParallelMixedOps) {
-  // Key space == cache lines, so once a key is inserted it is never
-  // evicted: hits are guaranteed under every interleaving, which keeps the
-  // assertions deterministic while still hammering lookup/insert races.
-  runtime::BlockCache cache(64);
-  ThreadPool pool(8);
-  std::atomic<std::uint64_t> found{0};
-  pool.parallel_for(10000, [&](std::size_t i, std::size_t) {
-    const std::uint64_t key = i % 64;
-    Bytes out1;
-    Bytes out2;
-    if (cache.lookup(key, out1, out2)) {
-      // Entries must round-trip intact under contention.
-      ASSERT_EQ(out1.size(), 1 + key % 7);
-      ++found;
-    } else {
-      cache.insert(key, Bytes(1 + key % 7, std::byte{1}), {});
-    }
-  });
-  EXPECT_GT(found.load(), 0u);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 10000u);
-  EXPECT_FALSE(stats.disabled);
-}
-
-TEST(ConcurrencyTest, BlockCacheParallelThrashDisablesButKeepsCounting) {
-  // Twice as many keys as lines is a worst-case LRU thrash: the cache may
-  // legitimately self-disable (paper: "disable the compressed block cache
-  // if the cache hit rate is always zero"), but the stats invariant —
-  // every lookup counts exactly one hit or miss — must hold regardless of
-  // interleaving or disable timing.
-  runtime::BlockCache cache(64, /*disable_after_misses=*/4096);
-  ThreadPool pool(8);
-  pool.parallel_for(10000, [&](std::size_t i, std::size_t) {
-    const std::uint64_t key = i % 128;
-    Bytes out1;
-    Bytes out2;
-    if (!cache.lookup(key, out1, out2)) {
-      cache.insert(key, Bytes(1 + key % 7, std::byte{1}), {});
-    }
-  });
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 10000u);
-}
 
 TEST(ConcurrencyTest, BlockStoreTotalBytesConsistent) {
   runtime::BlockStore store(256);
@@ -111,14 +65,18 @@ TEST(ConcurrencyTest, ResultsIdenticalAcrossThreadCounts) {
 using test::random_circuit;  // shared with the spill suite (test_util)
 
 /// The deterministic subset of a report: everything except wall-clock
-/// times and cache-interleaving artifacts (hit/miss split, compress-call
-/// counts) must be identical across worker counts.
+/// times must be identical across worker counts, the cache's hit/miss
+/// split, codec calls and arbiter choices included.
 struct DeterministicReport {
   std::uint64_t gates, batched_runs, batched_gates, lossy_passes;
   double fidelity_bound;
   int final_ladder_level;
   std::uint64_t final_lossless_blocks, final_lossy_blocks;
   std::size_t final_lossless_bytes, final_lossy_bytes;
+  std::uint64_t cache_hits, cache_misses;
+  std::uint64_t lossless_compress, lossy_compress;
+  std::uint64_t lossless_decompress, lossy_decompress;
+  std::uint64_t lossless_choices, lossy_choices, codec_switches;
   bool operator==(const DeterministicReport&) const = default;
 };
 
@@ -132,15 +90,25 @@ DeterministicReport deterministic_fields(const core::SimulationReport& r) {
           r.final_lossless_blocks,
           r.final_lossy_blocks,
           r.final_lossless_bytes,
-          r.final_lossy_bytes};
+          r.final_lossy_bytes,
+          r.cache.hits,
+          r.cache.misses,
+          r.lossless_compress_invocations,
+          r.lossy_compress_invocations,
+          r.lossless_decompress_invocations,
+          r.lossy_decompress_invocations,
+          r.codec_lossless_choices,
+          r.codec_lossy_choices,
+          r.codec_switches};
 }
 
 TEST(ConcurrencyTest, RandomizedCircuitsBitIdenticalAcrossThreadCounts) {
   // Randomized circuits x {fixed, adaptive} x {1, 2, hw} worker threads:
   // states must be bit-identical and the deterministic report fields must
   // agree — per-block compression is deterministic, blocks are
-  // independent, and (for adaptive) the arbiter's hysteresis follows the
-  // stored codec even across cache hit/miss interleavings.
+  // independent, sharing groups are planned before a sweep starts, and
+  // (for adaptive) the arbiter's hysteresis follows the stored codec of
+  // every unit that took a shared output.
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
   for (const std::string policy : {"fixed", "adaptive"}) {
@@ -225,12 +193,12 @@ TEST(ConcurrencyTest, FidelityBoundIdenticalAcrossThreadCounts) {
 }
 
 TEST(ConcurrencyTest, PerCodecInvocationCountsDeterministicAcrossThreads) {
-  // The report's per-codec-class attribution: with the block cache off
-  // (cache hits skip codec calls and hit/miss splits depend on
-  // interleaving), the invocation counts are a pure function of the
-  // workload — identical for 1, 2, and hw worker threads — and they
-  // partition the total codec invocations. The seconds are wall-clock and
-  // only sanity-checked (finite, nonnegative, nonzero where called).
+  // The report's per-codec-class attribution: with every unit computing
+  // its own output (the cache off; DeterministicReport pins the shared
+  // counts), the invocation counts are a pure function of the workload —
+  // identical for 1, 2, and hw worker threads — and they partition the
+  // total codec invocations. The seconds are wall-clock and only
+  // sanity-checked (finite, nonnegative, nonzero where called).
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
   const auto circuit = random_circuit(11, 80, 3);
@@ -367,11 +335,10 @@ TEST(ConcurrencyTest, RemappedLossyRunsDeterministicAcrossThreadCounts) {
 }
 
 TEST(ConcurrencyTest, CacheThrashAndLadderEscalationIdenticalAcrossThreads) {
-  // Worst-case executor conditions at once: a cache small enough to LRU-
-  // thrash (so probes and inserts of different workers interleave) and a
-  // budget tight enough to force ladder escalation between gates. States
-  // and the deterministic report fields must still be identical across
-  // thread counts.
+  // Worst-case executor conditions at once: sharing on, the adaptive
+  // arbiter, and a budget tight enough to force ladder escalation between
+  // gates. States and the deterministic report fields must still be
+  // identical across thread counts.
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
   const auto circuit = random_circuit(10, 70, 57);
@@ -385,7 +352,6 @@ TEST(ConcurrencyTest, CacheThrashAndLadderEscalationIdenticalAcrossThreads) {
     config.threads = threads;
     config.codec_policy = "adaptive";
     config.memory_budget_bytes = 6 * 1024;  // forces escalation mid-run
-    config.cache_lines = 4;                 // guaranteed LRU thrash
     core::CompressedStateSimulator sim(config);
     sim.apply_circuit(circuit);
     const auto report = deterministic_fields(sim.report());

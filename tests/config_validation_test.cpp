@@ -151,58 +151,5 @@ TEST(ConfigValidationTest, RejectsSocketTransportOnOneRank) {
   expect_rejected(config, "requires num_ranks >= 2");
 }
 
-TEST(ConfigValidationTest, RejectsOutOfRangeZfpFixedPrecision) {
-  // Rejected here, not silently clamped inside the codec: a plane count
-  // outside [0, 62] would otherwise quietly encode at a different
-  // precision than the config claims.
-  for (int planes : {-1, -10, 63, 1000}) {
-    SimConfig config = base_config();
-    config.codec = "zfp";
-    config.zfp_fixed_precision = planes;
-    expect_rejected(config, "zfp_fixed_precision");
-  }
-  // Boundary values are fine on both zfp-family codecs.
-  for (const char* codec : {"zfp", "zfp-rans"}) {
-    SimConfig config = base_config();
-    config.codec = codec;
-    config.zfp_fixed_precision = 62;
-    EXPECT_NO_THROW(CompressedStateSimulator{config});
-  }
-}
-
-TEST(ConfigValidationTest, RejectsBothZfpRateControlModesAtOnce) {
-  SimConfig config = base_config();
-  config.codec = "zfp";
-  config.zfp_fixed_precision = 16;
-  config.zfp_fixed_accuracy = true;
-  expect_rejected(config, "mutually exclusive");
-}
-
-TEST(ConfigValidationTest, RejectsZfpKnobsOnNonZfpCodecs) {
-  for (const char* codec : {"qzc", "sz", "zstd", "fpzip"}) {
-    SimConfig config = base_config();
-    config.codec = codec;
-    config.zfp_fixed_precision = 16;
-    expect_rejected(config, "zfp-family");
-    config = base_config();
-    config.codec = codec;
-    config.zfp_fixed_accuracy = true;
-    expect_rejected(config, "zfp-family");
-  }
-}
-
-TEST(ConfigValidationTest, AcceptsZfpRateControlModesOnZfpFamily) {
-  for (const char* codec : {"zfp", "zfp-rans"}) {
-    SimConfig config = base_config();
-    config.codec = codec;
-    config.zfp_fixed_accuracy = true;
-    EXPECT_NO_THROW(CompressedStateSimulator{config});
-    config = base_config();
-    config.codec = codec;
-    config.zfp_fixed_precision = 16;
-    EXPECT_NO_THROW(CompressedStateSimulator{config});
-  }
-}
-
 }  // namespace
 }  // namespace cqs

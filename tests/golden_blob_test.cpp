@@ -1,8 +1,8 @@
 // Golden-blob regression: the SHA-256 of every registry codec's compressed
 // output on the shared spiky/dense/sparse fixtures must match the digests
 // recorded before the codec hot-path overhaul. Checkpoints persist
-// these containers and BlockCache keys hash them, so any drift here means
-// persisted state and cache identity silently broke.
+// these containers, so any drift here means persisted state silently
+// broke.
 #include <gtest/gtest.h>
 
 #include <cstring>

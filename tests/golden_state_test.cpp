@@ -275,11 +275,19 @@ constexpr SweepPin kSweepPins[kSweepLegCount] = {
      0x3fdb3d97435ae526, 562, 368, 576, 360, 5399, 0, 0, 0},
 };
 
-// Cache on, 1 thread, on the leg that exercises everything (remap, spill
-// and budget): hits and misses of the probe order the executors follow.
-constexpr int kSweepCacheLeg = 7;
-constexpr std::uint64_t kSweepCacheHits = 20;
-constexpr std::uint64_t kSweepCacheMisses = 60;
+// Cache on: the units of a gate sweep that compute from equal inputs share
+// one output. Hits (units that stored a copy), misses (units that computed)
+// and compressions per leg, identical at 1 and 4 threads.
+struct SweepSharing {
+  std::uint64_t hits;
+  std::uint64_t misses;
+  std::uint64_t compressions;
+};
+constexpr SweepSharing kSweepSharing[kSweepLegCount] = {
+    {11, 53, 124},  {11, 53, 204},  {11, 53, 124},  {11, 53, 156},
+    {20, 60, 138},  {20, 60, 218},  {20, 60, 138},  {20, 60, 154},
+    {277, 467, 551}, {277, 467, 631},
+};
 
 struct SweepResult {
   std::string image_sha256;
@@ -364,13 +372,25 @@ TEST_F(SweepPinTest, EveryRewritingSweepIsByteStableAcrossCommits) {
 }
 
 TEST_F(SweepPinTest, CacheProbeSequenceIsStableAcrossCommits) {
-  // The cache is bit-invisible: the image matches the cache-off pin, and
-  // only the probe counts (and the codec calls hits save) differ.
-  const SweepResult result =
-      run_leg(kSweepLegs[kSweepCacheLeg], 1, true);
-  EXPECT_EQ(result.image_sha256, kSweepPins[kSweepCacheLeg].image_sha256);
-  EXPECT_EQ(result.report.cache.hits, kSweepCacheHits);
-  EXPECT_EQ(result.report.cache.misses, kSweepCacheMisses);
+  // Sharing is bit-invisible: every image matches the leg's cache-off pin,
+  // and only the counts (and the codec calls shared units skip) differ. A
+  // member pair that spans ranks still exchanges, so comm_bytes match too.
+  for (int leg = 0; leg < kSweepLegCount; ++leg) {
+    const SweepSharing& expected = kSweepSharing[leg];
+    for (int threads : {1, 4}) {
+      const SweepResult result = run_leg(kSweepLegs[leg], threads, true);
+      EXPECT_EQ(result.image_sha256, kSweepPins[leg].image_sha256)
+          << "leg " << leg << " threads " << threads;
+      EXPECT_EQ(result.report.cache.hits, expected.hits)
+          << "leg " << leg << " threads " << threads;
+      EXPECT_EQ(result.report.cache.misses, expected.misses)
+          << "leg " << leg << " threads " << threads;
+      EXPECT_EQ(result.report.compress_invocations, expected.compressions)
+          << "leg " << leg << " threads " << threads;
+      EXPECT_EQ(result.report.comm_bytes, kSweepPins[leg].comm_bytes)
+          << "leg " << leg << " threads " << threads;
+    }
+  }
 }
 
 }  // namespace

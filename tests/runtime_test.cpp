@@ -1,5 +1,5 @@
 // Unit tests for the distributed runtime substrate: partitioning math,
-// block store, LRU cache, comm accounting, scratch arena, checkpointing.
+// block store, run-key hash, comm accounting, scratch arena, checkpointing.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -96,31 +96,6 @@ TEST(BlockStoreTest, MetaLevelTracksEveryReplacement) {
   EXPECT_EQ(store.meta(1).level, 0);  // untouched block keeps default
 }
 
-TEST(BlockCacheTest, HitReturnsInsertedBlocks) {
-  BlockCache cache(4);
-  const std::vector<Bytes> op{Bytes{std::byte{1}}};
-  const Bytes cb1(16, std::byte{2});
-  const Bytes cb2(16, std::byte{3});
-  const auto key = BlockCache::make_key(op, cb1, cb2);
-  Bytes out1;
-  Bytes out2;
-  EXPECT_FALSE(cache.lookup(key, out1, out2));
-  cache.insert(key, Bytes(8, std::byte{9}), Bytes(8, std::byte{8}));
-  ASSERT_TRUE(cache.lookup(key, out1, out2));
-  EXPECT_EQ(out1, Bytes(8, std::byte{9}));
-  EXPECT_EQ(out2, Bytes(8, std::byte{8}));
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST(BlockCacheTest, DistinctKeysForDistinctInputs) {
-  const std::vector<Bytes> op{Bytes{std::byte{1}}};
-  const Bytes a(4, std::byte{1});
-  const Bytes b(4, std::byte{2});
-  EXPECT_NE(BlockCache::make_key(op, a, b), BlockCache::make_key(op, b, a));
-  EXPECT_NE(BlockCache::make_key(op, a, {}), BlockCache::make_key(op, {}, a));
-}
-
 TEST(BlockCacheTest, RunKeyIsDeterministicAndBoundaryAware) {
   const Bytes ab{std::byte{'a'}, std::byte{'b'}};
   const Bytes a{std::byte{'a'}};
@@ -143,49 +118,6 @@ TEST(BlockCacheTest, RunKeyIsDeterministicAndBoundaryAware) {
   const Bytes other_block(16, std::byte{8});
   EXPECT_NE(BlockCache::make_run_key(split, block),
             BlockCache::make_run_key(split, other_block));
-}
-
-TEST(BlockCacheTest, LruEviction) {
-  BlockCache cache(2);
-  Bytes out1;
-  Bytes out2;
-  cache.insert(1, Bytes(1, std::byte{1}), {});
-  cache.insert(2, Bytes(1, std::byte{2}), {});
-  ASSERT_TRUE(cache.lookup(1, out1, out2));  // 1 now most recent
-  cache.insert(3, Bytes(1, std::byte{3}), {});  // evicts 2
-  EXPECT_FALSE(cache.lookup(2, out1, out2));
-  EXPECT_TRUE(cache.lookup(1, out1, out2));
-  EXPECT_TRUE(cache.lookup(3, out1, out2));
-}
-
-TEST(BlockCacheTest, AutoDisableAfterFruitlessMisses) {
-  BlockCache cache(4, 10);
-  Bytes out1;
-  Bytes out2;
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(cache.lookup(static_cast<std::uint64_t>(i) + 100, out1, out2));
-  }
-  EXPECT_TRUE(cache.stats().disabled);
-  EXPECT_FALSE(cache.enabled());
-  // Disabled cache rejects lookups and inserts silently...
-  cache.insert(1, Bytes(1), {});
-  EXPECT_FALSE(cache.lookup(1, out1, out2));
-  // ...but every lookup still counts as a miss, so stats always satisfy
-  // hits + misses == number of lookups.
-  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 11u);
-}
-
-TEST(BlockCacheTest, HitPreventsDisable) {
-  BlockCache cache(4, 10);
-  Bytes out1;
-  Bytes out2;
-  cache.insert(42, Bytes(1, std::byte{7}), {});
-  for (int i = 0; i < 50; ++i) {
-    cache.lookup(42, out1, out2);
-    cache.lookup(static_cast<std::uint64_t>(i) + 1000, out1, out2);
-  }
-  EXPECT_FALSE(cache.stats().disabled);
-  EXPECT_GT(cache.stats().hit_rate(), 0.4);
 }
 
 TEST(CommTest, ExchangeSwapsPayloadsAndCounts) {

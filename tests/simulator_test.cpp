@@ -4,8 +4,10 @@
 // checkpointing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <vector>
 
 #include "circuits/grover.hpp"
 #include "circuits/phase_estimation.hpp"
@@ -112,6 +114,48 @@ TEST(SimulatorTest, GroverMatchesDense) {
   EXPECT_NEAR(cross_fidelity(sim, c), 1.0, 1e-9);
   EXPECT_GT(sim.report().cache.hits, 0u)
       << "Grover states repeat blocks; the cache should hit";
+}
+
+TEST(SimulatorTest, KernelSelectionsSplitSharingGroups) {
+  // After H on every qubit all 16 blocks of 4 ranks x 4 blocks hold the
+  // same bytes (offset 0-5, block 6-7, rank 8-9). One run then applies RZ
+  // on block qubit 6, whose factor each block's bit picks, and RX(0)
+  // controlled by rank qubit 9. Equal payloads share only within a rank
+  // and a selection: 4 ranks x 2 factors = 8 groups, so 8 units compute
+  // and 8 take a copy.
+  qsim::Circuit prep(10);
+  for (int q = 0; q < 10; ++q) prep.h(q);
+  qsim::Circuit run(10);
+  run.rz(6, 0.9).append({GateKind::kRx, 0, {9, -1}, {0.4}});
+  qsim::Circuit whole = prep;
+  for (const auto& op : run.ops()) whole.append(op);
+  qsim::StateVector dense(10);
+  dense.apply_circuit(whole);
+
+  std::vector<double> unshared;
+  for (const bool cache : {false, true}) {
+    for (const int threads : {1, 4}) {
+      SimConfig config = small_config(10, 4, 4);
+      config.threads = threads;
+      config.enable_cache = cache;
+      config.enable_fusion_prepass = false;
+      CompressedStateSimulator sim(config);
+      sim.apply_circuit(prep);
+      const auto before = sim.report();
+      sim.apply_circuit(run);
+      const auto after = sim.report();
+      EXPECT_EQ(after.batched_runs - before.batched_runs, 1u);
+      EXPECT_EQ(after.cache.misses - before.cache.misses, cache ? 8u : 0u)
+          << "threads " << threads;
+      EXPECT_EQ(after.cache.hits - before.cache.hits, cache ? 8u : 0u)
+          << "threads " << threads;
+      const std::vector<double> state = sim.to_raw();
+      EXPECT_TRUE(std::ranges::equal(state, dense.raw()))
+          << "cache " << cache << " threads " << threads;
+      if (unshared.empty()) unshared = state;
+      EXPECT_EQ(state, unshared) << "cache " << cache << " threads " << threads;
+    }
+  }
 }
 
 TEST(SimulatorTest, SupremacyCircuitMatchesDense) {
