@@ -13,7 +13,8 @@
 // budget (the OOM proxy: budget_exceeded even at the last ladder level —
 // the codec is pinned lossless so there is no ladder to escalate), while
 // the spilled runs keep the resident tier under the same budget and
-// complete. Exits nonzero if spilling fails to raise the ceiling or the
+// complete. Exits nonzero if spilling fails to raise the ceiling, if a
+// spilled run ends with its resident tier over the budget, or if the
 // spilled state drifts from the in-memory state at the common size.
 #include <cstdio>
 #include <cstdlib>
@@ -191,6 +192,7 @@ int main(int argc, char** argv) try {
   int in_ram_max = 0;
   int spilled_max = 0;
   bool accounting_ok = true;
+  bool resident_within_budget = true;
   for (int qubits = base_qubits; qubits <= base_qubits + extra; ++qubits) {
     Row row;
     row.qubits = qubits;
@@ -204,6 +206,7 @@ int main(int argc, char** argv) try {
         row.spilled.total_bytes) {
       accounting_ok = false;
     }
+    if (row.spilled.resident_bytes > budget) resident_within_budget = false;
     std::printf(
         "%7d | %-11s %8zu KiB res | %-9s %7zu KiB res + %7zu KiB nvme\n",
         qubits, row.in_ram.completes ? "fits" : "OVER BUDGET",
@@ -248,6 +251,13 @@ int main(int argc, char** argv) try {
   if (!accounting_ok) {
     std::fprintf(stderr,
                  "FAIL: resident + spilled != total compressed bytes\n");
+    ok = false;
+  }
+  if (!resident_within_budget) {
+    std::fprintf(stderr,
+                 "FAIL: a spilled run ended with its resident tier over "
+                 "the %zu-byte budget\n",
+                 budget);
     ok = false;
   }
   std::printf("%s\n", ok ? "PASS" : "FAIL");

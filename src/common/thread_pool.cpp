@@ -61,17 +61,6 @@ void ThreadPool::parallel_for(
   }
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  std::future<void> future = packaged.get_future();
-  {
-    std::lock_guard lock(mutex_);
-    tasks_.push_back(std::move(packaged));
-  }
-  work_cv_.notify_one();
-  return future;
-}
-
 void ThreadPool::worker_loop(std::size_t worker_id) {
   tl_pool = this;
   tl_worker = worker_id;
@@ -79,11 +68,11 @@ void ThreadPool::worker_loop(std::size_t worker_id) {
   while (true) {
     std::unique_lock lock(mutex_);
     work_cv_.wait(lock, [&] {
-      return stop_ || !tasks_.empty() ||
+      return stop_ ||
              (job_.body != nullptr && job_.generation != seen_generation &&
               job_.next < job_.count);
     });
-    if (stop_ && tasks_.empty()) return;
+    if (stop_) return;
     const std::size_t generation = job_.generation;
     // Chunked self-scheduling: grab a slice, run it unlocked, repeat.
     while (job_.body != nullptr && job_.generation == generation &&
@@ -110,15 +99,6 @@ void ThreadPool::worker_loop(std::size_t worker_id) {
       if (job_.done == job_.count) done_cv_.notify_all();
     }
     seen_generation = generation;
-    // Parallel_for chunks take priority; a queued task only runs once no
-    // chunk is claimable. One task per wake keeps the worker responsive to
-    // a job posted while the task runs.
-    if (!tasks_.empty()) {
-      std::packaged_task<void()> task = std::move(tasks_.front());
-      tasks_.pop_front();
-      lock.unlock();
-      task();  // exception lands in the future
-    }
   }
 }
 

@@ -5,10 +5,8 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -42,14 +40,6 @@ class ThreadPool {
                     const std::function<void(std::size_t index,
                                              std::size_t worker)>& body);
 
-  /// Enqueues a standalone task for any idle worker; the returned future
-  /// carries the task's exception, if it throws. Workers run queued tasks
-  /// whenever no parallel_for chunk is available, so submitted work
-  /// overlaps with (but yields to) the bulk loops. Tasks still queued at
-  /// destruction are drained, not dropped — every returned future becomes
-  /// ready.
-  std::future<void> submit(std::function<void()> task);
-
  private:
   struct Job {
     std::size_t count = 0;
@@ -67,7 +57,6 @@ class ThreadPool {
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   Job job_;
-  std::deque<std::packaged_task<void()>> tasks_;
   bool stop_ = false;
 };
 

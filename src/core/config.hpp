@@ -141,8 +141,8 @@ struct SimConfig {
   std::string auto_checkpoint_path;
 
   /// Mid-run ENOSPC degradation: when a spill write fails with ENOSPC,
-  /// settle what's already on disk, disable further spilling, and keep
-  /// running with the whole working set resident — the Eq. 8 memory
+  /// leave that block resident, disable further spilling (blocks already
+  /// on disk stay readable), and keep running resident — the Eq. 8 memory
   /// budget still governs via the error ladder, and only if the state
   /// cannot fit even at the last ladder level does the run fail with the
   /// original typed SpillError. Off by default (a disk-full spill fails

@@ -998,117 +998,42 @@ void CompressedStateSimulator::maybe_stream_spill(int rank, int block) {
   // deterministic across thread counts. (Once degraded the counts stop
   // being pinned — spilling is over for the run.)
   if (!stream_spill_ || degraded()) return;
-  if (!config_.spill_degrade_on_enospc) {
-    ranks_[rank].spill_block(block);
-    return;
-  }
+  spill_or_degrade(rank, block);
+}
+
+void CompressedStateSimulator::spill_or_degrade(int rank, int block) {
   try {
     ranks_[rank].spill_block(block);
   } catch (const runtime::SpillError& e) {
-    if (e.code() != ENOSPC) throw;
-    // The block simply stays resident; the next maintain_tiers sees the
-    // degraded flag and stops evicting.
+    if (!config_.spill_degrade_on_enospc || e.code() != ENOSPC) throw;
+    // Under degradation a full disk is survivable: the failed write
+    // reserved no segment and the block stays resident. From here the
+    // spill tier is read-only — blocks already on disk stay readable,
+    // but nothing more is evicted or streamed.
     spill_write_failures_.bump();
-    spill_degraded_.bump();
   }
-}
-
-std::size_t CompressedStateSimulator::resident_occupancy() const {
-  const std::size_t resident =
-      tier_stats_->resident_bytes.load(std::memory_order_relaxed);
-  // In-flight write-behind payloads are already on their way out; without
-  // the projection enforce_budget would escalate the ladder for bytes the
-  // next settle is about to reclaim.
-  return resident > pending_spill_bytes_ ? resident - pending_spill_bytes_
-                                         : 0;
-}
-
-void CompressedStateSimulator::settle_pending_spills() {
-  if (pending_spills_.empty()) return;
-  std::exception_ptr first_error;
-  for (PendingSpill& pending : pending_spills_) {
-    try {
-      pending.done.get();
-      ranks_[pending.rank].commit_spill(pending.block, *pending.segment,
-                                        pending.generation);
-    } catch (const runtime::SpillError& e) {
-      // Under degradation a full disk is survivable: the failed write
-      // reserved no segment and its block is still resident — mark the
-      // tier degraded and keep going. Anything else stays fatal.
-      if (config_.spill_degrade_on_enospc && e.code() == ENOSPC) {
-        spill_write_failures_.bump();
-        spill_degraded_.bump();
-      } else if (!first_error) {
-        first_error = std::current_exception();
-      }
-    } catch (...) {
-      // Keep settling: every future must be consumed even when one write
-      // hit ENOSPC, or later destructors would block on live jobs.
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  pending_spills_.clear();
-  pending_spill_bytes_ = 0;
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void CompressedStateSimulator::discard_pending_spills() {
-  for (PendingSpill& pending : pending_spills_) {
-    try {
-      pending.done.get();
-      if (spill_ != nullptr) spill_->free_segment(*pending.segment);
-    } catch (...) {
-      // A failed write reserved no live segment, and the blocks these jobs
-      // were spilling are being discarded wholesale — the error is moot.
-    }
-  }
-  pending_spills_.clear();
-  pending_spill_bytes_ = 0;
 }
 
 void CompressedStateSimulator::maintain_tiers() {
   if (spill_ == nullptr) return;
-  settle_pending_spills();
-  // Once degraded the spill tier is read-only: blocks already parked on
-  // disk stay readable, but no new evictions or streaming writes happen.
-  if (degraded()) {
-    stream_spill_ = false;
-    return;
-  }
   const std::size_t budget = config_.resident_budget_bytes;
   const std::size_t total_blocks =
       static_cast<std::size_t>(partition_.num_ranks()) *
       partition_.blocks_per_rank();
-  // Write-behind eviction: walk the blocks round-robin from where the last
-  // sweep stopped and enqueue spill writes on the pool until the projected
-  // resident size (current minus in-flight) fits the budget. The scan
-  // order is a function of evict_cursor_ alone, so the eviction set is
-  // deterministic.
+  // Eviction: walk the blocks round-robin from where the last scan
+  // stopped and spill each one until the resident tier fits the budget.
+  // The scan order is a function of evict_cursor_ alone, so the eviction
+  // set is deterministic.
   std::size_t scanned = 0;
-  while (resident_occupancy() > budget && scanned < total_blocks) {
+  while (!degraded() &&
+         tier_stats_->resident_bytes.load(std::memory_order_relaxed) >
+             budget &&
+         scanned < total_blocks) {
     const std::size_t slot = evict_cursor_ % total_blocks;
     evict_cursor_ = (evict_cursor_ + 1) % total_blocks;
     ++scanned;
-    const int rank = static_cast<int>(slot) / partition_.blocks_per_rank();
-    const int block = static_cast<int>(slot) % partition_.blocks_per_rank();
-    runtime::BlockStore& store = ranks_[rank];
-    if (store.is_spilled(block)) continue;
-    PendingSpill pending;
-    pending.rank = rank;
-    pending.block = block;
-    pending.generation = store.generation(block);
-    std::shared_ptr<const Bytes> payload = store.payload_handle(block);
-    if (payload == nullptr) continue;
-    pending.bytes = payload->size();
-    pending.segment = std::make_shared<runtime::SpillSegment>();
-    runtime::SpillFile* spill = spill_.get();
-    std::shared_ptr<runtime::SpillSegment> segment = pending.segment;
-    pending.done = pool_->submit(
-        [spill, payload = std::move(payload), segment]() mutable {
-          *segment = spill->write(*payload);  // SpillError -> the future
-        });
-    pending_spill_bytes_ += pending.bytes;
-    pending_spills_.push_back(std::move(pending));
+    spill_or_degrade(static_cast<int>(slot) / partition_.blocks_per_rank(),
+                     static_cast<int>(slot) % partition_.blocks_per_rank());
   }
   // Past the transition region the whole state no longer fits: from here
   // every freshly stored block streams straight to the spill tier.
@@ -1124,13 +1049,16 @@ void CompressedStateSimulator::enforce_budget() {
   // With spilling on, Eq. 8 governs the *resident* tier: bytes parked on
   // NVMe do not count against the in-memory budget, so the error ladder
   // only escalates when even the resident working set cannot fit.
-  while (resident_occupancy() > budget &&
+  const auto resident = [this] {
+    return tier_stats_->resident_bytes.load(std::memory_order_relaxed);
+  };
+  while (resident() > budget &&
          level_ < static_cast<int>(config_.error_ladder.size()) &&
          lossy_ != nullptr) {
     ++level_;
     record_lossy_pass(recompress_all(level_));
   }
-  if (resident_occupancy() > budget) budget_exceeded_ = true;
+  if (resident() > budget) budget_exceeded_ = true;
 }
 
 std::uint64_t CompressedStateSimulator::recompress_all(int new_level) {
@@ -1422,13 +1350,6 @@ CompressedStateSimulator CompressedStateSimulator::load_checkpoint(
         "load_checkpoint: saved ladder level exceeds configured ladder");
   }
   CompressedStateSimulator sim(config);
-  // Under a small resident budget the constructor's maintain_tiers leaves
-  // write-behind spills of the initial |0...0> blocks in flight. They must
-  // be discarded before the stores are swapped: the loaded slots restart
-  // their generation counters at the same values the initial slots had, so
-  // a settle after the swap would pass commit_spill's generation guard and
-  // silently re-tier restored blocks onto the stale pre-restore segments.
-  sim.discard_pending_spills();
   // The constructor's init_blocks accounted its |0...0> state; the loaded
   // stores replace it wholesale, so the shared stats restart from zero and
   // attach() folds each store's actual bytes back in. (BlockStore
@@ -1491,11 +1412,6 @@ CompressedStateSimulator CompressedStateSimulator::load_checkpoint(
     }
   }
   sim.maintain_tiers();
-  // Settle the evictions maintain_tiers just enqueued so the restore
-  // returns already reconciled: the report's tier split reflects the
-  // resuming budget immediately, and a failing spill write surfaces here
-  // as a load error instead of at the first gate boundary.
-  sim.settle_pending_spills();
   return sim;
 }
 

@@ -26,7 +26,6 @@
 
 #include <atomic>
 #include <functional>
-#include <future>
 #include <memory>
 #include <span>
 #include <string>
@@ -314,31 +313,22 @@ class CompressedStateSimulator {
   // --- Out-of-core tier maintenance (Section 3.7 extended: the resident
   // --- tier is what the Eq. 8 budget governs once spilling is on) ---
 
-  /// Settles finished write-behind spills, then enqueues enough async
-  /// evictions to bring projected resident bytes under the resident
-  /// budget, and refreshes the streaming-spill flag. Called between
-  /// parallel regions (gate boundaries, measure, checkpoint restore).
+  /// Evicts blocks round-robin until the resident tier fits the resident
+  /// budget, each spilled at once on the calling thread, and refreshes
+  /// the streaming-spill flag. Called between parallel regions (gate
+  /// boundaries, measure, checkpoint restore), so the resident tier fits
+  /// its budget whenever it returns, unless the run is degraded.
   void maintain_tiers();
-  /// Waits for every pending write-behind job and commits the ones whose
-  /// block is still untouched. The first job failure (ENOSPC etc.) is
-  /// rethrown after all jobs settle, so no future is abandoned.
-  void settle_pending_spills();
-  /// Waits for every pending write-behind job and discards it: finished
-  /// segments go back to the spill free-list, write failures are swallowed
-  /// (the state they belonged to is being thrown away). Required before
-  /// replacing ranks_ wholesale (checkpoint restore) — per-slot generation
-  /// counters restart in the new stores, so a settle after the swap would
-  /// wrongly commit pre-swap segments onto freshly loaded blocks.
-  void discard_pending_spills();
   /// Streaming spill: once the state exceeds the resident budget, every
   /// freshly (re)compressed block is moved to the spill tier as soon as
   /// its owning worker stores it. Unconditional while the flag is set, so
   /// the spill/fault counts stay schedule-independent.
   void maybe_stream_spill(int rank, int block);
-  /// Resident bytes minus spill writes already in flight — what
-  /// enforce_budget compares against the (memory) budget. Equals
-  /// compressed_bytes() whenever spilling is off.
-  std::size_t resident_occupancy() const;
+  /// Spills (rank, block) for eviction and streaming spill alike. Under
+  /// spill_degrade_on_enospc an ENOSPC leaves the block resident and
+  /// degrades the run instead of throwing; any other SpillError
+  /// propagates.
+  void spill_or_degrade(int rank, int block);
 
   /// Escalates the error ladder and recompresses every block until the
   /// compressed total fits the budget (or the ladder is exhausted).
@@ -356,19 +346,7 @@ class CompressedStateSimulator {
   /// atomic save, so recovery just loses the newest interval.
   void maybe_autosave();
   /// True once a mid-run ENOSPC disabled the spill tier.
-  bool degraded() const { return spill_degraded_.get() > 0; }
-
-  /// One write-behind spill in flight: a pool job owns the payload handle
-  /// and fills `segment`; the main thread commits (or discards) it at the
-  /// next settle, gated on the block's generation.
-  struct PendingSpill {
-    int rank = 0;
-    int block = 0;
-    std::uint64_t generation = 0;
-    std::size_t bytes = 0;
-    std::shared_ptr<runtime::SpillSegment> segment;
-    std::future<void> done;
-  };
+  bool degraded() const { return spill_write_failures_.get() > 0; }
 
   SimConfig config_;
   runtime::Partition partition_;
@@ -413,17 +391,15 @@ class CompressedStateSimulator {
   bool budget_exceeded_ = false;
 
   // Out-of-core bookkeeping (mutated between parallel regions only).
-  std::vector<PendingSpill> pending_spills_;
-  std::size_t pending_spill_bytes_ = 0;
   std::size_t evict_cursor_ = 0;  ///< round-robin global block scan position
   bool stream_spill_ = false;
 
-  // Fault tolerance. spill_degraded_ / spill_write_failures_ are bumped by
-  // workers when a streaming spill hits ENOSPC under degradation, hence
-  // the copyable-atomic counters; the autosave fields are main-thread only
+  // Fault tolerance. spill_write_failures_ is bumped when a spill hits
+  // ENOSPC under degradation — by a worker streaming its block, or by the
+  // main thread evicting — hence the copyable-atomic counter; it doubles
+  // as the degraded flag. The autosave fields are main-thread only
   // (run boundaries). recoveries_ / recovery_backoff_ms_ are stamped onto
   // the final simulator by run_resilient so the report can carry them.
-  InvocationCounter spill_degraded_;        ///< > 0 once spilling disabled
   InvocationCounter spill_write_failures_;  ///< ENOSPC writes ridden out
   std::uint64_t autosaves_ = 0;
   std::uint64_t autosave_failures_ = 0;

@@ -153,12 +153,12 @@ const Bytes& BlockStore::block(int index) const {
         "BlockStore::block: block is spilled; read it through "
         "payload_view");
   }
-  return *slot.payload;
+  return slot.payload;
 }
 
 ByteSpan BlockStore::payload_view(int index) const {
   const Slot& slot = slots_[static_cast<std::size_t>(index)];
-  if (tier_load(slot.spilled) == 0) return ByteSpan(*slot.payload);
+  if (tier_load(slot.spilled) == 0) return ByteSpan(slot.payload);
   if (stats_ != nullptr) {
     stats_->fault_events.fetch_add(1, std::memory_order_relaxed);
     std::atomic_ref<std::uint8_t> advised(slot.advised);
@@ -171,7 +171,7 @@ ByteSpan BlockStore::payload_view(int index) const {
 
 ByteSpan BlockStore::raw_view(int index) const {
   const Slot& slot = slots_[static_cast<std::size_t>(index)];
-  if (tier_load(slot.spilled) == 0) return ByteSpan(*slot.payload);
+  if (tier_load(slot.spilled) == 0) return ByteSpan(slot.payload);
   return spill_->view(slot.segment);
 }
 
@@ -179,7 +179,7 @@ std::size_t BlockStore::block_size(int index) const {
   const Slot& slot = slots_[static_cast<std::size_t>(index)];
   return tier_load(slot.spilled) != 0
              ? static_cast<std::size_t>(slot.segment.size)
-             : slot.payload->size();
+             : slot.payload.size();
 }
 
 void BlockStore::set_block(int index, Bytes payload, BlockMeta meta) {
@@ -197,12 +197,11 @@ void BlockStore::set_block(int index, Bytes payload, BlockMeta meta) {
     spilled_delta -= static_cast<std::ptrdiff_t>(slot.segment.size);
     tier_store<std::uint64_t>(slot.segment.offset, 0);
     tier_store<std::uint64_t>(slot.segment.size, 0);
-  } else if (slot.payload != nullptr) {
-    resident_delta -= static_cast<std::ptrdiff_t>(slot.payload->size());
+  } else {
+    resident_delta -= static_cast<std::ptrdiff_t>(slot.payload.size());
   }
   resident_delta += static_cast<std::ptrdiff_t>(payload.size());
-  slot.payload = std::make_shared<const Bytes>(std::move(payload));
-  ++slot.generation;
+  slot.payload = std::move(payload);
   std::atomic_ref<std::uint8_t>(slot.advised)
       .store(0, std::memory_order_relaxed);
   meta_[static_cast<std::size_t>(index)] = meta;
@@ -211,42 +210,20 @@ void BlockStore::set_block(int index, Bytes payload, BlockMeta meta) {
 
 void BlockStore::spill_block(int index) {
   Slot& slot = slots_[static_cast<std::size_t>(index)];
-  if (tier_load(slot.spilled) != 0 || slot.payload == nullptr ||
+  if (tier_load(slot.spilled) != 0 || slot.payload.empty() ||
       spill_ == nullptr) {
     return;
   }
-  const SpillSegment segment = spill_->write(*slot.payload);  // may throw
-  const auto size = static_cast<std::ptrdiff_t>(slot.payload->size());
+  const SpillSegment segment = spill_->write(slot.payload);  // may throw
+  const auto size = static_cast<std::ptrdiff_t>(slot.payload.size());
   tier_store(slot.segment.offset, segment.offset);
   tier_store(slot.segment.size, segment.size);
   tier_store<std::uint8_t>(slot.spilled, 1);  // publish after the segment
-  slot.payload.reset();
+  slot.payload = Bytes();  // frees the buffer; clear() would keep it
   account(-size, size);
   if (stats_ != nullptr) {
     stats_->spill_events.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-bool BlockStore::commit_spill(int index, const SpillSegment& segment,
-                              std::uint64_t generation) {
-  Slot& slot = slots_[static_cast<std::size_t>(index)];
-  if (slot.generation != generation || tier_load(slot.spilled) != 0 ||
-      slot.payload == nullptr) {
-    // The block was rewritten (or already spilled) after the write was
-    // enqueued: the on-disk bytes are stale, drop them.
-    if (spill_ != nullptr) spill_->free_segment(segment);
-    return false;
-  }
-  const auto size = static_cast<std::ptrdiff_t>(slot.payload->size());
-  tier_store(slot.segment.offset, segment.offset);
-  tier_store(slot.segment.size, segment.size);
-  tier_store<std::uint8_t>(slot.spilled, 1);
-  slot.payload.reset();
-  account(-size, size);
-  if (stats_ != nullptr) {
-    stats_->spill_events.fetch_add(1, std::memory_order_relaxed);
-  }
-  return true;
 }
 
 void BlockStore::advise(int index) const {

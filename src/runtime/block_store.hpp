@@ -3,25 +3,23 @@
 // decompress each one.
 //
 // Blocks live in one of two tiers. A *resident* block holds its payload in
-// memory (a shared immutable Bytes, so an async spill writer can keep the
-// payload alive past a concurrent rewrite). A *spilled* block's payload
-// lives in a SpillFile segment and is read back as a zero-copy mmap view.
-// Tier moves are byte-preserving by construction — the payload is opaque
-// either way — which is what lets the golden layers pin spill-on ==
-// spill-off at tolerance 0.
+// memory. A *spilled* block's payload lives in a SpillFile segment and is
+// read back as a zero-copy mmap view. Tier moves are byte-preserving by
+// construction — the payload is opaque either way — which is what lets the
+// golden layers pin spill-on == spill-off at tolerance 0.
 //
 // Concurrency contract (matching the simulator's sweep discipline): within
 // one parallel region, a given block index is touched by exactly one
 // worker; cross-block state (the byte totals, the shared TierStats) is the
-// only contended data and is updated through atomics. Tier transitions are
-// performed either by the block's owning worker (streaming spill after the
-// block is finished) or by the main thread between regions (write-behind
-// commit), never concurrently with a reader of the same block.
+// only contended data and is updated through atomics. A block changes tier
+// only on the thread that owns it at that moment: its worker inside a
+// region (streaming spill after the block is stored) or the main thread
+// between regions (eviction), never concurrently with a reader of the same
+// block.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -43,8 +41,8 @@ struct BlockMeta {
 
 /// Shared two-tier accounting, one instance per simulator, attached to
 /// every rank's BlockStore. Byte counters move at every block mutation —
-/// set, spill commit, fault — so the peaks bound actual occupancy at
-/// mutation granularity rather than being sampled at gate boundaries.
+/// set and spill — so the peaks bound actual occupancy at mutation
+/// granularity rather than being sampled at gate boundaries.
 /// spill/fault counts are deterministic across worker counts (the set of
 /// mutations is schedule-independent); readahead_hits depends on timing
 /// when several workers race an advise against a read, so it is
@@ -73,8 +71,8 @@ class BlockStore {
       : slots_(static_cast<std::size_t>(num_blocks)),
         meta_(static_cast<std::size_t>(num_blocks)) {}
 
-  // Payload handles are shared and spill segments are uniquely owned, so
-  // stores move but never copy (a copy would double-free its segments).
+  // Spill segments are uniquely owned, so stores move but never copy (a
+  // copy would double-free its segments).
   BlockStore(BlockStore&& other) noexcept;
   BlockStore& operator=(BlockStore&& other) noexcept;
   BlockStore(const BlockStore&) = delete;
@@ -120,28 +118,10 @@ class BlockStore {
   /// concurrently for distinct indices.
   void set_block(int index, Bytes payload, BlockMeta meta);
 
-  /// Synchronously moves a resident block to the spill tier (write +
-  /// commit). No-op when already spilled. Throws SpillError on write
+  /// Moves a resident block to the spill tier and frees its in-memory
+  /// payload. No-op when already spilled. Throws SpillError on write
   /// failure, leaving the block resident. Requires an attached SpillFile.
   void spill_block(int index);
-
-  // --- Async write-behind support (enqueue on the main thread, write on
-  // --- a pool worker, commit on the main thread at the next settle) ---
-
-  /// The shared payload handle + generation an async spill job captures.
-  std::shared_ptr<const Bytes> payload_handle(int index) const {
-    return slots_[static_cast<std::size_t>(index)].payload;
-  }
-  std::uint64_t generation(int index) const {
-    return slots_[static_cast<std::size_t>(index)].generation;
-  }
-
-  /// Commits a completed async spill write: if the block is still resident
-  /// and untouched since `generation` was read, it transitions to the
-  /// spilled tier and the call returns true; otherwise the write is stale,
-  /// `segment` is freed, and the block is left alone.
-  bool commit_spill(int index, const SpillSegment& segment,
-                    std::uint64_t generation);
 
   /// Readahead: asks the kernel to page a spilled block in ahead of its
   /// use and arms the hit detector. No-op for resident blocks.
@@ -162,9 +142,8 @@ class BlockStore {
 
  private:
   struct Slot {
-    /// Non-null iff resident. Shared so in-flight spill writes survive a
-    /// concurrent rewrite of the slot.
-    std::shared_ptr<const Bytes> payload;
+    /// The payload while resident; empty once spilled.
+    Bytes payload;
     /// Tier state (`spilled` + `segment`) is written only by the block's
     /// owning worker or the main thread between regions, but advise() may
     /// read it from *any* worker while a readahead window overlaps a
@@ -174,10 +153,6 @@ class BlockStore {
     /// harmless by madvise semantics.
     SpillSegment segment{};      ///< valid iff spilled
     std::uint8_t spilled = 0;
-    /// Bumped by every set_block; read at enqueue and compared at commit.
-    /// Plain (not atomic): writes and the enqueue/commit reads are
-    /// separated by the parallel-region barriers.
-    std::uint64_t generation = 0;
     /// Armed by advise(), disarmed by the first spilled read (the hit) or
     /// the next write. Crossed between threads, hence accessed through
     /// atomic_ref; mutable because reads account through it.

@@ -224,14 +224,41 @@ LoadedCheckpoint load_checkpoint_full(const std::string& path) {
                                      1)
          : kMaxCodecIdV5;
 
+  // The counts must agree with the header the simulator sizes its state
+  // from, and fit the bytes left, before anything is sized from them.
   const std::uint64_t rank_count = get_varint(buffer, offset);
+  if (header.num_ranks < 0 ||
+      rank_count != static_cast<std::uint64_t>(header.num_ranks)) {
+    throw std::runtime_error("checkpoint: rank count " +
+                             std::to_string(rank_count) +
+                             " disagrees with the header's " +
+                             std::to_string(header.num_ranks));
+  }
+  if (header.blocks_per_rank < 0) {
+    throw std::runtime_error("checkpoint: negative blocks per rank");
+  }
+  const auto block_count = static_cast<std::uint64_t>(header.blocks_per_rank);
+  // Every block takes at least three meta bytes and a length varint. Both
+  // counts fit an int, so the product cannot overflow.
+  if (rank_count * block_count * 4 > buffer.size() - offset) {
+    throw std::runtime_error(
+        "checkpoint: " + std::to_string(rank_count) + " x " +
+        std::to_string(block_count) + " blocks exceed the " +
+        std::to_string(buffer.size() - offset) + " bytes left");
+  }
   loaded.ranks.reserve(rank_count);
   loaded.spilled.reserve(rank_count);
   for (std::uint64_t r = 0; r < rank_count; ++r) {
-    const auto block_count = static_cast<int>(get_varint(buffer, offset));
-    BlockStore store(block_count);
-    std::vector<std::uint8_t> tiers(static_cast<std::size_t>(block_count), 0);
-    for (int b = 0; b < block_count; ++b) {
+    const std::uint64_t rank_blocks = get_varint(buffer, offset);
+    if (rank_blocks != block_count) {
+      throw std::runtime_error(
+          "checkpoint: rank " + std::to_string(r) + " block count " +
+          std::to_string(rank_blocks) + " disagrees with the header's " +
+          std::to_string(block_count));
+    }
+    BlockStore store(header.blocks_per_rank);
+    std::vector<std::uint8_t> tiers(block_count, 0);
+    for (int b = 0; b < header.blocks_per_rank; ++b) {
       // Level, codec id and tier byte.
       if (offset + 3 > buffer.size()) {
         throw std::runtime_error("checkpoint: truncated block meta");

@@ -63,7 +63,10 @@ struct LoadedCheckpoint {
 /// is rejected with std::runtime_error. Block codec ids are validated
 /// against the format version: a v5 image claiming an id beyond the v5
 /// registry (> 6) is corrupt and rejected, and a v6 id must exist in this
-/// build's registry.
+/// build's registry. The image's rank count and each rank's block count
+/// must equal the header's num_ranks and blocks_per_rank and fit the bytes
+/// left; any other count throws std::runtime_error before it sizes
+/// anything.
 LoadedCheckpoint load_checkpoint_full(const std::string& path);
 
 /// load_checkpoint_full without the tier flags — the historical interface,

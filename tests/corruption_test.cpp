@@ -322,17 +322,16 @@ TEST_F(CheckpointCorruptionTest, TruncatedFilesThrow) {
   }
 }
 
-TEST_F(CheckpointCorruptionTest, HugeBlockSizeVarintThrows) {
-  // A corrupt block-size varint near UINT64_MAX used to wrap the
-  // truncation check `offset + block_size > buffer.size()` and drive a
-  // huge out-of-bounds read; the bound must reject it cleanly instead.
-  Bytes image;
+/// A v5 image written by hand up to, not including, the rank count: one
+/// rank of `blocks_per_rank` blocks of one qubit, lossless, codec "qzc",
+/// identity map.
+Bytes forged_image_prefix(std::uint64_t blocks_per_rank = 1) {
   const char magic[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T', '5'};
-  image.insert(image.end(), reinterpret_cast<const std::byte*>(magic),
-               reinterpret_cast<const std::byte*>(magic) + 8);
+  Bytes image(reinterpret_cast<const std::byte*>(magic),
+              reinterpret_cast<const std::byte*>(magic) + 8);
   put_varint(image, 1);  // num_qubits
   put_varint(image, 1);  // num_ranks
-  put_varint(image, 1);  // blocks_per_rank
+  put_varint(image, blocks_per_rank);
   put_varint(image, 0);  // ladder_level
   put_varint(image, 0);  // next_gate_index
   put_scalar(image, 1.0);  // fidelity_bound
@@ -342,6 +341,32 @@ TEST_F(CheckpointCorruptionTest, HugeBlockSizeVarintThrows) {
     image.push_back(static_cast<std::byte>(ch));
   }
   put_varint(image, 0);  // qubit map: identity
+  return image;
+}
+
+void write_image(const std::string& path, const Bytes& image) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(image.data()),
+            static_cast<std::streamsize>(image.size()));
+}
+
+/// Loading `path` must throw std::runtime_error whose message names
+/// `field`, so the test knows which check caught the forgery.
+void expect_load_error(const std::string& path, const std::string& field) {
+  try {
+    runtime::load_checkpoint(path);
+    ADD_FAILURE() << path << " loaded; expected an error naming " << field;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(CheckpointCorruptionTest, HugeBlockSizeVarintThrows) {
+  // A corrupt block-size varint near UINT64_MAX used to wrap the
+  // truncation check `offset + block_size > buffer.size()` and drive a
+  // huge out-of-bounds read; the bound must reject it cleanly instead.
+  Bytes image = forged_image_prefix();
   put_varint(image, 1);  // rank count
   put_varint(image, 1);  // block count
   image.push_back(std::byte{0});  // meta.level
@@ -354,12 +379,67 @@ TEST_F(CheckpointCorruptionTest, HugeBlockSizeVarintThrows) {
   image.push_back(std::byte{0});
 
   const std::string path = this->path("huge_block.ckpt");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(image.data()),
-              static_cast<std::streamsize>(image.size()));
-  }
+  write_image(path, image);
   EXPECT_THROW(runtime::load_checkpoint(path), std::runtime_error);
+}
+
+TEST_F(CheckpointCorruptionTest, CountsThatDisagreeWithTheHeaderThrow) {
+  // The loader used to size the state from the image's own rank and block
+  // counts, so a header claiming more than the ranks hold loaded cleanly
+  // and the simulator then read block metadata past the end of a rank.
+  std::vector<runtime::BlockStore> ranks;
+  for (int r = 0; r < 2; ++r) {
+    ranks.emplace_back(2);
+    ranks[r].set_block(0, Bytes(10, std::byte{1}), {0});
+    ranks[r].set_block(1, Bytes(10, std::byte{2}), {0});
+  }
+  runtime::CheckpointHeader header;
+  header.num_qubits = 8;
+  header.codec_name = "qzc";
+
+  header.num_ranks = 2;
+  header.blocks_per_rank = 4;
+  const std::string more_blocks = path("more_blocks.ckpt");
+  runtime::save_checkpoint(more_blocks, header, ranks);
+  expect_load_error(more_blocks, "block count");
+
+  header.num_ranks = 4;
+  header.blocks_per_rank = 2;
+  const std::string more_ranks = path("more_ranks.ckpt");
+  runtime::save_checkpoint(more_ranks, header, ranks);
+  expect_load_error(more_ranks, "rank count");
+}
+
+TEST_F(CheckpointCorruptionTest, HugeRankCountVarintThrows) {
+  // 2^62 ranks used to reach reserve() and throw std::length_error.
+  Bytes image = forged_image_prefix();
+  put_varint(image, std::uint64_t{1} << 62);  // rank count
+  put_varint(image, 1);  // block count
+  const std::string path = this->path("huge_rank_count.ckpt");
+  write_image(path, image);
+  expect_load_error(path, "rank count");
+}
+
+TEST_F(CheckpointCorruptionTest, BlockCountsBeyondTheImageThrow) {
+  // 2^31 blocks, negative as an int, used to reach the BlockStore
+  // constructor and throw std::length_error.
+  Bytes image = forged_image_prefix();
+  put_varint(image, 1);  // rank count
+  put_varint(image, std::uint64_t{1} << 31);  // block count
+  const std::string huge = path("huge_block_count.ckpt");
+  write_image(huge, image);
+  expect_load_error(huge, "block count");
+
+  // Counts that agree with the header are still bounded by the bytes
+  // left: every block takes at least three meta bytes and a length
+  // varint, so 1,000 blocks cannot fit in what follows.
+  image = forged_image_prefix(1000);
+  put_varint(image, 1);     // rank count
+  put_varint(image, 1000);  // block count
+  image.resize(image.size() + 100, std::byte{0});
+  const std::string short_image = path("short_image.ckpt");
+  write_image(short_image, image);
+  expect_load_error(short_image, "bytes left");
 }
 
 }  // namespace

@@ -258,17 +258,17 @@ constexpr SweepPin kSweepPins[kSweepLegCount] = {
     {"8761b1ea5aecc9d2cace6f5455462c4057f72d0f16cd4c23bf752843d97d8e2c", 9,
      0x3fe9a1ad49730a8e, 82, 144, 96, 136, 3445, 0, 0, 0},
     {"c86b9e1d2b5fee6a1399446e061200a6d1f4c9f1a098b4271328db91266b6af1", 0,
-     0x3ff0000000000000, 146, 0, 152, 0, 4203, 48, 40, 0},
+     0x3ff0000000000000, 146, 0, 152, 0, 4203, 49, 41, 0},
     {"33c4a86e957039f2cbbf8323b93efe484d263785e3e56343ccd0be3ca1e8a60d", 6,
-     0x3feffe08b8f77593, 82, 96, 96, 88, 3445, 32, 24, 0},
+     0x3feffe08b8f77593, 82, 96, 96, 88, 3445, 34, 26, 0},
     {"9485a78681917cdb5db50d55fd7726807a64f025723068dc9fdf492f39386ef4", 0,
      0x3ff0000000000000, 162, 0, 168, 0, 3483, 0, 0, 2},
     {"4f2522bf42041cb3814c7f9439d58f90fe1aacc101efd7a50bf94a9656120473", 6,
      0x3fe9a1dfae7d372d, 146, 96, 160, 88, 3483, 0, 0, 2},
     {"2209790f13040785a6604420ade911835b053feaa7c08690f083257333cc14e1", 0,
-     0x3ff0000000000000, 162, 0, 168, 0, 3483, 16, 0, 2},
+     0x3ff0000000000000, 162, 0, 168, 0, 3483, 21, 5, 2},
     {"e7e445d032f608d2bf047ef465e0440415355ca63a7e012400d24a29597703e2", 2,
-     0x3fefffd60ea2acaa, 146, 32, 160, 24, 3483, 32, 24, 2},
+     0x3fefffd60ea2acaa, 146, 32, 160, 24, 3483, 37, 29, 2},
     {"8609b19d04b3012a2d1b9a65dae1bb74dfd61349a4792f3e41168e37dba15774", 0,
      0x3ff0000000000000, 850, 0, 856, 0, 9677, 0, 0, 0},
     {"5ddcc2548faed9556617637abe898de2b495c1224731599f655efb10a163752c", 25,

@@ -6,10 +6,10 @@
 //     three circuit points recovers bit-identically (tol 0); a
 //     persistent fault gives up after max_recoveries with the typed
 //     error,
-//   - ENOSPC degradation: a mid-run disk-full settles what's written,
-//     disables spilling, and finishes resident bit-identically; if the
-//     resident state cannot fit the Eq. 8 budget even at the last ladder
-//     level, the original typed SpillError surfaces,
+//   - ENOSPC degradation: a mid-run disk-full keeps what's written on
+//     disk, disables spilling, and finishes resident bit-identically; if
+//     the resident state cannot fit the Eq. 8 budget even at the last
+//     ladder level, the original typed SpillError surfaces,
 //   - an injected autosave failure (crash before the checkpoint rename)
 //     is survived and counted, and the previous image stays loadable,
 //   - fault-plan determinism pin: same seed => same fired (site, call)
