@@ -14,17 +14,7 @@
 // keeps every offset slot hot, so the planner correctly stands pat — must
 // never move MORE bytes than the identity layout.
 //
-// --wire socket mode is the transport study: the same workloads run on
-// the in-process loopback transport and on the multi-process socket
-// transport (each rank a forked OS process, exchanges framed over a real
-// wire), recording measured wire payload/framing bytes, wire seconds, and
-// comm-overlap utilization. CI gates on three invariants: states
-// bit-identical (tol 0), identical logical comm traffic, and the
-// accounting identity socket wire payload == 2x logical bytes (out and
-// back per exchanged payload) while loopback == 1x.
-//
 //   $ ./bench_fig16_strong_scaling [--qubits N] [--json PATH]
-//                                  [--wire loopback|socket]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,7 +29,6 @@
 #include "common/timer.hpp"
 #include "core/simulator.hpp"
 #include "qsim/state_vector.hpp"
-#include "runtime/transport.hpp"
 
 namespace {
 
@@ -190,176 +179,12 @@ void write_json(const std::string& path,
   out << "  ]\n}\n";
 }
 
-// --- --wire socket: loopback vs multi-process transport -------------------
-
-struct WireRun {
-  SimulationReport report;
-  double seconds = 0.0;
-  std::vector<double> state;
-};
-
-WireRun run_wire_once(const cqs::qsim::Circuit& circuit, int ranks,
-                      const std::string& transport) {
-  SimConfig config;
-  config.num_qubits = circuit.num_qubits();
-  config.num_ranks = ranks;
-  config.blocks_per_rank = 8;
-  config.transport = transport;
-  CompressedStateSimulator sim(config);
-  cqs::WallTimer timer;
-  sim.apply_circuit(circuit);
-  WireRun run;
-  run.seconds = timer.seconds();
-  run.report = sim.report();
-  if (circuit.num_qubits() <= 26) run.state = sim.to_raw();
-  return run;
-}
-
-struct WireComparison {
-  std::string name;
-  int qubits = 0;
-  int ranks = 0;
-  WireRun loopback;
-  WireRun socket;
-  bool states_identical = false;
-};
-
-void print_wire(const WireComparison& cmp) {
-  const auto& loop = cmp.loopback.report;
-  const auto& sock = cmp.socket.report;
-  std::printf(
-      "%-8s %2dq @%d ranks | logical %11llu B in %6llu msgs | wire "
-      "%11llu B payload + %8llu B framing (%6llu frames) | comm %.4fs -> "
-      "%.4fs | overlap %.1f%% | states %s\n",
-      cmp.name.c_str(), cmp.qubits, cmp.ranks,
-      static_cast<unsigned long long>(sock.comm_bytes),
-      static_cast<unsigned long long>(sock.comm_messages),
-      static_cast<unsigned long long>(sock.wire_payload_bytes),
-      static_cast<unsigned long long>(sock.wire_frame_bytes),
-      static_cast<unsigned long long>(sock.wire_frames),
-      loop.comm_seconds, sock.comm_seconds,
-      sock.comm_overlap_utilization * 100.0,
-      cmp.states_identical ? "bit-identical" : "DIVERGED");
-}
-
-void write_wire_json(const std::string& path,
-                     const std::vector<WireComparison>& results) {
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n  \"bench\": \"fig16_strong_scaling_wire\",\n"
-      << "  \"comparisons\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const WireComparison& c = results[i];
-    const auto side = [&](const WireRun& r) {
-      return "{\"transport\": \"" + r.report.transport +
-             "\", \"comm_bytes\": " + std::to_string(r.report.comm_bytes) +
-             ", \"comm_messages\": " +
-             std::to_string(r.report.comm_messages) +
-             ", \"comm_seconds\": " + std::to_string(r.report.comm_seconds) +
-             ", \"comm_overlap_utilization\": " +
-             std::to_string(r.report.comm_overlap_utilization) +
-             ", \"wire_payload_bytes\": " +
-             std::to_string(r.report.wire_payload_bytes) +
-             ", \"wire_frame_bytes\": " +
-             std::to_string(r.report.wire_frame_bytes) +
-             ", \"wire_frames\": " +
-             std::to_string(r.report.wire_frames) +
-             ", \"seconds\": " + std::to_string(r.seconds) + "}";
-    };
-    out << "    {\"name\": \"" << c.name << "\", \"qubits\": " << c.qubits
-        << ", \"ranks\": " << c.ranks
-        << ",\n     \"loopback\": " << side(c.loopback)
-        << ",\n     \"socket\": " << side(c.socket)
-        << ",\n     \"states_identical\": "
-        << (c.states_identical ? "true" : "false") << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
-int run_wire_comparison(int qft_qubits, const std::string& json_path) {
-  using namespace cqs;
-  if (!runtime::socket_transport_available()) {
-    std::fprintf(stderr,
-                 "bench_fig16_strong_scaling: --wire socket needs a "
-                 "-DCQS_TRANSPORT_SOCKET=ON build\n");
-    return 2;
-  }
-  bench::print_header(
-      "Figure 16 transport: loopback vs multi-process socket ranks "
-      "(measured wire bytes; states must stay bit-identical)");
-
-  std::vector<WireComparison> results;
-  const auto qft = circuits::qft_circuit({.num_qubits = qft_qubits});
-  const auto grover = circuits::grover_circuit(
-      {.data_qubits = 8, .marked_state = 0b10110101, .iterations = 2});
-  const std::vector<std::pair<std::string, const qsim::Circuit*>> workloads =
-      {{"qft", &qft}, {"grover", &grover}};
-  for (int ranks : {2, 4}) {
-    for (const auto& [name, circuit] : workloads) {
-      WireComparison cmp;
-      cmp.name = name;
-      cmp.qubits = circuit->num_qubits();
-      cmp.ranks = ranks;
-      cmp.loopback = run_wire_once(*circuit, ranks, "loopback");
-      cmp.socket = run_wire_once(*circuit, ranks, "socket");
-      cmp.states_identical =
-          !cmp.loopback.state.empty() &&
-          cmp.loopback.state == cmp.socket.state;  // tol 0, exact doubles
-      results.push_back(std::move(cmp));
-      print_wire(results.back());
-    }
-  }
-
-  if (!json_path.empty()) {
-    write_wire_json(json_path, results);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-
-  // Acceptance gates: (a) the wire may carry bytes but never perturb the
-  // state; (b) both transports account identical logical traffic; (c) the
-  // out-and-back identity — socket wire payload == 2x logical bytes,
-  // loopback == 1x — so a framing or double-count bug cannot hide.
-  bool ok = true;
-  for (const WireComparison& c : results) {
-    const auto& loop = c.loopback.report;
-    const auto& sock = c.socket.report;
-    if (!c.states_identical) {
-      std::fprintf(stderr, "FAIL: %s@%d socket state diverged\n",
-                   c.name.c_str(), c.ranks);
-      ok = false;
-    }
-    if (sock.comm_bytes != loop.comm_bytes ||
-        sock.comm_messages != loop.comm_messages) {
-      std::fprintf(stderr, "FAIL: %s@%d logical traffic differs\n",
-                   c.name.c_str(), c.ranks);
-      ok = false;
-    }
-    if (sock.wire_payload_bytes != 2 * sock.comm_bytes) {
-      std::fprintf(stderr,
-                   "FAIL: %s@%d wire payload %llu != 2x logical %llu\n",
-                   c.name.c_str(), c.ranks,
-                   static_cast<unsigned long long>(sock.wire_payload_bytes),
-                   static_cast<unsigned long long>(sock.comm_bytes));
-      ok = false;
-    }
-    if (loop.wire_payload_bytes != loop.comm_bytes) {
-      std::fprintf(stderr, "FAIL: %s@%d loopback wire != logical bytes\n",
-                   c.name.c_str(), c.ranks);
-      ok = false;
-    }
-  }
-  std::printf("%s\n", ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
   using namespace cqs;
   int qft_qubits = 20;
-  bool qubits_given = false;
   std::string json_path;
-  std::string wire;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -371,30 +196,13 @@ int main(int argc, char** argv) try {
     };
     if (arg == "--qubits") {
       qft_qubits = std::atoi(next());
-      qubits_given = true;
     } else if (arg == "--json") {
       json_path = next();
-    } else if (arg == "--wire") {
-      wire = next();
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--qubits N] [--json PATH] "
-                   "[--wire loopback|socket]\n",
+      std::fprintf(stderr, "usage: %s [--qubits N] [--json PATH]\n",
                    argv[0]);
       return 2;
     }
-  }
-
-  // --wire socket: the transport comparison replaces the remap study (the
-  // default --json mode and the flagless scaling table are unchanged).
-  // Smaller default QFT here: the gates need exact state comparison on
-  // every run, so keep the sweep snappy unless --qubits overrides.
-  if (wire == "socket") {
-    return run_wire_comparison(qubits_given ? qft_qubits : 14, json_path);
-  }
-  if (!wire.empty() && wire != "loopback") {
-    std::fprintf(stderr, "unknown --wire '%s'\n", wire.c_str());
-    return 2;
   }
 
   if (json_path.empty()) return run_scaling_table();

@@ -15,11 +15,6 @@
 //                        sweep of its own)
 //     --checkpoint PATH  save a checkpoint at the end
 //     --samples N        print N sampled basis states
-//     --wire NAME        transport: loopback | socket (socket forks one OS
-//                        process per rank and joins them at the end; needs
-//                        a -DCQS_TRANSPORT_SOCKET=ON build)
-//     --timeout-ms N     wire-operation deadline for process transports
-//     --endpoint NAME    socket flavor: local (Unix socketpair) | tcp
 //     --spill PATH       out-of-core: spill cold compressed blocks to an
 //                        unlinked scratch file at PATH (needs
 //                        --resident-frac)
@@ -31,12 +26,9 @@
 //                        --autosave)
 //     --autosave PATH    atomic autosave target (needs
 //                        --checkpoint-interval)
-//     --resilient        run under the recovery loop: on a transport
-//                        fault, reap the rank processes, restore the last
-//                        autosave, respawn, and resume bit-identically
-//     --max-recoveries N give up after N recoveries (default 3)
-//     --retry-backoff-ms B  base backoff before a respawn, doubled per
-//                        recovery (default 100)
+//     --resilient        resume from the --autosave image when one exists
+//                        (the last autosave of a run that crashed), and
+//                        ride out a full spill disk by staying resident
 //     --fault-plan SPEC  arm the deterministic fault injector, e.g.
 //                        "seed=7;spill.write@2:enospc" (see
 //                        src/runtime/fault_injection.hpp for the grammar)
@@ -46,8 +38,8 @@
 //   1  generic failure (I/O, internal error)
 //   2  usage error (unknown flag, missing operand, or a numeric operand
 //      that is not wholly a number; fractions must be finite and >= 0)
-//   3  invalid configuration (bad flag combination or value)
-//   4  transport fault (rank death, timeout, corrupt frames)
+//   3  invalid configuration (bad flag combination or value, or a
+//      --fault-plan naming an unknown site or action)
 //   5  spill/disk fault (ENOSPC, I/O error on the spill tier)
 //
 // Circuit file format (see src/qsim/serialize.hpp):
@@ -72,11 +64,6 @@
 #include "qsim/serialize.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/spill_file.hpp"
-#include "runtime/transport.hpp"
-
-#ifdef CQS_HAVE_SOCKET_TRANSPORT
-#include "runtime/socket_transport.hpp"
-#endif
 
 namespace {
 
@@ -86,14 +73,11 @@ namespace {
                "usage: %s <circuit-file> [--ranks N] [--blocks N] "
                "[--codec NAME] [--policy fixed|adaptive] [--budget-frac F] "
                "[--fuse] [--no-batching] [--checkpoint PATH] "
-               "[--samples N] [--remap] "
-               "[--wire loopback|socket] [--timeout-ms N] "
-               "[--endpoint local|tcp] [--spill PATH] [--resident-frac F] "
+               "[--samples N] [--remap] [--spill PATH] [--resident-frac F] "
                "[--readahead N] [--checkpoint-interval N] [--autosave PATH] "
-               "[--resilient] [--max-recoveries N] [--retry-backoff-ms B] "
-               "[--fault-plan SPEC]\n"
+               "[--resilient] [--fault-plan SPEC]\n"
                "exit codes: 0 ok, 1 failure, 2 usage, 3 bad config, "
-               "4 transport fault, 5 spill fault\n",
+               "5 spill fault\n",
                argv0);
   std::exit(2);
 }
@@ -137,7 +121,6 @@ int main(int argc, char** argv) try {
   std::string checkpoint_path;
   int samples = 0;
   bool resilient = false;
-  core::RecoveryOptions recovery;
   std::string fault_plan;
 
   for (int i = 2; i < argc; ++i) {
@@ -168,12 +151,6 @@ int main(int argc, char** argv) try {
       samples = next_int();
     } else if (arg == "--remap") {
       config.enable_qubit_remap = true;
-    } else if (arg == "--wire") {
-      config.transport = next();
-    } else if (arg == "--timeout-ms") {
-      config.rank_timeout_ms = next_int();
-    } else if (arg == "--endpoint") {
-      config.socket_endpoint = next();
     } else if (arg == "--spill") {
       config.spill_path = next();
     } else if (arg == "--resident-frac") {
@@ -187,10 +164,6 @@ int main(int argc, char** argv) try {
       config.auto_checkpoint_path = next();
     } else if (arg == "--resilient") {
       resilient = true;
-    } else if (arg == "--max-recoveries") {
-      recovery.max_recoveries = next_int();
-    } else if (arg == "--retry-backoff-ms") {
-      recovery.retry_backoff_ms = next_int();
     } else if (arg == "--fault-plan") {
       fault_plan = next();
     } else {
@@ -242,8 +215,7 @@ int main(int argc, char** argv) try {
 
   core::CompressedStateSimulator sim = [&] {
     if (resilient) {
-      return core::CompressedStateSimulator::run_resilient(config, circuit,
-                                                           recovery);
+      return core::CompressedStateSimulator::run_resilient(config, circuit);
     }
     core::CompressedStateSimulator plain(config);
     plain.apply_circuit(circuit);
@@ -263,23 +235,7 @@ int main(int argc, char** argv) try {
     sim.save_checkpoint(checkpoint_path);
     std::printf("checkpoint written to %s\n", checkpoint_path.c_str());
   }
-#ifdef CQS_HAVE_SOCKET_TRANSPORT
-  // Socket runs forked one endpoint process per rank at construction;
-  // join them now (instead of silently in the destructor) and report the
-  // process table so the launcher's fork/join lifecycle is visible.
-  if (auto* socket = dynamic_cast<runtime::SocketTransport*>(
-          &sim.comm().transport())) {
-    std::printf("rank processes (joined):\n");
-    for (const auto& proc : socket->join()) {
-      std::printf("  rank %d: pid %d exited %d\n", proc.rank,
-                  static_cast<int>(proc.pid), proc.exit_code);
-    }
-  }
-#endif
   return 0;
-} catch (const cqs::runtime::TransportError& e) {
-  std::fprintf(stderr, "cqs_run: %s\n", e.what());
-  return 4;
 } catch (const cqs::runtime::SpillError& e) {
   std::fprintf(stderr, "cqs_run: %s\n", e.what());
   return 5;

@@ -79,7 +79,7 @@ inline std::int64_t zigzag_decode(std::uint64_t u) {
          -static_cast<std::int64_t>(u & 1);
 }
 
-/// FNV-1a 64-bit hash; used for wire-frame checksums and fault-plan draws.
+/// FNV-1a 64-bit hash; used for fault-plan draws and run keys.
 inline std::uint64_t fnv1a(ByteSpan data,
                            std::uint64_t seed = 0xcbf29ce484222325ull) {
   std::uint64_t h = seed;

@@ -89,25 +89,6 @@ struct SimConfig {
   /// the scalar reference by construction; off forces the scalar path.
   bool enable_simd_kernels = true;
 
-  /// Cross-rank transport backend (runtime/transport.hpp). "loopback"
-  /// keeps all ranks in-process (the staged-copy model, the default);
-  /// "socket" runs each rank as a real OS process joined by a stream
-  /// socket — exchanged payloads traverse the wire as checksummed frames
-  /// and states stay bit-identical to loopback. "socket" requires the
-  /// CQS_TRANSPORT_SOCKET build and num_ranks >= 2.
-  std::string transport = "loopback";
-
-  /// Deadline (milliseconds) for every blocking wire operation on process
-  /// transports: connect, send, recv. A rank that dies, stalls, or
-  /// corrupts frames fails the exchange with a typed TransportError
-  /// within this bound — an exchange can never hang. Must be positive.
-  int rank_timeout_ms = 5000;
-
-  /// Socket-transport endpoint flavor: "local" = a pre-connected
-  /// Unix-domain socketpair per rank process; "tcp" = rank processes
-  /// connect back to an ephemeral 127.0.0.1 listener.
-  std::string socket_endpoint = "local";
-
   /// Out-of-core spill tier. Non-empty enables it: cold compressed blocks
   /// move to an unlinked scratch file created at this path (one segment
   /// per block, mmap readback) whenever the resident tier exceeds
@@ -116,11 +97,11 @@ struct SimConfig {
   std::string spill_path;
 
   /// Compressed bytes the *resident* (in-memory) tier may hold when the
-  /// spill tier is enabled; the excess is written behind to the spill
-  /// file. With spilling on, memory_budget_bytes (the Eq. 8 enforcement)
-  /// also governs the resident tier — bytes parked on NVMe no longer
-  /// count against the in-memory budget. Must be > 0 when spill_path is
-  /// set, 0 otherwise.
+  /// spill tier is enabled; the excess is spilled synchronously, evicted
+  /// at gate boundaries or streamed as blocks are rewritten. With spilling
+  /// on, memory_budget_bytes (the Eq. 8 enforcement) also governs the
+  /// resident tier — bytes parked on NVMe no longer count against the
+  /// in-memory budget. Must be > 0 when spill_path is set, 0 otherwise.
   std::size_t resident_budget_bytes = 0;
 
   /// Spilled blocks to advise (madvise WILLNEED) ahead of the executor's
@@ -145,9 +126,10 @@ struct SimConfig {
   /// on disk stay readable), and keep running resident — the Eq. 8 memory
   /// budget still governs via the error ladder, and only if the state
   /// cannot fit even at the last ladder level does the run fail with the
-  /// original typed SpillError. Off by default (a disk-full spill fails
-  /// the run immediately); run_resilient() forces it on. The report's
-  /// `degraded` flag records that the fallback engaged.
+  /// original typed SpillError. Any other spill error (EIO, say) still
+  /// fails the run. Off by default (a disk-full spill fails the run
+  /// immediately); run_resilient() forces it on. The report's `degraded`
+  /// flag records that the fallback engaged.
   bool spill_degrade_on_enospc = false;
 };
 

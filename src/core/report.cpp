@@ -72,11 +72,6 @@ void SimulationReport::print(std::ostream& os) const {
     }
     os << "\n";
   }
-  if (recoveries > 0) {
-    os << "recoveries:          " << recoveries
-       << " fault(s) recovered (total backoff " << recovery_backoff_ms
-       << " ms)\n";
-  }
   os << "total time:          " << total_seconds << " s\n"
      << "  compression:       " << pct(Phase::kCompression) << " %\n"
      << "  decompression:     " << pct(Phase::kDecompression) << " %\n"
@@ -107,15 +102,8 @@ void SimulationReport::print(std::ostream& os) const {
      << " lossy (" << format_bytes(final_lossy_bytes) << ")\n"
      << "communication:       " << format_bytes(comm_bytes) << " in "
      << comm_messages << " messages\n"
-     << "transport:           " << transport << " ("
-     << format_bytes(wire_payload_bytes) << " payload + "
-     << format_bytes(wire_frame_bytes) << " framing on the wire, "
-     << wire_frames << " frames)\n"
      << std::setprecision(4) << "comm time:           " << comm_seconds
-     << " s on the wire\n"
-     << std::setprecision(1) << "comm_overlap_utilization: "
-     << comm_overlap_utilization * 100.0
-     << " % of exchange lifetime overlapped with codec work\n"
+     << " s\n"
      << std::setprecision(2);
   if (qubit_remap_enabled) {
     os << "qubit remap:         " << remap_sweeps << " remap sweeps, "

@@ -63,17 +63,13 @@ struct SimulationReport {
 
   // Fault tolerance. `degraded` means a mid-run ENOSPC disabled further
   // spilling and the run continued resident (spill_degrade_on_enospc);
-  // the autosave counters cover SimConfig::checkpoint_interval_gates
-  // saves; recoveries / recovery_backoff_ms are stamped by run_resilient
-  // onto the simulator that finally completed the circuit.
+  // the autosave counters cover SimConfig::checkpoint_interval_gates saves.
   bool degraded = false;
   std::uint64_t spill_write_failures = 0;  ///< ENOSPC writes ridden out
   std::uint64_t checkpoint_interval_gates = 0;  ///< config echo; 0 = off
   std::uint64_t autosaves = 0;
   std::uint64_t autosave_failures = 0;  ///< failed saves survived (counted)
   double autosave_seconds = 0.0;        ///< wall time spent saving
-  std::uint64_t recoveries = 0;         ///< fault-respawn-resume cycles
-  std::uint64_t recovery_backoff_ms = 0;  ///< total backoff slept
 
   // Compression.
   double min_compression_ratio = 0.0;  ///< min over gates (Table 2 last row)
@@ -121,21 +117,9 @@ struct SimulationReport {
   // Communication (cross-rank gates only).
   std::uint64_t comm_bytes = 0;
   std::uint64_t comm_messages = 0;
-  /// Transport backend the exchanges ran on ("loopback" or "socket").
-  std::string transport;
-  /// Seconds blocked on the wire (begin + wait), derived once from Comm's
+  /// Seconds spent inside exchange calls, derived once from Comm's
   /// atomic nanosecond counter at report time.
   double comm_seconds = 0.0;
-  /// Fraction of exchange lifetime spent overlapped with codec work
-  /// instead of blocked on the wire. Timing-dependent — report-only, never
-  /// part of determinism pins.
-  double comm_overlap_utilization = 0.0;
-  // Physical wire traffic (the transport's view; loopback stages payloads
-  // once with no framing, the socket backend moves each exchanged payload
-  // out-and-back so wire_payload_bytes == 2 x comm_bytes).
-  std::uint64_t wire_payload_bytes = 0;
-  std::uint64_t wire_frame_bytes = 0;
-  std::uint64_t wire_frames = 0;
 
   // Qubit remapping (logical->physical relabeling; runtime/qubit_map.hpp).
   bool qubit_remap_enabled = false;

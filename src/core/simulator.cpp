@@ -5,16 +5,13 @@
 #include <atomic>
 #include <bit>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <complex>
 #include <cstring>
 #include <filesystem>
 #include <functional>
 #include <map>
-#include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "core/memory_model.hpp"
 #include "runtime/checkpoint.hpp"
@@ -261,36 +258,7 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
       arbiter_config,
       partition_.num_ranks() * partition_.blocks_per_rank());
 
-  // Transport knobs are validated (and the transport built) before the
-  // thread pool exists: the socket backend fork()s one endpoint process
-  // per rank, which must happen while this process is still
-  // single-threaded.
-  if (config_.transport != "loopback" && config_.transport != "socket") {
-    throw std::invalid_argument("simulator: unknown transport '" +
-                                config_.transport +
-                                "' (expected 'loopback' or 'socket')");
-  }
-  if (config_.rank_timeout_ms <= 0) {
-    throw std::invalid_argument(
-        "simulator: rank_timeout_ms must be positive");
-  }
-  if (config_.socket_endpoint != "local" &&
-      config_.socket_endpoint != "tcp") {
-    throw std::invalid_argument("simulator: unknown socket_endpoint '" +
-                                config_.socket_endpoint +
-                                "' (expected 'local' or 'tcp')");
-  }
-  if (config_.transport == "socket" && config_.num_ranks < 2) {
-    throw std::invalid_argument(
-        "simulator: transport 'socket' requires num_ranks >= 2 (a "
-        "single-rank run has no cross-rank wire to exercise)");
-  }
-  runtime::TransportOptions transport_options;
-  transport_options.num_ranks = partition_.num_ranks();
-  transport_options.rank_timeout_ms = config_.rank_timeout_ms;
-  transport_options.socket_endpoint = config_.socket_endpoint;
-  comm_ = std::make_unique<runtime::Comm>(
-      runtime::make_transport(config_.transport, transport_options));
+  comm_ = std::make_unique<runtime::Comm>(partition_.num_ranks());
 
   const std::size_t threads =
       config_.threads > 0 ? static_cast<std::size_t>(config_.threads) : 0;
@@ -407,9 +375,9 @@ void CompressedStateSimulator::apply_remap(const qsim::RemapStep& step) {
   // (a=1, h=0) to (a=0, h=1) and back, other bits unchanged: every block
   // pairs with the same block index on the partner rank across bit h, and
   // the pair trades its complementary bit-a halves. One Comm::exchange of
-  // the two compressed payloads per pair — the same wire cost as a single
-  // rank-target gate — and afterwards gates on the relabeled qubit are
-  // block-local.
+  // the two compressed payloads per pair — the same exchange cost as a
+  // single rank-target gate — and afterwards gates on the relabeled qubit
+  // are block-local.
   const std::uint64_t cold_bit =
       std::uint64_t{1} << partition_.local_bit(step.phys_cold);
   const int hot_local = partition_.local_bit(step.phys_hot);
@@ -881,35 +849,24 @@ std::uint64_t CompressedStateSimulator::run_pairs(
     // compressed block to the partner in a single paired exchange. Both
     // sides then hold both inputs and compute their own updated block from
     // the exchanged payloads, so no second round trip is needed.
-    auto exchange_begin = [&](std::size_t i) {
+    auto exchange = [&](std::size_t i) {
       const auto [rank_a, block_a] = blocks[2 * i];
       const auto [rank_b, block_b] = blocks[2 * i + 1];
       ScopedPhase phase(timers, Phase::kCommunication);
-      return comm_->exchange_begin(rank_a, rank_b,
-                                   ranks_[rank_a].payload_view(block_a),
-                                   ranks_[rank_b].payload_view(block_b),
-                                   ranks_[rank_a].meta(block_a).codec,
-                                   ranks_[rank_b].meta(block_b).codec);
+      return comm_->exchange(rank_a, rank_b,
+                             ranks_[rank_a].payload_view(block_a),
+                             ranks_[rank_b].payload_view(block_b));
     };
     const auto [rank_a, block_a] = blocks[2 * group.front()];
     const auto [rank_b, block_b] = blocks[2 * group.front() + 1];
-    runtime::Comm::Pending pending;
-    if (cross_rank) pending = exchange_begin(group.front());
     auto vx = scratch_->vector_x(worker);
     auto vy = scratch_->vector_y(worker);
-    // Decoding this rank's own block overlaps the in-flight exchange — the
-    // overlap the report surfaces.
     decompress_block(rank_a, block_a, vx, worker);
     if (cross_rank) {
-      runtime::Comm::Received received;
-      {
-        ScopedPhase phase(timers, Phase::kCommunication);
-        received = comm_->exchange_wait(pending);
-      }
-      // Decompress the partner's block from the bytes that came over the
-      // wire — the exchanged payload is the data this rank computes on.
-      decompress_payload(received.to_a, ranks_[rank_b].meta(block_b), vy,
-                         worker);
+      // Decompress the partner's block from the exchanged copy — the
+      // payload this rank received is the data it computes on.
+      decompress_payload(exchange(group.front()).to_a,
+                         ranks_[rank_b].meta(block_b), vy, worker);
     } else {
       decompress_block(rank_b, block_b, vy, worker);
     }
@@ -930,15 +887,10 @@ std::uint64_t CompressedStateSimulator::run_pairs(
     }
     for (std::size_t m = 1; m < group.size(); ++m) {
       const std::size_t i = group[m];
-      if (cross_rank) {
-        // A rank learns its partner's payload only from the wire, so a
-        // member still exchanges; the shared output makes the received
-        // bytes unnecessary, but the wait drains the transport's frames
-        // (and surfaces its failure).
-        runtime::Comm::Pending member = exchange_begin(i);
-        ScopedPhase phase(timers, Phase::kCommunication);
-        comm_->exchange_wait(member);
-      }
+      // A rank learns its partner's payload only by exchange, so a
+      // member still exchanges although the shared output makes the
+      // received bytes unnecessary.
+      if (cross_rank) exchange(i);
       store_copy(blocks[2 * i].first, blocks[2 * i].second, payload_a, meta_a);
       store_copy(blocks[2 * i + 1].first, blocks[2 * i + 1].second, payload_b,
                  meta_b);
@@ -1416,61 +1368,21 @@ CompressedStateSimulator CompressedStateSimulator::load_checkpoint(
 }
 
 CompressedStateSimulator CompressedStateSimulator::run_resilient(
-    SimConfig config, const qsim::Circuit& circuit,
-    const RecoveryOptions& options) {
-  if (options.max_recoveries < 0) {
-    throw std::invalid_argument("run_resilient: max_recoveries must be >= 0");
-  }
-  if (options.retry_backoff_ms < 0) {
-    throw std::invalid_argument(
-        "run_resilient: retry_backoff_ms must be >= 0");
-  }
+    SimConfig config, const qsim::Circuit& circuit) {
   // A resilient run rides out a full spill disk instead of failing on it.
   config.spill_degrade_on_enospc = true;
-
-  std::uint64_t recoveries = 0;
-  std::uint64_t backoff_ms_total = 0;
-  for (;;) {
-    std::optional<CompressedStateSimulator> sim;
-    try {
-      // "The last autosave" doubles as the resume point after a *driver*
-      // restart: an existing file at the configured path is trusted to be
-      // this circuit's, which resume_circuit re-validates.
-      const bool resume =
-          !config.auto_checkpoint_path.empty() &&
-          std::filesystem::exists(config.auto_checkpoint_path);
-      if (resume) {
-        sim.emplace(load_checkpoint(config.auto_checkpoint_path, config));
-        sim->resume_circuit(circuit);
-      } else {
-        sim.emplace(config);
-        sim->apply_circuit(circuit);
-      }
-      sim->recoveries_ = recoveries;
-      sim->recovery_backoff_ms_ = backoff_ms_total;
-      return std::move(*sim);
-    } catch (const runtime::TransportError& e) {
-      // Protocol violations are bugs, not environmental faults — a retry
-      // would just trip over them again by construction.
-      if (e.kind() == runtime::TransportError::Kind::kProtocol) throw;
-      // Tear the failed attempt down *before* respawning: the destructor
-      // joins the thread pool and reaps the transport's rank processes,
-      // so the next constructor forks from a single-threaded process
-      // again (its invariant) and no zombie endpoints accumulate.
-      sim.reset();
-      if (recoveries >= static_cast<std::uint64_t>(options.max_recoveries)) {
-        throw;
-      }
-      const std::uint64_t wait =
-          static_cast<std::uint64_t>(options.retry_backoff_ms)
-          << std::min<std::uint64_t>(recoveries, 20);
-      ++recoveries;
-      if (wait > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(wait));
-        backoff_ms_total += wait;
-      }
-    }
+  // An existing file at the autosave path is the resume point after a
+  // crash. It is trusted to be this circuit's: resume_circuit checks only
+  // the qubit count and that the cursor lies within the circuit.
+  if (!config.auto_checkpoint_path.empty() &&
+      std::filesystem::exists(config.auto_checkpoint_path)) {
+    auto sim = load_checkpoint(config.auto_checkpoint_path, config);
+    sim.resume_circuit(circuit);
+    return sim;
   }
+  CompressedStateSimulator sim(config);
+  sim.apply_circuit(circuit);
+  return sim;
 }
 
 SimulationReport CompressedStateSimulator::report() const {
@@ -1530,13 +1442,7 @@ SimulationReport CompressedStateSimulator::report() const {
   const auto comm_stats = comm_->stats();
   rep.comm_bytes = comm_stats.bytes_moved;
   rep.comm_messages = comm_stats.messages;
-  rep.transport = comm_->transport().name();
   rep.comm_seconds = comm_stats.seconds();
-  rep.comm_overlap_utilization = comm_stats.overlap_utilization();
-  const auto wire = comm_->wire_stats();
-  rep.wire_payload_bytes = wire.payload_bytes;
-  rep.wire_frame_bytes = wire.frame_bytes;
-  rep.wire_frames = wire.frames;
   rep.qubit_remap_enabled = config_.enable_qubit_remap;
   rep.remap_sweeps = remap_sweeps_;
   rep.swaps_relabeled = swaps_relabeled_;
@@ -1570,8 +1476,6 @@ SimulationReport CompressedStateSimulator::report() const {
   rep.autosaves = autosaves_;
   rep.autosave_failures = autosave_failures_;
   rep.autosave_seconds = autosave_seconds_;
-  rep.recoveries = recoveries_;
-  rep.recovery_backoff_ms = recovery_backoff_ms_;
   rep.cache = sharing_;
   return rep;
 }

@@ -50,16 +50,6 @@
 
 namespace cqs::core {
 
-/// Knobs of the run_resilient() recovery loop.
-struct RecoveryOptions {
-  /// Transport faults survived before the run gives up and rethrows. 0
-  /// degenerates to a plain run that still degrades on ENOSPC.
-  int max_recoveries = 3;
-  /// Wait before the first respawn, in milliseconds; doubles on every
-  /// consecutive recovery (exponential backoff). 0 retries immediately.
-  int retry_backoff_ms = 100;
-};
-
 class CompressedStateSimulator {
  public:
   explicit CompressedStateSimulator(SimConfig config);
@@ -138,29 +128,23 @@ class CompressedStateSimulator {
   static CompressedStateSimulator load_checkpoint(const std::string& path,
                                                   SimConfig config);
 
-  // --- Fault tolerance (auto-checkpointed recovery) ---
+  // --- Fault tolerance (resume from autosave, ride out a full disk) ---
 
-  /// Runs `circuit` to completion, surviving transport faults: on a
-  /// kTimeout / kRankDead / kFrameCorrupt the failed simulator is torn
-  /// down (joining its thread pool and reaping the transport's rank
-  /// processes), the loop backs off exponentially, and a fresh simulator
-  /// — respawned rank endpoints included — reloads the last autosave at
-  /// config.auto_checkpoint_path (or restarts from scratch when none
-  /// exists yet) and resumes. Autosaves land at run boundaries, so a
-  /// recovered run is bit-identical to the fault-free one. ENOSPC spill
-  /// degradation (SimConfig::spill_degrade_on_enospc) is forced on.
-  /// After max_recoveries the last fault is rethrown; kProtocol errors
-  /// (bugs, not faults) are never retried. Returns the completed
-  /// simulator, whose report carries the recovery counters.
-  static CompressedStateSimulator run_resilient(
-      SimConfig config, const qsim::Circuit& circuit,
-      const RecoveryOptions& options = {});
+  /// Runs `circuit` to completion with ENOSPC spill degradation
+  /// (SimConfig::spill_degrade_on_enospc) forced on. When a file exists at
+  /// config.auto_checkpoint_path — the last autosave of a run that crashed
+  /// — it is loaded and the circuit resumes from its cursor; otherwise the
+  /// circuit runs from the start. The file is trusted to hold this
+  /// circuit's state. Autosaves land at run boundaries, so a restarted run
+  /// is bit-identical to an uninterrupted one. Any other failure
+  /// propagates.
+  static CompressedStateSimulator run_resilient(SimConfig config,
+                                                const qsim::Circuit& circuit);
 
   SimulationReport report() const;
 
-  /// The communicator carrying this run's exchanges — benches and the
-  /// rank launcher read its transport (wire stats; the socket backend's
-  /// rank-process table) through this.
+  /// The communicator carrying this run's exchanges; its counters feed
+  /// the report's communication fields.
   runtime::Comm& comm() { return *comm_; }
   const runtime::Comm& comm() const { return *comm_; }
 
@@ -272,8 +256,8 @@ class CompressedStateSimulator {
   /// The two-block counterpart: a group's first pair exchanges its
   /// payloads when it spans ranks, decodes both blocks, applies
   /// spec.compute and recompresses both; every other member still
-  /// exchanges (the wire is how a rank learns its partner's payload) and
-  /// stores copies. Readahead is advised for both blocks of the first pair
+  /// exchanges (an exchange is how a rank learns its partner's payload)
+  /// and stores copies. Readahead is advised for both blocks of the first pair
   /// K groups ahead. Returns how many blocks the lossy codec wrote.
   std::uint64_t run_pairs(const std::vector<std::pair<int, int>>& units,
                           const PairSpec& spec);
@@ -398,15 +382,12 @@ class CompressedStateSimulator {
   // ENOSPC under degradation — by a worker streaming its block, or by the
   // main thread evicting — hence the copyable-atomic counter; it doubles
   // as the degraded flag. The autosave fields are main-thread only
-  // (run boundaries). recoveries_ / recovery_backoff_ms_ are stamped onto
-  // the final simulator by run_resilient so the report can carry them.
+  // (run boundaries).
   InvocationCounter spill_write_failures_;  ///< ENOSPC writes ridden out
   std::uint64_t autosaves_ = 0;
   std::uint64_t autosave_failures_ = 0;
   double autosave_seconds_ = 0.0;
   std::uint64_t gates_at_last_autosave_ = 0;  ///< gate_cursor_ at last save
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t recovery_backoff_ms_ = 0;
 };
 
 }  // namespace cqs::core

@@ -2,90 +2,40 @@
 
 #include <chrono>
 #include <stdexcept>
-#include <utility>
 
 namespace cqs::runtime {
 
-namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
-Comm::Comm(int num_ranks)
-    : transport_(std::make_unique<LoopbackTransport>(num_ranks)) {}
-
-Comm::Comm(std::unique_ptr<Transport> transport)
-    : transport_(std::move(transport)) {
-  if (!transport_) {
-    throw std::invalid_argument("Comm: null transport");
-  }
-}
-
-Comm::~Comm() = default;
-
-Comm::Pending Comm::exchange_begin(int rank_a, int rank_b, ByteSpan from_a,
-                                   ByteSpan from_b, std::uint8_t codec_a,
-                                   std::uint8_t codec_b) {
-  const int ranks = transport_->num_ranks();
-  if (rank_a < 0 || rank_a >= ranks || rank_b < 0 || rank_b >= ranks ||
-      rank_a == rank_b) {
+Comm::Received Comm::exchange(int rank_a, int rank_b, ByteSpan from_a,
+                              ByteSpan from_b) {
+  if (rank_a < 0 || rank_a >= num_ranks_ || rank_b < 0 ||
+      rank_b >= num_ranks_ || rank_a == rank_b) {
     throw std::invalid_argument("Comm::exchange: bad rank pair");
   }
-  const std::uint64_t start = now_ns();
-  Pending pending;
-  pending.wire =
-      transport_->exchange_begin(rank_a, rank_b, from_a, from_b, codec_a,
-                                 codec_b);
-  pending.begin_ns = now_ns();
-  // Accounting happens at begin: the payloads are on the wire now.
+  const auto start = std::chrono::steady_clock::now();
+  Received received{Bytes(from_b.begin(), from_b.end()),
+                    Bytes(from_a.begin(), from_a.end())};
   bytes_moved_.fetch_add(from_a.size() + from_b.size(),
                          std::memory_order_relaxed);
   messages_.fetch_add(2, std::memory_order_relaxed);
-  wire_nanos_.fetch_add(pending.begin_ns - start, std::memory_order_relaxed);
-  return pending;
-}
-
-Comm::Received Comm::exchange_wait(Pending& pending) {
-  if (!pending.wire.active) {
-    throw std::logic_error("Comm::exchange_wait: exchange not in flight");
-  }
-  const std::uint64_t start = now_ns();
-  // Whatever the caller did between begin and now ran while the payloads
-  // were in flight — that span is the overlap the report surfaces.
-  overlap_nanos_.fetch_add(start - pending.begin_ns,
-                           std::memory_order_relaxed);
-  transport_->exchange_wait(pending.wire);
-  wire_nanos_.fetch_add(now_ns() - start, std::memory_order_relaxed);
-  return {std::move(pending.wire.to_a), std::move(pending.wire.to_b)};
-}
-
-void Comm::exchange(int rank_a, int rank_b, Bytes& block_from_a,
-                    Bytes& block_from_b) {
-  Pending pending =
-      exchange_begin(rank_a, rank_b, block_from_a, block_from_b);
-  Received received = exchange_wait(pending);
-  block_from_a = std::move(received.to_a);
-  block_from_b = std::move(received.to_b);
+  nanos_.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()),
+      std::memory_order_relaxed);
+  return received;
 }
 
 CommStats Comm::stats() const {
   return {bytes_moved_.load(std::memory_order_relaxed),
           messages_.load(std::memory_order_relaxed),
-          wire_nanos_.load(std::memory_order_relaxed),
-          overlap_nanos_.load(std::memory_order_relaxed)};
+          nanos_.load(std::memory_order_relaxed)};
 }
 
 void Comm::reset() {
   bytes_moved_ = 0;
   messages_ = 0;
-  wire_nanos_ = 0;
-  overlap_nanos_ = 0;
+  nanos_ = 0;
 }
 
 }  // namespace cqs::runtime

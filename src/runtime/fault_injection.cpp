@@ -8,12 +8,15 @@
 namespace cqs::runtime {
 namespace {
 
-const char* const kKnownActions[] = {"fail",    "enospc", "eio",    "die",
-                                     "corrupt", "stall",  "timeout"};
+const char* const kKnownSites[] = {fault_sites::kSpillWrite,
+                                   fault_sites::kCheckpointWrite,
+                                   fault_sites::kCheckpointRename};
+const char* const kKnownActions[] = {"fail", "enospc", "eio"};
 
-bool known_action(const std::string& action) {
-  return std::find(std::begin(kKnownActions), std::end(kKnownActions),
-                   action) != std::end(kKnownActions);
+template <std::size_t N>
+bool known(const char* const (&names)[N], const std::string& name) {
+  return std::find(std::begin(names), std::end(names), name) !=
+         std::end(names);
 }
 
 std::string trimmed(const std::string& text) {
@@ -54,6 +57,11 @@ FaultSpec parse_entry(const std::string& entry) {
                                 "' is not site@trigger[:action[=aux]]");
   }
   spec.site = entry.substr(0, at);
+  if (!known(kKnownSites, spec.site)) {
+    throw std::invalid_argument("fault plan: unknown site '" + spec.site +
+                                "' (expected spill.write, checkpoint.write, "
+                                "or checkpoint.rename)");
+  }
   std::string rest = entry.substr(at + 1);
 
   const std::size_t colon = rest.find(':');
@@ -65,10 +73,9 @@ FaultSpec parse_entry(const std::string& entry) {
       spec.aux = parse_u64(action.substr(eq + 1), "aux");
       action = action.substr(0, eq);
     }
-    if (!known_action(action)) {
+    if (!known(kKnownActions, action)) {
       throw std::invalid_argument("fault plan: unknown action '" + action +
-                                  "' (expected fail, enospc, eio, die, "
-                                  "corrupt, stall, or timeout)");
+                                  "' (expected fail, enospc, or eio)");
     }
     spec.action = action;
   }

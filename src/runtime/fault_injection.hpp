@@ -1,8 +1,8 @@
 // Unified, deterministic fault injection. One process-wide registry
 // replaces the ad-hoc hooks that accumulated per subsystem (the spill
-// tier's write-capacity static, hand-sent wire control frames): code at a
-// fault-prone boundary declares a named *site* and asks the injector on
-// every call; a scripted *plan* decides which calls fail and how.
+// tier's write-capacity static): code at a fault-prone boundary declares
+// a named *site* and asks the injector on every call; a scripted *plan*
+// decides which calls fail and how.
 //
 // Determinism contract: a site's Nth call fires regardless of which
 // thread makes it, and seeded triggers resolve their N from the plan seed
@@ -18,27 +18,23 @@
 //   site@NxC[:...]         fire on C consecutive calls starting at the Nth
 //   site@~W[:...]          seeded: fire once, at a call in [1, W] derived
 //                          from (seed, site, entry index)
-// Actions (site-defined; "fail" when omitted): fail, enospc, eio, die,
-// corrupt, stall, timeout. `aux` is an action parameter (stall duration
-// in ms). Example: "seed=7;spill.write@~6:enospc;transport.send@3:die".
+// Actions: fail (when omitted), enospc, eio. `aux` is an action parameter
+// (bytes of the torn chunk for checkpoint.write). A site outside the list
+// below or any other action is rejected at parse time, so a misspelt plan
+// never runs silently with no faults. Example:
+// "seed=7;spill.write@~6:enospc;checkpoint.rename@2".
 //
 // Instrumented sites (see fault_sites below):
-//   spill.write        SpillFile::write — enospc (default) / eio throws
-//                      the matching SpillError before the pwrite.
-//   transport.send     one per exchange_begin. Loopback throws the typed
-//                      TransportError directly (die -> kRankDead,
-//                      timeout -> kTimeout, corrupt -> kFrameCorrupt);
-//                      the socket backend converts the hit into the
-//                      matching endpoint control frame (kDie /
-//                      kStallNext / kCorruptNext) so the fault manifests
-//                      through the real wire machinery.
+//   spill.write        SpillFile::write — eio throws SpillError(EIO)
+//                      before the pwrite; fail and enospc throw
+//                      SpillError(ENOSPC).
 //   checkpoint.write   one call per chunk of the checkpoint image written
-//                      to the temporary — "fail" first writes `aux` bytes
-//                      of that chunk (a torn temporary, as a crash would
-//                      leave) and then aborts the save.
-//   checkpoint.rename  the atomic-save publish step — "fail" aborts after
-//                      the temp image is written but before the rename,
-//                      standing in for a crash mid-save.
+//                      to the temporary — any action first writes `aux`
+//                      bytes of that chunk (a torn temporary, as a crash
+//                      would leave) and then aborts the save.
+//   checkpoint.rename  the atomic-save publish step — any action aborts
+//                      after the temp image is written but before the
+//                      rename, standing in for a crash mid-save.
 #pragma once
 
 #include <atomic>
@@ -54,7 +50,6 @@ namespace cqs::runtime {
 
 namespace fault_sites {
 inline constexpr const char* kSpillWrite = "spill.write";
-inline constexpr const char* kTransportSend = "transport.send";
 inline constexpr const char* kCheckpointWrite = "checkpoint.write";
 inline constexpr const char* kCheckpointRename = "checkpoint.rename";
 }  // namespace fault_sites
@@ -70,7 +65,7 @@ struct FaultSpec {
   /// Consecutive firing calls starting at nth; 0 = every call from nth on.
   std::uint64_t count = 1;
   std::string action = "fail";
-  std::uint64_t aux = 0;  ///< action parameter (stall ms, bytes written)
+  std::uint64_t aux = 0;  ///< action parameter (bytes written)
 };
 
 /// A parsed, seedable fault script. Value type: tests build them inline,
@@ -80,7 +75,7 @@ struct FaultPlan {
   std::vector<FaultSpec> specs;
 
   /// Parses the grammar above. Throws std::invalid_argument on malformed
-  /// entries, unknown actions, or zero triggers.
+  /// entries, unknown sites or actions, or zero triggers.
   static FaultPlan parse(const std::string& text);
 };
 

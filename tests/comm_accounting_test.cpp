@@ -198,22 +198,17 @@ TEST(CommAccountingTest, RemapMessagesAccountedBySweepLedger) {
 TEST(CommAccountingTest, ReportSecondsDerivedOnceFromWireNanos) {
   // CommStats.seconds() is a pure read-time function of the atomic
   // nanosecond counter, so the report's comm_seconds is exactly
-  // wire_nanos * 1e-9 — never a separately accumulated float that could
-  // drift from the counter it mirrors.
+  // nanos * 1e-9 — never a separately accumulated float that could drift
+  // from the counter it mirrors.
   const auto circuit = circuits::qft_circuit({.num_qubits = 10});
   CompressedStateSimulator sim(comm_config(10, 4, /*remap=*/false));
   sim.apply_circuit(circuit);
   const auto comm_stats = sim.comm().stats();
-  EXPECT_GT(comm_stats.wire_nanos, 0u);
+  EXPECT_GT(comm_stats.nanos, 0u);
   EXPECT_DOUBLE_EQ(comm_stats.seconds(),
-                   static_cast<double>(comm_stats.wire_nanos) * 1e-9);
+                   static_cast<double>(comm_stats.nanos) * 1e-9);
   const auto report = sim.report();
   EXPECT_DOUBLE_EQ(report.comm_seconds, comm_stats.seconds());
-  // The async call sites decode each unit's own block between begin and
-  // wait, so a multi-rank run always banks some overlap time.
-  EXPECT_GT(comm_stats.overlap_nanos, 0u);
-  EXPECT_GT(report.comm_overlap_utilization, 0.0);
-  EXPECT_LE(report.comm_overlap_utilization, 1.0);
 }
 
 TEST(CommAccountingTest, RemapNeverExceedsTheSeedPathOnQft) {

@@ -1,5 +1,5 @@
-// Unit tests for the common substrate: bit I/O, varints, RNG, statistics,
-// and the thread pool.
+// Unit tests for the common substrate: bit I/O, varints, FNV-1a, RNG,
+// statistics, and the thread pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -106,6 +106,18 @@ TEST(ScalarIoTest, RoundTrip) {
   EXPECT_DOUBLE_EQ(get_scalar<double>(buffer, offset), 3.14159);
   EXPECT_EQ(get_scalar<std::uint32_t>(buffer, offset), 0xabcdu);
   EXPECT_THROW(get_scalar<double>(buffer, offset), std::out_of_range);
+}
+
+TEST(Fnv1aTest, CoversEveryByteAndEmptyHashesToTheSeed) {
+  Bytes payload(512);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::byte>(i * 7 + 1);
+  }
+  const std::uint64_t sum = fnv1a(payload);
+  payload.back() ^= std::byte{0x01};
+  EXPECT_NE(fnv1a(payload), sum);
+  EXPECT_EQ(fnv1a({}), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a({}, 42), 42u);
 }
 
 TEST(RngTest, Deterministic) {

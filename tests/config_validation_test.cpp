@@ -119,37 +119,5 @@ TEST(ConfigValidationTest, RejectsQubitCountsOutsideSupportedRange) {
   expect_rejected(config, "qubits");
 }
 
-TEST(ConfigValidationTest, RejectsUnknownTransportName) {
-  SimConfig config = base_config();
-  config.transport = "carrier-pigeon";
-  expect_rejected(config, "unknown transport 'carrier-pigeon'");
-}
-
-TEST(ConfigValidationTest, RejectsNonPositiveRankTimeout) {
-  // Validated whatever the transport: loopback never blocks on a wire,
-  // but a non-positive deadline would make any process transport hang or
-  // fail instantly the moment a config flips to it.
-  for (int timeout : {0, -1, -5000}) {
-    SimConfig config = base_config();
-    config.rank_timeout_ms = timeout;
-    expect_rejected(config, "rank_timeout_ms");
-  }
-}
-
-TEST(ConfigValidationTest, RejectsUnknownSocketEndpoint) {
-  SimConfig config = base_config();
-  config.socket_endpoint = "infiniband";
-  expect_rejected(config, "unknown socket_endpoint 'infiniband'");
-}
-
-TEST(ConfigValidationTest, RejectsSocketTransportOnOneRank) {
-  // A single-rank run has no cross-rank wire; forking an endpoint fleet
-  // for it would only hide a misconfigured scaling study.
-  SimConfig config = base_config();
-  config.transport = "socket";
-  config.num_ranks = 1;
-  expect_rejected(config, "requires num_ranks >= 2");
-}
-
 }  // namespace
 }  // namespace cqs

@@ -1,6 +1,6 @@
 // Unified fault-injection harness coverage:
 //   - plan-grammar parsing (valid forms, malformed entries, unknown
-//     actions, zero triggers),
+//     sites and actions, zero triggers),
 //   - firing semantics: once-at-Nth, every-call-from-Nth (@N+), a window
 //     of consecutive calls (@NxC), independent per-site counters,
 //   - seeded triggers (@~W): resolved into [1, W] at arm time as a pure
@@ -32,7 +32,7 @@ TEST(FaultPlanTest, ParsesSingleEntryWithDefaults) {
 
 TEST(FaultPlanTest, ParsesSeedActionsAuxAndMultipleEntries) {
   const auto plan = FaultPlan::parse(
-      "seed=7; spill.write@~6:enospc, transport.send@2+:stall=250;"
+      "seed=7; spill.write@~6:enospc, checkpoint.write@2+:eio=250;"
       "checkpoint.rename@1x3");
   EXPECT_EQ(plan.seed, 7u);
   ASSERT_EQ(plan.specs.size(), 3u);
@@ -40,10 +40,10 @@ TEST(FaultPlanTest, ParsesSeedActionsAuxAndMultipleEntries) {
   EXPECT_EQ(plan.specs[0].nth, 0u);  // seeded: resolved at arm()
   EXPECT_EQ(plan.specs[0].window, 6u);
   EXPECT_EQ(plan.specs[0].action, "enospc");
-  EXPECT_EQ(plan.specs[1].site, "transport.send");
+  EXPECT_EQ(plan.specs[1].site, "checkpoint.write");
   EXPECT_EQ(plan.specs[1].nth, 2u);
   EXPECT_EQ(plan.specs[1].count, 0u);  // every call from the 2nd
-  EXPECT_EQ(plan.specs[1].action, "stall");
+  EXPECT_EQ(plan.specs[1].action, "eio");
   EXPECT_EQ(plan.specs[1].aux, 250u);
   EXPECT_EQ(plan.specs[2].nth, 1u);
   EXPECT_EQ(plan.specs[2].count, 3u);
@@ -59,6 +59,13 @@ TEST(FaultPlanTest, RejectsMalformedEntries) {
   EXPECT_THROW(FaultPlan::parse("spill.write@~0"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("@3"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("spill.write@2:frobnicate"),
+               std::invalid_argument);
+  // A misspelt site, an action no site defines and a site nothing
+  // instruments must not run silently with no faults.
+  EXPECT_THROW(FaultPlan::parse("spil.write@1:enospc"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("spill.write@1:die"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("transport.send@1:die"),
                std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("seed=banana;spill.write@1"),
                std::invalid_argument);
@@ -80,13 +87,13 @@ TEST(FaultInjectorTest, FiresOnceOnNthCall) {
 }
 
 TEST(FaultInjectorTest, FromNthOnFiresEveryLaterCall) {
-  ScopedFaultPlan plan("transport.send@2+:die");
+  ScopedFaultPlan plan("spill.write@2+:eio");
   auto& inj = FaultInjector::instance();
-  EXPECT_FALSE(inj.on_call("transport.send"));
+  EXPECT_FALSE(inj.on_call("spill.write"));
   for (int i = 0; i < 5; ++i) {
-    const auto hit = inj.on_call("transport.send");
+    const auto hit = inj.on_call("spill.write");
     ASSERT_TRUE(hit);
-    EXPECT_EQ(hit->action, "die");
+    EXPECT_EQ(hit->action, "eio");
   }
   EXPECT_EQ(inj.fired().size(), 5u);
 }
@@ -106,14 +113,14 @@ TEST(FaultInjectorTest, WindowFiresExactlyCConsecutiveCalls) {
 }
 
 TEST(FaultInjectorTest, SitesCountIndependently) {
-  ScopedFaultPlan plan("spill.write@2;transport.send@2");
+  ScopedFaultPlan plan("spill.write@2;checkpoint.write@2");
   auto& inj = FaultInjector::instance();
   EXPECT_FALSE(inj.on_call("spill.write"));
-  EXPECT_FALSE(inj.on_call("transport.send"));
+  EXPECT_FALSE(inj.on_call("checkpoint.write"));
   EXPECT_TRUE(inj.on_call("spill.write"));
-  EXPECT_TRUE(inj.on_call("transport.send"));
+  EXPECT_TRUE(inj.on_call("checkpoint.write"));
   EXPECT_EQ(inj.calls("spill.write"), 2u);
-  EXPECT_EQ(inj.calls("transport.send"), 2u);
+  EXPECT_EQ(inj.calls("checkpoint.write"), 2u);
   EXPECT_EQ(inj.calls("checkpoint.rename"), 0u);
 }
 

@@ -1,11 +1,10 @@
-// Auto-checkpointed recovery-loop coverage — the issue's differential
-// matrix:
+// Autosave, restart and ENOSPC-degradation coverage:
 //   - autosave cadence: saves land at run boundaries, the report counts
 //     them, and a resume from the autosave image is bit-identical,
-//   - run_resilient: fault-free == plain run; loopback rank death at
-//     three circuit points recovers bit-identically (tol 0); a
-//     persistent fault gives up after max_recoveries with the typed
-//     error,
+//   - run_resilient: fault-free == plain run; a run that crashes on a
+//     spill I/O error at three circuit points restarts from its last
+//     autosave and lands bit-identically (tol 0) on the uninterrupted
+//     state,
 //   - ENOSPC degradation: a mid-run disk-full keeps what's written on
 //     disk, disables spilling, and finishes resident bit-identically; if
 //     the resident state cannot fit the Eq. 8 budget even at the last
@@ -14,11 +13,7 @@
 //     is survived and counted, and the previous image stays loadable,
 //   - fault-plan determinism pin: same seed => same fired (site, call)
 //     ledger across thread counts (RecoveryConcurrencyTest doubles as
-//     the TSan target),
-//   - under CQS_HAVE_SOCKET_TRANSPORT: rank death x {local, tcp}
-//     endpoints recovers bit-identically through real process respawn,
-//     and a corrupt-frame fault recovers when transient / fails typed
-//     when persistent.
+//     the TSan target).
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -33,12 +28,7 @@
 #include "qsim/circuit.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/spill_file.hpp"
-#include "runtime/transport.hpp"
 #include "test_util.hpp"
-
-#ifdef CQS_HAVE_SOCKET_TRANSPORT
-#include "runtime/socket_transport.hpp"
-#endif
 
 namespace cqs {
 namespace {
@@ -123,78 +113,6 @@ TEST_F(RecoveryTest, RunResilientFaultFreeMatchesPlainRun) {
   config.auto_checkpoint_path = path("auto.ckpt");
   auto sim = core::CompressedStateSimulator::run_resilient(config, circuit);
   CQS_EXPECT_STATES_CLOSE(sim.to_raw(), expected, 0.0);
-  EXPECT_EQ(sim.report().recoveries, 0u);
-}
-
-TEST_F(RecoveryTest, RunResilientRejectsNegativeOptions) {
-  const auto circuit = random_circuit(8, 10, 1);
-  auto config = base_config(8, 2);
-  EXPECT_THROW(core::CompressedStateSimulator::run_resilient(
-                   config, circuit, {.max_recoveries = -1}),
-               std::invalid_argument);
-  EXPECT_THROW(core::CompressedStateSimulator::run_resilient(
-                   config, circuit, {.retry_backoff_ms = -1}),
-               std::invalid_argument);
-}
-
-TEST_F(RecoveryTest, LoopbackRankDeathRecoversBitIdenticalAtThreePoints) {
-  const auto circuit = random_circuit(10, 80, 31);
-  auto config = base_config(10, 4);
-  const auto expected =
-      reference_state(config, circuit, path("ref.ckpt"));
-
-  // Probe how many cross-rank sends the autosaved run performs with a
-  // plan that can never fire (the counter only runs while armed). The
-  // probe must chunk like the resilient runs: interval cuts split fused
-  // runs, which changes how many gates pay an exchange.
-  std::uint64_t total_sends = 0;
-  {
-    runtime::ScopedFaultPlan probe("transport.send@1000000000");
-    auto probe_config = config;
-    probe_config.checkpoint_interval_gates = 13;
-    probe_config.auto_checkpoint_path = path("probe.ckpt");
-    core::CompressedStateSimulator sim(probe_config);
-    sim.apply_circuit(circuit);
-    total_sends = runtime::FaultInjector::instance().calls(
-        runtime::fault_sites::kTransportSend);
-  }
-  ASSERT_GE(total_sends, 3u) << "circuit must exercise the transport";
-
-  // Kill a rank at the first, middle, and last exchange; every variant
-  // must recover exactly once and land on the uninterrupted state.
-  for (std::uint64_t point :
-       {std::uint64_t{1}, total_sends / 2, total_sends}) {
-    std::filesystem::remove(path("auto.ckpt"));
-    auto resilient = config;
-    resilient.checkpoint_interval_gates = 13;
-    resilient.auto_checkpoint_path = path("auto.ckpt");
-    runtime::ScopedFaultPlan plan("transport.send@" +
-                                  std::to_string(point) + ":die");
-    auto sim = core::CompressedStateSimulator::run_resilient(
-        resilient, circuit, {.max_recoveries = 3, .retry_backoff_ms = 1});
-    CQS_EXPECT_STATES_CLOSE(sim.to_raw(), expected, 0.0)
-        << "injection point " << point << " of " << total_sends;
-    EXPECT_EQ(sim.report().recoveries, 1u) << "injection point " << point;
-  }
-}
-
-TEST_F(RecoveryTest, PersistentFaultGivesUpAfterMaxRecoveries) {
-  const auto circuit = random_circuit(10, 40, 7);
-  auto config = base_config(10, 4);
-  config.checkpoint_interval_gates = 11;
-  config.auto_checkpoint_path = path("auto.ckpt");
-  runtime::ScopedFaultPlan plan("transport.send@1+:die");
-  try {
-    core::CompressedStateSimulator::run_resilient(
-        config, circuit, {.max_recoveries = 2, .retry_backoff_ms = 1});
-    FAIL() << "expected TransportError";
-  } catch (const runtime::TransportError& e) {
-    EXPECT_EQ(e.kind(), runtime::TransportError::Kind::kRankDead);
-  }
-  // 1 initial attempt + 2 recoveries, each dying on its first exchange
-  // sweep (a sweep may issue several sends before the throw propagates,
-  // so the ledger holds at least one hit per attempt).
-  EXPECT_GE(runtime::FaultInjector::instance().fired().size(), 3u);
 }
 
 core::SimConfig spill_config(const std::string& spill_path, int qubits,
@@ -203,6 +121,57 @@ core::SimConfig spill_config(const std::string& spill_path, int qubits,
   config.spill_path = spill_path;
   config.resident_budget_bytes = 1;  // essentially everything spills
   return config;
+}
+
+TEST_F(RecoveryTest, RestartAfterACrashResumesBitIdenticalAtThreePoints) {
+  const auto circuit = random_circuit(10, 80, 31);
+  const auto expected =
+      reference_state(base_config(10, 4), circuit, path("ref.ckpt"));
+  auto config = spill_config(path("spill.bin"), 10, 4, 2);
+  config.checkpoint_interval_gates = 13;
+  config.auto_checkpoint_path = path("auto.ckpt");
+
+  // Probe how many spill writes the autosaved run makes with a plan that
+  // can never fire (the counter only runs while armed).
+  std::uint64_t total_writes = 0;
+  {
+    runtime::ScopedFaultPlan probe("spill.write@1000000000");
+    auto probe_config = config;
+    probe_config.auto_checkpoint_path = path("probe.ckpt");
+    core::CompressedStateSimulator sim(probe_config);
+    sim.apply_circuit(circuit);
+    total_writes = runtime::FaultInjector::instance().calls(
+        runtime::fault_sites::kSpillWrite);
+  }
+  ASSERT_GE(total_writes, 3u) << "circuit must exercise the spill tier";
+
+  // Crash the run with an I/O error, which ENOSPC degradation does not
+  // absorb, at the first, middle and last spill write. A second run
+  // resumes from the crashed run's last autosave (or starts over when the
+  // crash came before the first one) and must land on the uninterrupted
+  // state.
+  for (std::uint64_t point :
+       {std::uint64_t{1}, total_writes / 2, total_writes}) {
+    std::filesystem::remove(path("auto.ckpt"));
+    {
+      runtime::ScopedFaultPlan plan("spill.write@" + std::to_string(point) +
+                                    ":eio");
+      EXPECT_THROW(
+          core::CompressedStateSimulator::run_resilient(config, circuit),
+          runtime::SpillError)
+          << "injection point " << point;
+    }
+    const bool autosaved = std::filesystem::exists(path("auto.ckpt"));
+    if (point > 1) EXPECT_TRUE(autosaved) << "injection point " << point;
+    auto sim = core::CompressedStateSimulator::run_resilient(config, circuit);
+    CQS_EXPECT_STATES_CLOSE(sim.to_raw(), expected, 0.0)
+        << "injection point " << point << " of " << total_writes;
+    // A restart from an autosave applies only the gates after it.
+    if (autosaved) {
+      EXPECT_LT(sim.report().gates, circuit.size())
+          << "injection point " << point;
+    }
+  }
 }
 
 TEST_F(RecoveryTest, EnospcDegradationFinishesResidentBitIdentical) {
@@ -231,8 +200,7 @@ TEST_F(RecoveryTest, RunResilientForcesEnospcDegradationOn) {
   config.checkpoint_interval_gates = 13;
   config.auto_checkpoint_path = path("auto.ckpt");
   runtime::ScopedFaultPlan plan("spill.write@2+:enospc");
-  auto sim = core::CompressedStateSimulator::run_resilient(
-      config, circuit, {.max_recoveries = 1, .retry_backoff_ms = 1});
+  auto sim = core::CompressedStateSimulator::run_resilient(config, circuit);
   CQS_EXPECT_STATES_CLOSE(sim.to_raw(), expected, 0.0);
   EXPECT_TRUE(sim.report().degraded);
 }
@@ -313,72 +281,6 @@ TEST_F(RecoveryConcurrencyTest, SeededPlanFiresIdenticallyAcrossThreads) {
     }
   }
 }
-
-#ifdef CQS_HAVE_SOCKET_TRANSPORT
-
-using SocketRecoveryTest = test::TempDirFixture;
-
-TEST_F(SocketRecoveryTest, RankDeathRecoversOnBothEndpoints) {
-  // A scripted "die" rides the real wire as a kDie control frame: the
-  // rank process exits, the exchange fails typed, run_resilient reaps
-  // the survivors, respawns fresh rank processes, reloads the autosave,
-  // and finishes bit-identically — on both endpoint flavors.
-  const auto circuit = random_circuit(10, 60, 59);
-  const auto expected =
-      reference_state(base_config(10, 2), circuit, path("ref.ckpt"));
-
-  for (const std::string endpoint : {"local", "tcp"}) {
-    std::filesystem::remove(path("auto.ckpt"));
-    auto config = base_config(10, 2);
-    config.transport = "socket";
-    config.socket_endpoint = endpoint;
-    config.rank_timeout_ms = 2000;
-    config.checkpoint_interval_gates = 13;
-    config.auto_checkpoint_path = path("auto.ckpt");
-    runtime::ScopedFaultPlan plan("transport.send@2:die");
-    auto sim = core::CompressedStateSimulator::run_resilient(
-        config, circuit, {.max_recoveries = 3, .retry_backoff_ms = 1});
-    CQS_EXPECT_STATES_CLOSE(sim.to_raw(), expected, 0.0)
-        << "endpoint " << endpoint;
-    EXPECT_EQ(sim.report().recoveries, 1u) << "endpoint " << endpoint;
-  }
-}
-
-TEST_F(SocketRecoveryTest, CorruptFrameRecoversWhenTransient) {
-  const auto circuit = random_circuit(10, 60, 59);
-  const auto expected =
-      reference_state(base_config(10, 2), circuit, path("ref.ckpt"));
-
-  auto config = base_config(10, 2);
-  config.transport = "socket";
-  config.rank_timeout_ms = 2000;
-  config.checkpoint_interval_gates = 13;
-  config.auto_checkpoint_path = path("auto.ckpt");
-  runtime::ScopedFaultPlan plan("transport.send@2:corrupt");
-  auto sim = core::CompressedStateSimulator::run_resilient(
-      config, circuit, {.max_recoveries = 3, .retry_backoff_ms = 1});
-  CQS_EXPECT_STATES_CLOSE(sim.to_raw(), expected, 0.0);
-  EXPECT_EQ(sim.report().recoveries, 1u);
-}
-
-TEST_F(SocketRecoveryTest, CorruptFrameFailsTypedWhenPersistent) {
-  const auto circuit = random_circuit(10, 60, 59);
-  auto config = base_config(10, 2);
-  config.transport = "socket";
-  config.rank_timeout_ms = 2000;
-  config.checkpoint_interval_gates = 13;
-  config.auto_checkpoint_path = path("auto.ckpt");
-  runtime::ScopedFaultPlan plan("transport.send@1+:corrupt");
-  try {
-    core::CompressedStateSimulator::run_resilient(
-        config, circuit, {.max_recoveries = 2, .retry_backoff_ms = 1});
-    FAIL() << "expected TransportError";
-  } catch (const runtime::TransportError& e) {
-    EXPECT_EQ(e.kind(), runtime::TransportError::Kind::kFrameCorrupt);
-  }
-}
-
-#endif  // CQS_HAVE_SOCKET_TRANSPORT
 
 }  // namespace
 }  // namespace cqs

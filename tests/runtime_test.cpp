@@ -120,14 +120,45 @@ TEST(BlockCacheTest, RunKeyIsDeterministicAndBoundaryAware) {
             BlockCache::make_run_key(split, other_block));
 }
 
+// Comm::exchange is the in-process loopback: every rank lives in this
+// process, so an exchange stages a copy of each payload toward its partner.
+Bytes make_payload(std::size_t size, unsigned seed) {
+  Bytes payload(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    payload[i] = static_cast<std::byte>((i * 131 + seed) & 0xff);
+  }
+  return payload;
+}
+
+TEST(LoopbackTransportTest, ExchangeDeliversCrossedPayloads) {
+  Comm comm(4);
+  const Bytes from_a = make_payload(100, 1);
+  const Bytes from_b = make_payload(200, 2);
+  const auto received = comm.exchange(0, 2, from_a, from_b);
+  EXPECT_EQ(received.to_a, from_b);
+  EXPECT_EQ(received.to_b, from_a);
+  // The delivery is a copy: the senders' buffers are left as they were.
+  EXPECT_EQ(from_a, make_payload(100, 1));
+  EXPECT_EQ(from_b, make_payload(200, 2));
+}
+
+TEST(LoopbackTransportTest, WireStatsCountEachPayloadOnce) {
+  // The staged copy is charged exactly once per direction, with no
+  // framing bytes on top of the payloads.
+  Comm comm(2);
+  comm.exchange(0, 1, make_payload(64, 1), make_payload(64, 2));
+  const auto stats = comm.stats();
+  EXPECT_EQ(stats.bytes_moved, 128u);
+  EXPECT_EQ(stats.messages, 2u);
+}
+
 TEST(CommTest, ExchangeSwapsPayloadsAndCounts) {
   Comm comm(4);
-  Bytes a(100, std::byte{1});
-  Bytes b(200, std::byte{2});
-  comm.exchange(0, 2, a, b);
-  EXPECT_EQ(a.size(), 200u);
-  EXPECT_EQ(b.size(), 100u);
-  EXPECT_EQ(a[0], std::byte{2});
+  const Bytes a(100, std::byte{1});
+  const Bytes b(200, std::byte{2});
+  const auto received = comm.exchange(0, 2, a, b);
+  EXPECT_EQ(received.to_a, b);
+  EXPECT_EQ(received.to_b, a);
   EXPECT_EQ(comm.stats().bytes_moved, 300u);
   EXPECT_EQ(comm.stats().messages, 2u);
 }
@@ -135,38 +166,50 @@ TEST(CommTest, ExchangeSwapsPayloadsAndCounts) {
 TEST(CommTest, ExchangeModelsOneBufferedSendrecvPerPair) {
   // The simulator routes every cross-rank block pair through exactly one
   // exchange: 2 messages (one each way) and the sum of both compressed
-  // inputs on the wire. N pairs therefore cost exactly 2N messages.
+  // inputs. N pairs therefore cost exactly 2N messages.
   Comm comm(4);
   const std::size_t pairs = 5;
   for (std::size_t i = 0; i < pairs; ++i) {
-    Bytes from_a(40 + i, std::byte{1});
-    Bytes from_b(60 + i, std::byte{2});
+    const Bytes from_a(40 + i, std::byte{1});
+    const Bytes from_b(60 + i, std::byte{2});
     comm.exchange(1, 3, from_a, from_b);
   }
   EXPECT_EQ(comm.stats().messages, 2 * pairs);
   EXPECT_EQ(comm.stats().bytes_moved, 5u * (40 + 60) + 2u * (0 + 1 + 2 + 3 + 4));
 }
 
+TEST(CommTest, SecondsIsDerivedFromNanosAtReadTime) {
+  // CommStats.seconds is a pure function of the atomic nanosecond counter
+  // — computed once at read time, never accumulated as floating point.
+  EXPECT_EQ(CommStats{}.seconds(), 0.0);
+  Comm comm(2);
+  const Bytes a(4096, std::byte{1});
+  const Bytes b(4096, std::byte{2});
+  for (int i = 0; i < 8; ++i) comm.exchange(0, 1, a, b);
+  const auto stats = comm.stats();
+  EXPECT_DOUBLE_EQ(stats.seconds(), static_cast<double>(stats.nanos) * 1e-9);
+  CommStats synthetic;
+  synthetic.nanos = 1'500'000'000ULL;
+  EXPECT_DOUBLE_EQ(synthetic.seconds(), 1.5);
+}
+
 TEST(CommTest, ResetClearsAllCounters) {
   Comm comm(2);
-  Bytes a(64, std::byte{5});
-  Bytes b(64, std::byte{6});
+  const Bytes a(64, std::byte{5});
+  const Bytes b(64, std::byte{6});
   comm.exchange(0, 1, a, b);
   EXPECT_EQ(comm.stats().bytes_moved, 128u);
   comm.reset();
   EXPECT_EQ(comm.stats().bytes_moved, 0u);
   EXPECT_EQ(comm.stats().messages, 0u);
-  EXPECT_EQ(comm.stats().wire_nanos, 0u);
-  EXPECT_EQ(comm.stats().overlap_nanos, 0u);
+  EXPECT_EQ(comm.stats().nanos, 0u);
 }
 
 TEST(CommTest, RejectsBadRanks) {
   Comm comm(2);
-  Bytes a;
-  Bytes b;
-  EXPECT_THROW(comm.exchange(0, 0, a, b), std::invalid_argument);
-  EXPECT_THROW(comm.exchange(0, 5, a, b), std::invalid_argument);
-  EXPECT_THROW(comm.exchange(-1, 1, a, b), std::invalid_argument);
+  EXPECT_THROW(comm.exchange(0, 0, {}, {}), std::invalid_argument);
+  EXPECT_THROW(comm.exchange(0, 5, {}, {}), std::invalid_argument);
+  EXPECT_THROW(comm.exchange(-1, 1, {}, {}), std::invalid_argument);
 }
 
 TEST(ScratchTest, CodecPoolsEnterByteAccounting) {
