@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -278,6 +279,8 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
     ranks_.emplace_back(partition_.blocks_per_rank());
     ranks_.back().attach(tier_stats_.get(), spill_.get());
   }
+  mass_cache_.assign(ranks_.size() * partition_.blocks_per_rank(),
+                     std::numeric_limits<double>::quiet_NaN());
   init_blocks();
   maintain_tiers();
 }
@@ -704,6 +707,8 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
 
 void CompressedStateSimulator::store_block(int rank, int block, Bytes payload,
                                            runtime::BlockMeta meta) {
+  mass_cache_[global_block(rank, block)] =
+      std::numeric_limits<double>::quiet_NaN();
   ranks_[rank].set_block(block, std::move(payload), meta);
   maybe_stream_spill(rank, block);
 }
@@ -1042,12 +1047,14 @@ double CompressedStateSimulator::probability_one(int qubit) {
       units.emplace_back(r, b);
     }
   }
-  const std::uint64_t bit = segment == Partition::Segment::kOffset
-                                ? std::uint64_t{1} << local
-                                : 0;
+  // A block or rank bit is one value per block: P(1) adds the masses of
+  // the blocks where it is set.
+  if (segment != Partition::Segment::kOffset) {
+    return add_in_order(block_masses(units));
+  }
+  const std::uint64_t bit = std::uint64_t{1} << local;
   return add_in_order(block_sums(
       units, [&](const Amplitude* amps, std::uint64_t count, int, int) {
-        if (bit == 0) return block_mass(amps, count);
         double sum = 0.0;
         for (std::uint64_t k = 0; k < count; ++k) {
           if (k & bit) sum += std::norm(amps[k]);
@@ -1057,12 +1064,8 @@ double CompressedStateSimulator::probability_one(int qubit) {
 }
 
 double CompressedStateSimulator::norm() {
-  return add_in_order(block_sums(
-      qsim::run_block_order(partition_.num_ranks(),
-                            partition_.blocks_per_rank()),
-      [](const Amplitude* amps, std::uint64_t count, int, int) {
-        return block_mass(amps, count);
-      }));
+  return add_in_order(block_masses(qsim::run_block_order(
+      partition_.num_ranks(), partition_.blocks_per_rank())));
 }
 
 std::vector<double> CompressedStateSimulator::block_sums(
@@ -1078,6 +1081,27 @@ std::vector<double> CompressedStateSimulator::block_sums(
                         rank, block);
   });
   return sums;
+}
+
+std::vector<double> CompressedStateSimulator::block_masses(
+    const std::vector<std::pair<int, int>>& units) {
+  std::vector<std::pair<int, int>> unknown;
+  for (const auto& [rank, block] : units) {
+    if (std::isnan(mass_cache_[global_block(rank, block)])) {
+      unknown.emplace_back(rank, block);
+    }
+  }
+  // Each worker fills the slots of the units it decodes.
+  block_sums(unknown, [this](const Amplitude* amps, std::uint64_t count,
+                             int rank, int block) {
+    return mass_cache_[global_block(rank, block)] = block_mass(amps, count);
+  });
+  std::vector<double> masses;
+  masses.reserve(units.size());
+  for (const auto& [rank, block] : units) {
+    masses.push_back(mass_cache_[global_block(rank, block)]);
+  }
+  return masses;
 }
 
 std::vector<double> CompressedStateSimulator::to_raw() {
@@ -1172,16 +1196,12 @@ double CompressedStateSimulator::expectation_pauli_z(
 }
 
 std::uint64_t CompressedStateSimulator::sample(Rng& rng) {
-  // Pass 1: per-block probability mass.
+  // Pass 1: per-block probability mass, decoded only where not cached.
   const std::size_t total_blocks =
       static_cast<std::size_t>(partition_.num_ranks()) *
       partition_.blocks_per_rank();
-  const std::vector<double> masses = block_sums(
-      qsim::run_block_order(partition_.num_ranks(),
-                            partition_.blocks_per_rank()),
-      [](const Amplitude* amps, std::uint64_t count, int, int) {
-        return block_mass(amps, count);
-      });
+  const std::vector<double> masses = block_masses(qsim::run_block_order(
+      partition_.num_ranks(), partition_.blocks_per_rank()));
   const double total = add_in_order(masses);
 
   // Pass 2: pick the block, then the offset within it.

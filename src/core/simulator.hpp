@@ -83,6 +83,15 @@ class CompressedStateSimulator {
   std::uint64_t gate_cursor() const { return gate_cursor_; }
 
   // --- State queries (decompress read-only; no fidelity cost) ---
+  //
+  // norm(), sample() and probability_one() of a block- or rank-segment
+  // qubit need only each block's mass, sum |a_k|^2 of its decoded
+  // amplitudes. The simulator caches that mass per block until the block
+  // is next rewritten, so they decode only blocks rewritten since a query
+  // last decoded them. probability_one() of an offset qubit,
+  // expectation_pauli_z() and to_raw() decode every block they read. A
+  // cached mass is the value a decode would give, added in the same
+  // order, so caching moves no bit.
 
   /// Probability that `qubit` measures |1>.
   double probability_one(int qubit);
@@ -106,7 +115,11 @@ class CompressedStateSimulator {
   double expectation_pauli_z(std::uint64_t qubit_mask);
 
   /// Samples one basis state from the compressed distribution without
-  /// collapsing (the paper's sampling workloads read the final state).
+  /// collapsing (the paper's sampling workloads read the final state):
+  /// picks a block by the cached block masses, then an offset within it.
+  /// A shot decodes its chosen block, plus every block whose mass is not
+  /// cached, so a batch of shots on an unchanged state costs one full
+  /// decode sweep and then one block per shot.
   std::uint64_t sample(Rng& rng);
 
   // --- Intermediate measurement (Section 2.2's motivating capability) ---
@@ -276,8 +289,9 @@ class CompressedStateSimulator {
   /// choices follow the stored state, not which unit of a group computed.
   void store_copy(int rank, int block, const Bytes& payload,
                   runtime::BlockMeta meta);
-  /// Installs a rewritten block, then streams it to the spill tier when
-  /// streaming spill is on — the one place executors write blocks.
+  /// Installs a rewritten block and voids its cached mass, then streams
+  /// it to the spill tier when streaming spill is on — the one place
+  /// executors write blocks.
   void store_block(int rank, int block, Bytes payload,
                    runtime::BlockMeta meta);
   /// Charges one lossy pass at the current level to the fidelity ledger
@@ -293,6 +307,11 @@ class CompressedStateSimulator {
       const std::function<double(const qsim::Amplitude* amps,
                                  std::uint64_t count, int rank, int block)>&
           block_sum);
+  /// Each unit's block mass, one slot per unit in unit order. Decodes
+  /// (through block_sums) only the units whose mass is not cached, and
+  /// caches what it decodes.
+  std::vector<double> block_masses(
+      const std::vector<std::pair<int, int>>& units);
 
   // --- Out-of-core tier maintenance (Section 3.7 extended: the resident
   // --- tier is what the Eq. 8 budget governs once spilling is on) ---
@@ -348,6 +367,15 @@ class CompressedStateSimulator {
   std::unique_ptr<runtime::ScratchArena> scratch_;
   mutable std::vector<PhaseTimers> worker_timers_;
   mutable std::vector<CodecCallStats> codec_stats_;  // one per worker
+
+  /// Each block's mass in global_block order, NaN when not known. A slot
+  /// is filled only by block_masses and voided by store_block, the one
+  /// place blocks are rewritten, so a known mass belongs to the stored
+  /// payload. Workers fill or void distinct slots, so no lock guards it.
+  /// Like BlockMeta it is not charged to the memory report, and it is
+  /// never checkpointed: a loaded simulator starts with every slot
+  /// unknown.
+  std::vector<double> mass_cache_;
 
   int level_ = 0;  ///< 0 = lossless; k > 0 = error_ladder[k-1]
   FidelityTracker fidelity_;

@@ -130,10 +130,8 @@ void save_checkpoint(const std::string& path, const CheckpointHeader& header,
     }
   }
   const char* magic = needs_v6 ? kMagicV6 : kMagicV5;
-  Bytes buffer;
-  buffer.insert(buffer.end(),
-                reinterpret_cast<const std::byte*>(magic),
-                reinterpret_cast<const std::byte*>(magic) + 8);
+  Bytes buffer(reinterpret_cast<const std::byte*>(magic),
+               reinterpret_cast<const std::byte*>(magic) + 8);
   put_varint(buffer, header.num_qubits);
   put_varint(buffer, header.num_ranks);
   put_varint(buffer, header.blocks_per_rank);

@@ -441,10 +441,20 @@ TEST(ConcurrencyTest, QueriesBitIdenticalAcrossThreadCountsAndRepeats) {
       auto sim = core::CompressedStateSimulator::load_checkpoint(file, config);
       std::vector<double> queries = {sim.norm()};
       for (int q = 0; q < 16; ++q) queries.push_back(sim.probability_one(q));
+      // The second norm() sums cached block masses.
+      queries.push_back(sim.norm());
       queries.push_back(sim.expectation_pauli_z(0b1000000000000011));
       queries.push_back(sim.expectation_pauli_z(0xffff));
+      Rng shots(7);
+      auto draw_samples = [&] {
+        for (int i = 0; i < 16; ++i) {
+          queries.push_back(static_cast<double>(sim.sample(shots)));
+        }
+      };
+      draw_samples();
       Rng rng(5);
       sim.measure(3, rng);
+      draw_samples();
       const auto collapsed = sim.to_raw();
       if (reference_queries.empty()) {
         reference_queries = queries;
