@@ -20,14 +20,13 @@
 //                        --resident-frac)
 //     --resident-frac F  resident-tier budget as a fraction of 2^{n+4};
 //                        the rest of the compressed state parks on disk
-//     --readahead N      spilled blocks to advise ahead of the executor
-//                        (default 4, 0 = off)
 //     --checkpoint-interval N  autosave every N source gates (needs
 //                        --autosave)
 //     --autosave PATH    atomic autosave target (needs
 //                        --checkpoint-interval)
 //     --resilient        resume from the --autosave image when one exists
-//                        (the last autosave of a run that crashed), and
+//                        (the last autosave of a run that crashed; exit 3
+//                        when it holds another circuit's state), and
 //                        ride out a full spill disk by staying resident
 //     --fault-plan SPEC  arm the deterministic fault injector, e.g.
 //                        "seed=7;spill.write@2:enospc" (see
@@ -38,8 +37,9 @@
 //   1  generic failure (I/O, internal error)
 //   2  usage error (unknown flag, missing operand, or a numeric operand
 //      that is not wholly a number; fractions must be finite and >= 0)
-//   3  invalid configuration (bad flag combination or value, or a
-//      --fault-plan naming an unknown site or action)
+//   3  invalid configuration (bad flag combination or value, a
+//      --fault-plan naming an unknown site or action or a number above
+//      2^64 - 1, or a --resilient resume of another circuit's autosave)
 //   5  spill/disk fault (ENOSPC, I/O error on the spill tier)
 //
 // Circuit file format (see src/qsim/serialize.hpp):
@@ -74,7 +74,7 @@ namespace {
                "[--codec NAME] [--policy fixed|adaptive] [--budget-frac F] "
                "[--fuse] [--no-batching] [--checkpoint PATH] "
                "[--samples N] [--remap] [--spill PATH] [--resident-frac F] "
-               "[--readahead N] [--checkpoint-interval N] [--autosave PATH] "
+               "[--checkpoint-interval N] [--autosave PATH] "
                "[--resilient] [--fault-plan SPEC]\n"
                "exit codes: 0 ok, 1 failure, 2 usage, 3 bad config, "
                "5 spill fault\n",
@@ -155,8 +155,6 @@ int main(int argc, char** argv) try {
       config.spill_path = next();
     } else if (arg == "--resident-frac") {
       resident_fraction = next_fraction();
-    } else if (arg == "--readahead") {
-      config.readahead_blocks = next_int();
     } else if (arg == "--checkpoint-interval") {
       config.checkpoint_interval_gates =
           parse_number<std::uint64_t>(argv[0], arg, next());

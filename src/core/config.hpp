@@ -35,8 +35,12 @@ struct SimConfig {
   std::string codec_policy = "fixed";
 
   /// Error-bound ladder (Section 3.7): level 0 is lossless Zstd; level k
-  /// compresses with pointwise relative bound ladder[k-1]. Whenever the
-  /// memory budget is exceeded the level escalates to the next entry.
+  /// compresses with pointwise relative bound ladder[k-1]. The budget is
+  /// checked after each gate run (at most 16 ops under a budget), each
+  /// per-gate op, each remap sweep and each measure(); when the state is
+  /// over it there, the level escalates to the next entry and every block
+  /// is recompressed. Inside a run the state can exceed the budget until
+  /// the run ends.
   std::vector<double> error_ladder = {1e-5, 1e-4, 1e-3, 1e-2, 1e-1};
 
   /// Total bytes the compressed state may occupy (the sum term of Eq. 8,
@@ -103,11 +107,6 @@ struct SimConfig {
   /// resident tier — bytes parked on NVMe no longer count against the
   /// in-memory budget. Must be > 0 when spill_path is set, 0 otherwise.
   std::size_t resident_budget_bytes = 0;
-
-  /// Spilled blocks to advise (madvise WILLNEED) ahead of the executor's
-  /// cursor, keyed on the scheduler's block order — the plan-driven
-  /// readahead window. 0 disables readahead. In [0, 4096].
-  int readahead_blocks = 4;
 
   /// Auto-checkpointing: the executors consume circuits in chunks of
   /// this many source gates (boundaries at absolute multiples of the

@@ -55,8 +55,7 @@ void SimulationReport::print(std::ostream& os) const {
        << (degraded ? "  [DEGRADED: disk full, spilling disabled]" : "")
        << "\n"
        << "spill traffic:       " << spill_events << " spills / "
-       << fault_events << " faults; readahead " << readahead_issued
-       << " issued / " << readahead_hits << " hits";
+       << fault_events << " faults";
     if (spill_write_failures > 0) {
       os << "; " << spill_write_failures << " ENOSPC writes ridden out";
     }

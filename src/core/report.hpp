@@ -49,8 +49,7 @@ struct SimulationReport {
   // Out-of-core tiering. resident_bytes + spilled_bytes is the end-state
   // compressed total (the Eq. 8 sum split by tier); the peaks are sampled
   // at every block mutation, not at gate boundaries. spill/fault counts
-  // are deterministic across worker counts; readahead_hits is timing-
-  // dependent (advise races the read) — report-only, never pinned.
+  // are deterministic across worker counts.
   bool spill_enabled = false;
   std::size_t resident_budget_bytes = 0;
   std::size_t resident_bytes = 0;       ///< end-state in-memory tier
@@ -58,8 +57,6 @@ struct SimulationReport {
   std::size_t peak_resident_bytes = 0;  ///< max in-memory tier occupancy
   std::uint64_t spill_events = 0;       ///< resident -> spilled moves
   std::uint64_t fault_events = 0;       ///< reads served from the spill tier
-  std::uint64_t readahead_issued = 0;   ///< WILLNEED advisories issued
-  std::uint64_t readahead_hits = 0;     ///< faults that had been advised
 
   // Fault tolerance. `degraded` means a mid-run ENOSPC disabled further
   // spilling and the run continued resident (spill_degrade_on_enospc);

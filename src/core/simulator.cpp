@@ -56,6 +56,29 @@ double add_in_order(const std::vector<double>& sums) {
   return total;
 }
 
+/// Extends an FNV-1a circuit digest over `ops`, field by field: a GateOp's
+/// bytes include padding, so hashing the struct would hash garbage.
+std::uint64_t fold_ops(std::uint64_t digest, std::span<const GateOp> ops) {
+  for (const GateOp& op : ops) {
+    digest = fnv1a_u64(static_cast<std::uint64_t>(op.kind), digest);
+    digest = fnv1a_u64(static_cast<std::uint64_t>(op.target), digest);
+    for (int control : op.controls) {
+      digest = fnv1a_u64(static_cast<std::uint64_t>(control), digest);
+    }
+    for (double param : op.params) {
+      digest = fnv1a_u64(std::bit_cast<std::uint64_t>(param), digest);
+    }
+  }
+  return digest;
+}
+
+/// The digest of `circuit`'s qubit count and its first `count` ops.
+std::uint64_t prefix_digest(const qsim::Circuit& circuit, std::size_t count) {
+  const std::uint64_t qubits = fnv1a_u64(
+      static_cast<std::uint64_t>(circuit.num_qubits()), fnv1a(ByteSpan()));
+  return fold_ops(qubits, std::span(circuit.ops()).first(count));
+}
+
 }  // namespace
 
 /// One op resolved against the partition (Figure 3's three segments): its
@@ -238,10 +261,6 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
     throw std::invalid_argument(
         "simulator: resident_budget_bytes requires a spill_path");
   }
-  if (config_.readahead_blocks < 0 || config_.readahead_blocks > 4096) {
-    throw std::invalid_argument(
-        "simulator: readahead_blocks must be in [0, 4096]");
-  }
   // Auto-checkpoint knobs travel in pairs: an interval with nowhere to
   // save (or a path that never saves) is a latent misconfiguration.
   if ((config_.checkpoint_interval_gates != 0) !=
@@ -411,6 +430,7 @@ void CompressedStateSimulator::apply(const GateOp& op) {
   // An ad-hoc gate diverges the state from whatever circuit the cursor
   // described, so the recorded resume position is void.
   gate_cursor_ = 0;
+  circuit_digest_ = 0;
 }
 
 void CompressedStateSimulator::apply_single_counted(const GateOp& op) {
@@ -425,6 +445,7 @@ void CompressedStateSimulator::apply_circuit(const qsim::Circuit& circuit) {
     throw std::invalid_argument("apply_circuit: qubit count mismatch");
   }
   gate_cursor_ = 0;  // a new circuit always starts from its first gate
+  circuit_digest_ = prefix_digest(circuit, 0);
   run_from_cursor(circuit);
 }
 
@@ -436,6 +457,13 @@ void CompressedStateSimulator::resume_circuit(const qsim::Circuit& circuit) {
     throw std::invalid_argument(
         "resume_circuit: cursor lies beyond the circuit");
   }
+  const std::uint64_t digest = prefix_digest(circuit, gate_cursor_);
+  if (circuit_digest_ != 0 && circuit_digest_ != digest) {
+    throw std::invalid_argument(
+        "resume_circuit: the state was not produced by the first " +
+        std::to_string(gate_cursor_) + " gates of this circuit");
+  }
+  circuit_digest_ = digest;
   run_from_cursor(circuit);
 }
 
@@ -450,6 +478,7 @@ void CompressedStateSimulator::run_from_cursor(const qsim::Circuit& circuit) {
   // multiples of the interval, so a resumed run re-chunks exactly like
   // the uninterrupted autosaved run and stays bit-identical to it.
   while (gate_cursor_ < ops.size()) {
+    const std::size_t begin = gate_cursor_;
     std::size_t end = ops.size();
     if (config_.checkpoint_interval_gates > 0) {
       const std::uint64_t interval = config_.checkpoint_interval_gates;
@@ -457,6 +486,10 @@ void CompressedStateSimulator::run_from_cursor(const qsim::Circuit& circuit) {
           end, (gate_cursor_ / interval + 1) * interval));
     }
     run_source_range(circuit, end);
+    // Each op joins the digest once, as its chunk completes, so an
+    // autosave records the digest of exactly the gates it holds.
+    circuit_digest_ = fold_ops(
+        circuit_digest_, std::span(ops).subspan(begin, gate_cursor_ - begin));
     maybe_autosave();
   }
 }
@@ -630,7 +663,7 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
   // segment). A pair where some pairing kernel's controls hold is swept
   // whole; every other block some unit kernel changes is swept alone, and
   // the rest are skipped without decompression. Both lists keep rank-major
-  // order, the order the executors advise readahead from.
+  // order.
   const int pair_bit =
       pair_qubit >= 0 ? 1 << partition_.local_bit(pair_qubit) : 0;
   const bool rank_pair =
@@ -780,23 +813,8 @@ void CompressedStateSimulator::store_copy(int rank, int block,
 std::uint64_t CompressedStateSimulator::run_units(
     const std::vector<std::pair<int, int>>& units, const UnitSpec& spec) {
   const auto groups = share_groups(units, 1, spec.selections);
-  // Plan-driven readahead: the group order IS the schedule, so advising
-  // group g+K's first unit while working group g keeps spilled payloads
-  // arriving ahead of their faults (the other members are never decoded).
-  // The first window is primed before the sweep starts.
-  const std::size_t lookahead =
-      spill_ != nullptr ? static_cast<std::size_t>(config_.readahead_blocks)
-                        : 0;
-  auto advise = [&](std::size_t g) {
-    const auto [rank, block] = units[groups[g].front()];
-    ranks_[rank].advise(block);
-  };
-  for (std::size_t g = 0; g < std::min(lookahead, groups.size()); ++g) {
-    advise(g);
-  }
   std::atomic<std::uint64_t> lossy_blocks{0};
   pool_->parallel_for(groups.size(), [&](std::size_t g, std::size_t worker) {
-    if (lookahead > 0 && g + lookahead < groups.size()) advise(g + lookahead);
     const std::vector<std::size_t>& group = groups[g];
     const auto [rank, block] = units[group.front()];
     auto vx = scratch_->vector_x(worker);
@@ -830,24 +848,9 @@ std::uint64_t CompressedStateSimulator::run_pairs(
                         block | spec.partner_block_bit);
   }
   const auto groups = share_groups(blocks, 2, spec.selections);
-  // Readahead as in run_units, for both blocks of the first pair K groups
-  // ahead.
-  const std::size_t lookahead =
-      spill_ != nullptr ? static_cast<std::size_t>(config_.readahead_blocks)
-                        : 0;
-  auto advise = [&](std::size_t g) {
-    for (std::size_t k = 0; k < 2; ++k) {
-      const auto [rank, block] = blocks[2 * groups[g].front() + k];
-      ranks_[rank].advise(block);
-    }
-  };
-  for (std::size_t g = 0; g < std::min(lookahead, groups.size()); ++g) {
-    advise(g);
-  }
   const bool cross_rank = spec.partner_rank_bit != 0;
   std::atomic<std::uint64_t> lossy_blocks{0};
   pool_->parallel_for(groups.size(), [&](std::size_t g, std::size_t worker) {
-    if (lookahead > 0 && g + lookahead < groups.size()) advise(g + lookahead);
     const std::vector<std::size_t>& group = groups[g];
     auto& timers = worker_timers_[worker];
     // One buffered sendrecv per pair (Section 3.3): each rank ships its
@@ -1276,13 +1279,13 @@ int CompressedStateSimulator::measure(int qubit, Rng& rng) {
   // Collapse diverges the state from any recorded circuit position, so
   // the resume cursor is void (same invariant as ad-hoc apply()).
   gate_cursor_ = 0;
+  circuit_digest_ = 0;
   return outcome;
 }
 
 std::size_t CompressedStateSimulator::compressed_bytes() const {
-  std::size_t total = 0;
-  for (const auto& store : ranks_) total += store.total_bytes();
-  return total;
+  return tier_stats_->resident_bytes.load(std::memory_order_relaxed) +
+         tier_stats_->spilled_bytes.load(std::memory_order_relaxed);
 }
 
 double CompressedStateSimulator::compression_ratio() const {
@@ -1299,6 +1302,7 @@ void CompressedStateSimulator::save_checkpoint(
   header.blocks_per_rank = config_.blocks_per_rank;
   header.ladder_level = static_cast<std::uint32_t>(level_);
   header.next_gate_index = gate_cursor_;
+  header.circuit_digest = circuit_digest_;
   header.fidelity_bound = fidelity_.bound();
   header.lossy_passes = fidelity_.lossy_passes();
   header.codec_name = config_.codec;
@@ -1324,9 +1328,9 @@ CompressedStateSimulator CompressedStateSimulator::load_checkpoint(
   CompressedStateSimulator sim(config);
   // The constructor's init_blocks accounted its |0...0> state; the loaded
   // stores replace it wholesale, so the shared stats restart from zero and
-  // attach() folds each store's actual bytes back in. (BlockStore
-  // destructors never touch the stats, so destroying the initial stores
-  // after the reset is safe.)
+  // attach() adds each loaded store's bytes, which the unattached loader
+  // stores never counted. (BlockStore destructors never touch the stats,
+  // so destroying the initial stores after the reset is safe.)
   sim.tier_stats_->reset();
   sim.ranks_ = std::move(stores);
   for (auto& store : sim.ranks_) {
@@ -1334,6 +1338,7 @@ CompressedStateSimulator CompressedStateSimulator::load_checkpoint(
   }
   sim.level_ = static_cast<int>(header.ladder_level);
   sim.gate_cursor_ = header.next_gate_index;
+  sim.circuit_digest_ = header.circuit_digest;
   // The restore point counts as saved: a resumed run's next autosave is
   // one full interval out, matching the uninterrupted run's cadence.
   sim.gates_at_last_autosave_ = sim.gate_cursor_;
@@ -1392,8 +1397,8 @@ CompressedStateSimulator CompressedStateSimulator::run_resilient(
   // A resilient run rides out a full spill disk instead of failing on it.
   config.spill_degrade_on_enospc = true;
   // An existing file at the autosave path is the resume point after a
-  // crash. It is trusted to be this circuit's: resume_circuit checks only
-  // the qubit count and that the cursor lies within the circuit.
+  // crash. resume_circuit refuses it unless it holds a prefix of this
+  // circuit (images without a digest resume unchecked).
   if (!config.auto_checkpoint_path.empty() &&
       std::filesystem::exists(config.auto_checkpoint_path)) {
     auto sim = load_checkpoint(config.auto_checkpoint_path, config);
@@ -1486,10 +1491,6 @@ SimulationReport CompressedStateSimulator::report() const {
       tier_stats_->spill_events.load(std::memory_order_relaxed);
   rep.fault_events =
       tier_stats_->fault_events.load(std::memory_order_relaxed);
-  rep.readahead_issued =
-      tier_stats_->readahead_issued.load(std::memory_order_relaxed);
-  rep.readahead_hits =
-      tier_stats_->readahead_hits.load(std::memory_order_relaxed);
   rep.degraded = degraded();
   rep.spill_write_failures = spill_write_failures_.get();
   rep.checkpoint_interval_gates = config_.checkpoint_interval_gates;

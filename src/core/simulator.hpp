@@ -77,7 +77,11 @@ class CompressedStateSimulator {
   /// Applies `circuit` from the current gate cursor to the end — after a
   /// checkpoint restore this resumes exactly where the saved run stopped.
   /// The cursor counts gates of the caller's circuit (pre-fusion), so the
-  /// same circuit object drives the full run and the resumed half.
+  /// same circuit object drives the full run and the resumed half. Throws
+  /// std::invalid_argument when the cursor lies beyond the circuit, or
+  /// when the recorded circuit digest is known and differs from the
+  /// digest of this circuit's first gate_cursor() gates: the state was
+  /// produced by another circuit.
   void resume_circuit(const qsim::Circuit& circuit);
 
   std::uint64_t gate_cursor() const { return gate_cursor_; }
@@ -147,10 +151,11 @@ class CompressedStateSimulator {
   /// (SimConfig::spill_degrade_on_enospc) forced on. When a file exists at
   /// config.auto_checkpoint_path — the last autosave of a run that crashed
   /// — it is loaded and the circuit resumes from its cursor; otherwise the
-  /// circuit runs from the start. The file is trusted to hold this
-  /// circuit's state. Autosaves land at run boundaries, so a restarted run
-  /// is bit-identical to an uninterrupted one. Any other failure
-  /// propagates.
+  /// circuit runs from the start. A file whose circuit digest differs from
+  /// this circuit's prefix (another circuit's autosave) makes
+  /// resume_circuit throw std::invalid_argument and is left in place.
+  /// Autosaves land at run boundaries, so a restarted run is
+  /// bit-identical to an uninterrupted one. Any other failure propagates.
   static CompressedStateSimulator run_resilient(SimConfig config,
                                                 const qsim::Circuit& circuit);
 
@@ -262,16 +267,17 @@ class CompressedStateSimulator {
   /// Rewrites every (rank, block) unit, one parallel_for task per sharing
   /// group (share_groups): the group's first unit decompresses, applies
   /// spec.compute and recompresses, and every other member stores a copy.
-  /// Readahead is advised for the first unit K groups ahead. Returns how
-  /// many blocks the lossy codec wrote.
+  /// A task touches only its group's blocks, so each block has one owner
+  /// in the region. Returns how many blocks the lossy codec wrote.
   std::uint64_t run_units(const std::vector<std::pair<int, int>>& units,
                           const UnitSpec& spec);
   /// The two-block counterpart: a group's first pair exchanges its
   /// payloads when it spans ranks, decodes both blocks, applies
   /// spec.compute and recompresses both; every other member still
   /// exchanges (an exchange is how a rank learns its partner's payload)
-  /// and stores copies. Readahead is advised for both blocks of the first pair
-  /// K groups ahead. Returns how many blocks the lossy codec wrote.
+  /// and stores copies. A task touches only the blocks of its group's
+  /// pairs, the exchanged ones included. Returns how many blocks the lossy
+  /// codec wrote.
   std::uint64_t run_pairs(const std::vector<std::pair<int, int>>& units,
                           const PairSpec& spec);
   /// Splits a sweep's units into groups that compute from equal inputs,
@@ -380,6 +386,12 @@ class CompressedStateSimulator {
   int level_ = 0;  ///< 0 = lossless; k > 0 = error_ladder[k-1]
   FidelityTracker fidelity_;
   std::uint64_t gate_cursor_ = 0;
+  /// FNV-1a digest of the qubit count and the gate_cursor_ ops of the
+  /// circuit the cursor counts into, saved with every checkpoint so a
+  /// resume can tell another circuit's state. Set by apply_circuit and
+  /// resume_circuit, extended as each chunk completes, restored by
+  /// load_checkpoint; 0 (unknown) where the cursor is voided.
+  std::uint64_t circuit_digest_ = 0;
 
   /// Kernel backend the apply loops dispatch to (detected once at
   /// construction from config_.enable_simd_kernels and the host CPU).

@@ -115,8 +115,7 @@ class Schedule {
 /// Every (rank, block) unit once, rank-major: the deterministic order the
 /// block executor walks a sweep in. Sweeps over the whole state (ladder
 /// recompression, the measurement collapse) use it as is; a run skips the
-/// blocks none of its kernels changes but keeps this order. The
-/// out-of-core tier advises readahead K units ahead from the list alone.
+/// blocks none of its kernels changes but keeps this order.
 std::vector<std::pair<int, int>> run_block_order(int num_ranks,
                                                  int blocks_per_rank);
 

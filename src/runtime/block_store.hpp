@@ -8,17 +8,17 @@
 // construction — the payload is opaque either way — which is what lets the
 // golden layers pin spill-on == spill-off at tolerance 0.
 //
-// Concurrency contract (matching the simulator's sweep discipline): within
-// one parallel region, a given block index is touched by exactly one
-// worker; cross-block state (the byte totals, the shared TierStats) is the
-// only contended data and is updated through atomics. A block changes tier
-// only on the thread that owns it at that moment: its worker inside a
-// region (streaming spill after the block is stored) or the main thread
-// between regions (eviction), never concurrently with a reader of the same
-// block.
+// Ownership contract (matching the simulator's sweep discipline): a block
+// is touched — read, written or moved between tiers — only by its owner:
+// inside a parallel region the worker its unit was handed to, between
+// regions the main thread. So a block's slot is plain data. Workers share
+// only the TierStats atomics and the SpillFile, which locks its own free
+// list. TierStats is also the only byte ledger: a store counts its bytes
+// there and nowhere else.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -40,13 +40,12 @@ struct BlockMeta {
 };
 
 /// Shared two-tier accounting, one instance per simulator, attached to
-/// every rank's BlockStore. Byte counters move at every block mutation —
-/// set and spill — so the peaks bound actual occupancy at mutation
-/// granularity rather than being sampled at gate boundaries.
+/// every rank's BlockStore: the one ledger of the state's compressed bytes
+/// (the sum term of Eq. 8, split by tier). Byte counters move at every
+/// block mutation — set and spill — so the peaks bound actual occupancy at
+/// mutation granularity rather than being sampled at gate boundaries.
 /// spill/fault counts are deterministic across worker counts (the set of
-/// mutations is schedule-independent); readahead_hits depends on timing
-/// when several workers race an advise against a read, so it is
-/// report-only, never part of determinism pins.
+/// mutations is schedule-independent).
 struct TierStats {
   std::atomic<std::size_t> resident_bytes{0};
   std::atomic<std::size_t> spilled_bytes{0};
@@ -54,8 +53,6 @@ struct TierStats {
   std::atomic<std::size_t> peak_total_bytes{0};
   std::atomic<std::uint64_t> spill_events{0};
   std::atomic<std::uint64_t> fault_events{0};
-  std::atomic<std::uint64_t> readahead_issued{0};
-  std::atomic<std::uint64_t> readahead_hits{0};
 
   /// Applies a byte movement and refreshes both peaks (relaxed fetch-max).
   void note_delta(std::ptrdiff_t resident_delta, std::ptrdiff_t spilled_delta);
@@ -80,7 +77,8 @@ class BlockStore {
   ~BlockStore();
 
   /// Connects the store to the shared accounting and (optionally) the
-  /// spill backend, folding any bytes it already holds into `stats`.
+  /// spill backend, adding the bytes it already holds (each block's
+  /// block_size, by tier) to `stats`. An unattached store counts nothing.
   /// `spill` may be null (accounting-only attachment, the spill-off path).
   void attach(TierStats* stats, SpillFile* spill);
 
@@ -90,27 +88,19 @@ class BlockStore {
     return meta_[static_cast<std::size_t>(index)];
   }
 
-  /// The payload of a *resident* block. Throws std::logic_error for a
-  /// spilled block — callers that may see either tier use payload_view.
-  const Bytes& block(int index) const;
-
   /// The payload bytes of a block in either tier: a span over the resident
   /// Bytes, or a zero-copy view into the spill file (counted as a fault
-  /// event; a readahead hit too when the block was advised first). The
-  /// view is valid until the block is next written or spilled.
+  /// event). The view is valid until the block is next written or spilled.
   ByteSpan payload_view(int index) const;
 
-  /// Like payload_view, but touches no accounting: no fault event, no
-  /// readahead-hit consumption, the advised flag stays armed. For
-  /// serialization paths (checkpoint save) whose reads are bookkeeping,
-  /// not simulation faults, and must not skew the report's telemetry.
+  /// Like payload_view, but counts no fault event. For serialization paths
+  /// (checkpoint save) whose reads are bookkeeping, not simulation faults,
+  /// and must not skew the report's telemetry.
   ByteSpan raw_view(int index) const;
 
   std::size_t block_size(int index) const;
   bool is_spilled(int index) const {
-    const Slot& slot = slots_[static_cast<std::size_t>(index)];
-    return std::atomic_ref(const_cast<std::uint8_t&>(slot.spilled))
-               .load(std::memory_order_relaxed) != 0;
+    return slots_[static_cast<std::size_t>(index)].spilled;
   }
 
   /// Replaces a block's payload, making it resident (a spilled block's
@@ -123,52 +113,18 @@ class BlockStore {
   /// failure, leaving the block resident. Requires an attached SpillFile.
   void spill_block(int index);
 
-  /// Readahead: asks the kernel to page a spilled block in ahead of its
-  /// use and arms the hit detector. No-op for resident blocks.
-  void advise(int index) const;
-
-  /// Total compressed bytes across both tiers (the sum term of Eq. 8).
-  std::size_t total_bytes() const {
-    return resident_bytes() + spilled_bytes();
-  }
-  std::size_t resident_bytes() const {
-    return std::atomic_ref(const_cast<std::size_t&>(resident_bytes_))
-        .load(std::memory_order_relaxed);
-  }
-  std::size_t spilled_bytes() const {
-    return std::atomic_ref(const_cast<std::size_t&>(spilled_bytes_))
-        .load(std::memory_order_relaxed);
-  }
-
  private:
   struct Slot {
     /// The payload while resident; empty once spilled.
     Bytes payload;
-    /// Tier state (`spilled` + `segment`) is written only by the block's
-    /// owning worker or the main thread between regions, but advise() may
-    /// read it from *any* worker while a readahead window overlaps a
-    /// sweep — so every write, and advise's reads, go through relaxed
-    /// atomic_ref. A racing advise can see a mid-transition snapshot; the
-    /// worst case is a WILLNEED hint over a stale range, which is
-    /// harmless by madvise semantics.
-    SpillSegment segment{};      ///< valid iff spilled
-    std::uint8_t spilled = 0;
-    /// Armed by advise(), disarmed by the first spilled read (the hit) or
-    /// the next write. Crossed between threads, hence accessed through
-    /// atomic_ref; mutable because reads account through it.
-    mutable std::uint8_t advised = 0;
+    SpillSegment segment{};  ///< valid iff spilled
+    bool spilled = false;
   };
 
-  void account(std::ptrdiff_t resident_delta, std::ptrdiff_t spilled_delta);
   void release_segments();
 
   std::vector<Slot> slots_;
   std::vector<BlockMeta> meta_;
-  /// Plain words updated through atomic_ref: distinct blocks are written
-  /// concurrently by worker threads, and atomic members would cost the
-  /// store its movability.
-  std::size_t resident_bytes_ = 0;
-  std::size_t spilled_bytes_ = 0;
   TierStats* stats_ = nullptr;
   SpillFile* spill_ = nullptr;
 };

@@ -19,16 +19,15 @@ namespace {
 
 // The trailing magic byte is the format version. v5 carries the lossy-
 // pass count, the logical->physical qubit map, and a level, codec id and
-// tier byte per block; v6 is layout-identical to v5 and only flags that
-// some block uses a codec id beyond the v5-era registry, so old readers
-// fail on the magic instead of misdecoding the payload. A v1-v4 magic is
+// tier byte per block; v6 is layout-identical to v5 and flagged that some
+// block used a codec id beyond the v5-era registry. v7, the only version
+// written, is v5's layout plus the circuit digest. A v1-v4 magic is
 // rejected by name.
-constexpr char kMagicV5[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T', '5'};
-constexpr char kMagicV6[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T', '6'};
+constexpr char kMagicV7[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T', '7'};
 
 // Highest codec id the registry held while v5 was current ("fpzip").
-// Later appends (zfp-rans onward) force the v6 magic on save and are
-// corruption when claimed by a v5 image.
+// Later appends (zfp-rans onward) are corruption when claimed by a v5
+// image.
 constexpr std::uint8_t kMaxCodecIdV5 = 6;
 
 /// Writes `buffer` to `path` via a same-directory temporary + fsync +
@@ -121,22 +120,14 @@ void write_file_atomically(const std::string& path, const Bytes& buffer) {
 
 void save_checkpoint(const std::string& path, const CheckpointHeader& header,
                      const std::vector<BlockStore>& ranks) {
-  // v6 only when required: images old readers could decode keep the v5
-  // magic byte-for-byte.
-  bool needs_v6 = false;
-  for (const BlockStore& store : ranks) {
-    for (int b = 0; b < store.num_blocks(); ++b) {
-      if (store.meta(b).codec > kMaxCodecIdV5) needs_v6 = true;
-    }
-  }
-  const char* magic = needs_v6 ? kMagicV6 : kMagicV5;
-  Bytes buffer(reinterpret_cast<const std::byte*>(magic),
-               reinterpret_cast<const std::byte*>(magic) + 8);
+  Bytes buffer(reinterpret_cast<const std::byte*>(kMagicV7),
+               reinterpret_cast<const std::byte*>(kMagicV7) + 8);
   put_varint(buffer, header.num_qubits);
   put_varint(buffer, header.num_ranks);
   put_varint(buffer, header.blocks_per_rank);
   put_varint(buffer, header.ladder_level);
   put_varint(buffer, header.next_gate_index);
+  put_scalar(buffer, header.circuit_digest);
   put_scalar(buffer, header.fidelity_bound);
   put_varint(buffer, header.lossy_passes);
   put_varint(buffer, header.codec_name.size());
@@ -156,8 +147,8 @@ void save_checkpoint(const std::string& path, const CheckpointHeader& header,
           static_cast<std::byte>(store.is_spilled(b) ? 1 : 0));
       // raw_view reads either tier — a spilled block streams straight
       // from the spill mapping into the image without re-materializing —
-      // and bypasses the fault/readahead accounting, so a save never
-      // skews the report's spill telemetry.
+      // and counts no fault, so a save never skews the report's spill
+      // telemetry.
       const ByteSpan payload = store.raw_view(b);
       put_varint(buffer, payload.size());
       buffer.insert(buffer.end(), payload.begin(), payload.end());
@@ -178,16 +169,15 @@ LoadedCheckpoint load_checkpoint_full(const std::string& path) {
 
   // Every version shares the 7-byte "CQSCKPT" prefix; the eighth byte is
   // the version digit.
-  const char version = size >= 8 && std::memcmp(buffer.data(), kMagicV5, 7) == 0
+  const char version = size >= 8 && std::memcmp(buffer.data(), kMagicV7, 7) == 0
                            ? static_cast<char>(buffer[7])
                            : '\0';
   if (version >= '1' && version <= '4') {
     throw std::runtime_error(
         std::string("checkpoint: unsupported checkpoint format v") + version +
-        "; v5/v6 only");
+        "; v5 to v7 only");
   }
-  const bool v6 = version == '6';
-  if (version != '5' && !v6) {
+  if (version < '5' || version > '7') {
     throw std::runtime_error("checkpoint: bad magic");
   }
   std::size_t offset = 8;
@@ -199,6 +189,9 @@ LoadedCheckpoint load_checkpoint_full(const std::string& path) {
   header.ladder_level =
       static_cast<std::uint32_t>(get_varint(buffer, offset));
   header.next_gate_index = get_varint(buffer, offset);
+  if (version == '7') {
+    header.circuit_digest = get_scalar<std::uint64_t>(buffer, offset);
+  }
   header.fidelity_bound = get_scalar<double>(buffer, offset);
   header.lossy_passes = get_varint(buffer, offset);
   // Subtraction form: `offset + len` could wrap for a corrupt varint near
@@ -216,11 +209,12 @@ LoadedCheckpoint load_checkpoint_full(const std::string& path) {
 
   // Codec-id ceiling for this image's vintage: a v5 image predates every
   // id past kMaxCodecIdV5, so a larger id is corruption, not a codec this
-  // build merely lacks; a v6 id must exist in the running registry.
+  // build merely lacks; a v6 or v7 id must exist in the running registry.
+  const bool v5 = version == '5';
   const std::uint8_t max_codec_id =
-      v6 ? static_cast<std::uint8_t>(compression::compressor_names().size() -
-                                     1)
-         : kMaxCodecIdV5;
+      v5 ? kMaxCodecIdV5
+         : static_cast<std::uint8_t>(compression::compressor_names().size() -
+                                     1);
 
   // The counts must agree with the header the simulator sizes its state
   // from, and fit the bytes left, before anything is sized from them.
@@ -267,8 +261,8 @@ LoadedCheckpoint load_checkpoint_full(const std::string& path) {
       if (meta.codec > max_codec_id) {
         throw std::runtime_error(
             "checkpoint: block codec id " + std::to_string(meta.codec) +
-            (v6 ? " is not in this build's registry"
-                : " is not valid in a v5 image (corrupt meta)"));
+            (v5 ? " is not valid in a v5 image (corrupt meta)"
+                : " is not in this build's registry"));
       }
       tiers[static_cast<std::size_t>(b)] =
           static_cast<std::uint8_t>(buffer[offset++]) != 0 ? 1 : 0;
@@ -286,12 +280,6 @@ LoadedCheckpoint load_checkpoint_full(const std::string& path) {
     loaded.spilled.push_back(std::move(tiers));
   }
   return loaded;
-}
-
-std::pair<CheckpointHeader, std::vector<BlockStore>> load_checkpoint(
-    const std::string& path) {
-  LoadedCheckpoint loaded = load_checkpoint_full(path);
-  return {std::move(loaded.header), std::move(loaded.ranks)};
 }
 
 }  // namespace cqs::runtime

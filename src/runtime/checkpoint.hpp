@@ -20,6 +20,11 @@ struct CheckpointHeader {
   int blocks_per_rank = 0;
   std::uint32_t ladder_level = 0;
   std::uint64_t next_gate_index = 0;
+  /// Digest of the circuit the gate index counts into: its qubit count and
+  /// the ops before next_gate_index (see CompressedStateSimulator). 0 means
+  /// unknown — v5/v6 images, or a state that left its circuit through an
+  /// ad-hoc gate or a measurement — and resumes unchecked.
+  std::uint64_t circuit_digest = 0;
   double fidelity_bound = 1.0;
   /// Lossy passes accumulated before the save.
   std::uint64_t lossy_passes = 0;
@@ -29,16 +34,14 @@ struct CheckpointHeader {
   QubitMap qubit_map;
 };
 
-/// Writes header + every rank's compressed blocks to `path` in format
-/// v5/v6: each block carries its ladder level, the codec id that produced
-/// its payload, and which tier it occupied at save time, and the header
-/// carries the lossy-pass count and the logical->physical qubit map the
-/// blocks are laid out under. Spilled payloads are read back through the
-/// spill mapping, so an out-of-core state checkpoints without being
-/// faulted into memory first. v6 is byte-identical to v5 in layout and is
-/// written only when some block's codec id is beyond the v5 registry
-/// (ids > 6, e.g. "zfp-rans"), so images that v5 readers could load keep
-/// the v5 magic byte-for-byte.
+/// Writes header + every rank's compressed blocks to `path` in format v7:
+/// each block carries its ladder level, the codec id that produced its
+/// payload, and which tier it occupied at save time, and the header
+/// carries the lossy-pass count, the circuit digest and the
+/// logical->physical qubit map the blocks are laid out under. Spilled
+/// payloads are read back through the spill mapping, so an out-of-core
+/// state checkpoints without being faulted into memory first. v7 is v5's
+/// layout plus the 8-byte circuit digest after the gate index.
 ///
 /// Durability: the image is written to `<path>.tmp`, fsynced, and
 /// atomically renamed over `path` — a crash (or I/O failure) mid-save
@@ -57,21 +60,17 @@ struct LoadedCheckpoint {
   std::vector<std::vector<std::uint8_t>> spilled;
 };
 
-/// Reads a checkpoint written by save_checkpoint. Accepts formats v5 and
-/// v6 only: a v1-v4 magic fails with std::runtime_error naming the version
-/// before anything else is parsed. A qubit map that is not a permutation
-/// is rejected with std::runtime_error. Block codec ids are validated
-/// against the format version: a v5 image claiming an id beyond the v5
-/// registry (> 6) is corrupt and rejected, and a v6 id must exist in this
+/// Reads a checkpoint written by save_checkpoint, or a v5 or v6 image
+/// written before v7 (same layout without the digest, which loads as 0).
+/// A v1-v4 magic fails with std::runtime_error naming the version before
+/// anything else is parsed. A qubit map that is not a permutation is
+/// rejected with std::runtime_error. Block codec ids are validated against
+/// the format version: a v5 image claiming an id beyond the v5 registry
+/// (> 6) is corrupt and rejected, and a v6 or v7 id must exist in this
 /// build's registry. The image's rank count and each rank's block count
 /// must equal the header's num_ranks and blocks_per_rank and fit the bytes
 /// left; any other count throws std::runtime_error before it sizes
 /// anything.
 LoadedCheckpoint load_checkpoint_full(const std::string& path);
-
-/// load_checkpoint_full without the tier flags — the historical interface,
-/// for callers that re-tier from scratch (or never spill).
-std::pair<CheckpointHeader, std::vector<BlockStore>> load_checkpoint(
-    const std::string& path);
 
 }  // namespace cqs::runtime

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 
 #include "common/bytes.hpp"
 
@@ -32,18 +33,25 @@ std::string trimmed(const std::string& text) {
   return text.substr(begin, end - begin);
 }
 
-/// Parses a full decimal u64; `what` names the field in errors.
+/// Parses a full decimal u64; `what` names the field in errors. A value
+/// above UINT64_MAX is rejected rather than wrapped.
 std::uint64_t parse_u64(const std::string& text, const std::string& what) {
   if (text.empty()) {
     throw std::invalid_argument("fault plan: empty " + what);
   }
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t value = 0;
   for (char ch : text) {
     if (ch < '0' || ch > '9') {
       throw std::invalid_argument("fault plan: bad " + what + " '" + text +
                                   "'");
     }
-    value = value * 10 + static_cast<std::uint64_t>(ch - '0');
+    const auto digit = static_cast<std::uint64_t>(ch - '0');
+    if (value > (kMax - digit) / 10) {
+      throw std::invalid_argument("fault plan: " + what + " '" + text +
+                                  "' exceeds 2^64 - 1");
+    }
+    value = value * 10 + digit;
   }
   return value;
 }
@@ -187,7 +195,8 @@ std::optional<FaultHit> FaultInjector::on_call(const std::string& site) {
   for (const FaultSpec& spec : specs_) {
     if (spec.site != site) continue;
     if (call < spec.nth) continue;
-    if (spec.count != 0 && call >= spec.nth + spec.count) continue;
+    // Subtraction form: nth + count can wrap for a large count.
+    if (spec.count != 0 && call - spec.nth >= spec.count) continue;
     FaultHit hit{site, call, spec.action, spec.aux};
     fired_.push_back(hit);
     return hit;

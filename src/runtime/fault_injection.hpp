@@ -21,7 +21,8 @@
 // Actions: fail (when omitted), enospc, eio. `aux` is an action parameter
 // (bytes of the torn chunk for checkpoint.write). A site outside the list
 // below or any other action is rejected at parse time, so a misspelt plan
-// never runs silently with no faults. Example:
+// never runs silently with no faults; so is any number above 2^64 - 1,
+// which would otherwise wrap to a call nobody asked for. Example:
 // "seed=7;spill.write@~6:enospc;checkpoint.rename@2".
 //
 // Instrumented sites (see fault_sites below):

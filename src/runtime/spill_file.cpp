@@ -163,14 +163,6 @@ void SpillFile::free_segment(const SpillSegment& segment) {
   }
 }
 
-void SpillFile::advise_willneed(const SpillSegment& segment) const {
-  if (segment.size == 0) return;
-  static const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
-  const std::uint64_t begin = segment.offset & ~(page - 1);
-  const std::uint64_t end = segment.offset + segment.size;
-  ::madvise(map_ + begin, end - begin, MADV_WILLNEED);  // best-effort
-}
-
 std::uint64_t SpillFile::file_bytes() const {
   std::lock_guard lock(mutex_);
   return end_;

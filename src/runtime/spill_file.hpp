@@ -75,10 +75,6 @@ class SpillFile {
   /// neighbors. Thread-safe. No-op for empty segments.
   void free_segment(const SpillSegment& segment);
 
-  /// Asks the kernel to start paging a segment in (madvise WILLNEED over
-  /// the containing pages) — the readahead primitive. Best-effort.
-  void advise_willneed(const SpillSegment& segment) const;
-
   /// High-water file size (bytes the file has ever grown to).
   std::uint64_t file_bytes() const;
   /// Bytes currently held by live (allocated) segments.

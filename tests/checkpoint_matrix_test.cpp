@@ -1,7 +1,8 @@
-// Checkpoint format matrix: v5/v6 images round-trip per-block codec ids
+// Checkpoint format matrix: v7 images round-trip per-block codec ids
 // (mixed adaptive codecs), the accumulated lossy-pass count and the qubit
-// map, corrupt maps and codec ids are rejected, legacy v1-v4 magics fail
-// by name, and an interrupted save never damages the previous image.
+// map, v5 and v6 images still load, corrupt maps and codec ids are
+// rejected, legacy v1-v4 magics fail by name, and an interrupted save
+// never damages the previous image.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "circuits/grover.hpp"
 #include "circuits/qft.hpp"
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "compression/compressor.hpp"
 #include "core/simulator.hpp"
 #include "runtime/checkpoint.hpp"
@@ -48,14 +50,18 @@ SimConfig mixed_config(int qubits) {
 }
 
 /// Hand-builds a v5-layout checkpoint of `raw` chopped into 2 ranks x 2
-/// blocks, each block zx-compressed at level 0 and resident. The tests
-/// inject what save_checkpoint never writes: an arbitrary qubit-map table
-/// (`qubit_map_override`; empty = identity), an arbitrary per-block codec
-/// id, and the magic's version digit.
-void write_checkpoint_image(const std::string& path, int version,
-                            const std::vector<double>& raw, int num_qubits,
-                            const std::vector<int>& qubit_map_override = {},
-                            std::uint8_t block_codec_id = 0) {
+/// blocks, each block resident and compressed by the codec
+/// `block_codec_id` names: zx at level 0 for id 0, that lossy codec at
+/// level 1 (the header then names it too) otherwise. The tests inject what
+/// save_checkpoint never writes: an arbitrary qubit-map table
+/// (`qubit_map_override`; empty = identity), a per-block codec id the
+/// version may not allow, and the magic's version digit. Returns the state
+/// the blocks decode to.
+std::vector<double> write_checkpoint_image(
+    const std::string& path, int version, const std::vector<double>& raw,
+    int num_qubits, const std::vector<int>& qubit_map_override = {},
+    std::uint8_t block_codec_id = 0) {
+  const std::uint8_t level = block_codec_id == 0 ? 0 : 1;
   Bytes buffer;
   const char magic[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T',
                          static_cast<char>('0' + version)};
@@ -64,11 +70,12 @@ void write_checkpoint_image(const std::string& path, int version,
   put_varint(buffer, static_cast<std::uint64_t>(num_qubits));
   put_varint(buffer, 2);  // num_ranks
   put_varint(buffer, 2);  // blocks_per_rank
-  put_varint(buffer, 0);  // ladder_level: lossless
+  put_varint(buffer, level);  // ladder_level
   put_varint(buffer, 0);  // next gate index
   put_scalar(buffer, 1.0);  // fidelity bound
   put_varint(buffer, 0);  // lossy passes
-  const std::string codec_name = "qzc";
+  const std::string codec_name =
+      level == 0 ? "qzc" : compression::codec_name_of(block_codec_id);
   put_varint(buffer, codec_name.size());
   for (char ch : codec_name) buffer.push_back(static_cast<std::byte>(ch));
   put_varint(buffer, qubit_map_override.size());
@@ -76,8 +83,12 @@ void write_checkpoint_image(const std::string& path, int version,
     put_varint(buffer, static_cast<std::uint64_t>(p));
   }
 
-  const auto codec = compression::make_compressor("zstd");
+  const auto codec = compression::make_compressor(
+      compression::codec_name_of(block_codec_id));
+  const auto bound = level == 0 ? compression::ErrorBound::lossless()
+                                : compression::ErrorBound::relative(1e-5);
   const std::size_t doubles_per_block = raw.size() / 4;
+  std::vector<double> decoded(raw.size());
   put_varint(buffer, 2);  // rank count
   for (int r = 0; r < 2; ++r) {
     put_varint(buffer, 2);  // blocks in rank
@@ -85,8 +96,10 @@ void write_checkpoint_image(const std::string& path, int version,
       const std::size_t base = (r * 2 + b) * doubles_per_block;
       const Bytes payload = codec->compress(
           std::span<const double>(raw.data() + base, doubles_per_block),
-          compression::ErrorBound::lossless());
-      buffer.push_back(std::byte{0});  // level: lossless
+          bound);
+      codec->decompress(payload, std::span<double>(decoded.data() + base,
+                                                   doubles_per_block));
+      buffer.push_back(static_cast<std::byte>(level));
       buffer.push_back(static_cast<std::byte>(block_codec_id));
       buffer.push_back(std::byte{0});  // tier: resident
       put_varint(buffer, payload.size());
@@ -96,6 +109,7 @@ void write_checkpoint_image(const std::string& path, int version,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(buffer.data()),
             static_cast<std::streamsize>(buffer.size()));
+  return decoded;
 }
 
 using CheckpointMatrixTest = test::TempDirFixture;
@@ -119,11 +133,11 @@ TEST_F(CheckpointMatrixTest, V3RoundTripsMixedPerBlockCodecsAndPasses) {
   sim.save_checkpoint(path);
 
   // Raw reload: per-block codec ids survive byte-for-byte.
-  const auto [header, stores] = runtime::load_checkpoint(path);
-  EXPECT_EQ(header.lossy_passes, report.lossy_passes);
+  const runtime::LoadedCheckpoint loaded = runtime::load_checkpoint_full(path);
+  EXPECT_EQ(loaded.header.lossy_passes, report.lossy_passes);
   std::uint64_t lossless_blocks = 0;
   std::uint64_t lossy_blocks = 0;
-  for (const auto& store : stores) {
+  for (const auto& store : loaded.ranks) {
     for (int b = 0; b < store.num_blocks(); ++b) {
       if (store.meta(b).codec == compression::kLosslessCodecId) {
         ++lossless_blocks;
@@ -199,8 +213,8 @@ TEST_F(CheckpointMatrixTest, V4RoundTripsMixedQubitMap) {
   sim.save_checkpoint(path);
 
   // Raw reload: the serialized map round-trips.
-  const auto [header, stores] = runtime::load_checkpoint(path);
-  EXPECT_EQ(header.qubit_map, sim.qubit_map());
+  EXPECT_EQ(runtime::load_checkpoint_full(path).header.qubit_map,
+            sim.qubit_map());
 
   // Simulator reload: same layout, same logical state, and the restored
   // map keeps translating (a further remapped circuit still agrees with
@@ -279,17 +293,17 @@ TEST_F(CheckpointMatrixTest, V4RejectsCorruptQubitMaps) {
   // Non-permutation tables must fail at load, before any decompression.
   const std::string dup = this->path("map_dup.bin");
   write_checkpoint_image(dup, 5, raw, 8, {0, 1, 2, 3, 4, 5, 6, 6});
-  EXPECT_THROW(runtime::load_checkpoint(dup), std::runtime_error);
+  EXPECT_THROW(runtime::load_checkpoint_full(dup), std::runtime_error);
 
   const std::string oob = this->path("map_oob.bin");
   write_checkpoint_image(oob, 5, raw, 8, {0, 1, 2, 3, 4, 5, 6, 63});
-  EXPECT_THROW(runtime::load_checkpoint(oob), std::runtime_error);
+  EXPECT_THROW(runtime::load_checkpoint_full(oob), std::runtime_error);
 
   // A valid permutation of the wrong width fails at simulator load: the
   // map must cover exactly the checkpoint's qubits.
   const std::string narrow = this->path("map_narrow.bin");
   write_checkpoint_image(narrow, 5, raw, 8, {3, 2, 1, 0});
-  EXPECT_NO_THROW(runtime::load_checkpoint(narrow));
+  EXPECT_NO_THROW(runtime::load_checkpoint_full(narrow));
   EXPECT_THROW(
       CompressedStateSimulator::load_checkpoint(narrow, matrix_config(8)),
       std::invalid_argument);
@@ -316,10 +330,10 @@ TEST_F(CheckpointMatrixTest, V3RejectsForeignCodecIdAtLoad) {
 
   // Pretend the file came from an sz run: the qzc-compressed payloads
   // keep their codec id 'qzc', which an sz simulator cannot decode.
-  auto [header, stores] = runtime::load_checkpoint(path);
-  header.codec_name = "sz";
+  runtime::LoadedCheckpoint loaded = runtime::load_checkpoint_full(path);
+  loaded.header.codec_name = "sz";
   const std::string rewritten = this->path("foreign_sz.bin");
-  runtime::save_checkpoint(rewritten, header, stores);
+  runtime::save_checkpoint(rewritten, loaded.header, loaded.ranks);
 
   EXPECT_THROW(CompressedStateSimulator::load_checkpoint(
                    rewritten, mixed_config(circuit.num_qubits())),
@@ -386,7 +400,7 @@ TEST_F(CheckpointMatrixTest, PreV6ImagesRejectPostV5CodecIds) {
   const std::string path = this->path("rans_id_v5.bin");
   write_checkpoint_image(path, 5, raw, 8, {}, rans_id);
   try {
-    runtime::load_checkpoint(path);
+    runtime::load_checkpoint_full(path);
     FAIL() << "v5 image with codec id " << int(rans_id) << " was accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("codec id"), std::string::npos)
@@ -401,7 +415,7 @@ TEST_F(CheckpointMatrixTest, LegacyV1ToV4MagicsFailNamingTheVersion) {
   const std::vector<double> raw(1 << 9, 0.0);  // 8 qubits of zeros
   for (int version : {1, 2, 3, 4}) {
     const std::string expected = "unsupported checkpoint format v" +
-                                 std::to_string(version) + "; v5/v6 only";
+                                 std::to_string(version) + "; v5 to v7 only";
     const std::string full =
         this->path("legacy_v" + std::to_string(version) + ".bin");
     write_checkpoint_image(full, version, raw, 8);
@@ -413,7 +427,7 @@ TEST_F(CheckpointMatrixTest, LegacyV1ToV4MagicsFailNamingTheVersion) {
     }
     for (const std::string& path : {full, bare}) {
       try {
-        runtime::load_checkpoint(path);
+        runtime::load_checkpoint_full(path);
         FAIL() << path << " was accepted";
       } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
@@ -427,8 +441,9 @@ TEST_F(CheckpointMatrixTest, ZfpRansStatesSaveAsV6AndRoundTrip) {
   const auto circuit =
       circuits::qft_circuit({.num_qubits = 8, .random_input = true});
 
-  // A lossy zfp state still fits the v5 registry: the save must keep the
-  // v5 magic byte-for-byte so older readers stay compatible.
+  // Every save writes v7, whichever codec ids its blocks carry. (Before
+  // v7, a zfp state kept the v5 magic and a zfp-rans state flipped the
+  // image to v6.)
   SimConfig zfp_config = matrix_config(8);
   zfp_config.codec = "zfp";
   zfp_config.initial_level = 1;
@@ -436,10 +451,10 @@ TEST_F(CheckpointMatrixTest, ZfpRansStatesSaveAsV6AndRoundTrip) {
   zfp_sim.apply_circuit(circuit);
   const std::string zfp_path = this->path("zfp_v5.bin");
   zfp_sim.save_checkpoint(zfp_path);
-  EXPECT_EQ(read_magic(zfp_path), "CQSCKPT5");
+  EXPECT_EQ(read_magic(zfp_path), "CQSCKPT7");
 
-  // The same run under zfp-rans stores codec id 7 somewhere, which must
-  // flip the image to v6 — and the v6 loader must resume it exactly.
+  // The same run under zfp-rans stores codec id 7 somewhere, and the
+  // loader must resume it exactly.
   SimConfig rans_config = matrix_config(8);
   rans_config.codec = "zfp-rans";
   rans_config.initial_level = 1;
@@ -448,14 +463,36 @@ TEST_F(CheckpointMatrixTest, ZfpRansStatesSaveAsV6AndRoundTrip) {
   const auto report = sim.report();
   ASSERT_GT(report.final_lossy_blocks, 0u)
       << "fixture run produced no zfp-rans block; v6 never exercised";
-  const std::string path = this->path("rans_v6.bin");
+  const std::string path = this->path("rans_v7.bin");
   sim.save_checkpoint(path);
-  EXPECT_EQ(read_magic(path), "CQSCKPT6");
+  EXPECT_EQ(read_magic(path), "CQSCKPT7");
 
   auto resumed =
       CompressedStateSimulator::load_checkpoint(path, rans_config);
   CQS_EXPECT_STATES_CLOSE(resumed.to_raw(), sim.to_raw(), 0.0);
   EXPECT_EQ(resumed.report().lossy_passes, report.lossy_passes);
+}
+
+TEST_F(CheckpointMatrixTest, HandBuiltV6ImageWithZfpRansResumesExactly) {
+  // Nothing writes v6 any more, but images saved before v7 must still
+  // load: a v6 image may carry ids past the v5 registry, such as
+  // zfp-rans (7), and resumes exactly what its payloads decode to.
+  std::vector<double> raw(1 << 9);
+  Rng rng(11);
+  for (double& v : raw) v = rng.next_double() - 0.5;
+  const std::uint8_t rans_id = compression::codec_id("zfp-rans");
+  ASSERT_GT(rans_id, 6);
+  const std::string path = this->path("rans_v6.bin");
+  const std::vector<double> decoded =
+      write_checkpoint_image(path, 6, raw, 8, {}, rans_id);
+  EXPECT_EQ(read_magic(path), "CQSCKPT6");
+
+  auto resumed =
+      CompressedStateSimulator::load_checkpoint(path, matrix_config(8));
+  EXPECT_EQ(resumed.config().codec, "zfp-rans");
+  EXPECT_EQ(resumed.ladder_level(), 1);
+  EXPECT_EQ(resumed.report().final_lossy_blocks, 4u);
+  CQS_EXPECT_STATES_CLOSE(resumed.to_raw(), decoded, 0.0);
 }
 
 }  // namespace

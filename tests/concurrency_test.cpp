@@ -25,7 +25,9 @@ namespace cqs {
 namespace {
 
 TEST(ConcurrencyTest, BlockStoreTotalBytesConsistent) {
+  runtime::TierStats stats;
   runtime::BlockStore store(256);
+  store.attach(&stats, nullptr);
   ThreadPool pool(8);
   // Many rounds of concurrent updates to distinct blocks.
   for (int round = 0; round < 10; ++round) {
@@ -36,7 +38,7 @@ TEST(ConcurrencyTest, BlockStoreTotalBytesConsistent) {
   }
   std::size_t expected = 0;
   for (int b = 0; b < 256; ++b) expected += (b % 31) + 9;
-  EXPECT_EQ(store.total_bytes(), expected);
+  EXPECT_EQ(stats.resident_bytes.load(), expected);
 }
 
 TEST(ConcurrencyTest, ResultsIdenticalAcrossThreadCounts) {

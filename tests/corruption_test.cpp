@@ -317,7 +317,7 @@ TEST_F(CheckpointCorruptionTest, TruncatedFilesThrow) {
   // back would zero-fill, which parses as an empty-but-valid checkpoint).
   for (long keep : {150L, 60L, 20L, 8L}) {
     std::filesystem::resize_file(path, keep);
-    EXPECT_THROW(runtime::load_checkpoint(path), std::exception)
+    EXPECT_THROW(runtime::load_checkpoint_full(path), std::exception)
         << "keep=" << keep;
   }
 }
@@ -354,7 +354,7 @@ void write_image(const std::string& path, const Bytes& image) {
 /// `field`, so the test knows which check caught the forgery.
 void expect_load_error(const std::string& path, const std::string& field) {
   try {
-    runtime::load_checkpoint(path);
+    runtime::load_checkpoint_full(path);
     ADD_FAILURE() << path << " loaded; expected an error naming " << field;
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
@@ -380,7 +380,7 @@ TEST_F(CheckpointCorruptionTest, HugeBlockSizeVarintThrows) {
 
   const std::string path = this->path("huge_block.ckpt");
   write_image(path, image);
-  EXPECT_THROW(runtime::load_checkpoint(path), std::runtime_error);
+  EXPECT_THROW(runtime::load_checkpoint_full(path), std::runtime_error);
 }
 
 TEST_F(CheckpointCorruptionTest, CountsThatDisagreeWithTheHeaderThrow) {

@@ -1,6 +1,6 @@
 // Unified fault-injection harness coverage:
 //   - plan-grammar parsing (valid forms, malformed entries, unknown
-//     sites and actions, zero triggers),
+//     sites and actions, zero triggers, numbers past 2^64 - 1),
 //   - firing semantics: once-at-Nth, every-call-from-Nth (@N+), a window
 //     of consecutive calls (@NxC), independent per-site counters,
 //   - seeded triggers (@~W): resolved into [1, W] at arm time as a pure
@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -71,6 +72,30 @@ TEST(FaultPlanTest, RejectsMalformedEntries) {
                std::invalid_argument);
 }
 
+TEST(FaultPlanTest, RejectsNumbersAboveUint64Max) {
+  // 2^64 used to wrap to 0 and 2^64 + 1 to 1, so a plan fired on a call
+  // nobody asked for. Every numeric field rejects it instead.
+  const std::string max = "18446744073709551615";
+  const std::string over = "18446744073709551616";
+  const std::vector<std::string> rejected = {
+      "spill.write@" + over,        "spill.write@18446744073709551617",
+      "spill.write@2x" + over,      "spill.write@~" + over,
+      "seed=" + over + ";spill.write@1", "spill.write@1:eio=" + over,
+      "spill.write@99999999999999999999999"};
+  for (const std::string& text : rejected) {
+    EXPECT_THROW(FaultPlan::parse(text), std::invalid_argument) << text;
+  }
+  const auto plan = FaultPlan::parse("seed=" + max + ";spill.write@" + max +
+                                     ":eio=" + max + ",spill.write@1x" +
+                                     max + ",spill.write@~" + max);
+  EXPECT_EQ(plan.seed, UINT64_MAX);
+  ASSERT_EQ(plan.specs.size(), 3u);
+  EXPECT_EQ(plan.specs[0].nth, UINT64_MAX);
+  EXPECT_EQ(plan.specs[0].aux, UINT64_MAX);
+  EXPECT_EQ(plan.specs[1].count, UINT64_MAX);
+  EXPECT_EQ(plan.specs[2].window, UINT64_MAX);
+}
+
 TEST(FaultInjectorTest, FiresOnceOnNthCall) {
   ScopedFaultPlan plan("spill.write@3:enospc");
   auto& inj = FaultInjector::instance();
@@ -110,6 +135,20 @@ TEST(FaultInjectorTest, WindowFiresExactlyCConsecutiveCalls) {
   ASSERT_EQ(ledger.size(), 3u);
   EXPECT_EQ(ledger[0].call, 2u);
   EXPECT_EQ(ledger[2].call, 4u);
+}
+
+TEST(FaultInjectorTest, WindowWithTheLargestCountDoesNotWrap) {
+  // nth + count wraps past 2^64 for this window; it must still fire on
+  // every call from the 2nd.
+  ScopedFaultPlan plan("spill.write@2x18446744073709551615");
+  auto& inj = FaultInjector::instance();
+  EXPECT_FALSE(inj.on_call("spill.write"));
+  EXPECT_TRUE(inj.on_call("spill.write"));
+  EXPECT_TRUE(inj.on_call("spill.write"));
+  const auto ledger = inj.fired();
+  ASSERT_EQ(ledger.size(), 2u);
+  EXPECT_EQ(ledger[0].call, 2u);
+  EXPECT_EQ(ledger[1].call, 3u);
 }
 
 TEST(FaultInjectorTest, SitesCountIndependently) {

@@ -253,25 +253,25 @@ constexpr SweepLeg kSweepLegs[kSweepLegCount] = {
 // Cache off: every value is a pure function of the workload, identical at
 // 1 and 4 threads.
 constexpr SweepPin kSweepPins[kSweepLegCount] = {
-    {"7f9effee1e4665247f532fa6f571698daa7211f50f59c6cd52220272fdc27314", 0,
+    {"4d469f341d23be76016a260330f7dd61df48e93f8ed176adf2903ff879fd3842", 0,
      0x3ff0000000000000, 146, 0, 152, 0, 4203, 0, 0, 0},
-    {"8761b1ea5aecc9d2cace6f5455462c4057f72d0f16cd4c23bf752843d97d8e2c", 9,
+    {"5031d9da747c59710a68fe9a866c96092459efd70ed23c2475d27a570bbf6a78", 9,
      0x3fe9a1ad49730a8e, 82, 144, 96, 136, 3445, 0, 0, 0},
-    {"c86b9e1d2b5fee6a1399446e061200a6d1f4c9f1a098b4271328db91266b6af1", 0,
+    {"7536e5179ce4ab022cee1da0271df5f471e39e83098d22c1c20339dc7319995c", 0,
      0x3ff0000000000000, 146, 0, 152, 0, 4203, 49, 41, 0},
-    {"33c4a86e957039f2cbbf8323b93efe484d263785e3e56343ccd0be3ca1e8a60d", 6,
+    {"69279d053f35115930adc06d31fb7859a441195975ff1a6bb8895204f3df8044", 6,
      0x3feffe08b8f77593, 82, 96, 96, 88, 3445, 34, 26, 0},
-    {"9485a78681917cdb5db50d55fd7726807a64f025723068dc9fdf492f39386ef4", 0,
+    {"7dbf1cf6384d6d44a93466ab00cfb24a800b74014a9c77c7d247aa1674223d25", 0,
      0x3ff0000000000000, 162, 0, 168, 0, 3483, 0, 0, 2},
-    {"4f2522bf42041cb3814c7f9439d58f90fe1aacc101efd7a50bf94a9656120473", 6,
+    {"ba33e85bf99228e030efcace15184785e148f46a1bc8747511e05d23e8240535", 6,
      0x3fe9a1dfae7d372d, 146, 96, 160, 88, 3483, 0, 0, 2},
-    {"2209790f13040785a6604420ade911835b053feaa7c08690f083257333cc14e1", 0,
+    {"90b2b28789298e1ac898d8578ae957802a568baa5621a5133e1d5e2d8558e2ac", 0,
      0x3ff0000000000000, 162, 0, 168, 0, 3483, 21, 5, 2},
-    {"e7e445d032f608d2bf047ef465e0440415355ca63a7e012400d24a29597703e2", 2,
+    {"a641300f5f0ac7daebd19701768132086517964ab344df5452b83dcc88062e98", 2,
      0x3fefffd60ea2acaa, 146, 32, 160, 24, 3483, 37, 29, 2},
-    {"8609b19d04b3012a2d1b9a65dae1bb74dfd61349a4792f3e41168e37dba15774", 0,
+    {"1f069d268b032c375e829092437c22efcde965a2dbdd8132fb5d98e11d42931f", 0,
      0x3ff0000000000000, 850, 0, 856, 0, 9677, 0, 0, 0},
-    {"5ddcc2548faed9556617637abe898de2b495c1224731599f655efb10a163752c", 25,
+    {"a09a90ab097fdc8ef6dd5361300cb3d6663da3e98bc5e1894df5913bab58c177", 25,
      0x3fdb3d97435ae526, 562, 368, 576, 360, 5399, 0, 0, 0},
 };
 

@@ -11,6 +11,8 @@
 //     ladder level, the original typed SpillError surfaces,
 //   - an injected autosave failure (crash before the checkpoint rename)
 //     is survived and counted, and the previous image stays loadable,
+//   - a resume refuses another circuit's autosave by its circuit digest,
+//     and a digest-less v5 image still resumes unchecked,
 //   - fault-plan determinism pin: same seed => same fired (site, call)
 //     ledger across thread counts (RecoveryConcurrencyTest doubles as
 //     the TSan target).
@@ -19,10 +21,13 @@
 #include <cerrno>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "core/config.hpp"
 #include "core/simulator.hpp"
 #include "qsim/circuit.hpp"
@@ -248,6 +253,79 @@ TEST_F(RecoveryTest, InjectedAutosaveFailureIsSurvivedAndCounted) {
       path("auto.ckpt"), resume_config);
   restored.resume_circuit(circuit);
   CQS_EXPECT_STATES_CLOSE(restored.to_raw(), expected, 0.0);
+}
+
+/// Rewrites the v7 image at `from` as the v5 image of the same state: the
+/// v5 magic, and no circuit digest after the gate index.
+void downgrade_to_v5(const std::string& from, const std::string& to) {
+  std::ifstream in(from, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)), {});
+  Bytes image(reinterpret_cast<const std::byte*>(text.data()),
+              reinterpret_cast<const std::byte*>(text.data()) + text.size());
+  ASSERT_EQ(static_cast<char>(image[7]), '7');
+  image[7] = static_cast<std::byte>('5');
+  std::size_t offset = 8;
+  for (int field = 0; field < 5; ++field) get_varint(image, offset);
+  image.erase(image.begin() + static_cast<std::ptrdiff_t>(offset),
+              image.begin() + static_cast<std::ptrdiff_t>(offset + 8));
+  std::ofstream out(to, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(image.data()),
+            static_cast<std::streamsize>(image.size()));
+}
+
+TEST_F(RecoveryTest, ResumeRefusesAnotherCircuitsAutosave) {
+  // An all-H run leaves its final autosave behind. A resilient all-X run
+  // on the same path used to resume it, apply no gate and sample the H
+  // state; the circuit digest in the image now makes it refuse.
+  qsim::Circuit all_h(8);
+  qsim::Circuit all_x(8);
+  for (int q = 0; q < 8; ++q) {
+    all_h.h(q);
+    all_x.x(q);
+  }
+  auto config = base_config(8, 2);
+  config.checkpoint_interval_gates = 4;
+  config.auto_checkpoint_path = path("stale.ckpt");
+  std::vector<double> h_state;
+  {
+    core::CompressedStateSimulator sim(config);
+    sim.apply_circuit(all_h);
+    h_state = sim.to_raw();
+  }
+  ASSERT_TRUE(std::filesystem::exists(path("stale.ckpt")));
+
+  EXPECT_THROW(core::CompressedStateSimulator::run_resilient(config, all_x),
+               std::invalid_argument);
+  EXPECT_TRUE(std::filesystem::exists(path("stale.ckpt")))
+      << "a refused autosave must stay in place";
+
+  // The circuit that wrote it resumes, with nothing left to apply.
+  auto same = core::CompressedStateSimulator::run_resilient(config, all_h);
+  EXPECT_EQ(same.report().gates, 0u);
+  CQS_EXPECT_STATES_CLOSE(same.to_raw(), h_state, 0.0);
+
+  // The digest covers the applied prefix, so a circuit that extends it
+  // resumes from the cursor.
+  qsim::Circuit longer = all_h;
+  longer.h(3);
+  auto resume_config = config;
+  resume_config.auto_checkpoint_path = path("resume.ckpt");
+  auto extended = core::CompressedStateSimulator::load_checkpoint(
+      path("stale.ckpt"), resume_config);
+  extended.resume_circuit(longer);
+  EXPECT_EQ(extended.report().gates, 1u);
+  // The reference fuses H.H on qubit 3 into one op; the resumed run
+  // applies the two in different chunks, so allow rounding.
+  CQS_EXPECT_STATES_CLOSE(extended.to_raw(),
+                          reference_state(base_config(8, 2), longer), 1e-12);
+
+  // A v5 image carries no digest and resumes unchecked, as before v7.
+  downgrade_to_v5(path("stale.ckpt"), path("stale_v5.ckpt"));
+  auto legacy = core::CompressedStateSimulator::load_checkpoint(
+      path("stale_v5.ckpt"), resume_config);
+  EXPECT_EQ(legacy.gate_cursor(), all_h.size());
+  EXPECT_NO_THROW(legacy.resume_circuit(all_x));
+  CQS_EXPECT_STATES_CLOSE(legacy.to_raw(), h_state, 0.0);
 }
 
 // TSan target + the issue's determinism pin: the fired (site, call)

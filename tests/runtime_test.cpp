@@ -2,6 +2,7 @@
 // block store, run-key hash, comm accounting, scratch arena, checkpointing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,12 @@
 
 namespace cqs::runtime {
 namespace {
+
+bool same_payload(const BlockStore& a, const BlockStore& b, int index) {
+  const ByteSpan x = a.raw_view(index);
+  const ByteSpan y = b.raw_view(index);
+  return std::ranges::equal(x, y);
+}
 
 TEST(PartitionTest, SegmentsMatchFigure3) {
   // 10 qubits, 4 ranks, 8 blocks/rank -> offset 5 bits, block 3, rank 2.
@@ -50,41 +57,48 @@ TEST(PartitionTest, RejectsBadShapes) {
 }
 
 TEST(BlockStoreTest, TracksTotalBytes) {
+  TierStats stats;
   BlockStore store(4);
-  EXPECT_EQ(store.total_bytes(), 0u);
+  store.attach(&stats, nullptr);
+  EXPECT_EQ(stats.resident_bytes.load(), 0u);
   store.set_block(0, Bytes(100), {1});
   store.set_block(1, Bytes(50), {0});
-  EXPECT_EQ(store.total_bytes(), 150u);
+  EXPECT_EQ(stats.resident_bytes.load(), 150u);
   store.set_block(0, Bytes(10), {2});
-  EXPECT_EQ(store.total_bytes(), 60u);
+  EXPECT_EQ(stats.resident_bytes.load(), 60u);
+  EXPECT_EQ(stats.spilled_bytes.load(), 0u);
   EXPECT_EQ(store.meta(0).level, 2);
   EXPECT_THROW(store.set_block(4, Bytes(1), {}), std::out_of_range);
 }
 
 TEST(BlockStoreTest, TotalBytesAccountingAcrossReplacements) {
-  // Regression coverage for set_block's running total: replace-smaller,
-  // replace-larger, and empty payloads must all keep total_bytes exact.
+  // Regression coverage for set_block's byte deltas: replace-smaller,
+  // replace-larger, and empty payloads must all keep the ledger exact.
+  TierStats stats;
   BlockStore store(3);
+  store.attach(&stats, nullptr);
+  auto total = [&] { return stats.resident_bytes.load(); };
   store.set_block(0, Bytes(100), {0});
   store.set_block(1, Bytes(200), {0});
   store.set_block(2, Bytes(300), {0});
-  ASSERT_EQ(store.total_bytes(), 600u);
+  ASSERT_EQ(total(), 600u);
 
   store.set_block(1, Bytes(50), {1});  // replace with smaller
-  EXPECT_EQ(store.total_bytes(), 450u);
+  EXPECT_EQ(total(), 450u);
 
   store.set_block(1, Bytes(500), {2});  // replace with larger
-  EXPECT_EQ(store.total_bytes(), 900u);
+  EXPECT_EQ(total(), 900u);
 
   store.set_block(0, Bytes{}, {3});  // replace with empty payload
-  EXPECT_EQ(store.total_bytes(), 800u);
-  EXPECT_TRUE(store.block(0).empty());
+  EXPECT_EQ(total(), 800u);
+  EXPECT_TRUE(store.raw_view(0).empty());
 
   store.set_block(0, Bytes{}, {3});  // empty -> empty is a no-op in bytes
-  EXPECT_EQ(store.total_bytes(), 800u);
+  EXPECT_EQ(total(), 800u);
 
   store.set_block(0, Bytes(1), {0});  // and back from empty
-  EXPECT_EQ(store.total_bytes(), 801u);
+  EXPECT_EQ(total(), 801u);
+  EXPECT_EQ(stats.peak_total_bytes.load(), 900u);
 }
 
 TEST(BlockStoreTest, MetaLevelTracksEveryReplacement) {
@@ -266,7 +280,7 @@ TEST_F(CheckpointTest, RoundTrip) {
   }
   save_checkpoint(path, header, ranks);
 
-  const auto [loaded_header, loaded_ranks] = load_checkpoint(path);
+  const auto [loaded_header, loaded_ranks, tiers] = load_checkpoint_full(path);
   EXPECT_EQ(loaded_header.num_qubits, 12);
   EXPECT_EQ(loaded_header.num_ranks, 2);
   EXPECT_EQ(loaded_header.blocks_per_rank, 4);
@@ -277,7 +291,7 @@ TEST_F(CheckpointTest, RoundTrip) {
   ASSERT_EQ(loaded_ranks.size(), 2u);
   for (int r = 0; r < 2; ++r) {
     for (int b = 0; b < 4; ++b) {
-      EXPECT_EQ(loaded_ranks[r].block(b), ranks[r].block(b));
+      EXPECT_TRUE(same_payload(loaded_ranks[r], ranks[r], b));
       EXPECT_EQ(loaded_ranks[r].meta(b).level, ranks[r].meta(b).level);
     }
   }
@@ -306,15 +320,19 @@ TEST_F(CheckpointTest, BlockMetaLevelAndCodecSurviveRoundTrip) {
   }
   save_checkpoint(path, header, ranks);
 
-  const auto [loaded_header, loaded_ranks] = load_checkpoint(path);
+  auto [loaded_header, loaded_ranks, tiers] = load_checkpoint_full(path);
   ASSERT_EQ(loaded_ranks.size(), 1u);
   ASSERT_EQ(loaded_ranks[0].num_blocks(), 6);
   for (int b = 0; b < 6; ++b) {
     EXPECT_EQ(loaded_ranks[0].meta(b).level, levels[b]) << "block " << b;
     EXPECT_EQ(loaded_ranks[0].meta(b).codec, codecs[b]) << "block " << b;
-    EXPECT_EQ(loaded_ranks[0].block(b), ranks[0].block(b)) << "block " << b;
+    EXPECT_TRUE(same_payload(loaded_ranks[0], ranks[0], b)) << "block " << b;
   }
-  EXPECT_EQ(loaded_ranks[0].total_bytes(), ranks[0].total_bytes());
+  TierStats saved;
+  TierStats loaded;
+  ranks[0].attach(&saved, nullptr);
+  loaded_ranks[0].attach(&loaded, nullptr);
+  EXPECT_EQ(loaded.resident_bytes.load(), saved.resident_bytes.load());
 }
 
 TEST_F(CheckpointTest, LossyPassCountRoundTrips) {
@@ -333,7 +351,7 @@ TEST_F(CheckpointTest, LossyPassCountRoundTrips) {
   ranks[0].set_block(0, Bytes(4, std::byte{1}), {1});
   save_checkpoint(path, header, ranks);
 
-  const auto [loaded, stores] = load_checkpoint(path);
+  const CheckpointHeader loaded = load_checkpoint_full(path).header;
   EXPECT_EQ(loaded.lossy_passes, 37u);
   EXPECT_DOUBLE_EQ(loaded.fidelity_bound, 0.9991);
 }
@@ -345,8 +363,8 @@ TEST_F(CheckpointTest, RejectsCorruptFile) {
     std::fputs("garbage", f);
     std::fclose(f);
   }
-  EXPECT_THROW(load_checkpoint(path), std::runtime_error);
-  EXPECT_THROW(load_checkpoint("/nonexistent/nope"), std::runtime_error);
+  EXPECT_THROW(load_checkpoint_full(path), std::runtime_error);
+  EXPECT_THROW(load_checkpoint_full("/nonexistent/nope"), std::runtime_error);
 }
 
 }  // namespace

@@ -6,8 +6,9 @@
 //     across circuits x ranks x threads x batching,
 //   - checkpoint/resume of spilled states, including resuming under a
 //     different resident budget,
-//   - the SpillConcurrencyTest suite doubles as the TSan target for the
-//     cross-thread advise/tier-transition paths.
+//   - the SpillConcurrencyTest suite doubles as the TSan target for
+//     workers spilling their own blocks through the shared SpillFile and
+//     TierStats.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -128,58 +129,58 @@ TEST_F(TieredBlockStoreTest, TierMovesPreserveBytesAndAccounting) {
   store.attach(&stats, &spill);
   store.set_block(0, make_bytes(100, 1), {0});
   store.set_block(1, make_bytes(60, 2), {1});
-  EXPECT_EQ(store.resident_bytes(), 160u);
-  EXPECT_EQ(store.spilled_bytes(), 0u);
+  EXPECT_EQ(stats.resident_bytes.load(), 160u);
+  EXPECT_EQ(stats.spilled_bytes.load(), 0u);
 
   store.spill_block(0);
   EXPECT_TRUE(store.is_spilled(0));
   EXPECT_FALSE(store.is_spilled(1));
-  EXPECT_EQ(store.resident_bytes(), 60u);
-  EXPECT_EQ(store.spilled_bytes(), 100u);
-  EXPECT_EQ(store.total_bytes(), 160u);
   EXPECT_EQ(stats.resident_bytes.load(), 60u);
   EXPECT_EQ(stats.spilled_bytes.load(), 100u);
   EXPECT_EQ(stats.spill_events.load(), 1u);
 
-  // The spilled payload reads back byte-identical through the view; a
-  // resident block throws from the resident-only accessor.
+  // The spilled payload reads back byte-identical through the view, which
+  // counts a fault; the raw view reads the same bytes and counts none.
   const ByteSpan view = store.payload_view(0);
   ASSERT_EQ(view.size(), 100u);
   EXPECT_TRUE(std::all_of(view.begin(), view.end(),
                           [](std::byte v) { return v == std::byte{1}; }));
-  EXPECT_THROW(store.block(0), std::logic_error);
+  EXPECT_EQ(stats.fault_events.load(), 1u);
+  const ByteSpan raw = store.raw_view(0);
+  EXPECT_TRUE(std::equal(raw.begin(), raw.end(), view.begin(), view.end()));
   EXPECT_EQ(store.block_size(0), 100u);
   EXPECT_EQ(stats.fault_events.load(), 1u);
 
   // Rewriting a spilled block frees its segment and makes it resident.
   store.set_block(0, make_bytes(40, 3), {0});
   EXPECT_FALSE(store.is_spilled(0));
-  EXPECT_EQ(store.spilled_bytes(), 0u);
-  EXPECT_EQ(store.resident_bytes(), 100u);
+  EXPECT_EQ(stats.spilled_bytes.load(), 0u);
+  EXPECT_EQ(stats.resident_bytes.load(), 100u);
   EXPECT_EQ(spill.live_segments(), 0u);
   // The peak saw the 160-byte high point, not just gate boundaries.
   EXPECT_EQ(stats.peak_total_bytes.load(), 160u);
 }
 
-TEST_F(TieredBlockStoreTest, AdviseArmsReadaheadHitDetector) {
-  runtime::TierStats stats;
+TEST_F(TieredBlockStoreTest, AttachCountsHeldBytesOnce) {
+  // A store without stats counts nothing; attach() adds what it holds,
+  // by tier, to the ledger, and later mutations move it from there.
   runtime::SpillFile spill(path("spill.bin"));
-  runtime::BlockStore store(1);
-  store.attach(&stats, &spill);
-  store.set_block(0, make_bytes(80, 4), {0});
-
-  store.advise(0);  // resident: no-op
-  EXPECT_EQ(stats.readahead_issued.load(), 0u);
-
+  runtime::BlockStore store(3);
+  store.attach(nullptr, &spill);
+  store.set_block(0, make_bytes(70, 1), {0});
+  store.set_block(1, make_bytes(30, 2), {0});
+  store.set_block(1, make_bytes(20, 3), {0});
   store.spill_block(0);
-  store.advise(0);
-  EXPECT_EQ(stats.readahead_issued.load(), 1u);
-  store.payload_view(0);
-  EXPECT_EQ(stats.readahead_hits.load(), 1u);
-  // The detector disarms on the first read: a second fault is not a hit.
-  store.payload_view(0);
-  EXPECT_EQ(stats.readahead_hits.load(), 1u);
-  EXPECT_EQ(stats.fault_events.load(), 2u);
+  runtime::TierStats stats;
+  store.attach(&stats, &spill);
+  EXPECT_EQ(stats.resident_bytes.load(), 20u);
+  EXPECT_EQ(stats.spilled_bytes.load(), 70u);
+  EXPECT_EQ(stats.peak_total_bytes.load(), 90u);
+
+  store.set_block(2, make_bytes(5, 4), {0});
+  store.set_block(0, make_bytes(10, 5), {0});
+  EXPECT_EQ(stats.spilled_bytes.load(), 0u);
+  EXPECT_EQ(stats.resident_bytes.load(), 35u);
 }
 
 using SpillConfigTest = test::TempDirFixture;
@@ -198,14 +199,6 @@ TEST_F(SpillConfigTest, KnobValidation) {
                std::invalid_argument);
 
   config.spill_path = path("spill.bin");
-  config.readahead_blocks = -1;
-  EXPECT_THROW(core::CompressedStateSimulator{config},
-               std::invalid_argument);
-  config.readahead_blocks = 4097;
-  EXPECT_THROW(core::CompressedStateSimulator{config},
-               std::invalid_argument);
-
-  config.readahead_blocks = 4;
   EXPECT_NO_THROW(core::CompressedStateSimulator{config});
 }
 
@@ -231,6 +224,15 @@ TEST(SimulatorPeakTest, PeakTracksOccupancyWithoutGates) {
 }
 
 using SpillSimTest = test::TempDirFixture;
+
+/// compressed_bytes() reads the TierStats ledger; the report's census sums
+/// block_size over the stores one block at a time. The two must agree.
+void expect_recount_matches(const core::CompressedStateSimulator& sim) {
+  const auto report = sim.report();
+  EXPECT_EQ(report.final_lossless_bytes + report.final_lossy_bytes,
+            sim.compressed_bytes())
+      << "the ledger drifted from the stored blocks";
+}
 
 core::SimConfig spill_config(const std::string& spill_path, int qubits,
                              int ranks, int threads, bool batching) {
@@ -277,9 +279,7 @@ TEST_F(SpillSimTest, SpillOnMatchesSpillOffAtToleranceZero) {
         EXPECT_TRUE(report.spill_enabled);
         EXPECT_GT(report.spill_events, 0u)
             << "a 1-byte resident budget must actually spill";
-        EXPECT_EQ(report.resident_bytes + report.spilled_bytes,
-                  sim.compressed_bytes())
-            << "tier split must sum to the compressed total";
+        expect_recount_matches(sim);
         CQS_EXPECT_STATES_CLOSE(sim.to_raw(), expected, 0.0);
       }
     }
@@ -307,39 +307,16 @@ TEST_F(SpillSimTest, PartialSpillMatchesToleranceZero) {
       sim.apply_circuit(circuit);
       const auto report = sim.report();
       EXPECT_LE(report.resident_bytes, config.resident_budget_bytes);
-      EXPECT_EQ(report.resident_bytes + report.spilled_bytes,
-                sim.compressed_bytes());
+      expect_recount_matches(sim);
       CQS_EXPECT_STATES_CLOSE(sim.to_raw(), reference.to_raw(), 0.0);
     }
   }
 }
 
-TEST_F(SpillSimTest, ReadaheadWindowSizesAreEquivalent) {
-  // Readahead is a hint: any window (including none) yields the same
-  // state; only the issued/hit counters may differ.
-  const auto circuit = random_circuit(10, 50, 31);
-  std::vector<double> reference;
-  for (const int window : {0, 1, 4, 64}) {
-    auto config = spill_config(path("spill.bin"), 10, 2, 4, true);
-    config.readahead_blocks = window;
-    core::CompressedStateSimulator sim(config);
-    sim.apply_circuit(circuit);
-    const auto raw = sim.to_raw();
-    if (reference.empty()) {
-      reference = raw;
-    } else {
-      CQS_EXPECT_STATES_CLOSE(raw, reference, 0.0);
-    }
-    if (window > 0) {
-      EXPECT_GT(sim.report().readahead_issued, 0u);
-    }
-  }
-}
-
-TEST_F(SpillSimTest, PairSweepsAdviseReadahead) {
+TEST_F(SpillSimTest, PairSweepsFaultSpilledBlocks) {
   // 12 qubits on 4 ranks x 4 blocks: offset [0,8), block {8,9}, rank
-  // {10,11}. On a spilled state a pair sweep, like a unit sweep, advises
-  // its blocks ahead of the faults it is about to take.
+  // {10,11}. On a spilled state a pair sweep, like a unit sweep, reads
+  // its spilled blocks back through the spill tier.
   auto config = spill_config(path("spill.bin"), 12, 4, 1, true);
   config.blocks_per_rank = 4;
   config.resident_budget_bytes = 2000;
@@ -354,8 +331,6 @@ TEST_F(SpillSimTest, PairSweepsAdviseReadahead) {
     sim.apply({qsim::GateKind::kH, pair_target});
     const auto after = sim.report();
     EXPECT_GT(after.fault_events, before.fault_events) << pair_target;
-    EXPECT_EQ(after.readahead_issued - before.readahead_issued, 16u)
-        << pair_target;
   }
 }
 
@@ -370,6 +345,7 @@ TEST_F(SpillSimTest, MeasurementAndQueriesCrossTheSpillTier) {
     sim.apply_circuit(circuit);
     Rng rng(123);
     const int outcome = sim.measure(4, rng);
+    expect_recount_matches(sim);
     return std::tuple(outcome, sim.probability_one(2), sim.norm(),
                       sim.to_raw());
   };
@@ -411,6 +387,7 @@ TEST_F(SpillCheckpointTest, SpilledStateRoundTripsThroughCheckpoint) {
     auto restored =
         core::CompressedStateSimulator::load_checkpoint(ckpt, resume);
     EXPECT_GT(restored.report().spilled_bytes, 0u);
+    expect_recount_matches(restored);
     CQS_EXPECT_STATES_CLOSE(restored.to_raw(), expected, 0.0);
   }
   {
@@ -419,6 +396,7 @@ TEST_F(SpillCheckpointTest, SpilledStateRoundTripsThroughCheckpoint) {
     resume.resident_budget_bytes = std::size_t{1} << 30;
     auto restored =
         core::CompressedStateSimulator::load_checkpoint(ckpt, resume);
+    expect_recount_matches(restored);
     CQS_EXPECT_STATES_CLOSE(restored.to_raw(), expected, 0.0);
   }
   {
@@ -426,6 +404,7 @@ TEST_F(SpillCheckpointTest, SpilledStateRoundTripsThroughCheckpoint) {
     auto restored =
         core::CompressedStateSimulator::load_checkpoint(ckpt, resume);
     EXPECT_EQ(restored.report().spilled_bytes, 0u);
+    expect_recount_matches(restored);
     CQS_EXPECT_STATES_CLOSE(restored.to_raw(), expected, 0.0);
   }
 }
@@ -455,8 +434,7 @@ TEST_F(SpillCheckpointTest, InMemoryCheckpointResumesUnderTinyBudget) {
 
 TEST_F(SpillCheckpointTest, SavingDoesNotCountAsFaults) {
   // Checkpoint serialization reads spilled blocks through the raw
-  // (non-accounting) view: a save must not inflate the fault count or
-  // consume pending readahead hits.
+  // (non-accounting) view: a save must not inflate the fault count.
   const auto circuit = random_circuit(10, 40, 17);
   auto config = spill_config(path("spill.bin"), 10, 2, 2, true);
   core::CompressedStateSimulator sim(config);
@@ -466,7 +444,6 @@ TEST_F(SpillCheckpointTest, SavingDoesNotCountAsFaults) {
   sim.save_checkpoint(path("telemetry.ckpt"));
   const auto after = sim.report();
   EXPECT_EQ(after.fault_events, before.fault_events);
-  EXPECT_EQ(after.readahead_hits, before.readahead_hits);
 }
 
 TEST_F(SpillCheckpointTest, ResumedSpilledRunFinishesIdentically) {
@@ -529,9 +506,10 @@ TEST_F(SpillConcurrencyTest, BitIdenticalAndCountsStableAcrossThreads) {
 }
 
 TEST_F(SpillConcurrencyTest, ParallelExecutorCrossesTheSpillTier) {
-  // Eight workers advise readahead for units other workers own while
-  // those blocks transition tiers — the TSan target for the atomic tier
-  // fields. States must still match the single-worker spill-off reference.
+  // Eight workers stream their own freshly stored blocks to the spill
+  // tier through the SpillFile's mutex and the shared TierStats — the
+  // TSan target for the tier's shared state. States must still match the
+  // single-worker spill-off reference.
   const auto circuit = random_circuit(10, 50, 47);
   core::CompressedStateSimulator reference(spill_config("", 10, 1, 1, true));
   reference.apply_circuit(circuit);
