@@ -151,8 +151,8 @@ void print_comparison(const Comparison& cmp) {
       cmp.fixed.final_bytes, cmp.adaptive.final_bytes,
       cmp.fixed.report.peak_compressed_bytes, a.peak_compressed_bytes,
       cmp.fixed_fidelity, cmp.adaptive_fidelity,
-      static_cast<unsigned long long>(a.codec_lossless_choices),
-      static_cast<unsigned long long>(a.codec_lossy_choices),
+      static_cast<unsigned long long>(a.lossless_compress_invocations),
+      static_cast<unsigned long long>(a.lossy_compress_invocations),
       static_cast<unsigned long long>(a.codec_switches));
 }
 
@@ -163,15 +163,17 @@ void write_json(const std::string& path,
   out << "{\n  \"bench\": \"codec_arbiter\",\n  \"circuits\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Comparison& c = results[i];
+    // Each compression decides its codec once, so the choice counts are
+    // the compress calls of each class.
     const auto side = [](const RunResult& r) {
       return "{\"final_bytes\": " + std::to_string(r.final_bytes) +
              ", \"peak_bytes\": " +
              std::to_string(r.report.peak_compressed_bytes) +
              ", \"lossy_passes\": " + std::to_string(r.report.lossy_passes) +
              ", \"lossless_choices\": " +
-             std::to_string(r.report.codec_lossless_choices) +
+             std::to_string(r.report.lossless_compress_invocations) +
              ", \"lossy_choices\": " +
-             std::to_string(r.report.codec_lossy_choices) +
+             std::to_string(r.report.lossy_compress_invocations) +
              ", \"switches\": " + std::to_string(r.report.codec_switches) +
              ", \"fidelity_bound\": " +
              std::to_string(r.report.fidelity_bound) +

@@ -164,8 +164,6 @@ void write_json(const std::string& path,
              std::to_string(r.report.swaps_relabeled) +
              ", \"rank_gates_in_place\": " +
              std::to_string(r.report.rank_gates_in_place) +
-             ", \"exchanges_avoided\": " +
-             std::to_string(r.report.remap_exchanges_avoided) +
              ", \"seconds\": " + std::to_string(r.seconds) + "}";
     };
     out << "    {\"name\": \"" << c.name << "\", \"qubits\": " << c.qubits

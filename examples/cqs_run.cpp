@@ -9,10 +9,10 @@
 //                        adaptive keeps sparse/spiky blocks lossless)
 //     --budget-frac F    memory budget as a fraction of 2^{n+4} (default 0:
 //                        unlimited, stays lossless)
-//     --fuse             apply single-qubit gate fusion first (the run
-//                        scheduler also fuses internally by default)
-//     --no-batching      disable the gate-run scheduler (every gate is a
-//                        sweep of its own)
+//     --no-batching      disable the gate-run scheduler and its fusion
+//                        pre-pass (every gate is a sweep of its own)
+//     --remap            plan logical->physical qubit remaps so rank-target
+//                        gates run block-locally
 //     --checkpoint PATH  save a checkpoint at the end
 //     --samples N        print N sampled basis states
 //     --spill PATH       out-of-core: spill cold compressed blocks to an
@@ -60,7 +60,6 @@
 #include "common/rng.hpp"
 #include "core/memory_model.hpp"
 #include "core/simulator.hpp"
-#include "qsim/fusion.hpp"
 #include "qsim/serialize.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/spill_file.hpp"
@@ -72,7 +71,7 @@ namespace {
   std::fprintf(stderr,
                "usage: %s <circuit-file> [--ranks N] [--blocks N] "
                "[--codec NAME] [--policy fixed|adaptive] [--budget-frac F] "
-               "[--fuse] [--no-batching] [--checkpoint PATH] "
+               "[--no-batching] [--checkpoint PATH] "
                "[--samples N] [--remap] [--spill PATH] [--resident-frac F] "
                "[--checkpoint-interval N] [--autosave PATH] "
                "[--resilient] [--fault-plan SPEC]\n"
@@ -117,7 +116,6 @@ int main(int argc, char** argv) try {
   config.blocks_per_rank = 8;
   double budget_fraction = 0.0;
   double resident_fraction = 0.0;
-  bool fuse = false;
   std::string checkpoint_path;
   int samples = 0;
   bool resilient = false;
@@ -141,8 +139,6 @@ int main(int argc, char** argv) try {
       config.codec_policy = next();
     } else if (arg == "--budget-frac") {
       budget_fraction = next_fraction();
-    } else if (arg == "--fuse") {
-      fuse = true;
     } else if (arg == "--no-batching") {
       config.enable_run_batching = false;
     } else if (arg == "--checkpoint") {
@@ -174,13 +170,7 @@ int main(int argc, char** argv) try {
     std::fprintf(stderr, "cannot open %s\n", circuit_path.c_str());
     return 1;
   }
-  qsim::Circuit circuit = qsim::parse_circuit(in);
-  if (fuse) {
-    qsim::FusionStats stats;
-    circuit = qsim::fuse_single_qubit_gates(circuit, &stats);
-    std::printf("fusion: %zu -> %zu gates (%zu runs)\n", stats.gates_before,
-                stats.gates_after, stats.fused_runs);
-  }
+  const qsim::Circuit circuit = qsim::parse_circuit(in);
   config.num_qubits = circuit.num_qubits();
   // Shrink the default partition for small circuits: every block must hold
   // at least two amplitudes.

@@ -93,8 +93,8 @@ void SimulationReport::print(std::ostream& os) const {
      << final_ladder_level << ")\n"
      << std::setprecision(2) << "min compression:     "
      << min_compression_ratio << "x\n"
-     << "codec mix:           " << codec_lossless_choices
-     << " lossless / " << codec_lossy_choices << " lossy passes ("
+     << "codec mix:           " << lossless_compress_invocations
+     << " lossless / " << lossy_compress_invocations << " lossy compressions ("
      << codec_switches << " switches); final blocks "
      << final_lossless_blocks << " lossless ("
      << format_bytes(final_lossless_bytes) << ") / " << final_lossy_blocks
@@ -108,8 +108,7 @@ void SimulationReport::print(std::ostream& os) const {
     os << "qubit remap:         " << remap_sweeps << " remap sweeps, "
        << swaps_relabeled << " swaps relabeled; " << rank_gates_localized
        << " rank gates localized / " << rank_gates_in_place
-       << " in place (" << remap_exchanges_avoided
-       << " exchanges avoided)\n";
+       << " in place\n";
   }
   os << "simd_kernel:         " << simd_kernel << "\n";
   os << "cache:               " << cache.hits << " hits / " << cache.misses

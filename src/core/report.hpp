@@ -73,10 +73,12 @@ struct SimulationReport {
   int final_ladder_level = 0;          ///< 0 = still lossless
 
   // Codec arbiter (per-block codec selection; runtime/codec_arbiter.hpp).
-  std::string codec_policy;                  ///< "fixed" or "adaptive"
-  std::uint64_t codec_lossless_choices = 0;  ///< passes routed to lossless zx
-  std::uint64_t codec_lossy_choices = 0;     ///< passes routed to the codec
-  std::uint64_t codec_switches = 0;  ///< per-block flips (post-hysteresis)
+  // Every compression decides once, so its choices are the lossless and
+  // lossy compress invocations below.
+  std::string codec_policy;  ///< "fixed" or "adaptive"
+  /// Computed blocks whose codec class differs from the payload they
+  /// replace (post-hysteresis); blocks storing a shared copy count none.
+  std::uint64_t codec_switches = 0;
   std::uint64_t final_lossless_blocks = 0;  ///< end-state census by BlockMeta
   std::uint64_t final_lossy_blocks = 0;
   std::size_t final_lossless_bytes = 0;  ///< compressed bytes of those blocks
@@ -125,13 +127,6 @@ struct SimulationReport {
   std::uint64_t swaps_relabeled = 0;   ///< SWAP gates absorbed into the map
   std::uint64_t rank_gates_localized = 0;  ///< rank-target gates made local
   std::uint64_t rank_gates_in_place = 0;   ///< still executed cross-rank
-  /// Cross-rank block-pair exchanges the identity layout would have paid
-  /// that the remapped run did not (remap sweeps already deducted).
-  /// Upper-bound estimate: avoided sweeps are costed as full sweeps, so
-  /// avoided gates with rank/block-segment controls — whose identity
-  /// sweeps only touch the control-satisfying units — are overcounted.
-  /// Comm's own counters carry the exact actuals.
-  std::uint64_t remap_exchanges_avoided = 0;
 
   /// Kernel backend dispatch actually ran with: "scalar", "avx2", "neon".
   std::string simd_kernel;

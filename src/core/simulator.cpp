@@ -33,6 +33,10 @@ inline std::complex<double>* as_complex(std::span<double> raw) {
   return reinterpret_cast<std::complex<double>*>(raw.data());
 }
 
+bool is_lossless(const runtime::BlockMeta& meta) {
+  return meta.codec == compression::kLosslessCodecId;
+}
+
 /// SWAP(a, b) = CX(a,b) CX(b,a) CX(a,b); SWAP keeps b in controls[0].
 std::array<GateOp, 3> swap_legs(const GateOp& op) {
   const int a = op.target;
@@ -184,34 +188,24 @@ struct CompressedStateSimulator::GateKernel {
   }
 };
 
-/// One single-block unit task for run_units: what decides whether units
-/// share an output, and what to compute on the decoded amplitudes. Every
-/// field is safe to call from any worker.
-struct CompressedStateSimulator::UnitSpec {
-  int level = 0;
-  /// Set by gate sweeps, the only sweeps whose units share (share_groups);
-  /// empty = every unit computes its own output.
-  Selections selections;
-  /// Applies the unit's kernels to the decoded block; empty = recompress
-  /// the block unchanged.
-  std::function<void(qsim::Amplitude* amps, std::uint64_t count, int rank,
-                     int block)>
-      compute;
-};
-
-/// One block-pair task for run_pairs. Each unit (rank, block) is the pair's
-/// first block; its partner is (rank | partner_rank_bit, block |
-/// partner_block_bit), so a nonzero rank bit makes every pair cross ranks.
-struct CompressedStateSimulator::PairSpec {
-  int level = 0;
+/// One run_sweep task: what decides whether units share an output, and
+/// what to compute on the decoded amplitudes. Each unit (rank, block) is
+/// its first block. With a partner bit set, the unit is a pair whose
+/// second block is (rank | partner_rank_bit, block | partner_block_bit),
+/// so a nonzero rank bit makes every pair cross ranks. Every field is safe
+/// to call from any worker.
+struct CompressedStateSimulator::SweepSpec {
   int partner_rank_bit = 0;
   int partner_block_bit = 0;
-  /// As in UnitSpec, called for each block of a pair.
+  /// Set by gate sweeps, the only sweeps whose units share (share_groups),
+  /// and called for each block of a unit; empty = every unit computes its
+  /// own output.
   Selections selections;
-  /// Applies the pair's kernels to both decoded blocks; (rank, block) is
-  /// the first block's.
-  std::function<void(qsim::Amplitude* a, qsim::Amplitude* b,
-                     std::uint64_t count, int rank, int block)>
+  /// Applies the unit's kernels to its decoded blocks, in unit order;
+  /// (rank, block) is the first block's. Empty = recompress the blocks
+  /// unchanged.
+  std::function<void(std::span<Amplitude* const> blocks, std::uint64_t count,
+                     int rank, int block)>
       compute;
 };
 
@@ -272,11 +266,7 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
   backend_ = qsim::detect_kernel_backend(config_.enable_simd_kernels);
   map_ = runtime::QubitMap::identity(config_.num_qubits);
 
-  runtime::ArbiterConfig arbiter_config;
-  arbiter_config.policy = runtime::parse_codec_policy(config_.codec_policy);
-  arbiter_ = std::make_unique<runtime::CodecArbiter>(
-      arbiter_config,
-      partition_.num_ranks() * partition_.blocks_per_rank());
+  arbiter_config_.policy = runtime::parse_codec_policy(config_.codec_policy);
 
   comm_ = std::make_unique<runtime::Comm>(partition_.num_ranks());
 
@@ -308,32 +298,28 @@ void CompressedStateSimulator::init_blocks() {
   // |0...0>: amplitude (1,0) lives at offset 0 of block 0 of rank 0; every
   // other block is all zeros and shares one compressed payload. Both
   // contents arbitrate through block 0 as the representative (every block
-  // is structurally identical at t=0), then the per-block hysteresis state
-  // is seeded so the arbiter remembers each block's starting codec.
+  // is structurally identical at t=0).
   std::vector<double> zeros(partition_.doubles_per_block(), 0.0);
-  auto [zero_payload, zero_meta] = encode_block(zeros, level_, 0, 0, 0);
+  auto [zero_payload, zero_meta] = encode_block(zeros, 0, 0, 0);
   zeros[0] = 1.0;
-  auto [one_payload, one_meta] = encode_block(zeros, level_, 0, 0, 0);
+  auto [one_payload, one_meta] = encode_block(zeros, 0, 0, 0);
 
   for (int r = 0; r < partition_.num_ranks(); ++r) {
     for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
       const bool is_origin = r == 0 && b == 0;
       ranks_[r].set_block(b, is_origin ? one_payload : zero_payload,
                           is_origin ? one_meta : zero_meta);
-      arbiter_->seed(global_block(r, b),
-                     (is_origin ? one_meta : zero_meta).codec ==
-                         compression::kLosslessCodecId);
     }
   }
 }
 
 std::pair<Bytes, runtime::BlockMeta> CompressedStateSimulator::encode_block(
-    std::span<const double> data, int level, int rank, int block,
+    std::span<const double> data, int rank, int block,
     std::size_t worker) const {
   ScopedPhase phase(worker_timers_[worker], Phase::kCompression);
-  const bool lossless =
-      arbiter_->decide_lossless(global_block(rank, block), level, data);
-  runtime::BlockMeta meta{static_cast<std::uint8_t>(level),
+  const bool lossless = runtime::decide_lossless(
+      arbiter_config_, level_, data, is_lossless(ranks_[rank].meta(block)));
+  runtime::BlockMeta meta{static_cast<std::uint8_t>(level_),
                           lossless ? compression::kLosslessCodecId
                                    : lossy_codec_id_};
   auto& scratch = scratch_->codec_scratch(worker);
@@ -344,7 +330,7 @@ std::pair<Bytes, runtime::BlockMeta> CompressedStateSimulator::encode_block(
     payload = lossless_->compress(data, ErrorBound::lossless(), scratch);
   } else {
     payload = lossy_->compress(
-        data, ErrorBound::relative(config_.error_ladder[level - 1]), scratch);
+        data, ErrorBound::relative(config_.error_ladder[level_ - 1]), scratch);
   }
   const double seconds = codec_timer.seconds();
   if (lossless) {
@@ -372,7 +358,7 @@ void CompressedStateSimulator::decompress_payload(
   auto& scratch = scratch_->codec_scratch(worker);
   auto& stats = codec_stats_[worker];
   WallTimer codec_timer;
-  if (meta.codec == compression::kLosslessCodecId) {
+  if (is_lossless(meta)) {
     lossless_->decompress(payload, out, scratch);
     stats.lossless_decompress_seconds += codec_timer.seconds();
     ++stats.lossless_decompress_calls;
@@ -411,16 +397,15 @@ void CompressedStateSimulator::apply_remap(const qsim::RemapStep& step) {
       units.emplace_back(r, b);
     }
   }
-  PairSpec spec;
-  spec.level = level_;
+  SweepSpec spec;
   spec.partner_rank_bit = 1 << hot_local;
-  spec.compute = [cold_bit](Amplitude* a0, Amplitude* a1,
+  spec.compute = [cold_bit](std::span<Amplitude* const> pair,
                             std::uint64_t count, int, int) {
     for (std::uint64_t k = 0; k < count; ++k) {
-      if (k & cold_bit) std::swap(a0[k], a1[k ^ cold_bit]);
+      if (k & cold_bit) std::swap(pair[0][k], pair[1][k ^ cold_bit]);
     }
   };
-  record_lossy_pass(run_pairs(units, spec));
+  record_lossy_pass(run_sweep(units, spec));
 }
 
 void CompressedStateSimulator::apply(const GateOp& op) {
@@ -531,7 +516,6 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
   swaps_relabeled_ += program.stats.swaps_relabeled;
   rank_gates_localized_ += program.stats.rank_targets_localized;
   rank_gates_in_place_ += program.stats.rank_targets_in_place;
-  remap_sweeps_avoided_ += program.stats.sweeps_avoided;
 
   for (const qsim::RemapItem& item : program.items) {
     switch (item.kind) {
@@ -672,7 +656,7 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
   const int partner_rank_bit = rank_pair ? pair_bit : 0;
   const int partner_block_bit = rank_pair ? 0 : pair_bit;
   std::vector<std::pair<int, int>> pairs;
-  std::vector<std::pair<int, int>> units;
+  std::vector<std::pair<int, int>> singles;
   for (int r = 0; r < partition_.num_ranks(); ++r) {
     for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
       const int first_rank = r & ~partner_rank_bit;
@@ -685,13 +669,16 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
       } else if (std::ranges::any_of(kernels, [&](const GateKernel& kernel) {
                    return kernel.acts_on(r, b);
                  })) {
-        units.emplace_back(r, b);
+        singles.emplace_back(r, b);
       }
     }
   }
+  SweepSpec spec;
+  spec.partner_rank_bit = partner_rank_bit;
+  spec.partner_block_bit = partner_block_bit;
   // The same kernels act differently on blocks where controls or factor
   // bits differ, so their selections join what a unit computes from.
-  const Selections selections = [&](int rank, int block) {
+  spec.selections = [&](int rank, int block) {
     std::vector<std::uint64_t> out;
     out.reserve(kernels.size());
     for (const GateKernel& kernel : kernels) {
@@ -699,40 +686,31 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
     }
     return out;
   };
-  PairSpec pair_spec;
-  pair_spec.level = level_;
-  pair_spec.partner_rank_bit = partner_rank_bit;
-  pair_spec.partner_block_bit = partner_block_bit;
-  pair_spec.selections = selections;
-  pair_spec.compute = [&](Amplitude* a, Amplitude* b, std::uint64_t count,
-                          int rank, int block) {
+  // Unit kernels run on each block with its own (rank, block), pairing
+  // kernels across a pair where their controls hold. A block swept alone
+  // is where every pairing kernel's controls fail.
+  spec.compute = [&](std::span<Amplitude* const> blocks, std::uint64_t count,
+                     int rank, int block) {
     for (const GateKernel& kernel : kernels) {
       if (!kernel.pairs) {
-        kernel.apply_unit(a, count, rank, block, backend_);
-        kernel.apply_unit(b, count, rank | partner_rank_bit,
-                          block | partner_block_bit, backend_);
-      } else if (kernel.controls_hold(rank, block)) {
-        qsim::pair_kernel(a, b, count, kernel.m, kernel.offset_ctrl_mask,
-                          backend_);
+        kernel.apply_unit(blocks[0], count, rank, block, backend_);
+        if (blocks.size() == 2) {
+          kernel.apply_unit(blocks[1], count, rank | partner_rank_bit,
+                            block | partner_block_bit, backend_);
+        }
+      } else if (blocks.size() == 2 && kernel.controls_hold(rank, block)) {
+        qsim::pair_kernel(blocks[0], blocks[1], count, kernel.m,
+                          kernel.offset_ctrl_mask, backend_);
       }
-    }
-  };
-  UnitSpec unit_spec;
-  unit_spec.level = level_;
-  unit_spec.selections = selections;
-  unit_spec.compute = [&](Amplitude* amps, std::uint64_t count, int rank,
-                          int block) {
-    // A block swept alone is where every pairing kernel's controls fail.
-    for (const GateKernel& kernel : kernels) {
-      if (!kernel.pairs) kernel.apply_unit(amps, count, rank, block, backend_);
     }
   };
   // Each block pays one recompression for the whole run, so the fidelity
   // ledger records one lossy pass, not one per op (Eq. 11 tightens to
   // F >= (1 - delta)^runs). The counts add in sequence: the operands of a
   // `+` have no evaluation order.
-  std::uint64_t lossy_blocks = run_pairs(pairs, pair_spec);
-  lossy_blocks += run_units(units, unit_spec);
+  std::uint64_t lossy_blocks = run_sweep(pairs, spec);
+  spec.partner_rank_bit = spec.partner_block_bit = 0;
+  lossy_blocks += run_sweep(singles, spec);
   record_lossy_pass(lossy_blocks);
 }
 
@@ -756,7 +734,8 @@ std::vector<std::vector<std::size_t>> CompressedStateSimulator::share_groups(
     return groups;
   }
   // What each block read contributes. The views are taken before the sweep
-  // rewrites anything and are dropped before it starts.
+  // rewrites anything and are dropped before it starts. Comparing bytes is
+  // bookkeeping, like a checkpoint save, so the views count no fault.
   struct Input {
     std::uint8_t codec;
     ByteSpan payload;
@@ -766,7 +745,7 @@ std::vector<std::vector<std::size_t>> CompressedStateSimulator::share_groups(
   inputs.reserve(blocks.size());
   for (const auto& [rank, block] : blocks) {
     const auto& store = ranks_[rank];
-    inputs.push_back({store.meta(block).codec, store.payload_view(block),
+    inputs.push_back({store.meta(block).codec, store.raw_view(block),
                       selections(rank, block)});
   }
   // A total order on units whose equivalence is equality of all inputs.
@@ -802,53 +781,22 @@ std::vector<std::vector<std::size_t>> CompressedStateSimulator::share_groups(
   return groups;
 }
 
-void CompressedStateSimulator::store_copy(int rank, int block,
-                                          const Bytes& payload,
-                                          runtime::BlockMeta meta) {
-  arbiter_->seed(global_block(rank, block),
-                 meta.codec == compression::kLosslessCodecId);
-  store_block(rank, block, payload, meta);
-}
-
-std::uint64_t CompressedStateSimulator::run_units(
-    const std::vector<std::pair<int, int>>& units, const UnitSpec& spec) {
-  const auto groups = share_groups(units, 1, spec.selections);
-  std::atomic<std::uint64_t> lossy_blocks{0};
-  pool_->parallel_for(groups.size(), [&](std::size_t g, std::size_t worker) {
-    const std::vector<std::size_t>& group = groups[g];
-    const auto [rank, block] = units[group.front()];
-    auto vx = scratch_->vector_x(worker);
-    decompress_block(rank, block, vx, worker);
-    if (spec.compute) {
-      ScopedPhase phase(worker_timers_[worker], Phase::kComputation);
-      spec.compute(as_complex(vx), partition_.amplitudes_per_block(), rank,
-                   block);
-    }
-    auto [payload, meta] = encode_block(vx, spec.level, rank, block, worker);
-    if (meta.codec != compression::kLosslessCodecId) {
-      lossy_blocks.fetch_add(group.size(), std::memory_order_relaxed);
-    }
-    for (std::size_t m = 1; m < group.size(); ++m) {
-      const auto [member_rank, member_block] = units[group[m]];
-      store_copy(member_rank, member_block, payload, meta);
-    }
-    store_block(rank, block, std::move(payload), meta);
-  });
-  return lossy_blocks.load(std::memory_order_relaxed);
-}
-
-std::uint64_t CompressedStateSimulator::run_pairs(
-    const std::vector<std::pair<int, int>>& units, const PairSpec& spec) {
-  // Both blocks of unit i: blocks[2i] and its partner blocks[2i + 1].
+std::uint64_t CompressedStateSimulator::run_sweep(
+    const std::vector<std::pair<int, int>>& units, const SweepSpec& spec) {
+  const bool cross_rank = spec.partner_rank_bit != 0;
+  const std::size_t per_unit =
+      cross_rank || spec.partner_block_bit != 0 ? 2 : 1;
+  // The blocks of unit i: blocks[i * per_unit] onward.
   std::vector<std::pair<int, int>> blocks;
-  blocks.reserve(2 * units.size());
+  blocks.reserve(per_unit * units.size());
   for (const auto& [rank, block] : units) {
     blocks.emplace_back(rank, block);
-    blocks.emplace_back(rank | spec.partner_rank_bit,
-                        block | spec.partner_block_bit);
+    if (per_unit == 2) {
+      blocks.emplace_back(rank | spec.partner_rank_bit,
+                          block | spec.partner_block_bit);
+    }
   }
-  const auto groups = share_groups(blocks, 2, spec.selections);
-  const bool cross_rank = spec.partner_rank_bit != 0;
+  const auto groups = share_groups(blocks, per_unit, spec.selections);
   std::atomic<std::uint64_t> lossy_blocks{0};
   pool_->parallel_for(groups.size(), [&](std::size_t g, std::size_t worker) {
     const std::vector<std::size_t>& group = groups[g];
@@ -858,53 +806,63 @@ std::uint64_t CompressedStateSimulator::run_pairs(
     // sides then hold both inputs and compute their own updated block from
     // the exchanged payloads, so no second round trip is needed.
     auto exchange = [&](std::size_t i) {
-      const auto [rank_a, block_a] = blocks[2 * i];
-      const auto [rank_b, block_b] = blocks[2 * i + 1];
+      const auto [rank_a, block_a] = blocks[per_unit * i];
+      const auto [rank_b, block_b] = blocks[per_unit * i + 1];
       ScopedPhase phase(timers, Phase::kCommunication);
       return comm_->exchange(rank_a, rank_b,
                              ranks_[rank_a].payload_view(block_a),
                              ranks_[rank_b].payload_view(block_b));
     };
-    const auto [rank_a, block_a] = blocks[2 * group.front()];
-    const auto [rank_b, block_b] = blocks[2 * group.front() + 1];
-    auto vx = scratch_->vector_x(worker);
-    auto vy = scratch_->vector_y(worker);
-    decompress_block(rank_a, block_a, vx, worker);
-    if (cross_rank) {
-      // Decompress the partner's block from the exchanged copy — the
-      // payload this rank received is the data it computes on.
-      decompress_payload(exchange(group.front()).to_a,
-                         ranks_[rank_b].meta(block_b), vy, worker);
-    } else {
-      decompress_block(rank_b, block_b, vy, worker);
+    const std::span<const std::pair<int, int>> own(
+        blocks.data() + per_unit * group.front(), per_unit);
+    const std::array<std::span<double>, 2> buffers = {
+        scratch_->vector_x(worker), scratch_->vector_y(worker)};
+    std::array<Amplitude*, 2> amps{};
+    for (std::size_t k = 0; k < per_unit; ++k) {
+      const auto [rank, block] = own[k];
+      if (k == 1 && cross_rank) {
+        // Decompress the partner's block from the exchanged copy — the
+        // payload this rank received is the data it computes on.
+        decompress_payload(exchange(group.front()).to_a,
+                           ranks_[rank].meta(block), buffers[k], worker);
+      } else {
+        decompress_block(rank, block, buffers[k], worker);
+      }
+      amps[k] = as_complex(buffers[k]);
     }
-    {
+    if (spec.compute) {
       ScopedPhase phase(timers, Phase::kComputation);
-      spec.compute(as_complex(vx), as_complex(vy),
-                   partition_.amplitudes_per_block(), rank_a, block_a);
+      spec.compute(std::span(amps).first(per_unit),
+                   partition_.amplitudes_per_block(), own[0].first,
+                   own[0].second);
     }
-    auto [payload_a, meta_a] =
-        encode_block(vx, spec.level, rank_a, block_a, worker);
-    auto [payload_b, meta_b] =
-        encode_block(vy, spec.level, rank_b, block_b, worker);
-    const std::uint64_t lossy =
-        (meta_a.codec != compression::kLosslessCodecId ? 1u : 0u) +
-        (meta_b.codec != compression::kLosslessCodecId ? 1u : 0u);
-    if (lossy > 0) {
-      lossy_blocks.fetch_add(lossy * group.size(), std::memory_order_relaxed);
+    std::array<std::pair<Bytes, runtime::BlockMeta>, 2> outputs;
+    std::uint64_t lossy = 0;
+    for (std::size_t k = 0; k < per_unit; ++k) {
+      const auto [rank, block] = own[k];
+      outputs[k] = encode_block(buffers[k], rank, block, worker);
+      const bool lossless = is_lossless(outputs[k].second);
+      if (!lossless) ++lossy;
+      if (lossless != is_lossless(ranks_[rank].meta(block))) {
+        ++codec_stats_[worker].codec_switches;
+      }
     }
+    lossy_blocks.fetch_add(lossy * group.size(), std::memory_order_relaxed);
     for (std::size_t m = 1; m < group.size(); ++m) {
       const std::size_t i = group[m];
       // A rank learns its partner's payload only by exchange, so a
       // member still exchanges although the shared output makes the
       // received bytes unnecessary.
       if (cross_rank) exchange(i);
-      store_copy(blocks[2 * i].first, blocks[2 * i].second, payload_a, meta_a);
-      store_copy(blocks[2 * i + 1].first, blocks[2 * i + 1].second, payload_b,
-                 meta_b);
+      for (std::size_t k = 0; k < per_unit; ++k) {
+        const auto [rank, block] = blocks[per_unit * i + k];
+        store_block(rank, block, outputs[k].first, outputs[k].second);
+      }
     }
-    store_block(rank_a, block_a, std::move(payload_a), meta_a);
-    store_block(rank_b, block_b, std::move(payload_b), meta_b);
+    for (std::size_t k = 0; k < per_unit; ++k) {
+      store_block(own[k].first, own[k].second, std::move(outputs[k].first),
+                  outputs[k].second);
+    }
   });
   return lossy_blocks.load(std::memory_order_relaxed);
 }
@@ -1016,17 +974,15 @@ void CompressedStateSimulator::enforce_budget() {
          level_ < static_cast<int>(config_.error_ladder.size()) &&
          lossy_ != nullptr) {
     ++level_;
-    record_lossy_pass(recompress_all(level_));
+    record_lossy_pass(recompress_all());
   }
   if (resident() > budget) budget_exceeded_ = true;
 }
 
-std::uint64_t CompressedStateSimulator::recompress_all(int new_level) {
-  UnitSpec spec;
-  spec.level = new_level;
-  return run_units(qsim::run_block_order(partition_.num_ranks(),
+std::uint64_t CompressedStateSimulator::recompress_all() {
+  return run_sweep(qsim::run_block_order(partition_.num_ranks(),
                                          partition_.blocks_per_rank()),
-                   spec);
+                   SweepSpec{});
 }
 
 double CompressedStateSimulator::probability_one(int qubit) {
@@ -1249,10 +1205,10 @@ int CompressedStateSimulator::measure(int qubit, Rng& rng) {
   const int physical = map_.physical(qubit);
   const auto segment = partition_.segment_of(physical);
   const int local = partition_.local_bit(physical);
-  UnitSpec spec;
-  spec.level = level_;
-  spec.compute = [&](Amplitude* amps, std::uint64_t count, int rank,
-                     int block) {
+  SweepSpec spec;
+  spec.compute = [&](std::span<Amplitude* const> blocks, std::uint64_t count,
+                     int rank, int block) {
+    Amplitude* amps = blocks[0];
     int block_bit = -1;  // -1: decided per amplitude
     if (segment == Partition::Segment::kBlock) {
       block_bit = (block >> local) & 1;
@@ -1270,7 +1226,7 @@ int CompressedStateSimulator::measure(int qubit, Rng& rng) {
       }
     }
   };
-  record_lossy_pass(run_units(qsim::run_block_order(
+  record_lossy_pass(run_sweep(qsim::run_block_order(
                                   partition_.num_ranks(),
                                   partition_.blocks_per_rank()),
                               spec));
@@ -1354,12 +1310,11 @@ CompressedStateSimulator CompressedStateSimulator::load_checkpoint(
     sim.map_ = header.qubit_map;
   }
   // Validate every block's codec id up front (decompression happens on
-  // worker threads, where a bad id could not throw usefully), and seed the
-  // arbiter's hysteresis from the persisted codec so the first pass after
-  // a restore doesn't see a blank history.
-  for (int r = 0; r < sim.partition_.num_ranks(); ++r) {
-    for (int b = 0; b < sim.partition_.blocks_per_rank(); ++b) {
-      const auto codec = sim.ranks_[r].meta(b).codec;
+  // worker threads, where a bad id could not throw usefully). The
+  // persisted codec is also the arbiter's hysteresis history.
+  for (const auto& store : sim.ranks_) {
+    for (int b = 0; b < store.num_blocks(); ++b) {
+      const auto codec = store.meta(b).codec;
       if (codec != compression::kLosslessCodecId &&
           codec != sim.lossy_codec_id_) {
         throw std::invalid_argument(
@@ -1367,8 +1322,6 @@ CompressedStateSimulator CompressedStateSimulator::load_checkpoint(
             " matches neither the lossless stage nor the checkpoint codec "
             "'" + sim.config_.codec + "'");
       }
-      sim.arbiter_->seed(sim.global_block(r, b),
-                         codec == compression::kLosslessCodecId);
     }
   }
   // Both the bound and the pass count resume exactly where the saved run
@@ -1429,14 +1382,10 @@ SimulationReport CompressedStateSimulator::report() const {
   rep.min_compression_ratio = min_ratio_;
   rep.final_ladder_level = level_;
   rep.codec_policy = config_.codec_policy;
-  const auto arbiter_stats = arbiter_->stats();
-  rep.codec_lossless_choices = arbiter_stats.lossless_choices;
-  rep.codec_lossy_choices = arbiter_stats.lossy_choices;
-  rep.codec_switches = arbiter_stats.switches;
   rep.block_raw_bytes = partition_.bytes_per_block();
   for (const auto& store : ranks_) {
     for (int b = 0; b < store.num_blocks(); ++b) {
-      if (store.meta(b).codec == compression::kLosslessCodecId) {
+      if (is_lossless(store.meta(b))) {
         ++rep.final_lossless_blocks;
         rep.final_lossless_bytes += store.block_size(b);
       } else {
@@ -1456,6 +1405,7 @@ SimulationReport CompressedStateSimulator::report() const {
     rep.lossy_compress_seconds += stats.lossy_compress_seconds;
     rep.lossless_decompress_seconds += stats.lossless_decompress_seconds;
     rep.lossy_decompress_seconds += stats.lossy_decompress_seconds;
+    rep.codec_switches += stats.codec_switches;
   }
   rep.compress_invocations =
       rep.lossless_compress_invocations + rep.lossy_compress_invocations;
@@ -1473,11 +1423,6 @@ SimulationReport CompressedStateSimulator::report() const {
   rep.swaps_relabeled = swaps_relabeled_;
   rep.rank_gates_localized = rank_gates_localized_;
   rep.rank_gates_in_place = rank_gates_in_place_;
-  // One avoided sweep = one paired exchange per (rank pair, block).
-  rep.remap_exchanges_avoided =
-      remap_sweeps_avoided_ *
-      (static_cast<std::uint64_t>(partition_.num_ranks()) / 2 *
-       partition_.blocks_per_rank());
   rep.simd_kernel = qsim::kernel_backend_name(backend_);
   rep.spill_enabled = spill_ != nullptr;
   rep.resident_budget_bytes = config_.resident_budget_bytes;

@@ -12,16 +12,17 @@
 // (qsim/scheduler.hpp) batches each stretch of consecutive gates whose
 // pairing gates all pair across one qubit k into one run, and folds each
 // CX(u,v) . D . CX(u,v) with D diagonal on v into one parity-phase kernel.
-// A run is one sweep: pairs across k where a pairing gate acts go to
-// run_pairs, which applies the unit kernels to each half and the pairing
-// kernels across the pair in program order; every other block a unit
-// kernel changes goes to run_units alone. So each block pays one codec
-// round — and the run one lossy fidelity pass — per run instead of per
-// gate, and a run across a rank qubit exchanges each pair once. A
-// hybrid compression policy starts lossless (Zstd
-// stand-in) and escalates through a pointwise-relative error-bound ladder
-// whenever the configured memory budget is exceeded (Section 3.7), while a
-// fidelity lower bound F >= prod (1 - delta_i) is maintained (Section 3.8).
+// A run is one sweep of the block executor, run_sweep, whose units hold
+// one block or a pair: pairs across k where a pairing gate acts get the
+// unit kernels on each half and the pairing kernels across the pair in
+// program order, and every other block a unit kernel changes is a unit
+// alone. So each block pays one codec round — and the run one lossy
+// fidelity pass — per run instead of per gate, and a run across a rank
+// qubit exchanges each pair once. A hybrid compression policy starts
+// lossless (Zstd stand-in) and escalates through a pointwise-relative
+// error-bound ladder whenever the configured memory budget is exceeded
+// (Section 3.7), while a fidelity lower bound F >= prod (1 - delta_i) is
+// maintained (Section 3.8).
 #pragma once
 
 #include <atomic>
@@ -168,8 +169,7 @@ class CompressedStateSimulator {
 
  private:
   struct GateKernel;  // one op resolved against the three index segments
-  struct UnitSpec;    // one single-block unit task (selections + kernels)
-  struct PairSpec;    // one block-pair task (partner, selections, kernels)
+  struct SweepSpec;   // one run_sweep task (partner, selections, kernels)
   /// Each kernel's GateKernel::selection on block (rank, block).
   using Selections = std::function<std::vector<std::uint64_t>(int, int)>;
 
@@ -192,8 +192,9 @@ class CompressedStateSimulator {
 
   /// Per-worker codec call attribution: wall seconds and invocation
   /// counts split by codec class (lossless zx vs the configured lossy
-  /// codec), merged into the report. Counts are deterministic across
-  /// worker counts; seconds are wall-clock.
+  /// codec), and the computed blocks whose class changed, merged into the
+  /// report. Counts are deterministic across worker counts; seconds are
+  /// wall-clock.
   struct CodecCallStats {
     double lossless_compress_seconds = 0.0;
     double lossy_compress_seconds = 0.0;
@@ -203,19 +204,22 @@ class CompressedStateSimulator {
     std::uint64_t lossy_compress_calls = 0;
     std::uint64_t lossless_decompress_calls = 0;
     std::uint64_t lossy_decompress_calls = 0;
+    std::uint64_t codec_switches = 0;
   };
 
   void init_blocks();
   int global_block(int rank, int block) const {
     return rank * partition_.blocks_per_rank() + block;
   }
-  /// Compresses one block at `level`, letting the codec arbiter pick
-  /// lossless vs. the configured lossy codec per block. Returns the
-  /// payload plus the BlockMeta (level + codec id) describing it. The
-  /// worker index selects the timer slot and the pooled CodecScratch, so
-  /// steady-state calls only allocate the returned payload.
+  /// Compresses `data` as block (rank, block) at the current level. The
+  /// codec arbiter picks lossless vs. the configured lossy codec from the
+  /// data and the codec the block holds now, which only the calling worker
+  /// may write. Returns the payload plus the BlockMeta (level + codec id)
+  /// describing it. The worker index selects the timer slot and the pooled
+  /// CodecScratch, so steady-state calls only allocate the returned
+  /// payload.
   std::pair<Bytes, runtime::BlockMeta> encode_block(
-      std::span<const double> data, int level, int rank, int block,
+      std::span<const double> data, int rank, int block,
       std::size_t worker) const;
   void decompress_block(int rank, int block, std::span<double> out,
                         std::size_t worker) const;
@@ -242,7 +246,7 @@ class CompressedStateSimulator {
                    const std::vector<std::size_t>& origin_counts);
   /// One physical exchange sweep trading a rank-segment position for an
   /// offset-segment position (the data half of a RemapOp; the caller
-  /// mirrors the swap into map_). Runs on run_pairs.
+  /// mirrors the swap into map_). One run_sweep over block pairs.
   void apply_remap(const qsim::RemapStep& step);
   void apply_single_counted(const qsim::GateOp& op);
 
@@ -255,31 +259,28 @@ class CompressedStateSimulator {
   /// pairing ops all pair blocks across `pair_qubit` (qsim::kPairsNoBlocks
   /// when none does): resolves each op, or each CX . D . CX triple
   /// qsim::starts_parity_phase recognises, to one kernel (a SWAP to three).
-  /// Pairs across pair_qubit where some pairing kernel's controls hold go
-  /// whole to run_pairs; every other block some unit kernel changes goes
-  /// alone to run_units; the rest are skipped. Each swept block is
-  /// decompressed once, has every kernel that runs there applied in program
-  /// order, and is recompressed once; the sweep records one lossy pass.
+  /// Pairs across pair_qubit where some pairing kernel's controls hold are
+  /// swept whole; every other block some unit kernel changes is swept
+  /// alone; the rest are skipped. Each swept block is decompressed once,
+  /// has every kernel that runs there applied in program order, and is
+  /// recompressed once; the sweep records one lossy pass.
   void apply_ops(std::span<const qsim::GateOp> ops, int pair_qubit);
 
-  // --- Block executors: every sweep that rewrites blocks runs on one ---
+  // --- The block executor: every sweep that rewrites blocks runs on it ---
 
-  /// Rewrites every (rank, block) unit, one parallel_for task per sharing
-  /// group (share_groups): the group's first unit decompresses, applies
-  /// spec.compute and recompresses, and every other member stores a copy.
-  /// A task touches only its group's blocks, so each block has one owner
-  /// in the region. Returns how many blocks the lossy codec wrote.
-  std::uint64_t run_units(const std::vector<std::pair<int, int>>& units,
-                          const UnitSpec& spec);
-  /// The two-block counterpart: a group's first pair exchanges its
-  /// payloads when it spans ranks, decodes both blocks, applies
-  /// spec.compute and recompresses both; every other member still
-  /// exchanges (an exchange is how a rank learns its partner's payload)
-  /// and stores copies. A task touches only the blocks of its group's
-  /// pairs, the exchanged ones included. Returns how many blocks the lossy
-  /// codec wrote.
-  std::uint64_t run_pairs(const std::vector<std::pair<int, int>>& units,
-                          const PairSpec& spec);
+  /// Rewrites the blocks of every unit, one parallel_for task per sharing
+  /// group (share_groups). A unit (rank, block) holds that block, plus its
+  /// partner when the spec sets a partner bit. The group's first unit
+  /// decodes its blocks (a partner across ranks from the payload the pair
+  /// exchanged), applies spec.compute and encodes them; every other member
+  /// exchanges too when its pair spans ranks (an exchange is how a rank
+  /// learns its partner's payload) and stores copies; the first unit
+  /// stores last. A task touches only its group's blocks, so each block
+  /// has one owner in the region. A computed block whose codec class
+  /// differs from the payload it replaces counts one codec switch; a copy
+  /// counts none. Returns how many blocks the lossy codec wrote.
+  std::uint64_t run_sweep(const std::vector<std::pair<int, int>>& units,
+                          const SweepSpec& spec);
   /// Splits a sweep's units into groups that compute from equal inputs,
   /// ordered by each group's first unit, members ascending. Unit i reads
   /// blocks[i * per_unit] onward; two units are equal when the first
@@ -290,11 +291,6 @@ class CompressedStateSimulator {
   std::vector<std::vector<std::size_t>> share_groups(
       std::span<const std::pair<int, int>> blocks, std::size_t per_unit,
       const Selections& selections);
-  /// Stores a copy of a group's output on a member's block. The arbiter is
-  /// seeded with the stored codec although no decision ran, so later codec
-  /// choices follow the stored state, not which unit of a group computed.
-  void store_copy(int rank, int block, const Bytes& payload,
-                  runtime::BlockMeta meta);
   /// Installs a rewritten block and voids its cached mass, then streams
   /// it to the spill tier when streaming spill is on — the one place
   /// executors write blocks.
@@ -342,10 +338,10 @@ class CompressedStateSimulator {
   /// Escalates the error ladder and recompresses every block until the
   /// compressed total fits the budget (or the ladder is exhausted).
   void enforce_budget();
-  /// Recompresses every block at `new_level` through run_units (never
-  /// shared); returns how many blocks the arbiter actually sent through
-  /// the lossy codec (adaptive blocks can stay lossless).
-  std::uint64_t recompress_all(int new_level);
+  /// Recompresses every block at the current level through run_sweep
+  /// (never shared); returns how many blocks the arbiter actually sent
+  /// through the lossy codec (adaptive blocks can stay lossless).
+  std::uint64_t recompress_all();
   void note_gate_finished(double gate_seconds);
   /// Saves to auto_checkpoint_path when checkpoint_interval_gates more
   /// gates have completed since the last autosave. Called only where the
@@ -368,7 +364,7 @@ class CompressedStateSimulator {
   std::unique_ptr<compression::Compressor> lossless_;
   std::unique_ptr<compression::Compressor> lossy_;
   std::uint8_t lossy_codec_id_ = compression::kLosslessCodecId;
-  std::unique_ptr<runtime::CodecArbiter> arbiter_;
+  runtime::ArbiterConfig arbiter_config_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<runtime::ScratchArena> scratch_;
   mutable std::vector<PhaseTimers> worker_timers_;
@@ -408,7 +404,6 @@ class CompressedStateSimulator {
   std::uint64_t swaps_relabeled_ = 0;
   std::uint64_t rank_gates_localized_ = 0;
   std::uint64_t rank_gates_in_place_ = 0;
-  std::uint64_t remap_sweeps_avoided_ = 0;
   CacheStats sharing_;  ///< gate sweeps' shared (hits) and computed units
   double wall_seconds_ = 0.0;
   double min_ratio_ = 0.0;  ///< 0 until first gate

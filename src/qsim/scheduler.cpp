@@ -158,19 +158,6 @@ struct TargetEvents {
   }
 };
 
-/// Exchange sweeps the identity (remap-off) layout pays for one logical
-/// op: one per non-diagonal rank-segment target, with SWAP expanded into
-/// its three CX legs (targets b, a, b).
-std::size_t identity_sweeps(const GateOp& op, int rank_start) {
-  if (op.kind == GateKind::kSwap) {
-    std::size_t sweeps = 0;
-    if (op.controls[0] >= rank_start) sweeps += 2;
-    if (op.target >= rank_start) sweeps += 1;
-    return sweeps;
-  }
-  return !is_diagonal(op.kind) && op.target >= rank_start ? 1 : 0;
-}
-
 }  // namespace
 
 RemapProgram plan_remaps(const Circuit& circuit,
@@ -242,8 +229,6 @@ RemapProgram plan_remaps(const Circuit& circuit,
     ++program.stats.remaps;
   };
 
-  std::size_t gross_avoided = 0;
-  std::size_t added_cost = 0;
   const auto& ops = circuit.ops();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const GateOp& op = ops[i];
@@ -259,7 +244,6 @@ RemapProgram plan_remaps(const Circuit& circuit,
       working.relabel(item.relabel_a, item.relabel_b);
       program.items.push_back(item);
       ++program.stats.swaps_relabeled;
-      gross_avoided += identity_sweeps(op, rank_start);
       continue;
     }
 
@@ -283,25 +267,15 @@ RemapProgram plan_remaps(const Circuit& circuit,
           phys = translated_through(op, working);
         } else {
           ++program.stats.rank_targets_in_place;
-          // An evicted logical targeted at rank is remap-added cost the
-          // identity layout never paid.
-          if (identity_sweeps(op, rank_start) == 0) ++added_cost;
         }
       }
       if (!is_diagonal(op.kind) && phys.target < rank_start &&
-          identity_sweeps(op, rank_start) > 0) {
+          op.target >= rank_start) {
         ++program.stats.rank_targets_localized;
-        ++gross_avoided;
       }
     }
     append_gate(phys, weight);
   }
-  // Every emitted RemapStep is itself one sweep the identity layout never
-  // paid; net the ledger so `sweeps_avoided` is directly comparable to
-  // the remap-off exchange count.
-  const std::size_t penalty = program.stats.remaps + added_cost;
-  program.stats.sweeps_avoided =
-      gross_avoided > penalty ? gross_avoided - penalty : 0;
   return program;
 }
 

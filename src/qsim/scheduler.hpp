@@ -200,11 +200,6 @@ struct RemapStats {
   /// Non-diagonal gates that still executed with a rank-segment physical
   /// target (last-touch in-place applications and unavoidable residue).
   std::size_t rank_targets_in_place = 0;
-  /// Exchange *sweeps* the identity layout would have paid that the
-  /// remapped program does not (relabeled swap legs included, emitted
-  /// RemapSteps already deducted). Multiply by block-pairs-per-sweep for
-  /// the exchange count.
-  std::size_t sweeps_avoided = 0;
 };
 
 /// The remapped program: executed strictly in order by the simulator,

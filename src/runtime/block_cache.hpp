@@ -1,7 +1,7 @@
 // The run key of the retired cross-sweep block cache (Section 3.4). The
 // simulator keys nothing any more: units of one gate sweep that read equal
 // bytes share one output, and the bytes themselves decide equality (see
-// CompressedStateSimulator::run_units).
+// CompressedStateSimulator::share_groups).
 #pragma once
 
 #include <cstdint>

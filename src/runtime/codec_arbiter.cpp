@@ -41,63 +41,18 @@ CodecPolicy parse_codec_policy(const std::string& name) {
       "' (expected \"fixed\" or \"adaptive\")");
 }
 
-CodecArbiter::CodecArbiter(ArbiterConfig config, int total_blocks)
-    : config_(config),
-      last_lossless_(static_cast<std::size_t>(total_blocks), kUnset) {}
-
-bool CodecArbiter::decide_lossless(int global_block, int level,
-                                   std::span<const double> data) {
-  auto& last = last_lossless_[static_cast<std::size_t>(global_block)];
-  bool lossless;
-  if (level == 0) {
-    lossless = true;
-  } else if (config_.policy == CodecPolicy::kFixed) {
-    lossless = false;
-  } else {
-    const BlockStats stats = compute_block_stats(data);
-    // Hysteresis: shift each threshold against the direction of a flip, so
-    // the signal must leave the band around the threshold before the block
-    // changes codec (additive on the zero fraction and on dynamic-range
-    // bits, multiplicative on the spikiness ratio). A block with no
-    // history uses the raw thresholds.
-    double zf_threshold = config_.zero_fraction_threshold;
-    double dr_threshold = config_.dynamic_range_threshold;
-    double spike_threshold = config_.spikiness_threshold;
-    if (last == 1) {  // currently lossless: switch only when clearly dense
-      zf_threshold -= config_.hysteresis;
-      dr_threshold += config_.hysteresis;
-      spike_threshold *= 1.0 - config_.hysteresis;
-    } else if (last == 0) {  // currently lossy: switch only when clearly sparse
-      zf_threshold += config_.hysteresis;
-      dr_threshold -= config_.hysteresis;
-      spike_threshold *= 1.0 + config_.hysteresis;
-    }
-    lossless = stats.zero_fraction >= zf_threshold ||
-               stats.dynamic_range <= dr_threshold ||
-               stats.spikiness >= spike_threshold;
-  }
-
-  (lossless ? lossless_choices_ : lossy_choices_)
-      .fetch_add(1, std::memory_order_relaxed);
-  const auto now = static_cast<std::uint8_t>(lossless ? 1 : 0);
-  if (last != kUnset && last != now) {
-    switches_.fetch_add(1, std::memory_order_relaxed);
-  }
-  last = now;
-  return lossless;
-}
-
-void CodecArbiter::seed(int global_block, bool lossless) {
-  last_lossless_[static_cast<std::size_t>(global_block)] =
-      static_cast<std::uint8_t>(lossless ? 1 : 0);
-}
-
-ArbiterStats CodecArbiter::stats() const {
-  ArbiterStats stats;
-  stats.lossless_choices = lossless_choices_.load(std::memory_order_relaxed);
-  stats.lossy_choices = lossy_choices_.load(std::memory_order_relaxed);
-  stats.switches = switches_.load(std::memory_order_relaxed);
-  return stats;
+bool decide_lossless(const ArbiterConfig& config, int level,
+                     std::span<const double> data, bool was_lossless) {
+  if (level == 0) return true;
+  if (config.policy == CodecPolicy::kFixed) return false;
+  const BlockStats stats = compute_block_stats(data);
+  // Hysteresis: shift each threshold against a flip, so the signal must
+  // leave the band around it before the block changes codec. A lossless
+  // block moves only when clearly dense, a lossy one when clearly sparse.
+  const double h = was_lossless ? -config.hysteresis : config.hysteresis;
+  return stats.zero_fraction >= config.zero_fraction_threshold + h ||
+         stats.dynamic_range <= config.dynamic_range_threshold - h ||
+         stats.spikiness >= config.spikiness_threshold * (1.0 + h);
 }
 
 }  // namespace cqs::runtime

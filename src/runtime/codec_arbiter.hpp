@@ -2,18 +2,15 @@
 // 9-14 observation that compression effectiveness is dictated by block
 // state structure). Spiky or mostly-zero blocks favor the lossless
 // zero-suppressing zx path; dense smooth blocks need the lossy
-// error-bounded codec to fit memory. Under the "adaptive" policy the
-// arbiter inspects cheap block statistics at every recompression and picks
-// lossless vs. the configured lossy codec independently for each block,
-// with hysteresis so a block sitting near a threshold doesn't thrash
-// between codecs on successive passes.
+// error-bounded codec to fit memory. Under the "adaptive" policy each
+// recompression reads cheap block statistics and picks lossless vs. the
+// configured lossy codec per block, with hysteresis so a block near a
+// threshold doesn't thrash between codecs. The decision keeps no state: a
+// block's only history is the codec its BlockMeta records.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace cqs::runtime {
 
@@ -67,45 +64,12 @@ struct ArbiterConfig {
   double hysteresis = 0.1;
 };
 
-struct ArbiterStats {
-  std::uint64_t lossless_choices = 0;  ///< passes encoded with lossless zx
-  std::uint64_t lossy_choices = 0;     ///< passes encoded with the lossy codec
-  std::uint64_t switches = 0;  ///< per-block codec flips (post-hysteresis)
-};
-
-class CodecArbiter {
- public:
-  /// `total_blocks`: number of blocks across all ranks; per-block
-  /// hysteresis state is indexed by rank * blocks_per_rank + block.
-  CodecArbiter(ArbiterConfig config, int total_blocks);
-
-  /// Decides the codec for one compression pass of `global_block` at
-  /// ladder `level`. Level 0 is always lossless; the fixed policy always
-  /// picks the lossy codec above level 0; the adaptive policy computes
-  /// block statistics and applies the hysteresis band. Returns true for
-  /// lossless. Safe to call concurrently for distinct blocks (the
-  /// simulator's parallel_for never hands one block to two workers).
-  bool decide_lossless(int global_block, int level,
-                       std::span<const double> data);
-
-  /// Reinstates a block's last-known codec (checkpoint resume) without
-  /// counting a choice, so hysteresis continues where the saved run was.
-  void seed(int global_block, bool lossless);
-
-  const ArbiterConfig& config() const { return config_; }
-  ArbiterStats stats() const;
-
- private:
-  static constexpr std::uint8_t kUnset = 2;
-
-  ArbiterConfig config_;
-  /// Last decision per block: 0 = lossy, 1 = lossless, kUnset = no pass
-  /// yet. Plain bytes: distinct blocks are never raced (see
-  /// decide_lossless), and reads/writes of one block stay on one worker.
-  std::vector<std::uint8_t> last_lossless_;
-  std::atomic<std::uint64_t> lossless_choices_{0};
-  std::atomic<std::uint64_t> lossy_choices_{0};
-  std::atomic<std::uint64_t> switches_{0};
-};
+/// Decides the codec for one compression of a block at ladder `level`;
+/// true means lossless. Level 0 is always lossless and the fixed policy
+/// always picks the lossy codec above it. The adaptive policy computes the
+/// block's statistics and shifts each threshold against a flip away from
+/// the codec the block holds now (`was_lossless`).
+bool decide_lossless(const ArbiterConfig& config, int level,
+                     std::span<const double> data, bool was_lossless);
 
 }  // namespace cqs::runtime

@@ -22,9 +22,9 @@ using core::CompressedStateSimulator;
 using core::SimConfig;
 using runtime::ArbiterConfig;
 using runtime::BlockStats;
-using runtime::CodecArbiter;
 using runtime::CodecPolicy;
 using runtime::compute_block_stats;
+using runtime::decide_lossless;
 
 TEST(BlockStatsTest, AllZeros) {
   const std::vector<double> zeros(128, 0.0);
@@ -85,31 +85,28 @@ TEST(CodecIdTest, StableRoundTrip) {
 }
 
 TEST(CodecArbiterTest, LevelZeroIsAlwaysLossless) {
-  CodecArbiter arbiter({.policy = CodecPolicy::kFixed}, 4);
   const std::vector<double> dense = test::dense_supremacy_like(128, 1);
-  EXPECT_TRUE(arbiter.decide_lossless(0, 0, dense));
+  EXPECT_TRUE(decide_lossless({.policy = CodecPolicy::kFixed}, 0, dense,
+                              /*was_lossless=*/false));
 }
 
 TEST(CodecArbiterTest, FixedPolicyAlwaysPicksLossyAboveLevelZero) {
-  CodecArbiter arbiter({.policy = CodecPolicy::kFixed}, 4);
   const std::vector<double> zeros(128, 0.0);  // even decisively sparse data
-  EXPECT_FALSE(arbiter.decide_lossless(0, 1, zeros));
-  EXPECT_EQ(arbiter.stats().lossy_choices, 1u);
+  EXPECT_FALSE(decide_lossless({.policy = CodecPolicy::kFixed}, 1, zeros,
+                               /*was_lossless=*/true));
 }
 
 TEST(CodecArbiterTest, AdaptiveRoutesByBlockStructure) {
-  ArbiterConfig config;
-  config.policy = CodecPolicy::kAdaptive;
-  CodecArbiter arbiter(config, 4);
+  const ArbiterConfig config{.policy = CodecPolicy::kAdaptive};
   const std::vector<double> zeros(128, 0.0);
   const std::vector<double> uniform(128, 0.1);  // dr = 0: repeated patterns
   const auto dense = test::dense_supremacy_like(128, 2);
-  EXPECT_TRUE(arbiter.decide_lossless(0, 2, zeros));
-  EXPECT_TRUE(arbiter.decide_lossless(1, 2, uniform));
-  EXPECT_FALSE(arbiter.decide_lossless(2, 2, dense));
-  const auto stats = arbiter.stats();
-  EXPECT_EQ(stats.lossless_choices, 2u);
-  EXPECT_EQ(stats.lossy_choices, 1u);
+  // Decisive blocks route the same whichever codec they hold.
+  for (bool was_lossless : {false, true}) {
+    EXPECT_TRUE(decide_lossless(config, 2, zeros, was_lossless));
+    EXPECT_TRUE(decide_lossless(config, 2, uniform, was_lossless));
+    EXPECT_FALSE(decide_lossless(config, 2, dense, was_lossless));
+  }
 }
 
 TEST(CodecArbiterTest, HysteresisStopsThrashingAtTheBoundary) {
@@ -118,45 +115,28 @@ TEST(CodecArbiterTest, HysteresisStopsThrashingAtTheBoundary) {
   config.zero_fraction_threshold = 0.5;
   config.dynamic_range_threshold = 0.0;
   config.hysteresis = 0.1;
-  CodecArbiter arbiter(config, 1);
 
-  // Alternate just above/below the raw threshold, inside the +-0.1 band.
-  // 66 nonzero of 128 (zf = 0.484) vs 62 nonzero (zf = 0.516): without
-  // hysteresis the block would flip codec every pass.
+  // Just above/below the raw threshold, inside the +-0.1 band: 66 nonzero
+  // of 128 (zf = 0.484) vs 62 nonzero (zf = 0.516). Without hysteresis a
+  // block alternating between the two would flip codec every pass; with
+  // it, a block keeps the codec it holds.
   auto with_nonzeros = [](int nonzeros) {
     std::vector<double> data(128, 0.0);
     for (int i = 0; i < nonzeros; ++i) data[i] = 1.0 + i;  // wide range
     return data;
   };
-  const bool first = arbiter.decide_lossless(0, 1, with_nonzeros(66));
-  for (int pass = 0; pass < 6; ++pass) {
-    EXPECT_EQ(arbiter.decide_lossless(0, 1, with_nonzeros(pass % 2 ? 62 : 66)),
-              first);
+  for (bool was_lossless : {false, true}) {
+    for (int nonzeros : {62, 66}) {
+      EXPECT_EQ(
+          decide_lossless(config, 1, with_nonzeros(nonzeros), was_lossless),
+          was_lossless)
+          << nonzeros << " nonzeros";
+    }
   }
-  EXPECT_EQ(arbiter.stats().switches, 0u);
 
-  // A decisive move outside the band does flip, once.
-  EXPECT_TRUE(arbiter.decide_lossless(0, 1, with_nonzeros(8)));
-  EXPECT_EQ(arbiter.stats().switches, first ? 0u : 1u);
-}
-
-TEST(CodecArbiterTest, SeedPrimesHysteresisWithoutCountingAChoice) {
-  ArbiterConfig config;
-  config.policy = CodecPolicy::kAdaptive;
-  config.zero_fraction_threshold = 0.5;
-  config.dynamic_range_threshold = 0.0;
-  config.hysteresis = 0.1;
-  CodecArbiter arbiter(config, 2);
-  arbiter.seed(0, false);  // block 0 resumed from a lossy payload
-  EXPECT_EQ(arbiter.stats().lossless_choices + arbiter.stats().lossy_choices,
-            0u);
-
-  // zf = 0.531 clears the raw threshold but not the seeded lossy block's
-  // raised one (0.6) — hysteresis carried over the resume.
-  std::vector<double> data(128, 0.0);
-  for (int i = 0; i < 60; ++i) data[i] = 1.0 + i;
-  EXPECT_FALSE(arbiter.decide_lossless(0, 1, data));
-  EXPECT_TRUE(arbiter.decide_lossless(1, 1, data));  // unseeded: raw threshold
+  // A decisive move outside the band does flip.
+  EXPECT_TRUE(decide_lossless(config, 1, with_nonzeros(8), false));
+  EXPECT_FALSE(decide_lossless(config, 1, with_nonzeros(120), true));
 }
 
 // --- Simulator-level behavior -------------------------------------------
@@ -188,7 +168,7 @@ TEST(AdaptiveSimulatorTest, SparseCircuitStaysExactAtALossyLevel) {
   reference.apply_circuit(circuit);
 
   const auto report = adaptive.report();
-  EXPECT_EQ(report.codec_lossy_choices, 0u);
+  EXPECT_EQ(report.lossy_compress_invocations, 0u);
   EXPECT_EQ(report.lossy_passes, 0u);
   EXPECT_DOUBLE_EQ(report.fidelity_bound, 1.0);
   CQS_EXPECT_STATES_CLOSE(adaptive.to_raw(), reference.to_raw(), 0.0);
@@ -202,7 +182,7 @@ TEST(AdaptiveSimulatorTest, DenseCircuitUsesTheLossyCodecWithinBound) {
   CompressedStateSimulator sim(config);
   sim.apply_circuit(circuit);
   const auto report = sim.report();
-  EXPECT_GT(report.codec_lossy_choices, 0u);
+  EXPECT_GT(report.lossy_compress_invocations, 0u);
   EXPECT_GT(report.lossy_passes, 0u);
 
   CompressedStateSimulator reference(adaptive_config(10));
@@ -225,7 +205,7 @@ TEST(AdaptiveSimulatorTest, MixedBlockCodecsCoexistAndCensusAddsUp) {
   EXPECT_EQ(report.final_lossless_bytes + report.final_lossy_bytes,
             sim.compressed_bytes());
   EXPECT_EQ(report.codec_policy, "adaptive");
-  EXPECT_GT(report.codec_lossless_choices, 0u);
+  EXPECT_GT(report.lossless_compress_invocations, 0u);
 }
 
 TEST(AdaptiveSimulatorTest, CacheHitsPreserveBlockCodecIdentity) {
@@ -263,10 +243,10 @@ TEST(AdaptiveSimulatorTest, FixedPolicyReportsNoLosslessChoicesAboveLevel0) {
   CompressedStateSimulator sim(config);
   sim.apply_circuit(circuit);
   const auto report = sim.report();
-  // Init happens at level 1 too, so every choice the arbiter logged for a
-  // fixed-policy lossy run is a lossy one.
-  EXPECT_EQ(report.codec_lossless_choices, 0u);
-  EXPECT_GT(report.codec_lossy_choices, 0u);
+  // Init happens at level 1 too, so every block a fixed-policy lossy run
+  // compressed went through the lossy codec.
+  EXPECT_EQ(report.lossless_compress_invocations, 0u);
+  EXPECT_GT(report.lossy_compress_invocations, 0u);
   EXPECT_EQ(report.final_lossless_blocks, 0u);
 }
 

@@ -46,7 +46,7 @@ SimConfig comm_config(int qubits, int ranks, bool remap) {
 }
 
 /// Paired block exchanges one run costs when all its pairing ops target
-/// rank-segment qubit `qubit`: the pair units of run_pairs — ranks with the
+/// rank-segment qubit `qubit`: the pair units of run_sweep — ranks with the
 /// qubit's bit clear, times blocks — where the rank and block control bits
 /// of some pairing op hold. The exchange carries both payloads once for
 /// the whole run.

@@ -68,7 +68,7 @@ using test::random_circuit;  // shared with the spill suite (test_util)
 
 /// The deterministic subset of a report: everything except wall-clock
 /// times must be identical across worker counts, the cache's hit/miss
-/// split, codec calls and arbiter choices included.
+/// split, codec calls and codec switches included.
 struct DeterministicReport {
   std::uint64_t gates, batched_runs, batched_gates, lossy_passes;
   double fidelity_bound;
@@ -78,7 +78,7 @@ struct DeterministicReport {
   std::uint64_t cache_hits, cache_misses;
   std::uint64_t lossless_compress, lossy_compress;
   std::uint64_t lossless_decompress, lossy_decompress;
-  std::uint64_t lossless_choices, lossy_choices, codec_switches;
+  std::uint64_t codec_switches;
   bool operator==(const DeterministicReport&) const = default;
 };
 
@@ -99,8 +99,6 @@ DeterministicReport deterministic_fields(const core::SimulationReport& r) {
           r.lossy_compress_invocations,
           r.lossless_decompress_invocations,
           r.lossy_decompress_invocations,
-          r.codec_lossless_choices,
-          r.codec_lossy_choices,
           r.codec_switches};
 }
 
@@ -109,8 +107,8 @@ TEST(ConcurrencyTest, RandomizedCircuitsBitIdenticalAcrossThreadCounts) {
   // states must be bit-identical and the deterministic report fields must
   // agree — per-block compression is deterministic, blocks are
   // independent, sharing groups are planned before a sweep starts, and
-  // (for adaptive) the arbiter's hysteresis follows the stored codec of
-  // every unit that took a shared output.
+  // (for adaptive) the arbiter's hysteresis reads the stored codec of
+  // every block, shared outputs included.
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
   for (const std::string policy : {"fixed", "adaptive"}) {
@@ -264,7 +262,7 @@ TEST(ConcurrencyTest, RemappedRunsBitIdenticalAcrossThreadCounts) {
     std::vector<double> reference;
     DeterministicReport reference_report{};
     std::uint64_t reference_comm_bytes = 0;
-    std::uint64_t reference_remaps[4] = {0, 0, 0, 0};
+    std::uint64_t reference_remaps[3] = {0, 0, 0};
     std::vector<int> reference_map;
     for (int threads : {1, 2, hw}) {
       core::SimConfig config;
@@ -277,23 +275,22 @@ TEST(ConcurrencyTest, RemappedRunsBitIdenticalAcrossThreadCounts) {
       sim.apply_circuit(circuit);
       const auto report = sim.report();
       const auto fields = deterministic_fields(report);
-      const std::uint64_t remaps[4] = {report.remap_sweeps,
+      const std::uint64_t remaps[3] = {report.remap_sweeps,
                                        report.swaps_relabeled,
-                                       report.rank_gates_localized,
-                                       report.remap_exchanges_avoided};
+                                       report.rank_gates_localized};
       const auto raw = sim.to_raw();
       if (reference.empty()) {
         reference = raw;
         reference_report = fields;
         reference_comm_bytes = report.comm_bytes;
-        for (int i = 0; i < 4; ++i) reference_remaps[i] = remaps[i];
+        for (int i = 0; i < 3; ++i) reference_remaps[i] = remaps[i];
         reference_map = sim.qubit_map().physical_table();
       } else {
         CQS_EXPECT_STATES_CLOSE(raw, reference, 0.0);
         EXPECT_EQ(fields, reference_report) << "threads " << threads;
         EXPECT_EQ(report.comm_bytes, reference_comm_bytes)
             << "threads " << threads;
-        for (int i = 0; i < 4; ++i) {
+        for (int i = 0; i < 3; ++i) {
           EXPECT_EQ(remaps[i], reference_remaps[i])
               << "threads " << threads << " field " << i;
         }

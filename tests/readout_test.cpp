@@ -11,15 +11,25 @@
 // workloads (bench/suite/workloads.hpp, read-only here) as one SHA-256 per
 // workload and seed. The digests were recorded from a simulator without
 // the cache, so they show that the cache moves no bit.
+//
+// StatePinTest pins what the same workloads leave right after
+// apply_circuit, with sweep sharing off and on: the state and checkpoint
+// image digests and every deterministic count of the report, one table row
+// per workload, seed and sharing setting. A mismatch prints the observed
+// row in table syntax, so re-recording a row is a paste.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "../bench/suite/workloads.hpp"
+#include "circuits/supremacy.hpp"
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "core/simulator.hpp"
@@ -373,6 +383,295 @@ TEST_F(ReadoutPinTest, QftOoc) {
       {1, "f7f35b340cc5bdbb64aa4641086492d87aea833f0f90fb201af93ab1411d07eb"},
       {2, "5131a7e2fb490d5fea9f7ac84e05127061d6766c9799f4da05424eb43da200b8"},
   });
+}
+
+// --- The suite's states and counts, pinned across commits -----------------
+
+/// What a run leaves right after apply_circuit. 1 and 4 threads must give
+/// the same row, except the peak, which is pinned at one thread: with more
+/// it depends on which blocks the workers hold at once.
+struct StatePin {
+  std::uint64_t seed;
+  bool sharing;  ///< SimConfig::enable_cache
+  const char* state_sha256;  ///< to_raw() bytes
+  const char* image_sha256;  ///< a checkpoint saved after the circuit
+  std::uint64_t batched_runs;
+  std::uint64_t lossless_compress;
+  std::uint64_t lossy_compress;
+  std::uint64_t lossless_decompress;
+  std::uint64_t lossy_decompress;
+  std::uint64_t codec_switches;
+  std::uint64_t lossy_passes;
+  std::uint64_t fidelity_bound_bits;
+  std::uint64_t comm_bytes;
+  std::uint64_t comm_messages;
+  std::uint64_t spill_events;
+  std::uint64_t fault_events;
+  std::uint64_t sharing_hits;
+  std::uint64_t sharing_misses;
+  std::uint64_t ladder_level;
+  std::uint64_t compressed_bytes;
+  std::uint64_t peak_compressed_bytes;
+};
+
+std::string join(std::initializer_list<std::uint64_t> values) {
+  std::string out;
+  for (std::uint64_t v : values) {
+    out += (out.empty() ? "" : ", ") + std::to_string(v);
+  }
+  return out;
+}
+
+std::string digest_of(const void* data, std::size_t size) {
+  Sha256 digest;
+  digest.update(data, size);
+  return digest.hex_digest();
+}
+
+/// The pin as a table row, so a mismatch prints the row to paste.
+std::string describe(const StatePin& p) {
+  char bits[24];
+  std::snprintf(bits, sizeof bits, "0x%016llx",
+                static_cast<unsigned long long>(p.fidelity_bound_bits));
+  const std::string indent = "\n       ";
+  return "{" + std::to_string(p.seed) + ", " +
+         (p.sharing ? "true" : "false") + "," + indent + "\"" +
+         p.state_sha256 + "\"," + indent + "\"" + p.image_sha256 + "\"," +
+         indent +
+         join({p.batched_runs, p.lossless_compress, p.lossy_compress,
+               p.lossless_decompress, p.lossy_decompress, p.codec_switches,
+               p.lossy_passes}) +
+         ", " + bits + "," + indent +
+         join({p.comm_bytes, p.comm_messages, p.spill_events, p.fault_events,
+               p.sharing_hits, p.sharing_misses}) +
+         "," + indent +
+         join({p.ladder_level, p.compressed_bytes, p.peak_compressed_bytes}) +
+         "}";
+}
+
+class StatePinTest : public test::TempDirFixture {
+ protected:
+  struct Run {
+    std::string state_sha256;
+    std::string image_sha256;
+    core::SimulationReport report;
+    std::size_t compressed_bytes = 0;
+  };
+
+  /// Applies `circuit`, reads the report, then saves a checkpoint and
+  /// hashes it and the state.
+  Run run(SimConfig config, const qsim::Circuit& circuit, bool sharing,
+          int threads) {
+    config.enable_cache = sharing;
+    config.threads = threads;
+    CompressedStateSimulator sim(config);
+    sim.apply_circuit(circuit);
+    Run r;
+    r.report = sim.report();
+    r.compressed_bytes = sim.compressed_bytes();
+    const std::string image = path("state.ckpt");
+    sim.save_checkpoint(image);
+    std::ifstream in(image, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)), {});
+    r.image_sha256 = digest_of(bytes.data(), bytes.size());
+    const std::vector<double> raw = sim.to_raw();
+    r.state_sha256 = digest_of(raw.data(), raw.size() * sizeof(double));
+    return r;
+  }
+
+  /// Runs `expected`'s row at 1 and 4 threads; each must give the row.
+  void expect_row(const SimConfig& config, const qsim::Circuit& circuit,
+                  const StatePin& expected, const std::string& name) {
+    for (int threads : {1, 4}) {
+      Run r = run(config, circuit, expected.sharing, threads);
+      const core::SimulationReport& rep = r.report;
+      const StatePin observed{
+          expected.seed,
+          expected.sharing,
+          r.state_sha256.c_str(),
+          r.image_sha256.c_str(),
+          rep.batched_runs,
+          rep.lossless_compress_invocations,
+          rep.lossy_compress_invocations,
+          rep.lossless_decompress_invocations,
+          rep.lossy_decompress_invocations,
+          rep.codec_switches,
+          rep.lossy_passes,
+          std::bit_cast<std::uint64_t>(rep.fidelity_bound),
+          rep.comm_bytes,
+          rep.comm_messages,
+          rep.spill_events,
+          rep.fault_events,
+          rep.cache.hits,
+          rep.cache.misses,
+          static_cast<std::uint64_t>(rep.final_ladder_level),
+          r.compressed_bytes,
+          threads == 1 ? rep.peak_compressed_bytes
+                       : expected.peak_compressed_bytes};
+      const std::string row = describe(observed);
+      EXPECT_TRUE(row == describe(expected))
+          << name << " threads " << threads << " observed the row\n      "
+          << row << ",\nnot\n      " << describe(expected);
+    }
+  }
+
+  void expect_rows(const std::string& name,
+                   const std::vector<StatePin>& rows) {
+    for (const StatePin& row : rows) {
+      const bench::suite::Workload w =
+          bench::suite::make_workload(name, row.seed, path(""));
+      expect_row(w.config, w.circuit, row, name);
+    }
+  }
+};
+
+// A row: seed and sharing; the state and image digests; then one line of
+// batched_runs, lossless and lossy compress calls, lossless and lossy
+// decompress calls, codec_switches, lossy_passes and the fidelity bound's
+// bits; one line of comm_bytes, comm_messages, spill_events, fault_events
+// and sharing hits and misses; and one line of the final ladder level,
+// compressed_bytes() and the 1-thread peak_compressed_bytes.
+
+TEST_F(StatePinTest, QaoaLossy) {
+  expect_rows("qaoa_lossy", {
+      {1, false,
+       "e3030bfebabcd88450c827ae44755450c97a2c5391bdb62a2e4cb7b74a3d7c97",
+       "83937a3fc444c028cc1bcab94d7652b84d6b69537dfefd642e5c7178da473944",
+       15, 578, 576, 640, 512, 64, 9, 0x3fefcdfe5b0e36d4,
+       676344, 256, 0, 0, 0, 0,
+       3, 328944, 581290},
+      {1, true,
+       "e3030bfebabcd88450c827ae44755450c97a2c5391bdb62a2e4cb7b74a3d7c97",
+       "83937a3fc444c028cc1bcab94d7652b84d6b69537dfefd642e5c7178da473944",
+       15, 360, 576, 422, 512, 64, 9, 0x3fefcdfe5b0e36d4,
+       676344, 256, 0, 0, 109, 467,
+       3, 328944, 581290},
+      {2, false,
+       "b3a1d08fad0eb33298fc22ffea4f25b972eaac0fdfd4f3f32311d5eebc9493a6",
+       "bed2fea120fc70d4e2abd40440e1cf19b03104d5282a09b45bac7430a8cbefdb",
+       15, 578, 576, 640, 512, 64, 9, 0x3fefcdfe5b0e36d4,
+       672379, 256, 0, 0, 0, 0,
+       3, 329609, 581290},
+      {2, true,
+       "b3a1d08fad0eb33298fc22ffea4f25b972eaac0fdfd4f3f32311d5eebc9493a6",
+       "bed2fea120fc70d4e2abd40440e1cf19b03104d5282a09b45bac7430a8cbefdb",
+       15, 360, 576, 422, 512, 64, 9, 0x3fefcdfe5b0e36d4,
+       672379, 256, 0, 0, 109, 467,
+       3, 329609, 581290},
+  });
+}
+
+TEST_F(StatePinTest, RcsSample) {
+  expect_rows("rcs_sample", {
+      {1, false,
+       "b50f3decabfa813bea9491a3235d816fd6acd1a6898b29a7dd395c87f3951107",
+       "9f767fec8b184a81b1c4a60e25df03b92f1e06042cd3da52f91d8fad0e10f55c",
+       20, 1282, 0, 1280, 0, 0, 0, 0x3ff0000000000000,
+       3981753, 448, 0, 0, 0, 0,
+       0, 1338273, 1381668},
+      {1, true,
+       "b50f3decabfa813bea9491a3235d816fd6acd1a6898b29a7dd395c87f3951107",
+       "9f767fec8b184a81b1c4a60e25df03b92f1e06042cd3da52f91d8fad0e10f55c",
+       20, 1058, 0, 1056, 0, 0, 0, 0x3ff0000000000000,
+       3981753, 448, 0, 0, 112, 528,
+       0, 1338273, 1381668},
+      {2, false,
+       "b50f3decabfa813bea9491a3235d816fd6acd1a6898b29a7dd395c87f3951107",
+       "9f767fec8b184a81b1c4a60e25df03b92f1e06042cd3da52f91d8fad0e10f55c",
+       20, 1282, 0, 1280, 0, 0, 0, 0x3ff0000000000000,
+       3981753, 448, 0, 0, 0, 0,
+       0, 1338273, 1381668},
+      {2, true,
+       "b50f3decabfa813bea9491a3235d816fd6acd1a6898b29a7dd395c87f3951107",
+       "9f767fec8b184a81b1c4a60e25df03b92f1e06042cd3da52f91d8fad0e10f55c",
+       20, 1058, 0, 1056, 0, 0, 0, 0x3ff0000000000000,
+       3981753, 448, 0, 0, 112, 528,
+       0, 1338273, 1381668},
+  });
+}
+
+TEST_F(StatePinTest, GroverSparse) {
+  expect_rows("grover_sparse", {
+      {1, false,
+       "aa7a2fa64f5a4dc24f9ec043a527ecd6e49ba8960bf6f0544466cdff7724699a",
+       "4edd917e42b13d360978ed14871382302a4deeedea8432bf3795fd043855dd08",
+       41, 2114, 0, 2112, 0, 0, 0, 0x3ff0000000000000,
+       9679, 384, 0, 0, 0, 0,
+       0, 4155, 13300},
+      {1, true,
+       "aa7a2fa64f5a4dc24f9ec043a527ecd6e49ba8960bf6f0544466cdff7724699a",
+       "4edd917e42b13d360978ed14871382302a4deeedea8432bf3795fd043855dd08",
+       41, 563, 0, 561, 0, 0, 0, 0x3ff0000000000000,
+       9679, 384, 0, 0, 1025, 351,
+       0, 4155, 13300},
+      {2, false,
+       "157263ea437a7d5ccf4286fb36e4bab74f481a14d81dd74aeb8b42822f4541ff",
+       "c96db9fded00f8796eba7c307641f3fd6926126992fa717e33185eb0a20a3011",
+       41, 2114, 0, 2112, 0, 0, 0, 0x3ff0000000000000,
+       9796, 384, 0, 0, 0, 0,
+       0, 4237, 15533},
+      {2, true,
+       "157263ea437a7d5ccf4286fb36e4bab74f481a14d81dd74aeb8b42822f4541ff",
+       "c96db9fded00f8796eba7c307641f3fd6926126992fa717e33185eb0a20a3011",
+       41, 563, 0, 561, 0, 0, 0, 0x3ff0000000000000,
+       9796, 384, 0, 0, 1025, 351,
+       0, 4237, 15533},
+  });
+}
+
+TEST_F(StatePinTest, QftOoc) {
+  expect_rows("qft_ooc", {
+      {1, false,
+       "a4da9bccecb95cc43e470018f467d860f621271feb7b08d9bb291ae73b673b50",
+       "0d3d350abb90072aa2a53b6428908f1e1c47d042c63a5d227bd9103ff80f96eb",
+       17, 1090, 0, 1088, 0, 0, 0, 0x3ff0000000000000,
+       2922810, 320, 767, 799, 0, 0,
+       0, 1048552, 1048709},
+      {1, true,
+       "a4da9bccecb95cc43e470018f467d860f621271feb7b08d9bb291ae73b673b50",
+       "0d3d350abb90072aa2a53b6428908f1e1c47d042c63a5d227bd9103ff80f96eb",
+       17, 864, 0, 862, 0, 0, 0, 0x3ff0000000000000,
+       2922810, 320, 767, 799, 113, 431,
+       0, 1048552, 1048709},
+      {2, false,
+       "f7138a98ad61763621e6476b0007397619009b93ec6a8e40fcd45cb122a972bf",
+       "ebdba6ebe7ed1a9540fc6f95b7d8e71fd5ba784dd75a5fbc5a4fb270e8f96ba0",
+       17, 1090, 0, 1088, 0, 0, 0, 0x3ff0000000000000,
+       2922810, 320, 767, 799, 0, 0,
+       0, 1048552, 1048709},
+      {2, true,
+       "f7138a98ad61763621e6476b0007397619009b93ec6a8e40fcd45cb122a972bf",
+       "ebdba6ebe7ed1a9540fc6f95b7d8e71fd5ba784dd75a5fbc5a4fb270e8f96ba0",
+       17, 864, 0, 862, 0, 0, 0, 0x3ff0000000000000,
+       2922810, 320, 767, 799, 113, 431,
+       0, 1048552, 1048709},
+  });
+}
+
+TEST_F(StatePinTest, AdaptiveSupremacy) {
+  // bench_codec_arbiter's adaptive supremacy run: every block starts
+  // lossless and turns lossy as the state grows dense, so the row pins the
+  // adaptive policy's choices and their hysteresis.
+  const qsim::Circuit circuit =
+      circuits::supremacy_circuit({.rows = 3, .cols = 4, .depth = 11});
+  SimConfig config;
+  config.num_qubits = circuit.num_qubits();
+  config.num_ranks = 2;
+  config.blocks_per_rank = 4;
+  config.initial_level = 1;
+  config.codec_policy = "adaptive";
+  const StatePin expected =
+      {0, false,
+       "d56f5cb1d8d66ccd26f6ca09eb7c22ed8fa4526277d2e89f6fb1d7fe73ae8c96",
+       "861370a4a6611fcb458fc8c14f5ac110259558ead1160e75c039d8b3237da9bc",
+       9, 18, 56, 24, 48, 8, 7, 0x3fefff6d3429dfbf,
+       57394, 32, 0, 0, 0, 0,
+       1, 30188, 30281};
+  // The leg must exercise what it is named for, or the pin is hollow.
+  EXPECT_GT(expected.codec_switches, 0u);
+  EXPECT_GT(expected.lossless_compress, 0u);
+  EXPECT_GT(expected.lossy_compress, 0u);
+  expect_row(config, circuit, expected, "adaptive supremacy");
 }
 
 }  // namespace

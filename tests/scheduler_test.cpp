@@ -825,17 +825,17 @@ TEST(RemapPlanTest, DiagonalAndControlOnlyRankUseNeverRemaps) {
   EXPECT_EQ(count_kind(program, qsim::RemapItem::Kind::kGates), 1u);
 }
 
-TEST(RemapPlanTest, SweepsAvoidedNetsOutRemapCost) {
+TEST(RemapPlanTest, OneRemapLocalizesBothRankTargets) {
   Circuit c(8);
-  // X(7) then H(7): remap at X (1 sweep paid), X and H localized (2
-  // sweeps avoided), net 1. The relabeled swap(0, 7) would have cost two
-  // rank CX legs: net 3 total.
+  // X(7) then H(7): one remap at X, after which X and H both run
+  // block-locally. The swap(0, 7) relabels.
   c.x(7).h(7).swap(0, 7);
   const auto program =
       plan_remaps(c, runtime::QubitMap::identity(8), remap_options());
   EXPECT_EQ(program.stats.remaps, 1u);
   EXPECT_EQ(program.stats.swaps_relabeled, 1u);
-  EXPECT_EQ(program.stats.sweeps_avoided, 3u);
+  EXPECT_EQ(program.stats.rank_targets_localized, 2u);
+  EXPECT_EQ(program.stats.rank_targets_in_place, 0u);
 }
 
 TEST(RemapPlanTest, RejectsInvalidInputs) {

@@ -514,7 +514,6 @@ TEST(QubitRemapTest, RankHeavyCircuitMovesStrictlyFewerBytes) {
   EXPECT_LT(rep_on.comm_bytes, rep_off.comm_bytes);
   EXPECT_LT(rep_on.comm_messages, rep_off.comm_messages);
   EXPECT_GT(rep_on.swaps_relabeled, 0u);
-  EXPECT_GT(rep_on.remap_exchanges_avoided, 0u);
   EXPECT_FALSE(sim_on.qubit_map().is_identity());
 }
 

@@ -334,6 +334,24 @@ TEST_F(SpillSimTest, PairSweepsFaultSpilledBlocks) {
   }
 }
 
+TEST_F(SpillSimTest, SharingComparesSpilledBlocksWithoutFaultingThem) {
+  // Sweep sharing compares a gate sweep's payloads before the sweep runs.
+  // Like a checkpoint save, that is bookkeeping: only a decode or an
+  // exchange reads a spilled block, so sharing can save faults but never
+  // add one.
+  const auto circuit = random_circuit(10, 60, 29);
+  std::uint64_t faults[2] = {0, 0};
+  for (const bool sharing : {false, true}) {
+    auto config = spill_config(path("spill.bin"), 10, 2, 2, true);
+    config.enable_cache = sharing;
+    core::CompressedStateSimulator sim(config);
+    sim.apply_circuit(circuit);
+    faults[sharing ? 1 : 0] = sim.report().fault_events;
+  }
+  ASSERT_GT(faults[0], 0u);
+  EXPECT_LE(faults[1], faults[0]);
+}
+
 TEST_F(SpillSimTest, MeasurementAndQueriesCrossTheSpillTier) {
   // Intermediate measurement + observable queries decompress spilled
   // blocks through payload_view; both runs must agree exactly (same rng
