@@ -5,8 +5,6 @@
 //     --ranks N          logical ranks (power of two, default 4)
 //     --blocks N         blocks per rank (power of two, default 8)
 //     --codec NAME       lossy codec (default qzc)
-//     --policy NAME      codec policy: fixed | adaptive (default fixed;
-//                        adaptive keeps sparse/spiky blocks lossless)
 //     --budget-frac F    memory budget as a fraction of 2^{n+4} (default 0:
 //                        unlimited, stays lossless)
 //     --no-batching      disable the gate-run scheduler and its fusion
@@ -70,7 +68,7 @@ namespace {
   if (!error.empty()) std::fprintf(stderr, "%s: %s\n", argv0, error.c_str());
   std::fprintf(stderr,
                "usage: %s <circuit-file> [--ranks N] [--blocks N] "
-               "[--codec NAME] [--policy fixed|adaptive] [--budget-frac F] "
+               "[--codec NAME] [--budget-frac F] "
                "[--no-batching] [--checkpoint PATH] "
                "[--samples N] [--remap] [--spill PATH] [--resident-frac F] "
                "[--checkpoint-interval N] [--autosave PATH] "
@@ -135,8 +133,6 @@ int main(int argc, char** argv) try {
       config.blocks_per_rank = next_int();
     } else if (arg == "--codec") {
       config.codec = next();
-    } else if (arg == "--policy") {
-      config.codec_policy = next();
     } else if (arg == "--budget-frac") {
       budget_fraction = next_fraction();
     } else if (arg == "--no-batching") {

@@ -79,15 +79,14 @@ class Compressor {
 /// the paper's figures: "zstd" (zx lossless), "sz" (Solution A),
 /// "sz-complex" (Solution B), "qzc" (Solution C), "qzc-shuffle" (Solution D),
 /// "zfp", "fpzip", plus "zfp-rans" (zfp with an order-0 rANS entropy stage
-/// over the plane stream; its own append-only id so the arbiter can A/B
-/// it per block).
+/// over the plane stream, under its own append-only id).
 std::unique_ptr<Compressor> make_compressor(const std::string& name);
 
 /// All codec names known to make_compressor.
 std::vector<std::string> compressor_names();
 
-/// Id of the lossless zx codec ("zstd") — the codec every block starts
-/// compressed with and the one the arbiter falls back to for sparse blocks.
+/// Id of the lossless zx codec ("zstd") — the codec of every block at
+/// ladder level 0.
 inline constexpr std::uint8_t kLosslessCodecId = 0;
 
 /// Stable numeric id of a codec name. Ids are part of the on-disk

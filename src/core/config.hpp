@@ -25,22 +25,14 @@ struct SimConfig {
   /// "zfp", "fpzip". "zstd" forces a lossless-only simulation.
   std::string codec = "qzc";
 
-  /// Per-block codec policy. "fixed" compresses every block with `codec`
-  /// at any lossy ladder level (the paper's single-codec runs). "adaptive"
-  /// lets the codec arbiter (runtime/codec_arbiter.hpp) inspect each
-  /// block's statistics at every recompression and keep sparse/spiky
-  /// blocks on the lossless zero-suppressing path even at a lossy level —
-  /// the Figs. 9-14 observation that state structure dictates which codec
-  /// wins. The thresholds it applies are ArbiterConfig's defaults.
-  std::string codec_policy = "fixed";
-
-  /// Error-bound ladder (Section 3.7): level 0 is lossless Zstd; level k
-  /// compresses with pointwise relative bound ladder[k-1]. The budget is
-  /// checked after each gate run (at most 16 ops under a budget), each
-  /// per-gate op, each remap sweep and each measure(); when the state is
-  /// over it there, the level escalates to the next entry and every block
-  /// is recompressed. Inside a run the state can exceed the budget until
-  /// the run ends.
+  /// Error-bound ladder (Section 3.7). The level alone picks the codec:
+  /// level 0 compresses every block with lossless zx (registry key
+  /// "zstd"), level k with `codec` at pointwise relative bound
+  /// ladder[k-1]. The budget is checked after each gate run (at most 16
+  /// ops under a budget), each per-gate op, each remap sweep and each
+  /// measure(); when the state is over it there, the level escalates to
+  /// the next entry and every block is recompressed. Inside a run the
+  /// state can exceed the budget until the run ends.
   std::vector<double> error_ladder = {1e-5, 1e-4, 1e-3, 1e-2, 1e-1};
 
   /// Total bytes the compressed state may occupy (the sum term of Eq. 8,

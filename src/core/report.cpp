@@ -36,8 +36,7 @@ void SimulationReport::print(std::ostream& os) const {
   os << "qubits:              " << num_qubits << "\n"
      << "ranks x blocks:      " << num_ranks << " x " << blocks_per_rank
      << "\n"
-     << "codec:               " << codec << " (" << codec_policy
-     << " policy)\n";
+     << "codec:               " << codec << "\n";
   os << "gates:               " << gates << "\n"
      << "memory requirement:  " << format_bytes(memory_requirement_bytes)
      << "\n"

@@ -72,12 +72,12 @@ struct SimulationReport {
   double min_compression_ratio = 0.0;  ///< min over gates (Table 2 last row)
   int final_ladder_level = 0;          ///< 0 = still lossless
 
-  // Codec arbiter (per-block codec selection; runtime/codec_arbiter.hpp).
-  // Every compression decides once, so its choices are the lossless and
-  // lossy compress invocations below.
-  std::string codec_policy;  ///< "fixed" or "adaptive"
+  // Codec classes. The ladder level picks each compression's codec: zx at
+  // level 0, `codec` above it.
   /// Computed blocks whose codec class differs from the payload they
-  /// replace (post-hysteresis); blocks storing a shared copy count none.
+  /// replace, that is lossless blocks rewritten at a lossy level: every
+  /// block at the first escalation from level 0, and the lossless blocks
+  /// of a mixed image an earlier version saved. Shared copies count none.
   std::uint64_t codec_switches = 0;
   std::uint64_t final_lossless_blocks = 0;  ///< end-state census by BlockMeta
   std::uint64_t final_lossy_blocks = 0;

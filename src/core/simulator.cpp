@@ -266,8 +266,6 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
   backend_ = qsim::detect_kernel_backend(config_.enable_simd_kernels);
   map_ = runtime::QubitMap::identity(config_.num_qubits);
 
-  arbiter_config_.policy = runtime::parse_codec_policy(config_.codec_policy);
-
   comm_ = std::make_unique<runtime::Comm>(partition_.num_ranks());
 
   const std::size_t threads =
@@ -296,13 +294,11 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
 
 void CompressedStateSimulator::init_blocks() {
   // |0...0>: amplitude (1,0) lives at offset 0 of block 0 of rank 0; every
-  // other block is all zeros and shares one compressed payload. Both
-  // contents arbitrate through block 0 as the representative (every block
-  // is structurally identical at t=0).
+  // other block is all zeros and shares one compressed payload.
   std::vector<double> zeros(partition_.doubles_per_block(), 0.0);
-  auto [zero_payload, zero_meta] = encode_block(zeros, 0, 0, 0);
+  auto [zero_payload, zero_meta] = encode_block(zeros, 0);
   zeros[0] = 1.0;
-  auto [one_payload, one_meta] = encode_block(zeros, 0, 0, 0);
+  auto [one_payload, one_meta] = encode_block(zeros, 0);
 
   for (int r = 0; r < partition_.num_ranks(); ++r) {
     for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
@@ -314,11 +310,9 @@ void CompressedStateSimulator::init_blocks() {
 }
 
 std::pair<Bytes, runtime::BlockMeta> CompressedStateSimulator::encode_block(
-    std::span<const double> data, int rank, int block,
-    std::size_t worker) const {
+    std::span<const double> data, std::size_t worker) const {
   ScopedPhase phase(worker_timers_[worker], Phase::kCompression);
-  const bool lossless = runtime::decide_lossless(
-      arbiter_config_, level_, data, is_lossless(ranks_[rank].meta(block)));
+  const bool lossless = level_ == 0;
   runtime::BlockMeta meta{static_cast<std::uint8_t>(level_),
                           lossless ? compression::kLosslessCodecId
                                    : lossy_codec_id_};
@@ -328,16 +322,12 @@ std::pair<Bytes, runtime::BlockMeta> CompressedStateSimulator::encode_block(
   Bytes payload;
   if (lossless) {
     payload = lossless_->compress(data, ErrorBound::lossless(), scratch);
+    stats.lossless_compress_seconds += codec_timer.seconds();
+    ++stats.lossless_compress_calls;
   } else {
     payload = lossy_->compress(
         data, ErrorBound::relative(config_.error_ladder[level_ - 1]), scratch);
-  }
-  const double seconds = codec_timer.seconds();
-  if (lossless) {
-    stats.lossless_compress_seconds += seconds;
-    ++stats.lossless_compress_calls;
-  } else {
-    stats.lossy_compress_seconds += seconds;
+    stats.lossy_compress_seconds += codec_timer.seconds();
     ++stats.lossy_compress_calls;
   }
   return {std::move(payload), meta};
@@ -405,10 +395,14 @@ void CompressedStateSimulator::apply_remap(const qsim::RemapStep& step) {
       if (k & cold_bit) std::swap(pair[0][k], pair[1][k ^ cold_bit]);
     }
   };
-  record_lossy_pass(run_sweep(units, spec));
+  run_sweep(units, spec);
+  record_lossy_pass();
 }
 
 void CompressedStateSimulator::apply(const GateOp& op) {
+  // The circuit rules hold for ad-hoc gates too, checked before the op
+  // indexes the qubit map.
+  qsim::check_op(op, config_.num_qubits);
   // Ad-hoc gates arrive in logical indices like everything else; rewrite
   // through the layout (no remap planning for a single gate).
   apply_single_counted(qsim::translated_through(op, map_));
@@ -614,12 +608,10 @@ CompressedStateSimulator::GateKernel CompressedStateSimulator::resolve_kernel(
   return kernel;
 }
 
-void CompressedStateSimulator::record_lossy_pass(std::uint64_t lossy_blocks) {
+void CompressedStateSimulator::record_lossy_pass() {
   // A sweep recompresses each block once, so it costs one pass however
-  // many blocks it wrote (Eq. 11 counts passes, not blocks). Only blocks
-  // the lossy codec actually wrote cost fidelity: under the adaptive
-  // policy a lossy-level sweep whose blocks all stayed lossless is exact.
-  if (lossy_blocks > 0 && level_ > 0) {
+  // many blocks it wrote (Eq. 11 counts passes, not blocks).
+  if (level_ > 0) {
     fidelity_.record_lossy_pass(config_.error_ladder[level_ - 1]);
   }
 }
@@ -704,14 +696,13 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
       }
     }
   };
+  run_sweep(pairs, spec);
+  spec.partner_rank_bit = spec.partner_block_bit = 0;
+  run_sweep(singles, spec);
   // Each block pays one recompression for the whole run, so the fidelity
   // ledger records one lossy pass, not one per op (Eq. 11 tightens to
-  // F >= (1 - delta)^runs). The counts add in sequence: the operands of a
-  // `+` have no evaluation order.
-  std::uint64_t lossy_blocks = run_sweep(pairs, spec);
-  spec.partner_rank_bit = spec.partner_block_bit = 0;
-  lossy_blocks += run_sweep(singles, spec);
-  record_lossy_pass(lossy_blocks);
+  // F >= (1 - delta)^runs). A run that rewrote no block costs none.
+  if (!pairs.empty() || !singles.empty()) record_lossy_pass();
 }
 
 // --- Block executors: every sweep that rewrites blocks runs through one ---
@@ -781,7 +772,7 @@ std::vector<std::vector<std::size_t>> CompressedStateSimulator::share_groups(
   return groups;
 }
 
-std::uint64_t CompressedStateSimulator::run_sweep(
+void CompressedStateSimulator::run_sweep(
     const std::vector<std::pair<int, int>>& units, const SweepSpec& spec) {
   const bool cross_rank = spec.partner_rank_bit != 0;
   const std::size_t per_unit =
@@ -797,7 +788,6 @@ std::uint64_t CompressedStateSimulator::run_sweep(
     }
   }
   const auto groups = share_groups(blocks, per_unit, spec.selections);
-  std::atomic<std::uint64_t> lossy_blocks{0};
   pool_->parallel_for(groups.size(), [&](std::size_t g, std::size_t worker) {
     const std::vector<std::size_t>& group = groups[g];
     auto& timers = worker_timers_[worker];
@@ -837,17 +827,14 @@ std::uint64_t CompressedStateSimulator::run_sweep(
                    own[0].second);
     }
     std::array<std::pair<Bytes, runtime::BlockMeta>, 2> outputs;
-    std::uint64_t lossy = 0;
     for (std::size_t k = 0; k < per_unit; ++k) {
       const auto [rank, block] = own[k];
-      outputs[k] = encode_block(buffers[k], rank, block, worker);
-      const bool lossless = is_lossless(outputs[k].second);
-      if (!lossless) ++lossy;
-      if (lossless != is_lossless(ranks_[rank].meta(block))) {
+      outputs[k] = encode_block(buffers[k], worker);
+      if (is_lossless(outputs[k].second) !=
+          is_lossless(ranks_[rank].meta(block))) {
         ++codec_stats_[worker].codec_switches;
       }
     }
-    lossy_blocks.fetch_add(lossy * group.size(), std::memory_order_relaxed);
     for (std::size_t m = 1; m < group.size(); ++m) {
       const std::size_t i = group[m];
       // A rank learns its partner's payload only by exchange, so a
@@ -864,7 +851,6 @@ std::uint64_t CompressedStateSimulator::run_sweep(
                   outputs[k].second);
     }
   });
-  return lossy_blocks.load(std::memory_order_relaxed);
 }
 
 void CompressedStateSimulator::note_gate_finished(double gate_seconds) {
@@ -974,15 +960,16 @@ void CompressedStateSimulator::enforce_budget() {
          level_ < static_cast<int>(config_.error_ladder.size()) &&
          lossy_ != nullptr) {
     ++level_;
-    record_lossy_pass(recompress_all());
+    recompress_all();
+    record_lossy_pass();
   }
   if (resident() > budget) budget_exceeded_ = true;
 }
 
-std::uint64_t CompressedStateSimulator::recompress_all() {
-  return run_sweep(qsim::run_block_order(partition_.num_ranks(),
-                                         partition_.blocks_per_rank()),
-                   SweepSpec{});
+void CompressedStateSimulator::recompress_all() {
+  run_sweep(qsim::run_block_order(partition_.num_ranks(),
+                                  partition_.blocks_per_rank()),
+            SweepSpec{});
 }
 
 double CompressedStateSimulator::probability_one(int qubit) {
@@ -1226,10 +1213,10 @@ int CompressedStateSimulator::measure(int qubit, Rng& rng) {
       }
     }
   };
-  record_lossy_pass(run_sweep(qsim::run_block_order(
-                                  partition_.num_ranks(),
+  run_sweep(qsim::run_block_order(partition_.num_ranks(),
                                   partition_.blocks_per_rank()),
-                              spec));
+            spec);
+  record_lossy_pass();
   maintain_tiers();
   enforce_budget();
   // Collapse diverges the state from any recorded circuit position, so
@@ -1310,8 +1297,8 @@ CompressedStateSimulator CompressedStateSimulator::load_checkpoint(
     sim.map_ = header.qubit_map;
   }
   // Validate every block's codec id up front (decompression happens on
-  // worker threads, where a bad id could not throw usefully). The
-  // persisted codec is also the arbiter's hysteresis history.
+  // worker threads, where a bad id could not throw usefully). Images of
+  // earlier versions can mix lossless and lossy blocks at a lossy level.
   for (const auto& store : sim.ranks_) {
     for (int b = 0; b < store.num_blocks(); ++b) {
       const auto codec = store.meta(b).codec;
@@ -1381,7 +1368,6 @@ SimulationReport CompressedStateSimulator::report() const {
   rep.budget_exceeded = budget_exceeded_;
   rep.min_compression_ratio = min_ratio_;
   rep.final_ladder_level = level_;
-  rep.codec_policy = config_.codec_policy;
   rep.block_raw_bytes = partition_.bytes_per_block();
   for (const auto& store : ranks_) {
     for (int b = 0; b < store.num_blocks(); ++b) {

@@ -19,10 +19,10 @@
 // alone. So each block pays one codec round — and the run one lossy
 // fidelity pass — per run instead of per gate, and a run across a rank
 // qubit exchanges each pair once. A hybrid compression policy starts
-// lossless (Zstd stand-in) and escalates through a pointwise-relative
-// error-bound ladder whenever the configured memory budget is exceeded
-// (Section 3.7), while a fidelity lower bound F >= prod (1 - delta_i) is
-// maintained (Section 3.8).
+// lossless (zx) and escalates through a pointwise-relative error-bound
+// ladder, one lossy codec for every level above 0, whenever the
+// configured memory budget is exceeded (Section 3.7), while a fidelity
+// lower bound F >= prod (1 - delta_i) is maintained (Section 3.8).
 #pragma once
 
 #include <atomic>
@@ -43,7 +43,6 @@
 #include "qsim/gates.hpp"
 #include "qsim/scheduler.hpp"
 #include "runtime/block_store.hpp"
-#include "runtime/codec_arbiter.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/partition.hpp"
 #include "runtime/qubit_map.hpp"
@@ -64,10 +63,12 @@ class CompressedStateSimulator {
   /// the map is exposed for tests and benches.
   const runtime::QubitMap& qubit_map() const { return map_; }
 
-  /// Applies one ad-hoc gate (counts toward the per-gate statistics).
-  /// Ad-hoc gates invalidate any recorded circuit position: the gate
-  /// cursor resets to 0, so a later checkpoint never claims a resume
-  /// point inside a circuit the state has since diverged from.
+  /// Applies one ad-hoc gate (counts toward the per-gate statistics). An
+  /// op that qsim::Circuit::append would reject throws the same exception
+  /// here, before anything changes. Ad-hoc gates invalidate any recorded
+  /// circuit position: the gate cursor resets to 0, so a later checkpoint
+  /// never claims a resume point inside a circuit the state has since
+  /// diverged from.
   void apply(const qsim::GateOp& op);
 
   /// Applies `circuit` from its first gate. Always starts fresh — applying
@@ -211,16 +212,13 @@ class CompressedStateSimulator {
   int global_block(int rank, int block) const {
     return rank * partition_.blocks_per_rank() + block;
   }
-  /// Compresses `data` as block (rank, block) at the current level. The
-  /// codec arbiter picks lossless vs. the configured lossy codec from the
-  /// data and the codec the block holds now, which only the calling worker
-  /// may write. Returns the payload plus the BlockMeta (level + codec id)
-  /// describing it. The worker index selects the timer slot and the pooled
-  /// CodecScratch, so steady-state calls only allocate the returned
-  /// payload.
+  /// Compresses `data` at the current level: zx at level 0, the configured
+  /// lossy codec above it. Returns the payload plus the BlockMeta (level +
+  /// codec id) describing it. The worker index selects the timer slot and
+  /// the pooled CodecScratch, so steady-state calls only allocate the
+  /// returned payload.
   std::pair<Bytes, runtime::BlockMeta> encode_block(
-      std::span<const double> data, int rank, int block,
-      std::size_t worker) const;
+      std::span<const double> data, std::size_t worker) const;
   void decompress_block(int rank, int block, std::span<double> out,
                         std::size_t worker) const;
   void decompress_payload(ByteSpan payload, const runtime::BlockMeta& meta,
@@ -278,9 +276,9 @@ class CompressedStateSimulator {
   /// stores last. A task touches only its group's blocks, so each block
   /// has one owner in the region. A computed block whose codec class
   /// differs from the payload it replaces counts one codec switch; a copy
-  /// counts none. Returns how many blocks the lossy codec wrote.
-  std::uint64_t run_sweep(const std::vector<std::pair<int, int>>& units,
-                          const SweepSpec& spec);
+  /// counts none.
+  void run_sweep(const std::vector<std::pair<int, int>>& units,
+                 const SweepSpec& spec);
   /// Splits a sweep's units into groups that compute from equal inputs,
   /// ordered by each group's first unit, members ascending. Unit i reads
   /// blocks[i * per_unit] onward; two units are equal when the first
@@ -297,9 +295,9 @@ class CompressedStateSimulator {
   void store_block(int rank, int block, Bytes payload,
                    runtime::BlockMeta meta);
   /// Charges one lossy pass at the current level to the fidelity ledger
-  /// when the sweep that just finished had the lossy codec write at least
-  /// one block.
-  void record_lossy_pass(std::uint64_t lossy_blocks);
+  /// when the level is lossy. Called once after each sweep that rewrote
+  /// blocks.
+  void record_lossy_pass();
   /// Read-only reduction behind the state queries: decompresses each unit
   /// and returns block_sum(amps, count, rank, block) for it, one slot per
   /// unit in unit order. Callers add the slots in that order, so a query's
@@ -339,9 +337,8 @@ class CompressedStateSimulator {
   /// compressed total fits the budget (or the ladder is exhausted).
   void enforce_budget();
   /// Recompresses every block at the current level through run_sweep
-  /// (never shared); returns how many blocks the arbiter actually sent
-  /// through the lossy codec (adaptive blocks can stay lossless).
-  std::uint64_t recompress_all();
+  /// (never shared).
+  void recompress_all();
   void note_gate_finished(double gate_seconds);
   /// Saves to auto_checkpoint_path when checkpoint_interval_gates more
   /// gates have completed since the last autosave. Called only where the
@@ -364,7 +361,6 @@ class CompressedStateSimulator {
   std::unique_ptr<compression::Compressor> lossless_;
   std::unique_ptr<compression::Compressor> lossy_;
   std::uint8_t lossy_codec_id_ = compression::kLosslessCodecId;
-  runtime::ArbiterConfig arbiter_config_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<runtime::ScratchArena> scratch_;
   mutable std::vector<PhaseTimers> worker_timers_;

@@ -13,10 +13,10 @@ Circuit::Circuit(int num_qubits) : num_qubits_(num_qubits) {
   }
 }
 
-Circuit& Circuit::append(GateOp op) {
-  auto check = [this](int q) {
-    if (q < 0 || q >= num_qubits_) {
-      throw std::out_of_range("Circuit: qubit index out of range");
+void check_op(const GateOp& op, int num_qubits) {
+  auto check = [num_qubits](int q) {
+    if (q < 0 || q >= num_qubits) {
+      throw std::out_of_range("gate: qubit index out of range");
     }
   };
   check(op.target);
@@ -24,13 +24,17 @@ Circuit& Circuit::append(GateOp op) {
     if (c >= 0) {
       check(c);
       if (c == op.target) {
-        throw std::invalid_argument("Circuit: control equals target");
+        throw std::invalid_argument("gate: control equals target");
       }
     }
   }
   if (op.controls[0] >= 0 && op.controls[0] == op.controls[1]) {
-    throw std::invalid_argument("Circuit: duplicate control");
+    throw std::invalid_argument("gate: duplicate control");
   }
+}
+
+Circuit& Circuit::append(GateOp op) {
+  check_op(op, num_qubits_);
   ops_.push_back(op);
   return *this;
 }

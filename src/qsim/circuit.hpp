@@ -11,6 +11,12 @@
 
 namespace cqs::qsim {
 
+/// Checks `op` against a register of `num_qubits` qubits: throws
+/// std::out_of_range when its target or a control (a negative control is
+/// absent) lies outside it, and std::invalid_argument when a control
+/// equals the target or both controls name one qubit.
+void check_op(const GateOp& op, int num_qubits);
+
 class Circuit {
  public:
   explicit Circuit(int num_qubits);
@@ -19,7 +25,7 @@ class Circuit {
   const std::vector<GateOp>& ops() const { return ops_; }
   std::size_t size() const { return ops_.size(); }
 
-  /// Appends a pre-built op; validates qubit indices.
+  /// Appends a pre-built op after check_op.
   Circuit& append(GateOp op);
 
   // Single-qubit gates.

@@ -31,9 +31,9 @@ namespace cqs::runtime {
 /// Which codec/bound a block was last compressed with. `level` indexes the
 /// simulator's error ladder the pass ran at: 0 = lossless, k > 0 =
 /// ladder[k-1]. `codec` is the compression::codec_id of the codec that
-/// actually produced the payload — under the adaptive policy a block can
-/// be stored lossless (codec 0) even at a lossy ladder level, and the
-/// decompressor is always selected by `codec`, never by `level`.
+/// actually produced the payload, and the decompressor is always selected
+/// by `codec`, never by `level`: checkpoint images of earlier versions can
+/// hold lossless (codec 0) blocks at a lossy ladder level.
 struct BlockMeta {
   std::uint8_t level = 0;
   std::uint8_t codec = 0;

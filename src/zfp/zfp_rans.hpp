@@ -4,8 +4,8 @@
 // bytes keep residual skew (empty-block runs, exponent bytes, sparse
 // significance bits) that a static rANS pass captures at ~zero fidelity
 // cost, the stage being exactly lossless. Registered as its own codec id
-// (append-only) so the arbiter can A/B it per block while every existing
-// zfp bitstream stays byte-identical; when the rANS stream would not be
+// (append-only) so a run can pick it while every existing zfp bitstream
+// stays byte-identical; when the rANS stream would not be
 // smaller the raw container is stored behind a flag bit, so the wrapper
 // never loses to plain zfp by more than the 3-byte header + count varint.
 #pragma once

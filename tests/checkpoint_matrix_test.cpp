@@ -1,10 +1,13 @@
-// Checkpoint format matrix: v7 images round-trip per-block codec ids
-// (mixed adaptive codecs), the accumulated lossy-pass count and the qubit
-// map, v5 and v6 images still load, corrupt maps and codec ids are
-// rejected, legacy v1-v4 magics fail by name, and an interrupted save
-// never damages the previous image.
+// Checkpoint format matrix: v7 images round-trip the accumulated
+// lossy-pass count and the qubit map, v5 to v7 images that mix lossless
+// and lossy blocks (which earlier versions wrote) still load and resume,
+// v5 and v6 images still load, corrupt maps and codec ids are rejected,
+// legacy v1-v4 magics fail by name, and an interrupted save never damages
+// the previous image.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -27,41 +30,47 @@ namespace {
 using core::CompressedStateSimulator;
 using core::SimConfig;
 
-SimConfig matrix_config(int qubits, const std::string& policy = "fixed") {
+SimConfig matrix_config(int qubits) {
   SimConfig config;
   config.num_qubits = qubits;
   config.num_ranks = 2;
   config.blocks_per_rank = 2;
-  config.codec_policy = policy;
   return config;
 }
 
-/// Partition under which an adaptive lossy Grover-10 run is known to leave
-/// a mixed store: the block holding the data subspace is dense-with-noise
-/// (lossy) while the ancilla blocks stay lossless.
-SimConfig mixed_config(int qubits) {
+/// A run that starts at the first lossy level, so every block it writes
+/// goes through qzc.
+SimConfig lossy_config(int qubits) {
   SimConfig config;
   config.num_qubits = qubits;
   config.num_ranks = 2;
   config.blocks_per_rank = 4;
-  config.codec_policy = "adaptive";
   config.initial_level = 1;
   return config;
 }
 
-/// Hand-builds a v5-layout checkpoint of `raw` chopped into 2 ranks x 2
-/// blocks, each block resident and compressed by the codec
-/// `block_codec_id` names: zx at level 0 for id 0, that lossy codec at
-/// level 1 (the header then names it too) otherwise. The tests inject what
+/// The relative bound hand-built images compress their lossy blocks at.
+constexpr double kImageBound = 1e-5;
+
+/// Hand-builds a checkpoint of `raw` chopped into 2 ranks x 2 blocks in
+/// v5's layout, plus the (unknown, 0) circuit digest for version 7. Each
+/// block is resident and compressed by the codec its entry of
+/// `block_codec_ids` names (rank-major): zx for id 0, that lossy codec at
+/// kImageBound otherwise. An image with a lossy block sits at level 1
+/// after one lossy pass and names the first lossy block's codec in its
+/// header; one without sits at level 0. The tests inject what
 /// save_checkpoint never writes: an arbitrary qubit-map table
-/// (`qubit_map_override`; empty = identity), a per-block codec id the
-/// version may not allow, and the magic's version digit. Returns the state
-/// the blocks decode to.
+/// (`qubit_map_override`; empty = identity), lossless blocks at a lossy
+/// level, a codec id the version may not allow, and the magic's version
+/// digit. Returns the state the blocks decode to.
 std::vector<double> write_checkpoint_image(
     const std::string& path, int version, const std::vector<double>& raw,
     int num_qubits, const std::vector<int>& qubit_map_override = {},
-    std::uint8_t block_codec_id = 0) {
-  const std::uint8_t level = block_codec_id == 0 ? 0 : 1;
+    const std::array<std::uint8_t, 4>& block_codec_ids = {}) {
+  const auto lossy_id = std::ranges::find_if(
+      block_codec_ids, [](std::uint8_t id) { return id != 0; });
+  const bool lossy = lossy_id != block_codec_ids.end();
+  const std::uint8_t level = lossy ? 1 : 0;
   Bytes buffer;
   const char magic[8] = {'C', 'Q', 'S', 'C', 'K', 'P', 'T',
                          static_cast<char>('0' + version)};
@@ -72,10 +81,11 @@ std::vector<double> write_checkpoint_image(
   put_varint(buffer, 2);  // blocks_per_rank
   put_varint(buffer, level);  // ladder_level
   put_varint(buffer, 0);  // next gate index
-  put_scalar(buffer, 1.0);  // fidelity bound
-  put_varint(buffer, 0);  // lossy passes
+  if (version == 7) put_scalar(buffer, std::uint64_t{0});  // circuit digest
+  put_scalar(buffer, lossy ? 1.0 - kImageBound : 1.0);  // fidelity bound
+  put_varint(buffer, level);  // lossy passes
   const std::string codec_name =
-      level == 0 ? "qzc" : compression::codec_name_of(block_codec_id);
+      lossy ? compression::codec_name_of(*lossy_id) : "qzc";
   put_varint(buffer, codec_name.size());
   for (char ch : codec_name) buffer.push_back(static_cast<std::byte>(ch));
   put_varint(buffer, qubit_map_override.size());
@@ -83,16 +93,18 @@ std::vector<double> write_checkpoint_image(
     put_varint(buffer, static_cast<std::uint64_t>(p));
   }
 
-  const auto codec = compression::make_compressor(
-      compression::codec_name_of(block_codec_id));
-  const auto bound = level == 0 ? compression::ErrorBound::lossless()
-                                : compression::ErrorBound::relative(1e-5);
   const std::size_t doubles_per_block = raw.size() / 4;
   std::vector<double> decoded(raw.size());
   put_varint(buffer, 2);  // rank count
   for (int r = 0; r < 2; ++r) {
     put_varint(buffer, 2);  // blocks in rank
     for (int b = 0; b < 2; ++b) {
+      const std::uint8_t id = block_codec_ids[r * 2 + b];
+      const auto codec =
+          compression::make_compressor(compression::codec_name_of(id));
+      const auto bound = id == 0
+                             ? compression::ErrorBound::lossless()
+                             : compression::ErrorBound::relative(kImageBound);
       const std::size_t base = (r * 2 + b) * doubles_per_block;
       const Bytes payload = codec->compress(
           std::span<const double>(raw.data() + base, doubles_per_block),
@@ -100,7 +112,7 @@ std::vector<double> write_checkpoint_image(
       codec->decompress(payload, std::span<double>(decoded.data() + base,
                                                    doubles_per_block));
       buffer.push_back(static_cast<std::byte>(level));
-      buffer.push_back(static_cast<std::byte>(block_codec_id));
+      buffer.push_back(static_cast<std::byte>(id));
       buffer.push_back(std::byte{0});  // tier: resident
       put_varint(buffer, payload.size());
       buffer.insert(buffer.end(), payload.begin(), payload.end());
@@ -112,64 +124,88 @@ std::vector<double> write_checkpoint_image(
   return decoded;
 }
 
-using CheckpointMatrixTest = test::TempDirFixture;
-
-TEST_F(CheckpointMatrixTest, V3RoundTripsMixedPerBlockCodecsAndPasses) {
-  // An adaptive lossy Grover run leaves a genuinely mixed store: the
-  // occupied block goes through qzc while the ancilla blocks stay on the
-  // lossless path. Save (v3) must persist each block's codec id and the
-  // pass count; load must resume both exactly.
-  const auto circuit = circuits::grover_circuit(
-      {.data_qubits = 6, .marked_state = 0b101101, .iterations = 2});
-  SimConfig config = mixed_config(circuit.num_qubits());
-  CompressedStateSimulator sim(config);
-  sim.apply_circuit(circuit);
-  const auto report = sim.report();
-  ASSERT_GT(report.final_lossless_blocks, 0u);
-  ASSERT_GT(report.final_lossy_blocks, 0u) << "state not mixed; the "
-      "fixture circuit no longer exercises mixed codecs";
-
-  const std::string path = this->path("mixed_v3.bin");
-  sim.save_checkpoint(path);
-
-  // Raw reload: per-block codec ids survive byte-for-byte.
-  const runtime::LoadedCheckpoint loaded = runtime::load_checkpoint_full(path);
-  EXPECT_EQ(loaded.header.lossy_passes, report.lossy_passes);
-  std::uint64_t lossless_blocks = 0;
-  std::uint64_t lossy_blocks = 0;
-  for (const auto& store : loaded.ranks) {
+/// Each block's codec id in the image at `path`, rank-major.
+std::vector<std::uint8_t> image_codec_ids(const std::string& path) {
+  std::vector<std::uint8_t> ids;
+  for (const auto& store : runtime::load_checkpoint_full(path).ranks) {
     for (int b = 0; b < store.num_blocks(); ++b) {
-      if (store.meta(b).codec == compression::kLosslessCodecId) {
-        ++lossless_blocks;
-      } else {
-        EXPECT_EQ(store.meta(b).codec, compression::codec_id("qzc"));
-        ++lossy_blocks;
-      }
+      ids.push_back(store.meta(b).codec);
     }
   }
-  EXPECT_EQ(lossless_blocks, report.final_lossless_blocks);
-  EXPECT_EQ(lossy_blocks, report.final_lossy_blocks);
-
-  // Simulator reload: the mixed store decompresses per-block and the
-  // fidelity ledger continues from the saved passes, not from scratch.
-  auto resumed = CompressedStateSimulator::load_checkpoint(
-      path, mixed_config(circuit.num_qubits()));
-  CQS_EXPECT_STATES_CLOSE(resumed.to_raw(), sim.to_raw(), 0.0);
-  const auto resumed_report = resumed.report();
-  EXPECT_EQ(resumed_report.lossy_passes, report.lossy_passes);
-  EXPECT_DOUBLE_EQ(resumed_report.fidelity_bound, report.fidelity_bound);
-  EXPECT_EQ(resumed_report.final_lossless_blocks,
-            report.final_lossless_blocks);
+  return ids;
 }
 
-TEST_F(CheckpointMatrixTest, SplitAdaptiveRunMatchesUninterruptedRun) {
-  // Save mid-circuit under the adaptive policy, resume, and compare with
-  // the uninterrupted run: cursor, codec mix, and state must all agree
-  // bit-exactly (same codec decisions on both paths — the arbiter's
-  // hysteresis is restored from the per-block codec ids).
+using CheckpointMatrixTest = test::TempDirFixture;
+
+TEST(CodecIdTest, StableRoundTrip) {
+  // Ids are an on-disk format (one per block in every image): the mapping
+  // must stay put.
+  EXPECT_EQ(compression::codec_id("zstd"), compression::kLosslessCodecId);
+  for (const auto& name : compression::compressor_names()) {
+    EXPECT_EQ(compression::codec_name_of(compression::codec_id(name)), name);
+  }
+  EXPECT_THROW(compression::codec_id("nope"), std::invalid_argument);
+  EXPECT_THROW(compression::codec_name_of(250), std::invalid_argument);
+}
+
+TEST_F(CheckpointMatrixTest, MixedCodecImagesOfEarlierVersionsResume) {
+  // The simulator stores zx blocks at level 0 and lossy blocks above it,
+  // but earlier versions could leave lossless blocks at a lossy level in
+  // v5 to v7 images. Such an image must load, decode bit for bit and keep
+  // each block's codec id and the saved pass count; a lossy gate after the
+  // resume counts one codec switch per lossless block it rewrites.
+  std::vector<double> raw(1 << 9);
+  Rng rng(5);
+  for (double& v : raw) v = rng.next_double() - 0.5;
+  const std::uint8_t qzc = compression::codec_id("qzc");
+  // Rank-major: blocks (0,0) and (1,1) lossless, (0,1) and (1,0) lossy.
+  const std::array<std::uint8_t, 4> ids = {0, qzc, qzc, 0};
+  SimConfig config = matrix_config(8);
+  config.enable_cache = false;  // every rewritten block is computed
+  for (int version : {5, 6, 7}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    const std::string path =
+        this->path("mixed_v" + std::to_string(version) + ".bin");
+    const std::vector<double> decoded =
+        write_checkpoint_image(path, version, raw, 8, {}, ids);
+    auto resumed = CompressedStateSimulator::load_checkpoint(path, config);
+    CQS_EXPECT_STATES_CLOSE(resumed.to_raw(), decoded, 0.0);
+    EXPECT_EQ(resumed.ladder_level(), 1);
+    auto report = resumed.report();
+    EXPECT_EQ(report.lossy_passes, 1u);
+    EXPECT_DOUBLE_EQ(report.fidelity_bound, 1.0 - kImageBound);
+    EXPECT_EQ(report.final_lossless_blocks, 2u);
+    EXPECT_EQ(report.final_lossy_blocks, 2u);
+    const std::string resaved =
+        this->path("resaved_v" + std::to_string(version) + ".bin");
+    resumed.save_checkpoint(resaved);
+    EXPECT_EQ(image_codec_ids(resaved),
+              std::vector<std::uint8_t>(ids.begin(), ids.end()));
+    EXPECT_EQ(runtime::load_checkpoint_full(resaved).header.lossy_passes, 1u);
+
+    // CX(6 -> 0) rewrites the blocks whose block bit (qubit 6) is set:
+    // (0,1), lossy, and (1,1), lossless. H(0) then rewrites all four, of
+    // which only (0,0) is still lossless.
+    resumed.apply({qsim::GateKind::kCX, 0, {6, -1}});
+    report = resumed.report();
+    EXPECT_EQ(report.codec_switches, 1u);
+    EXPECT_EQ(report.final_lossless_blocks, 1u);
+    EXPECT_EQ(report.lossy_passes, 2u);
+    resumed.apply({qsim::GateKind::kH, 0});
+    report = resumed.report();
+    EXPECT_EQ(report.codec_switches, 2u);
+    EXPECT_EQ(report.final_lossless_blocks, 0u);
+    EXPECT_EQ(report.lossy_passes, 3u);
+  }
+}
+
+TEST_F(CheckpointMatrixTest, SplitLossyRunMatchesUninterruptedRun) {
+  // Save mid-circuit at a lossy level, resume, and compare with the
+  // uninterrupted run: cursor, state and fidelity ledger must all agree
+  // bit-exactly.
   const auto circuit = circuits::grover_circuit(
       {.data_qubits = 6, .marked_state = 0b110011, .iterations = 2});
-  SimConfig config = mixed_config(circuit.num_qubits());
+  SimConfig config = lossy_config(circuit.num_qubits());
   // Per-gate mode: batched runs may not span the save point, so the
   // batched split run would legitimately recompress at different points
   // than the uninterrupted one; gate-by-gate the two are bit-comparable.
@@ -185,15 +221,15 @@ TEST_F(CheckpointMatrixTest, SplitAdaptiveRunMatchesUninterruptedRun) {
     head.append(circuit.ops()[i]);
   }
   first.apply_circuit(head);
-  const std::string path = this->path("split_adaptive.bin");
+  const std::string path = this->path("split_lossy.bin");
   first.save_checkpoint(path);
 
   auto resumed = CompressedStateSimulator::load_checkpoint(path, config);
   EXPECT_EQ(resumed.gate_cursor(), half);
   resumed.resume_circuit(circuit);
   CQS_EXPECT_STATES_CLOSE(resumed.to_raw(), full.to_raw(), 0.0);
-  EXPECT_EQ(resumed.report().final_lossy_blocks,
-            full.report().final_lossy_blocks);
+  EXPECT_EQ(resumed.report().lossy_passes, full.report().lossy_passes);
+  EXPECT_EQ(resumed.fidelity_bound(), full.fidelity_bound());
 }
 
 TEST_F(CheckpointMatrixTest, V4RoundTripsMixedQubitMap) {
@@ -258,7 +294,7 @@ TEST_F(CheckpointMatrixTest, SplitRemappedRunMatchesUninterruptedRun) {
   const auto circuit = circuits::qft_circuit({.num_qubits = 8});
   SimConfig config = matrix_config(8);
   config.enable_qubit_remap = true;
-  // Per-gate mode, as in SplitAdaptiveRunMatchesUninterruptedRun: batched
+  // Per-gate mode, as in SplitLossyRunMatchesUninterruptedRun: batched
   // runs may not span the save point.
   config.enable_run_batching = false;
   config.enable_fusion_prepass = false;
@@ -322,7 +358,7 @@ TEST_F(CheckpointMatrixTest, V3RejectsForeignCodecIdAtLoad) {
   // surface the error), not silently misdecode.
   const auto circuit = circuits::grover_circuit(
       {.data_qubits = 6, .marked_state = 0b001101, .iterations = 2});
-  CompressedStateSimulator sim(mixed_config(circuit.num_qubits()));
+  CompressedStateSimulator sim(lossy_config(circuit.num_qubits()));
   sim.apply_circuit(circuit);
   ASSERT_GT(sim.report().final_lossy_blocks, 0u);
   const std::string path = this->path("foreign.bin");
@@ -336,7 +372,7 @@ TEST_F(CheckpointMatrixTest, V3RejectsForeignCodecIdAtLoad) {
   runtime::save_checkpoint(rewritten, loaded.header, loaded.ranks);
 
   EXPECT_THROW(CompressedStateSimulator::load_checkpoint(
-                   rewritten, mixed_config(circuit.num_qubits())),
+                   rewritten, lossy_config(circuit.num_qubits())),
                std::invalid_argument);
 }
 
@@ -398,7 +434,8 @@ TEST_F(CheckpointMatrixTest, PreV6ImagesRejectPostV5CodecIds) {
   const std::vector<double> raw(1 << 9, 0.0);  // 8 qubits of zeros
   const std::uint8_t rans_id = compression::codec_id("zfp-rans");
   const std::string path = this->path("rans_id_v5.bin");
-  write_checkpoint_image(path, 5, raw, 8, {}, rans_id);
+  write_checkpoint_image(path, 5, raw, 8, {},
+                         {rans_id, rans_id, rans_id, rans_id});
   try {
     runtime::load_checkpoint_full(path);
     FAIL() << "v5 image with codec id " << int(rans_id) << " was accepted";
@@ -484,7 +521,8 @@ TEST_F(CheckpointMatrixTest, HandBuiltV6ImageWithZfpRansResumesExactly) {
   ASSERT_GT(rans_id, 6);
   const std::string path = this->path("rans_v6.bin");
   const std::vector<double> decoded =
-      write_checkpoint_image(path, 6, raw, 8, {}, rans_id);
+      write_checkpoint_image(path, 6, raw, 8, {},
+                             {rans_id, rans_id, rans_id, rans_id});
   EXPECT_EQ(read_magic(path), "CQSCKPT6");
 
   auto resumed =

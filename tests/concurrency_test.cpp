@@ -103,41 +103,35 @@ DeterministicReport deterministic_fields(const core::SimulationReport& r) {
 }
 
 TEST(ConcurrencyTest, RandomizedCircuitsBitIdenticalAcrossThreadCounts) {
-  // Randomized circuits x {fixed, adaptive} x {1, 2, hw} worker threads:
-  // states must be bit-identical and the deterministic report fields must
-  // agree — per-block compression is deterministic, blocks are
-  // independent, sharing groups are planned before a sweep starts, and
-  // (for adaptive) the arbiter's hysteresis reads the stored codec of
-  // every block, shared outputs included.
+  // Randomized circuits x {1, 2, hw} worker threads: states must be
+  // bit-identical and the deterministic report fields must agree —
+  // per-block compression is deterministic, blocks are independent, and
+  // sharing groups are planned before a sweep starts.
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
-  for (const std::string policy : {"fixed", "adaptive"}) {
-    for (std::uint64_t seed : {11u, 42u}) {
-      const auto circuit = random_circuit(11, 90, seed);
-      std::vector<double> reference;
-      DeterministicReport reference_report{};
-      for (int threads : {1, 2, hw}) {
-        core::SimConfig config;
-        config.num_qubits = 11;
-        config.num_ranks = 2;
-        config.blocks_per_rank = 8;
-        config.threads = threads;
-        config.initial_level = 2;  // lossy: determinism must still hold
-        config.codec_policy = policy;
-        core::CompressedStateSimulator sim(config);
-        sim.apply_circuit(circuit);
-        const auto report = deterministic_fields(sim.report());
-        const auto raw = sim.to_raw();
-        if (reference.empty()) {
-          reference = raw;
-          reference_report = report;
-        } else {
-          // tol = 0: bit-identical states regardless of worker count.
-          CQS_EXPECT_STATES_CLOSE(raw, reference, 0.0);
-          EXPECT_EQ(report, reference_report)
-              << "policy " << policy << " seed " << seed << " threads "
-              << threads;
-        }
+  for (std::uint64_t seed : {11u, 42u}) {
+    const auto circuit = random_circuit(11, 90, seed);
+    std::vector<double> reference;
+    DeterministicReport reference_report{};
+    for (int threads : {1, 2, hw}) {
+      core::SimConfig config;
+      config.num_qubits = 11;
+      config.num_ranks = 2;
+      config.blocks_per_rank = 8;
+      config.threads = threads;
+      config.initial_level = 2;  // lossy: determinism must still hold
+      core::CompressedStateSimulator sim(config);
+      sim.apply_circuit(circuit);
+      const auto report = deterministic_fields(sim.report());
+      const auto raw = sim.to_raw();
+      if (reference.empty()) {
+        reference = raw;
+        reference_report = report;
+      } else {
+        // tol = 0: bit-identical states regardless of worker count.
+        CQS_EXPECT_STATES_CLOSE(raw, reference, 0.0);
+        EXPECT_EQ(report, reference_report)
+            << "seed " << seed << " threads " << threads;
       }
     }
   }
@@ -155,7 +149,6 @@ TEST(ConcurrencyTest, BudgetEscalationIdenticalAcrossThreadCounts) {
     config.num_ranks = 2;
     config.blocks_per_rank = 4;
     config.threads = threads;
-    config.codec_policy = "adaptive";
     config.memory_budget_bytes = 6 * 1024;
     core::CompressedStateSimulator sim(config);
     sim.apply_circuit(circuit);
@@ -197,8 +190,10 @@ TEST(ConcurrencyTest, PerCodecInvocationCountsDeterministicAcrossThreads) {
   // its own output (the cache off; DeterministicReport pins the shared
   // counts), the invocation counts are a pure function of the workload —
   // identical for 1, 2, and hw worker threads — and they partition the
-  // total codec invocations. The seconds are wall-clock and only
-  // sanity-checked (finite, nonnegative, nonzero where called).
+  // total codec invocations. The run starts lossless and a budget
+  // escalates it to a lossy level mid-run, so both codec classes are
+  // called. The seconds are wall-clock and only sanity-checked (finite,
+  // nonnegative, nonzero where called).
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
   const auto circuit = random_circuit(11, 80, 3);
@@ -210,8 +205,7 @@ TEST(ConcurrencyTest, PerCodecInvocationCountsDeterministicAcrossThreads) {
     config.num_ranks = 2;
     config.blocks_per_rank = 8;
     config.threads = threads;
-    config.initial_level = 1;
-    config.codec_policy = "adaptive";
+    config.memory_budget_bytes = 8 * 1024;  // escalates mid-run
     config.enable_cache = false;
     core::CompressedStateSimulator sim(config);
     sim.apply_circuit(circuit);
@@ -229,11 +223,11 @@ TEST(ConcurrencyTest, PerCodecInvocationCountsDeterministicAcrossThreads) {
       EXPECT_GE(seconds, 0.0);
       EXPECT_TRUE(std::isfinite(seconds));
     }
-    // The adaptive run writes both codec classes; time attribution must
-    // follow wherever invocations happened.
-    EXPECT_GT(counts[0] + counts[1], 0u);
-    if (counts[0] > 0) EXPECT_GT(report.lossless_compress_seconds, 0.0);
-    if (counts[1] > 0) EXPECT_GT(report.lossy_compress_seconds, 0.0);
+    // Time attribution must follow wherever invocations happened.
+    EXPECT_GT(counts[0], 0u);
+    EXPECT_GT(counts[1], 0u);
+    EXPECT_GT(report.lossless_compress_seconds, 0.0);
+    EXPECT_GT(report.lossy_compress_seconds, 0.0);
     if (!have_reference) {
       for (int i = 0; i < 4; ++i) ref_counts[i] = counts[i];
       have_reference = true;
@@ -302,9 +296,9 @@ TEST(ConcurrencyTest, RemappedRunsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ConcurrencyTest, RemappedLossyRunsDeterministicAcrossThreadCounts) {
-  // Same property at a lossy ladder level with the adaptive arbiter:
-  // remap sweeps recompress through the same per-block decision machinery
-  // as gates, so worker count must not leak into codec choices either.
+  // Same property at a lossy ladder level: remap sweeps recompress
+  // through the same executor as gates, so the worker count must not leak
+  // into the lossy codec's bytes either.
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
   const auto circuit = random_circuit(11, 90, 31);
@@ -317,7 +311,6 @@ TEST(ConcurrencyTest, RemappedLossyRunsDeterministicAcrossThreadCounts) {
     config.blocks_per_rank = 4;
     config.threads = threads;
     config.initial_level = 2;
-    config.codec_policy = "adaptive";
     config.enable_qubit_remap = true;
     core::CompressedStateSimulator sim(config);
     sim.apply_circuit(circuit);
@@ -334,10 +327,10 @@ TEST(ConcurrencyTest, RemappedLossyRunsDeterministicAcrossThreadCounts) {
 }
 
 TEST(ConcurrencyTest, CacheThrashAndLadderEscalationIdenticalAcrossThreads) {
-  // Worst-case executor conditions at once: sharing on, the adaptive
-  // arbiter, and a budget tight enough to force ladder escalation between
-  // gates. States and the deterministic report fields must still be
-  // identical across thread counts.
+  // Worst-case executor conditions at once: sharing on and a budget tight
+  // enough to force ladder escalation between gates. States and the
+  // deterministic report fields must still be identical across thread
+  // counts.
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
   const auto circuit = random_circuit(10, 70, 57);
@@ -349,7 +342,6 @@ TEST(ConcurrencyTest, CacheThrashAndLadderEscalationIdenticalAcrossThreads) {
     config.num_ranks = 2;
     config.blocks_per_rank = 8;
     config.threads = threads;
-    config.codec_policy = "adaptive";
     config.memory_budget_bytes = 6 * 1024;  // forces escalation mid-run
     core::CompressedStateSimulator sim(config);
     sim.apply_circuit(circuit);
@@ -385,8 +377,8 @@ TEST(ConcurrencyTest, CheckpointMidCircuitResumesBitIdenticalAtTwoWorkers) {
   for (const auto& op : circuit.ops()) full.apply(op);
   const auto reference = full.to_raw();
 
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "cqs_ConcurrencyTest_MidCircuitCheckpoint";
+  const auto dir =
+      test::process_temp_dir("ConcurrencyTest_MidCircuitCheckpoint");
   std::filesystem::create_directories(dir);
   const std::string file = (dir / "mid.bin").string();
 
@@ -422,8 +414,7 @@ TEST(ConcurrencyTest, QueriesBitIdenticalAcrossThreadCountsAndRepeats) {
   config.num_ranks = 2;
   config.blocks_per_rank = 32;
   config.threads = 1;
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "cqs_ConcurrencyTest_QueryDeterminism";
+  const auto dir = test::process_temp_dir("ConcurrencyTest_QueryDeterminism");
   std::filesystem::create_directories(dir);
   const std::string file = (dir / "state.bin").string();
   {

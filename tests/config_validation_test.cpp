@@ -105,12 +105,6 @@ TEST(ConfigValidationTest, RejectsLossyStartWithLosslessCodec) {
   expect_rejected(config, "cannot start at a lossy level");
 }
 
-TEST(ConfigValidationTest, RejectsUnknownCodecPolicy) {
-  SimConfig config = base_config();
-  config.codec_policy = "oracle";
-  expect_rejected(config, "unknown policy 'oracle'");
-}
-
 TEST(ConfigValidationTest, RejectsQubitCountsOutsideSupportedRange) {
   SimConfig config = base_config();
   config.num_qubits = 0;

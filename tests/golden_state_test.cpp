@@ -2,8 +2,7 @@
 // QFT-8, and Grover-10 under lossless simulation, fidelity floors under
 // every lossy codec x ladder level, and byte-exact pins of every sweep
 // that rewrites compressed blocks — so codec, scheduler or executor
-// refactors can't silently drift states. The amplitude cases run under
-// both the fixed and the adaptive codec policy.
+// refactors can't silently drift states.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -39,19 +38,16 @@ qsim::Circuit ghz_circuit(int qubits) {
   return c;
 }
 
-SimConfig golden_config(int qubits, const std::string& policy) {
+SimConfig golden_config(int qubits) {
   SimConfig config;
   config.num_qubits = qubits;
   config.num_ranks = 2;
   config.blocks_per_rank = 4;
-  config.codec_policy = policy;
   return config;
 }
 
-std::vector<std::complex<double>> run_lossless(const qsim::Circuit& circuit,
-                                               const std::string& policy) {
-  CompressedStateSimulator sim(
-      golden_config(circuit.num_qubits(), policy));
+std::vector<std::complex<double>> run_lossless(const qsim::Circuit& circuit) {
+  CompressedStateSimulator sim(golden_config(circuit.num_qubits()));
   sim.apply_circuit(circuit);
   const auto raw = sim.to_raw();
   std::vector<std::complex<double>> amps(raw.size() / 2);
@@ -61,13 +57,8 @@ std::vector<std::complex<double>> run_lossless(const qsim::Circuit& circuit,
   return amps;
 }
 
-class GoldenPolicyTest : public ::testing::TestWithParam<std::string> {};
-
-INSTANTIATE_TEST_SUITE_P(BothPolicies, GoldenPolicyTest,
-                         ::testing::Values("fixed", "adaptive"));
-
-TEST_P(GoldenPolicyTest, Ghz8ExactAmplitudes) {
-  const auto amps = run_lossless(ghz_circuit(8), GetParam());
+TEST(GoldenAmplitudeTest, Ghz8ExactAmplitudes) {
+  const auto amps = run_lossless(ghz_circuit(8));
   const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
   ASSERT_EQ(amps.size(), 256u);
   EXPECT_NEAR(amps[0].real(), inv_sqrt2, 1e-15);
@@ -80,12 +71,11 @@ TEST_P(GoldenPolicyTest, Ghz8ExactAmplitudes) {
   }
 }
 
-TEST_P(GoldenPolicyTest, Qft8ExactAmplitudes) {
+TEST(GoldenAmplitudeTest, Qft8ExactAmplitudes) {
   // QFT of |0...0> is the uniform superposition with ALL phases +1:
   // every amplitude is exactly 2^-4 up to rounding of the H cascade.
   const auto amps = run_lossless(
-      circuits::qft_circuit({.num_qubits = 8, .random_input = false}),
-      GetParam());
+      circuits::qft_circuit({.num_qubits = 8, .random_input = false}));
   ASSERT_EQ(amps.size(), 256u);
   for (std::size_t i = 0; i < amps.size(); ++i) {
     EXPECT_NEAR(amps[i].real(), 0.0625, 1e-14) << "index " << i;
@@ -93,7 +83,7 @@ TEST_P(GoldenPolicyTest, Qft8ExactAmplitudes) {
   }
 }
 
-TEST_P(GoldenPolicyTest, Grover10ExactAmplitudes) {
+TEST(GoldenAmplitudeTest, Grover10ExactAmplitudes) {
   // 6 data qubits, marked 0b101101, 2 iterations. The implementation's
   // diffusion is I - 2|s><s| (the negated textbook reflection), so after
   // an even iteration count the textbook amplitudes hold verbatim:
@@ -103,8 +93,7 @@ TEST_P(GoldenPolicyTest, Grover10ExactAmplitudes) {
   const auto amps = run_lossless(
       circuits::grover_circuit({.data_qubits = 6,
                                 .marked_state = kMarked,
-                                .iterations = 2}),
-      GetParam());
+                                .iterations = 2}));
   ASSERT_EQ(amps.size(), 1024u);
   const double theta = std::asin(1.0 / 8.0);
   const double marked = std::sin(5.0 * theta);
@@ -120,26 +109,7 @@ TEST_P(GoldenPolicyTest, Grover10ExactAmplitudes) {
   }
 }
 
-TEST_P(GoldenPolicyTest, PoliciesAgreeBitExactlyWhenLossless) {
-  // At level 0 the arbiter has no freedom: both policies must produce the
-  // same bytes and the same state.
-  for (const auto& circuit :
-       {ghz_circuit(8),
-        circuits::qft_circuit({.num_qubits = 8, .random_input = false})}) {
-    CompressedStateSimulator fixed(golden_config(8, "fixed"));
-    CompressedStateSimulator adaptive(golden_config(8, "adaptive"));
-    fixed.apply_circuit(circuit);
-    adaptive.apply_circuit(circuit);
-    CQS_EXPECT_STATES_CLOSE(fixed.to_raw(), adaptive.to_raw(), 0.0);
-  }
-}
-
 // --- Fidelity floors under each lossy codec x ladder level ---------------
-
-struct LossyCase {
-  std::string codec;
-  int level;
-};
 
 class GoldenLossyTest
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
@@ -170,36 +140,31 @@ TEST_P(GoldenLossyTest, FidelityFloorsHoldUnderBothPolicies) {
                                           .iterations = 2})},
   };
   for (const auto& [name, circuit] : circuits) {
-    const auto reference = run_lossless(circuit, "fixed");
+    const auto reference = run_lossless(circuit);
     std::vector<double> reference_raw(reference.size() * 2);
     for (std::size_t i = 0; i < reference.size(); ++i) {
       reference_raw[2 * i] = reference[i].real();
       reference_raw[2 * i + 1] = reference[i].imag();
     }
-    for (const std::string policy : {"fixed", "adaptive"}) {
-      SimConfig config = golden_config(circuit.num_qubits(), policy);
-      config.codec = codec;
-      config.initial_level = level;
-      CompressedStateSimulator sim(config);
-      sim.apply_circuit(circuit);
-      const auto report = sim.report();
-      const double fidelity =
-          qsim::state_fidelity(sim.to_raw(), reference_raw);
-      // Eq. 11's guarantee is the floor every refactor must preserve:
-      // measured fidelity never dips below the tracked bound.
-      EXPECT_GE(fidelity, report.fidelity_bound - 1e-12)
-          << name << " codec " << codec << " level " << level << " policy "
-          << policy;
-      // Pinned measured-fidelity floors (values observed at pin time held
-      // comfortable margins: worst cases 0.99995 / 0.9942 / 0.6700): a
-      // codec or scheduler change that degrades reconstruction accuracy
-      // trips these long before the worst-case bound does.
-      const double floor = level == 1 ? 0.999 : level == 3 ? 0.99 : 0.6;
-      EXPECT_GE(fidelity, floor)
-          << name << " codec " << codec << " level " << level << " policy "
-          << policy;
-      EXPECT_GT(report.fidelity_bound, 0.0);
-    }
+    SimConfig config = golden_config(circuit.num_qubits());
+    config.codec = codec;
+    config.initial_level = level;
+    CompressedStateSimulator sim(config);
+    sim.apply_circuit(circuit);
+    const auto report = sim.report();
+    const double fidelity = qsim::state_fidelity(sim.to_raw(), reference_raw);
+    // Eq. 11's guarantee is the floor every refactor must preserve:
+    // measured fidelity never dips below the tracked bound.
+    EXPECT_GE(fidelity, report.fidelity_bound - 1e-12)
+        << name << " codec " << codec << " level " << level;
+    // Pinned measured-fidelity floors (values observed at pin time held
+    // comfortable margins: worst cases 0.99995 / 0.9942 / 0.6700): a
+    // codec or scheduler change that degrades reconstruction accuracy
+    // trips these long before the worst-case bound does.
+    const double floor = level == 1 ? 0.999 : level == 3 ? 0.99 : 0.6;
+    EXPECT_GE(fidelity, floor)
+        << name << " codec " << codec << " level " << level;
+    EXPECT_GT(report.fidelity_bound, 0.0);
   }
 }
 

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "../bench/suite/workloads.hpp"
-#include "circuits/supremacy.hpp"
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "core/simulator.hpp"
@@ -646,32 +645,6 @@ TEST_F(StatePinTest, QftOoc) {
        2922810, 320, 767, 799, 113, 431,
        0, 1048552, 1048709},
   });
-}
-
-TEST_F(StatePinTest, AdaptiveSupremacy) {
-  // bench_codec_arbiter's adaptive supremacy run: every block starts
-  // lossless and turns lossy as the state grows dense, so the row pins the
-  // adaptive policy's choices and their hysteresis.
-  const qsim::Circuit circuit =
-      circuits::supremacy_circuit({.rows = 3, .cols = 4, .depth = 11});
-  SimConfig config;
-  config.num_qubits = circuit.num_qubits();
-  config.num_ranks = 2;
-  config.blocks_per_rank = 4;
-  config.initial_level = 1;
-  config.codec_policy = "adaptive";
-  const StatePin expected =
-      {0, false,
-       "d56f5cb1d8d66ccd26f6ca09eb7c22ed8fa4526277d2e89f6fb1d7fe73ae8c96",
-       "861370a4a6611fcb458fc8c14f5ac110259558ead1160e75c039d8b3237da9bc",
-       9, 18, 56, 24, 48, 8, 7, 0x3fefff6d3429dfbf,
-       57394, 32, 0, 0, 0, 0,
-       1, 30188, 30281};
-  // The leg must exercise what it is named for, or the pin is hollow.
-  EXPECT_GT(expected.codec_switches, 0u);
-  EXPECT_GT(expected.lossless_compress, 0u);
-  EXPECT_GT(expected.lossy_compress, 0u);
-  expect_row(config, circuit, expected, "adaptive supremacy");
 }
 
 }  // namespace

@@ -255,6 +255,19 @@ TEST(ScratchTest, SlotsAreDisjoint) {
   }
 }
 
+using TempDirFixtureTest = test::TempDirFixture;
+
+TEST_F(TempDirFixtureTest, DirectoryNameCarriesTheProcessId) {
+  // Two processes running the same test at once (two build trees' ctest
+  // runs on one host) must not share, and delete, one directory.
+  const std::filesystem::path dir =
+      std::filesystem::path(path("file")).parent_path();
+  EXPECT_EQ(dir.filename().string(),
+            "cqs_TempDirFixtureTest_DirectoryNameCarriesTheProcessId_" +
+                std::to_string(::getpid()));
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+}
+
 using CheckpointTest = test::TempDirFixture;
 
 TEST_F(CheckpointTest, RoundTrip) {

@@ -244,7 +244,6 @@ TEST(SimdKernelTest, SimulatorStatesBitIdenticalSimdOnVsOff) {
       config.blocks_per_rank = 8;
       config.threads = 2;
       config.initial_level = 2;
-      config.codec_policy = "adaptive";
       config.enable_simd_kernels = simd;
       core::CompressedStateSimulator sim(config);
       sim.apply_circuit(circuit);

@@ -225,6 +225,83 @@ TEST(SimulatorTest, LadderNeverEscalatesWithoutBudgetPressure) {
   EXPECT_DOUBLE_EQ(sim.fidelity_bound(), 1.0);
 }
 
+// The ladder level alone picks the codec: zx at level 0, the configured
+// lossy codec above it, whatever the blocks hold.
+SimulationReport run_from_level(const qsim::Circuit& circuit, int level) {
+  SimConfig config = small_config(8, 2, 4);
+  config.initial_level = level;
+  CompressedStateSimulator sim(config);
+  sim.apply_circuit(circuit);
+  return sim.report();
+}
+
+TEST(SimulatorTest, LevelZeroIsAlwaysLossless) {
+  // However dense the state, level 0 compresses every block losslessly.
+  const auto report = run_from_level(
+      circuits::supremacy_circuit({.rows = 2, .cols = 4, .depth = 6}), 0);
+  EXPECT_GT(report.lossless_compress_invocations, 0u);
+  EXPECT_EQ(report.lossy_compress_invocations, 0u);
+  EXPECT_EQ(report.final_lossy_blocks, 0u);
+}
+
+TEST(SimulatorTest, LossyLevelCompressesEvenSparseBlocksLossily) {
+  // A GHZ state is exact zeros outside two amplitudes; a lossy level still
+  // sends every block through the lossy codec.
+  qsim::Circuit ghz(8);
+  ghz.h(0);
+  for (int q = 1; q < 8; ++q) ghz.cx(q - 1, q);
+  const auto report = run_from_level(ghz, 1);
+  EXPECT_EQ(report.lossless_compress_invocations, 0u);
+  EXPECT_GT(report.lossy_compress_invocations, 0u);
+  EXPECT_EQ(report.final_lossless_blocks, 0u);
+  EXPECT_EQ(report.final_lossy_blocks, 8u);
+}
+
+TEST(SimulatorTest, RunStartedAtLevelOneEndsWithNoLosslessBlock) {
+  // Init happens at level 1 too, so every block a dense run started there
+  // compressed went through the lossy codec.
+  const auto report = run_from_level(
+      circuits::supremacy_circuit({.rows = 2, .cols = 4, .depth = 6}), 1);
+  EXPECT_EQ(report.lossless_compress_invocations, 0u);
+  EXPECT_GT(report.lossy_compress_invocations, 0u);
+  EXPECT_EQ(report.final_lossless_blocks, 0u);
+  EXPECT_EQ(report.final_lossy_blocks, 8u);
+}
+
+TEST(SimulatorTest, AdHocApplyRejectsWhatCircuitAppendRejects) {
+  // apply() checks an ad-hoc op by the rules Circuit::append applies, and
+  // throws the same exception before the op reaches the qubit map.
+  const qsim::GateOp out_of_range[] = {
+      {GateKind::kH, 40},           // target past the register
+      {GateKind::kCX, 3, {8, -1}},  // control past the register
+      {GateKind::kH, -1},           // negative target
+  };
+  const qsim::GateOp invalid[] = {
+      {GateKind::kCX, 3, {3, -1}},  // control equals the target
+      {GateKind::kCCX, 3, {1, 1}},  // duplicate controls
+  };
+  qsim::Circuit prefix(8);
+  prefix.h(0).cx(0, 5).t(7);
+  CompressedStateSimulator sim(small_config(8, 2, 4));
+  sim.apply_circuit(prefix);
+  const auto state = sim.to_raw();
+  const auto gates = sim.report().gates;
+  ASSERT_EQ(sim.gate_cursor(), prefix.size());
+  for (const qsim::GateOp& op : out_of_range) {
+    qsim::Circuit circuit(8);
+    EXPECT_THROW(circuit.append(op), std::out_of_range);
+    EXPECT_THROW(sim.apply(op), std::out_of_range);
+  }
+  for (const qsim::GateOp& op : invalid) {
+    qsim::Circuit circuit(8);
+    EXPECT_THROW(circuit.append(op), std::invalid_argument);
+    EXPECT_THROW(sim.apply(op), std::invalid_argument);
+  }
+  CQS_EXPECT_STATES_CLOSE(sim.to_raw(), state, 0.0);
+  EXPECT_EQ(sim.report().gates, gates);
+  EXPECT_EQ(sim.gate_cursor(), prefix.size());
+}
+
 TEST(SimulatorTest, ProbabilityMatchesDenseAcrossSegments) {
   const auto c = circuits::qaoa_maxcut_circuit({.num_qubits = 10});
   CompressedStateSimulator sim(small_config(10, 4, 8));

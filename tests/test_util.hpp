@@ -7,6 +7,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -89,6 +90,14 @@ inline ::testing::AssertionResult states_close(std::span<const double> a,
 #define CQS_EXPECT_STATES_CLOSE(a, b, tol) \
   EXPECT_TRUE(::cqs::test::states_close((a), (b), (tol)))
 
+/// `cqs_<leaf>_<pid>` under the system temp dir. The process id keeps two
+/// test processes on one host (two build trees' ctest runs, say) out of
+/// each other's files.
+inline std::filesystem::path process_temp_dir(const std::string& leaf) {
+  return std::filesystem::temp_directory_path() /
+         ("cqs_" + leaf + "_" + std::to_string(::getpid()));
+}
+
 /// Creates a unique directory under the system temp dir for the lifetime of
 /// each test, so file-writing tests (checkpoints) never collide when the
 /// suite runs with `ctest -j`.
@@ -97,12 +106,12 @@ class TempDirFixture : public ::testing::Test {
   void SetUp() override {
     const auto* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
-    std::string leaf = std::string("cqs_") + info->test_suite_name() + "_" +
-                       info->name();
+    std::string leaf =
+        std::string(info->test_suite_name()) + "_" + info->name();
     for (auto& ch : leaf) {
       if (ch == '/' || ch == '\\') ch = '_';
     }
-    dir_ = std::filesystem::temp_directory_path() / leaf;
+    dir_ = process_temp_dir(leaf);
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }
