@@ -5,14 +5,14 @@
 // analogue (default mode) scales worker parallelism over a fixed 20-qubit
 // QAOA workload.
 //
-// --json mode is the qubit-remap communication comparison: QFT and Grover
-// run remap-on vs remap-off at 4 and 8 ranks, recording cross-rank bytes,
-// messages, remap ledger entries, and wall time, and verifying the final
-// states agree. CI gates on QFT at 4 ranks: remapping must cut exchanged
-// bytes by >= 5x (relabeled reversal swaps plus early in-place sweeps on
-// the still-sparse state dominate the win), and Grover — whose AND-ladder
-// keeps every offset slot hot, so the planner correctly stands pat — must
-// never move MORE bytes than the identity layout.
+// --json mode is the communication study: QFT and Grover run at 4 and 8
+// ranks, recording runs, compressions, cross-rank bytes and messages, and
+// wall time. QFT's bit-reversal SWAPs touch nothing after them, so the
+// simulator relabels them instead of exchanging blocks: QFT runs against
+// the same QFT built without its final SWAPs, and the bench exits nonzero
+// unless the two make the same runs, compressions, bytes and messages, or
+// when any final state's fidelity to the dense StateVector is below
+// 1 - 1e-12.
 //
 //   $ ./bench_fig16_strong_scaling [--qubits N] [--json PATH]
 #include <cstdio>
@@ -79,102 +79,74 @@ int run_scaling_table() {
   return 0;
 }
 
-struct RemapRun {
+struct CommRun {
+  std::string name;
+  int qubits = 0;
+  int ranks = 0;
   SimulationReport report;
   double seconds = 0.0;
-  std::vector<double> state;  // empty above the to_raw limit
+  double fidelity = 1.0;  ///< to the dense StateVector; 1 above 26 qubits
 };
 
-RemapRun run_remap_once(const cqs::qsim::Circuit& circuit, int ranks,
-                        bool remap) {
+CommRun run_comm_once(const std::string& name,
+                      const cqs::qsim::Circuit& circuit, int ranks) {
   SimConfig config;
   config.num_qubits = circuit.num_qubits();
   config.num_ranks = ranks;
   config.blocks_per_rank = 8;
-  config.enable_qubit_remap = remap;
   CompressedStateSimulator sim(config);
   cqs::WallTimer timer;
   sim.apply_circuit(circuit);
-  RemapRun run;
+  CommRun run{.name = name, .qubits = circuit.num_qubits(), .ranks = ranks};
   run.seconds = timer.seconds();
   run.report = sim.report();
-  if (circuit.num_qubits() <= 26) run.state = sim.to_raw();
+  if (circuit.num_qubits() <= 26) {
+    cqs::qsim::StateVector reference(circuit.num_qubits());
+    reference.apply_circuit(circuit);
+    run.fidelity = cqs::qsim::state_fidelity(reference.raw(), sim.to_raw());
+  }
   return run;
 }
 
-struct RemapComparison {
-  std::string name;
-  int qubits = 0;
-  int ranks = 0;
-  RemapRun on;
-  RemapRun off;
-  double byte_ratio = 0.0;  // off / on (1.0 when both moved nothing)
-  double fidelity = 0.0;
-};
-
-RemapComparison compare_remap(const std::string& name,
-                              const cqs::qsim::Circuit& circuit,
-                              int ranks) {
-  RemapComparison cmp;
-  cmp.name = name;
-  cmp.qubits = circuit.num_qubits();
-  cmp.ranks = ranks;
-  cmp.off = run_remap_once(circuit, ranks, false);
-  cmp.on = run_remap_once(circuit, ranks, true);
-  cmp.byte_ratio =
-      cmp.on.report.comm_bytes == 0
-          ? (cmp.off.report.comm_bytes == 0 ? 1.0 : 1e9)
-          : static_cast<double>(cmp.off.report.comm_bytes) /
-                static_cast<double>(cmp.on.report.comm_bytes);
-  cmp.fidelity = cqs::qsim::state_fidelity(cmp.on.state, cmp.off.state);
-  return cmp;
-}
-
-void print_remap(const RemapComparison& cmp) {
+void print_run(const CommRun& run) {
   std::printf(
-      "%-8s %2dq @%d ranks | bytes %12llu -> %10llu (%.1fx)  | msgs %6llu "
-      "-> %5llu | remaps %llu, relabels %llu, in-place %llu | %.2fs -> "
-      "%.2fs | fidelity %.12f\n",
-      cmp.name.c_str(), cmp.qubits, cmp.ranks,
-      static_cast<unsigned long long>(cmp.off.report.comm_bytes),
-      static_cast<unsigned long long>(cmp.on.report.comm_bytes),
-      cmp.byte_ratio,
-      static_cast<unsigned long long>(cmp.off.report.comm_messages),
-      static_cast<unsigned long long>(cmp.on.report.comm_messages),
-      static_cast<unsigned long long>(cmp.on.report.remap_sweeps),
-      static_cast<unsigned long long>(cmp.on.report.swaps_relabeled),
-      static_cast<unsigned long long>(cmp.on.report.rank_gates_in_place),
-      cmp.off.seconds, cmp.on.seconds, cmp.fidelity);
+      "%-12s %2dq @%d ranks | runs %4llu | compressions %6llu | bytes "
+      "%10llu | msgs %5llu | relabeled %2llu | %.2fs | fidelity %.12f\n",
+      run.name.c_str(), run.qubits, run.ranks,
+      static_cast<unsigned long long>(run.report.batched_runs),
+      static_cast<unsigned long long>(run.report.compress_invocations),
+      static_cast<unsigned long long>(run.report.comm_bytes),
+      static_cast<unsigned long long>(run.report.comm_messages),
+      static_cast<unsigned long long>(run.report.swaps_relabeled),
+      run.seconds, run.fidelity);
 }
 
-void write_json(const std::string& path,
-                const std::vector<RemapComparison>& results) {
+void write_json(const std::string& path, const std::vector<CommRun>& runs) {
   std::ofstream out(path, std::ios::trunc);
-  out << "{\n  \"bench\": \"fig16_strong_scaling_remap\",\n"
-      << "  \"comparisons\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RemapComparison& c = results[i];
-    const auto side = [&](const RemapRun& r) {
-      return "{\"comm_bytes\": " + std::to_string(r.report.comm_bytes) +
-             ", \"comm_messages\": " +
-             std::to_string(r.report.comm_messages) +
-             ", \"remap_sweeps\": " +
-             std::to_string(r.report.remap_sweeps) +
-             ", \"swaps_relabeled\": " +
-             std::to_string(r.report.swaps_relabeled) +
-             ", \"rank_gates_in_place\": " +
-             std::to_string(r.report.rank_gates_in_place) +
-             ", \"seconds\": " + std::to_string(r.seconds) + "}";
-    };
-    out << "    {\"name\": \"" << c.name << "\", \"qubits\": " << c.qubits
-        << ", \"ranks\": " << c.ranks
-        << ",\n     \"remap_on\": " << side(c.on)
-        << ",\n     \"remap_off\": " << side(c.off)
-        << ",\n     \"cross_rank_byte_ratio\": " << c.byte_ratio
-        << ", \"cross_fidelity\": " << c.fidelity << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
+  out << "{\n  \"bench\": \"fig16_strong_scaling_comm\",\n"
+      << "  \"runs\": [\n";
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const CommRun& r = runs[i];
+    out << "    {\"name\": \"" << r.name << "\", \"qubits\": " << r.qubits
+        << ", \"ranks\": " << r.ranks
+        << ", \"batched_runs\": " << r.report.batched_runs
+        << ", \"compressions\": " << r.report.compress_invocations
+        << ", \"comm_bytes\": " << r.report.comm_bytes
+        << ", \"comm_messages\": " << r.report.comm_messages
+        << ", \"swaps_relabeled\": " << r.report.swaps_relabeled
+        << ", \"seconds\": " << r.seconds
+        << ", \"fidelity\": " << r.fidelity << "}"
+        << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
+}
+
+/// The counters relabeling must leave equal: a circuit and the same
+/// circuit without the SWAPs nothing after them touches.
+bool same_counts(const SimulationReport& a, const SimulationReport& b) {
+  return a.batched_runs == b.batched_runs &&
+         a.compress_invocations == b.compress_invocations &&
+         a.comm_bytes == b.comm_bytes && a.comm_messages == b.comm_messages;
 }
 
 }  // namespace
@@ -206,48 +178,41 @@ int main(int argc, char** argv) try {
   if (json_path.empty()) return run_scaling_table();
 
   bench::print_header(
-      "Figure 16 / Table 2 communication: cross-rank bytes, qubit remap "
-      "on vs off");
+      "Figure 16 / Table 2 communication: cross-rank traffic, QFT with and "
+      "without its final SWAPs");
 
-  std::vector<RemapComparison> results;
+  std::vector<CommRun> runs;
   const auto qft = circuits::qft_circuit({.num_qubits = qft_qubits});
+  const auto qft_no_swaps = circuits::qft_circuit(
+      {.num_qubits = qft_qubits, .final_swaps = false});
   const auto grover = circuits::grover_circuit(
       {.data_qubits = 8, .marked_state = 0b10110101, .iterations = 2});
-  for (int ranks : {4, 8}) {
-    results.push_back(compare_remap("qft", qft, ranks));
-    print_remap(results.back());
-    results.push_back(compare_remap("grover", grover, ranks));
-    print_remap(results.back());
-  }
-
-  write_json(json_path, results);
-  std::printf("wrote %s\n", json_path.c_str());
-
-  // Acceptance gates. The QFT instance at 4 ranks is the headline number
-  // (the ISSUE's >= 5x floor); every configuration must (a) keep the
-  // final states identical up to codec tolerance (lossless here: 1.0 to
-  // rounding) and (b) never move more bytes than the identity layout.
   bool ok = true;
-  for (const RemapComparison& c : results) {
-    if (!c.on.state.empty() && c.fidelity < 1.0 - 1e-12) {
-      std::fprintf(stderr, "FAIL: %s@%d remap changed the state (%.12f)\n",
-                   c.name.c_str(), c.ranks, c.fidelity);
-      ok = false;
-    }
-    if (c.on.report.comm_bytes > c.off.report.comm_bytes) {
-      std::fprintf(stderr, "FAIL: %s@%d remap moved MORE bytes\n",
-                   c.name.c_str(), c.ranks);
+  for (int ranks : {4, 8}) {
+    runs.push_back(run_comm_once("qft", qft, ranks));
+    runs.push_back(run_comm_once("qft_no_swaps", qft_no_swaps, ranks));
+    runs.push_back(run_comm_once("grover", grover, ranks));
+    const CommRun& with = runs[runs.size() - 3];
+    const CommRun& without = runs[runs.size() - 2];
+    if (!same_counts(with.report, without.report)) {
+      std::fprintf(stderr,
+                   "FAIL: qft@%d final SWAPs changed runs, compressions, "
+                   "bytes or messages\n",
+                   ranks);
       ok = false;
     }
   }
-  const RemapComparison& headline = results.front();
-  if (headline.byte_ratio < 5.0) {
-    std::fprintf(stderr,
-                 "FAIL: qft@4 cross-rank byte ratio %.2f < 5.0\n",
-                 headline.byte_ratio);
-    ok = false;
+  for (const CommRun& run : runs) {
+    print_run(run);
+    if (run.fidelity < 1.0 - 1e-12) {
+      std::fprintf(stderr, "FAIL: %s@%d fidelity %.12f to the dense state\n",
+                   run.name.c_str(), run.ranks, run.fidelity);
+      ok = false;
+    }
   }
-  std::printf("%s\n", ok ? "PASS" : "FAIL");
+
+  write_json(json_path, runs);
+  std::printf("wrote %s\n%s\n", json_path.c_str(), ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "bench_fig16_strong_scaling: %s\n", e.what());

@@ -9,8 +9,6 @@
 //                        unlimited, stays lossless)
 //     --no-batching      disable the gate-run scheduler and its fusion
 //                        pre-pass (every gate is a sweep of its own)
-//     --remap            plan logical->physical qubit remaps so rank-target
-//                        gates run block-locally
 //     --checkpoint PATH  save a checkpoint at the end
 //     --samples N        print N sampled basis states
 //     --spill PATH       out-of-core: spill cold compressed blocks to an
@@ -70,7 +68,7 @@ namespace {
                "usage: %s <circuit-file> [--ranks N] [--blocks N] "
                "[--codec NAME] [--budget-frac F] "
                "[--no-batching] [--checkpoint PATH] "
-               "[--samples N] [--remap] [--spill PATH] [--resident-frac F] "
+               "[--samples N] [--spill PATH] [--resident-frac F] "
                "[--checkpoint-interval N] [--autosave PATH] "
                "[--resilient] [--fault-plan SPEC]\n"
                "exit codes: 0 ok, 1 failure, 2 usage, 3 bad config, "
@@ -141,8 +139,6 @@ int main(int argc, char** argv) try {
       checkpoint_path = next();
     } else if (arg == "--samples") {
       samples = next_int();
-    } else if (arg == "--remap") {
-      config.enable_qubit_remap = true;
     } else if (arg == "--spill") {
       config.spill_path = next();
     } else if (arg == "--resident-frac") {

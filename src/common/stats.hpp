@@ -1,6 +1,6 @@
-// Streaming statistics, CDF extraction, and lag-k autocorrelation. These
-// back the Figure 12/14 error-distribution benches and the paper's
-// non-correlation claim for Solution C compression errors.
+// CDF extraction, lag-k autocorrelation and histograms. These back the
+// Figure 12/14 error-distribution benches and the paper's non-correlation
+// claim for Solution C compression errors.
 #pragma once
 
 #include <cstddef>
@@ -8,27 +8,6 @@
 #include <vector>
 
 namespace cqs {
-
-/// Welford's online mean/variance plus min/max.
-class RunningStats {
- public:
-  void add(double x);
-  void merge(const RunningStats& other);
-
-  std::size_t count() const { return count_; }
-  double mean() const { return mean_; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// One (x, F(x)) point of an empirical CDF.
 struct CdfPoint {

@@ -29,8 +29,8 @@ struct SimConfig {
   /// level 0 compresses every block with lossless zx (registry key
   /// "zstd"), level k with `codec` at pointwise relative bound
   /// ladder[k-1]. The budget is checked after each gate run (at most 16
-  /// ops under a budget), each per-gate op, each remap sweep and each
-  /// measure(); when the state is over it there, the level escalates to
+  /// ops under a budget), each per-gate op and each measure(); when the
+  /// state is over it there, the level escalates to
   /// the next entry and every block is recompressed. Inside a run the
   /// state can exceed the budget until the run ends.
   std::vector<double> error_ladder = {1e-5, 1e-4, 1e-3, 1e-2, 1e-1};
@@ -67,19 +67,6 @@ struct SimConfig {
   /// effect when enable_run_batching is on; the per-gate path applies
   /// circuits verbatim).
   bool enable_fusion_prepass = true;
-
-  /// Logical->physical qubit remapping (Intel-QS-style relabeling over
-  /// Section 3.3's partitioning). When on, the scheduler's remap pre-pass
-  /// rewrites gates through the current qubit map, absorbs SWAPs into the
-  /// map (exact up to the sign of zero components the skipped X kernels
-  /// would have recomputed), and trades each hot rank-segment qubit into
-  /// the offset segment with a single exchange sweep so later gates on it
-  /// route block-locally — instead of one compressed-block exchange per
-  /// gate. The trade plans with the remaining circuit: last-touch rank
-  /// gates are paid in place, and a remap evicts only a resident that is
-  /// never targeted again. Off by default: the identity layout reproduces
-  /// the paper's communication behavior.
-  bool enable_qubit_remap = false;
 
   /// Runtime-dispatched SIMD apply kernels (AVX2/NEON). Bit-identical to
   /// the scalar reference by construction; off forces the scalar path.

@@ -103,11 +103,8 @@ void SimulationReport::print(std::ostream& os) const {
      << std::setprecision(4) << "comm time:           " << comm_seconds
      << " s\n"
      << std::setprecision(2);
-  if (qubit_remap_enabled) {
-    os << "qubit remap:         " << remap_sweeps << " remap sweeps, "
-       << swaps_relabeled << " swaps relabeled; " << rank_gates_localized
-       << " rank gates localized / " << rank_gates_in_place
-       << " in place\n";
+  if (swaps_relabeled > 0) {
+    os << "swaps relabeled:     " << swaps_relabeled << "\n";
   }
   os << "simd_kernel:         " << simd_kernel << "\n";
   os << "cache:               " << cache.hits << " hits / " << cache.misses

@@ -120,13 +120,9 @@ struct SimulationReport {
   /// atomic nanosecond counter at report time.
   double comm_seconds = 0.0;
 
-  // Qubit remapping (logical->physical relabeling; runtime/qubit_map.hpp).
-  bool qubit_remap_enabled = false;
-  std::uint64_t remap_sweeps = 0;      ///< RemapOps executed (one exchange
-                                       ///< sweep of all block pairs each)
-  std::uint64_t swaps_relabeled = 0;   ///< SWAP gates absorbed into the map
-  std::uint64_t rank_gates_localized = 0;  ///< rank-target gates made local
-  std::uint64_t rank_gates_in_place = 0;   ///< still executed cross-rank
+  /// SWAP gates absorbed into the qubit map (runtime/qubit_map.hpp)
+  /// because nothing after them touched their qubits.
+  std::uint64_t swaps_relabeled = 0;
 
   /// Kernel backend dispatch actually ran with: "scalar", "avx2", "neon".
   std::string simd_kernel;

@@ -364,47 +364,13 @@ void CompressedStateSimulator::decompress_payload(
   }
 }
 
-void CompressedStateSimulator::apply_remap(const qsim::RemapStep& step) {
-  if (partition_.segment_of(step.phys_hot) != Partition::Segment::kRank ||
-      partition_.segment_of(step.phys_cold) != Partition::Segment::kOffset) {
-    throw std::logic_error("apply_remap: step does not pair rank x offset");
-  }
-  // Swapping physical bits (offset a, rank h) moves the amplitude at
-  // (a=1, h=0) to (a=0, h=1) and back, other bits unchanged: every block
-  // pairs with the same block index on the partner rank across bit h, and
-  // the pair trades its complementary bit-a halves. One Comm::exchange of
-  // the two compressed payloads per pair — the same exchange cost as a
-  // single rank-target gate — and afterwards gates on the relabeled qubit
-  // are block-local.
-  const std::uint64_t cold_bit =
-      std::uint64_t{1} << partition_.local_bit(step.phys_cold);
-  const int hot_local = partition_.local_bit(step.phys_hot);
-
-  std::vector<std::pair<int, int>> units;  // (rank with hot bit 0, block)
-  for (int r = 0; r < partition_.num_ranks(); ++r) {
-    if ((r >> hot_local) & 1) continue;
-    for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
-      units.emplace_back(r, b);
-    }
-  }
-  SweepSpec spec;
-  spec.partner_rank_bit = 1 << hot_local;
-  spec.compute = [cold_bit](std::span<Amplitude* const> pair,
-                            std::uint64_t count, int, int) {
-    for (std::uint64_t k = 0; k < count; ++k) {
-      if (k & cold_bit) std::swap(pair[0][k], pair[1][k ^ cold_bit]);
-    }
-  };
-  run_sweep(units, spec);
-  record_lossy_pass();
-}
-
 void CompressedStateSimulator::apply(const GateOp& op) {
   // The circuit rules hold for ad-hoc gates too, checked before the op
   // indexes the qubit map.
   qsim::check_op(op, config_.num_qubits);
   // Ad-hoc gates arrive in logical indices like everything else; rewrite
-  // through the layout (no remap planning for a single gate).
+  // through the layout. Nothing is known about what follows, so an ad-hoc
+  // SWAP executes.
   apply_single_counted(qsim::translated_through(op, map_));
   // An ad-hoc gate diverges the state from whatever circuit the cursor
   // described, so the recorded resume position is void.
@@ -452,10 +418,14 @@ void CompressedStateSimulator::run_from_cursor(const qsim::Circuit& circuit) {
   // gates. Fusion buffers single-qubit runs per qubit and emits them out
   // of source order, so a mid-schedule state is NOT a source-gate prefix
   // — the only honest checkpoint cursors are chunk boundaries, where the
-  // whole scheduled slice has drained. Each chunk is fused / remap-
-  // planned / scheduled independently, and boundaries sit at absolute
-  // multiples of the interval, so a resumed run re-chunks exactly like
-  // the uninterrupted autosaved run and stays bit-identical to it.
+  // whole scheduled slice has drained. Each chunk is fused / planned /
+  // scheduled independently, and boundaries sit at absolute multiples of
+  // the interval, so a resumed run re-chunks exactly like the
+  // uninterrupted autosaved run and stays bit-identical to it. Which
+  // SWAPs relabel is decided once, from the whole rest of the circuit: a
+  // chunk alone cannot see that the next one uses a SWAP's qubit.
+  const std::vector<bool> relabel =
+      qsim::trailing_swaps(circuit, gate_cursor_);
   while (gate_cursor_ < ops.size()) {
     const std::size_t begin = gate_cursor_;
     std::size_t end = ops.size();
@@ -464,7 +434,7 @@ void CompressedStateSimulator::run_from_cursor(const qsim::Circuit& circuit) {
       end = static_cast<std::size_t>(std::min<std::uint64_t>(
           end, (gate_cursor_ / interval + 1) * interval));
     }
-    run_source_range(circuit, end);
+    run_source_range(circuit, end, relabel);
     // Each op joins the digest once, as its chunk completes, so an
     // autosave records the digest of exactly the gates it holds.
     circuit_digest_ = fold_ops(
@@ -473,8 +443,9 @@ void CompressedStateSimulator::run_from_cursor(const qsim::Circuit& circuit) {
   }
 }
 
-void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
-                                                std::size_t end) {
+void CompressedStateSimulator::run_source_range(
+    const qsim::Circuit& circuit, std::size_t end,
+    const std::vector<bool>& relabel) {
   const auto& ops = circuit.ops();
   if (gate_cursor_ >= end) return;
 
@@ -485,10 +456,9 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
     slice.append(ops[i]);
   }
 
-  // Fuse BEFORE planning (instead of per scheduled segment) so remap
-  // boundaries cannot change which gates fuse: remap-on then executes
-  // exactly the arithmetic remap-off executes, which is what keeps the
-  // two paths bit-identical at the lossless level.
+  // Fuse BEFORE planning, so a relabeled SWAP flushes the same pending
+  // runs an executed one does: the other ops fuse exactly as they would
+  // with every SWAP executed.
   const bool fuse =
       config_.enable_run_batching && config_.enable_fusion_prepass;
   std::vector<std::size_t> origins;
@@ -497,29 +467,21 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
                                : std::move(slice);
   if (!fuse) origins.assign(planned.size(), 1);
 
-  // With remapping off the planner only rewrites ops through the map,
-  // which is the identity unless a remapped checkpoint was restored.
-  qsim::RemapOptions remap_options;
-  remap_options.enabled = config_.enable_qubit_remap;
-  remap_options.num_qubits = config_.num_qubits;
-  remap_options.offset_bits = partition_.offset_bits;
-  remap_options.block_bits = partition_.block_bits;
+  // Fusion passes every SWAP through, in program order, so the slice's
+  // SWAPs keep their flags in order.
+  std::vector<bool> planned_relabel(planned.size(), false);
+  std::size_t source = gate_cursor_;
+  for (std::size_t i = 0; i < planned.size(); ++i) {
+    if (planned.ops()[i].kind != GateKind::kSwap) continue;
+    while (ops[source].kind != GateKind::kSwap) ++source;
+    planned_relabel[i] = relabel[source++];
+  }
   const qsim::RemapProgram program =
-      qsim::plan_remaps(planned, map_, remap_options, &origins);
-  remap_sweeps_ += program.stats.remaps;
+      qsim::plan_remaps(planned, map_, planned_relabel, &origins);
   swaps_relabeled_ += program.stats.swaps_relabeled;
-  rank_gates_localized_ += program.stats.rank_targets_localized;
-  rank_gates_in_place_ += program.stats.rank_targets_in_place;
 
   for (const qsim::RemapItem& item : program.items) {
     switch (item.kind) {
-      case qsim::RemapItem::Kind::kRemap: {
-        WallTimer timer;
-        apply_remap(item.remap);
-        map_.swap_physical(item.remap.phys_hot, item.remap.phys_cold);
-        note_gate_finished(timer.seconds());
-        break;
-      }
       case qsim::RemapItem::Kind::kRelabel:
         // A SWAP absorbed into the map: zero data movement, but still one
         // source gate for the cursor and the gate count.
@@ -1280,6 +1242,13 @@ CompressedStateSimulator CompressedStateSimulator::load_checkpoint(
     store.attach(sim.tier_stats_.get(), sim.spill_.get());
   }
   sim.level_ = static_cast<int>(header.ladder_level);
+  // The constructor checked its initial level, not this one.
+  if (sim.level_ > 0 && sim.lossy_ == nullptr) {
+    throw std::invalid_argument(
+        "load_checkpoint: lossless codec '" + config.codec +
+        "' cannot resume at lossy ladder level " +
+        std::to_string(sim.level_));
+  }
   sim.gate_cursor_ = header.next_gate_index;
   sim.circuit_digest_ = header.circuit_digest;
   // The restore point counts as saved: a resumed run's next autosave is
@@ -1404,11 +1373,7 @@ SimulationReport CompressedStateSimulator::report() const {
   rep.comm_bytes = comm_stats.bytes_moved;
   rep.comm_messages = comm_stats.messages;
   rep.comm_seconds = comm_stats.seconds();
-  rep.qubit_remap_enabled = config_.enable_qubit_remap;
-  rep.remap_sweeps = remap_sweeps_;
   rep.swaps_relabeled = swaps_relabeled_;
-  rep.rank_gates_localized = rank_gates_localized_;
-  rep.rank_gates_in_place = rank_gates_in_place_;
   rep.simd_kernel = qsim::kernel_backend_name(backend_);
   rep.spill_enabled = spill_ != nullptr;
   rep.resident_budget_bytes = config_.resident_budget_bytes;

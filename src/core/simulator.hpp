@@ -57,10 +57,10 @@ class CompressedStateSimulator {
   const SimConfig& config() const { return config_; }
   const runtime::Partition& partition() const { return partition_; }
 
-  /// Current logical->physical qubit layout. Identity unless qubit
-  /// remapping has relabeled or exchanged positions (or a checkpoint
-  /// restored a remapped layout). All public APIs speak logical indices;
-  /// the map is exposed for tests and benches.
+  /// Current logical->physical qubit layout. Identity unless a circuit
+  /// relabeled a SWAP that nothing after it touched (or a checkpoint
+  /// restored such a layout). All public APIs speak logical indices; the
+  /// map is exposed for tests and benches.
   const runtime::QubitMap& qubit_map() const { return map_; }
 
   /// Applies one ad-hoc gate (counts toward the per-gate statistics). An
@@ -233,19 +233,17 @@ class CompressedStateSimulator {
   /// they are the only places an autosave may cut.
   void run_from_cursor(const qsim::Circuit& circuit);
   /// One chunk of run_from_cursor: slices ops [gate_cursor_, end), fuses
-  /// them once when batching and fusion are on, plans them through the
-  /// qubit-remap pre-pass (with remapping off it only rewrites ops through
-  /// the map) and hands each gate stretch to run_segment.
-  void run_source_range(const qsim::Circuit& circuit, std::size_t end);
+  /// them once when batching and fusion are on, plans them with
+  /// qsim::plan_remaps (the SWAPs `relabel` flags, one flag per op of
+  /// `circuit`, go into the map) and hands the gate stretch to
+  /// run_segment.
+  void run_source_range(const qsim::Circuit& circuit, std::size_t end,
+                        const std::vector<bool>& relabel);
   /// Applies one contiguous stretch of already-physical ops, batched or
   /// per-gate, advancing the cursor by each op's source-gate weight in
   /// `origin_counts` (one entry per op).
   void run_segment(const qsim::Circuit& segment,
                    const std::vector<std::size_t>& origin_counts);
-  /// One physical exchange sweep trading a rank-segment position for an
-  /// offset-segment position (the data half of a RemapOp; the caller
-  /// mirrors the swap into map_). One run_sweep over block pairs.
-  void apply_remap(const qsim::RemapStep& step);
   void apply_single_counted(const qsim::GateOp& op);
 
   /// One physical op: a SWAP whose legs pair across two qubits
@@ -389,17 +387,14 @@ class CompressedStateSimulator {
   /// construction from config_.enable_simd_kernels and the host CPU).
   qsim::KernelBackend backend_ = qsim::KernelBackend::kScalar;
 
-  // Qubit remapping (logical->physical relabeling).
+  // Logical->physical qubit layout (relabeled SWAPs).
   runtime::QubitMap map_;
 
   // Statistics.
   std::uint64_t gates_ = 0;
   std::uint64_t batched_runs_ = 0;
   std::uint64_t batched_gates_ = 0;  ///< scheduled ops applied inside runs
-  std::uint64_t remap_sweeps_ = 0;
   std::uint64_t swaps_relabeled_ = 0;
-  std::uint64_t rank_gates_localized_ = 0;
-  std::uint64_t rank_gates_in_place_ = 0;
   CacheStats sharing_;  ///< gate sweeps' shared (hits) and computed units
   double wall_seconds_ = 0.0;
   double min_ratio_ = 0.0;  ///< 0 until first gate

@@ -1,6 +1,6 @@
 #include "qsim/scheduler.hpp"
 
-#include <limits>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -118,164 +118,62 @@ GateOp translated_through(const GateOp& op, const runtime::QubitMap& map) {
   return out;
 }
 
-namespace {
-
-constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
-
-/// Positions at which each logical qubit is the target of a non-diagonal
-/// gate — the only events that can force an exchange sweep and therefore
-/// the only ones the planner looks ahead to. SWAPs are relabels, free of
-/// any sweep, so they are never events.
-struct TargetEvents {
-  std::vector<std::vector<std::size_t>> at;  // per logical qubit, ascending
-  std::vector<std::size_t> next;             // scan cursor per qubit
-
-  TargetEvents(const Circuit& circuit, int num_qubits)
-      : at(num_qubits), next(num_qubits, 0) {
-    const auto& ops = circuit.ops();
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const GateOp& op = ops[i];
-      if (op.kind != GateKind::kSwap && !is_diagonal(op.kind)) {
-        at[op.target].push_back(i);
-      }
+std::vector<bool> trailing_swaps(const Circuit& circuit, std::size_t begin) {
+  const auto& ops = circuit.ops();
+  std::vector<bool> relabel(ops.size(), false);
+  // Qubits some later op names, relabeled SWAPs aside.
+  std::vector<bool> named(circuit.num_qubits(), false);
+  for (std::size_t i = ops.size(); i-- > begin;) {
+    const GateOp& op = ops[i];
+    if (op.kind == GateKind::kSwap && !named[op.target] &&
+        !named[op.controls[0]]) {
+      relabel[i] = true;
+      continue;
+    }
+    named[op.target] = true;
+    for (int c : op.controls) {
+      if (c >= 0) named[c] = true;
     }
   }
-
-  /// First event of `logical` strictly after position `i` (kNever if none).
-  std::size_t next_after(int logical, std::size_t i) {
-    auto& cursor = next[logical];
-    const auto& events = at[logical];
-    while (cursor < events.size() && events[cursor] <= i) ++cursor;
-    return cursor < events.size() ? events[cursor] : kNever;
-  }
-
-  /// Events of `logical` strictly after position `i` — the sweeps the
-  /// qubit would pay over the rest of the circuit if it sat at rank the
-  /// whole time, which is the planner's cost proxy.
-  std::size_t remaining_after(int logical, std::size_t i) {
-    next_after(logical, i);  // advance the cursor past <= i
-    return at[logical].size() - next[logical];
-  }
-};
-
-}  // namespace
+  return relabel;
+}
 
 RemapProgram plan_remaps(const Circuit& circuit,
                          const runtime::QubitMap& map,
-                         const RemapOptions& options,
+                         const std::vector<bool>& relabel,
                          const std::vector<std::size_t>* origin_counts) {
-  if (options.num_qubits != circuit.num_qubits() ||
-      options.num_qubits != map.size()) {
+  if (circuit.num_qubits() != map.size()) {
     throw std::invalid_argument("plan_remaps: qubit count mismatch");
   }
-  if (origin_counts != nullptr && origin_counts->size() != circuit.size()) {
+  if (relabel.size() != circuit.size() ||
+      (origin_counts != nullptr && origin_counts->size() != circuit.size())) {
     throw std::invalid_argument(
-        "plan_remaps: origin counts must cover every op");
+        "plan_remaps: relabel flags and origin counts must cover every op");
   }
-  if (options.offset_bits < 1 ||
-      options.offset_bits + options.block_bits > options.num_qubits) {
-    throw std::invalid_argument("plan_remaps: bad segment split");
-  }
-  const int rank_start = options.offset_bits + options.block_bits;
-
-  RemapProgram program;
-  runtime::QubitMap working = map;
-  TargetEvents events(circuit, options.num_qubits);
-
-  auto append_gate = [&](const GateOp& op, std::size_t weight) {
-    if (program.items.empty() ||
-        program.items.back().kind != RemapItem::Kind::kGates) {
-      RemapItem item;
-      item.kind = RemapItem::Kind::kGates;
-      item.ops = Circuit(options.num_qubits);
-      program.items.push_back(std::move(item));
-    }
-    program.items.back().ops.append(op);
-    program.items.back().source_gates.push_back(weight);
-  };
-
-  /// Best eviction victim: the offset-segment physical position whose
-  /// logical occupant would pay the fewest future sweeps at rank — the
-  /// fewest remaining non-diagonal targets (dead qubits first), with the
-  /// furthest next use breaking ties. Remaining ties break toward the
-  /// lowest physical position so plans are deterministic.
-  struct Victim {
-    int position = 0;
-    std::size_t remaining = 0;  ///< future sweeps the victim would pay
-    std::size_t next_use = 0;
-  };
-  auto pick_cold = [&](std::size_t i) {
-    Victim best;
-    for (int p = 0; p < options.offset_bits; ++p) {
-      const int resident = working.logical(p);
-      const std::size_t remaining = events.remaining_after(resident, i);
-      const std::size_t when = events.next_after(resident, i);
-      if (p == 0 || remaining < best.remaining ||
-          (remaining == best.remaining && when > best.next_use)) {
-        best.position = p;
-        best.remaining = remaining;
-        best.next_use = when;
-      }
-    }
-    return best;
-  };
-
-  auto emit_remap = [&](int phys_hot, int phys_cold) {
-    RemapItem item;
-    item.kind = RemapItem::Kind::kRemap;
-    item.remap = RemapStep{phys_hot, phys_cold};
-    working.swap_physical(item.remap.phys_hot, item.remap.phys_cold);
-    program.items.push_back(item);
-    ++program.stats.remaps;
-  };
-
+  RemapItem gates;
+  gates.ops = Circuit(circuit.num_qubits());
+  std::vector<RemapItem> relabels;
   const auto& ops = circuit.ops();
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    const GateOp& op = ops[i];
     const std::size_t weight =
         origin_counts != nullptr ? (*origin_counts)[i] : 1;
-
-    if (options.enabled && op.kind == GateKind::kSwap) {
-      RemapItem item;
+    if (relabel[i] && ops[i].kind == GateKind::kSwap) {
+      RemapItem& item = relabels.emplace_back();
       item.kind = RemapItem::Kind::kRelabel;
-      item.relabel_a = op.target;
-      item.relabel_b = op.controls[0];
+      item.relabel_a = ops[i].target;
+      item.relabel_b = ops[i].controls[0];
       item.relabel_source_gates = weight;
-      working.relabel(item.relabel_a, item.relabel_b);
-      program.items.push_back(item);
-      ++program.stats.swaps_relabeled;
       continue;
     }
-
-    GateOp phys = translated_through(op, working);
-    if (options.enabled) {
-      if (!is_diagonal(op.kind) && phys.target >= rank_start) {
-        // Trade-gain rule: remapping costs the same single sweep as
-        // applying in place, then hands the hot position's future to the
-        // evicted resident. The planner therefore only trades when a truly
-        // cold victim exists — zero remaining targets, so the remap
-        // deletes every future sweep of the hot qubit and adds none —
-        // and the hot qubit has a future at all (a last-touch gate pays
-        // its one sweep in place). Evicting a merely-cooler qubit is a
-        // loss in bytes even when it wins on counts: its deferred sweeps
-        // land on a denser, worse-compressing state.
-        const std::size_t hot_remaining =
-            events.remaining_after(op.target, i);
-        const Victim victim = pick_cold(i);
-        if (victim.remaining == 0 && hot_remaining > 0) {
-          emit_remap(phys.target, victim.position);
-          phys = translated_through(op, working);
-        } else {
-          ++program.stats.rank_targets_in_place;
-        }
-      }
-      if (!is_diagonal(op.kind) && phys.target < rank_start &&
-          op.target >= rank_start) {
-        ++program.stats.rank_targets_localized;
-      }
-    }
-    append_gate(phys, weight);
+    gates.ops.append(translated_through(ops[i], map));
+    gates.source_gates.push_back(weight);
   }
+  RemapProgram program;
+  if (!gates.source_gates.empty()) program.items.push_back(std::move(gates));
+  program.stats.swaps_relabeled = relabels.size();
+  program.items.insert(program.items.end(),
+                       std::make_move_iterator(relabels.begin()),
+                       std::make_move_iterator(relabels.end()));
   return program;
 }
 

@@ -128,8 +128,8 @@ std::vector<std::pair<int, int>> run_block_order(int num_ranks,
 /// options.max_run_length.
 ///
 /// When `origin_counts` is non-null the circuit is taken as already
-/// processed (the remap pre-pass fuses before planning so segment
-/// boundaries cannot change which gates fuse): options.fuse is ignored,
+/// processed (the simulator fuses before plan_remaps, so relabels cannot
+/// change which gates fuse): options.fuse is ignored,
 /// no fusion runs, and each op's source-gate weight is read from the
 /// array, which must hold one entry per op.
 Schedule build_schedule(const Circuit& circuit,
@@ -138,76 +138,43 @@ Schedule build_schedule(const Circuit& circuit,
                             nullptr);
 
 // ---------------------------------------------------------------------------
-// Remap pre-pass: logical->physical rewriting + cross-rank avoidance.
+// SWAP relabeling.
 //
 // The simulator stores amplitudes in a physical layout described by a
-// runtime::QubitMap. Before gates are scheduled into runs, this pass walks
-// the logical circuit in order and
-//   - rewrites every op's qubits through the evolving map,
-//   - absorbs SWAP gates into the map as free relabels,
-//   - and, when a non-diagonal gate's physical target lands in the rank
-//     segment (the only case that forces compressed-block exchanges
-//     through Comm), either emits a RemapStep — one physical exchange
-//     sweep that trades the hot rank position for a cold offset-segment
-//     position — or pays the single exchange in place.
-// The choice plans with the remaining circuit: a hot rank target remaps
-// only when a truly cold offset resident exists (zero remaining
-// non-diagonal target uses, preferring the furthest next use) and the hot
-// qubit has a future at all, so every emitted remap deletes all of the hot
-// qubit's future exchange sweeps and adds none; otherwise — including for
-// a last-touch gate — the single sweep is paid in place, which is never
-// worse than the identity layout. Deterministic given (map, remaining
-// ops), so a checkpoint-resumed suffix plans exactly like the
-// uninterrupted run planned its tail. Diagonal gates and gates whose
-// rank-segment involvement is control-only are routed locally by the
-// simulator already and never trigger a remap.
+// runtime::QubitMap, and rewrites every op's qubits through it. A SWAP
+// that nothing later touches (no later op names either of its qubits, as
+// target or control, a later such SWAP aside) only permutes amplitudes
+// the rest of the circuit never reads again, so it is absorbed into the
+// map instead of executed: its qubits' physical homes trade places and no
+// amplitude moves. Every other SWAP runs as a gate. The ops that remain
+// are the ones the circuit runs with every SWAP executed, rewritten to the
+// same physical qubits, so they form the same runs less the relabeled
+// SWAPs. The state is the same up to the sign of zero components, which
+// the skipped CX kernels would have recomputed. The decision reads only
+// the ops after the SWAP, so a run resumed from a checkpoint decides
+// exactly as the uninterrupted run did.
 // ---------------------------------------------------------------------------
 
 /// `op` with every qubit rewritten through `map`: the target and any
 /// non-negative control (SWAP's second qubit lives in controls[0], so it
-/// is covered). Shared by the remap pre-pass and the simulator's ad-hoc
-/// apply() so the two translation paths cannot diverge.
+/// is covered). Shared by plan_remaps and the simulator's ad-hoc apply()
+/// so the two translation paths cannot diverge.
 GateOp translated_through(const GateOp& op, const runtime::QubitMap& map);
 
-struct RemapOptions {
-  /// When false, the pass only rewrites ops through the map (needed
-  /// whenever the map is non-identity, e.g. after resuming a remapped
-  /// checkpoint) and emits no remaps or relabels. When true, SWAPs become
-  /// relabels: semantically exact, but the skipped X-kernel arithmetic
-  /// means signed zeros in moved amplitudes can differ from the expanded
-  /// three-CX path.
-  bool enabled = false;
-  int num_qubits = 0;
-  int offset_bits = 0;  ///< physical [0, offset_bits) = block-local
-  int block_bits = 0;   ///< next block_bits = same-rank; rest = rank segment
-};
-
-/// One physical exchange sweep: every block pair across rank bit
-/// `phys_hot` swaps its offset-bit-`phys_cold` halves, after which the
-/// logical occupants of the two positions have traded places.
-struct RemapStep {
-  int phys_hot = 0;   ///< rank-segment physical position being vacated
-  int phys_cold = 0;  ///< offset-segment physical position moving up
-};
+/// One flag per op of `circuit`, set for each SWAP at or after op `begin`
+/// that nothing later touches. One backward pass.
+std::vector<bool> trailing_swaps(const Circuit& circuit,
+                                 std::size_t begin = 0);
 
 struct RemapStats {
-  std::size_t remaps = 0;            ///< RemapSteps emitted
-  std::size_t swaps_relabeled = 0;   ///< SWAP gates absorbed into the map
-  /// Non-diagonal gates whose *logical* target sits in the rank segment
-  /// (they would pay an exchange sweep under the identity layout) that
-  /// executed block- or rank-locally thanks to the map.
-  std::size_t rank_targets_localized = 0;
-  /// Non-diagonal gates that still executed with a rank-segment physical
-  /// target (last-touch in-place applications and unavoidable residue).
-  std::size_t rank_targets_in_place = 0;
+  std::size_t swaps_relabeled = 0;  ///< SWAP gates absorbed into the map
 };
 
-/// The remapped program: executed strictly in order by the simulator,
-/// which mirrors every kRemap/kRelabel item into its persistent map.
+/// The planned program: executed strictly in order by the simulator,
+/// which mirrors every kRelabel item into its persistent map.
 struct RemapItem {
-  enum class Kind { kRemap, kRelabel, kGates };
+  enum class Kind { kRelabel, kGates };
   Kind kind = Kind::kGates;
-  RemapStep remap{};                    ///< kRemap
   int relabel_a = 0, relabel_b = 0;     ///< kRelabel: logical qubit pair
   std::size_t relabel_source_gates = 1;  ///< kRelabel: cursor weight
   /// kGates: physical-index ops. (Initialized to a 1-qubit placeholder;
@@ -223,12 +190,17 @@ struct RemapProgram {
   RemapStats stats;
 };
 
-/// Plans the remapped form of `circuit` starting from `map`.
+/// Plans `circuit` from `map`: every op is rewritten through `map`, except
+/// the SWAPs `relabel` flags (one flag per op, as trailing_swaps gives
+/// them), which become kRelabel items after the one kGates item. No later
+/// op names a flagged SWAP's qubits, so moving its relabel behind them
+/// rewrites none of them differently, and keeps the ops in one stretch
+/// that the scheduler batches as if the SWAP were not there.
 /// `origin_counts` (one entry per op) carries source-gate weights when the
 /// caller fused the circuit first; null means every op weighs 1.
 RemapProgram plan_remaps(const Circuit& circuit,
                          const runtime::QubitMap& map,
-                         const RemapOptions& options,
+                         const std::vector<bool>& relabel,
                          const std::vector<std::size_t>* origin_counts =
                              nullptr);
 

@@ -58,28 +58,6 @@ struct Partition {
     return 0;
   }
 
-  /// First qubit index of a segment (the offset segment starts at 0; the
-  /// rank segment at offset_bits + block_bits). With segment_size this
-  /// enumerates a segment's qubits — the qubit-remap planner walks the
-  /// offset segment for eviction candidates this way.
-  int segment_begin(Segment segment) const {
-    switch (segment) {
-      case Segment::kOffset: return 0;
-      case Segment::kBlock: return offset_bits;
-      case Segment::kRank: return offset_bits + block_bits;
-    }
-    return 0;
-  }
-
-  int segment_size(Segment segment) const {
-    switch (segment) {
-      case Segment::kOffset: return offset_bits;
-      case Segment::kBlock: return block_bits;
-      case Segment::kRank: return num_qubits - offset_bits - block_bits;
-    }
-    return 0;
-  }
-
   /// Global amplitude index from (rank, block, offset).
   std::uint64_t global_index(int rank, int block,
                              std::uint64_t offset) const {

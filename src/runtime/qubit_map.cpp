@@ -45,27 +45,6 @@ void QubitMap::relabel(int logical_a, int logical_b) {
   logical_[physical_[logical_b]] = logical_b;
 }
 
-void QubitMap::swap_physical(int phys_a, int phys_b) {
-  std::swap(logical_[phys_a], logical_[phys_b]);
-  physical_[logical_[phys_a]] = phys_a;
-  physical_[logical_[phys_b]] = phys_b;
-}
-
-QubitMap QubitMap::composed(const QubitMap& next) const {
-  if (next.size() != size()) {
-    throw std::invalid_argument("qubit map: compose size mismatch");
-  }
-  std::vector<int> table(physical_.size());
-  for (int l = 0; l < size(); ++l) {
-    table[l] = next.physical_[physical_[l]];
-  }
-  return from_physical(std::move(table));
-}
-
-QubitMap QubitMap::inverted() const {
-  return from_physical(logical_);
-}
-
 std::uint64_t QubitMap::to_physical_index(std::uint64_t logical_index) const {
   std::uint64_t out = 0;
   for (int l = 0; l < size(); ++l) {

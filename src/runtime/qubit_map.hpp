@@ -1,11 +1,11 @@
-// Logical->physical qubit map (the Intel-QS trick applied to Section 3.3's
-// partitioning). The simulator stores amplitudes in a *physical* bit
-// layout; a QubitMap is the permutation that says where each logical
-// qubit's index bit currently lives. Relabeling two qubits — swapping
-// their physical homes — costs one map update instead of moving
-// amplitudes, which turns most cross-rank gate traffic into bookkeeping:
-// a hot rank-segment qubit is exchanged into the offset segment once and
-// every later gate on it routes block-locally.
+// Logical->physical qubit map (the relabeling distributed simulators such
+// as Intel-QS apply, here over Section 3.3's partitioning). The simulator
+// stores amplitudes in a *physical* bit layout; a QubitMap is the
+// permutation that says where each logical qubit's index bit currently
+// lives. Relabeling two qubits — swapping their physical homes — costs
+// one map update instead of moving amplitudes. The simulator relabels the
+// SWAPs nothing later touches (qsim::trailing_swaps), so a circuit's
+// output permutation, QFT's bit reversal say, costs no exchange sweep.
 //
 // The map is a permutation over [0, n): physical(l) is the physical bit
 // of logical qubit l, logical(p) its inverse. Both directions are stored
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "runtime/partition.hpp"
 
 namespace cqs::runtime {
 
@@ -47,27 +46,6 @@ class QubitMap {
   /// Relabels the two *logical* qubits: their physical homes swap. This is
   /// the zero-cost SWAP gate — no amplitude moves.
   void relabel(int logical_a, int logical_b);
-
-  /// Swaps the logical occupants of two *physical* positions — the map
-  /// update that accompanies a physical amplitude exchange (RemapOp).
-  void swap_physical(int phys_a, int phys_b);
-
-  /// Composition: the map that results from applying `next` after this
-  /// one, i.e. result.physical(l) == next.physical(this->physical(l)).
-  /// Sizes must match.
-  QubitMap composed(const QubitMap& next) const;
-
-  /// The inverse permutation: inverted().physical(p) == logical(p).
-  QubitMap inverted() const;
-
-  // --- Segment queries (Section 3.3 routing through the map) ---
-
-  Partition::Segment segment_of(const Partition& p, int logical) const {
-    return p.segment_of(physical(logical));
-  }
-  int local_bit(const Partition& p, int logical) const {
-    return p.local_bit(physical(logical));
-  }
 
   // --- Index translation ---
 

@@ -233,13 +233,12 @@ TEST_F(CheckpointMatrixTest, SplitLossyRunMatchesUninterruptedRun) {
 }
 
 TEST_F(CheckpointMatrixTest, V4RoundTripsMixedQubitMap) {
-  // A remapped QFT run ends with a non-identity layout (relabeled
-  // reversal swaps). v4 must persist the map byte-exactly, and the
-  // reloaded simulator must answer every logical-index query as if the
-  // run had never been interrupted.
+  // A QFT run ends with a non-identity layout (relabeled reversal
+  // swaps). v4 must persist the map byte-exactly, and the reloaded
+  // simulator must answer every logical-index query as if the run had
+  // never been interrupted.
   const auto circuit = circuits::qft_circuit({.num_qubits = 8});
-  SimConfig config = matrix_config(8);
-  config.enable_qubit_remap = true;
+  const SimConfig config = matrix_config(8);
   CompressedStateSimulator sim(config);
   sim.apply_circuit(circuit);
   ASSERT_FALSE(sim.qubit_map().is_identity())
@@ -252,48 +251,51 @@ TEST_F(CheckpointMatrixTest, V4RoundTripsMixedQubitMap) {
   EXPECT_EQ(runtime::load_checkpoint_full(path).header.qubit_map,
             sim.qubit_map());
 
-  // Simulator reload: same layout, same logical state, and the restored
-  // map keeps translating (a further remapped circuit still agrees with
-  // an uninterrupted remap-off run).
+  // Simulator reload: same layout, same logical state.
   auto resumed = CompressedStateSimulator::load_checkpoint(path, config);
   EXPECT_EQ(resumed.qubit_map(), sim.qubit_map());
   CQS_EXPECT_STATES_CLOSE(resumed.to_raw(), sim.to_raw(), 0.0);
 }
 
 TEST_F(CheckpointMatrixTest, V4MapHonoredEvenWithRemapDisabledOnResume) {
-  // Resuming a remapped checkpoint with enable_qubit_remap=false must
-  // still translate gates through the persisted layout — the blocks are
-  // physically permuted whether or not new remaps are allowed.
-  const auto circuit = circuits::qft_circuit({.num_qubits = 8});
-  SimConfig remap_config = matrix_config(8);
-  remap_config.enable_qubit_remap = true;
-
-  CompressedStateSimulator first(remap_config);
+  // The head ends with two SWAPs, so applied alone it relabels them and
+  // saves a permuted layout. The full circuit touches their qubits again,
+  // so resuming it must translate every later gate through the persisted
+  // map: the blocks are physically permuted.
+  const auto qft = circuits::qft_circuit({.num_qubits = 8});
   qsim::Circuit head(8);
-  const std::uint64_t half = circuit.size() / 2;
-  for (std::uint64_t i = 0; i < half; ++i) head.append(circuit.ops()[i]);
+  const std::size_t half = qft.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) head.append(qft.ops()[i]);
+  head.swap(0, 7).swap(1, 6);
+  qsim::Circuit circuit = head;
+  for (std::size_t i = half; i < qft.size(); ++i) {
+    circuit.append(qft.ops()[i]);
+  }
+
+  CompressedStateSimulator first(matrix_config(8));
   first.apply_circuit(head);
-  const std::string path = this->path("map_remap_off_resume.bin");
+  ASSERT_FALSE(first.qubit_map().is_identity());
+  const std::string path = this->path("map_resume.bin");
   first.save_checkpoint(path);
 
   auto resumed =
       CompressedStateSimulator::load_checkpoint(path, matrix_config(8));
+  EXPECT_EQ(resumed.qubit_map(), first.qubit_map());
   resumed.resume_circuit(circuit);
 
   CompressedStateSimulator reference(matrix_config(8));
-  reference.apply_circuit(circuit);
+  reference.apply_circuit(test::with_swaps_expanded(circuit));
   CQS_EXPECT_STATES_CLOSE(resumed.to_raw(), reference.to_raw(), 0.0);
 }
 
 TEST_F(CheckpointMatrixTest, SplitRemappedRunMatchesUninterruptedRun) {
-  // Save mid-circuit with remapping on, resume, and compare with the
-  // uninterrupted remapped run: the final logical state must agree
-  // bit-exactly. (The resumed planner only sees the remaining suffix, so
-  // its layout choices may differ from the uninterrupted plan's — the
-  // logical state must not.)
+  // Save mid-circuit, resume, and compare with the uninterrupted run,
+  // which relabels QFT's four reversal swaps: the final logical state
+  // must agree bit-exactly. The last cut falls between the swaps, so the
+  // head relabels the two it ends with, and the resumed run the other
+  // two.
   const auto circuit = circuits::qft_circuit({.num_qubits = 8});
   SimConfig config = matrix_config(8);
-  config.enable_qubit_remap = true;
   // Per-gate mode, as in SplitLossyRunMatchesUninterruptedRun: batched
   // runs may not span the save point.
   config.enable_run_batching = false;
@@ -318,9 +320,33 @@ TEST_F(CheckpointMatrixTest, SplitRemappedRunMatchesUninterruptedRun) {
     EXPECT_EQ(resumed.gate_cursor(), cut);
     resumed.resume_circuit(circuit);
     EXPECT_EQ(resumed.gate_cursor(), circuit.size());
+    EXPECT_EQ(resumed.qubit_map(), full.qubit_map()) << "cut at " << cut;
     CQS_EXPECT_STATES_CLOSE(resumed.to_raw(), full.to_raw(), 0.0)
         << "cut at " << cut;
   }
+}
+
+TEST_F(CheckpointMatrixTest, LosslessImageAtALossyLevelFailsAtLoad) {
+  // A header naming the lossless codec at ladder level 1 describes a
+  // state no lossless simulator can continue: its next gate would
+  // compress at level 1 with no lossy codec. The load must refuse it, as
+  // the constructor refuses initial_level 1 with codec "zstd".
+  SimConfig config = matrix_config(8);
+  config.codec = "zstd";
+  CompressedStateSimulator sim(config);
+  qsim::Circuit c(8);
+  c.h(0).cx(0, 5);
+  sim.apply_circuit(c);
+  const std::string path = this->path("lossless.bin");
+  sim.save_checkpoint(path);
+  EXPECT_NO_THROW(CompressedStateSimulator::load_checkpoint(path, config));
+
+  runtime::LoadedCheckpoint loaded = runtime::load_checkpoint_full(path);
+  loaded.header.ladder_level = 1;
+  const std::string rewritten = this->path("lossless_level1.bin");
+  runtime::save_checkpoint(rewritten, loaded.header, loaded.ranks);
+  EXPECT_THROW(CompressedStateSimulator::load_checkpoint(rewritten, config),
+               std::invalid_argument);
 }
 
 TEST_F(CheckpointMatrixTest, V4RejectsCorruptQubitMaps) {

@@ -3,9 +3,9 @@
 // cross-rank traffic. The expected exchange count is derived from an
 // independent walk of the circuit against the Section 3.3 routing rules
 // (one paired block exchange per pair unit of every run that pairs blocks
-// across a rank qubit); the simulator's counters must match it exactly
-// with remapping off, stay reproducible across runs and thread counts, and
-// never exceed it with remapping on.
+// across a rank qubit, relabeled SWAPs aside); the simulator's counters
+// must match it exactly, stay reproducible across runs and thread counts,
+// and stay below what the SWAPs cost as their CX legs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,13 +27,12 @@ using qsim::GateKind;
 using qsim::GateOp;
 using runtime::Partition;
 
-SimConfig comm_config(int qubits, int ranks, bool remap) {
+SimConfig comm_config(int qubits, int ranks) {
   SimConfig config;
   config.num_qubits = qubits;
   config.num_ranks = ranks;
   config.blocks_per_rank = 4;
   config.threads = 2;
-  config.enable_qubit_remap = remap;
   // Fusion would fold prelude X gates into the H ladder and change how
   // many rank-target sweeps run; the reference walk below models the
   // unfused circuit, so pin it off.
@@ -80,14 +79,32 @@ std::uint64_t exchanges_for(const Partition& partition, int qubit,
   return units;
 }
 
-/// Reference model of the remap-off path without a memory budget. An op
-/// pairs blocks when it is not diagonal and its target lies outside the
-/// offset segment; a SWAP is its three CX legs. Runs are maximal stretches
-/// whose pairing ops all pair across one qubit, except that a SWAP with
-/// both qubits outside the offset segment runs each leg as a run of its
-/// own. (QFT holds no CX . D . CX triple, which the scheduler would fold.)
+/// Reference model of the batched path without a memory budget. A SWAP
+/// that no later op names (a later such SWAP aside) is relabeled: it
+/// costs nothing and cuts no run. An op pairs blocks when it is not
+/// diagonal and its target lies outside the offset segment; any other
+/// SWAP is its three CX legs. Runs are maximal stretches whose pairing ops
+/// all pair across one qubit, except that a SWAP with both qubits outside
+/// the offset segment runs each leg as a run of its own. (QFT holds no
+/// CX . D . CX triple, which the scheduler would fold.)
 std::uint64_t expected_exchanges(const Partition& partition,
                                  const qsim::Circuit& circuit) {
+  const auto& ops = circuit.ops();
+  std::vector<bool> relabeled(ops.size(), false);
+  std::vector<bool> named(circuit.num_qubits(), false);
+  for (std::size_t i = ops.size(); i-- > 0;) {
+    const GateOp& op = ops[i];
+    if (op.kind == GateKind::kSwap && !named[op.target] &&
+        !named[op.controls[0]]) {
+      relabeled[i] = true;
+    } else {
+      named[op.target] = true;
+      for (int c : op.controls) {
+        if (c >= 0) named[c] = true;
+      }
+    }
+  }
+
   const int offset_bits = partition.offset_bits;
   std::uint64_t total = 0;
   int run_qubit = -1;
@@ -106,7 +123,9 @@ std::uint64_t expected_exchanges(const Partition& partition,
     run_qubit = op.target;
     pairing.push_back(op);
   };
-  for (const GateOp& op : circuit.ops()) {
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const GateOp& op = ops[i];
+    if (relabeled[i]) continue;
     if (op.kind != GateKind::kSwap) {
       add(op);
       continue;
@@ -129,9 +148,10 @@ std::uint64_t expected_exchanges(const Partition& partition,
 TEST(CommAccountingTest, QftExchangesMatchTheRoutingModelAcrossRanks) {
   const auto circuit = circuits::qft_circuit({.num_qubits = 10});
   for (int ranks : {1, 2, 4}) {
-    CompressedStateSimulator sim(comm_config(10, ranks, /*remap=*/false));
+    CompressedStateSimulator sim(comm_config(10, ranks));
     sim.apply_circuit(circuit);
     const auto report = sim.report();
+    EXPECT_EQ(report.swaps_relabeled, 5u) << ranks << " ranks";
     const std::uint64_t exchanges =
         expected_exchanges(sim.partition(), circuit);
     // One paired exchange = two messages (Comm::exchange counts both
@@ -147,51 +167,27 @@ TEST(CommAccountingTest, QftExchangesMatchTheRoutingModelAcrossRanks) {
 
 TEST(CommAccountingTest, QftCountersReproducibleAcrossRunsAndThreads) {
   const auto circuit = circuits::qft_circuit({.num_qubits = 10});
-  for (const bool remap : {false, true}) {
-    std::uint64_t reference_bytes = 0;
-    std::uint64_t reference_messages = 0;
-    bool have_reference = false;
-    for (int threads : {1, 2, 4}) {
-      for (int rep = 0; rep < 2; ++rep) {
-        auto config = comm_config(10, 4, remap);
-        config.threads = threads;
-        CompressedStateSimulator sim(config);
-        sim.apply_circuit(circuit);
-        const auto report = sim.report();
-        if (!have_reference) {
-          reference_bytes = report.comm_bytes;
-          reference_messages = report.comm_messages;
-          have_reference = true;
-        } else {
-          EXPECT_EQ(report.comm_bytes, reference_bytes)
-              << "remap=" << remap << " threads=" << threads;
-          EXPECT_EQ(report.comm_messages, reference_messages)
-              << "remap=" << remap << " threads=" << threads;
-        }
+  std::uint64_t reference_bytes = 0;
+  std::uint64_t reference_messages = 0;
+  bool have_reference = false;
+  for (int threads : {1, 2, 4}) {
+    for (int rep = 0; rep < 2; ++rep) {
+      auto config = comm_config(10, 4);
+      config.threads = threads;
+      CompressedStateSimulator sim(config);
+      sim.apply_circuit(circuit);
+      const auto report = sim.report();
+      if (!have_reference) {
+        reference_bytes = report.comm_bytes;
+        reference_messages = report.comm_messages;
+        have_reference = true;
+      } else {
+        EXPECT_EQ(report.comm_bytes, reference_bytes)
+            << "threads=" << threads;
+        EXPECT_EQ(report.comm_messages, reference_messages)
+            << "threads=" << threads;
       }
     }
-  }
-}
-
-TEST(CommAccountingTest, RemapMessagesAccountedBySweepLedger) {
-  // With remapping on, every exchange belongs to either a remap sweep or
-  // an in-place rank gate; the planner's ledger and Comm's message
-  // counter must agree exactly: 2 messages per block pair per sweep.
-  const auto circuit = circuits::qft_circuit({.num_qubits = 10});
-  for (int ranks : {2, 4}) {
-    CompressedStateSimulator sim(comm_config(10, ranks, /*remap=*/true));
-    sim.apply_circuit(circuit);
-    const auto report = sim.report();
-    const auto& partition = sim.partition();
-    const std::uint64_t pairs_per_sweep =
-        static_cast<std::uint64_t>(partition.num_ranks() / 2) *
-        partition.blocks_per_rank();
-    // QFT's in-place rank gates are uncontrolled (H / X prelude), so each
-    // pays a full sweep; remap sweeps always run full sweeps.
-    EXPECT_EQ(report.comm_messages,
-              2 * pairs_per_sweep *
-                  (report.remap_sweeps + report.rank_gates_in_place))
-        << ranks << " ranks";
   }
 }
 
@@ -201,7 +197,7 @@ TEST(CommAccountingTest, ReportSecondsDerivedOnceFromWireNanos) {
   // nanos * 1e-9 — never a separately accumulated float that could drift
   // from the counter it mirrors.
   const auto circuit = circuits::qft_circuit({.num_qubits = 10});
-  CompressedStateSimulator sim(comm_config(10, 4, /*remap=*/false));
+  CompressedStateSimulator sim(comm_config(10, 4));
   sim.apply_circuit(circuit);
   const auto comm_stats = sim.comm().stats();
   EXPECT_GT(comm_stats.nanos, 0u);
@@ -212,18 +208,19 @@ TEST(CommAccountingTest, ReportSecondsDerivedOnceFromWireNanos) {
 }
 
 TEST(CommAccountingTest, RemapNeverExceedsTheSeedPathOnQft) {
+  // QFT's reversal SWAPs relabel; as CX legs they pay rank exchanges.
   const auto circuit = circuits::qft_circuit({.num_qubits = 10});
   for (int ranks : {2, 4}) {
-    CompressedStateSimulator off(comm_config(10, ranks, false));
-    CompressedStateSimulator on(comm_config(10, ranks, true));
-    off.apply_circuit(circuit);
-    on.apply_circuit(circuit);
-    EXPECT_LT(on.report().comm_bytes, off.report().comm_bytes)
+    CompressedStateSimulator legs(comm_config(10, ranks));
+    CompressedStateSimulator sim(comm_config(10, ranks));
+    legs.apply_circuit(test::with_swaps_expanded(circuit));
+    sim.apply_circuit(circuit);
+    EXPECT_LT(sim.report().comm_bytes, legs.report().comm_bytes)
         << ranks << " ranks";
-    EXPECT_LT(on.report().comm_messages, off.report().comm_messages)
+    EXPECT_LT(sim.report().comm_messages, legs.report().comm_messages)
         << ranks << " ranks";
     // Same logical result on both layouts.
-    CQS_EXPECT_STATES_CLOSE(on.to_raw(), off.to_raw(), 0.0);
+    CQS_EXPECT_STATES_CLOSE(sim.to_raw(), legs.to_raw(), 0.0);
   }
 }
 

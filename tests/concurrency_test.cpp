@@ -241,22 +241,22 @@ TEST(ConcurrencyTest, PerCodecInvocationCountsDeterministicAcrossThreads) {
 }
 
 TEST(ConcurrencyTest, RemappedRunsBitIdenticalAcrossThreadCounts) {
-  // The qubit-remap pre-pass plans single-threaded and the remap sweep
-  // touches disjoint block pairs, so remap-on runs — including relabeled
-  // swaps, remap exchanges, and the remapped comm/stat counters — must be
+  // Which SWAPs relabel is planned single-threaded from the circuit alone,
+  // so runs that relabel — and their comm/stat counters — must be
   // bit-identical across worker counts on every circuit family, and the
-  // remapped layout itself must not depend on the thread count.
+  // relabeled layout itself must not depend on the thread count.
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
   const auto circuits_under_test = {
       circuits::qft_circuit({.num_qubits = 11}),
-      random_circuit(11, 90, 23),  // SWAP-heavy randomized mix
+      // SWAP-heavy randomized mix, ending in a layer that relabels.
+      test::with_reversal_swaps(random_circuit(11, 90, 23)),
   };
   for (const auto& circuit : circuits_under_test) {
     std::vector<double> reference;
     DeterministicReport reference_report{};
     std::uint64_t reference_comm_bytes = 0;
-    std::uint64_t reference_remaps[3] = {0, 0, 0};
+    std::uint64_t reference_relabeled = 0;
     std::vector<int> reference_map;
     for (int threads : {1, 2, hw}) {
       core::SimConfig config;
@@ -264,30 +264,25 @@ TEST(ConcurrencyTest, RemappedRunsBitIdenticalAcrossThreadCounts) {
       config.num_ranks = 4;
       config.blocks_per_rank = 4;
       config.threads = threads;
-      config.enable_qubit_remap = true;
       core::CompressedStateSimulator sim(config);
       sim.apply_circuit(circuit);
+      ASSERT_FALSE(sim.qubit_map().is_identity());
       const auto report = sim.report();
       const auto fields = deterministic_fields(report);
-      const std::uint64_t remaps[3] = {report.remap_sweeps,
-                                       report.swaps_relabeled,
-                                       report.rank_gates_localized};
       const auto raw = sim.to_raw();
       if (reference.empty()) {
         reference = raw;
         reference_report = fields;
         reference_comm_bytes = report.comm_bytes;
-        for (int i = 0; i < 3; ++i) reference_remaps[i] = remaps[i];
+        reference_relabeled = report.swaps_relabeled;
         reference_map = sim.qubit_map().physical_table();
       } else {
         CQS_EXPECT_STATES_CLOSE(raw, reference, 0.0);
         EXPECT_EQ(fields, reference_report) << "threads " << threads;
         EXPECT_EQ(report.comm_bytes, reference_comm_bytes)
             << "threads " << threads;
-        for (int i = 0; i < 3; ++i) {
-          EXPECT_EQ(remaps[i], reference_remaps[i])
-              << "threads " << threads << " field " << i;
-        }
+        EXPECT_EQ(report.swaps_relabeled, reference_relabeled)
+            << "threads " << threads;
         EXPECT_EQ(sim.qubit_map().physical_table(), reference_map)
             << "threads " << threads;
       }
@@ -296,12 +291,11 @@ TEST(ConcurrencyTest, RemappedRunsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ConcurrencyTest, RemappedLossyRunsDeterministicAcrossThreadCounts) {
-  // Same property at a lossy ladder level: remap sweeps recompress
-  // through the same executor as gates, so the worker count must not leak
-  // into the lossy codec's bytes either.
+  // Same property at a lossy ladder level: the worker count must not leak
+  // into the lossy codec's bytes on a relabeled layout either.
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
-  const auto circuit = random_circuit(11, 90, 31);
+  const auto circuit = test::with_reversal_swaps(random_circuit(11, 90, 31));
   std::vector<double> reference;
   DeterministicReport reference_report{};
   for (int threads : {1, 2, hw}) {
@@ -311,9 +305,9 @@ TEST(ConcurrencyTest, RemappedLossyRunsDeterministicAcrossThreadCounts) {
     config.blocks_per_rank = 4;
     config.threads = threads;
     config.initial_level = 2;
-    config.enable_qubit_remap = true;
     core::CompressedStateSimulator sim(config);
     sim.apply_circuit(circuit);
+    ASSERT_FALSE(sim.qubit_map().is_identity());
     const auto report = deterministic_fields(sim.report());
     const auto raw = sim.to_raw();
     if (reference.empty()) {

@@ -174,18 +174,17 @@ TEST_P(GoldenLossyTest, FidelityFloorsHoldUnderBothPolicies) {
 // circuit over all three partition segments on 4 ranks x 4 blocks, then a
 // projective measurement and a checkpoint save, so between them they drive
 // the single-block and block-pair gate sweeps, the cross-rank exchange,
-// remap exchanges, ladder recompression and the measurement collapse. Each
+// ladder recompression and the measurement collapse. Each
 // leg pins the saved image and the counters those sweeps feed; the values
 // were recorded from the simulator and must not move unless a change means
 // to alter what is stored.
 
 constexpr std::uint64_t kSweepSeed = 3;
-constexpr int kSweepMeasuredQubit = 9;  // rank segment when unremapped
+constexpr int kSweepMeasuredQubit = 9;  // rank segment
 constexpr std::size_t kSweepMemoryBudget = 2500;    // escalates to level 2-5
 constexpr std::size_t kSweepResidentBudget = 3500;  // spills in every leg
 
 struct SweepLeg {
-  bool remap;
   bool spill;
   bool budget;  // false: lossless throughout
   bool batching = true;  // false: every gate takes the per-gate path
@@ -202,42 +201,31 @@ struct SweepPin {
   std::uint64_t comm_bytes;
   std::uint64_t spill_events;
   std::uint64_t fault_events;
-  std::uint64_t remap_sweeps;
 };
 
-constexpr int kSweepLegCount = 10;
+constexpr int kSweepLegCount = 6;
 constexpr SweepLeg kSweepLegs[kSweepLegCount] = {
-    {false, false, false}, {false, false, true}, {false, true, false},
-    {false, true, true},   {true, false, false}, {true, false, true},
-    {true, true, false},   {true, true, true},
+    {false, false}, {false, true}, {true, false}, {true, true},
     // The per-gate path every ad-hoc apply() takes, lossless and under
     // the budget (which checks escalation after every gate).
-    {false, false, false, false}, {false, false, true, false},
+    {false, false, false}, {false, true, false},
 };
 
 // Cache off: every value is a pure function of the workload, identical at
 // 1 and 4 threads.
 constexpr SweepPin kSweepPins[kSweepLegCount] = {
     {"4d469f341d23be76016a260330f7dd61df48e93f8ed176adf2903ff879fd3842", 0,
-     0x3ff0000000000000, 146, 0, 152, 0, 4203, 0, 0, 0},
+     0x3ff0000000000000, 146, 0, 152, 0, 4203, 0, 0},
     {"5031d9da747c59710a68fe9a866c96092459efd70ed23c2475d27a570bbf6a78", 9,
-     0x3fe9a1ad49730a8e, 82, 144, 96, 136, 3445, 0, 0, 0},
+     0x3fe9a1ad49730a8e, 82, 144, 96, 136, 3445, 0, 0},
     {"7536e5179ce4ab022cee1da0271df5f471e39e83098d22c1c20339dc7319995c", 0,
-     0x3ff0000000000000, 146, 0, 152, 0, 4203, 49, 41, 0},
+     0x3ff0000000000000, 146, 0, 152, 0, 4203, 49, 41},
     {"69279d053f35115930adc06d31fb7859a441195975ff1a6bb8895204f3df8044", 6,
-     0x3feffe08b8f77593, 82, 96, 96, 88, 3445, 34, 26, 0},
-    {"7dbf1cf6384d6d44a93466ab00cfb24a800b74014a9c77c7d247aa1674223d25", 0,
-     0x3ff0000000000000, 162, 0, 168, 0, 3483, 0, 0, 2},
-    {"ba33e85bf99228e030efcace15184785e148f46a1bc8747511e05d23e8240535", 6,
-     0x3fe9a1dfae7d372d, 146, 96, 160, 88, 3483, 0, 0, 2},
-    {"90b2b28789298e1ac898d8578ae957802a568baa5621a5133e1d5e2d8558e2ac", 0,
-     0x3ff0000000000000, 162, 0, 168, 0, 3483, 21, 5, 2},
-    {"a641300f5f0ac7daebd19701768132086517964ab344df5452b83dcc88062e98", 2,
-     0x3fefffd60ea2acaa, 146, 32, 160, 24, 3483, 37, 29, 2},
+     0x3feffe08b8f77593, 82, 96, 96, 88, 3445, 34, 26},
     {"1f069d268b032c375e829092437c22efcde965a2dbdd8132fb5d98e11d42931f", 0,
-     0x3ff0000000000000, 850, 0, 856, 0, 9677, 0, 0, 0},
+     0x3ff0000000000000, 850, 0, 856, 0, 9677, 0, 0},
     {"a09a90ab097fdc8ef6dd5361300cb3d6663da3e98bc5e1894df5913bab58c177", 25,
-     0x3fdb3d97435ae526, 562, 368, 576, 360, 5399, 0, 0, 0},
+     0x3fdb3d97435ae526, 562, 368, 576, 360, 5399, 0, 0},
 };
 
 // Cache on: the units of a gate sweep that compute from equal inputs share
@@ -249,9 +237,8 @@ struct SweepSharing {
   std::uint64_t compressions;
 };
 constexpr SweepSharing kSweepSharing[kSweepLegCount] = {
-    {11, 53, 124},  {11, 53, 204},  {11, 53, 124},  {11, 53, 156},
-    {20, 60, 138},  {20, 60, 218},  {20, 60, 138},  {20, 60, 154},
-    {277, 467, 551}, {277, 467, 631},
+    {11, 53, 124},   {11, 53, 204},   {11, 53, 124},
+    {11, 53, 156},   {277, 467, 551}, {277, 467, 631},
 };
 
 struct SweepResult {
@@ -268,7 +255,6 @@ class SweepPinTest : public test::TempDirFixture {
     config.blocks_per_rank = 4;
     config.threads = threads;
     config.enable_cache = cache;
-    config.enable_qubit_remap = leg.remap;
     config.enable_run_batching = leg.batching;
     if (leg.spill) {
       config.spill_path = path("spill.bin");
@@ -300,8 +286,7 @@ SweepPin observed_pin(const SweepResult& result) {
           r.lossy_decompress_invocations,
           r.comm_bytes,
           r.spill_events,
-          r.fault_events,
-          r.remap_sweeps};
+          r.fault_events};
 }
 
 /// The pin as a table row, so a mismatch prints the row to compare.
@@ -314,7 +299,7 @@ std::string describe(const SweepPin& pin) {
   for (std::uint64_t v :
        {pin.lossless_compress, pin.lossy_compress, pin.lossless_decompress,
         pin.lossy_decompress, pin.comm_bytes, pin.spill_events,
-        pin.fault_events, pin.remap_sweeps}) {
+        pin.fault_events}) {
     out += ", " + std::to_string(v);
   }
   return out + "}";
@@ -325,7 +310,6 @@ TEST_F(SweepPinTest, EveryRewritingSweepIsByteStableAcrossCommits) {
     const SweepLeg& shape = kSweepLegs[leg];
     // Each leg must exercise what it is named for, or the pin is hollow.
     const SweepPin& expected = kSweepPins[leg];
-    EXPECT_EQ(expected.remap_sweeps > 0, shape.remap) << "leg " << leg;
     EXPECT_EQ(expected.spill_events > 0, shape.spill) << "leg " << leg;
     EXPECT_EQ(expected.lossy_passes > 0, shape.budget) << "leg " << leg;
     for (int threads : {1, 4}) {

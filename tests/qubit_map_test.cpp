@@ -1,7 +1,7 @@
-// Property/fuzz suite for the logical->physical qubit map: random
-// permutations must compose/invert to identity, translate indices
-// bijectively, round-trip their serialized form, respect segment routing
-// through a partition, and non-permutation inputs must be rejected.
+// Property/fuzz suite for the logical->physical qubit map: relabels keep
+// both directions in step, random permutations translate indices
+// bijectively and round-trip their serialized form, and non-permutation
+// inputs must be rejected.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,14 +12,12 @@
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
-#include "runtime/partition.hpp"
 #include "runtime/qubit_map.hpp"
 #include "test_util.hpp"
 
 namespace cqs {
 namespace {
 
-using runtime::Partition;
 using runtime::QubitMap;
 
 std::vector<int> random_permutation(int n, Rng& rng) {
@@ -53,37 +51,6 @@ TEST(QubitMapTest, RelabelSwapsPhysicalHomes) {
   EXPECT_FALSE(map.is_identity());
   map.relabel(1, 4);
   EXPECT_TRUE(map.is_identity());
-}
-
-TEST(QubitMapTest, SwapPhysicalTradesLogicalOccupants) {
-  QubitMap map = QubitMap::identity(6);
-  map.relabel(0, 5);  // logical 0 lives at 5, logical 5 at 0
-  map.swap_physical(5, 2);
-  EXPECT_EQ(map.logical(2), 0);
-  EXPECT_EQ(map.physical(0), 2);
-  EXPECT_EQ(map.logical(5), 2);
-  EXPECT_EQ(map.physical(2), 5);
-  EXPECT_EQ(map.physical(5), 0);  // untouched occupant stays
-}
-
-TEST(QubitMapTest, FuzzInverseAndCompositionRoundTrip) {
-  Rng rng(0x9a7b);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int n = 1 + static_cast<int>(rng.next_below(24));
-    const auto a = QubitMap::from_physical(random_permutation(n, rng));
-    const auto b = QubitMap::from_physical(random_permutation(n, rng));
-
-    EXPECT_TRUE(a.composed(a.inverted()).is_identity());
-    EXPECT_TRUE(a.inverted().composed(a).is_identity());
-    EXPECT_EQ(a.inverted().inverted(), a);
-
-    // Composition agrees with sequential application.
-    const auto ab = a.composed(b);
-    for (int q = 0; q < n; ++q) {
-      EXPECT_EQ(ab.physical(q), b.physical(a.physical(q)));
-      EXPECT_EQ(a.logical(a.physical(q)), q);
-    }
-  }
 }
 
 TEST(QubitMapTest, FuzzIndexTranslationIsBijective) {
@@ -167,42 +134,6 @@ TEST(QubitMapTest, DeserializeRejectsCorruption) {
   put_varint(wrap, 2);
   offset = 0;
   EXPECT_THROW(QubitMap::deserialize(wrap, offset), std::runtime_error);
-}
-
-TEST(QubitMapTest, SegmentQueriesRouteThroughTheMap) {
-  // 8 qubits as 4 ranks x 2 blocks: offset = [0,5), block = {5}, rank =
-  // {6,7} — the exact split the simulator's routing uses.
-  const Partition partition = runtime::make_partition(8, 4, 2);
-  ASSERT_EQ(partition.segment_begin(Partition::Segment::kRank), 6);
-  ASSERT_EQ(partition.segment_size(Partition::Segment::kOffset), 5);
-
-  QubitMap map = QubitMap::identity(8);
-  EXPECT_EQ(map.segment_of(partition, 6), Partition::Segment::kRank);
-  EXPECT_EQ(map.segment_of(partition, 0), Partition::Segment::kOffset);
-
-  // Exchanging a hot rank position with a cold offset position flips the
-  // segment answer for exactly the two logical occupants involved.
-  map.swap_physical(6, 2);
-  EXPECT_EQ(map.segment_of(partition, 6), Partition::Segment::kOffset);
-  EXPECT_EQ(map.segment_of(partition, 2), Partition::Segment::kRank);
-  EXPECT_EQ(map.local_bit(partition, 6), 2);
-  EXPECT_EQ(map.local_bit(partition, 2), 0);
-  for (int q : {0, 1, 3, 4, 5, 7}) {
-    EXPECT_EQ(map.segment_of(partition, q), partition.segment_of(q));
-  }
-
-  // Property: under any permutation, the map's segment answer is the
-  // partition's answer about the physical home.
-  Rng rng(0xa11ce);
-  for (int trial = 0; trial < 100; ++trial) {
-    const auto fuzzed = QubitMap::from_physical(random_permutation(8, rng));
-    for (int q = 0; q < 8; ++q) {
-      EXPECT_EQ(fuzzed.segment_of(partition, q),
-                partition.segment_of(fuzzed.physical(q)));
-      EXPECT_EQ(fuzzed.local_bit(partition, q),
-                partition.local_bit(fuzzed.physical(q)));
-    }
-  }
 }
 
 }  // namespace

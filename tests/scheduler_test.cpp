@@ -2,8 +2,9 @@
 // formation rules (unit runs, pair runs across one qubit, split SWAPs),
 // fusion composition, source-gate accounting, dense-vs-compressed
 // equivalence of the batched execution path across all target segments,
-// the one-lossy-pass-per-run fidelity accounting, and the circuit-cursor
-// regressions (second circuit skipped / ad-hoc apply drift).
+// the one-lossy-pass-per-run fidelity accounting, the circuit-cursor
+// regressions (second circuit skipped / ad-hoc apply drift), and which
+// SWAPs relabel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -703,28 +704,10 @@ TEST(CircuitCursorTest, ResumeCircuitRejectsCursorBeyondCircuit) {
   EXPECT_THROW(sim.resume_circuit(small), std::invalid_argument);
 }
 
-// ------------------------------------------------------- remap pre-pass
+// ------------------------------------------------------- SWAP relabeling
 //
-// Planner fixtures use 8 qubits split as offset [0,4), block {4,5}, rank
-// {6,7} — small enough to enumerate decisions by hand.
-
-qsim::RemapOptions remap_options(bool enabled = true) {
-  qsim::RemapOptions options;
-  options.enabled = enabled;
-  options.num_qubits = 8;
-  options.offset_bits = 4;
-  options.block_bits = 2;
-  return options;
-}
-
-std::size_t count_kind(const qsim::RemapProgram& program,
-                       qsim::RemapItem::Kind kind) {
-  std::size_t n = 0;
-  for (const auto& item : program.items) {
-    if (item.kind == kind) ++n;
-  }
-  return n;
-}
+// Planner fixtures use 8 qubits; the plan does not depend on the
+// partition.
 
 /// All physical ops of the program's kGates items, in order.
 std::vector<qsim::GateOp> program_ops(const qsim::RemapProgram& program) {
@@ -736,118 +719,169 @@ std::vector<qsim::GateOp> program_ops(const qsim::RemapProgram& program) {
   return ops;
 }
 
+/// Indices of the flagged ops.
+std::vector<std::size_t> flagged(const std::vector<bool>& flags) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < flags.size(); ++i) {
+    if (flags[i]) out.push_back(i);
+  }
+  return out;
+}
+
 TEST(RemapPlanTest, DisabledPassOnlyTranslates) {
+  // H(7) after the SWAP touches qubit 7, so the SWAP stays a gate and the
+  // pass only rewrites ops through the map.
   Circuit c(8);
-  c.h(7).cx(6, 0).swap(0, 7);
+  c.h(7).cx(6, 0).swap(0, 7).h(7);
   auto map = runtime::QubitMap::identity(8);
   map.relabel(0, 3);  // as if a previous run had relabeled
-  const auto program = plan_remaps(c, map, remap_options(false));
+  const auto program = plan_remaps(c, map, qsim::trailing_swaps(c));
   EXPECT_EQ(program.items.size(), 1u);
-  EXPECT_EQ(program.stats.remaps, 0u);
   EXPECT_EQ(program.stats.swaps_relabeled, 0u);
   const auto ops = program_ops(program);
-  ASSERT_EQ(ops.size(), 3u);
+  ASSERT_EQ(ops.size(), 4u);
   EXPECT_EQ(ops[0].target, 7);
   EXPECT_EQ(ops[1].controls[0], 6);
   EXPECT_EQ(ops[1].target, 3);  // logical 0 lives at physical 3
-  EXPECT_EQ(ops[2].target, 3);  // SWAP stays a gate when disabled
+  EXPECT_EQ(ops[2].kind, GateKind::kSwap);
+  EXPECT_EQ(ops[2].target, 3);
   EXPECT_EQ(ops[2].controls[0], 7);
+  EXPECT_EQ(ops[3].target, 7);
 }
 
 TEST(RemapPlanTest, SwapBecomesRelabelItem) {
+  // swap(1, 7) . h(7) keeps its SWAP: H(7) reads qubit 7 afterwards.
+  Circuit kept(8);
+  kept.swap(1, 7).h(7);
+  EXPECT_TRUE(flagged(qsim::trailing_swaps(kept)).empty());
+
+  // H(2) touches neither qubit, so the SWAP relabels, and its relabel
+  // moves behind H(2): every op stays in the one kGates item.
   Circuit c(8);
-  c.swap(1, 7).h(7);
-  const auto program =
-      plan_remaps(c, runtime::QubitMap::identity(8), remap_options());
+  c.h(7).swap(1, 7).h(2);
+  const auto program = plan_remaps(c, runtime::QubitMap::identity(8),
+                                   qsim::trailing_swaps(c));
   ASSERT_EQ(program.items.size(), 2u);
-  EXPECT_EQ(program.items[0].kind, qsim::RemapItem::Kind::kRelabel);
-  EXPECT_EQ(program.items[0].relabel_a, 1);
-  EXPECT_EQ(program.items[0].relabel_b, 7);
+  EXPECT_EQ(program.items[0].kind, qsim::RemapItem::Kind::kGates);
+  EXPECT_EQ(program.items[1].kind, qsim::RemapItem::Kind::kRelabel);
+  EXPECT_EQ(program.items[1].relabel_a, 1);
+  EXPECT_EQ(program.items[1].relabel_b, 7);
+  EXPECT_EQ(program.items[1].relabel_source_gates, 1u);
   EXPECT_EQ(program.stats.swaps_relabeled, 1u);
-  // After the relabel, logical 7 lives at physical 1: H(7) is block-local
-  // and needs no remap.
-  EXPECT_EQ(program.stats.remaps, 0u);
   const auto ops = program_ops(program);
-  ASSERT_EQ(ops.size(), 1u);
-  EXPECT_EQ(ops[0].target, 1);
-  EXPECT_EQ(program.stats.rank_targets_localized, 1u);
-}
-
-TEST(RemapPlanTest, LastTouchRankGateAppliesInPlace) {
-  Circuit c(8);
-  c.h(7);  // the only gate ever touching qubit 7
-  const auto program =
-      plan_remaps(c, runtime::QubitMap::identity(8), remap_options());
-  EXPECT_EQ(program.stats.remaps, 0u);
-  EXPECT_EQ(program.stats.rank_targets_in_place, 1u);
-  const auto ops = program_ops(program);
-  ASSERT_EQ(ops.size(), 1u);
+  ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops[0].target, 7);
+  EXPECT_EQ(ops[1].target, 2);
+  EXPECT_EQ(program.items[0].source_gates,
+            (std::vector<std::size_t>{1, 1}));
 }
 
-TEST(RemapPlanTest, RepeatedRankTargetRemapsOnceThenRoutesLocally) {
+TEST(RemapPlanTest, TrailingSwapRelabels) {
   Circuit c(8);
-  c.h(7).t(7).h(7).h(7);
-  const auto program =
-      plan_remaps(c, runtime::QubitMap::identity(8), remap_options());
-  EXPECT_EQ(program.stats.remaps, 1u);
-  ASSERT_GE(program.items.size(), 1u);
-  EXPECT_EQ(program.items[0].kind, qsim::RemapItem::Kind::kRemap);
-  EXPECT_EQ(program.items[0].remap.phys_hot, 7);
-  EXPECT_LT(program.items[0].remap.phys_cold, 4);
-  // All three H's (and the diagonal T) execute at the cold offset home.
-  EXPECT_EQ(program.stats.rank_targets_localized, 3u);
-  EXPECT_EQ(program.stats.rank_targets_in_place, 0u);
-  for (const auto& op : program_ops(program)) {
-    EXPECT_EQ(op.target, program.items[0].remap.phys_cold);
+  c.h(0).cx(0, 5).swap(0, 5);
+  EXPECT_EQ(flagged(qsim::trailing_swaps(c)), (std::vector<std::size_t>{2}));
+  // Only SWAPs at or after `begin` are decided.
+  EXPECT_EQ(flagged(qsim::trailing_swaps(c, 2)),
+            (std::vector<std::size_t>{2}));
+  EXPECT_EQ(flagged(qsim::trailing_swaps(c, 3)).size(), 0u);
+}
+
+TEST(RemapPlanTest, LaterTargetControlOrDiagonalKeepsTheGate) {
+  // Any later op naming either qubit, in any role, keeps the SWAP a gate.
+  const GateOp later_ops[] = {
+      {GateKind::kH, 1},                         // target
+      {GateKind::kX, 6},                         // target, second qubit
+      {GateKind::kCX, 3, {1, -1}},               // control
+      {GateKind::kCCX, 3, {0, 6}},               // second control
+      {GateKind::kRz, 6, {-1, -1}, {0.3}},       // diagonal target
+      {GateKind::kCPhase, 2, {1, -1}, {0.3}},    // diagonal control
+      {GateKind::kSwap, 6, {7, -1}, {}},         // a SWAP that then stays
+  };
+  for (const GateOp& later : later_ops) {
+    Circuit c(8);
+    c.swap(1, 6).append(later).h(7);
+    EXPECT_TRUE(flagged(qsim::trailing_swaps(c)).empty())
+        << "kind " << static_cast<int>(later.kind);
   }
+  // An op on other qubits does not.
+  Circuit c(8);
+  c.swap(1, 6).cx(0, 2).rz(3, 0.5);
+  EXPECT_EQ(flagged(qsim::trailing_swaps(c)), (std::vector<std::size_t>{0}));
 }
 
-TEST(RemapPlanTest, LookaheadEvictsFurthestNextUse) {
+TEST(RemapPlanTest, ChainOfTrailingSwapsAllRelabel) {
+  // Each SWAP's qubits are named later only by SWAPs that relabel
+  // themselves, so the whole chain relabels, in program order.
   Circuit c(8);
-  // Offset residents 0..3: qubit 2 is touched furthest in the future
-  // (never), so the remap for H(6)H(6) must evict it.
-  c.h(6).x(0).x(1).x(3).h(6);
-  const auto program =
-      plan_remaps(c, runtime::QubitMap::identity(8), remap_options());
-  ASSERT_EQ(program.stats.remaps, 1u);
-  EXPECT_EQ(program.items[0].remap.phys_hot, 6);
-  EXPECT_EQ(program.items[0].remap.phys_cold, 2);
-}
-
-TEST(RemapPlanTest, DiagonalAndControlOnlyRankUseNeverRemaps) {
-  Circuit c(8);
-  c.z(7).cphase(7, 6, 0.25).cx(7, 0).t(6).cz(6, 7);
-  const auto program =
-      plan_remaps(c, runtime::QubitMap::identity(8), remap_options());
-  EXPECT_EQ(program.stats.remaps, 0u);
-  EXPECT_EQ(program.stats.rank_targets_in_place, 0u);
-  EXPECT_EQ(count_kind(program, qsim::RemapItem::Kind::kGates), 1u);
-}
-
-TEST(RemapPlanTest, OneRemapLocalizesBothRankTargets) {
-  Circuit c(8);
-  // X(7) then H(7): one remap at X, after which X and H both run
-  // block-locally. The swap(0, 7) relabels.
-  c.x(7).h(7).swap(0, 7);
-  const auto program =
-      plan_remaps(c, runtime::QubitMap::identity(8), remap_options());
-  EXPECT_EQ(program.stats.remaps, 1u);
-  EXPECT_EQ(program.stats.swaps_relabeled, 1u);
-  EXPECT_EQ(program.stats.rank_targets_localized, 2u);
-  EXPECT_EQ(program.stats.rank_targets_in_place, 0u);
+  c.h(0).h(3).swap(0, 3).swap(3, 5).swap(5, 0).swap(1, 2);
+  EXPECT_EQ(flagged(qsim::trailing_swaps(c)),
+            (std::vector<std::size_t>{2, 3, 4, 5}));
+  auto program = plan_remaps(c, runtime::QubitMap::identity(8),
+                             qsim::trailing_swaps(c));
+  EXPECT_EQ(program.stats.swaps_relabeled, 4u);
+  auto map = runtime::QubitMap::identity(8);
+  for (const auto& item : program.items) {
+    if (item.kind == qsim::RemapItem::Kind::kRelabel) {
+      map.relabel(item.relabel_a, item.relabel_b);
+    }
+  }
+  auto expected = runtime::QubitMap::identity(8);
+  expected.relabel(0, 3);
+  expected.relabel(3, 5);
+  expected.relabel(5, 0);
+  expected.relabel(1, 2);
+  EXPECT_EQ(map, expected);
 }
 
 TEST(RemapPlanTest, RejectsInvalidInputs) {
   Circuit c(8);
   c.h(0);
-  EXPECT_THROW(
-      plan_remaps(c, runtime::QubitMap::identity(7), remap_options()),
-      std::invalid_argument);
-  auto bad = remap_options();
-  bad.offset_bits = 0;
-  EXPECT_THROW(plan_remaps(c, runtime::QubitMap::identity(8), bad),
+  EXPECT_THROW(plan_remaps(c, runtime::QubitMap::identity(7),
+                           qsim::trailing_swaps(c)),
                std::invalid_argument);
+  EXPECT_THROW(
+      plan_remaps(c, runtime::QubitMap::identity(8), std::vector<bool>(2)),
+      std::invalid_argument);
+}
+
+class RelabelResumeTest : public test::TempDirFixture {};
+
+TEST_F(RelabelResumeTest, AutosaveCutBeforeALaterGateKeepsTheSwap) {
+  // 4 ranks x 4 blocks: offset [0,6), block {6,7}, rank {8,9}. The
+  // autosave interval cuts after op 12, between swap(1, 8) (op 11) and
+  // h(8) (op 13), so the SWAP's chunk alone would show nothing touching
+  // qubit 8 afterwards. It stays a gate all the same; swap(2, 9), which
+  // nothing follows, relabels.
+  Circuit c(10);
+  for (int q = 0; q < 10; ++q) c.h(q);
+  c.cx(1, 8).swap(1, 8).rz(3, 0.4);
+  c.h(8).cx(8, 4).swap(2, 9);
+  ASSERT_EQ(flagged(qsim::trailing_swaps(c)), (std::vector<std::size_t>{15}));
+
+  SimConfig config = batched_config(10);
+  config.checkpoint_interval_gates = 13;
+  config.auto_checkpoint_path = path("auto.ckpt");
+  CompressedStateSimulator full(config);
+  full.apply_circuit(c);
+  EXPECT_EQ(full.report().swaps_relabeled, 1u);
+  auto expected_map = runtime::QubitMap::identity(10);
+  expected_map.relabel(2, 9);
+  EXPECT_EQ(full.qubit_map(), expected_map);
+  qsim::StateVector dense(10);
+  dense.apply_circuit(c);
+  EXPECT_NEAR(qsim::state_fidelity(dense.raw(), full.to_raw()), 1.0, 1e-12);
+
+  // The one autosave holds the state at the cut (the 3 gates after it are
+  // short of another interval). Resumed from it, the run decides alike
+  // and ends bit-identical.
+  auto resumed =
+      CompressedStateSimulator::load_checkpoint(path("auto.ckpt"), config);
+  ASSERT_EQ(resumed.gate_cursor(), 13u);
+  EXPECT_TRUE(resumed.qubit_map().is_identity());
+  resumed.resume_circuit(c);
+  EXPECT_EQ(resumed.report().swaps_relabeled, 1u);
+  EXPECT_EQ(resumed.qubit_map(), full.qubit_map());
+  EXPECT_EQ(resumed.to_raw(), full.to_raw());
 }
 
 }  // namespace

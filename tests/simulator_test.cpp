@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "circuits/grover.hpp"
@@ -469,16 +470,17 @@ TEST(SimulatorTest, ZstdOnlySimulationStaysLossless) {
   EXPECT_TRUE(sim.report().budget_exceeded);
 }
 
-// ------------------------------------------------ qubit-remap differential
+// ------------------------------------------------ SWAP-relabel differential
 //
-// Every bundled circuit family runs remap-on against remap-off (and the
-// per-gate seed path): at the lossless level the final logical states must
-// be bit-identical — remapping only moves where amplitudes live, never
-// what they are — and on rank-heavy circuits the remapped run must move
-// strictly fewer bytes through Comm.
+// The simulator relabels each SWAP nothing later touches instead of
+// executing it. Every bundled circuit family runs against the same
+// circuit with each SWAP written as its three CX legs, which executes
+// every SWAP: at the lossless level the final logical states must be
+// bit-identical (up to the sign of zeros) — relabeling only moves where
+// amplitudes live, never what they are.
 
 struct RemapCase {
-  const char* name;
+  std::string name;
   qsim::Circuit circuit;
 };
 
@@ -500,51 +502,49 @@ std::vector<RemapCase> remap_cases() {
 
 TEST(QubitRemapTest, RemapOnMatchesRemapOffBitwiseOnAllCircuits) {
   for (auto& test_case : remap_cases()) {
-    SimConfig off = small_config(test_case.circuit.num_qubits());
-    SimConfig on = off;
-    on.enable_qubit_remap = true;
-
-    CompressedStateSimulator sim_off(off);
-    CompressedStateSimulator sim_on(on);
-    sim_off.apply_circuit(test_case.circuit);
-    sim_on.apply_circuit(test_case.circuit);
-    CQS_EXPECT_STATES_CLOSE(sim_on.to_raw(), sim_off.to_raw(), 0.0)
+    const SimConfig config = small_config(test_case.circuit.num_qubits());
+    const auto expanded = test::with_swaps_expanded(test_case.circuit);
+    CompressedStateSimulator legs(config);
+    CompressedStateSimulator sim(config);
+    legs.apply_circuit(expanded);
+    sim.apply_circuit(test_case.circuit);
+    CQS_EXPECT_STATES_CLOSE(sim.to_raw(), legs.to_raw(), 0.0)
         << test_case.name;
 
-    // Identical logical gate accounting and fidelity (lossless run).
-    const auto rep_off = sim_off.report();
-    const auto rep_on = sim_on.report();
-    EXPECT_EQ(rep_on.gates, rep_off.gates) << test_case.name;
-    EXPECT_DOUBLE_EQ(rep_on.fidelity_bound, 1.0) << test_case.name;
-    EXPECT_LE(rep_on.comm_bytes, rep_off.comm_bytes) << test_case.name;
+    // Every source gate counts, relabeled or not (lossless run).
+    const auto rep_legs = legs.report();
+    const auto rep = sim.report();
+    EXPECT_EQ(rep.gates, test_case.circuit.size()) << test_case.name;
+    EXPECT_EQ(rep_legs.gates, expanded.size()) << test_case.name;
+    EXPECT_DOUBLE_EQ(rep.fidelity_bound, 1.0) << test_case.name;
+    EXPECT_LE(rep.comm_bytes, rep_legs.comm_bytes) << test_case.name;
   }
 }
 
 TEST(QubitRemapTest, RemapMatchesSeedPerGatePathAndLruPolicy) {
   // Bitwise equality holds against the reference with the same fusion
-  // setting: fusion itself reorders single-qubit arithmetic (a PR 2
-  // property independent of remapping), so the per-gate seed path is the
-  // reference for unbatched runs and the batched remap-off path for
-  // batched ones.
+  // setting: fusion itself reorders single-qubit arithmetic (a property
+  // independent of relabeling), so the per-gate path is the reference for
+  // unbatched runs and the batched path for batched ones.
   for (auto& test_case : remap_cases()) {
+    const auto expanded = test::with_swaps_expanded(test_case.circuit);
     SimConfig seed = small_config(test_case.circuit.num_qubits());
-    seed.enable_run_batching = false;  // the pre-PR2 per-gate path
+    seed.enable_run_batching = false;  // the per-gate path
     seed.enable_fusion_prepass = false;
     CompressedStateSimulator per_gate_reference(seed);
-    per_gate_reference.apply_circuit(test_case.circuit);
+    per_gate_reference.apply_circuit(expanded);
     const auto per_gate_expected = per_gate_reference.to_raw();
 
     CompressedStateSimulator batched_reference(
         small_config(test_case.circuit.num_qubits()));
-    batched_reference.apply_circuit(test_case.circuit);
+    batched_reference.apply_circuit(expanded);
     const auto batched_expected = batched_reference.to_raw();
 
     for (const bool batching : {true, false}) {
-      SimConfig on = small_config(test_case.circuit.num_qubits());
-      on.enable_qubit_remap = true;
-      on.enable_run_batching = batching;
-      if (!batching) on.enable_fusion_prepass = false;
-      CompressedStateSimulator sim(on);
+      SimConfig config = small_config(test_case.circuit.num_qubits());
+      config.enable_run_batching = batching;
+      if (!batching) config.enable_fusion_prepass = false;
+      CompressedStateSimulator sim(config);
       sim.apply_circuit(test_case.circuit);
       CQS_EXPECT_STATES_CLOSE(
           sim.to_raw(), batching ? batched_expected : per_gate_expected, 0.0)
@@ -555,77 +555,69 @@ TEST(QubitRemapTest, RemapMatchesSeedPerGatePathAndLruPolicy) {
 
 TEST(QubitRemapTest, RemapBitIdenticalAcrossRankConfigs) {
   // Degenerate partitions included: at 1 rank there is no rank segment at
-  // all (relabeled swaps are the only map activity), at 8 ranks the rank
-  // segment is a third of the qubits.
+  // all, at 8 ranks the rank segment is a third of the qubits.
   const auto circuit = circuits::qft_circuit({.num_qubits = 9});
+  const auto expanded = test::with_swaps_expanded(circuit);
   for (int ranks : {1, 2, 4, 8}) {
-    SimConfig off = small_config(9, ranks, 2);
-    SimConfig on = off;
-    on.enable_qubit_remap = true;
-    CompressedStateSimulator sim_off(off);
-    CompressedStateSimulator sim_on(on);
-    sim_off.apply_circuit(circuit);
-    sim_on.apply_circuit(circuit);
-    CQS_EXPECT_STATES_CLOSE(sim_on.to_raw(), sim_off.to_raw(), 0.0)
+    const SimConfig config = small_config(9, ranks, 2);
+    CompressedStateSimulator legs(config);
+    CompressedStateSimulator sim(config);
+    legs.apply_circuit(expanded);
+    sim.apply_circuit(circuit);
+    CQS_EXPECT_STATES_CLOSE(sim.to_raw(), legs.to_raw(), 0.0)
         << ranks << " ranks";
-    EXPECT_LE(sim_on.report().comm_bytes, sim_off.report().comm_bytes)
+    EXPECT_LE(sim.report().comm_bytes, legs.report().comm_bytes)
         << ranks << " ranks";
   }
 }
 
 TEST(QubitRemapTest, RankHeavyCircuitMovesStrictlyFewerBytes) {
-  // QFT's random-X prelude, H ladder, and reversal swaps all hit the rank
-  // segment at 4 ranks: remap must strictly reduce exchanged bytes, with
-  // the reversal swaps absorbed as relabels.
+  // QFT's reversal swaps hit the rank segment at 4 ranks and nothing
+  // follows them: relabeled, they move strictly fewer bytes and messages
+  // than their CX legs do.
   const auto circuit = circuits::qft_circuit({.num_qubits = 10});
-  SimConfig off = small_config(10);
-  SimConfig on = off;
-  on.enable_qubit_remap = true;
-  CompressedStateSimulator sim_off(off);
-  CompressedStateSimulator sim_on(on);
-  sim_off.apply_circuit(circuit);
-  sim_on.apply_circuit(circuit);
-  const auto rep_off = sim_off.report();
-  const auto rep_on = sim_on.report();
-  ASSERT_GT(rep_off.comm_bytes, 0u);
-  EXPECT_LT(rep_on.comm_bytes, rep_off.comm_bytes);
-  EXPECT_LT(rep_on.comm_messages, rep_off.comm_messages);
-  EXPECT_GT(rep_on.swaps_relabeled, 0u);
-  EXPECT_FALSE(sim_on.qubit_map().is_identity());
+  const SimConfig config = small_config(10);
+  CompressedStateSimulator legs(config);
+  CompressedStateSimulator sim(config);
+  legs.apply_circuit(test::with_swaps_expanded(circuit));
+  sim.apply_circuit(circuit);
+  const auto rep_legs = legs.report();
+  const auto rep = sim.report();
+  ASSERT_GT(rep_legs.comm_bytes, 0u);
+  EXPECT_LT(rep.comm_bytes, rep_legs.comm_bytes);
+  EXPECT_LT(rep.comm_messages, rep_legs.comm_messages);
+  EXPECT_EQ(rep.swaps_relabeled, 5u);
+  EXPECT_FALSE(sim.qubit_map().is_identity());
 }
 
 TEST(QubitRemapTest, LossyRemapStaysWithinTheFidelityBound) {
-  // At a lossy level remap-on and remap-off compress different block
-  // partitions of the same state, so bitwise equality no longer holds;
-  // the Eq. 11 product of both runs' bounds still floors their overlap.
+  // At a lossy level the relabeled and the executed layouts compress
+  // different block partitions of the same state, so bitwise equality no
+  // longer holds; the Eq. 11 product of both runs' bounds still floors
+  // their overlap.
   const auto circuit = circuits::qft_circuit({.num_qubits = 10});
-  SimConfig off = small_config(10);
-  off.initial_level = 1;  // 1e-5 relative
-  SimConfig on = off;
-  on.enable_qubit_remap = true;
-  CompressedStateSimulator sim_off(off);
-  CompressedStateSimulator sim_on(on);
-  sim_off.apply_circuit(circuit);
-  sim_on.apply_circuit(circuit);
-  const double fidelity =
-      qsim::state_fidelity(sim_on.to_raw(), sim_off.to_raw());
-  const double floor = sim_on.report().fidelity_bound *
-                       sim_off.report().fidelity_bound;
+  SimConfig config = small_config(10);
+  config.initial_level = 1;  // 1e-5 relative
+  CompressedStateSimulator legs(config);
+  CompressedStateSimulator sim(config);
+  legs.apply_circuit(test::with_swaps_expanded(circuit));
+  sim.apply_circuit(circuit);
+  ASSERT_GT(sim.report().swaps_relabeled, 0u);
+  const double fidelity = qsim::state_fidelity(sim.to_raw(), legs.to_raw());
+  const double floor =
+      sim.report().fidelity_bound * legs.report().fidelity_bound;
   EXPECT_GE(fidelity, floor - 1e-9);
 }
 
 TEST(QubitRemapTest, QueriesSpeakLogicalIndicesUnderRemap) {
-  // X gates + reversal swaps give a known basis state; with remap on, the
-  // swaps become relabels and the map goes non-identity, so
+  // X gates + reversal swaps give a known basis state; the swaps are the
+  // last ops, so they become relabels and the map goes non-identity:
   // probability_one / measure / sample / expectation answers must all be
   // translated back to logical indices.
-  SimConfig config = small_config(8);
-  config.enable_qubit_remap = true;
-  CompressedStateSimulator sim(config);
+  CompressedStateSimulator sim(small_config(8));
   qsim::Circuit c(8);
   c.x(7).x(5).x(0);
-  for (int q = 0; q < 4; ++q) c.swap(q, 7 - q);
-  sim.apply_circuit(c);
+  sim.apply_circuit(test::with_reversal_swaps(c));
   ASSERT_FALSE(sim.qubit_map().is_identity());
 
   // |10100001> reversed: bits 7,5,0 set, then reversal maps q -> 7-q.
@@ -642,24 +634,80 @@ TEST(QubitRemapTest, QueriesSpeakLogicalIndicesUnderRemap) {
 }
 
 TEST(QubitRemapTest, AdHocApplyAndResumeTranslateThroughTheMap) {
-  // After a circuit whose swaps were relabeled, ad-hoc gates and resumed
-  // circuits still arrive in logical coordinates.
-  SimConfig config = small_config(8);
-  config.enable_qubit_remap = true;
-  CompressedStateSimulator remapped(config);
-  CompressedStateSimulator plain(small_config(8));
-
+  // After a circuit whose swaps were relabeled, ad-hoc gates and a second
+  // circuit still arrive in logical coordinates.
   qsim::Circuit prelude(8);
   prelude.h(0).cx(0, 4).swap(0, 7).swap(1, 6);
-  remapped.apply_circuit(prelude);
-  plain.apply_circuit(prelude);
-  ASSERT_FALSE(remapped.qubit_map().is_identity());
+  CompressedStateSimulator relabeled(small_config(8));
+  CompressedStateSimulator plain(small_config(8));
+  relabeled.apply_circuit(prelude);
+  plain.apply_circuit(test::with_swaps_expanded(prelude));
+  ASSERT_FALSE(relabeled.qubit_map().is_identity());
+  ASSERT_TRUE(plain.qubit_map().is_identity());
 
-  remapped.apply({GateKind::kH, 7});
+  relabeled.apply({GateKind::kH, 7});
   plain.apply({GateKind::kH, 7});
-  remapped.apply({GateKind::kCX, 6, {7, -1}});
+  relabeled.apply({GateKind::kCX, 6, {7, -1}});
   plain.apply({GateKind::kCX, 6, {7, -1}});
-  CQS_EXPECT_STATES_CLOSE(remapped.to_raw(), plain.to_raw(), 0.0);
+  qsim::Circuit next(8);
+  next.ry(6, 0.4).cx(7, 1).h(0);
+  relabeled.apply_circuit(next);
+  plain.apply_circuit(next);
+  CQS_EXPECT_STATES_CLOSE(relabeled.to_raw(), plain.to_raw(), 0.0);
+}
+
+/// Runs `circuit` with every SWAP executed. The simulator relabels only
+/// the SWAPs nothing later touches, so the run appends a tail that names
+/// every qubit: a controlled phase by 0 from each qubit onto the top one,
+/// a rank qubit here. Its factor is 1 on every block, so it changes no
+/// amplitude and sweeps no block. An autosave interval of circuit.size()
+/// gates makes the tail a chunk of its own, so it joins none of the
+/// circuit's runs and adds exactly one empty run.
+CompressedStateSimulator run_every_swap_executed(
+    SimConfig config, const qsim::Circuit& circuit,
+    const std::string& autosave_path) {
+  qsim::Circuit tailed = circuit;
+  const int top = circuit.num_qubits() - 1;
+  for (int q = 0; q < top; ++q) tailed.cphase(q, top, 0.0);
+  config.checkpoint_interval_gates = circuit.size();
+  config.auto_checkpoint_path = autosave_path;
+  CompressedStateSimulator sim(config);
+  sim.apply_circuit(tailed);
+  return sim;
+}
+
+class SwapRelabelTest : public test::TempDirFixture {};
+
+TEST_F(SwapRelabelTest, NeverCostsMoreThanExecutingTheSwaps) {
+  auto cases = remap_cases();
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    cases.push_back({"random seed " + std::to_string(seed),
+                     test::random_circuit(12, 120, seed)});
+  }
+  std::uint64_t relabeled_swaps = 0;
+  for (const int blocks : {4, 16}) {
+    for (const auto& test_case : cases) {
+      const std::string label =
+          test_case.name + " at 4x" + std::to_string(blocks);
+      const SimConfig config =
+          small_config(test_case.circuit.num_qubits(), 4, blocks);
+      CompressedStateSimulator sim(config);
+      sim.apply_circuit(test_case.circuit);
+      auto executed = run_every_swap_executed(config, test_case.circuit,
+                                              path("executed.ckpt"));
+      CQS_EXPECT_STATES_CLOSE(sim.to_raw(), executed.to_raw(), 0.0) << label;
+      const auto rep = sim.report();
+      const auto rep_executed = executed.report();
+      ASSERT_EQ(rep_executed.swaps_relabeled, 0u) << label;
+      EXPECT_LE(rep.batched_runs, rep_executed.batched_runs - 1) << label;
+      EXPECT_LE(rep.compress_invocations, rep_executed.compress_invocations)
+          << label;
+      EXPECT_LE(rep.comm_bytes, rep_executed.comm_bytes) << label;
+      EXPECT_LE(rep.comm_messages, rep_executed.comm_messages) << label;
+      relabeled_swaps += rep.swaps_relabeled;
+    }
+  }
+  EXPECT_GT(relabeled_swaps, 0u) << "no case relabels a SWAP";
 }
 
 }  // namespace

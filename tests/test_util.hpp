@@ -61,6 +61,35 @@ inline qsim::Circuit random_circuit(int qubits, std::size_t gates,
   return c;
 }
 
+/// `circuit` with each SWAP(a, b) written as its three CX legs, CX(b, a)
+/// first. That leg flushes a pending single-qubit run on a before one on
+/// b, as the SWAP does in the fusion pre-pass, so both circuits fuse
+/// alike. The simulator executes no SWAP of the result. CX legs only move
+/// amplitudes, so the two end in the same state up to the sign of zero
+/// components.
+inline qsim::Circuit with_swaps_expanded(const qsim::Circuit& circuit) {
+  qsim::Circuit out(circuit.num_qubits());
+  for (const qsim::GateOp& op : circuit.ops()) {
+    if (op.kind != qsim::GateKind::kSwap) {
+      out.append(op);
+      continue;
+    }
+    const int a = op.target;
+    const int b = op.controls[0];
+    out.cx(b, a).cx(a, b).cx(b, a);
+  }
+  return out;
+}
+
+/// `circuit` followed by a bit-reversal SWAP layer, as QFT ends. Nothing
+/// touches those SWAPs afterwards, so the simulator relabels them and
+/// leaves a permuted qubit map.
+inline qsim::Circuit with_reversal_swaps(qsim::Circuit circuit) {
+  const int n = circuit.num_qubits();
+  for (int q = 0; q < n / 2; ++q) circuit.swap(q, n - 1 - q);
+  return circuit;
+}
+
 // The seeded generators moved to common/fixtures.hpp so the benches and
 // golden-blob tests share exactly these inputs; the test-local names stay.
 using fixtures::dense_supremacy_like;
