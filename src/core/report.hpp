@@ -42,7 +42,10 @@ struct SimulationReport {
   // Memory.
   std::uint64_t memory_requirement_bytes = 0;  ///< 2^{n+4}, uncompressed
   std::size_t peak_compressed_bytes = 0;       ///< max over gates of Eq. 8 sum
-  std::size_t scratch_bytes = 0;               ///< decompression buffers
+  /// Decompression buffers and codec pools, plus the Z rows that
+  /// expectation_pauli_z has filled (8 bytes per one- or two-bit offset
+  /// mask per block; none before the first such query).
+  std::size_t scratch_bytes = 0;
   std::size_t budget_bytes = 0;                ///< 0 = unlimited
   bool budget_exceeded = false;  ///< over budget even at the last ladder level
 
@@ -86,8 +89,11 @@ struct SimulationReport {
   std::size_t block_raw_bytes = 0;  ///< uncompressed bytes of one block
 
   // Gate-run scheduler (run batching).
-  std::uint64_t batched_runs = 0;   ///< scheduled runs (one codec pass each)
-  std::uint64_t batched_gates = 0;  ///< scheduled ops applied inside runs
+  /// Scheduled runs, one codec pass each; a split SWAP (both qubits
+  /// outside the offset segment) counts as its three CX legs, each a run
+  /// of one op.
+  std::uint64_t batched_runs = 0;
+  std::uint64_t batched_gates = 0;  ///< ops applied inside those runs
   std::uint64_t compress_invocations = 0;    ///< codec compress calls
   std::uint64_t decompress_invocations = 0;  ///< codec decompress calls
 
@@ -106,7 +112,8 @@ struct SimulationReport {
   double lossless_decompress_seconds = 0.0;
   double lossy_decompress_seconds = 0.0;
   /// Share of scratch_bytes held by the per-worker codec pools
-  /// (CodecScratch high-water marks; the rest is the block buffers).
+  /// (CodecScratch high-water marks; the rest is the block buffers and the
+  /// Z rows).
   std::size_t codec_scratch_bytes = 0;
 
   // Fidelity.

@@ -52,6 +52,103 @@ double block_mass(const Amplitude* amps, std::uint64_t count) {
   return sum;
 }
 
+/// Where a Z row holds W(mask) for an offset mask with one or two bits
+/// set: the single bits first, then the pairs (i, j), i < j, by i then j.
+std::size_t z_row_index(std::uint64_t mask, int bits) {
+  const auto i = static_cast<std::size_t>(std::countr_zero(mask));
+  mask &= mask - 1;
+  if (mask == 0) return i;
+  const auto j = static_cast<std::size_t>(std::countr_zero(mask));
+  const auto n = static_cast<std::size_t>(bits);
+  return n + i * n - i * (i + 1) / 2 + (j - i - 1);
+}
+
+/// Fills `row` with W(m) = sum_k (-1)^popcount(k & m) |a_k|^2 for every
+/// offset mask m with one or two of the block's `bits` offset bits set, in
+/// z_row_index order, and returns the block's mass. Each entry adds its
+/// terms over ascending k from 0.0, as expectation_pauli_z's own loop does.
+///
+/// Within a chunk of 2^low consecutive k, a term's sign is the parity of
+/// the mask's bits below `low` in k, times that of its other bits in the
+/// chunk's base, which is constant over the chunk. So each entry adds the
+/// chunk's stream for its low bits (|a_k|^2 signed by the first parity) to
+/// its running sum, negated for the chunks where the second is odd.
+/// Negation is exact and rounding symmetric, so each entry keeps the
+/// loop's bits, up to the sign of an exact zero, which the query's
+/// in-order total, starting at +0.0, cannot see.
+double fill_z_row(const Amplitude* amps, std::uint64_t count, int bits,
+                  std::vector<double>& row) {
+  constexpr std::size_t kLanes = 8;  // entries summed side by side
+  const int low = std::min(bits, 6);
+  const std::uint64_t chunk = std::uint64_t{1} << low;
+  // Stream 0 is the plain |a_k|^2; stream 1 + z_row_index(p, low) is the
+  // one signed by the low mask p, through sign[] (a sign bit per term).
+  const auto stream_of = [&](std::uint64_t mask) -> std::size_t {
+    const std::uint64_t p = mask & (chunk - 1);
+    return p == 0 ? 0 : 1 + z_row_index(p, low);
+  };
+  const auto streams = static_cast<std::size_t>(1 + low * (low + 1) / 2);
+  std::vector<std::uint64_t> sign(streams * chunk, 0);
+  std::vector<std::uint64_t> masks;  // z_row_index order
+  for (int i = 0; i < bits; ++i) masks.push_back(std::uint64_t{1} << i);
+  for (int i = 0; i < bits; ++i) {
+    for (int j = i + 1; j < bits; ++j) {
+      masks.push_back((std::uint64_t{1} << i) | (std::uint64_t{1} << j));
+    }
+  }
+  for (const std::uint64_t m : masks) {
+    if (m >= chunk) continue;  // a bit at `low` or above: not a stream
+    for (std::uint64_t t = 0; t < chunk; ++t) {
+      sign[stream_of(m) * chunk + t] =
+          static_cast<std::uint64_t>(std::popcount(t & m) & 1) << 63;
+    }
+  }
+  const std::size_t entries = masks.size();
+  // Spare lanes (mask 0) pad the last group; their sums are dropped.
+  masks.resize((entries + kLanes - 1) / kLanes * kLanes, 0);
+  std::vector<std::size_t> source;  // each entry's stream
+  for (const std::uint64_t m : masks) source.push_back(stream_of(m));
+
+  std::vector<double> stream(streams * chunk);
+  std::vector<double> sums(masks.size(), 0.0);
+  double mass = 0.0;
+  for (std::uint64_t base = 0; base < count; base += chunk) {
+    for (std::uint64_t t = 0; t < chunk; ++t) {
+      stream[t] = std::norm(amps[base + t]);
+    }
+    for (std::uint64_t t = 0; t < chunk; ++t) mass += stream[t];
+    for (std::size_t s = 1; s < streams; ++s) {
+      for (std::uint64_t t = 0; t < chunk; ++t) {
+        stream[s * chunk + t] = std::bit_cast<double>(
+            std::bit_cast<std::uint64_t>(stream[t]) ^ sign[s * chunk + t]);
+      }
+    }
+    for (std::size_t e = 0; e < masks.size(); e += kLanes) {
+      std::array<std::uint64_t, kLanes> flip;
+      std::array<const double*, kLanes> from;
+      std::array<double, kLanes> sum;
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        flip[l] = static_cast<std::uint64_t>(
+                      std::popcount(base & masks[e + l]) & 1)
+                  << 63;
+        from[l] = stream.data() + source[e + l] * chunk;
+        sum[l] = std::bit_cast<double>(
+            std::bit_cast<std::uint64_t>(sums[e + l]) ^ flip[l]);
+      }
+      for (std::uint64_t t = 0; t < chunk; ++t) {
+        for (std::size_t l = 0; l < kLanes; ++l) sum[l] += from[l][t];
+      }
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        sums[e + l] = std::bit_cast<double>(
+            std::bit_cast<std::uint64_t>(sum[l]) ^ flip[l]);
+      }
+    }
+  }
+  sums.resize(entries);
+  row.assign(sums.begin(), sums.end());
+  return mass;
+}
+
 /// Adds per-block sums in block order, so a query's total does not depend
 /// on which worker produced which sum.
 double add_in_order(const std::vector<double>& sums) {
@@ -286,8 +383,7 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
     ranks_.emplace_back(partition_.blocks_per_rank());
     ranks_.back().attach(tier_stats_.get(), spill_.get());
   }
-  mass_cache_.assign(ranks_.size() * partition_.blocks_per_rank(),
-                     std::numeric_limits<double>::quiet_NaN());
+  mass_cache_.resize(ranks_.size() * partition_.blocks_per_rank());
   init_blocks();
   maintain_tiers();
 }
@@ -522,7 +618,10 @@ void CompressedStateSimulator::run_segment(
   for (const qsim::GateRun& run : schedule.runs()) {
     WallTimer timer;
     if (run.pair_qubit == qsim::kSplitSwap) {
+      // Three leg sweeps, each counted as a run of one op.
       apply_impl(ops[run.first]);
+      batched_runs_ += 3;
+      batched_gates_ += 3;
     } else {
       apply_ops(ops.subspan(run.first, run.count), run.pair_qubit);
       ++batched_runs_;
@@ -671,8 +770,7 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
 
 void CompressedStateSimulator::store_block(int rank, int block, Bytes payload,
                                            runtime::BlockMeta meta) {
-  mass_cache_[global_block(rank, block)] =
-      std::numeric_limits<double>::quiet_NaN();
+  mass_cache_[global_block(rank, block)].void_sums();
   ranks_[rank].set_block(block, std::move(payload), meta);
   maybe_stream_spill(rank, block);
 }
@@ -991,23 +1089,36 @@ std::vector<double> CompressedStateSimulator::block_sums(
   return sums;
 }
 
-std::vector<double> CompressedStateSimulator::block_masses(
-    const std::vector<std::pair<int, int>>& units) {
-  std::vector<std::pair<int, int>> unknown;
+void CompressedStateSimulator::fill_cache(
+    const std::vector<std::pair<int, int>>& units, bool rows) {
+  std::vector<std::pair<int, int>> missing;
   for (const auto& [rank, block] : units) {
-    if (std::isnan(mass_cache_[global_block(rank, block)])) {
-      unknown.emplace_back(rank, block);
+    const CachedSums& slot = mass_cache_[global_block(rank, block)];
+    if (rows ? !slot.z_row_valid : std::isnan(slot.mass)) {
+      missing.emplace_back(rank, block);
     }
   }
   // Each worker fills the slots of the units it decodes.
-  block_sums(unknown, [this](const Amplitude* amps, std::uint64_t count,
-                             int rank, int block) {
-    return mass_cache_[global_block(rank, block)] = block_mass(amps, count);
+  block_sums(missing, [&](const Amplitude* amps, std::uint64_t count,
+                          int rank, int block) {
+    CachedSums& slot = mass_cache_[global_block(rank, block)];
+    if (rows) {
+      slot.mass = fill_z_row(amps, count, partition_.offset_bits, slot.z_row);
+      slot.z_row_valid = true;
+    } else {
+      slot.mass = block_mass(amps, count);
+    }
+    return slot.mass;
   });
+}
+
+std::vector<double> CompressedStateSimulator::block_masses(
+    const std::vector<std::pair<int, int>>& units) {
+  fill_cache(units, false);
   std::vector<double> masses;
   masses.reserve(units.size());
   for (const auto& [rank, block] : units) {
-    masses.push_back(mass_cache_[global_block(rank, block)]);
+    masses.push_back(mass_cache_[global_block(rank, block)].mass);
   }
   return masses;
 }
@@ -1084,23 +1195,45 @@ double CompressedStateSimulator::expectation_pauli_z(
   const auto rank_mask = static_cast<int>(
       qubit_mask >> (partition_.offset_bits + partition_.block_bits));
 
-  return add_in_order(block_sums(
-      qsim::run_block_order(partition_.num_ranks(),
-                            partition_.blocks_per_rank()),
-      [&](const Amplitude* amps, std::uint64_t count, int rank, int block) {
-        // Sign contribution of the block/rank index bits is block-constant.
-        const int high_parity =
-            (std::popcount(static_cast<unsigned>(block & block_mask)) +
-             std::popcount(static_cast<unsigned>(rank & rank_mask))) &
-            1;
-        double sum = 0.0;
-        for (std::uint64_t k = 0; k < count; ++k) {
-          const int parity =
-              (std::popcount(k & offset_mask) + high_parity) & 1;
-          sum += (parity ? -1.0 : 1.0) * std::norm(amps[k]);
-        }
-        return sum;
-      }));
+  const std::vector<std::pair<int, int>> units = qsim::run_block_order(
+      partition_.num_ranks(), partition_.blocks_per_rank());
+  // Sign contribution of the block/rank index bits is block-constant.
+  const auto high_parity = [&](int rank, int block) {
+    return (std::popcount(static_cast<unsigned>(block & block_mask)) +
+            std::popcount(static_cast<unsigned>(rank & rank_mask))) &
+           1;
+  };
+  if (std::popcount(offset_mask) > 2) {
+    return add_in_order(block_sums(
+        units,
+        [&](const Amplitude* amps, std::uint64_t count, int rank, int block) {
+          const int parity_of_block = high_parity(rank, block);
+          double sum = 0.0;
+          for (std::uint64_t k = 0; k < count; ++k) {
+            const int parity =
+                (std::popcount(k & offset_mask) + parity_of_block) & 1;
+            sum += (parity ? -1.0 : 1.0) * std::norm(amps[k]);
+          }
+          return sum;
+        }));
+  }
+
+  // At most two offset bits: a block adds its cached W(offset_mask) (its
+  // mass when there is no offset bit), negated where its block and rank
+  // bits have odd parity. The negation differs from the loop above only
+  // in the sign of a zero sum, which the in-order total, starting at +0.0,
+  // cannot see.
+  fill_cache(units, offset_mask != 0);
+  const std::size_t entry =
+      offset_mask == 0 ? 0 : z_row_index(offset_mask, partition_.offset_bits);
+  std::vector<double> sums;
+  sums.reserve(units.size());
+  for (const auto& [rank, block] : units) {
+    const CachedSums& slot = mass_cache_[global_block(rank, block)];
+    const double w = offset_mask == 0 ? slot.mass : slot.z_row[entry];
+    sums.push_back(high_parity(rank, block) ? -w : w);
+  }
+  return add_in_order(sums);
 }
 
 std::uint64_t CompressedStateSimulator::sample(Rng& rng) {
@@ -1333,6 +1466,9 @@ SimulationReport CompressedStateSimulator::report() const {
   rep.peak_compressed_bytes =
       tier_stats_->peak_total_bytes.load(std::memory_order_relaxed);
   rep.scratch_bytes = scratch_->bytes();
+  for (const CachedSums& slot : mass_cache_) {
+    rep.scratch_bytes += slot.z_row.capacity() * sizeof(double);
+  }
   rep.budget_bytes = config_.memory_budget_bytes;
   rep.budget_exceeded = budget_exceeded_;
   rep.min_compression_ratio = min_ratio_;

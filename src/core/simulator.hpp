@@ -27,6 +27,7 @@
 
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -94,10 +95,18 @@ class CompressedStateSimulator {
   // qubit need only each block's mass, sum |a_k|^2 of its decoded
   // amplitudes. The simulator caches that mass per block until the block
   // is next rewritten, so they decode only blocks rewritten since a query
-  // last decoded them. probability_one() of an offset qubit,
-  // expectation_pauli_z() and to_raw() decode every block they read. A
-  // cached mass is the value a decode would give, added in the same
-  // order, so caching moves no bit.
+  // last decoded them. expectation_pauli_z() of a mask with no offset bit
+  // adds the same masses. With one or two offset bits it adds each block's
+  // W(m) = sum_k (-1)^popcount(k & m) |a_k|^2 for the mask's offset part
+  // m: a block it decodes fills its Z row, W(m) for every m with one or
+  // two bits, so until the block is rewritten no such query decodes it
+  // again. A fill adds k(k+1)/2 terms per amplitude for k offset bits, so
+  // at large k one such query per rewrite costs more than a decode (see
+  // README, "Z rows"). probability_one() of an offset qubit,
+  // expectation_pauli_z() with three or more offset bits and to_raw()
+  // decode every block they read. A cached sum is the value a decode
+  // would give, added in the same order (a row entry up to the sign of an
+  // exact zero, which no total can see), so caching moves no bit.
 
   /// Probability that `qubit` measures |1>.
   double probability_one(int qubit);
@@ -287,7 +296,7 @@ class CompressedStateSimulator {
   std::vector<std::vector<std::size_t>> share_groups(
       std::span<const std::pair<int, int>> blocks, std::size_t per_unit,
       const Selections& selections);
-  /// Installs a rewritten block and voids its cached mass, then streams
+  /// Installs a rewritten block and voids its cached sums, then streams
   /// it to the spill tier when streaming spill is on — the one place
   /// executors write blocks.
   void store_block(int rank, int block, Bytes payload,
@@ -305,9 +314,12 @@ class CompressedStateSimulator {
       const std::function<double(const qsim::Amplitude* amps,
                                  std::uint64_t count, int rank, int block)>&
           block_sum);
-  /// Each unit's block mass, one slot per unit in unit order. Decodes
-  /// (through block_sums) only the units whose mass is not cached, and
-  /// caches what it decodes.
+  /// Decodes (through block_sums) the units whose cache slot lacks the
+  /// mass, or with `rows` the Z row, and fills their slots. A row fill
+  /// caches the mass too.
+  void fill_cache(const std::vector<std::pair<int, int>>& units, bool rows);
+  /// Each unit's block mass, one slot per unit in unit order, decoding
+  /// only the units whose mass is not cached.
   std::vector<double> block_masses(
       const std::vector<std::pair<int, int>>& units);
 
@@ -364,14 +376,27 @@ class CompressedStateSimulator {
   mutable std::vector<PhaseTimers> worker_timers_;
   mutable std::vector<CodecCallStats> codec_stats_;  // one per worker
 
-  /// Each block's mass in global_block order, NaN when not known. A slot
-  /// is filled only by block_masses and voided by store_block, the one
-  /// place blocks are rewritten, so a known mass belongs to the stored
-  /// payload. Workers fill or void distinct slots, so no lock guards it.
-  /// Like BlockMeta it is not charged to the memory report, and it is
-  /// never checkpointed: a loaded simulator starts with every slot
-  /// unknown.
-  std::vector<double> mass_cache_;
+  /// What the state queries know of one block's decoded amplitudes.
+  struct CachedSums {
+    double mass = std::numeric_limits<double>::quiet_NaN();  ///< NaN: unknown
+    /// W(m) for every offset mask m with one or two bits set, 8 bytes per
+    /// mask. Allocated at the first fill and kept when the slot is voided,
+    /// so a refill reuses it.
+    std::vector<double> z_row;
+    bool z_row_valid = false;  ///< z_row belongs to the stored payload
+    void void_sums() {
+      mass = std::numeric_limits<double>::quiet_NaN();
+      z_row_valid = false;
+    }
+  };
+  /// Each block's CachedSums in global_block order. A slot is filled only
+  /// by fill_cache, for the queries, and voided by store_block, the one
+  /// place blocks are rewritten, so what a slot knows belongs to the
+  /// stored payload. Workers fill or void distinct slots, so no lock
+  /// guards it. The mass is not charged to the memory report (like
+  /// BlockMeta); the Z rows count in its scratch_bytes. Nothing here is
+  /// checkpointed: a loaded simulator starts with every slot unknown.
+  std::vector<CachedSums> mass_cache_;
 
   int level_ = 0;  ///< 0 = lossless; k > 0 = error_ladder[k-1]
   FidelityTracker fidelity_;
@@ -393,7 +418,9 @@ class CompressedStateSimulator {
   // Statistics.
   std::uint64_t gates_ = 0;
   std::uint64_t batched_runs_ = 0;
-  std::uint64_t batched_gates_ = 0;  ///< scheduled ops applied inside runs
+  /// Scheduled ops applied inside runs; a split SWAP counts as its three
+  /// CX legs, each a run of one op.
+  std::uint64_t batched_gates_ = 0;
   std::uint64_t swaps_relabeled_ = 0;
   CacheStats sharing_;  ///< gate sweeps' shared (hits) and computed units
   double wall_seconds_ = 0.0;

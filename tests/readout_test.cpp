@@ -1,16 +1,22 @@
-// Readout: the state queries and the per-block mass cache behind them.
+// Readout: the state queries and the per-block cache of masses and Z rows
+// behind them.
 //
-// ReadoutCacheTest pins how many blocks each query decodes, and checks
-// that every path that rewrites blocks leaves no stale mass behind: after
-// each one, norm(), probability_one() and sample() on a simulator whose
-// cache was warm before the write must return the bits of a simulator
-// freshly loaded from a checkpoint of the same state (a fresh load has an
-// empty cache).
+// ReadoutCacheTest pins how many blocks each query decodes and what the
+// filled Z rows add to the report's scratch, and checks that every path
+// that rewrites blocks leaves no stale mass or row behind: after each one,
+// the Z strings, norm(), probability_one() and sample() on a simulator
+// whose cache was warm before the write must return the bits of a
+// simulator freshly loaded from a checkpoint of the same state (a fresh
+// load has an empty cache).
 //
 // ReadoutPinTest pins the readout bits of the benchmark suite's four
 // workloads (bench/suite/workloads.hpp, read-only here) as one SHA-256 per
-// workload and seed. The digests were recorded from a simulator without
-// the cache, so they show that the cache moves no bit.
+// workload and seed. The seed 1-2 digests were recorded from a simulator
+// without the mass cache, and the seed 3 digests and every ZStringPinTest
+// digest from one without Z rows, so they show that the cache moves no
+// bit. ZStringPinTest hashes every one- and two-qubit Z string and one
+// over three offset qubits on each workload's final state, twice, so its
+// second pass reads filled rows.
 //
 // StatePinTest pins what the same workloads leave right after
 // apply_circuit, with sweep sharing off and on: the state and checkpoint
@@ -26,6 +32,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../bench/suite/workloads.hpp"
@@ -70,9 +77,29 @@ qsim::Circuit dense_circuit() {
 
 std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
-/// Everything the cache serves, as bits: norm(), probability_one() of
-/// every qubit and 16 samples.
+/// A Z string over three qubits whose homes are offset bits. (The dense
+/// circuit relabels a SWAP of qubits 2 and 14, so qubit 2 lives in a rank
+/// bit.)
+constexpr std::uint64_t kThreeOffsets = 0b1011;
+
+/// Every Z string with one or two of `qubits` qubits: the singles, then
+/// the pairs (q, r), q < r.
+std::vector<std::uint64_t> z_masks(int qubits) {
+  std::vector<std::uint64_t> masks;
+  for (int q = 0; q < qubits; ++q) masks.push_back(std::uint64_t{1} << q);
+  for (int q = 0; q < qubits; ++q) {
+    for (int r = q + 1; r < qubits; ++r) {
+      masks.push_back((std::uint64_t{1} << q) | (std::uint64_t{1} << r));
+    }
+  }
+  return masks;
+}
+
+/// Everything the cache serves, as bits: the z_masks(kQubits) expectations
+/// and kThreeOffsets', norm(), probability_one() of every qubit and 16
+/// samples.
 struct Readings {
+  std::vector<std::uint64_t> z;
   std::uint64_t norm = 0;
   std::vector<std::uint64_t> probability_one;
   std::vector<std::uint64_t> samples;
@@ -80,6 +107,10 @@ struct Readings {
 
 Readings read_all(CompressedStateSimulator& sim) {
   Readings r;
+  for (std::uint64_t mask : z_masks(kQubits)) {
+    r.z.push_back(bits(sim.expectation_pauli_z(mask)));
+  }
+  r.z.push_back(bits(sim.expectation_pauli_z(kThreeOffsets)));
   r.norm = bits(sim.norm());
   for (int q = 0; q < kQubits; ++q) {
     r.probability_one.push_back(bits(sim.probability_one(q)));
@@ -94,13 +125,19 @@ void expect_same_readings(CompressedStateSimulator& sim,
                           CompressedStateSimulator& reference) {
   const Readings expected = read_all(reference);
   const Readings observed = read_all(sim);
+  EXPECT_EQ(observed.z, expected.z);
   EXPECT_EQ(observed.norm, expected.norm);
   EXPECT_EQ(observed.probability_one, expected.probability_one);
   EXPECT_EQ(observed.samples, expected.samples);
 }
 
-std::uint64_t decodes(const CompressedStateSimulator& sim) {
-  return sim.report().decompress_invocations;
+/// Counts the blocks `sim` decodes: each call returns how many it decoded
+/// since the previous call.
+auto decode_counter(const CompressedStateSimulator& sim) {
+  return [&sim, before = sim.report().decompress_invocations]() mutable {
+    const std::uint64_t now = sim.report().decompress_invocations;
+    return now - std::exchange(before, now);
+  };
 }
 
 class ReadoutCacheTest : public test::TempDirFixture {
@@ -116,7 +153,8 @@ class ReadoutCacheTest : public test::TempDirFixture {
     return CompressedStateSimulator::load_checkpoint(file, config);
   }
 
-  /// Fills every cache slot before a write: norm() reads every block.
+  /// Fills every cache slot before a write: the Z strings fill every
+  /// block's Z row and mass.
   static void warm(CompressedStateSimulator& sim) { read_all(sim); }
 
   /// `sim`'s readings must equal those of a fresh load of its state.
@@ -132,13 +170,7 @@ class ReadoutCacheTest : public test::TempDirFixture {
 
 TEST_F(ReadoutCacheTest, EachQueryDecodesOnlyBlocksWithoutACachedMass) {
   auto sim = load_dense(base_config());
-  std::uint64_t before = decodes(sim);
-  auto cost = [&] {
-    const std::uint64_t now = decodes(sim);
-    const std::uint64_t delta = now - before;
-    before = now;
-    return delta;
-  };
+  auto cost = decode_counter(sim);
   const double first = sim.norm();
   EXPECT_EQ(cost(), std::uint64_t{kBlocks}) << "first norm() decodes all";
   EXPECT_EQ(bits(sim.norm()), bits(first));
@@ -158,6 +190,114 @@ TEST_F(ReadoutCacheTest, EachQueryDecodesOnlyBlocksWithoutACachedMass) {
   cost();
   sim.norm();
   EXPECT_EQ(cost(), std::uint64_t{kBlocks / 2});
+}
+
+TEST_F(ReadoutCacheTest, ZStringsDecodeEachBlockOncePerStore) {
+  auto sim = load_dense(base_config());
+  auto cost = decode_counter(sim);
+  constexpr std::uint64_t kOffset = std::uint64_t{1} << kOffsetQubit;
+  constexpr std::uint64_t kOffsetPair = kOffset | 0b1;
+  constexpr std::uint64_t kBlockAndRank =
+      (std::uint64_t{1} << kBlockQubit) | (std::uint64_t{1} << kRankQubit);
+  sim.expectation_pauli_z(kBlockAndRank);
+  EXPECT_EQ(cost(), std::uint64_t{kBlocks}) << "no offset bit: the masses";
+  sim.expectation_pauli_z(kOffset);
+  EXPECT_EQ(cost(), std::uint64_t{kBlocks}) << "a mass is not a row";
+  for (std::uint64_t mask : z_masks(kQubits)) {
+    sim.expectation_pauli_z(mask);
+    sim.expectation_pauli_z(mask | kBlockAndRank);
+    EXPECT_EQ(cost(), 0u) << "mask " << mask << " reads the rows";
+  }
+  sim.expectation_pauli_z(0);
+  EXPECT_EQ(cost(), 0u) << "no offset bit adds the masses";
+  for (int i = 0; i < 2; ++i) {
+    sim.expectation_pauli_z(kThreeOffsets);
+    EXPECT_EQ(cost(), std::uint64_t{kBlocks}) << "three offset bits decode";
+  }
+  sim.norm();
+  EXPECT_EQ(cost(), 0u) << "a fill also caches the mass";
+  // Controlled by a block bit: the gate rewrites half the blocks, and only
+  // their rows go stale.
+  sim.apply(qsim::GateOp{qsim::GateKind::kCX, kOffsetQubit, {12, -1}});
+  cost();
+  sim.expectation_pauli_z(kOffsetPair | kBlockAndRank);
+  EXPECT_EQ(cost(), std::uint64_t{kBlocks / 2});
+  sim.expectation_pauli_z(kOffset);
+  EXPECT_EQ(cost(), 0u);
+}
+
+/// <Z...Z> over `mask` as the uncached loop adds it: each block's terms
+/// over ascending offset, |a|^2 negated where the parity is odd, and the
+/// block sums in block order from +0.0. The layout must be the identity.
+double uncached_pauli_z(const std::vector<qsim::Amplitude>& amps,
+                        const runtime::Partition& partition,
+                        std::uint64_t mask) {
+  double total = 0.0;
+  for (int r = 0; r < partition.num_ranks(); ++r) {
+    for (int b = 0; b < partition.blocks_per_rank(); ++b) {
+      double sum = 0.0;
+      for (std::uint64_t k = 0; k < partition.amplitudes_per_block(); ++k) {
+        const std::uint64_t i = partition.global_index(r, b, k);
+        sum += (std::popcount(i & mask) & 1 ? -1.0 : 1.0) * std::norm(amps[i]);
+      }
+      total += sum;
+    }
+  }
+  return total;
+}
+
+TEST_F(ReadoutCacheTest, ZRowsAddWhatTheUncachedLoopAdds) {
+  // On 2 ranks x 4 blocks: 7 offset bits (rows summed in chunks) and 3
+  // (one chunk). Qubits 1 and 8 stay |0>, so half the terms and, with 7
+  // offset bits, half the blocks are exact zeros.
+  for (int qubits : {10, 6}) {
+    SimConfig config;
+    config.num_qubits = qubits;
+    config.num_ranks = 2;
+    config.blocks_per_rank = 4;
+    config.threads = 2;
+    qsim::Circuit circuit(qubits);
+    const auto idle = [](int q) { return q == 1 || q == 8; };
+    for (int q = 0; q < qubits; ++q) {
+      if (!idle(q)) circuit.ry(q, 0.3 + 0.17 * q);
+    }
+    for (int q = 0; q + 2 < qubits; ++q) {
+      if (!idle(q) && !idle(q + 2)) circuit.cx(q, q + 2);
+    }
+    CompressedStateSimulator sim(config);
+    sim.apply_circuit(circuit);
+    ASSERT_TRUE(sim.qubit_map().is_identity());
+    const std::vector<qsim::Amplitude> amps = sim.to_amplitudes();
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::uint64_t mask : z_masks(qubits)) {
+        EXPECT_EQ(bits(sim.expectation_pauli_z(mask)),
+                  bits(uncached_pauli_z(amps, sim.partition(), mask)))
+            << qubits << " qubits, mask " << mask << ", pass " << pass;
+      }
+    }
+  }
+}
+
+TEST_F(ReadoutCacheTest, ReportCountsFilledZRowsAsScratch) {
+  auto sim = load_dense(base_config());
+  // scratch_bytes less the codec pools: the block buffers plus the rows.
+  const auto buffers_and_rows = [&] {
+    const core::SimulationReport rep = sim.report();
+    return rep.scratch_bytes - rep.codec_scratch_bytes;
+  };
+  const std::size_t buffers = buffers_and_rows();
+  // The other queries never fill a row, nor do Z strings with no offset
+  // bit or with three.
+  sim.norm();
+  Rng rng(5);
+  for (int i = 0; i < 8; ++i) sim.sample(rng);
+  for (int q = 0; q < kQubits; ++q) sim.probability_one(q);
+  sim.expectation_pauli_z(std::uint64_t{1} << kBlockQubit);
+  sim.expectation_pauli_z(kThreeOffsets);
+  EXPECT_EQ(buffers_and_rows(), buffers);
+  sim.expectation_pauli_z(0b11);
+  // 10 offset bits: 10 single and 45 pair masks, 8 bytes each.
+  EXPECT_EQ(buffers_and_rows(), buffers + std::size_t{kBlocks} * 55 * 8);
 }
 
 TEST_F(ReadoutCacheTest, UnitRunLeavesNoStaleMass) {
@@ -346,6 +486,7 @@ TEST_F(ReadoutPinTest, QaoaLossy) {
   expect_pins("qaoa_lossy", {
       {1, "3f5ec2b66454eaaf9d7cbaeb3a032df09105d23e8c7b2e1c6c8738bab18a3be3"},
       {2, "eee728db06178cd777da6241a11a020648532882c4e2d792d975b8ff0af6e691"},
+      {3, "6c779fe1ec48aad48c0c84b894c9aa50d3fb162565108843f58eb183f4fc8947"},
   });
 }
 
@@ -353,6 +494,7 @@ TEST_F(ReadoutPinTest, RcsSample) {
   expect_pins("rcs_sample", {
       {1, "ce65af9eaab44a77c117cb8dfc044c09959fdd88db57d3b92850889e5fa8fc8b"},
       {2, "d3c1d5b90b5f7eccbd2825110f6e6181316c3666a2de7403abff70d552701a93"},
+      {3, "756ddc55c0f9d986b45065f211652270114e9bdf4013f205d431ef2111f10852"},
   });
 }
 
@@ -360,6 +502,7 @@ TEST_F(ReadoutPinTest, GroverSparse) {
   expect_pins("grover_sparse", {
       {1, "8716dbc84ac354929fb8457fdc77ed3486494fee6336493d16be55029299517b"},
       {2, "4287e302ec551bf80c0e77397f78fbfac9057c6fd4e4cc1d4f04ab1e4276e850"},
+      {3, "7d1058e534ac7bd10c62c4421a5f7d608e6cb57139f22d62bb42bb64fc832d6d"},
   });
 }
 
@@ -370,6 +513,84 @@ TEST_F(ReadoutPinTest, QftOoc) {
   expect_pins("qft_ooc", {
       {1, "ed41038874b851859cced9d1b1c8adb3a67d7017fe199932b28f9e652dfd571b"},
       {2, "68111ab5daf30c432116df9dd7e726f132745560bfe5ba60d0c46bfe21d052ac"},
+      {3, "ff2b623d2c03ad714dc1ab0d691b9927dbd02f66172d1a0315a98507d5a6ee41"},
+  });
+}
+
+// --- Z strings on the suite's final states, pinned across commits ----------
+
+class ZStringPinTest : public test::TempDirFixture {
+ protected:
+  /// Runs the workload's circuit, then hashes two passes of: <Z_q> for
+  /// every qubit, <Z_q Z_r> for every pair q < r, and the Z string over the
+  /// first three logical qubits whose physical homes are offset bits.
+  std::string z_digest(const std::string& name, std::uint64_t seed,
+                       int threads) {
+    bench::suite::Workload w =
+        bench::suite::make_workload(name, seed, path(""));
+    w.config.threads = threads;
+    CompressedStateSimulator sim(w.config);
+    sim.apply_circuit(w.circuit);
+
+    const int qubits = w.circuit.num_qubits();
+    std::vector<std::uint64_t> masks = z_masks(qubits);
+    std::uint64_t three = 0;
+    for (int q = 0; q < qubits && std::popcount(three) < 3; ++q) {
+      if (sim.qubit_map().physical(q) < sim.partition().offset_bits) {
+        three |= std::uint64_t{1} << q;
+      }
+    }
+    masks.push_back(three);
+
+    Sha256 digest;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::uint64_t mask : masks) {
+        feed(digest, bits(sim.expectation_pauli_z(mask)));
+      }
+    }
+    return digest.hex_digest();
+  }
+
+  void expect_pins(const std::string& name,
+                   const std::vector<ReadoutPin>& pins) {
+    for (const ReadoutPin& pin : pins) {
+      for (int threads : {1, 4}) {
+        EXPECT_EQ(z_digest(name, pin.seed, threads), pin.sha256)
+            << name << " seed " << pin.seed << " threads " << threads;
+      }
+    }
+  }
+};
+
+TEST_F(ZStringPinTest, QaoaLossy) {
+  expect_pins("qaoa_lossy", {
+      {1, "107580068b0cc91597413854b50aeedca14df52da3d8f1cf365c9ea93f9da76e"},
+      {2, "f97387610356c379eb56486ab516f1658d51c8b99aa43b349fe72ca3bf00cba5"},
+      {3, "ad5d6a67039e1fc8a77b0aab0c8063766e530822d47166981264fd763689556d"},
+  });
+}
+
+TEST_F(ZStringPinTest, RcsSample) {
+  // One seed: rcs_sample's seed draws only its shots
+  // (bench/suite/workloads.hpp), so every seed leaves this state.
+  expect_pins("rcs_sample", {
+      {1, "519450bfbdba19ee7959d8dccb7f19ffd4cb221cd69f8ee1b01c6757e452f64d"},
+  });
+}
+
+TEST_F(ZStringPinTest, GroverSparse) {
+  expect_pins("grover_sparse", {
+      {1, "4968318d55775a25e0e3a839cba25f35651561f127d293a7a02c37a146dfbd58"},
+      {2, "efd495a3d07bbd3fda142bfcd963b5bbb120310b633309fcf1b0a7c3643a59a3"},
+      {3, "7228604ecde5e592f8437d531dd92c40eb223021af857b24f10db061305c5d84"},
+  });
+}
+
+TEST_F(ZStringPinTest, QftOoc) {
+  expect_pins("qft_ooc", {
+      {1, "d7a3b3008d65aa16c4154ad2d7346a0a0c571ca03f9e407ee028cd6cf4c3180a"},
+      {2, "4b2d2ea7925ffac8c30e103233e83ef5f081be05b4827ea9e4974a4a2f5853d4"},
+      {3, "fdb5ddfc8889495323099a83a82306faa2b36d938b3c425aedac3c1b60306de7"},
   });
 }
 

@@ -710,5 +710,25 @@ TEST_F(SwapRelabelTest, NeverCostsMoreThanExecutingTheSwaps) {
   EXPECT_GT(relabeled_swaps, 0u) << "no case relabels a SWAP";
 }
 
+TEST(SimulatorTest, SplitSwapCountsEachLegSweepAsARun) {
+  // 10 qubits on 4 ranks x 4 blocks: qubits 0-5 are offset bits, 6-7 block
+  // bits and 8-9 rank bits. SWAP(6, 9) pairs its legs across 6, 9 and 6,
+  // and cx(0, 9) names qubit 9 after it, so it executes. Its neighbours
+  // pair across 7 and 8, so no leg joins their runs: six sweeps either way.
+  qsim::Circuit with_swap(10);
+  with_swap.h(0).cx(0, 7).swap(6, 9).cx(0, 8).cx(0, 9);
+  CompressedStateSimulator swapped(small_config(10));
+  CompressedStateSimulator legs(small_config(10));
+  swapped.apply_circuit(with_swap);
+  legs.apply_circuit(test::with_swaps_expanded(with_swap));
+  const SimulationReport rep = swapped.report();
+  const SimulationReport rep_legs = legs.report();
+  EXPECT_EQ(rep.swaps_relabeled, 0u);
+  EXPECT_EQ(rep_legs.batched_runs, 6u);
+  EXPECT_EQ(rep.batched_runs, rep_legs.batched_runs);
+  EXPECT_EQ(rep.batched_gates, rep_legs.batched_gates);
+  CQS_EXPECT_STATES_CLOSE(swapped.to_raw(), legs.to_raw(), 0.0);
+}
+
 }  // namespace
 }  // namespace cqs::core
