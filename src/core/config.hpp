@@ -60,7 +60,9 @@ struct SimConfig {
   /// block pays one decompress -> apply-run -> recompress round (and the
   /// run, at a lossy level, one fidelity pass) per run instead of per gate.
   /// Under a memory budget runs stop at 16 ops, so ladder escalation stays
-  /// responsive mid-stretch.
+  /// responsive mid-stretch. Without one, and for blocks of at most 64 KiB,
+  /// consecutive runs merge into runs across two qubits, swept as cells
+  /// of four blocks (qsim/scheduler.hpp).
   bool enable_run_batching = true;
 
   /// Compose fuse_single_qubit_gates as a scheduler pre-pass (only takes

@@ -42,9 +42,10 @@ struct SimulationReport {
   // Memory.
   std::uint64_t memory_requirement_bytes = 0;  ///< 2^{n+4}, uncompressed
   std::size_t peak_compressed_bytes = 0;       ///< max over gates of Eq. 8 sum
-  /// Decompression buffers and codec pools, plus the Z rows that
-  /// expectation_pauli_z has filled (8 bytes per one- or two-bit offset
-  /// mask per block; none before the first such query).
+  /// Decompression buffers (two per worker, four where runs merge) and
+  /// codec pools, plus the Z rows that expectation_pauli_z has filled (8
+  /// bytes per one- or two-bit offset mask per block; none before the
+  /// first such query).
   std::size_t scratch_bytes = 0;
   std::size_t budget_bytes = 0;                ///< 0 = unlimited
   bool budget_exceeded = false;  ///< over budget even at the last ladder level
@@ -89,7 +90,8 @@ struct SimulationReport {
   std::size_t block_raw_bytes = 0;  ///< uncompressed bytes of one block
 
   // Gate-run scheduler (run batching).
-  /// Scheduled runs, one codec pass each; a split SWAP (both qubits
+  /// Scheduled runs, one codec pass each. A merged run (one that pairs
+  /// blocks across two qubits) counts once; a split SWAP (both qubits
   /// outside the offset segment) counts as its three CX legs, each a run
   /// of one op.
   std::uint64_t batched_runs = 0;

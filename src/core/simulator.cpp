@@ -15,6 +15,7 @@
 #include <stdexcept>
 
 #include "core/memory_model.hpp"
+#include "lossless/lz77.hpp"
 #include "runtime/checkpoint.hpp"
 
 namespace cqs::core {
@@ -287,22 +288,24 @@ struct CompressedStateSimulator::GateKernel {
 
 /// One run_sweep task: what decides whether units share an output, and
 /// what to compute on the decoded amplitudes. Each unit (rank, block) is
-/// its first block. With a partner bit set, the unit is a pair whose
-/// second block is (rank | partner_rank_bit, block | partner_block_bit),
-/// so a nonzero rank bit makes every pair cross ranks. Every field is safe
-/// to call from any worker.
+/// its first block and spans the rank and block bits set here: it holds
+/// every block (rank | r, block | b) for r a submask of rank_bits and b of
+/// block_bits, rank-major (block bits ascending within a rank), so a unit
+/// holds 1, 2 or 4 blocks, and with a rank bit its second half lies on the
+/// partner rank. Every field is safe to call from any worker.
 struct CompressedStateSimulator::SweepSpec {
-  int partner_rank_bit = 0;
-  int partner_block_bit = 0;
+  int rank_bits = 0;  ///< at most one bit
+  int block_bits = 0;
   /// Set by gate sweeps, the only sweeps whose units share (share_groups),
   /// and called for each block of a unit; empty = every unit computes its
   /// own output.
   Selections selections;
-  /// Applies the unit's kernels to its decoded blocks, in unit order;
-  /// (rank, block) is the first block's. Empty = recompress the blocks
+  /// Applies the unit's kernels to its decoded blocks; `where` holds each
+  /// block's (rank, block), in unit order. Empty = recompress the blocks
   /// unchanged.
-  std::function<void(std::span<Amplitude* const> blocks, std::uint64_t count,
-                     int rank, int block)>
+  std::function<void(std::span<Amplitude* const> blocks,
+                     std::span<const std::pair<int, int>> where,
+                     std::uint64_t count)>
       compute;
 };
 
@@ -370,8 +373,14 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
   pool_ = std::make_unique<ThreadPool>(threads);
   worker_timers_.resize(pool_->size());
   codec_stats_.resize(pool_->size());
+  // Runs merge across two qubits only without a budget, which the ladder
+  // checks between runs, and for blocks that 16-bit LZ77 chain links
+  // cover: those links pay for the cell sweeps' two extra buffers.
+  merge_runs_ = config_.enable_run_batching &&
+                config_.memory_budget_bytes == 0 &&
+                partition_.bytes_per_block() <= lossless::kMaxShortLinkBytes;
   scratch_ = std::make_unique<runtime::ScratchArena>(
-      pool_->size(), partition_.doubles_per_block());
+      pool_->size(), partition_.doubles_per_block(), merge_runs_ ? 4 : 2);
   tier_stats_ = std::make_unique<runtime::TierStats>();
   if (!config_.spill_path.empty()) {
     // SpillError (with errno) surfaces unwritable paths at construction,
@@ -611,6 +620,8 @@ void CompressedStateSimulator::run_segment(
   constexpr std::size_t kBudgetedRunCap = 16;
   options.max_run_length =
       config_.memory_budget_bytes > 0 ? kBudgetedRunCap : 0;
+  options.merge_runs = merge_runs_;
+  options.first_rank_qubit = partition_.offset_bits + partition_.block_bits;
   const qsim::Schedule schedule =
       qsim::build_schedule(segment, options, &origin_counts);
   const std::span<const GateOp> ops = schedule.circuit().ops();
@@ -623,7 +634,8 @@ void CompressedStateSimulator::run_segment(
       batched_runs_ += 3;
       batched_gates_ += 3;
     } else {
-      apply_ops(ops.subspan(run.first, run.count), run.pair_qubit);
+      apply_ops(ops.subspan(run.first, run.count), run.pair_qubit,
+                run.second_pair_qubit);
       ++batched_runs_;
       batched_gates_ += run.count;
     }
@@ -678,7 +690,8 @@ void CompressedStateSimulator::record_lossy_pass() {
 }
 
 void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
-                                         int pair_qubit) {
+                                         int pair_qubit,
+                                         int second_pair_qubit) {
   std::vector<GateKernel> kernels;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     if (qsim::starts_parity_phase(ops.subspan(i), partition_.offset_bits)) {
@@ -695,30 +708,34 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
       kernels.push_back(resolve_kernel(ops[i]));
     }
   }
-  // Every pairing kernel pairs across pair_qubit: the partner block on the
-  // same rank (block segment) or the same block on the partner rank (rank
-  // segment). A pair where some pairing kernel's controls hold is swept
-  // whole; every other block some unit kernel changes is swept alone, and
-  // the rest are skipped without decompression. Both lists keep rank-major
-  // order.
-  const int pair_bit =
-      pair_qubit >= 0 ? 1 << partition_.local_bit(pair_qubit) : 0;
-  const bool rank_pair =
-      pair_qubit >= 0 &&
-      partition_.segment_of(pair_qubit) == Partition::Segment::kRank;
-  const int partner_rank_bit = rank_pair ? pair_bit : 0;
-  const int partner_block_bit = rank_pair ? 0 : pair_bit;
-  std::vector<std::pair<int, int>> pairs;
+  // A unit spans each pairing qubit's bit: the partner block on the same
+  // rank (block segment) or the same block on the partner rank (rank
+  // segment). A unit where some pairing kernel's controls hold is swept
+  // whole — in a run across two qubits every unit, since the scheduler
+  // merges only pairing ops without block or rank controls; every other
+  // block some unit kernel changes is swept alone, and the rest are
+  // skipped without decompression. Both lists keep rank-major order.
+  SweepSpec spec;
+  for (const int qubit : {pair_qubit, second_pair_qubit}) {
+    if (qubit < 0) continue;
+    const int bit = 1 << partition_.local_bit(qubit);
+    if (partition_.segment_of(qubit) == Partition::Segment::kRank) {
+      spec.rank_bits |= bit;
+    } else {
+      spec.block_bits |= bit;
+    }
+  }
+  std::vector<std::pair<int, int>> units;
   std::vector<std::pair<int, int>> singles;
   for (int r = 0; r < partition_.num_ranks(); ++r) {
     for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
-      const int first_rank = r & ~partner_rank_bit;
-      const int first_block = b & ~partner_block_bit;
+      const int first_rank = r & ~spec.rank_bits;
+      const int first_block = b & ~spec.block_bits;
       if (std::ranges::any_of(kernels, [&](const GateKernel& kernel) {
             return kernel.pairs &&
                    kernel.controls_hold(first_rank, first_block);
           })) {
-        if (r == first_rank && b == first_block) pairs.emplace_back(r, b);
+        if (r == first_rank && b == first_block) units.emplace_back(r, b);
       } else if (std::ranges::any_of(kernels, [&](const GateKernel& kernel) {
                    return kernel.acts_on(r, b);
                  })) {
@@ -726,9 +743,16 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
       }
     }
   }
-  SweepSpec spec;
-  spec.partner_rank_bit = partner_rank_bit;
-  spec.partner_block_bit = partner_block_bit;
+  // How far apart, in unit order, the two blocks a pairing kernel pairs
+  // lie: past the unit's block bits below its target for a block target,
+  // past the first rank's half for a rank target.
+  const auto stride = [&](const GateKernel& kernel) -> std::size_t {
+    const int below =
+        kernel.target_segment == Partition::Segment::kRank
+            ? spec.block_bits
+            : spec.block_bits & ((1 << kernel.target_local_bit) - 1);
+    return std::size_t{1} << std::popcount(static_cast<unsigned>(below));
+  };
   // The same kernels act differently on blocks where controls or factor
   // bits differ, so their selections join what a unit computes from.
   spec.selections = [&](int rank, int block) {
@@ -739,31 +763,39 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
     }
     return out;
   };
-  // Unit kernels run on each block with its own (rank, block), pairing
-  // kernels across a pair where their controls hold. A block swept alone
-  // is where every pairing kernel's controls fail.
-  spec.compute = [&](std::span<Amplitude* const> blocks, std::uint64_t count,
-                     int rank, int block) {
+  // Kernels run in program order: a unit kernel on each block with its own
+  // (rank, block), a pairing kernel across its own qubit, on each pair
+  // where its controls hold. A block swept alone is where every pairing
+  // kernel's controls fail.
+  spec.compute = [&](std::span<Amplitude* const> blocks,
+                     std::span<const std::pair<int, int>> where,
+                     std::uint64_t count) {
     for (const GateKernel& kernel : kernels) {
       if (!kernel.pairs) {
-        kernel.apply_unit(blocks[0], count, rank, block, backend_);
-        if (blocks.size() == 2) {
-          kernel.apply_unit(blocks[1], count, rank | partner_rank_bit,
-                            block | partner_block_bit, backend_);
+        for (std::size_t j = 0; j < blocks.size(); ++j) {
+          kernel.apply_unit(blocks[j], count, where[j].first, where[j].second,
+                            backend_);
         }
-      } else if (blocks.size() == 2 && kernel.controls_hold(rank, block)) {
-        qsim::pair_kernel(blocks[0], blocks[1], count, kernel.m,
-                          kernel.offset_ctrl_mask, backend_);
+        continue;
+      }
+      if (blocks.size() == 1) continue;
+      const std::size_t step = stride(kernel);
+      for (std::size_t j = 0; j < blocks.size(); ++j) {
+        if ((j & step) == 0 &&
+            kernel.controls_hold(where[j].first, where[j].second)) {
+          qsim::pair_kernel(blocks[j], blocks[j + step], count, kernel.m,
+                            kernel.offset_ctrl_mask, backend_);
+        }
       }
     }
   };
-  run_sweep(pairs, spec);
-  spec.partner_rank_bit = spec.partner_block_bit = 0;
+  run_sweep(units, spec);
+  spec.rank_bits = spec.block_bits = 0;
   run_sweep(singles, spec);
   // Each block pays one recompression for the whole run, so the fidelity
   // ledger records one lossy pass, not one per op (Eq. 11 tightens to
   // F >= (1 - delta)^runs). A run that rewrote no block costs none.
-  if (!pairs.empty() || !singles.empty()) record_lossy_pass();
+  if (!units.empty() || !singles.empty()) record_lossy_pass();
 }
 
 // --- Block executors: every sweep that rewrites blocks runs through one ---
@@ -834,30 +866,42 @@ std::vector<std::vector<std::size_t>> CompressedStateSimulator::share_groups(
 
 void CompressedStateSimulator::run_sweep(
     const std::vector<std::pair<int, int>>& units, const SweepSpec& spec) {
-  const bool cross_rank = spec.partner_rank_bit != 0;
-  const std::size_t per_unit =
-      cross_rank || spec.partner_block_bit != 0 ? 2 : 1;
+  constexpr std::size_t kMaxUnit = 4;
+  const bool cross_rank = spec.rank_bits != 0;
+  // The unit's offsets from its first block, rank-major: each submask of
+  // the block bits, ascending, on the unit's rank and then on its partner.
+  std::vector<std::pair<int, int>> offsets;
+  for (const int r : {0, spec.rank_bits}) {
+    for (int b = 0;; b = (b - spec.block_bits) & spec.block_bits) {
+      offsets.emplace_back(r, b);
+      if (b == spec.block_bits) break;
+    }
+    if (!cross_rank) break;
+  }
+  const std::size_t per_unit = offsets.size();
+  // With a rank bit, block j < half pairs with block j + half across it.
+  const std::size_t half = cross_rank ? per_unit / 2 : per_unit;
+  if (per_unit > std::min(kMaxUnit, scratch_->buffers())) {
+    throw std::logic_error("run_sweep: a unit needs more buffers than scratch");
+  }
   // The blocks of unit i: blocks[i * per_unit] onward.
   std::vector<std::pair<int, int>> blocks;
   blocks.reserve(per_unit * units.size());
   for (const auto& [rank, block] : units) {
-    blocks.emplace_back(rank, block);
-    if (per_unit == 2) {
-      blocks.emplace_back(rank | spec.partner_rank_bit,
-                          block | spec.partner_block_bit);
-    }
+    for (const auto& [r, b] : offsets) blocks.emplace_back(rank | r, block | b);
   }
   const auto groups = share_groups(blocks, per_unit, spec.selections);
   pool_->parallel_for(groups.size(), [&](std::size_t g, std::size_t worker) {
     const std::vector<std::size_t>& group = groups[g];
     auto& timers = worker_timers_[worker];
-    // One buffered sendrecv per pair (Section 3.3): each rank ships its
-    // compressed block to the partner in a single paired exchange. Both
-    // sides then hold both inputs and compute their own updated block from
-    // the exchanged payloads, so no second round trip is needed.
-    auto exchange = [&](std::size_t i) {
-      const auto [rank_a, block_a] = blocks[per_unit * i];
-      const auto [rank_b, block_b] = blocks[per_unit * i + 1];
+    // One buffered sendrecv per cross-rank pair (Section 3.3): each rank
+    // ships its compressed block to the partner in a single paired
+    // exchange. Both sides then hold both inputs and compute their own
+    // updated blocks from the exchanged payloads, so no second round trip
+    // is needed.
+    auto exchange = [&](std::size_t i, std::size_t j) {
+      const auto [rank_a, block_a] = blocks[per_unit * i + j];
+      const auto [rank_b, block_b] = blocks[per_unit * i + j + half];
       ScopedPhase phase(timers, Phase::kCommunication);
       return comm_->exchange(rank_a, rank_b,
                              ranks_[rank_a].payload_view(block_a),
@@ -865,15 +909,15 @@ void CompressedStateSimulator::run_sweep(
     };
     const std::span<const std::pair<int, int>> own(
         blocks.data() + per_unit * group.front(), per_unit);
-    const std::array<std::span<double>, 2> buffers = {
-        scratch_->vector_x(worker), scratch_->vector_y(worker)};
-    std::array<Amplitude*, 2> amps{};
+    std::array<std::span<double>, kMaxUnit> buffers;
+    std::array<Amplitude*, kMaxUnit> amps{};
     for (std::size_t k = 0; k < per_unit; ++k) {
       const auto [rank, block] = own[k];
-      if (k == 1 && cross_rank) {
+      buffers[k] = scratch_->block_buffer(worker, k);
+      if (k >= half) {
         // Decompress the partner's block from the exchanged copy — the
         // payload this rank received is the data it computes on.
-        decompress_payload(exchange(group.front()).to_a,
+        decompress_payload(exchange(group.front(), k - half).to_a,
                            ranks_[rank].meta(block), buffers[k], worker);
       } else {
         decompress_block(rank, block, buffers[k], worker);
@@ -882,11 +926,10 @@ void CompressedStateSimulator::run_sweep(
     }
     if (spec.compute) {
       ScopedPhase phase(timers, Phase::kComputation);
-      spec.compute(std::span(amps).first(per_unit),
-                   partition_.amplitudes_per_block(), own[0].first,
-                   own[0].second);
+      spec.compute(std::span(amps).first(per_unit), own,
+                   partition_.amplitudes_per_block());
     }
-    std::array<std::pair<Bytes, runtime::BlockMeta>, 2> outputs;
+    std::array<std::pair<Bytes, runtime::BlockMeta>, kMaxUnit> outputs;
     for (std::size_t k = 0; k < per_unit; ++k) {
       const auto [rank, block] = own[k];
       outputs[k] = encode_block(buffers[k], worker);
@@ -900,7 +943,9 @@ void CompressedStateSimulator::run_sweep(
       // A rank learns its partner's payload only by exchange, so a
       // member still exchanges although the shared output makes the
       // received bytes unnecessary.
-      if (cross_rank) exchange(i);
+      if (cross_rank) {
+        for (std::size_t j = 0; j < half; ++j) exchange(i, j);
+      }
       for (std::size_t k = 0; k < per_unit; ++k) {
         const auto [rank, block] = blocks[per_unit * i + k];
         store_block(rank, block, outputs[k].first, outputs[k].second);
@@ -1081,7 +1126,7 @@ std::vector<double> CompressedStateSimulator::block_sums(
   std::vector<double> sums(units.size(), 0.0);
   pool_->parallel_for(units.size(), [&](std::size_t i, std::size_t worker) {
     const auto [rank, block] = units[i];
-    auto vx = scratch_->vector_x(worker);
+    auto vx = scratch_->block_buffer(worker, 0);
     decompress_block(rank, block, vx, worker);
     sums[i] = block_sum(as_complex(vx), partition_.amplitudes_per_block(),
                         rank, block);
@@ -1151,7 +1196,7 @@ std::vector<double> CompressedStateSimulator::to_raw() {
   pool_->parallel_for(total_blocks, [&](std::size_t i, std::size_t worker) {
     const int rank = static_cast<int>(i) / partition_.blocks_per_rank();
     const int block = static_cast<int>(i) % partition_.blocks_per_rank();
-    auto vx = scratch_->vector_x(worker);
+    auto vx = scratch_->block_buffer(worker, 0);
     decompress_block(rank, block, vx, worker);
     for (std::uint64_t k = 0; k < partition_.amplitudes_per_block(); ++k) {
       const std::uint64_t logical =
@@ -1257,7 +1302,7 @@ std::uint64_t CompressedStateSimulator::sample(Rng& rng) {
   }
   const int rank = static_cast<int>(chosen) / partition_.blocks_per_rank();
   const int block = static_cast<int>(chosen) % partition_.blocks_per_rank();
-  auto vx = scratch_->vector_x(0);
+  auto vx = scratch_->block_buffer(0, 0);
   decompress_block(rank, block, vx, 0);
   const auto* amps = as_complex(vx);
   double r2 = rng.next_double() * masses[chosen];
@@ -1288,9 +1333,11 @@ int CompressedStateSimulator::measure(int qubit, Rng& rng) {
   const auto segment = partition_.segment_of(physical);
   const int local = partition_.local_bit(physical);
   SweepSpec spec;
-  spec.compute = [&](std::span<Amplitude* const> blocks, std::uint64_t count,
-                     int rank, int block) {
+  spec.compute = [&](std::span<Amplitude* const> blocks,
+                     std::span<const std::pair<int, int>> where,
+                     std::uint64_t count) {
     Amplitude* amps = blocks[0];
+    const auto [rank, block] = where[0];
     int block_bit = -1;  // -1: decided per amplitude
     if (segment == Partition::Segment::kBlock) {
       block_bit = (block >> local) & 1;

@@ -2,7 +2,7 @@
 // and 4): a Schrödinger-style full-state simulator whose state vector
 // lives in independently compressed blocks spread across logical ranks.
 //
-// Per sweep, at most two blocks per worker are decompressed into
+// Per sweep, each worker decompresses the blocks of one unit into
 // pre-allocated scratch (the MCDRAM discipline of Figure 2), the gate's
 // 2x2 unitary is applied where its target qubit's index segment puts the
 // amplitude pairs (Figure 3), and the blocks are recompressed. Only a
@@ -12,17 +12,20 @@
 // (qsim/scheduler.hpp) batches each stretch of consecutive gates whose
 // pairing gates all pair across one qubit k into one run, and folds each
 // CX(u,v) . D . CX(u,v) with D diagonal on v into one parity-phase kernel.
-// A run is one sweep of the block executor, run_sweep, whose units hold
-// one block or a pair: pairs across k where a pairing gate acts get the
-// unit kernels on each half and the pairing kernels across the pair in
-// program order, and every other block a unit kernel changes is a unit
-// alone. So each block pays one codec round — and the run one lossy
-// fidelity pass — per run instead of per gate, and a run across a rank
-// qubit exchanges each pair once. A hybrid compression policy starts
-// lossless (zx) and escalates through a pointwise-relative error-bound
-// ladder, one lossy codec for every level above 0, whenever the
-// configured memory budget is exceeded (Section 3.7), while a fidelity
-// lower bound F >= prod (1 - delta_i) is maintained (Section 3.8).
+// Without a memory budget, and for blocks of at most 64 KiB, it then
+// merges consecutive runs into runs across two qubits. A run is one sweep
+// of the block executor, run_sweep, whose units hold one block, a pair
+// across k or a cell of four blocks across both qubits of a merged run:
+// each unit gets the unit kernels on each block and the pairing kernels
+// across their own qubit in program order, and every other block a unit
+// kernel changes is a unit alone. So each block pays one codec round — and
+// the run one lossy fidelity pass — per run instead of per gate, and a run
+// across a rank qubit exchanges each cross-rank pair once. A hybrid
+// compression policy starts lossless (zx) and escalates through a
+// pointwise-relative error-bound ladder, one lossy codec for every level
+// above 0, whenever the configured memory budget is exceeded (Section
+// 3.7), while a fidelity lower bound F >= prod (1 - delta_i) is maintained
+// (Section 3.8).
 #pragma once
 
 #include <atomic>
@@ -261,25 +264,29 @@ class CompressedStateSimulator {
   void apply_impl(const qsim::GateOp& op);
   GateKernel resolve_kernel(const qsim::GateOp& op) const;
   /// One sweep for a list of ops (a scheduled run or a single op) whose
-  /// pairing ops all pair blocks across `pair_qubit` (qsim::kPairsNoBlocks
-  /// when none does): resolves each op, or each CX . D . CX triple
+  /// pairing ops all pair blocks across `pair_qubit` or
+  /// `second_pair_qubit` (qsim::kPairsNoBlocks when none, or no second,
+  /// does): resolves each op, or each CX . D . CX triple
   /// qsim::starts_parity_phase recognises, to one kernel (a SWAP to three).
-  /// Pairs across pair_qubit where some pairing kernel's controls hold are
-  /// swept whole; every other block some unit kernel changes is swept
-  /// alone; the rest are skipped. Each swept block is decompressed once,
-  /// has every kernel that runs there applied in program order, and is
-  /// recompressed once; the sweep records one lossy pass.
-  void apply_ops(std::span<const qsim::GateOp> ops, int pair_qubit);
+  /// Units span both qubits: a pair across one, a cell of four blocks
+  /// across two. Units where some pairing kernel's controls hold are swept
+  /// whole; every other block some unit kernel changes is swept alone; the
+  /// rest are skipped. Each swept block is decompressed once, has every
+  /// kernel that runs there applied in program order, and is recompressed
+  /// once; the sweep records one lossy pass.
+  void apply_ops(std::span<const qsim::GateOp> ops, int pair_qubit,
+                 int second_pair_qubit = qsim::kPairsNoBlocks);
 
   // --- The block executor: every sweep that rewrites blocks runs on it ---
 
   /// Rewrites the blocks of every unit, one parallel_for task per sharing
-  /// group (share_groups). A unit (rank, block) holds that block, plus its
-  /// partner when the spec sets a partner bit. The group's first unit
-  /// decodes its blocks (a partner across ranks from the payload the pair
-  /// exchanged), applies spec.compute and encodes them; every other member
-  /// exchanges too when its pair spans ranks (an exchange is how a rank
-  /// learns its partner's payload) and stores copies; the first unit
+  /// group (share_groups). A unit (rank, block) holds that block, plus the
+  /// blocks across the rank and block bits the spec sets: 1, 2 or 4
+  /// blocks, one scratch buffer each. The group's first unit decodes its
+  /// blocks (those on the partner rank from the payloads each cross-rank
+  /// pair exchanged), applies spec.compute and encodes them; every other
+  /// member exchanges too when the unit spans ranks (an exchange is how a
+  /// rank learns its partner's payload) and stores copies; the first unit
   /// stores last. A task touches only its group's blocks, so each block
   /// has one owner in the region. A computed block whose codec class
   /// differs from the payload it replaces counts one codec switch; a copy
@@ -372,6 +379,10 @@ class CompressedStateSimulator {
   std::unique_ptr<compression::Compressor> lossy_;
   std::uint8_t lossy_codec_id_ = compression::kLosslessCodecId;
   std::unique_ptr<ThreadPool> pool_;
+  /// Whether build_schedule merges runs across two qubits: batching on,
+  /// no memory budget and blocks of at most 64 KiB. Scratch then holds
+  /// four block buffers per worker, paid for by 16-bit LZ77 chain links.
+  bool merge_runs_ = false;
   std::unique_ptr<runtime::ScratchArena> scratch_;
   mutable std::vector<PhaseTimers> worker_timers_;
   mutable std::vector<CodecCallStats> codec_stats_;  // one per worker

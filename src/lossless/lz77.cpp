@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <stdexcept>
 #include <vector>
 
@@ -22,7 +24,6 @@ inline std::uint32_t hash6(const std::byte* p) {
   return static_cast<std::uint32_t>((v * 0x9e3779b185ebca87ull) >> 46);
 }
 
-constexpr std::size_t kHashSize = 1u << 18;
 constexpr std::size_t kMinEmit = 6;
 constexpr std::size_t kHashBytes = 8;  // hash6 reads 8 bytes
 
@@ -50,21 +51,117 @@ inline std::size_t match_length(const std::byte* a, const std::byte* b,
   return static_cast<std::size_t>(a - start);
 }
 
-/// Opens a tokenize pass over `scratch` and returns its base: every head
-/// entry from earlier passes is below it. Advances the stamp past this
-/// pass's values, restarting it (one full zero-fill) when they would not
-/// fit below 2^32, and makes the chain table cover `n` positions.
+/// Opens a tokenize pass of `n` bytes over `scratch` and returns its base:
+/// every head entry from earlier passes is below it. Advances the stamp
+/// past this pass's values, restarting it (one full zero-fill) when they
+/// would not fit below 2^32.
 std::uint32_t begin_pass(Lz77Scratch& scratch, std::size_t n) {
   constexpr std::uint32_t kMaxStamp = std::numeric_limits<std::uint32_t>::max();
-  if (scratch.head.size() != kHashSize) scratch.head.assign(kHashSize, 0);
+  if (!scratch.head) {
+    scratch.head.reset(static_cast<std::uint32_t*>(
+        std::calloc(kLz77HashEntries, sizeof(std::uint32_t))));
+    if (!scratch.head) throw std::bad_alloc();
+  }
   if (scratch.stamp == 0 || n > kMaxStamp - scratch.stamp) {
-    std::fill(scratch.head.begin(), scratch.head.end(), 0);
+    std::fill_n(scratch.head.get(), kLz77HashEntries, 0);
     scratch.stamp = 1;
   }
   const std::uint32_t base = scratch.stamp;
   scratch.stamp += static_cast<std::uint32_t>(n);
-  if (scratch.prev.size() < n) scratch.prev.resize(n);
   return base;
+}
+
+/// Chain links as the head entries they displaced: 4 bytes per position.
+struct WideLinks {
+  std::uint32_t* prev;
+  std::uint32_t base;
+
+  void link(std::size_t p, std::uint32_t displaced) const {
+    prev[p] = displaced;
+  }
+  /// The entry chained after `entry`, the pass's entry for its position;
+  /// below the base at the chain's end.
+  std::uint32_t next(std::uint32_t entry) const { return prev[entry - base]; }
+};
+
+/// Chain links as distances back, 2 bytes per position: an input of at
+/// most kMaxShortLinkBytes puts every position within 2^16 - 1 of every
+/// other, and 0 (no position is 0 back) ends the chain.
+struct NearLinks {
+  std::uint16_t* prev;
+  std::uint32_t base;
+
+  void link(std::size_t p, std::uint32_t displaced) const {
+    prev[p] = displaced >= base ? static_cast<std::uint16_t>(
+                                      base + static_cast<std::uint32_t>(p) -
+                                      displaced)
+                                : 0;
+  }
+  /// As WideLinks::next; 0 is below every base.
+  std::uint32_t next(std::uint32_t entry) const {
+    const std::uint16_t back = prev[entry - base];
+    return back != 0 ? entry - back : 0;
+  }
+};
+
+/// The greedy hash-chain pass over `input` for a pass opened at `stamp`,
+/// with chain links in `links`.
+template <class Links>
+void tokenize(ByteSpan input, Bytes& out, const Lz77Config& config,
+              std::uint32_t* const head, std::uint32_t stamp, Links links) {
+  const std::size_t n = input.size();
+  const std::byte* base = input.data();
+  // Chains position `p` into bucket `h`.
+  const auto insert = [&](std::uint32_t h, std::size_t p) {
+    links.link(p, head[h]);
+    head[h] = stamp + static_cast<std::uint32_t>(p);
+  };
+
+  std::size_t literal_start = 0;
+  std::size_t pos = 0;
+  while (pos + kHashBytes <= n) {
+    const std::uint32_t h = hash6(base + pos);
+    std::uint32_t candidate = head[h];
+    std::size_t best_len = 0;
+    std::size_t best_offset = 0;
+    int chain = config.max_chain;
+    while (candidate >= stamp && chain-- > 0) {
+      const std::size_t cand_pos = candidate - stamp;
+      const std::size_t len =
+          match_length(base + pos, base + cand_pos, base + n);
+      if (len > best_len) {
+        best_len = len;
+        best_offset = pos - cand_pos;
+        if (len >= config.good_match || len >= config.max_match) break;
+      }
+      candidate = links.next(candidate);
+    }
+
+    if (best_len >= kMinEmit) {
+      best_len = std::min(best_len, config.max_match);
+      // Emit pending literals + this match.
+      put_varint(out, pos - literal_start);
+      out.insert(out.end(), base + literal_start, base + pos);
+      put_varint(out, best_len - kMinMatch + 1);
+      put_varint(out, best_offset);
+
+      // Index the covered positions (sparsely for long matches to stay fast).
+      const std::size_t end = pos + best_len;
+      const std::size_t step = best_len > 512 ? 509 : 1;  // prime stride
+      for (std::size_t i = pos; i + kHashBytes <= n && i < end; i += step) {
+        insert(hash6(base + i), i);
+      }
+      pos = end;
+      literal_start = pos;
+    } else {
+      insert(h, pos);
+      ++pos;
+    }
+  }
+  // Trailing literals + terminator.
+  put_varint(out, n - literal_start);
+  out.insert(out.end(), base + literal_start, base + n);
+  put_varint(out, 0);
 }
 
 // ---- detokenize -----------------------------------------------------------
@@ -170,61 +267,16 @@ void lz77_tokenize(ByteSpan input, Bytes& out, const Lz77Config& config,
   if (n > kMaxTokenizeBytes) {
     throw std::length_error("cqs: lz77 input exceeds 32-bit positions");
   }
-  const std::byte* base = input.data();
   const std::uint32_t stamp = begin_pass(scratch, n);
-  std::uint32_t* const head = scratch.head.data();
-  std::uint32_t* const prev = scratch.prev.data();
-  // Chains position `p` into bucket `h`.
-  const auto insert = [&](std::uint32_t h, std::size_t p) {
-    prev[p] = head[h];
-    head[h] = stamp + static_cast<std::uint32_t>(p);
-  };
-
-  std::size_t literal_start = 0;
-  std::size_t pos = 0;
-  while (pos + kHashBytes <= n) {
-    const std::uint32_t h = hash6(base + pos);
-    std::uint32_t candidate = head[h];
-    std::size_t best_len = 0;
-    std::size_t best_offset = 0;
-    int chain = config.max_chain;
-    while (candidate >= stamp && chain-- > 0) {
-      const std::size_t cand_pos = candidate - stamp;
-      const std::size_t len =
-          match_length(base + pos, base + cand_pos, base + n);
-      if (len > best_len) {
-        best_len = len;
-        best_offset = pos - cand_pos;
-        if (len >= config.good_match || len >= config.max_match) break;
-      }
-      candidate = prev[cand_pos];
-    }
-
-    if (best_len >= kMinEmit) {
-      best_len = std::min(best_len, config.max_match);
-      // Emit pending literals + this match.
-      put_varint(out, pos - literal_start);
-      out.insert(out.end(), base + literal_start, base + pos);
-      put_varint(out, best_len - kMinMatch + 1);
-      put_varint(out, best_offset);
-
-      // Index the covered positions (sparsely for long matches to stay fast).
-      const std::size_t end = pos + best_len;
-      const std::size_t step = best_len > 512 ? 509 : 1;  // prime stride
-      for (std::size_t i = pos; i + kHashBytes <= n && i < end; i += step) {
-        insert(hash6(base + i), i);
-      }
-      pos = end;
-      literal_start = pos;
-    } else {
-      insert(h, pos);
-      ++pos;
-    }
+  if (scratch.short_links && n <= kMaxShortLinkBytes) {
+    if (scratch.prev_near.size() < n) scratch.prev_near.resize(n);
+    tokenize(input, out, config, scratch.head.get(), stamp,
+             NearLinks{scratch.prev_near.data(), stamp});
+  } else {
+    if (scratch.prev.size() < n) scratch.prev.resize(n);
+    tokenize(input, out, config, scratch.head.get(), stamp,
+             WideLinks{scratch.prev.data(), stamp});
   }
-  // Trailing literals + terminator.
-  put_varint(out, n - literal_start);
-  out.insert(out.end(), base + literal_start, base + n);
-  put_varint(out, 0);
 }
 
 void lz77_tokenize(ByteSpan input, Bytes& out, const Lz77Config& config) {

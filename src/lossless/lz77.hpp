@@ -14,7 +14,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -39,23 +41,46 @@ struct Lz77Config {
 inline constexpr std::size_t kMaxTokenizeBytes =
     std::numeric_limits<std::uint32_t>::max() - 1;
 
-/// Reusable hash-chain state: 1 MiB of head table plus 4 bytes per input
-/// byte of chain links. A pass stores position p as `base + p`, where
-/// `base` is the value `stamp` held when the pass began, and advances
-/// `stamp` past every value it wrote. A head entry counts only when it is
-/// >= the pass's base, so entries from earlier passes read as empty and
-/// reuse costs O(1) instead of a zero-fill. When the next pass would not
-/// fit below 2^32, the table is zero-filled once and `stamp` restarts at 1.
-/// The chain-link table grows monotonically; stale links are unreachable
-/// because every reachable link was written during the current pass.
+/// Entries of the head table: one per 18-bit hash, 1 MiB in all.
+inline constexpr std::size_t kLz77HashEntries = std::size_t{1} << 18;
+
+/// Largest input that 16-bit chain links cover (see Lz77Scratch): every
+/// distance between two positions of it fits in 16 bits.
+inline constexpr std::size_t kMaxShortLinkBytes = std::size_t{1} << 16;
+
+/// Reusable hash-chain state: 1 MiB of head table plus chain links, 4 bytes
+/// per input byte, or 2 with `short_links` set and an input of at most
+/// kMaxShortLinkBytes. A pass stores position p as `base + p`, where `base`
+/// is the value `stamp` held when the pass began, and advances `stamp` past
+/// every value it wrote. A head entry counts only when it is >= the pass's
+/// base, so entries from earlier passes read as empty and reuse costs O(1)
+/// instead of a zero-fill. When the next pass would not fit below 2^32, the
+/// table is zero-filled once and `stamp` restarts at 1. The chain-link
+/// tables grow monotonically; stale links are unreachable because every
+/// reachable link was written during the current pass. Both link widths
+/// walk the same chains, so they give identical tokens.
 struct Lz77Scratch {
-  std::vector<std::uint32_t> head;  // hash -> base + most recent position
+  struct Free {
+    void operator()(std::uint32_t* p) const { std::free(p); }
+  };
+  /// hash -> base + most recent position, kLz77HashEntries entries. The
+  /// first pass allocates it zeroed with calloc, so no page of it is
+  /// written before a pass touches one of its buckets: filling 1 MiB of
+  /// fresh pages costs more than the rest of a simulator's construction.
+  std::unique_ptr<std::uint32_t[], Free> head;
   std::vector<std::uint32_t> prev;  // position -> head entry it displaced
-  std::uint32_t stamp = 1;          // base of the next pass
+  /// With short links: position -> distance back to the position it
+  /// displaced from its bucket, 0 when the bucket held none this pass.
+  std::vector<std::uint16_t> prev_near;
+  std::uint32_t stamp = 1;  // base of the next pass
+  /// Link inputs of at most kMaxShortLinkBytes through prev_near.
+  bool short_links = false;
 
   /// Bytes held by the scratch (Eq. 8 accounting).
   std::size_t bytes() const {
-    return (head.capacity() + prev.capacity()) * sizeof(std::uint32_t);
+    return ((head ? kLz77HashEntries : 0) + prev.capacity()) *
+               sizeof(std::uint32_t) +
+           prev_near.capacity() * sizeof(std::uint16_t);
   }
 };
 

@@ -1,5 +1,6 @@
 #include "qsim/scheduler.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <stdexcept>
 #include <utility>
@@ -44,11 +45,57 @@ std::vector<std::pair<int, int>> run_block_order(int num_ranks,
   return order;
 }
 
+namespace {
+
+/// Whether `op`, which pairs blocks, has a control in the block or rank
+/// segment. A SWAP's pairing legs are controlled by its offset qubit.
+bool block_controlled(const GateOp& op, int intra_qubits) {
+  return op.kind != GateKind::kSwap &&
+         std::ranges::any_of(op.controls,
+                             [&](int c) { return c >= intra_qubits; });
+}
+
+/// build_schedule's merge pass over the one-qubit runs; `controlled` flags
+/// the runs with a block- or rank-controlled pairing op.
+std::vector<GateRun> merged_runs(const std::vector<GateRun>& runs,
+                                 const std::vector<bool>& controlled,
+                                 int first_rank_qubit) {
+  std::vector<GateRun> out;
+  bool open = false;  // out.back() may take the next run
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const GateRun& run = runs[r];
+    const bool mergeable = run.pair_qubit >= 0 && !controlled[r];
+    if (open && mergeable) {
+      GateRun& last = out.back();
+      const int k = run.pair_qubit;
+      const bool two_rank = k >= first_rank_qubit &&
+                            last.pair_qubit >= first_rank_qubit;
+      if (k != last.pair_qubit && last.second_pair_qubit < 0 && !two_rank) {
+        last.second_pair_qubit = k;
+      }
+      if (k == last.pair_qubit || k == last.second_pair_qubit) {
+        last.count += run.count;
+        last.source_gates += run.source_gates;
+        continue;
+      }
+    }
+    out.push_back(run);
+    open = mergeable;
+  }
+  return out;
+}
+
+}  // namespace
+
 Schedule build_schedule(const Circuit& circuit,
                         const SchedulerOptions& options,
                         const std::vector<std::size_t>* origin_counts) {
   if (options.intra_qubits < 0) {
     throw std::invalid_argument("build_schedule: negative intra_qubits");
+  }
+  if (options.merge_runs && options.first_rank_qubit < options.intra_qubits) {
+    throw std::invalid_argument(
+        "build_schedule: the rank segment starts below the block segment");
   }
   if (origin_counts != nullptr && origin_counts->size() != circuit.size()) {
     throw std::invalid_argument(
@@ -67,10 +114,14 @@ Schedule build_schedule(const Circuit& circuit,
 
   const auto& ops = schedule.circuit_.ops();
   GateRun current;  // open run (count == 0 when closed)
+  bool current_controlled = false;
+  std::vector<bool> controlled;  // per run: a block-controlled pairing op
   auto close = [&] {
     if (current.count == 0) return;
     schedule.runs_.push_back(current);
+    controlled.push_back(current_controlled);
     current = GateRun{};
+    current_controlled = false;
   };
 
   const std::size_t cap = options.max_run_length;
@@ -85,6 +136,7 @@ Schedule build_schedule(const Circuit& circuit,
       schedule.runs_.push_back(GateRun{.first = i, .count = 1,
                                        .source_gates = origins[i],
                                        .pair_qubit = kSplitSwap});
+      controlled.push_back(false);
       ++i;
       continue;
     }
@@ -97,7 +149,11 @@ Schedule build_schedule(const Circuit& circuit,
       close();
     }
     if (current.count == 0) current = GateRun{.first = i};
-    if (k >= 0) current.pair_qubit = k;
+    if (k >= 0) {
+      current.pair_qubit = k;
+      current_controlled = current_controlled ||
+                           block_controlled(ops[i], options.intra_qubits);
+    }
     for (std::size_t j = 0; j < width; ++j) {
       current.source_gates += origins[i + j];
     }
@@ -106,6 +162,10 @@ Schedule build_schedule(const Circuit& circuit,
     if (cap > 0 && current.count >= cap) close();
   }
   close();
+  if (options.merge_runs) {
+    schedule.runs_ = merged_runs(schedule.runs_, controlled,
+                                 options.first_rank_qubit);
+  }
   return schedule;
 }
 

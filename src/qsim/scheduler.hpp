@@ -15,6 +15,13 @@
 // a pre-pass. Only a SWAP with both qubits outside the offset segment pairs
 // across two qubits; it stays an item of its own.
 //
+// With SchedulerOptions::merge_runs, consecutive runs then merge into runs
+// that pair across two qubits, swept as cells of four blocks (see
+// build_schedule): a run of layered gates on distinct block and rank
+// qubits costs one codec round per block per two qubits instead of one per
+// qubit. The simulator merges only without a memory budget (the ladder
+// checks it between runs) and for blocks of at most 64 KiB.
+//
 // QAOA writes each ZZ term as CX(u,v) . D . CX(u,v) with D diagonal on v.
 // CX only permutes amplitudes, so the triple multiplies each amplitude by
 // the factor of D that the parity of u's and v's bits picks: one diagonal
@@ -25,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -50,6 +58,16 @@ struct SchedulerOptions {
 
   /// Run fuse_single_qubit_gates before forming runs.
   bool fuse = true;
+
+  /// Merge consecutive runs into runs that pair across two qubits (see
+  /// build_schedule). Off by default, so default options plan runs that
+  /// pair across one qubit.
+  bool merge_runs = false;
+
+  /// Qubits with index >= first_rank_qubit lie in the rank segment; a
+  /// merged run pairs across at most one of them. Read only with
+  /// merge_runs.
+  int first_rank_qubit = std::numeric_limits<int>::max();
 };
 
 // pair_qubit's two answers that are not a qubit index.
@@ -61,7 +79,8 @@ inline constexpr int kSplitSwap = -2;
 
 /// One schedule item: `count` consecutive ops of the scheduled circuit
 /// starting at `first`, executed as one sweep — unless it is the single-op
-/// item of a SWAP that splits into its legs.
+/// item of a SWAP that splits into its legs. A merged run is one item, so
+/// the simulator counts it as one run.
 struct GateRun {
   std::size_t first = 0;
   std::size_t count = 0;
@@ -73,8 +92,11 @@ struct GateRun {
   /// The qubit k every op of the run that pairs blocks pairs them across;
   /// kPairsNoBlocks when no op of the run pairs blocks (each acts on every
   /// block alone); kSplitSwap for the single-op item of a SWAP whose legs
-  /// pair across two qubits.
+  /// pair across two qubits. A merged run's first pairing qubit.
   int pair_qubit = kPairsNoBlocks;
+  /// A merged run's other pairing qubit: each of its pairing ops pairs
+  /// across pair_qubit or this one. kPairsNoBlocks for every other run.
+  int second_pair_qubit = kPairsNoBlocks;
 };
 
 /// Figure 3's split: the one qubit `op` pairs amplitudes across blocks on.
@@ -126,6 +148,16 @@ std::vector<std::pair<int, int>> run_block_order(int num_ranks,
 /// across another qubit, in which case it opens the next run; a SWAP that
 /// splits is an item of its own. Runs are maximal under
 /// options.max_run_length.
+///
+/// With options.merge_runs, each of those runs then folds into the one
+/// before it (a merged run) while the result pairs across at most two
+/// qubits, at most one of them in the rank segment (so a cell spans two
+/// ranks at most), and neither part is a split SWAP, a run that pairs no
+/// blocks (one borders only a split SWAP or the circuit's ends) or a run
+/// with a pairing op controlled by a block or rank qubit. So each pairing
+/// op of a merged run acts on every block pair across its qubit: every
+/// part would have swept every block, and the merged run sweeps each
+/// once, with the same ops in the same order.
 ///
 /// When `origin_counts` is non-null the circuit is taken as already
 /// processed (the simulator fuses before plan_remaps, so relabels cannot

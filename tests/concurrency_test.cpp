@@ -137,6 +137,54 @@ TEST(ConcurrencyTest, RandomizedCircuitsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ConcurrencyTest, CellSweepsBitIdenticalAcrossThreadCounts) {
+  // Without a budget, runs merge across two qubits and each worker sweeps
+  // a cell of four blocks, one that spans two ranks through two
+  // exchanges. States, counts and exchange totals must not depend on the
+  // worker count, with sharing off and on.
+  core::SimConfig config;
+  config.num_qubits = 11;  // offset 0-5, block 6-8, rank 9-10
+  config.num_ranks = 4;
+  config.blocks_per_rank = 8;
+  qsim::Circuit circuit(11);
+  for (int layer = 0; layer < 3; ++layer) {
+    for (int q = 6; q < 11; ++q) {
+      circuit.h(q).cx(q - 6, q).rz(q - 6, 0.3 * q + layer);
+      circuit.cphase(q, (q + 1 - 6) % 5 + 6, 0.7);
+    }
+  }
+  for (const bool sharing : {false, true}) {
+    config.enable_cache = sharing;
+    std::vector<double> reference;
+    DeterministicReport reference_report{};
+    std::uint64_t reference_bytes = 0;
+    std::uint64_t reference_messages = 0;
+    for (int threads : {1, 2, 4}) {
+      config.threads = threads;
+      core::CompressedStateSimulator sim(config);
+      sim.apply_circuit(circuit);
+      const auto rep = sim.report();
+      const auto report = deterministic_fields(rep);
+      const auto raw = sim.to_raw();
+      if (reference.empty()) {
+        reference = raw;
+        reference_report = report;
+        reference_bytes = rep.comm_bytes;
+        reference_messages = rep.comm_messages;
+        // Merged: fewer sweeps than the one per layer and qubit.
+        EXPECT_LT(rep.batched_runs, 15u);
+        EXPECT_GT(rep.comm_messages, 0u);
+      } else {
+        CQS_EXPECT_STATES_CLOSE(raw, reference, 0.0);
+        EXPECT_EQ(report, reference_report)
+            << "sharing " << sharing << " threads " << threads;
+        EXPECT_EQ(rep.comm_bytes, reference_bytes) << threads;
+        EXPECT_EQ(rep.comm_messages, reference_messages) << threads;
+      }
+    }
+  }
+}
+
 TEST(ConcurrencyTest, BudgetEscalationIdenticalAcrossThreadCounts) {
   // The ladder escalates mid-run under a tight budget; the escalation
   // point and the resulting state must not depend on the worker count.

@@ -35,6 +35,19 @@ TEST(GoldenBlobTest, ScratchPathProducesIdenticalBytes) {
   }
 }
 
+TEST(GoldenBlobTest, ShortLinkScratchProducesIdenticalBytes) {
+  // The simulator's merging configuration codes with 16-bit LZ77 chain
+  // links; every container must keep its recorded bytes.
+  CodecScratch scratch;
+  scratch.zx.lz.short_links = true;
+  for (const GoldenBlob& blob : kGoldenBlobs) {
+    EXPECT_EQ(golden_blob_hash(blob, &scratch), blob.sha256)
+        << blob.codec << "/" << blob.mode << "/" << blob.fixture
+        << ": 16-bit chain links changed the compressed bytes";
+  }
+  EXPECT_TRUE(scratch.zx.lz.prev.empty()) << "no input used 16-bit links";
+}
+
 TEST(GoldenBlobTest, ScratchDecompressMatchesScratchless) {
   CodecScratch scratch;
   for (const GoldenBlob& blob : kGoldenBlobs) {

@@ -173,8 +173,10 @@ TEST_P(GoldenLossyTest, FidelityFloorsHoldUnderBothPolicies) {
 // The cases above pin lossless amplitudes only. These legs run one random
 // circuit over all three partition segments on 4 ranks x 4 blocks, then a
 // projective measurement and a checkpoint save, so between them they drive
-// the single-block and block-pair gate sweeps, the cross-rank exchange,
-// ladder recompression and the measurement collapse. Each
+// the single-block and block-pair gate sweeps, the four-block cells of
+// runs merged across two qubits (the legs without a budget), the
+// cross-rank exchange, ladder recompression and the measurement collapse.
+// Each
 // leg pins the saved image and the counters those sweeps feed; the values
 // were recorded from the simulator and must not move unless a change means
 // to alter what is stored.
@@ -215,11 +217,11 @@ constexpr SweepLeg kSweepLegs[kSweepLegCount] = {
 // 1 and 4 threads.
 constexpr SweepPin kSweepPins[kSweepLegCount] = {
     {"4d469f341d23be76016a260330f7dd61df48e93f8ed176adf2903ff879fd3842", 0,
-     0x3ff0000000000000, 146, 0, 152, 0, 4203, 0, 0},
+     0x3ff0000000000000, 98, 0, 104, 0, 4203, 0, 0},
     {"5031d9da747c59710a68fe9a866c96092459efd70ed23c2475d27a570bbf6a78", 9,
      0x3fe9a1ad49730a8e, 82, 144, 96, 136, 3445, 0, 0},
     {"7536e5179ce4ab022cee1da0271df5f471e39e83098d22c1c20339dc7319995c", 0,
-     0x3ff0000000000000, 146, 0, 152, 0, 4203, 49, 41},
+     0x3ff0000000000000, 98, 0, 104, 0, 4203, 33, 25},
     {"69279d053f35115930adc06d31fb7859a441195975ff1a6bb8895204f3df8044", 6,
      0x3feffe08b8f77593, 82, 96, 96, 88, 3445, 34, 26},
     {"1f069d268b032c375e829092437c22efcde965a2dbdd8132fb5d98e11d42931f", 0,
@@ -237,7 +239,7 @@ struct SweepSharing {
   std::uint64_t compressions;
 };
 constexpr SweepSharing kSweepSharing[kSweepLegCount] = {
-    {11, 53, 124},   {11, 53, 204},   {11, 53, 124},
+    {2, 26, 92},     {11, 53, 204},   {2, 26, 92},
     {11, 53, 156},   {277, 467, 551}, {277, 467, 631},
 };
 

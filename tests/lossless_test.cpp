@@ -397,6 +397,61 @@ TEST(Lz77Test, StampWrapMatchesFreshScratch) {
   EXPECT_EQ(got, want);
 }
 
+/// `n` bytes of one of four shapes: "dense" amplitudes of one magnitude
+/// scale, "sparse" zeros with a nonzero double every 64th slot,
+/// "periodic" five doubles repeated, and "random" bytes.
+Bytes shaped_bytes(const std::string& shape, std::size_t n, Rng& rng) {
+  std::vector<double> values((n + 7) / 8, 0.0);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (shape == "dense") {
+      values[i] = (rng.next_double() - 0.5) / 64.0;
+    } else if (shape == "sparse") {
+      if (i % 64 == 0) values[i] = rng.next_double();
+    } else if (shape == "periodic") {
+      values[i] = 0.125 * static_cast<double>(i % 5) - 0.25;
+    }
+  }
+  Bytes out(n);
+  if (shape == "random") {
+    for (std::byte& b : out) b = static_cast<std::byte>(rng.next_below(256));
+  } else if (n > 0) {
+    std::memcpy(out.data(), values.data(), n);
+  }
+  return out;
+}
+
+TEST(Lz77Test, ShortLinksGiveTheWideLinksTokens) {
+  // 16-bit links walk the chains 32-bit links walk, so the tokens match,
+  // up to the largest input they cover; past it a short-link scratch
+  // falls back to 32-bit links. Both scratches are reused across inputs,
+  // so stale links from earlier passes must stay unreachable too.
+  Rng rng(57);
+  Lz77Scratch wide;
+  Lz77Scratch narrow;
+  narrow.short_links = true;
+  for (const std::size_t n :
+       {1, 8, 4096, 65535, 65536, 1, 65536, 65537}) {
+    for (const char* shape : {"dense", "sparse", "periodic", "random"}) {
+      const Bytes input = shaped_bytes(shape, n, rng);
+      Bytes want;
+      lz77_tokenize(input, want, {}, wide);
+      Bytes got;
+      lz77_tokenize(input, got, {}, narrow);
+      EXPECT_EQ(got, want) << shape << ", " << n << " bytes";
+      EXPECT_EQ(lz77_detokenize(got, input.size()), input);
+    }
+    if (n <= kMaxShortLinkBytes) {
+      // 2 link bytes per input byte, against 4.
+      EXPECT_TRUE(narrow.prev.empty()) << n;
+      EXPECT_EQ(narrow.bytes() - kLz77HashEntries * 4,
+                2 * narrow.prev_near.capacity());
+      EXPECT_TRUE(wide.prev_near.empty()) << n;
+    }
+  }
+  EXPECT_EQ(narrow.prev_near.size(), kMaxShortLinkBytes);
+  EXPECT_EQ(narrow.prev.size(), kMaxShortLinkBytes + 1);
+}
+
 TEST(Lz77Test, RejectsInputsPastThe32BitPositionLimit) {
   // Address space only: the tokenizer must refuse before reading a byte.
   const std::size_t n = kMaxTokenizeBytes + 1;

@@ -21,8 +21,10 @@
 // StatePinTest pins what the same workloads leave right after
 // apply_circuit, with sweep sharing off and on: the state and checkpoint
 // image digests and every deterministic count of the report, one table row
-// per workload, seed and sharing setting. A mismatch prints the observed
-// row in table syntax, so re-recording a row is a paste.
+// per workload, seed (1-3; rcs_sample 1-2, since its seed draws only its
+// shots) and sharing setting. The seed 3 rows were recorded before runs
+// merged across two qubits, whose digests they share. A mismatch prints
+// the observed row in table syntax, so re-recording a row is a paste.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -767,6 +769,18 @@ TEST_F(StatePinTest, QaoaLossy) {
        15, 360, 576, 422, 512, 64, 9, 0x3fefcdfe5b0e36d4,
        672379, 256, 0, 0, 109, 467,
        3, 329609, 581290},
+      {3, false,
+       "8fd1a3acafeac8209d8c6c2b8430b23e0b0e45110d49cbc414de5290ed2af033",
+       "e170fc7e0a462fc89ac6d4f3771adb40470ef983aa0e9196d8416ebb912e90ff",
+       15, 578, 576, 640, 512, 64, 9, 0x3fefcdfe5b0e36d4,
+       676363, 256, 0, 0, 0, 0,
+       3, 329626, 581290},
+      {3, true,
+       "8fd1a3acafeac8209d8c6c2b8430b23e0b0e45110d49cbc414de5290ed2af033",
+       "e170fc7e0a462fc89ac6d4f3771adb40470ef983aa0e9196d8416ebb912e90ff",
+       15, 360, 576, 422, 512, 64, 9, 0x3fefcdfe5b0e36d4,
+       676363, 256, 0, 0, 109, 467,
+       3, 329626, 581290},
   });
 }
 
@@ -775,27 +789,27 @@ TEST_F(StatePinTest, RcsSample) {
       {1, false,
        "b50f3decabfa813bea9491a3235d816fd6acd1a6898b29a7dd395c87f3951107",
        "9f767fec8b184a81b1c4a60e25df03b92f1e06042cd3da52f91d8fad0e10f55c",
-       20, 1282, 0, 1280, 0, 0, 0, 0x3ff0000000000000,
-       3981753, 448, 0, 0, 0, 0,
-       0, 1338273, 1381668},
+       10, 642, 0, 640, 0, 0, 0, 0x3ff0000000000000,
+       3770119, 384, 0, 0, 0, 0,
+       0, 1338273, 1362278},
       {1, true,
        "b50f3decabfa813bea9491a3235d816fd6acd1a6898b29a7dd395c87f3951107",
        "9f767fec8b184a81b1c4a60e25df03b92f1e06042cd3da52f91d8fad0e10f55c",
-       20, 1058, 0, 1056, 0, 0, 0, 0x3ff0000000000000,
-       3981753, 448, 0, 0, 112, 528,
-       0, 1338273, 1381668},
+       10, 536, 0, 534, 0, 0, 0, 0x3ff0000000000000,
+       3770119, 384, 0, 0, 38, 154,
+       0, 1338273, 1362278},
       {2, false,
        "b50f3decabfa813bea9491a3235d816fd6acd1a6898b29a7dd395c87f3951107",
        "9f767fec8b184a81b1c4a60e25df03b92f1e06042cd3da52f91d8fad0e10f55c",
-       20, 1282, 0, 1280, 0, 0, 0, 0x3ff0000000000000,
-       3981753, 448, 0, 0, 0, 0,
-       0, 1338273, 1381668},
+       10, 642, 0, 640, 0, 0, 0, 0x3ff0000000000000,
+       3770119, 384, 0, 0, 0, 0,
+       0, 1338273, 1362278},
       {2, true,
        "b50f3decabfa813bea9491a3235d816fd6acd1a6898b29a7dd395c87f3951107",
        "9f767fec8b184a81b1c4a60e25df03b92f1e06042cd3da52f91d8fad0e10f55c",
-       20, 1058, 0, 1056, 0, 0, 0, 0x3ff0000000000000,
-       3981753, 448, 0, 0, 112, 528,
-       0, 1338273, 1381668},
+       10, 536, 0, 534, 0, 0, 0, 0x3ff0000000000000,
+       3770119, 384, 0, 0, 38, 154,
+       0, 1338273, 1362278},
   });
 }
 
@@ -825,6 +839,18 @@ TEST_F(StatePinTest, GroverSparse) {
        41, 563, 0, 561, 0, 0, 0, 0x3ff0000000000000,
        9796, 384, 0, 0, 1025, 351,
        0, 4237, 15533},
+      {3, false,
+       "6c92a01358ed4452eb2193ce9f61091955237e29e614e35adcbb16b7dff326a1",
+       "9dd806b21b1fff3ca02b368d3bfdb810f6738c8e3a1c12aa3725001e5c47c6b7",
+       41, 2114, 0, 2112, 0, 0, 0, 0x3ff0000000000000,
+       9655, 384, 0, 0, 0, 0,
+       0, 4180, 14304},
+      {3, true,
+       "6c92a01358ed4452eb2193ce9f61091955237e29e614e35adcbb16b7dff326a1",
+       "9dd806b21b1fff3ca02b368d3bfdb810f6738c8e3a1c12aa3725001e5c47c6b7",
+       41, 563, 0, 561, 0, 0, 0, 0x3ff0000000000000,
+       9655, 384, 0, 0, 1025, 351,
+       0, 4180, 14304},
   });
 }
 
@@ -833,26 +859,38 @@ TEST_F(StatePinTest, QftOoc) {
       {1, false,
        "a4da9bccecb95cc43e470018f467d860f621271feb7b08d9bb291ae73b673b50",
        "4c2a089e182a7dd7b601c5e65dc700316fd82a394ceb4d61ddc17747b90be52a",
-       12, 770, 0, 768, 0, 0, 0, 0x3ff0000000000000,
-       826829, 192, 447, 415, 0, 0,
+       8, 514, 0, 512, 0, 0, 0, 0x3ff0000000000000,
+       2890, 192, 319, 255, 0, 0,
        0, 1042273, 1047454},
       {1, true,
        "a4da9bccecb95cc43e470018f467d860f621271feb7b08d9bb291ae73b673b50",
        "4c2a089e182a7dd7b601c5e65dc700316fd82a394ceb4d61ddc17747b90be52a",
-       12, 544, 0, 542, 0, 0, 0, 0x3ff0000000000000,
-       826829, 192, 447, 415, 113, 303,
+       8, 392, 0, 390, 0, 0, 0, 0x3ff0000000000000,
+       2890, 192, 319, 255, 45, 179,
        0, 1042273, 1047454},
       {2, false,
        "f7138a98ad61763621e6476b0007397619009b93ec6a8e40fcd45cb122a972bf",
        "27ef5d122139febba0e88ea028f99d11cd5fb4234e07c19ce99e7a0f09cf2845",
-       12, 770, 0, 768, 0, 0, 0, 0x3ff0000000000000,
-       826829, 192, 447, 415, 0, 0,
+       8, 514, 0, 512, 0, 0, 0, 0x3ff0000000000000,
+       2890, 192, 319, 255, 0, 0,
        0, 1042273, 1047454},
       {2, true,
        "f7138a98ad61763621e6476b0007397619009b93ec6a8e40fcd45cb122a972bf",
        "27ef5d122139febba0e88ea028f99d11cd5fb4234e07c19ce99e7a0f09cf2845",
-       12, 544, 0, 542, 0, 0, 0, 0x3ff0000000000000,
-       826829, 192, 447, 415, 113, 303,
+       8, 392, 0, 390, 0, 0, 0, 0x3ff0000000000000,
+       2890, 192, 319, 255, 45, 179,
+       0, 1042273, 1047454},
+      {3, false,
+       "d7371e2de4d751f8c77c068c13cfdb98c4aefa909013890f218111498a131ffa",
+       "19ef369cd332ec5aad1b77704dba98f288f86059fbb493c3a3dffae5958aab64",
+       8, 514, 0, 512, 0, 0, 0, 0x3ff0000000000000,
+       2890, 192, 319, 255, 0, 0,
+       0, 1042273, 1047454},
+      {3, true,
+       "d7371e2de4d751f8c77c068c13cfdb98c4aefa909013890f218111498a131ffa",
+       "19ef369cd332ec5aad1b77704dba98f288f86059fbb493c3a3dffae5958aab64",
+       8, 392, 0, 390, 0, 0, 0, 0x3ff0000000000000,
+       2890, 192, 319, 255, 45, 179,
        0, 1042273, 1047454},
   });
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "compression/compressor.hpp"
 #include "runtime/block_cache.hpp"
 #include "runtime/block_store.hpp"
 #include "runtime/checkpoint.hpp"
@@ -239,20 +240,50 @@ TEST(ScratchTest, CodecPoolsEnterByteAccounting) {
 }
 
 TEST(ScratchTest, SlotsAreDisjoint) {
-  ScratchArena arena(3, 64);
-  EXPECT_EQ(arena.bytes(), 3u * 2 * 64 * sizeof(double));
-  for (std::size_t w = 0; w < 3; ++w) {
-    auto x = arena.vector_x(w);
-    auto y = arena.vector_y(w);
-    EXPECT_EQ(x.size(), 64u);
-    EXPECT_EQ(y.size(), 64u);
-    x[0] = static_cast<double>(w) + 1.0;
-    y[0] = -(static_cast<double>(w) + 1.0);
+  for (const std::size_t buffers : {2, 4}) {
+    ScratchArena arena(3, 64, buffers);
+    EXPECT_EQ(arena.buffers(), buffers);
+    EXPECT_EQ(arena.bytes(), 3u * buffers * 64 * sizeof(double));
+    for (std::size_t w = 0; w < 3; ++w) {
+      for (std::size_t i = 0; i < buffers; ++i) {
+        auto buffer = arena.block_buffer(w, i);
+        EXPECT_EQ(buffer.size(), 64u);
+        buffer[0] = static_cast<double>(w * buffers + i);
+        buffer[63] = -static_cast<double>(w * buffers + i);
+      }
+    }
+    for (std::size_t w = 0; w < 3; ++w) {
+      for (std::size_t i = 0; i < buffers; ++i) {
+        EXPECT_EQ(arena.block_buffer(w, i)[0],
+                  static_cast<double>(w * buffers + i));
+        EXPECT_EQ(arena.block_buffer(w, i)[63],
+                  -static_cast<double>(w * buffers + i));
+      }
+    }
   }
-  for (std::size_t w = 0; w < 3; ++w) {
-    EXPECT_EQ(arena.vector_x(w)[0], static_cast<double>(w) + 1.0);
-    EXPECT_EQ(arena.vector_y(w)[0], -(static_cast<double>(w) + 1.0));
+}
+
+TEST(ScratchTest, FourBuffersPayWithShortLinks) {
+  // Each worker codes the same 64 KiB block: four buffers with 16-bit
+  // chain links hold exactly the bytes two buffers with 32-bit links do.
+  constexpr std::size_t kDoubles = 8192;
+  const std::vector<double> block =
+      test::dense_supremacy_like(kDoubles, 17);
+  const auto zx = compression::make_compressor("zstd");
+  ScratchArena pairs(2, kDoubles);
+  ScratchArena cells(2, kDoubles, 4);
+  for (std::size_t w = 0; w < 2; ++w) {
+    EXPECT_EQ(zx->compress(block, compression::ErrorBound::lossless(),
+                           cells.codec_scratch(w)),
+              zx->compress(block, compression::ErrorBound::lossless(),
+                           pairs.codec_scratch(w)));
+    EXPECT_FALSE(pairs.codec_scratch(w).zx.lz.short_links);
+    EXPECT_TRUE(cells.codec_scratch(w).zx.lz.short_links);
   }
+  EXPECT_EQ(cells.block_buffer_bytes(), 2 * pairs.block_buffer_bytes());
+  EXPECT_EQ(pairs.codec_scratch_bytes() - cells.codec_scratch_bytes(),
+            2 * 2 * kDoubles * sizeof(double));
+  EXPECT_EQ(cells.bytes(), pairs.bytes());
 }
 
 using TempDirFixtureTest = test::TempDirFixture;

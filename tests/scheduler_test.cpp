@@ -9,7 +9,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "core/simulator.hpp"
 #include "qsim/scheduler.hpp"
 #include "qsim/state_vector.hpp"
+#include "runtime/partition.hpp"
 #include "runtime/qubit_map.hpp"
 #include "test_util.hpp"
 
@@ -290,6 +294,172 @@ TEST(SchedulerTest, RunCapNeverSplitsAParityPhase) {
                                          {1, kNone}};
     EXPECT_EQ(run_shape(c, cap), alone) << "cap " << cap;
   }
+}
+
+TEST(SchedulerTest, MergedRunsPairAcrossTwoQubits) {
+  // 10 qubits: offset 0-4, block 5-7, rank 8-9.
+  Circuit c(10);
+  c.h(5).h(6).h(5);  // three one-qubit runs across 5, 6 and 5: one run
+  c.h(8);            // a third qubit: the next run
+  c.h(9);            // a second rank qubit: the next run again
+  c.h(7);            // a block qubit joins the rank qubit
+  c.cx(7, 6);        // controlled by a block qubit: a run alone
+  c.h(5);            // follows a run that cannot take it
+  c.swap(6, 9);      // splits into its legs: an item alone
+  c.h(7);
+
+  SchedulerOptions options{.intra_qubits = 5, .fuse = false};
+  const auto one_qubit = build_schedule(c, options).runs();
+  ASSERT_EQ(one_qubit.size(), 10u);
+  for (const GateRun& run : one_qubit) {
+    EXPECT_EQ(run.second_pair_qubit, kPairsNoBlocks);
+  }
+
+  options.merge_runs = true;
+  options.first_rank_qubit = 8;
+  const auto runs = build_schedule(c, options).runs();
+  struct Shape {
+    std::size_t first, count;
+    int pair_qubit, second_pair_qubit;
+  };
+  const std::vector<Shape> want = {
+      {0, 3, 5, 6},  {3, 1, 8, kPairsNoBlocks}, {4, 2, 9, 7},
+      {6, 1, 6, kPairsNoBlocks}, {7, 1, 5, kPairsNoBlocks},
+      {8, 1, kSplitSwap, kPairsNoBlocks}, {9, 1, 7, kPairsNoBlocks}};
+  ASSERT_EQ(runs.size(), want.size());
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(runs[r].first, want[r].first) << "run " << r;
+    EXPECT_EQ(runs[r].count, want[r].count) << "run " << r;
+    EXPECT_EQ(runs[r].source_gates, want[r].count) << "run " << r;
+    EXPECT_EQ(runs[r].pair_qubit, want[r].pair_qubit) << "run " << r;
+    EXPECT_EQ(runs[r].second_pair_qubit, want[r].second_pair_qubit)
+        << "run " << r;
+  }
+  options.first_rank_qubit = 4;  // below the block segment
+  EXPECT_THROW(build_schedule(c, options), std::invalid_argument);
+}
+
+/// How many sweeps the simulator counts for `runs`: a split SWAP is three.
+std::uint64_t counted_runs(const std::vector<GateRun>& runs) {
+  std::uint64_t total = 0;
+  for (const GateRun& run : runs) total += run.pair_qubit == kSplitSwap ? 3 : 1;
+  return total;
+}
+
+TEST(SchedulerTest, MergedRunsAreUnionsOfOneQubitRuns) {
+  // The five circuit families and random circuits over every segment, at
+  // 4 ranks x 4 and x 16 blocks: every merged run is whole consecutive
+  // one-qubit runs, pairs across at most two qubits and one rank qubit,
+  // and holds no block- or rank-controlled pairing op and no split SWAP
+  // once it holds two runs. The simulator merges exactly without a
+  // budget; with one, it plans the one-qubit runs under its 16-op cap.
+  auto cases = test::remap_cases();
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    cases.push_back({"random seed " + std::to_string(seed),
+                     test::random_circuit(12, 120, seed)});
+  }
+  std::size_t folded = 0;  // one-qubit runs merged into an earlier one
+  for (const int blocks : {4, 16}) {
+    for (const auto& test_case : cases) {
+      const std::string label =
+          test_case.name + " at 4x" + std::to_string(blocks);
+      const int qubits = test_case.circuit.num_qubits();
+      const runtime::Partition part =
+          runtime::make_partition(qubits, 4, blocks);
+      const int intra = part.offset_bits;
+      const int first_rank = part.offset_bits + part.block_bits;
+      // The ops the simulator schedules: the circuit less the SWAPs it
+      // relabels, with fusion off.
+      const qsim::RemapProgram program = plan_remaps(
+          test_case.circuit, runtime::QubitMap::identity(qubits),
+          qsim::trailing_swaps(test_case.circuit));
+      ASSERT_EQ(program.items.front().kind, qsim::RemapItem::Kind::kGates);
+      const Circuit& c = program.items.front().ops;
+      const auto& ops = c.ops();
+
+      SchedulerOptions options{.intra_qubits = intra, .fuse = false};
+      const auto runs = build_schedule(c, options).runs();
+      options.merge_runs = true;
+      options.first_rank_qubit = first_rank;
+      const auto merged = build_schedule(c, options).runs();
+
+      std::size_t next = 0;  // the next one-qubit run
+      for (const GateRun& run : merged) {
+        ASSERT_LT(next, runs.size()) << label;
+        EXPECT_EQ(run.first, runs[next].first) << label;
+        std::size_t count = 0;
+        std::size_t source_gates = 0;
+        std::size_t parts = 0;
+        while (count < run.count && next < runs.size()) {
+          count += runs[next].count;
+          source_gates += runs[next].source_gates;
+          ++parts;
+          ++next;
+        }
+        EXPECT_EQ(count, run.count) << label;
+        EXPECT_EQ(source_gates, run.source_gates) << label;
+
+        std::vector<int> qubits;
+        bool controlled = false;
+        bool split = false;
+        for (std::size_t i = run.first; i < run.first + run.count; ++i) {
+          if (starts_parity_phase(std::span(ops).subspan(i), intra)) {
+            i += 2;
+            continue;
+          }
+          const int k = pair_qubit(ops[i], intra);
+          split = split || k == kSplitSwap;
+          if (k < 0) continue;
+          if (std::ranges::find(qubits, k) == qubits.end()) {
+            qubits.push_back(k);
+          }
+          controlled =
+              controlled ||
+              (ops[i].kind != GateKind::kSwap &&
+               std::ranges::any_of(ops[i].controls,
+                                   [&](int q) { return q >= intra; }));
+        }
+        EXPECT_LE(qubits.size(), 2u) << label;
+        EXPECT_LE(std::ranges::count_if(
+                      qubits, [&](int q) { return q >= first_rank; }),
+                  1)
+            << label;
+        if (!split) {
+          std::vector<int> named;
+          for (const int q : {run.pair_qubit, run.second_pair_qubit}) {
+            if (q >= 0) named.push_back(q);
+          }
+          std::ranges::sort(named);
+          std::ranges::sort(qubits);
+          EXPECT_EQ(named, qubits) << label;
+        }
+        if (parts > 1) {
+          EXPECT_FALSE(controlled) << label;
+          EXPECT_FALSE(split) << label;
+          folded += parts - 1;
+        }
+      }
+      EXPECT_EQ(next, runs.size()) << label;
+
+      SimConfig config;
+      config.num_qubits = qubits;
+      config.num_ranks = 4;
+      config.blocks_per_rank = blocks;
+      config.threads = 2;
+      config.enable_fusion_prepass = false;
+      CompressedStateSimulator merging(config);
+      merging.apply_circuit(test_case.circuit);
+      EXPECT_EQ(merging.report().batched_runs, counted_runs(merged)) << label;
+      config.memory_budget_bytes = std::numeric_limits<std::size_t>::max();
+      CompressedStateSimulator budgeted(config);
+      budgeted.apply_circuit(test_case.circuit);
+      options = {.intra_qubits = intra, .max_run_length = 16, .fuse = false};
+      EXPECT_EQ(budgeted.report().batched_runs,
+                counted_runs(build_schedule(c, options).runs()))
+          << label;
+    }
+  }
+  EXPECT_GT(folded, 0u) << "no case merges a run";
 }
 
 // ------------------------------------------------- batched execution path

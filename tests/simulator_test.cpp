@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -479,26 +483,7 @@ TEST(SimulatorTest, ZstdOnlySimulationStaysLossless) {
 // bit-identical (up to the sign of zeros) — relabeling only moves where
 // amplitudes live, never what they are.
 
-struct RemapCase {
-  std::string name;
-  qsim::Circuit circuit;
-};
-
-std::vector<RemapCase> remap_cases() {
-  std::vector<RemapCase> cases;
-  cases.push_back({"qft", circuits::qft_circuit({.num_qubits = 10})});
-  cases.push_back(
-      {"grover", circuits::grover_circuit(
-                     {.data_qubits = 5, .marked_state = 0b10110,
-                      .iterations = 2})});  // 9 qubits
-  cases.push_back({"qaoa", circuits::qaoa_maxcut_circuit({.num_qubits = 9})});
-  cases.push_back(
-      {"phase_estimation",
-       circuits::phase_estimation_circuit({.counting_qubits = 8})});
-  cases.push_back({"supremacy", circuits::supremacy_circuit(
-                                    {.rows = 3, .cols = 3, .depth = 8})});
-  return cases;
-}
+using test::remap_cases;
 
 TEST(QubitRemapTest, RemapOnMatchesRemapOffBitwiseOnAllCircuits) {
   for (auto& test_case : remap_cases()) {
@@ -708,6 +693,129 @@ TEST_F(SwapRelabelTest, NeverCostsMoreThanExecutingTheSwaps) {
     }
   }
   EXPECT_GT(relabeled_swaps, 0u) << "no case relabels a SWAP";
+}
+
+// ------------------------------------------------- run-merge differential
+//
+// Without a memory budget, the scheduler merges consecutive runs into
+// runs across two qubits, swept as four-block cells. The reference is the
+// same circuit under a budget no state reaches: the simulator then keeps
+// one-qubit runs (at most 16 ops each) and lossless bytes.
+
+bool bit_identical(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::ranges::equal(a, b, [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  });
+}
+
+TEST(RunMergeTest, NeverCostsMoreThanOneQubitRuns) {
+  auto cases = remap_cases();
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    cases.push_back({"random seed " + std::to_string(seed),
+                     test::random_circuit(12, 120, seed)});
+  }
+  struct Totals {
+    std::uint64_t runs = 0, compress_shared = 0, compress_unshared = 0,
+                  messages = 0, bytes = 0;
+  };
+  Totals merged_total;
+  Totals reference_total;
+  const auto add = [](Totals& t, const SimulationReport& rep, bool sharing) {
+    (sharing ? t.compress_shared : t.compress_unshared) +=
+        rep.compress_invocations;
+    if (sharing) return;
+    t.runs += rep.batched_runs;
+    t.messages += rep.comm_messages;
+    t.bytes += rep.comm_bytes;
+  };
+  for (const int blocks : {4, 16}) {
+    for (const auto& test_case : cases) {
+      for (const bool fusion : {true, false}) {
+        for (const bool sharing : {false, true}) {
+          const std::string label =
+              test_case.name + " at 4x" + std::to_string(blocks) +
+              (fusion ? ", fusion" : ", no fusion") +
+              (sharing ? ", sharing" : ", no sharing");
+          SimConfig config =
+              small_config(test_case.circuit.num_qubits(), 4, blocks);
+          config.enable_fusion_prepass = fusion;
+          config.enable_cache = sharing;
+          CompressedStateSimulator merged(config);
+          merged.apply_circuit(test_case.circuit);
+          config.memory_budget_bytes = std::numeric_limits<std::size_t>::max();
+          CompressedStateSimulator reference(config);
+          reference.apply_circuit(test_case.circuit);
+
+          EXPECT_TRUE(bit_identical(merged.to_raw(), reference.to_raw()))
+              << label;
+          const SimulationReport rep = merged.report();
+          const SimulationReport ref = reference.report();
+          ASSERT_EQ(ref.final_ladder_level, 0) << label;
+          EXPECT_LE(rep.batched_runs, ref.batched_runs) << label;
+          EXPECT_LE(rep.compress_invocations, ref.compress_invocations)
+              << label;
+          EXPECT_LE(rep.decompress_invocations, ref.decompress_invocations)
+              << label;
+          EXPECT_LE(rep.comm_messages, ref.comm_messages) << label;
+          add(merged_total, rep, sharing);
+          add(reference_total, ref, sharing);
+        }
+      }
+    }
+  }
+  // Exchanged bytes follow the compressed sizes of the blocks a run
+  // exchanges, which differ between the two schedules, so a cell may move
+  // a few more bytes; the total may not.
+  EXPECT_LE(merged_total.bytes, reference_total.bytes);
+  EXPECT_LT(merged_total.runs, reference_total.runs);
+  EXPECT_LT(merged_total.compress_unshared, reference_total.compress_unshared);
+  std::printf(
+      "runs %llu -> %llu; compressions with sharing %llu -> %llu, without "
+      "%llu -> %llu; messages %llu -> %llu; bytes %llu -> %llu\n",
+      static_cast<unsigned long long>(reference_total.runs),
+      static_cast<unsigned long long>(merged_total.runs),
+      static_cast<unsigned long long>(reference_total.compress_shared),
+      static_cast<unsigned long long>(merged_total.compress_shared),
+      static_cast<unsigned long long>(reference_total.compress_unshared),
+      static_cast<unsigned long long>(merged_total.compress_unshared),
+      static_cast<unsigned long long>(reference_total.messages),
+      static_cast<unsigned long long>(merged_total.messages),
+      static_cast<unsigned long long>(reference_total.bytes),
+      static_cast<unsigned long long>(merged_total.bytes));
+}
+
+TEST(RunMergeTest, ScratchHoldsFourBuffersOnlyWhereRunsMerge) {
+  // Runs merge with batching on, no budget and blocks of at most 64 KiB:
+  // the report then counts four block buffers per worker and 2 link bytes
+  // per coded input byte, and the scratch total stays what two buffers
+  // with 4-byte links hold. Each constructor codes the same two blocks on
+  // its one worker.
+  const auto buffer_bytes = [](const SimulationReport& rep) {
+    return rep.scratch_bytes - rep.codec_scratch_bytes;
+  };
+  for (const int qubits : {14, 15}) {  // 64 KiB and 128 KiB blocks
+    SimConfig config = small_config(qubits, 1, 4);
+    config.threads = 1;
+    const std::size_t block = std::size_t{16} << (qubits - 2);
+    const SimulationReport merging = CompressedStateSimulator(config).report();
+    config.memory_budget_bytes = std::numeric_limits<std::size_t>::max();
+    const SimulationReport budgeted =
+        CompressedStateSimulator(config).report();
+    config.memory_budget_bytes = 0;
+    config.enable_run_batching = false;
+    const SimulationReport per_gate = CompressedStateSimulator(config).report();
+    EXPECT_EQ(buffer_bytes(budgeted), 2 * block) << qubits;
+    EXPECT_EQ(buffer_bytes(per_gate), 2 * block) << qubits;
+    EXPECT_EQ(per_gate.scratch_bytes, budgeted.scratch_bytes) << qubits;
+    if (block <= 65536) {
+      EXPECT_EQ(buffer_bytes(merging), 4 * block);
+      EXPECT_EQ(budgeted.codec_scratch_bytes - merging.codec_scratch_bytes,
+                2 * block);
+      EXPECT_EQ(merging.scratch_bytes, budgeted.scratch_bytes);
+    } else {
+      EXPECT_EQ(merging.scratch_bytes, budgeted.scratch_bytes) << qubits;
+    }
+  }
 }
 
 TEST(SimulatorTest, SplitSwapCountsEachLegSweepAsARun) {

@@ -16,6 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "circuits/grover.hpp"
+#include "circuits/phase_estimation.hpp"
+#include "circuits/qaoa.hpp"
+#include "circuits/qft.hpp"
+#include "circuits/supremacy.hpp"
 #include "common/fixtures.hpp"
 #include "common/rng.hpp"
 #include "qsim/circuit.hpp"
@@ -79,6 +84,30 @@ inline qsim::Circuit with_swaps_expanded(const qsim::Circuit& circuit) {
     out.cx(b, a).cx(a, b).cx(b, a);
   }
   return out;
+}
+
+/// One bundled circuit of each family, named.
+struct RemapCase {
+  std::string name;
+  qsim::Circuit circuit;
+};
+
+/// The circuit families the SWAP-relabel and run-merge differentials run:
+/// QFT, Grover, QAOA, phase estimation and a supremacy grid, 8-10 qubits.
+inline std::vector<RemapCase> remap_cases() {
+  std::vector<RemapCase> cases;
+  cases.push_back({"qft", circuits::qft_circuit({.num_qubits = 10})});
+  cases.push_back(
+      {"grover", circuits::grover_circuit(
+                     {.data_qubits = 5, .marked_state = 0b10110,
+                      .iterations = 2})});  // 9 qubits
+  cases.push_back({"qaoa", circuits::qaoa_maxcut_circuit({.num_qubits = 9})});
+  cases.push_back(
+      {"phase_estimation",
+       circuits::phase_estimation_circuit({.counting_qubits = 8})});
+  cases.push_back({"supremacy", circuits::supremacy_circuit(
+                                    {.rows = 3, .cols = 3, .depth = 8})});
+  return cases;
 }
 
 /// `circuit` followed by a bit-reversal SWAP layer, as QFT ends. Nothing
