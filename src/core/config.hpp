@@ -30,9 +30,13 @@ struct SimConfig {
   /// "zstd"), level k with `codec` at pointwise relative bound
   /// ladder[k-1]. The budget is checked after each gate run (at most 16
   /// ops under a budget), each per-gate op and each measure(); when the
-  /// state is over it there, the level escalates to
-  /// the next entry and every block is recompressed. Inside a run the
-  /// state can exceed the budget until the run ends.
+  /// state is over it there, the level rises one entry, and the next gate
+  /// sweep re-encodes every block at it, the blocks its kernels skip
+  /// included, in that sweep's one lossy pass. Where no sweep follows (the
+  /// end of each apply_circuit or resume_circuit chunk, apply() and
+  /// measure()), a sweep of its own re-encodes every block, records a pass
+  /// and checks the budget again. The state can exceed the budget inside a
+  /// run, and from a raise until the sweep that pays it.
   std::vector<double> error_ladder = {1e-5, 1e-4, 1e-3, 1e-2, 1e-1};
 
   /// Total bytes the compressed state may occupy (the sum term of Eq. 8,
@@ -93,10 +97,12 @@ struct SimConfig {
   /// this many source gates (boundaries at absolute multiples of the
   /// interval) and save an atomic checkpoint to auto_checkpoint_path
   /// after each chunk. The interval is a scheduling cut: fused ops and
-  /// gate runs never span a boundary, so a resume from the autosave
-  /// re-chunks identically and is bit-identical to the uninterrupted
-  /// autosaved run. (Like any scheduling knob, changing the interval
-  /// reassociates fusion arithmetic relative to an autosave-off run.)
+  /// gate runs never span a boundary, and a ladder level raised at a
+  /// chunk's end is paid there, before the save, so a resume from the
+  /// autosave re-chunks identically and is bit-identical to the
+  /// uninterrupted autosaved run. (Like any scheduling knob, changing the
+  /// interval reassociates fusion arithmetic relative to an autosave-off
+  /// run, and under a budget can add a lossy pass where a chunk ends.)
   /// 0 disables autosaving. Both knobs must be set together.
   std::uint64_t checkpoint_interval_gates = 0;
   std::string auto_checkpoint_path;

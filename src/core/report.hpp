@@ -73,15 +73,19 @@ struct SimulationReport {
   double autosave_seconds = 0.0;        ///< wall time spent saving
 
   // Compression.
-  double min_compression_ratio = 0.0;  ///< min over gates (Table 2 last row)
+  /// Min over run boundaries (Table 2 last row), each sampled before the
+  /// sweep that pays a level raised there: the worst ratio the state
+  /// reached at a boundary.
+  double min_compression_ratio = 0.0;
   int final_ladder_level = 0;          ///< 0 = still lossless
 
   // Codec classes. The ladder level picks each compression's codec: zx at
   // level 0, `codec` above it.
   /// Computed blocks whose codec class differs from the payload they
   /// replace, that is lossless blocks rewritten at a lossy level: every
-  /// block at the first escalation from level 0, and the lossless blocks
-  /// of a mixed image an earlier version saved. Shared copies count none.
+  /// block the sweep that pays the first escalation from level 0 computes,
+  /// and the lossless blocks of a mixed image an earlier version saved.
+  /// Shared copies count none.
   std::uint64_t codec_switches = 0;
   std::uint64_t final_lossless_blocks = 0;  ///< end-state census by BlockMeta
   std::uint64_t final_lossy_blocks = 0;

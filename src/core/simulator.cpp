@@ -477,6 +477,7 @@ void CompressedStateSimulator::apply(const GateOp& op) {
   // through the layout. Nothing is known about what follows, so an ad-hoc
   // SWAP executes.
   apply_single_counted(qsim::translated_through(op, map_));
+  settle_escalation();
   // An ad-hoc gate diverges the state from whatever circuit the cursor
   // described, so the recorded resume position is void.
   gate_cursor_ = 0;
@@ -544,6 +545,9 @@ void CompressedStateSimulator::run_from_cursor(const qsim::Circuit& circuit) {
     // autosave records the digest of exactly the gates it holds.
     circuit_digest_ = fold_ops(
         circuit_digest_, std::span(ops).subspan(begin, gate_cursor_ - begin));
+    // No autosave image or finished state holds a level its blocks were
+    // not encoded at.
+    settle_escalation();
     maybe_autosave();
   }
 }
@@ -714,7 +718,8 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
   // whole — in a run across two qubits every unit, since the scheduler
   // merges only pairing ops without block or rank controls; every other
   // block some unit kernel changes is swept alone, and the rest are
-  // skipped without decompression. Both lists keep rank-major order.
+  // skipped without decompression, unless a level raised at the last run
+  // boundary is still to be paid. All lists keep rank-major order.
   SweepSpec spec;
   for (const int qubit : {pair_qubit, second_pair_qubit}) {
     if (qubit < 0) continue;
@@ -727,6 +732,7 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
   }
   std::vector<std::pair<int, int>> units;
   std::vector<std::pair<int, int>> singles;
+  std::vector<std::pair<int, int>> untouched;
   for (int r = 0; r < partition_.num_ranks(); ++r) {
     for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
       const int first_rank = r & ~spec.rank_bits;
@@ -740,6 +746,8 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
                    return kernel.acts_on(r, b);
                  })) {
         singles.emplace_back(r, b);
+      } else if (escalation_pending_) {
+        untouched.emplace_back(r, b);
       }
     }
   }
@@ -792,10 +800,18 @@ void CompressedStateSimulator::apply_ops(std::span<const GateOp> ops,
   run_sweep(units, spec);
   spec.rank_bits = spec.block_bits = 0;
   run_sweep(singles, spec);
+  // A raised level is paid here: the blocks no kernel changes are
+  // re-encoded at it from their decoded bytes, so every block leaves the
+  // sweep at the new level.
+  run_sweep(untouched, SweepSpec{});
+  escalation_pending_ = false;
   // Each block pays one recompression for the whole run, so the fidelity
   // ledger records one lossy pass, not one per op (Eq. 11 tightens to
-  // F >= (1 - delta)^runs). A run that rewrote no block costs none.
-  if (!units.empty() || !singles.empty()) record_lossy_pass();
+  // F >= (1 - delta)^runs), and an escalation the sweep pays adds none. A
+  // run that rewrote no block costs none.
+  if (!units.empty() || !singles.empty() || !untouched.empty()) {
+    record_lossy_pass();
+  }
 }
 
 // --- Block executors: every sweep that rewrites blocks runs through one ---
@@ -964,18 +980,8 @@ void CompressedStateSimulator::note_gate_finished(double gate_seconds) {
   wall_seconds_ += gate_seconds;
   maintain_tiers();
   enforce_budget();
-  // The ENOSPC degradation contract: ride out the full disk as long as
-  // the resident state fits Eq. 8's budget (the ladder has already done
-  // what it can by now); past that the run cannot make progress without
-  // lying about the budget, so the typed error surfaces after all.
-  if (budget_exceeded_ && degraded()) {
-    throw runtime::SpillError(
-        "spill: disk full on '" + config_.spill_path +
-            "' and the resident state exceeds the memory budget even at "
-            "the last ladder level: " +
-            std::strerror(ENOSPC),
-        ENOSPC);
-  }
+  // Sampled before the sweep that pays a raised level: the worst ratio the
+  // state reached.
   const double ratio = compression_ratio();
   min_ratio_ = min_ratio_ == 0.0 ? ratio : std::min(min_ratio_, ratio);
 }
@@ -1058,23 +1064,41 @@ void CompressedStateSimulator::enforce_budget() {
   // With spilling on, Eq. 8 governs the *resident* tier: bytes parked on
   // NVMe do not count against the in-memory budget, so the error ladder
   // only escalates when even the resident working set cannot fit.
-  const auto resident = [this] {
-    return tier_stats_->resident_bytes.load(std::memory_order_relaxed);
-  };
-  while (resident() > budget &&
-         level_ < static_cast<int>(config_.error_ladder.size()) &&
-         lossy_ != nullptr) {
-    ++level_;
-    recompress_all();
-    record_lossy_pass();
+  if (tier_stats_->resident_bytes.load(std::memory_order_relaxed) > budget) {
+    // One level per boundary. The blocks are re-encoded at it by the next
+    // gate sweep, which pays it in its own lossy pass, or by
+    // settle_escalation where no sweep follows.
+    if (level_ < static_cast<int>(config_.error_ladder.size()) &&
+        lossy_ != nullptr) {
+      ++level_;
+      escalation_pending_ = true;
+    } else {
+      budget_exceeded_ = true;
+    }
   }
-  if (resident() > budget) budget_exceeded_ = true;
+  // The ENOSPC degradation contract: ride out the full disk as long as
+  // the resident state fits Eq. 8's budget (the ladder has already done
+  // what it can by now); past that the run cannot make progress without
+  // lying about the budget, so the typed error surfaces after all.
+  if (budget_exceeded_ && degraded()) {
+    throw runtime::SpillError(
+        "spill: disk full on '" + config_.spill_path +
+            "' and the resident state exceeds the memory budget even at "
+            "the last ladder level: " +
+            std::strerror(ENOSPC),
+        ENOSPC);
+  }
 }
 
-void CompressedStateSimulator::recompress_all() {
-  run_sweep(qsim::run_block_order(partition_.num_ranks(),
-                                  partition_.blocks_per_rank()),
-            SweepSpec{});
+void CompressedStateSimulator::settle_escalation() {
+  while (escalation_pending_) {
+    run_sweep(qsim::run_block_order(partition_.num_ranks(),
+                                    partition_.blocks_per_rank()),
+              SweepSpec{});
+    escalation_pending_ = false;
+    record_lossy_pass();
+    enforce_budget();
+  }
 }
 
 double CompressedStateSimulator::probability_one(int qubit) {
@@ -1361,6 +1385,7 @@ int CompressedStateSimulator::measure(int qubit, Rng& rng) {
   record_lossy_pass();
   maintain_tiers();
   enforce_budget();
+  settle_escalation();
   // Collapse diverges the state from any recorded circuit position, so
   // the resume cursor is void (same invariant as ad-hoc apply()).
   gate_cursor_ = 0;

@@ -242,7 +242,8 @@ class CompressedStateSimulator {
   /// auto-checkpointing is on. Chunk boundaries are the only cursor
   /// positions where the applied state is an exact source-gate prefix
   /// (fusion emits buffered single-qubit runs out of source order), so
-  /// they are the only places an autosave may cut.
+  /// they are the only places an autosave may cut. Each chunk settles a
+  /// pending escalation before its autosave.
   void run_from_cursor(const qsim::Circuit& circuit);
   /// One chunk of run_from_cursor: slices ops [gate_cursor_, end), fuses
   /// them once when batching and fusion are on, plans them with
@@ -271,9 +272,10 @@ class CompressedStateSimulator {
   /// Units span both qubits: a pair across one, a cell of four blocks
   /// across two. Units where some pairing kernel's controls hold are swept
   /// whole; every other block some unit kernel changes is swept alone; the
-  /// rest are skipped. Each swept block is decompressed once, has every
-  /// kernel that runs there applied in program order, and is recompressed
-  /// once; the sweep records one lossy pass.
+  /// rest are skipped, or, with an escalation pending, re-encoded at the
+  /// new level with no kernel. Each swept block is decompressed once, has
+  /// every kernel that runs there applied in program order, and is
+  /// recompressed once; the sweep records one lossy pass.
   void apply_ops(std::span<const qsim::GateOp> ops, int pair_qubit,
                  int second_pair_qubit = qsim::kPairsNoBlocks);
 
@@ -350,12 +352,15 @@ class CompressedStateSimulator {
   /// propagates.
   void spill_or_degrade(int rank, int block);
 
-  /// Escalates the error ladder and recompresses every block until the
-  /// compressed total fits the budget (or the ladder is exhausted).
+  /// Called at run boundaries: when the compressed total is over the
+  /// budget, raises the ladder one level and marks the escalation pending,
+  /// or, with no level left, sets budget_exceeded_. Recompresses nothing.
   void enforce_budget();
-  /// Recompresses every block at the current level through run_sweep
-  /// (never shared).
-  void recompress_all();
+  /// Where no gate sweep follows (the end of each run_from_cursor chunk,
+  /// apply() and measure()): while an escalation is pending, recompresses
+  /// every block at the current level through run_sweep (never shared),
+  /// records one lossy pass and checks the budget again.
+  void settle_escalation();
   void note_gate_finished(double gate_seconds);
   /// Saves to auto_checkpoint_path when checkpoint_interval_gates more
   /// gates have completed since the last autosave. Called only where the
@@ -410,6 +415,10 @@ class CompressedStateSimulator {
   std::vector<CachedSums> mass_cache_;
 
   int level_ = 0;  ///< 0 = lossless; k > 0 = error_ladder[k-1]
+  /// level_ was raised and some block is not yet encoded at it: the next
+  /// apply_ops sweep re-encodes every block, or settle_escalation does.
+  /// Every public call that applies gates clears it before it returns.
+  bool escalation_pending_ = false;
   FidelityTracker fidelity_;
   std::uint64_t gate_cursor_ = 0;
   /// FNV-1a digest of the qubit count and the gate_cursor_ ops of the

@@ -218,16 +218,16 @@ constexpr SweepLeg kSweepLegs[kSweepLegCount] = {
 constexpr SweepPin kSweepPins[kSweepLegCount] = {
     {"4d469f341d23be76016a260330f7dd61df48e93f8ed176adf2903ff879fd3842", 0,
      0x3ff0000000000000, 98, 0, 104, 0, 4203, 0, 0},
-    {"5031d9da747c59710a68fe9a866c96092459efd70ed23c2475d27a570bbf6a78", 9,
-     0x3fe9a1ad49730a8e, 82, 144, 96, 136, 3445, 0, 0},
+    {"1ec70fd7a16a4021920ec5962453c5a2022af7564a0d6fd33fbeeb72df562662", 8,
+     0x3fe9a1be15c0c1d0, 82, 128, 96, 120, 4203, 0, 0},
     {"7536e5179ce4ab022cee1da0271df5f471e39e83098d22c1c20339dc7319995c", 0,
      0x3ff0000000000000, 98, 0, 104, 0, 4203, 33, 25},
-    {"69279d053f35115930adc06d31fb7859a441195975ff1a6bb8895204f3df8044", 6,
-     0x3feffe08b8f77593, 82, 96, 96, 88, 3445, 34, 26},
+    {"fd436d9e299aa1a3e844a49afa170fca8a7ae0befdb7cc9ce7a5cc6da283eb97", 5,
+     0x3feffe1db070e824, 82, 80, 96, 72, 4203, 34, 26},
     {"1f069d268b032c375e829092437c22efcde965a2dbdd8132fb5d98e11d42931f", 0,
      0x3ff0000000000000, 850, 0, 856, 0, 9677, 0, 0},
-    {"a09a90ab097fdc8ef6dd5361300cb3d6663da3e98bc5e1894df5913bab58c177", 25,
-     0x3fdb3d97435ae526, 562, 368, 576, 360, 5399, 0, 0},
+    {"8eb3f9d30343080c8978dedaf4712a68dbbcbec35f302c9871927f002fa70baa", 20,
+     0x3fe6d5ed8ec6f49f, 562, 296, 576, 288, 6597, 0, 0},
 };
 
 // Cache on: the units of a gate sweep that compute from equal inputs share
@@ -239,8 +239,8 @@ struct SweepSharing {
   std::uint64_t compressions;
 };
 constexpr SweepSharing kSweepSharing[kSweepLegCount] = {
-    {2, 26, 92},     {11, 53, 204},   {2, 26, 92},
-    {11, 53, 156},   {277, 467, 551}, {277, 467, 631},
+    {2, 26, 92},     {11, 53, 188},   {2, 26, 92},
+    {11, 53, 140},   {277, 467, 551}, {277, 467, 559},
 };
 
 struct SweepResult {

@@ -23,8 +23,12 @@
 // image digests and every deterministic count of the report, one table row
 // per workload, seed (1-3; rcs_sample 1-2, since its seed draws only its
 // shots) and sharing setting. The seed 3 rows were recorded before runs
-// merged across two qubits, whose digests they share. A mismatch prints
-// the observed row in table syntax, so re-recording a row is a paste.
+// merged across two qubits, whose digests they share. The WithoutBudget
+// rows run qaoa_lossy and grover_sparse at seeds 1-2 with the budget
+// removed; they were recorded while every escalation still swept the state
+// on its own, before the next gate sweep paid it, and show that a run
+// without a budget keeps every byte. A mismatch prints the observed row in
+// table syntax, so re-recording a row is a paste.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -486,9 +490,9 @@ class ReadoutPinTest : public test::TempDirFixture {
 
 TEST_F(ReadoutPinTest, QaoaLossy) {
   expect_pins("qaoa_lossy", {
-      {1, "3f5ec2b66454eaaf9d7cbaeb3a032df09105d23e8c7b2e1c6c8738bab18a3be3"},
-      {2, "eee728db06178cd777da6241a11a020648532882c4e2d792d975b8ff0af6e691"},
-      {3, "6c779fe1ec48aad48c0c84b894c9aa50d3fb162565108843f58eb183f4fc8947"},
+      {1, "4fea948cb743e68d0cd37f3af7663fafad055a7734f00bbba11aaea313151ab7"},
+      {2, "bfc24fac430b9922cacb721d4f1d46bd41a610fc48309574cf79e01e5f90fc60"},
+      {3, "96938e9e0a0077b78d1311183ba826b21cd1e95fb45b3bb1326f992e962683fa"},
   });
 }
 
@@ -566,9 +570,9 @@ class ZStringPinTest : public test::TempDirFixture {
 
 TEST_F(ZStringPinTest, QaoaLossy) {
   expect_pins("qaoa_lossy", {
-      {1, "107580068b0cc91597413854b50aeedca14df52da3d8f1cf365c9ea93f9da76e"},
-      {2, "f97387610356c379eb56486ab516f1658d51c8b99aa43b349fe72ca3bf00cba5"},
-      {3, "ad5d6a67039e1fc8a77b0aab0c8063766e530822d47166981264fd763689556d"},
+      {1, "21d53cbd3af4b88b1fa2252b3f52517dca4fa6df6dcf9666f1b7b72a6e8b9564"},
+      {2, "b9ca07ac0fbf6a154f029766b69c618082b9782b91f4b38b1ef696d7986d3419"},
+      {3, "c36db1d4b70a358e4250cf4de58e2e4dfd3a13bd14971c0240a7fa97e3c22c78"},
   });
 }
 
@@ -726,11 +730,13 @@ class StatePinTest : public test::TempDirFixture {
     }
   }
 
-  void expect_rows(const std::string& name,
-                   const std::vector<StatePin>& rows) {
+  /// With `budget` false the workload runs with memory_budget_bytes = 0.
+  void expect_rows(const std::string& name, const std::vector<StatePin>& rows,
+                   bool budget = true) {
     for (const StatePin& row : rows) {
-      const bench::suite::Workload w =
+      bench::suite::Workload w =
           bench::suite::make_workload(name, row.seed, path(""));
+      if (!budget) w.config.memory_budget_bytes = 0;
       expect_row(w.config, w.circuit, row, name);
     }
   }
@@ -746,41 +752,41 @@ class StatePinTest : public test::TempDirFixture {
 TEST_F(StatePinTest, QaoaLossy) {
   expect_rows("qaoa_lossy", {
       {1, false,
-       "e3030bfebabcd88450c827ae44755450c97a2c5391bdb62a2e4cb7b74a3d7c97",
-       "83937a3fc444c028cc1bcab94d7652b84d6b69537dfefd642e5c7178da473944",
-       15, 578, 576, 640, 512, 64, 9, 0x3fefcdfe5b0e36d4,
-       676344, 256, 0, 0, 0, 0,
-       3, 328944, 581290},
+       "a6943f5453cc27b28d6e6793125b6ab22aa93d9b23fd6d3c7e2bf54e1ec6f353",
+       "a45c39183a1003cb3bf586a125a9b6f5115ee89aa8b5846e93f8120b7badd951",
+       15, 578, 384, 640, 320, 64, 6, 0x3fefde623408b67d,
+       676350, 256, 0, 0, 0, 0,
+       3, 329542, 581290},
       {1, true,
-       "e3030bfebabcd88450c827ae44755450c97a2c5391bdb62a2e4cb7b74a3d7c97",
-       "83937a3fc444c028cc1bcab94d7652b84d6b69537dfefd642e5c7178da473944",
-       15, 360, 576, 422, 512, 64, 9, 0x3fefcdfe5b0e36d4,
-       676344, 256, 0, 0, 109, 467,
-       3, 328944, 581290},
+       "a6943f5453cc27b28d6e6793125b6ab22aa93d9b23fd6d3c7e2bf54e1ec6f353",
+       "a45c39183a1003cb3bf586a125a9b6f5115ee89aa8b5846e93f8120b7badd951",
+       15, 360, 384, 422, 320, 64, 6, 0x3fefde623408b67d,
+       676350, 256, 0, 0, 109, 467,
+       3, 329542, 581290},
       {2, false,
-       "b3a1d08fad0eb33298fc22ffea4f25b972eaac0fdfd4f3f32311d5eebc9493a6",
-       "bed2fea120fc70d4e2abd40440e1cf19b03104d5282a09b45bac7430a8cbefdb",
-       15, 578, 576, 640, 512, 64, 9, 0x3fefcdfe5b0e36d4,
-       672379, 256, 0, 0, 0, 0,
-       3, 329609, 581290},
+       "a79f811289183a1fb05f67de9e35da2d790d3d5ec28fbfefd99c029febe3cedc",
+       "5a1ff855c922e102ea6b2f9d253d0d95e42805ed9f67fef8615cc9345477df19",
+       15, 578, 384, 640, 320, 64, 6, 0x3fefde623408b67d,
+       672465, 256, 0, 0, 0, 0,
+       3, 329540, 581290},
       {2, true,
-       "b3a1d08fad0eb33298fc22ffea4f25b972eaac0fdfd4f3f32311d5eebc9493a6",
-       "bed2fea120fc70d4e2abd40440e1cf19b03104d5282a09b45bac7430a8cbefdb",
-       15, 360, 576, 422, 512, 64, 9, 0x3fefcdfe5b0e36d4,
-       672379, 256, 0, 0, 109, 467,
-       3, 329609, 581290},
+       "a79f811289183a1fb05f67de9e35da2d790d3d5ec28fbfefd99c029febe3cedc",
+       "5a1ff855c922e102ea6b2f9d253d0d95e42805ed9f67fef8615cc9345477df19",
+       15, 360, 384, 422, 320, 64, 6, 0x3fefde623408b67d,
+       672465, 256, 0, 0, 109, 467,
+       3, 329540, 581290},
       {3, false,
-       "8fd1a3acafeac8209d8c6c2b8430b23e0b0e45110d49cbc414de5290ed2af033",
-       "e170fc7e0a462fc89ac6d4f3771adb40470ef983aa0e9196d8416ebb912e90ff",
-       15, 578, 576, 640, 512, 64, 9, 0x3fefcdfe5b0e36d4,
-       676363, 256, 0, 0, 0, 0,
-       3, 329626, 581290},
+       "a4404a19f20e0bd32de995d9fc032e45fb0eb9e223a2a1577974afc0da7f83c3",
+       "9014b7752c303eab648027428dd36333351450c25e9c715ae51e1d4949cfc7a4",
+       15, 578, 384, 640, 320, 64, 6, 0x3fefde623408b67d,
+       676275, 256, 0, 0, 0, 0,
+       3, 328688, 581290},
       {3, true,
-       "8fd1a3acafeac8209d8c6c2b8430b23e0b0e45110d49cbc414de5290ed2af033",
-       "e170fc7e0a462fc89ac6d4f3771adb40470ef983aa0e9196d8416ebb912e90ff",
-       15, 360, 576, 422, 512, 64, 9, 0x3fefcdfe5b0e36d4,
-       676363, 256, 0, 0, 109, 467,
-       3, 329626, 581290},
+       "a4404a19f20e0bd32de995d9fc032e45fb0eb9e223a2a1577974afc0da7f83c3",
+       "9014b7752c303eab648027428dd36333351450c25e9c715ae51e1d4949cfc7a4",
+       15, 360, 384, 422, 320, 64, 6, 0x3fefde623408b67d,
+       676275, 256, 0, 0, 109, 467,
+       3, 328688, 581290},
   });
 }
 
@@ -852,6 +858,67 @@ TEST_F(StatePinTest, GroverSparse) {
        9655, 384, 0, 0, 1025, 351,
        0, 4180, 14304},
   });
+}
+
+// The two budgeted workloads with the budget removed: no level is ever
+// raised, and runs merge across two qubits. What the ladder does under a
+// budget must leave these rows alone.
+TEST_F(StatePinTest, QaoaLossyWithoutBudget) {
+  expect_rows("qaoa_lossy", {
+      {1, false,
+       "06257c9237a11bd3283b2b0f143a8f6d9c97a874a607660e07663289ef561702",
+       "aba4527dfbfc4e71a7ac92f05a73b2421aa5be6f66c2546b3a0f743ed8546e75",
+       6, 386, 0, 384, 0, 0, 0, 0x3ff0000000000000,
+       2103134, 256, 0, 0, 0, 0,
+       0, 1048960, 1048960},
+      {1, true,
+       "06257c9237a11bd3283b2b0f143a8f6d9c97a874a607660e07663289ef561702",
+       "aba4527dfbfc4e71a7ac92f05a73b2421aa5be6f66c2546b3a0f743ed8546e75",
+       6, 294, 0, 292, 0, 0, 0, 0x3ff0000000000000,
+       2103134, 256, 0, 0, 23, 105,
+       0, 1048960, 1048960},
+      {2, false,
+       "1c3b2439dcb0ab4e5f674d1616f6e3081cee276aefb2b70a6bff0b21203cffc7",
+       "e2536a870fd1766b10b078ce623245301f554ce7ea646d0cf8bb4795e8e7e6de",
+       7, 450, 0, 448, 0, 0, 0, 0x3ff0000000000000,
+       2103134, 256, 0, 0, 0, 0,
+       0, 1048960, 1048960},
+      {2, true,
+       "1c3b2439dcb0ab4e5f674d1616f6e3081cee276aefb2b70a6bff0b21203cffc7",
+       "e2536a870fd1766b10b078ce623245301f554ce7ea646d0cf8bb4795e8e7e6de",
+       7, 358, 0, 356, 0, 0, 0, 0x3ff0000000000000,
+       2103134, 256, 0, 0, 23, 121,
+       0, 1048960, 1048960},
+  }, false);
+}
+
+TEST_F(StatePinTest, GroverSparseWithoutBudget) {
+  expect_rows("grover_sparse", {
+      {1, false,
+       "aa7a2fa64f5a4dc24f9ec043a527ecd6e49ba8960bf6f0544466cdff7724699a",
+       "4edd917e42b13d360978ed14871382302a4deeedea8432bf3795fd043855dd08",
+       41, 2114, 0, 2112, 0, 0, 0, 0x3ff0000000000000,
+       9679, 384, 0, 0, 0, 0,
+       0, 4155, 13300},
+      {1, true,
+       "aa7a2fa64f5a4dc24f9ec043a527ecd6e49ba8960bf6f0544466cdff7724699a",
+       "4edd917e42b13d360978ed14871382302a4deeedea8432bf3795fd043855dd08",
+       41, 563, 0, 561, 0, 0, 0, 0x3ff0000000000000,
+       9679, 384, 0, 0, 1025, 351,
+       0, 4155, 13300},
+      {2, false,
+       "157263ea437a7d5ccf4286fb36e4bab74f481a14d81dd74aeb8b42822f4541ff",
+       "c96db9fded00f8796eba7c307641f3fd6926126992fa717e33185eb0a20a3011",
+       41, 2114, 0, 2112, 0, 0, 0, 0x3ff0000000000000,
+       9796, 384, 0, 0, 0, 0,
+       0, 4237, 15533},
+      {2, true,
+       "157263ea437a7d5ccf4286fb36e4bab74f481a14d81dd74aeb8b42822f4541ff",
+       "c96db9fded00f8796eba7c307641f3fd6926126992fa717e33185eb0a20a3011",
+       41, 563, 0, 561, 0, 0, 0, 0x3ff0000000000000,
+       9796, 384, 0, 0, 1025, 351,
+       0, 4237, 15533},
+  }, false);
 }
 
 TEST_F(StatePinTest, QftOoc) {
